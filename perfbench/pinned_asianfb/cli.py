@@ -1,0 +1,421 @@
+"""Command-line interface: solve / refine / compare.
+
+Configuration is resolved in increasing precedence: built-in defaults,
+a flat ``key = value`` config file (``--config``), command-line flags.
+The environment variable ASIANFB_OUT, when set, overrides the output
+directory; nothing else is read from the environment.
+
+All outputs are flat files (CSV with 9-decimal fixed-point numbers and
+one JSON summary per command) written deterministically: repeated runs
+with the same configuration are byte-identical.  Wall time is reported
+on stdout only so it never perturbs the files.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(message carries the failing layer).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import sys
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .analysis import compare_engines, refinement_study, run_engine
+from .errors import SolverError
+from .mesh import make_grid
+from .model import MarketParams
+from .scheme import SchemeMode
+from .solver_newton import NewtonConfig
+from .solver_pc import PredictorConfig
+
+__all__ = ["main"]
+
+DEFAULTS = {
+    "r": 0.06,
+    "q": 0.04,
+    "sigma": 0.2,
+    "T": 50.0,
+    "N": 200,
+    "M": None,          # ceil(2.5 N) when omitted
+    "L": None,          # 5 ln rho(0) when omitted
+    "eps_final": 1e-7,
+    "engine": "newton",
+    "scheme_mode": "upwind-singular",
+    "tol": None,        # engine default when omitted
+    "max_iter": None,
+    "tau_probes": "10,20,40",
+    "jobs": None,       # cpu count when omitted
+    "out_dir": ".",
+    "base_N": 50,
+    "levels": 5,
+    "boundary_csv": "boundary.csv",
+    "surface_csv": "surface.csv",
+    "summary_json": "summary.json",
+    "refine_csv": "refine.csv",
+    "compare_csv": "compare.csv",
+    "compare_json": "compare.json",
+}
+
+_COERCE = {
+    "r": float, "q": float, "sigma": float, "T": float,
+    "N": int, "M": int, "L": float, "eps_final": float,
+    "engine": str, "scheme_mode": str, "tol": float, "max_iter": int,
+    "tau_probes": str, "jobs": int, "out_dir": str,
+    "base_N": int, "levels": int,
+    "boundary_csv": str, "surface_csv": str, "summary_json": str,
+    "refine_csv": str, "compare_csv": str, "compare_json": str,
+}
+
+
+class ConfigError(Exception):
+    pass
+
+
+def _fmt(x: float) -> str:
+    """Fixed 9-decimal rendering used for every CSV number."""
+    return f"{x:.9f}"
+
+
+def _round9(x: float) -> float:
+    return round(float(x), 9)
+
+
+def parse_config_file(path: str) -> dict:
+    """Flat key = value lines; '#' starts a comment."""
+    out = {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = _COERCE[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    return out
+
+
+def _parse_probes(spec: str, T: float) -> tuple[float, ...]:
+    try:
+        probes = tuple(float(tok) for tok in spec.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad tau-probes {spec!r}") from exc
+    if not probes:
+        raise ConfigError("tau-probes must name at least one time")
+    for t in probes:
+        if not 0 < t < T:
+            raise ConfigError(f"probe tau={t} outside (0, T={T})")
+    return probes
+
+
+@dataclass
+class RunConfig:
+    """Fully-resolved invocation: market, grid overrides, engines, outputs."""
+
+    market: MarketParams
+    N: int
+    M: int | None
+    L: float | None
+    eps_final: float
+    engine: str
+    scheme_mode: SchemeMode
+    newton: NewtonConfig
+    predictor: PredictorConfig
+    probes: tuple[float, ...]
+    jobs: int
+    out_dir: str
+    files: dict[str, str]
+    base_N: int
+    levels: int
+    raw: dict  # scalar key/value view embedded in summaries
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    cfg = dict(DEFAULTS)
+    if args.config:
+        cfg.update(parse_config_file(args.config))
+    for key in DEFAULTS:
+        flag_val = getattr(args, key, None)
+        if flag_val is not None:
+            cfg[key] = flag_val
+    env_out = os.environ.get("ASIANFB_OUT")
+    if env_out:
+        cfg["out_dir"] = env_out
+
+    if cfg["engine"] not in ("newton", "pc"):
+        raise ConfigError(f"engine must be 'newton' or 'pc', got {cfg['engine']!r}")
+    try:
+        scheme_mode = SchemeMode(cfg["scheme_mode"])
+    except ValueError:
+        raise ConfigError(
+            f"scheme-mode must be 'central' or 'upwind-singular', got {cfg['scheme_mode']!r}"
+        ) from None
+    try:
+        market = MarketParams(r=cfg["r"], q=cfg["q"], sigma=cfg["sigma"], T=cfg["T"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    probes = _parse_probes(cfg["tau_probes"], cfg["T"])
+    jobs = cfg["jobs"] if cfg["jobs"] is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+    kwargs = {}
+    if cfg["tol"] is not None:
+        kwargs["tol"] = cfg["tol"]
+    if cfg["max_iter"] is not None:
+        kwargs["max_iter"] = cfg["max_iter"]
+    try:
+        newton = NewtonConfig(**kwargs)
+        predictor = PredictorConfig(**{k.replace("tol", "root_tol"): v
+                                       for k, v in kwargs.items()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    return RunConfig(
+        market=market, N=cfg["N"], M=cfg["M"], L=cfg["L"],
+        eps_final=cfg["eps_final"], engine=cfg["engine"], scheme_mode=scheme_mode,
+        newton=newton, predictor=predictor, probes=probes, jobs=jobs,
+        out_dir=cfg["out_dir"],
+        files={key: cfg[key] for key in ("boundary_csv", "surface_csv",
+                                         "summary_json", "refine_csv",
+                                         "compare_csv", "compare_json")},
+        base_N=cfg["base_N"], levels=cfg["levels"],
+        raw={"tol": cfg["tol"], "max_iter": cfg["max_iter"],
+             "tau_probes": cfg["tau_probes"]},
+    )
+
+
+def _make_grid(cfg: RunConfig):
+    try:
+        return make_grid(cfg.market, N=cfg.N, M=cfg.M, L=cfg.L,
+                         eps_final=cfg.eps_final)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_echo(cfg: RunConfig, grid) -> dict:
+    """Fully-resolved configuration, embedded for reproducibility."""
+    p = cfg.market
+    return {
+        "r": p.r, "q": p.q, "sigma": p.sigma, "T": p.T,
+        "N": grid.N, "M": grid.M, "L": grid.L, "eps_final": grid.eps_final,
+        "engine": cfg.engine, "scheme_mode": cfg.scheme_mode.value,
+        "tol": cfg.raw["tol"], "max_iter": cfg.raw["max_iter"],
+        "tau_probes": ",".join(f"{t:g}" for t in cfg.probes),
+        "jobs": cfg.jobs, "out_dir": cfg.out_dir,
+    }
+
+
+def _out_path(cfg: RunConfig, name_key: str) -> Path:
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / cfg.files[name_key]
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    grid = _make_grid(cfg)
+    p = cfg.market
+    started = time.perf_counter()
+    result = run_engine(cfg.engine, p, grid, cfg.scheme_mode,
+                        cfg.newton, cfg.predictor)
+    elapsed = time.perf_counter() - started
+
+    boundary_path = _out_path(cfg, "boundary_csv")
+    with boundary_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tau", "rho", "xf_t", "t"])
+        for tau, rho in zip(result.taus, result.rho):
+            writer.writerow([_fmt(tau), _fmt(rho), _fmt(1.0 / rho), _fmt(p.T - tau)])
+
+    surface_path = _out_path(cfg, "surface_csv")
+    with surface_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tau", "xi", "pi"])
+        for j, tau in enumerate(result.taus):
+            for xi, val in zip(grid.xi, result.surface[j]):
+                writer.writerow([_fmt(tau), _fmt(xi), _fmt(val)])
+
+    iterations = np.array([d.iterations for d in result.diagnostics])
+    summary = {
+        "command": "solve",
+        "engine": cfg.engine,
+        "scheme_mode": cfg.scheme_mode.value,
+        "params": {"r": p.r, "q": p.q, "sigma": p.sigma, "T": p.T},
+        "grid": {"N": grid.N, "M": grid.M, "L": grid.L, "h": grid.h,
+                 "k": grid.k, "eps_final": grid.eps_final},
+        "rho_tau0": _round9(result.rho[0]),
+    }
+    for t in cfg.probes:
+        summary[f"rho_tau{t:g}"] = _round9(result.rho_at(t))
+    summary["iterations"] = {
+        "max": int(iterations.max()),
+        "mean": _round9(float(iterations.mean())),
+        "total": int(iterations.sum()),
+    }
+    summary["diagnostics"] = {
+        "max_residual_f1": _round9(max(d.residual_f1 for d in result.diagnostics)),
+        "max_residual_f2": _round9(max(d.residual_f2 for d in result.diagnostics)),
+        "dominance_violations": int(sum(d.dominance_violations for d in result.diagnostics)),
+        "onesided_rows_max": int(max(d.onesided_rows for d in result.diagnostics)),
+        "predictor_fallback_layers": [d.layer for d in result.diagnostics
+                                      if d.predictor_fallback],
+    }
+    summary["outputs"] = {"boundary_csv": boundary_path.name,
+                          "surface_csv": surface_path.name}
+    summary["config"] = _config_echo(cfg, grid)
+    _write_json(_out_path(cfg, "summary_json"), summary)
+
+    print(f"solve: engine={cfg.engine} N={grid.N} M={grid.M} "
+          f"rho(0)={result.rho[0]:.9g} wall_time={elapsed:.3f}s")
+    print(f"wrote {boundary_path}, {surface_path}, {_out_path(cfg, 'summary_json')}")
+    return 0
+
+
+def cmd_refine(cfg: RunConfig) -> int:
+    if cfg.levels < 2:
+        raise ConfigError(f"levels must be >= 2, got {cfg.levels}")
+    started = time.perf_counter()
+    try:
+        report = refinement_study(
+            cfg.market, base_N=cfg.base_N, levels=cfg.levels,
+            mode=cfg.scheme_mode, engine=cfg.engine, probes=cfg.probes,
+            L=cfg.L, eps_final=cfg.eps_final,
+            newton_cfg=cfg.newton, pc_cfg=cfg.predictor, jobs=cfg.jobs,
+        )
+    except SolverError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    elapsed = time.perf_counter() - started
+
+    refine_path = _out_path(cfg, "refine_csv")
+    header = ["N", "M"]
+    for t in report.probe_times:
+        label = f"tau{t:g}"
+        header += [f"rho_{label}", f"diff_{label}", f"CR_{label}"]
+    with refine_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in report.rows:
+            record = [str(row.N), str(row.M)]
+            for t in report.probe_times:
+                record.append(_fmt(row.rho[t]))
+                record.append("" if row.diff[t] is None else _fmt(row.diff[t]))
+                record.append("" if row.cr[t] is None else _fmt(row.cr[t]))
+            writer.writerow(record)
+
+    print(f"refine: engine={cfg.engine} levels N="
+          f"{[row.N for row in report.rows]} wall_time={elapsed:.3f}s")
+    print(f"wrote {refine_path}")
+    return 0
+
+
+def cmd_compare(cfg: RunConfig) -> int:
+    grid = _make_grid(cfg)
+    started = time.perf_counter()
+    record = compare_engines(cfg.market, grid, cfg.scheme_mode,
+                             cfg.newton, cfg.predictor)
+    elapsed = time.perf_counter() - started
+
+    compare_path = _out_path(cfg, "compare_csv")
+    with compare_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tau", "rho_newton", "rho_pc", "diff"])
+        for tau, rn, rp in zip(record.taus, record.rho_newton, record.rho_pc):
+            writer.writerow([_fmt(tau), _fmt(rn), _fmt(rp), _fmt(rp - rn)])
+
+    payload = {
+        "command": "compare",
+        "scheme_mode": cfg.scheme_mode.value,
+        "max_diff": _round9(record.max_diff),
+        "mean_diff": _round9(record.mean_diff),
+        "pc_below_fraction": _round9(record.pc_below_fraction),
+        "lower_engine": record.lower_engine,
+        "config": _config_echo(cfg, grid),
+    }
+    _write_json(_out_path(cfg, "compare_json"), payload)
+
+    print(f"compare: max|rho_pc-rho_newton|={record.max_diff:.6g} "
+          f"pc_below_fraction={record.pc_below_fraction:.3f} wall_time={elapsed:.3f}s")
+    print(f"wrote {compare_path}, {_out_path(cfg, 'compare_json')}")
+    return 0
+
+
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="flat key = value configuration file")
+    sub.add_argument("--r", type=float, help="risk-free rate (1/year)")
+    sub.add_argument("--q", type=float, help="continuous dividend rate (1/year)")
+    sub.add_argument("--sigma", type=float, help="volatility (1/sqrt(year))")
+    sub.add_argument("--T", type=float, help="maturity (years)")
+    sub.add_argument("--N", type=int, help="number of spatial intervals")
+    sub.add_argument("--M", type=int, help="number of time layers (default ceil(2.5 N))")
+    sub.add_argument("--L", type=float, help="domain truncation length (default 5 ln rho(0))")
+    sub.add_argument("--eps-final", dest="eps_final", type=float,
+                     help="final-layer offset so tau_M = T - eps")
+    sub.add_argument("--engine", choices=["newton", "pc"], help="solver engine")
+    sub.add_argument("--scheme-mode", dest="scheme_mode",
+                     choices=[m.value for m in SchemeMode], help="advection discretization")
+    sub.add_argument("--tol", type=float,
+                     help="engine tolerance (Newton step norm / predictor root)")
+    sub.add_argument("--max-iter", dest="max_iter", type=int, help="engine iteration cap")
+    sub.add_argument("--tau-probes", dest="tau_probes",
+                     help="comma-separated probe times (default 10,20,40)")
+    sub.add_argument("--jobs", type=int, help="worker processes for refine")
+    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="asianfb",
+        description="Early exercise boundary of the American floating-strike "
+                    "Asian call via front-fixing finite differences.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    solve = commands.add_parser("solve", help="march one configuration, write "
+                                              "boundary/surface/summary files")
+    refine = commands.add_parser("refine", help="mesh-refinement study with "
+                                                "convergence ratios")
+    compare = commands.add_parser("compare", help="run both engines and compare "
+                                                  "boundary paths")
+    for sub in (solve, refine, compare):
+        _add_common_flags(sub)
+    refine.add_argument("--base-N", dest="base_N", type=int,
+                        help="coarsest spatial resolution (default 50)")
+    refine.add_argument("--levels", type=int, help="number of doublings (default 5)")
+
+    args = parser.parse_args(argv)
+    try:
+        cfg = resolve_config(args)
+        handler = {"solve": cmd_solve, "refine": cmd_refine, "compare": cmd_compare}
+        return handler[args.command](cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SolverError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,253 @@
+"""Predictor-corrector engine.
+
+Predictor.  The constraint is rewritten with an artificial node xi_{-1}
+so the slope at xi = 0 is central: with G(z) = q z - r + (z - 1)/(T-tau),
+
+    y_{-1} = y_1 - G(z) 4h/sigma^2,
+
+and eliminating y_{-1} from the PDE at xi = 0 (where dPi/dtau = 0) gives
+
+    y_1 = (2 alpha_0 h^2/sigma^4 + 2h/sigma^2) G(z)
+          - beta h^2/sigma^2 - 1.                                  (I)
+
+An explicit step of the interior scheme at i = 1 supplies the second
+relation (spatial terms frozen at the old layer):
+
+    y_1 = y_1^j - dt [alpha_1(z)(y_2^j - y_0^j)/(2h)
+          - (sigma^2/2)(y_2^j - 2 y_1^j + y_0^j)/h^2
+          + beta y_1^j].                                           (II)
+
+(I) - (II) is one scalar equation for the predicted boundary z-tilde,
+solved by safeguarded Newton (bisection fallback) inside a bracket found
+by scanning outward from the previous z; the sign-change cell nearest
+z_prev is used, which tracks the branch continuous with the march.
+
+(II) has the reaction term explicit as well; set
+PredictorConfig.implicit_reaction to divide it out at the new level
+instead (experimentation only).
+
+Near tau -> T the scalar residual loses its root: (II) overshoots once
+the singular advection dominates the explicit step, and on the final
+layer the beta h^2/sigma^2 term in (I) grows like h^2/(sigma^2 (T-tau)).
+The march then degrades gracefully by freezing z-tilde = z_prev for that
+layer (flagged in diagnostics) instead of aborting; the corrector still
+produces the layer.  predictor() itself raises NoBracket.
+
+Corrector.  One implicit solve of the interior scheme with coefficients
+frozen at z-tilde (both in the (z'-z)/(dt z') ratio and in the singular
+term), then the constraint, affine in z, is solved explicitly with the
+corrected slope to give z at the new layer.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import scheme
+from .errors import LayerFailure, NoBracket, NoConvergence, NonPositiveZ, SolverError
+from .mesh import GridSpec, LayerState, initial_layer
+from .model import MarketParams
+from .results import LayerDiagnostics, SolveResult
+from .scheme import SchemeMode
+from .tridiag import TridiagonalSystem, thomas_solve
+
+__all__ = ["PredictorConfig", "PredictorResult", "predictor", "corrector", "march_pc"]
+
+_BRACKET_SCAN = 64
+_BRACKET_EXPANSIONS = 6
+
+
+@dataclass(frozen=True)
+class PredictorConfig:
+    root_tol: float = 1e-10      # absolute tolerance on the z root
+    max_iter: int = 100
+    bracket_factor: float = 2.0  # initial bracket [z/f, z f], expanded by f
+    implicit_reaction: bool = False
+
+    def __post_init__(self):
+        if not (self.root_tol > 0):
+            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (self.bracket_factor > 1):
+            raise ValueError(f"bracket_factor must exceed 1, got {self.bracket_factor}")
+
+
+@dataclass(frozen=True)
+class PredictorResult:
+    y1: float
+    z: float
+    iterations: int
+
+
+def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec,
+                           p: MarketParams, cfg: PredictorConfig):
+    """Residual R(z) of (I)-(II) and its analytic derivative."""
+    dt = tau_next - prev.tau
+    ttm = p.T - tau_next
+    h = g.h
+    sig2 = p.sigma**2
+    beta_val = p.r + 1.0 / ttm
+    drift = p.r - p.q - 0.5 * sig2
+    y0p, y1p, y2p = prev.y[0], prev.y[1], prev.y[2]
+    grad_prev = (y2p - y0p) / (2.0 * h)
+    lap_prev = (y2p - 2.0 * y1p + y0p) / h**2
+    exp_h = math.exp(-h)
+
+    def eq_i(z):
+        g_val = p.q * z - p.r + (z - 1.0) / ttm
+        alpha0 = (z - prev.z) / (dt * z) + drift - (z - 1.0) / ttm
+        return (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * g_val \
+            - beta_val * h**2 / sig2 - 1.0
+
+    def eq_ii(z):
+        alpha1 = (z - prev.z) / (dt * z) + drift - (z * exp_h - 1.0) / ttm
+        flux = alpha1 * grad_prev - 0.5 * sig2 * lap_prev
+        if cfg.implicit_reaction:
+            return (y1p - dt * flux) / (1.0 + dt * beta_val)
+        return y1p - dt * (flux + beta_val * y1p)
+
+    def residual(z):
+        return eq_i(z) - eq_ii(z)
+
+    def derivative(z):
+        dg = p.q + 1.0 / ttm
+        g_val = p.q * z - p.r + (z - 1.0) / ttm
+        alpha0 = (z - prev.z) / (dt * z) + drift - (z - 1.0) / ttm
+        dalpha = prev.z / (dt * z**2)
+        d_i = (2.0 * h**2 / sig2**2) * (dalpha - 1.0 / ttm) * g_val \
+            + (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * dg
+        d_flux = (dalpha - exp_h / ttm) * grad_prev
+        d_ii = -dt * d_flux
+        if cfg.implicit_reaction:
+            d_ii /= 1.0 + dt * beta_val
+        return d_i - d_ii
+
+    return residual, derivative, eq_i
+
+
+def _bracket_nearest(residual, z_prev: float, cfg: PredictorConfig):
+    """Sign-change cell closest to z_prev inside an expanding bracket."""
+    factor = cfg.bracket_factor
+    for _ in range(_BRACKET_EXPANSIONS):
+        zs = np.linspace(z_prev / factor, z_prev * factor, _BRACKET_SCAN + 1)
+        vals = np.array([residual(z) for z in zs])
+        signs = np.sign(vals)
+        cells = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
+        if cells.size:
+            mids = 0.5 * (zs[cells] + zs[cells + 1])
+            pick = cells[int(np.argmin(np.abs(mids - z_prev)))]
+            return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
+        widest = factor
+        factor *= cfg.bracket_factor
+    raise NoBracket(
+        f"predictor residual has no sign change within "
+        f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]"
+    )
+
+
+def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
+              cfg: PredictorConfig = PredictorConfig()) -> PredictorResult:
+    """Predicted (y1, z) at the next layer from the scalar root problem."""
+    if not tau_next < p.T:
+        raise ValueError(f"tau_next must be < T; got {tau_next}")
+    residual, derivative, eq_i = _scalar_residual_funcs(prev, tau_next, g, p, cfg)
+    lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z, cfg)
+
+    x = 0.5 * (lo + hi)
+    fx = residual(x)
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        if fx == 0.0:
+            break
+        # keep the bracket valid around the root
+        if f_lo * fx <= 0.0:
+            hi = x
+        else:
+            lo, f_lo = x, fx
+        dfx = derivative(x)
+        if dfx != 0.0:
+            x_new = x - fx / dfx
+        else:
+            x_new = math.nan
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)  # bisection fallback
+        step = abs(x_new - x)
+        x = x_new
+        fx = residual(x)
+        if step < cfg.root_tol or (hi - lo) < cfg.root_tol:
+            break
+    else:
+        raise NoConvergence(cfg.max_iter, step)
+    if x <= 0:
+        raise NonPositiveZ(x)
+    return PredictorResult(y1=eq_i(x), z=x, iterations=iterations)
+
+
+def corrector(prev: LayerState, z_tilde: float, tau_next: float, g: GridSpec,
+              p: MarketParams, mode: SchemeMode) -> LayerState:
+    """Implicit solve at frozen z_tilde, then the explicit constraint update."""
+    if z_tilde <= 0:
+        raise NonPositiveZ(z_tilde)
+    dt = tau_next - prev.tau
+    rows = scheme.layer_rows(prev, z_tilde, tau_next, g, p, mode)
+    rhs = prev.y[1:-1] / dt
+    rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
+    y1 = thomas_solve(TridiagonalSystem(rows.lower[1:], rows.diag, rows.upper[:-1], rhs))
+    y = np.empty(g.N + 1)
+    y[0] = -1.0
+    y[-1] = 0.0
+    y[1:-1] = y1
+    z_new = scheme.constraint_root(y, tau_next, g, p)
+    if z_new <= 0:
+        raise NonPositiveZ(z_new)
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z_new)
+
+
+def march_pc(p: MarketParams, g: GridSpec,
+             mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
+             cfg: PredictorConfig = PredictorConfig()) -> SolveResult:
+    """One predictor and one corrector per layer over the full time mesh."""
+    state = initial_layer(p, g)
+    rho = np.empty(g.M + 1)
+    surface = np.empty((g.M + 1, g.N + 1))
+    rho[0] = state.z
+    surface[0] = state.y
+    diags: list[LayerDiagnostics] = []
+    for j in range(g.M):
+        tau_next = float(g.taus[j + 1])
+        fallback = False
+        try:
+            try:
+                pred = predictor(state, tau_next, g, p, cfg)
+                z_tilde, root_iters = pred.z, pred.iterations
+            except NoBracket:
+                z_tilde, root_iters = state.z, 0
+                fallback = True
+            new_state = corrector(state, z_tilde, tau_next, g, p, mode)
+        except SolverError as exc:
+            raise LayerFailure(j + 1, tau_next, exc) from exc
+
+        # linear-solve quality: scheme residual at the frozen coefficients,
+        # relative to the right-hand side scale
+        f1 = scheme.residual_interior(new_state.y, state, z_tilde, tau_next, g, p, mode)
+        rhs_scale = float(np.max(np.abs(state.y[1:-1]))) / (tau_next - state.tau)
+        rel_f1 = float(np.max(np.abs(f1))) / (1.0 + rhs_scale)
+        f2 = abs(scheme.residual_constraint(new_state.y, new_state.z, tau_next, g, p))
+        rows = scheme.layer_rows(state, z_tilde, tau_next, g, p, mode)
+        diags.append(LayerDiagnostics(
+            layer=j + 1, tau=tau_next, iterations=root_iters,
+            residual_f1=rel_f1, residual_f2=f2,
+            onesided_rows=int(np.sum(rows.onesided)),
+            dominance_violations=int(np.sum(
+                np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper))),
+            predictor_fallback=fallback,
+        ))
+        state = new_state
+        rho[j + 1] = state.z
+        surface[j + 1] = state.y
+    return SolveResult(params=p, grid=g, engine="pc", mode=mode.value,
+                       taus=g.taus.copy(), rho=rho, surface=surface, diagnostics=diags)
