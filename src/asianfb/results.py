@@ -19,7 +19,10 @@ class LayerDiagnostics:
     layer: int
     tau: float
     iterations: int          # Newton iterations / predictor root iterations
-    residual_f1: float       # max-norm interior residual at the accepted state
+    # interior residual at the accepted state: newton reports max |F1_i|, pc the
+    # row-wise backward error max |F1_i| / (|a_i y_{i-1}| + |c_i y_i|
+    # + |b_i y_{i+1}| + |y^prev_i|/dt)
+    residual_f1: float
     residual_f2: float       # constraint residual at the accepted state
     initial_residual: float = np.inf  # residual norm at the starting iterate
     onesided_rows: int = 0   # rows where the singular term was upwinded

@@ -17,6 +17,10 @@ Schur step
 This is algebraically the coupled block solve; the Schur denominator is
 guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
+
+Each iterate assembles the layer once: scheme.layer_rows gives J11, the
+row derivatives J12 is built from, and F1 in row form.  One more
+assembly at the accepted z gives the layer's diagnostics.
 """
 
 from __future__ import annotations
@@ -26,15 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scheme
-from .errors import LayerFailure, NoConvergence, NonPositiveZ, SingularSchur, SolverError
+from .errors import LayerFailure, NoConvergence, SingularSchur, SolverError
 from .mesh import GridSpec, LayerState, initial_layer
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult
 from .scheme import SchemeMode
 from .tridiag import TridiagonalSystem, thomas_solve
 
-__all__ = ["NewtonConfig", "JacobianBlocks", "z_column", "constraint_row", "build_jacobian",
-           "newton_layer", "march_newton"]
+__all__ = ["NewtonConfig", "JacobianBlocks", "interior_residual", "z_column", "constraint_row",
+           "build_jacobian", "newton_layer", "march_newton"]
 
 SCHUR_FLOOR = 1e-14
 
@@ -62,7 +66,7 @@ class JacobianBlocks:
     j21_y1: float       # dF2/dy_1 = -sigma^2/(D h)
     j21_y2: float       # dF2/dy_2 = +sigma^2/(4 D h)
     j22: float          # dF2/dz = 1
-    rows: scheme.LayerRows | None = None  # assembly the blocks were cut from
+    rows: scheme.LayerRows  # assembly the blocks were cut from
 
     def to_dense(self) -> np.ndarray:
         """Full (N, N) matrix; test oracle for the block elimination."""
@@ -86,11 +90,14 @@ def _with_boundaries(interior: np.ndarray) -> np.ndarray:
     return y
 
 
-def z_column(y: np.ndarray, z_next: float, prev: LayerState, tau_next: float,
-             g: GridSpec, p: MarketParams, mode: SchemeMode) -> np.ndarray:
-    """J12 = dF1/dz at (y, z_next); y carries its boundary values."""
-    da, dc, db = scheme.row_z_derivatives(prev, z_next, tau_next, g, p, mode)
-    return da * y[:-2] + dc * y[1:-1] + db * y[2:]
+def interior_residual(rows: scheme.LayerRows, y: np.ndarray) -> np.ndarray:
+    """F1 in row form; y carries its boundary values."""
+    return rows.lower * y[:-2] + rows.diag * y[1:-1] + rows.upper * y[2:] - rows.rhs
+
+
+def z_column(rows: scheme.LayerRows, y: np.ndarray) -> np.ndarray:
+    """J12 = dF1/dz at y and the boundary value the rows were assembled at."""
+    return rows.da * y[:-2] + rows.dc * y[1:-1] + rows.db * y[2:]
 
 
 def constraint_row(tau_next: float, g: GridSpec, p: MarketParams) -> tuple[float, float]:
@@ -112,7 +119,7 @@ def build_jacobian(y_next: np.ndarray, z_next: float, prev: LayerState,
         lower=rows.lower[1:],
         diag=rows.diag,
         upper=rows.upper[:-1],
-        j12=z_column(y, z_next, prev, tau_next, g, p, mode),
+        j12=z_column(rows, y),
         j21_y1=j21_y1,
         j21_y2=j21_y2,
         j22=1.0,
@@ -137,15 +144,12 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     diag = LayerDiagnostics(layer=prev.j + 1, tau=tau_next, iterations=0,
                             residual_f1=np.inf, residual_f2=np.inf)
     for it in range(1, cfg.max_iter + 1):
-        if z <= 0:
-            raise NonPositiveZ(z)
+        blocks = build_jacobian(y1, z, prev, tau_next, g, p, mode)  # raises NonPositiveZ
         y_full = _with_boundaries(y1)
-        f1 = scheme.residual_interior(y_full, prev, z, tau_next, g, p, mode)
+        f1 = interior_residual(blocks.rows, y_full)
         f2 = scheme.residual_constraint(y_full, z, tau_next, g, p)
-        res = max(float(np.max(np.abs(f1))), abs(f2))
         if it == 1:
-            diag.initial_residual = res
-        blocks = build_jacobian(y1, z, prev, tau_next, g, p, mode)
+            diag.initial_residual = max(float(np.max(np.abs(f1))), abs(f2))
         diag.onesided_rows = max(diag.onesided_rows, int(np.sum(blocks.rows.onesided)))
         diag.dominance_violations += _dominance_violations(blocks.rows)
 
@@ -168,12 +172,10 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
             break
     else:
         raise NoConvergence(cfg.max_iter, step)
-    if z <= 0:
-        raise NonPositiveZ(z)
 
     y_full = _with_boundaries(y1)
-    diag.residual_f1 = float(np.max(np.abs(
-        scheme.residual_interior(y_full, prev, z, tau_next, g, p, mode))))
+    rows = scheme.layer_rows(prev, z, tau_next, g, p, mode)  # raises NonPositiveZ
+    diag.residual_f1 = float(np.max(np.abs(interior_residual(rows, y_full))))
     diag.residual_f2 = abs(scheme.residual_constraint(y_full, z, tau_next, g, p))
     return LayerState(j=prev.j + 1, tau=tau_next, y=y_full, z=z), diag
 

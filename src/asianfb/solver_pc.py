@@ -22,10 +22,6 @@ solved by safeguarded Newton (bisection fallback) inside a bracket found
 by scanning outward from the previous z; the sign-change cell nearest
 z_prev is used, which tracks the branch continuous with the march.
 
-(II) has the reaction term explicit as well; set
-PredictorConfig.implicit_reaction to divide it out at the new level
-instead (experimentation only).
-
 Near tau -> T the scalar residual loses its root: (II) overshoots once
 the singular advection dominates the explicit step, and on the final
 layer the beta h^2/sigma^2 term in (I) grows like h^2/(sigma^2 (T-tau)).
@@ -42,9 +38,11 @@ moves the boundary: with the blocks of solver_newton,
     z = z-tilde - F2 / (1 - J21 J11^{-1} J12),
 
 the root of the constraint linearised about the frozen solve (one more
-Thomas solve on the same rows).  The interior is solved once more with
-coefficients frozen at z, and (y(z), z) is stored, so the boundary value
-kept for the next layer is the one the layer's transport term used.
+Thomas solve on the same rows, with J12 from their z-derivatives).  The
+interior is solved once more with coefficients frozen at z, and (y(z), z)
+is stored, so the boundary value kept for the next layer is the one the
+layer's transport term used.  The layer's F1 and row counts come from the
+rows of that last solve, so a layer costs two assemblies.
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
@@ -68,7 +66,7 @@ from .mesh import GridSpec, LayerState, initial_layer
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult
 from .scheme import SchemeMode
-from .solver_newton import SCHUR_FLOOR, constraint_row, z_column
+from .solver_newton import SCHUR_FLOOR, constraint_row, interior_residual, z_column
 from .tridiag import TridiagonalSystem, thomas_solve
 
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "corrector", "march_pc"]
@@ -82,7 +80,6 @@ class PredictorConfig:
     root_tol: float = 1e-10      # absolute tolerance on the z root
     max_iter: int = 100
     bracket_factor: float = 2.0  # initial bracket [z/f, z f], expanded by f
-    implicit_reaction: bool = False
 
     def __post_init__(self):
         if not (self.root_tol > 0):
@@ -100,8 +97,7 @@ class PredictorResult:
     iterations: int
 
 
-def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec,
-                           p: MarketParams, cfg: PredictorConfig):
+def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams):
     """Residual R(z) of (I)-(II) and its analytic derivative.
 
     Each closure takes a scalar z or an array of them.
@@ -126,8 +122,6 @@ def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec,
     def eq_ii(z):
         alpha1 = (z - prev.z) / (dt * z) + drift - (z * exp_h - 1.0) / ttm
         flux = alpha1 * grad_prev - 0.5 * sig2 * lap_prev
-        if cfg.implicit_reaction:
-            return (y1p - dt * flux) / (1.0 + dt * beta_val)
         return y1p - dt * (flux + beta_val * y1p)
 
     def residual(z):
@@ -142,8 +136,6 @@ def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec,
             + (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * dg
         d_flux = (dalpha - exp_h / ttm) * grad_prev
         d_ii = -dt * d_flux
-        if cfg.implicit_reaction:
-            d_ii /= 1.0 + dt * beta_val
         return d_i - d_ii
 
     return residual, derivative, eq_i
@@ -174,7 +166,7 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     """Predicted (y1, z) at the next layer from the scalar root problem."""
     if not tau_next < p.T:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
-    residual, derivative, eq_i = _scalar_residual_funcs(prev, tau_next, g, p, cfg)
+    residual, derivative, eq_i = _scalar_residual_funcs(prev, tau_next, g, p)
     lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z, cfg)
 
     x = 0.5 * (lo + hi)
@@ -211,7 +203,7 @@ def _frozen_solve(prev: LayerState, z: float, tau_next: float, g: GridSpec,
                   p: MarketParams, mode: SchemeMode):
     """Interior rows frozen at boundary value z and the layer y they solve for."""
     rows = scheme.layer_rows(prev, z, tau_next, g, p, mode)
-    rhs = prev.y[1:-1] / (tau_next - prev.tau)
+    rhs = rows.rhs.copy()
     rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
     y = np.empty(g.N + 1)
     y[0] = -1.0
@@ -223,21 +215,17 @@ def _frozen_solve(prev: LayerState, z: float, tau_next: float, g: GridSpec,
 def _correct(prev: LayerState, z_tilde: float, tau_next: float, g: GridSpec,
              p: MarketParams, mode: SchemeMode):
     """corrector(), also returning the rows the stored layer was solved with."""
-    if z_tilde <= 0:
-        raise NonPositiveZ(z_tilde)
-    rows, y = _frozen_solve(prev, z_tilde, tau_next, g, p, mode)
+    rows, y = _frozen_solve(prev, z_tilde, tau_next, g, p, mode)  # raises NonPositiveZ
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of solver_newton reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
-    j12 = z_column(y, z_tilde, prev, tau_next, g, p, mode)
-    v = thomas_solve(TridiagonalSystem(rows.lower[1:], rows.diag, rows.upper[:-1], j12))
+    v = thomas_solve(TridiagonalSystem(rows.lower[1:], rows.diag, rows.upper[:-1],
+                                       z_column(rows, y)))
     j21_y1, j21_y2 = constraint_row(tau_next, g, p)
     denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
     if abs(denom) < SCHUR_FLOOR:
         raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
     z = z_tilde - scheme.residual_constraint(y, z_tilde, tau_next, g, p) / denom
-    if z <= 0:
-        raise NonPositiveZ(z)
-    rows, y = _frozen_solve(prev, z, tau_next, g, p, mode)
+    rows, y = _frozen_solve(prev, z, tau_next, g, p, mode)  # raises NonPositiveZ
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), rows
 
 
@@ -271,11 +259,13 @@ def march_pc(p: MarketParams, g: GridSpec,
         except SolverError as exc:
             raise LayerFailure(j + 1, tau_next, exc) from exc
 
-        # linear-solve quality: scheme residual at the stored boundary value,
-        # relative to the right-hand side scale
-        f1 = scheme.residual_interior(new_state.y, state, new_state.z, tau_next, g, p, mode)
-        rhs_scale = float(np.max(np.abs(state.y[1:-1]))) / (tau_next - state.tau)
-        rel_f1 = float(np.max(np.abs(f1))) / (1.0 + rhs_scale)
+        # linear-solve quality: row-wise backward error of the stored layer,
+        # |F1_i| over the magnitudes of the terms F1_i sums
+        y = new_state.y
+        terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
+            + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
+        f1 = np.abs(interior_residual(rows, y))
+        rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
         f2 = abs(scheme.residual_constraint(new_state.y, new_state.z, tau_next, g, p))
         diags.append(LayerDiagnostics(
             layer=j + 1, tau=tau_next, iterations=root_iters,

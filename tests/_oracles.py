@@ -1,9 +1,88 @@
 """Independent reference computations used only by the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from asianfb import scheme
 from asianfb.mesh import LayerState
+from asianfb.scheme import SchemeMode
+
+
+def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):
+    """Discrete advection coefficient alpha_i at the new layer."""
+    zdot = (z_next - z_prev) / (k * z_next)
+    return (
+        zdot
+        + p.r
+        - p.q
+        - 0.5 * p.sigma**2
+        - (z_next * np.exp(-np.asarray(xi)) - 1.0) / (p.T - tau_next)
+    )
+
+
+@dataclass(frozen=True)
+class RowCoefficients:
+    """Single interior row: sub/main/super coefficients and d_i."""
+
+    a_i: float
+    c_i: float
+    b_i: float
+    d_i: float
+
+
+def assemble_interior_row(i, prev, z_next, tau_next, g, p, mode):
+    """Row coefficients at a single interior node (1 <= i <= N-1).
+
+    d_i = (z e^{-xi_i} - 1) / (2h (T - tau)) is the singular-advection
+    coefficient of the central row.
+    """
+    if not 1 <= i <= g.N - 1:
+        raise ValueError(f"interior node index must satisfy 1 <= i <= N-1, got {i}")
+    rows = scheme.layer_rows(prev, z_next, tau_next, g, p, mode)
+    d_i = (z_next * np.exp(-g.xi[i]) - 1.0) / (2.0 * g.h * (p.T - tau_next))
+    return RowCoefficients(
+        a_i=float(rows.lower[i - 1]),
+        c_i=float(rows.diag[i - 1]),
+        b_i=float(rows.upper[i - 1]),
+        d_i=float(d_i),
+    )
+
+
+def residual_interior(y_next, prev, z_next, tau_next, g, p, mode):
+    """Interior residual F1 (difference-quotient form, one value per node).
+
+    Written directly from the scheme rather than through the row
+    coefficients; it pins the row form F1 = rows . y - y_prev/dt.
+    """
+    y_next = np.asarray(y_next, dtype=float)
+    if y_next[0] != -1.0 or y_next[-1] != 0.0:
+        raise ValueError("y_next must carry boundary values y[0]=-1, y[-1]=0")
+    dt = tau_next - prev.tau
+    ttm = p.T - tau_next
+    mu = (z_next - prev.z) / (dt * z_next) + p.r - p.q - 0.5 * p.sigma**2
+    s = (z_next * np.exp(-g.xi[1:-1]) - 1.0) / ttm
+    beta_val = p.r + 1.0 / ttm
+    h = g.h
+    yc = y_next[1:-1]
+    yl = y_next[:-2]
+    yr = y_next[2:]
+    if mode is SchemeMode.CENTRAL:
+        onesided = np.zeros(s.shape, dtype=bool)
+    else:
+        onesided = np.abs(mu - s) > p.sigma**2 / h
+
+    central_slope = (yr - yl) / (2.0 * h)
+    one_slope = np.where(s >= 0.0, (yr - yc) / h, (yc - yl) / h)
+    advection = np.where(
+        onesided, mu * central_slope - s * one_slope, (mu - s) * central_slope
+    )
+    return (
+        (yc - prev.y[1:-1]) / dt
+        + advection
+        - 0.5 * p.sigma**2 * (yr - 2.0 * yc + yl) / h**2
+        + beta_val * yc
+    )
 
 
 def dense_tridiag(lower, diag, upper):
@@ -82,7 +161,7 @@ def finite_difference_jacobian(y1, z, prev, tau_next, g, p, mode, step=1e-6):
 
     def full_residual(y1_val, z_val):
         y = np.concatenate([[-1.0], y1_val, [0.0]])
-        f1 = scheme.residual_interior(y, prev, z_val, tau_next, g, p, mode)
+        f1 = residual_interior(y, prev, z_val, tau_next, g, p, mode)
         f2 = scheme.residual_constraint(y, z_val, tau_next, g, p)
         return np.concatenate([f1, [f2]])
 

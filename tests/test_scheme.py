@@ -6,17 +6,11 @@ import pytest
 from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
 from asianfb.model import alpha_continuous, beta
-from asianfb.scheme import (
-    SchemeMode,
-    assemble_interior_row,
-    constraint_root,
-    discrete_alpha,
-    layer_rows,
-    residual_constraint,
-    residual_interior,
-)
-from asianfb.solver_newton import newton_layer
+from asianfb.scheme import SchemeMode, constraint_root, layer_rows, residual_constraint
+from asianfb.solver_newton import interior_residual, newton_layer
 from asianfb.mesh import initial_layer
+
+from _oracles import assemble_interior_row, discrete_alpha, residual_interior
 
 MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
 
@@ -60,10 +54,13 @@ class TestDiscreteAlpha:
         assert val == pytest.approx(float(expected), rel=1e-13)
 
     def test_rejects_nonpositive_z(self, params):
+        # alpha_i enters the rows through mu and s_i, so the assembly guards it
+        g = make_grid(params, N=8)
+        prev = LayerState(j=0, tau=9.9, y=_flat_y(g.N), z=1.0)
         with pytest.raises(NonPositiveZ):
-            discrete_alpha(0.0, 1.0, 0.1, params, 0.0, 10.0)
+            layer_rows(prev, 0.0, 10.0, g, params, SchemeMode.CENTRAL)
         with pytest.raises(ValueError):
-            discrete_alpha(1.5, 1.0, 0.1, params, 0.0, params.T)
+            layer_rows(prev, 1.5, params.T, g, params, SchemeMode.CENTRAL)
 
 
 class TestRowAssembly:
@@ -130,8 +127,7 @@ class TestRowsMatchResidual:
         y_next[0] = -1.0
         y_next[-1] = 0.0
         rows = layer_rows(prev, z_next, tau_next, g, params, mode)
-        via_rows = (rows.lower * y_next[:-2] + rows.diag * y_next[1:-1]
-                    + rows.upper * y_next[2:] - prev.y[1:-1] / dt)
+        via_rows = interior_residual(rows, y_next)
         direct = residual_interior(y_next, prev, z_next, tau_next, g, params, mode)
         scale = np.max(np.abs(direct)) + 1.0
         assert np.max(np.abs(via_rows - direct)) <= 1e-12 * scale

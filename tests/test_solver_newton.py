@@ -41,11 +41,11 @@ class TestBuildJacobian:
                 assert np.max(np.abs(dense - fd) / scale) <= 1e-5
 
     def test_diagonal_is_z_free_in_central_mode(self, params, rng):
-        from asianfb.scheme import row_z_derivatives
+        from asianfb.scheme import layer_rows
 
         g = make_grid(params, N=12)
         prev, _, z = random_state(rng, g, 20.0)
-        _, dc, _ = row_z_derivatives(prev, z, 20.0, g, params, SchemeMode.CENTRAL)
+        dc = layer_rows(prev, z, 20.0, g, params, SchemeMode.CENTRAL).dc
         assert np.array_equal(dc, np.zeros(g.N - 1))
 
     def test_constraint_row_reference_values(self, params, rng):
