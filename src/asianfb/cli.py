@@ -232,6 +232,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
+                   surface: np.ndarray) -> None:
+    """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes it.
+
+    Each xi cell is formatted once and each time layer written as one chunk.
+    """
+    xi_cells = [_fmt(x) for x in xi]
+    with path.open("w", newline="") as fh:
+        fh.write("tau,xi,pi\r\n")
+        for tau, values in zip(taus, surface):
+            lead = _fmt(tau)
+            fh.write("".join([f"{lead},{cell},{v:.9f}\r\n"
+                              for cell, v in zip(xi_cells, values.tolist())]))
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     grid = _make_grid(cfg)
     p = cfg.market
@@ -248,12 +263,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             writer.writerow([_fmt(tau), _fmt(rho), _fmt(1.0 / rho), _fmt(p.T - tau)])
 
     surface_path = _out_path(cfg, "surface_csv")
-    with surface_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "xi", "pi"])
-        for j, tau in enumerate(result.taus):
-            for xi, val in zip(grid.xi, result.surface[j]):
-                writer.writerow([_fmt(tau), _fmt(xi), _fmt(val)])
+    _write_surface(surface_path, result.taus, grid.xi, result.surface)
 
     iterations = np.array([d.iterations for d in result.diagnostics])
     summary = {

@@ -38,6 +38,8 @@ class GridSpec:
     k: float = field(init=False)
     xi: np.ndarray = field(init=False, repr=False, compare=False)
     taus: np.ndarray = field(init=False, repr=False, compare=False)
+    # e^{-xi_i} at the interior nodes i = 1..N-1, for the singular advection term
+    exp_neg_xi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 4:
@@ -62,6 +64,7 @@ class GridSpec:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "exp_neg_xi", np.exp(-xi[1:-1]))
 
 
 @dataclass

@@ -25,8 +25,12 @@ engines take the interior residual from the rows,
 
     F1_i = a_i y_{i-1}' + c_i y_i' + b_i y_{i+1}' - y_i/dt.
 
-The test suite keeps the difference-quotient form of F1 as the oracle
-that pins this row form.
+Each row is computed once: layer_rows builds the central rows and then
+rewrites only the rows the one-sided switch below selects (none in
+central mode; in upwind-singular mode only near expiry).  The test suite
+keeps the difference-quotient form of F1 as the oracle that pins this
+row form, and the mask blend of both stencils as the oracle that pins
+the rewrite.
 
 The boundary constraint closing the system uses the one-sided
 second-order slope at xi = 0:
@@ -111,30 +115,38 @@ def layer_rows(prev: LayerState, z_next: float, tau_next: float,
     # bounded advection part mu and singular part s_i; only these depend on z:
     # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
     mu = (z_next - prev.z) / (dt * z_next) + p.r - p.q - 0.5 * sig2
-    exp_xi = np.exp(-g.xi[1:-1])
+    exp_xi = g.exp_neg_xi
     s = (z_next * exp_xi - 1.0) / ttm
     dmu = prev.z / (dt * z_next**2)
     ds = exp_xi / ttm
+
+    # central rows everywhere; their diagonals are z-free
+    diff = 0.5 * sig2 / h**2
+    adv = 0.5 * mu / h
+    d = 0.5 * s / h
+    lower = -adv - diff + d
+    upper = adv - diff - d
+    diag_base = 1.0 / dt + sig2 / h**2 + (p.r + 1.0 / ttm)  # beta = r + 1/(T - tau)
+    diag = np.full(s.shape, diag_base)
+    da = -0.5 * dmu / h + 0.5 * ds / h
+    dc = np.zeros(s.shape)
+    db = 0.5 * dmu / h - 0.5 * ds / h
     if mode is SchemeMode.CENTRAL:
         onesided = np.zeros(s.shape, dtype=bool)
     else:
         # |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal
         onesided = np.abs(mu - s) > sig2 / h
-    pos = s >= 0.0
-
-    diff = 0.5 * sig2 / h**2
-    adv = 0.5 * mu / h
-    d = 0.5 * s / h
-    lower = np.where(onesided, -adv - diff + np.where(pos, 0.0, s / h), -adv - diff + d)
-    upper = np.where(onesided, adv - diff - np.where(pos, s / h, 0.0), adv - diff - d)
-    diag_base = 1.0 / dt + sig2 / h**2 + (p.r + 1.0 / ttm)  # beta = r + 1/(T - tau)
-    diag = np.where(onesided, diag_base + np.abs(s) / h, diag_base)
-    # central rows have z-free diagonals
-    da = np.where(onesided, -0.5 * dmu / h + np.where(pos, 0.0, ds / h),
-                  -0.5 * dmu / h + 0.5 * ds / h)
-    dc = np.where(onesided, np.where(pos, ds / h, -ds / h), 0.0)
-    db = np.where(onesided, 0.5 * dmu / h - np.where(pos, ds / h, 0.0),
-                  0.5 * dmu / h - 0.5 * ds / h)
+        idx = np.flatnonzero(onesided)
+        if idx.size:
+            # the singular term upwinded: forward where s_i >= 0, backward otherwise
+            s1, ds1 = s[idx], ds[idx]
+            pos = s1 >= 0.0
+            lower[idx] = -adv - diff + np.where(pos, 0.0, s1 / h)
+            upper[idx] = adv - diff - np.where(pos, s1 / h, 0.0)
+            diag[idx] = diag_base + np.abs(s1) / h
+            da[idx] = -0.5 * dmu / h + np.where(pos, 0.0, ds1 / h)
+            dc[idx] = np.where(pos, ds1 / h, -ds1 / h)
+            db[idx] = 0.5 * dmu / h - np.where(pos, ds1 / h, 0.0)
     return LayerRows(lower=lower, diag=diag, upper=upper, da=da, dc=dc, db=db,
                      rhs=prev.y[1:-1] / dt, onesided=onesided)
 

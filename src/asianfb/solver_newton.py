@@ -9,8 +9,8 @@ form
         [ J21  J22 ]      J12: dF1/dz,  J21: dF2/dy (two entries),  J22 = 1
 
 and each Newton step J dY = -F is solved by eliminating the first block:
-two Thomas solves u = J11^{-1} F1 and v = J11^{-1} J12, then the scalar
-Schur step
+u = J11^{-1} F1 and v = J11^{-1} J12 from one Thomas elimination of J11
+with both right-hand sides, then the scalar Schur step
 
     dz = (-F2 + J21 u) / (J22 - J21 v),      dY1 = -u - v dz.
 
@@ -67,19 +67,6 @@ class JacobianBlocks:
     j21_y2: float       # dF2/dy_2 = +sigma^2/(4 D h)
     j22: float          # dF2/dz = 1
     rows: scheme.LayerRows  # assembly the blocks were cut from
-
-    def to_dense(self) -> np.ndarray:
-        """Full (N, N) matrix; test oracle for the block elimination."""
-        m = self.diag.size
-        full = np.zeros((m + 1, m + 1))
-        full[np.arange(m), np.arange(m)] = self.diag
-        full[np.arange(1, m), np.arange(m - 1)] = self.lower
-        full[np.arange(m - 1), np.arange(1, m)] = self.upper
-        full[:m, m] = self.j12
-        full[m, 0] = self.j21_y1
-        full[m, 1] = self.j21_y2
-        full[m, m] = self.j22
-        return full
 
 
 def _with_boundaries(interior: np.ndarray) -> np.ndarray:
@@ -153,8 +140,8 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         diag.onesided_rows = max(diag.onesided_rows, int(np.sum(blocks.rows.onesided)))
         diag.dominance_violations += _dominance_violations(blocks.rows)
 
-        u = thomas_solve(TridiagonalSystem(blocks.lower, blocks.diag, blocks.upper, f1))
-        v = thomas_solve(TridiagonalSystem(blocks.lower, blocks.diag, blocks.upper, blocks.j12))
+        u, v = thomas_solve(TridiagonalSystem(blocks.lower, blocks.diag, blocks.upper,
+                                              np.stack((f1, blocks.j12))))
         j21_u = blocks.j21_y1 * u[0] + blocks.j21_y2 * u[1]
         j21_v = blocks.j21_y1 * v[0] + blocks.j21_y2 * v[1]
         denom = blocks.j22 - j21_v

@@ -1,12 +1,15 @@
-"""Tridiagonal linear algebra: Thomas solve plus a dense test oracle.
+"""Tridiagonal linear algebra: the Thomas solve.
 
 Classic Thomas elimination without pivoting; the marching schemes keep
 their rows diagonally dominant (see scheme), so only a zero-pivot guard
-is needed to stay O(n).
+is needed to stay O(n).  A system may carry two right-hand sides, shape
+(2, n): the Newton engine solves J11 for F1 and J12 together, in one
+elimination, and each solution is bit-identical to a single solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,14 +17,14 @@ import numpy as np
 from . import _kernels
 from .errors import ZeroPivot
 
-__all__ = ["TridiagonalSystem", "thomas_solve", "dense_solve"]
+__all__ = ["TridiagonalSystem", "thomas_solve"]
 
 PIVOT_RTOL = 1e-14  # pivot floor relative to max |diagonal|
 
 
 @dataclass
 class TridiagonalSystem:
-    """Banded system: lower (n-1), diag (n), upper (n-1), rhs (n)."""
+    """Banded system: lower (n-1), diag (n), upper (n-1), rhs (n) or (2, n)."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -38,42 +41,27 @@ class TridiagonalSystem:
             raise ValueError("system must have at least one row")
         if self.lower.size != n - 1 or self.upper.size != n - 1:
             raise ValueError("off-diagonals must have length n-1")
-        if self.rhs.size != n:
-            raise ValueError("rhs must have length n")
+        if self.rhs.shape not in ((n,), (2, n)):
+            raise ValueError("rhs must have shape (n,) or (2, n)")
         for name in ("lower", "diag", "upper", "rhs"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} contains non-finite values")
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self.diag * x
-        out[1:] += self.lower * x[:-1]
-        out[:-1] += self.upper * x[1:]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.diag.size
-        a = np.zeros((n, n))
-        a[np.arange(n), np.arange(n)] = self.diag
-        a[np.arange(1, n), np.arange(n - 1)] = self.lower
-        a[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return a
-
 
 def _pivot_floor(diag: np.ndarray) -> float:
-    return PIVOT_RTOL * float(np.abs(diag).max())
+    # An all-zero diagonal makes the relative floor 0, which no pivot falls
+    # below; the smallest positive double still catches an exactly zero pivot.
+    return max(PIVOT_RTOL * float(np.abs(diag).max()), math.ulp(0.0))
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """O(n) elimination; raises ZeroPivot when a pivot underflows the floor."""
-    x, fail = _kernels.active().thomas(
+    """O(n) elimination; raises ZeroPivot when a pivot underflows the floor.
+
+    Returns the solution in the shape of ``sys.rhs``.
+    """
+    x, fail = _kernels.pure.thomas(
         sys.lower, sys.diag, sys.upper, sys.rhs, _pivot_floor(sys.diag)
     )
     if fail >= 0:
         raise ZeroPivot(fail)
     return x
-
-
-def dense_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Dense LU oracle (test use only; O(n^3))."""
-    return np.linalg.solve(sys.to_dense(), sys.rhs)

@@ -1,12 +1,13 @@
 """Independent reference computations used only by the test suite."""
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from asianfb import scheme
 from asianfb.mesh import LayerState
-from asianfb.scheme import SchemeMode
+from asianfb.scheme import LayerRows, SchemeMode
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):
@@ -92,6 +93,80 @@ def dense_tridiag(lower, diag, upper):
     a[np.arange(1, n), np.arange(n - 1)] = lower
     a[np.arange(n - 1), np.arange(1, n)] = upper
     return a
+
+
+def tridiag_matvec(sys, x):
+    """A x for a TridiagonalSystem's matrix A, from its three diagonals."""
+    x = np.asarray(x, dtype=float)
+    out = sys.diag * x
+    out[1:] += sys.lower * x[:-1]
+    out[:-1] += sys.upper * x[1:]
+    return out
+
+
+def dense_solve(sys):
+    """Dense LU solve of a TridiagonalSystem (O(n^3)); oracle for thomas_solve."""
+    return np.linalg.solve(dense_tridiag(sys.lower, sys.diag, sys.upper), sys.rhs)
+
+
+def dense_jacobian(blocks):
+    """Full (N, N) matrix of Newton's JacobianBlocks; oracle for the block elimination."""
+    m = blocks.diag.size
+    full = np.zeros((m + 1, m + 1))
+    full[:m, :m] = dense_tridiag(blocks.lower, blocks.diag, blocks.upper)
+    full[:m, m] = blocks.j12
+    full[m, 0] = blocks.j21_y1
+    full[m, 1] = blocks.j21_y2
+    full[m, m] = blocks.j22
+    return full
+
+
+def layer_rows_where(prev, z_next, tau_next, g, p, mode):
+    """scheme.layer_rows as a mask blend: both stencils on every row under np.where.
+
+    The library builds the central rows and rewrites only the upwinded ones;
+    this form evaluates each row both ways and picks, so the two must agree
+    bit for bit.  It has none of the library's input guards.
+    """
+    dt = tau_next - prev.tau
+    ttm = p.T - tau_next
+    h = g.h
+    sig2 = p.sigma**2
+    mu = (z_next - prev.z) / (dt * z_next) + p.r - p.q - 0.5 * sig2
+    exp_xi = np.exp(-g.xi[1:-1])
+    s = (z_next * exp_xi - 1.0) / ttm
+    dmu = prev.z / (dt * z_next**2)
+    ds = exp_xi / ttm
+    if mode is SchemeMode.CENTRAL:
+        onesided = np.zeros(s.shape, dtype=bool)
+    else:
+        onesided = np.abs(mu - s) > sig2 / h
+    pos = s >= 0.0
+
+    diff = 0.5 * sig2 / h**2
+    adv = 0.5 * mu / h
+    d = 0.5 * s / h
+    lower = np.where(onesided, -adv - diff + np.where(pos, 0.0, s / h), -adv - diff + d)
+    upper = np.where(onesided, adv - diff - np.where(pos, s / h, 0.0), adv - diff - d)
+    diag_base = 1.0 / dt + sig2 / h**2 + (p.r + 1.0 / ttm)
+    diag = np.where(onesided, diag_base + np.abs(s) / h, diag_base)
+    da = np.where(onesided, -0.5 * dmu / h + np.where(pos, 0.0, ds / h),
+                  -0.5 * dmu / h + 0.5 * ds / h)
+    dc = np.where(onesided, np.where(pos, ds / h, -ds / h), 0.0)
+    db = np.where(onesided, 0.5 * dmu / h - np.where(pos, ds / h, 0.0),
+                  0.5 * dmu / h - 0.5 * ds / h)
+    return LayerRows(lower=lower, diag=diag, upper=upper, da=da, dc=dc, db=db,
+                     rhs=prev.y[1:-1] / dt, onesided=onesided)
+
+
+def write_surface_csv(path, taus, xi, surface):
+    """surface.csv through csv.writer, one row and three formatted cells at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tau", "xi", "pi"])
+        for j, tau in enumerate(taus):
+            for x, val in zip(xi, surface[j]):
+                writer.writerow([f"{tau:.9f}", f"{x:.9f}", f"{val:.9f}"])
 
 
 def frozen_layer(prev, z, tau_next, g, p, mode):

@@ -16,9 +16,9 @@ from asianfb.cli import main as cli_main
 from asianfb.mesh import initial_layer
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import build_jacobian, newton_layer
-from asianfb.tridiag import dense_solve, thomas_solve
+from asianfb.tridiag import thomas_solve
 
-from _oracles import finite_difference_jacobian
+from _oracles import dense_jacobian, dense_solve, finite_difference_jacobian
 from test_solver_newton import random_state
 from test_tridiag import random_dominant_system
 
@@ -98,7 +98,7 @@ def test_criterion_05_jacobian_matches_finite_differences(report, params, rng):
         tau_next = rng.uniform(0.5, 49.5)
         prev, y1, z = random_state(rng, g, tau_next)
         for mode in (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR):
-            analytic = build_jacobian(y1, z, prev, tau_next, g, params, mode).to_dense()
+            analytic = dense_jacobian(build_jacobian(y1, z, prev, tau_next, g, params, mode))
             fd = finite_difference_jacobian(y1, z, prev, tau_next, g, params,
                                             mode, step=1e-6)
             scale = np.abs(fd).max(axis=1, keepdims=True) + 1.0
@@ -118,7 +118,7 @@ def test_criterion_06_schur_equals_dense_solve(report, params):
                                 SchemeMode.UPWIND_SINGULAR, trace=trace)
         for blocks, f1, f2, dy1, dz in trace:
             iterations += 1
-            dense = np.linalg.solve(blocks.to_dense(), -np.concatenate([f1, [f2]]))
+            dense = np.linalg.solve(dense_jacobian(blocks), -np.concatenate([f1, [f2]]))
             block = np.concatenate([dy1, [dz]])
             scale = max(float(np.max(np.abs(dense))), 1.0)
             worst = max(worst, float(np.max(np.abs(block - dense))) / scale)

@@ -7,6 +7,8 @@ import pytest
 
 from asianfb.cli import main
 
+from _oracles import write_surface_csv
+
 
 def run_cli(args, tmp_path, extra=()):
     return main([*args, "--out-dir", str(tmp_path), *extra])
@@ -73,6 +75,16 @@ class TestSolve:
         assert len(rows) == 9 * 17  # layer-major: (M+1) blocks of (N+1) nodes
         first_block = [r for r in rows[:17]]
         assert all(r[0] == rows[0][0] for r in first_block)
+
+    @pytest.mark.parametrize("engine", ["newton", "pc"])
+    def test_surface_file_matches_csv_writer(self, tmp_path, params, engine):
+        from asianfb import make_grid, march_newton, march_pc
+
+        assert run_cli(["solve", "--engine", engine, "--N", "20"], tmp_path) == 0
+        g = make_grid(params, N=20)
+        result = {"newton": march_newton, "pc": march_pc}[engine](params, g)
+        write_surface_csv(tmp_path / "oracle.csv", result.taus, g.xi, result.surface)
+        assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--N", "50", "--out-dir", str(tmp_path)]

@@ -1,65 +1,80 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from asianfb import _kernels, make_grid, march_newton
-from asianfb.model import MarketParams
+from asianfb import _kernels
+from asianfb.errors import ZeroPivot
+from asianfb.tridiag import TridiagonalSystem, thomas_solve
 
 from test_tridiag import random_dominant_system
 
-needs_native = pytest.mark.skipif(_kernels.native is None,
-                                  reason="compiled kernel not built")
-
-
-@pytest.fixture
-def restore_backend():
-    previous = _kernels.active_name()
-    yield
-    _kernels.select(previous)
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+SIZES = st.integers(min_value=1, max_value=400)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestBackendSelection:
     def test_active_name(self):
-        assert _kernels.active_name() in ("native", "pure")
-
-    def test_select_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            _kernels.select("bogus")
-
-    def test_select_round_trip(self, restore_backend):
-        first = _kernels.select("pure")
+        assert _kernels.native is None
         assert _kernels.active_name() == "pure"
-        _kernels.select(first)
-        assert _kernels.active_name() == first
 
 
-@needs_native
-class TestBackendEquivalence:
-    def test_bitwise_identical_solutions(self, rng):
-        for n in (1, 2, 17, 301):
-            sys = random_dominant_system(rng, n)
-            floor = 1e-14 * np.max(np.abs(sys.diag))
-            x_pure, ok_pure = _kernels.pure.thomas(sys.lower, sys.diag,
-                                                   sys.upper, sys.rhs, floor)
-            x_nat, ok_nat = _kernels.native.thomas(sys.lower, sys.diag,
-                                                   sys.upper, sys.rhs, floor)
-            assert ok_pure == ok_nat == -1
-            assert np.array_equal(x_pure, x_nat)
+def two_column_system(seed, n, coupling=1.0):
+    """A random system with two right-hand sides; coupling > 1 gives up dominance."""
+    rng = np.random.default_rng(seed)
+    sys = random_dominant_system(rng, n)
+    rhs = np.stack((sys.rhs, rng.uniform(-5, 5, n)))
+    return sys.lower * coupling, sys.diag, sys.upper * coupling, rhs
 
-    def test_pivot_failure_agrees(self):
-        lower = np.array([1.0])
-        diag = np.array([1.0, 1.0])
-        upper = np.array([1.0])
-        rhs = np.array([1.0, 1.0])
-        _, fail_pure = _kernels.pure.thomas(lower, diag, upper, rhs, 1e-14)
-        _, fail_nat = _kernels.native.thomas(lower, diag, upper, rhs, 1e-14)
-        assert fail_pure == fail_nat == 1
 
-    def test_full_march_identical_across_backends(self, restore_backend):
-        p = MarketParams(r=0.06, q=0.04, sigma=0.2, T=50.0)
-        g = make_grid(p, N=32, M=20)
-        _kernels.select("native")
-        res_native = march_newton(p, g)
-        _kernels.select("pure")
-        res_pure = march_newton(p, g)
-        assert np.array_equal(res_native.rho, res_pure.rho)
-        assert np.array_equal(res_native.surface, res_pure.surface)
+def solve_or_fail(lower, diag, upper, rhs):
+    """(solution, None) or (None, index of the ZeroPivot raised)."""
+    try:
+        return thomas_solve(TridiagonalSystem(lower, diag, upper, rhs)), None
+    except ZeroPivot as exc:
+        return None, exc.index
+
+
+class TestTwoColumnKernel:
+    """A (2, n) right-hand side is one elimination that equals two single solves."""
+
+    @PROPERTY
+    @given(seed=SEEDS, n=SIZES, coupling=st.floats(min_value=0.0, max_value=4.0))
+    def test_columns_bitwise_equal_single_solves(self, seed, n, coupling):
+        lower, diag, upper, rhs = two_column_system(seed, n, coupling)
+        both, fail = solve_or_fail(lower, diag, upper, rhs)
+        first, fail_first = solve_or_fail(lower, diag, upper, rhs[0])
+        second, fail_second = solve_or_fail(lower, diag, upper, rhs[1])
+        assert fail == fail_first == fail_second
+        if fail is None:
+            assert both.shape == (2, n)
+            assert np.array_equal(both[0], first)
+            assert np.array_equal(both[1], second)
+
+    @PROPERTY
+    @given(seed=SEEDS, n=SIZES, where=st.sampled_from(["first", "inner", "last"]))
+    def test_zero_pivot_reported_at_the_same_row(self, seed, n, where):
+        lower, diag, upper, rhs = two_column_system(seed, n)
+        row = {"first": 0, "inner": n // 2, "last": n - 1}[where]
+        # rows above stay dominant; this row's pivot is 0 - 0 * cp = 0 exactly
+        diag[row] = 0.0
+        if row > 0:
+            lower[row - 1] = 0.0
+        for right in (rhs, rhs[0], rhs[1]):
+            with pytest.raises(ZeroPivot) as exc:
+                thomas_solve(TridiagonalSystem(lower, diag, upper, right))
+            assert exc.value.index == row
+
+    @PROPERTY
+    @given(seed=SEEDS, n=SIZES,
+           field=st.sampled_from(["lower", "diag", "upper", "rhs0", "rhs1"]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_input_rejected(self, seed, n, field, bad):
+        lower, diag, upper, rhs = two_column_system(seed, n)
+        target = {"lower": lower, "diag": diag, "upper": upper,
+                  "rhs0": rhs[0], "rhs1": rhs[1]}[field]
+        assume(target.size > 0)
+        target[seed % target.size] = bad
+        with pytest.raises(ValueError):
+            TridiagonalSystem(lower, diag, upper, rhs)

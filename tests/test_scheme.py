@@ -7,10 +7,10 @@ from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
 from asianfb.model import alpha_continuous, beta
 from asianfb.scheme import SchemeMode, constraint_root, layer_rows, residual_constraint
-from asianfb.solver_newton import interior_residual, newton_layer
+from asianfb.solver_newton import interior_residual, march_newton, newton_layer
 from asianfb.mesh import initial_layer
 
-from _oracles import assemble_interior_row, discrete_alpha, residual_interior
+from _oracles import assemble_interior_row, discrete_alpha, layer_rows_where, residual_interior
 
 MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
 
@@ -111,6 +111,32 @@ class TestRowAssembly:
             assemble_interior_row(0, prev, 1.3, g.k, g, params, SchemeMode.CENTRAL)
         with pytest.raises(ValueError):
             assemble_interior_row(g.N, prev, 1.3, g.k, g, params, SchemeMode.CENTRAL)
+
+
+class TestMaskBlendOracle:
+    @pytest.mark.parametrize("mode", list(SchemeMode))
+    def test_rows_bitwise_equal_along_a_march(self, params, mode):
+        # every layer of a march, the last ones included, at the first Newton
+        # iterate (z = z_prev) and at the accepted boundary value
+        g = make_grid(params, N=50)
+        result = march_newton(params, g, mode)
+        upwinded_signs = set()
+        for j in range(g.M):
+            prev = LayerState(j=j, tau=float(g.taus[j]), y=result.surface[j],
+                              z=float(result.rho[j]))
+            tau_next = float(g.taus[j + 1])
+            for z in (prev.z, float(result.rho[j + 1])):
+                rows = layer_rows(prev, z, tau_next, g, params, mode)
+                oracle = layer_rows_where(prev, z, tau_next, g, params, mode)
+                for name in ("lower", "diag", "upper", "da", "dc", "db", "rhs", "onesided"):
+                    got, want = getattr(rows, name), getattr(oracle, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                s = z * np.exp(-g.xi[1:-1]) - 1.0
+                upwinded_signs.update(bool(v) for v in s[rows.onesided] >= 0.0)
+        if mode is SchemeMode.UPWIND_SINGULAR:
+            assert upwinded_signs == {True, False}
+        else:
+            assert not upwinded_signs
 
 
 class TestRowsMatchResidual:

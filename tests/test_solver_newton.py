@@ -11,7 +11,8 @@ from asianfb.solver_newton import (
     newton_layer,
 )
 
-from _oracles import finite_difference_jacobian, solve_layer_fixed_point, stationary_state
+from _oracles import (dense_jacobian, finite_difference_jacobian, solve_layer_fixed_point,
+                      stationary_state)
 
 MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
 
@@ -36,7 +37,7 @@ class TestBuildJacobian:
                 prev, y1, z = random_state(rng, g, tau_next)
                 blocks = build_jacobian(y1, z, prev, tau_next, g, params, mode)
                 fd = finite_difference_jacobian(y1, z, prev, tau_next, g, params, mode)
-                dense = blocks.to_dense()
+                dense = dense_jacobian(blocks)
                 scale = np.abs(fd).max(axis=1, keepdims=True) + 1.0
                 assert np.max(np.abs(dense - fd) / scale) <= 1e-5
 
@@ -99,7 +100,7 @@ class TestNewtonLayer:
                                     SchemeMode.UPWIND_SINGULAR, trace=trace)
             assert trace
             for blocks, f1, f2, dy1, dz in trace:
-                full = blocks.to_dense()
+                full = dense_jacobian(blocks)
                 rhs = -np.concatenate([f1, [f2]])
                 dense = np.linalg.solve(full, rhs)
                 combined = np.concatenate([dy1, [dz]])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from asianfb.errors import ZeroPivot
-from asianfb.tridiag import TridiagonalSystem, dense_solve, thomas_solve
+from asianfb.tridiag import TridiagonalSystem, thomas_solve
+
+from _oracles import dense_solve, dense_tridiag, tridiag_matvec
 
 
 def random_dominant_system(rng, n):
@@ -42,7 +44,7 @@ class TestThomasSolve:
         for n in (2, 7, 33, 120):
             sys = random_dominant_system(rng, n)
             x = thomas_solve(sys)
-            resid = np.max(np.abs(sys.matvec(x) - sys.rhs))
+            resid = np.max(np.abs(tridiag_matvec(sys, x) - sys.rhs))
             assert resid <= 1e-10 * (1.0 + np.max(np.abs(sys.rhs)))
 
     def test_unit_vector_recovery(self, rng):
@@ -51,7 +53,7 @@ class TestThomasSolve:
         for k in (0, 7, n - 1):
             e = np.zeros(n)
             e[k] = 1.0
-            probe = TridiagonalSystem(sys.lower, sys.diag, sys.upper, sys.matvec(e))
+            probe = TridiagonalSystem(sys.lower, sys.diag, sys.upper, tridiag_matvec(sys, e))
             assert np.max(np.abs(thomas_solve(probe) - e)) <= 1e-10
 
     def test_scaling_invariance(self, rng):
@@ -80,6 +82,13 @@ class TestThomasSolve:
             thomas_solve(lead)
         assert exc.value.index == 0
 
+        # an all-zero diagonal makes the relative pivot floor 0
+        for zero in (TridiagonalSystem([], [0.0], [], [1.0]),
+                     TridiagonalSystem([0.0], [0.0, 0.0], [0.0], [1.0, 1.0])):
+            with pytest.raises(ZeroPivot) as exc:
+                thomas_solve(zero)
+            assert exc.value.index == 0
+
     def test_deterministic(self, rng):
         sys = random_dominant_system(rng, 64)
         assert np.array_equal(thomas_solve(sys), thomas_solve(sys))
@@ -93,6 +102,9 @@ class TestTridiagonalSystem:
             TridiagonalSystem([1.0], [1.0, 1.0], [1.0], [1.0])
         with pytest.raises(ValueError):
             TridiagonalSystem([], [], [], [])
+        for rhs in (np.ones((3, 2)), np.ones((2, 3)), np.ones((2, 1)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError):
+                TridiagonalSystem([1.0], [1.0, 1.0], [1.0], rhs)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -101,4 +113,5 @@ class TestTridiagonalSystem:
     def test_dense_assembly_matches_matvec(self, rng):
         sys = random_dominant_system(rng, 9)
         x = rng.uniform(-1, 1, 9)
-        assert sys.to_dense() @ x == pytest.approx(sys.matvec(x), rel=1e-14)
+        dense = dense_tridiag(sys.lower, sys.diag, sys.upper)
+        assert dense @ x == pytest.approx(tridiag_matvec(sys, x), rel=1e-14)
