@@ -17,7 +17,7 @@ from .errors import (
     ZeroPivot,
 )
 from .mesh import GridSpec, LayerState, default_domain_length, initial_layer, make_grid
-from .model import MarketParams, TransformedPoint, rho_initial
+from .model import MarketParams, rho_initial
 from .results import SolveResult
 from .scheme import SchemeMode
 from .solver_newton import NewtonConfig, march_newton
@@ -39,7 +39,6 @@ __all__ = [
     "SingularSchur",
     "SolveResult",
     "SolverError",
-    "TransformedPoint",
     "ZeroPivot",
     "compare_engines",
     "default_domain_length",

@@ -1,4 +1,5 @@
-"""Pure-Python Thomas kernel.
+"""Pure-Python Thomas kernel: the fallback without a C compiler, and the
+reference the compiled kernel (thomas.c) is tested against.
 
 Plain forward elimination / back substitution without pivoting, for one
 right-hand side or for two that share the matrix.  The two-column loop

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+from ._kernels import active_name as kernel_backend
 from .analysis import compare_engines, refinement_study, run_engine
 from .errors import SolverError
 from .mesh import make_grid
@@ -222,6 +224,11 @@ def _config_echo(cfg: RunConfig, grid) -> dict:
     }
 
 
+def _provenance() -> dict:
+    """Which kernel backend and package version produced a run's results."""
+    return {"kernel_backend": kernel_backend(), "asianfb_version": __version__}
+
+
 def _out_path(cfg: RunConfig, name_key: str) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,6 +300,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     summary["outputs"] = {"boundary_csv": boundary_path.name,
                           "surface_csv": surface_path.name}
     summary["config"] = _config_echo(cfg, grid)
+    summary.update(_provenance())
     _write_json(_out_path(cfg, "summary_json"), summary)
 
     print(f"solve: engine={cfg.engine} N={grid.N} M={grid.M} "
@@ -362,6 +370,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "pc_below_fraction": _round9(record.pc_below_fraction),
         "lower_engine": record.lower_engine,
         "config": _config_echo(cfg, grid),
+        **_provenance(),
     }
     _write_json(_out_path(cfg, "compare_json"), payload)
 

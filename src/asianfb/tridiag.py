@@ -5,6 +5,9 @@ their rows diagonally dominant (see scheme), so only a zero-pivot guard
 is needed to stay O(n).  A system may carry two right-hand sides, shape
 (2, n): the Newton engine solves J11 for F1 and J12 together, in one
 elimination, and each solution is bit-identical to a single solve.
+``thomas_solve`` validates the system and runs the kernel backend that
+``_kernels.active()`` reports (compiled C, or the pure loop when no C
+compiler is available); both give the same bits.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
     Returns the solution in the shape of ``sys.rhs``.
     """
-    x, fail = _kernels.pure.thomas(
+    x, fail = _kernels.active().thomas(
         sys.lower, sys.diag, sys.upper, sys.rhs, _pivot_floor(sys.diag)
     )
     if fail >= 0:

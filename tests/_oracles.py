@@ -1,12 +1,14 @@
 """Independent reference computations used only by the test suite."""
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from asianfb import scheme
 from asianfb.mesh import LayerState
+from asianfb.model import MarketParams
 from asianfb.scheme import LayerRows, SchemeMode
 
 
@@ -250,3 +252,81 @@ def finite_difference_jacobian(y1, z, prev, tau_next, g, p, mode, step=1e-6):
         jac[:, col] = (full_residual(up, z) - full_residual(dn, z)) / (2 * step)
     jac[:, -1] = (full_residual(y1, z + step) - full_residual(y1, z - step)) / (2 * step)
     return jac
+
+
+# -- continuous model: coefficients, constraint and the inverse transform --
+# The engines use only their discretization (scheme); these pin it.
+@dataclass(frozen=True)
+class TransformedPoint:
+    """A point (xi, tau) of the fixed computational strip."""
+
+    xi: float
+    tau: float
+
+    def __post_init__(self):
+        if self.xi < 0:
+            raise ValueError(f"xi must be >= 0, got {self.xi}")
+        if self.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
+
+
+def _check_tau(p: MarketParams, tau) -> None:
+    tau = np.asarray(tau)
+    if np.any(tau < 0) or np.any(tau >= p.T):
+        raise ValueError(f"tau must lie in [0, T); got {tau} with T={p.T}")
+
+
+def beta(p: MarketParams, tau):
+    """Reaction coefficient beta(tau) = r + 1/(T - tau); singular at tau = T."""
+    _check_tau(p, tau)
+    return p.r + 1.0 / (p.T - tau)
+
+
+def alpha_continuous(p: MarketParams, xi, tau, rho, rho_dot):
+    """Advection coefficient of the transformed PDE.
+
+    alpha = rho_dot/rho + r - q - sigma^2/2 - (rho e^{-xi} - 1)/(T - tau).
+    The last term is the front-fixing contribution; it is singular both
+    as tau -> T and (in sign) across xi = ln(rho).
+    """
+    _check_tau(p, tau)
+    if np.any(np.asarray(rho) <= 0):
+        raise ValueError(f"rho must be positive, got {rho}")
+    return (
+        rho_dot / rho
+        + p.r
+        - p.q
+        - 0.5 * p.sigma**2
+        - (rho * np.exp(-np.asarray(xi)) - 1.0) / (p.T - tau)
+    )
+
+
+def rho_constraint(p: MarketParams, tau, slope):
+    """Free-boundary ratio implied by the slope dPi/dxi at xi = 0."""
+    _check_tau(p, tau)
+    ttm = p.T - tau
+    return (1.0 + p.r * ttm + 0.5 * p.sigma**2 * ttm * slope) / (1.0 + p.q * ttm)
+
+
+def boundary_in_original_variables(rho_path, T: float):
+    """Map a (tau, rho) boundary path to (t, x_f) with x_f(t) = 1/rho(T-t).
+
+    Returns an array of (t, x_f) rows sorted ascending in t.
+    """
+    pairs = np.atleast_2d(np.asarray(rho_path, dtype=float))
+    if pairs.shape[1] != 2:
+        raise ValueError("rho_path must be a sequence of (tau, rho) pairs")
+    if np.any(pairs[:, 1] <= 0):
+        raise ValueError("all rho values must be positive")
+    out = np.column_stack([T - pairs[:, 0], 1.0 / pairs[:, 1]])
+    return out[np.argsort(out[:, 0], kind="stable")]
+
+
+def advection_cancellation_defect(p: MarketParams, tau, rho):
+    """alpha + (sigma^2/2 + q - r) at xi = ln(rho), rho_dot = 0: zero identically.
+
+    There the singular term reduces to -1/(T - tau) * 0.
+    """
+    return alpha_continuous(p, math.log(rho), tau, rho, 0.0) + (
+        0.5 * p.sigma**2 + p.q - p.r
+    )

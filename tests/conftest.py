@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 from asianfb import MarketParams, make_grid, march_newton, march_pc
+from asianfb._kernels import native
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled kernel into a temporary cache, not the source tree."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "CACHE_DIR", tmp_path_factory.mktemp("kernel_cache"))
+        yield native.CACHE_DIR
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import asianfb
 from asianfb.cli import main
 
 from _oracles import write_surface_csv
@@ -32,6 +33,8 @@ class TestSolve:
         assert summary["grid"]["M"] == 125
         assert summary["config"]["engine"] == "newton"
         assert summary["config"]["scheme_mode"] == "upwind-singular"
+        assert summary["kernel_backend"] == asianfb.kernel_backend()
+        assert summary["asianfb_version"] == asianfb.__version__
 
     def test_pc_engine_row_counts(self, tmp_path):
         assert run_cli(["solve", "--engine", "pc", "--N", "100"], tmp_path) == 0
@@ -143,6 +146,8 @@ class TestCompare:
         payload = read_json(tmp_path / "compare.json")
         assert payload["pc_below_fraction"] > 0.5
         assert payload["lower_engine"] == "pc"
+        assert payload["kernel_backend"] == asianfb.kernel_backend()
+        assert payload["asianfb_version"] == asianfb.__version__
 
     def test_scheme_mode_flag_distinguishes_runs(self, tmp_path):
         a_dir = tmp_path / "a"

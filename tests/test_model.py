@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from asianfb.model import (
-    MarketParams,
+from asianfb.model import MarketParams, rho_initial
+
+from _oracles import (
     TransformedPoint,
     advection_cancellation_defect,
     alpha_continuous,
     beta,
     boundary_in_original_variables,
     rho_constraint,
-    rho_initial,
 )
 
 

@@ -5,12 +5,18 @@ import pytest
 
 from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
-from asianfb.model import alpha_continuous, beta
 from asianfb.scheme import SchemeMode, constraint_root, layer_rows, residual_constraint
 from asianfb.solver_newton import interior_residual, march_newton, newton_layer
 from asianfb.mesh import initial_layer
 
-from _oracles import assemble_interior_row, discrete_alpha, layer_rows_where, residual_interior
+from _oracles import (
+    alpha_continuous,
+    assemble_interior_row,
+    beta,
+    discrete_alpha,
+    layer_rows_where,
+    residual_interior,
+)
 
 MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
 
