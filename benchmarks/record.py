@@ -1,28 +1,29 @@
 #!/usr/bin/env python3
 """Record the performance trajectory of this checkout into BENCH_<label>.json.
 
-    python3 benchmarks/record.py LABEL [--seed 0] [--seconds 50] [--repeats 3]
+    python3 benchmarks/record.py LABEL
 
 It measures, from the sources in ``src/`` of the checkout it sits in:
 
-* the benchmark: ``perfbench/run.py --workload all --trace 0``, keeping
-  each workload's ``env:`` line and result line;
+* the benchmark: ``perfbench/run.py --workload all --trace 0`` with seed
+  ``SEED`` for ``SECONDS`` per workload, keeping each workload's ``env:``
+  line and result line;
 * the time march: ``march_newton`` and ``march_pc`` on the reference point
   (upwind-singular mode, M = ceil(2.5 N)) at N = 50, 200, 800 and 1600,
-  best of ``--repeats`` runs, with seconds per layer and iteration counts;
+  best of ``REPEATS`` runs, with seconds per layer and iteration counts;
 * the default ``asianfb refine`` (N = 50 ... 800) as a whole process, with
-  ``--jobs 1`` and ``--jobs 2``, best of ``--repeats`` runs.
+  ``--jobs 1`` and ``--jobs 2``, best of ``REPEATS`` runs.
 
-Every run made is kept next to its best.  One small march of each engine
-runs first, so a first-use kernel build is not timed.  The file is
-written to the root of the checkout.
+The settings are fixed, and written into the file, so BENCH files from
+different checkouts compare.  Every run made is kept next to its best.
+One small march of each engine runs first, so a first-use kernel build
+is not timed.  The file is written to the root of the checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import subprocess
@@ -35,6 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MARCH_SIZES = (50, 200, 800, 1600)
 REFERENCE = {"r": 0.06, "q": 0.04, "sigma": 0.2, "T": 50.0}
+SEED = 0          # perfbench workload seed
+SECONDS = 50.0    # perfbench run length per workload
+REPEATS = 3       # k: each march and refine is timed k times, best kept
 
 
 def child_env() -> dict:
@@ -43,11 +47,11 @@ def child_env() -> dict:
     return env
 
 
-def perfbench(seed: int, seconds: float) -> dict:
+def perfbench() -> dict:
     """Each workload's env and --trace 0 result lines, as printed by perfbench."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, text=True, check=True)
     workloads, env = {}, None
     for line in done.stdout.splitlines():
@@ -56,11 +60,11 @@ def perfbench(seed: int, seconds: float) -> dict:
         elif line.startswith("{") and env is not None:
             workloads[env["workload"]] = {"env": env, "result": json.loads(line)}
             env = None
-    return {"seed": seed, "seconds": seconds, "workloads": workloads}
+    return {"seed": SEED, "seconds": SECONDS, "workloads": workloads}
 
 
-def marches(repeats: int) -> list[dict]:
-    """Best-of-``repeats`` march time per engine and N, with iteration counts."""
+def marches() -> list[dict]:
+    """Best-of-``REPEATS`` march time per engine and N, with iteration counts."""
     from asianfb import MarketParams, make_grid, march_newton, march_pc
 
     p = MarketParams(**REFERENCE)
@@ -72,7 +76,7 @@ def marches(repeats: int) -> list[dict]:
         grid = make_grid(p, N=n)
         for engine, march in engines.items():
             times = []
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 start = time.perf_counter()
                 result = march(p, grid)
                 times.append(time.perf_counter() - start)
@@ -87,7 +91,7 @@ def marches(repeats: int) -> list[dict]:
     return rows
 
 
-def refine(repeats: int) -> dict:
+def refine() -> dict:
     """Whole-process wall time of the default refine with --jobs 1 and 2."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,7 +99,7 @@ def refine(repeats: int) -> dict:
             argv = [sys.executable, "-m", "asianfb.cli", "refine", "--jobs", str(jobs),
                     "--out-dir", tmp]
             times = []
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 start = time.perf_counter()
                 subprocess.run(argv, env=child_env(), stdout=subprocess.DEVNULL, check=True)
                 times.append(time.perf_counter() - start)
@@ -113,29 +117,22 @@ def git_commit() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, default=0, help="perfbench workload seed")
-    parser.add_argument("--seconds", type=float, default=50.0,
-                        help="perfbench run length per workload")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="k: each march and refine is timed k times, best kept")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or not math.isfinite(args.seconds) or args.seconds <= 0:
-        parser.error("--repeats must be >= 1 and --seconds positive")
 
     sys.path.insert(0, str(SRC))
     import asianfb
     import numpy
 
     record = {"label": args.label, "git_commit": git_commit()}
-    record["march"] = {"repeats": args.repeats, "params": REFERENCE,
+    record["march"] = {"repeats": REPEATS, "params": REFERENCE,
                        "mode": "upwind-singular", "M": "ceil(2.5 N)",
-                       "rows": marches(args.repeats)}
+                       "rows": marches()}
     record["kernel_backend"] = asianfb.kernel_backend()  # chosen by the marches above
     record["environment"] = {"python": platform.python_version(), "numpy": numpy.__version__,
                              "nproc": os.cpu_count(), "machine": platform.machine()}
-    record["refine"] = {"repeats": args.repeats, "command": "asianfb refine --jobs J",
-                        **refine(args.repeats)}
-    record["perfbench"] = perfbench(args.seed, args.seconds)
+    record["refine"] = {"repeats": REPEATS, "command": "asianfb refine --jobs J",
+                        **refine()}
+    record["perfbench"] = perfbench()
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)

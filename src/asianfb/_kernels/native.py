@@ -3,11 +3,13 @@
 Importing this module compiles and loads nothing.  ``load()`` (called by
 ``_kernels.active`` on the first elimination in a process) looks for a
 shared library in ``CACHE_DIR`` whose name carries a hash of the C source
-and the compiler flags; when there is none it runs ``cc`` once, writing
-to a temporary name in that directory and renaming it into place, so
-processes that build at the same time each end with a complete library.
-Without a C compiler, or when the build or the load fails, ``load()``
-returns False and the caller keeps the pure kernel.
+and the compiler flags.  When there is none, or the file there cannot be
+loaded (corrupt, or built for another machine), it runs ``cc`` once,
+writing to a temporary name in that directory and renaming it into
+place, so processes that build at the same time each end with a complete
+library.  Without a C compiler, or when the build or the load of the
+fresh build fails, ``load()`` returns False and the caller keeps the
+pure kernel.
 """
 
 from __future__ import annotations
@@ -61,22 +63,26 @@ def _build(compiler: str, target: Path) -> None:
 
 
 def load() -> bool:
-    """Load the compiled kernel, building it first if the cache lacks it.
+    """Load the compiled kernel, building it first if the cached file is
+    missing or cannot be loaded.
 
     Returns False, leaving nothing loaded, when there is no C compiler or
-    the build or the load fails.
+    the build or the load of the fresh build fails.
     """
     global _kernel
     if _kernel is not None:
         return True
     try:
         path = library_path()
-        if not path.is_file():
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:  # not built yet, or a file that does not load here
             compiler = find_compiler()
             if compiler is None:
                 return False
             _build(compiler, path)
-        function = ctypes.CDLL(str(path)).thomas
+            library = ctypes.CDLL(str(path))
+        function = library.thomas
     except (OSError, subprocess.SubprocessError):
         return False
     function.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 4 + \

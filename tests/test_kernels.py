@@ -100,10 +100,36 @@ class TestBackendSelection:
         assert _kernels.active_name() == "pure"
         assert cache_files(empty_cache) == []  # no half-written library is left
 
-    def test_pure_when_the_load_fails(self, empty_cache):
+    def test_pure_when_the_load_fails(self, empty_cache, tmp_path, monkeypatch):
+        # a corrupt cached file, and a "compiler" whose output does not load either
+        junk = tmp_path / "cc"
+        junk.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho junk > "$2"\n')
+        junk.chmod(0o755)
+        monkeypatch.setattr(native, "find_compiler", lambda: str(junk))
         empty_cache.mkdir()
         native.library_path().write_bytes(b"not a shared library")
         assert _kernels.active_name() == "pure"
+        assert cache_files(empty_cache) == [native.library_path().name]
+
+    def test_pure_when_the_cached_file_does_not_load_and_no_compiler(self, empty_cache,
+                                                                     monkeypatch):
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        empty_cache.mkdir()
+        native.library_path().write_bytes(b"not a shared library")
+        assert _kernels.active_name() == "pure"
+        assert native.library_path().read_bytes() == b"not a shared library"
+
+    @needs_cc
+    def test_corrupt_cached_library_is_rebuilt(self, empty_cache):
+        empty_cache.mkdir()
+        native.library_path().write_bytes(b"not a shared library")
+        sys_ = random_dominant_system(np.random.default_rng(0), 12)
+        x = thomas_solve(sys_)
+        assert _kernels.active_name() == "native"
+        assert np.array_equal(x, pure.thomas(sys_.lower, sys_.diag, sys_.upper, sys_.rhs,
+                                             _pivot_floor(sys_.diag))[0])
+        assert cache_files(empty_cache) == [native.library_path().name]
+        assert native.library_path().read_bytes() != b"not a shared library"
 
     @needs_cc
     def test_concurrent_cold_builds(self, tmp_path):
