@@ -4,7 +4,11 @@ The tridiagonal solve sits in the innermost loop of the time marchers:
 one elimination per Newton iteration, which solves for both Schur
 right-hand sides at once, and three single solves per
 predictor-corrector layer.  Two backends share one contract,
-``thomas(lower, diag, upper, rhs, pivot_floor) -> (x, fail_index)``:
+``thomas(lower, diag, upper, rhs, pivot_floor, binding=None) -> (x,
+fail_index)`` with ``bind(lower, diag, upper, rhs) -> binding``: a system
+solved repeatedly with its arrays overwritten in place is bound once,
+and each solve passes the binding (the native backend keeps the array
+addresses, its scratch and a solution buffer in it; pure binds nothing):
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on the first
   elimination in a process into a cache next to the source (see

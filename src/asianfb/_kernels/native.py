@@ -92,28 +92,57 @@ def load() -> bool:
     return True
 
 
-def thomas(lower, diag, upper, rhs, pivot_floor):
+class Binding:
+    """A system's arrays as the C function takes them: their addresses,
+    the scratch row and a solution buffer, derived once by ``bind``."""
+
+    __slots__ = ("arrays", "scratch", "x", "head", "tail")
+
+    def __init__(self, lower, diag, upper, rhs):
+        n = diag.size
+        if n < 1 or lower.size != n - 1 or upper.size != n - 1 or \
+                rhs.shape not in ((n,), (2, n)):
+            raise ValueError("system must have n >= 1 rows, n-1 off-diagonal "
+                             "entries and a (n,) or (2, n) right-hand side")
+        # references keep every array alive while its address is in use
+        self.arrays = (lower, diag, upper, rhs)
+        self.scratch = np.empty(n)
+        self.x = np.empty(rhs.shape)
+        # the C arguments before and after pivot_floor
+        self.head = (n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
+                     upper.ctypes.data, rhs.ctypes.data)
+        self.tail = (self.scratch.ctypes.data, self.x.ctypes.data)
+
+
+def bind(lower, diag, upper, rhs):
+    """A Binding of a system whose arrays are overwritten in place and
+    solved again, or None when an array is not C-contiguous float64 (a
+    solve then converts it).  The arrays must not be resized while bound.
+    """
+    arrays = (lower, diag, upper, rhs)
+    if all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
+        return Binding(*arrays)
+    return None
+
+
+def thomas(lower, diag, upper, rhs, pivot_floor, binding=None):
     """Solve the tridiagonal system in O(n); same contract as pure.thomas.
 
     Returns (x, fail_index): x has the shape of rhs, (n,) or (2, n), and
     fail_index is -1 on success, else the row whose pivot fell below
-    ``pivot_floor`` (x is then zeros).
+    ``pivot_floor`` (x is then zeros).  ``binding``, from ``bind`` on
+    these same arrays, spares the per-call conversions, allocations and
+    address lookups; with any other arrays it is ignored.
     """
     if _kernel is None and not load():
         raise OSError("the compiled Thomas kernel cannot be built or loaded")
-    lower = np.ascontiguousarray(lower, dtype=float)
-    diag = np.ascontiguousarray(diag, dtype=float)
-    upper = np.ascontiguousarray(upper, dtype=float)
-    rhs = np.ascontiguousarray(rhs, dtype=float)
-    n = diag.size
-    if n < 1 or lower.size != n - 1 or upper.size != n - 1 or rhs.shape not in ((n,), (2, n)):
-        raise ValueError("system must have n >= 1 rows, n-1 off-diagonal "
-                         "entries and a (n,) or (2, n) right-hand side")
-    cp = np.empty(n)
-    x = np.empty(rhs.shape)
-    fail = _kernel(n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
-                   upper.ctypes.data, rhs.ctypes.data, pivot_floor,
-                   cp.ctypes.data, x.ctypes.data)
+    shared = binding is not None and binding.arrays[0] is lower and \
+        binding.arrays[1] is diag and binding.arrays[2] is upper and binding.arrays[3] is rhs
+    if not shared:
+        binding = Binding(*(np.ascontiguousarray(a, dtype=float)
+                            for a in (lower, diag, upper, rhs)))
+    fail = _kernel(*binding.head, pivot_floor, *binding.tail)
     if fail >= 0:
-        return np.zeros(rhs.shape), fail
-    return x, -1
+        return np.zeros(binding.x.shape), fail
+    # a shared binding's buffer is overwritten by the next solve
+    return (binding.x.copy() if shared else binding.x), -1

@@ -11,7 +11,12 @@ solve of that column.
 import numpy as np
 
 
-def thomas(lower, diag, upper, rhs, pivot_floor):
+def bind(lower, diag, upper, rhs):
+    """The pure loop derives nothing it could reuse: None."""
+    return None
+
+
+def thomas(lower, diag, upper, rhs, pivot_floor, binding=None):
     """Solve the tridiagonal system in O(n).
 
     lower: n-1 sub-diagonal entries (rows 1..n-1)
@@ -20,6 +25,7 @@ def thomas(lower, diag, upper, rhs, pivot_floor):
     rhs:   right-hand side, shape (n,) or (2, n); a (2, n) rhs is
            eliminated in one pass and gives a (2, n) solution
     pivot_floor: elimination aborts when a pivot magnitude falls below it
+    binding: bind()'s result, accepted for the common contract and unused
 
     Returns (x, fail_index); fail_index is -1 on success, else the row
     whose pivot underflowed (x is then meaningless).

@@ -54,17 +54,19 @@ layers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonPositiveZ
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
+from .tridiag import TridiagonalSystem
 
 __all__ = [
     "SchemeMode",
     "LayerRows",
+    "LayerFrame",
     "layer_rows",
     "residual_constraint",
     "constraint_root",
@@ -94,76 +96,158 @@ class LayerRows:
     rhs: np.ndarray    # y^prev_i / dt
     onesided: np.ndarray  # bool; True where the singular term is upwinded
 
+    def dominance_violations(self) -> int:
+        """Number of rows failing strict diagonal dominance, |c_i| <= |a_i| + |b_i|."""
+        return int(np.count_nonzero(np.abs(self.diag) <= np.abs(self.lower) + np.abs(self.upper)))
+
 
 def _require_pre_maturity(tau_next, T) -> None:
     if not tau_next < T:
         raise ValueError(f"tau_next must be < T; got {tau_next} with T={T}")
 
 
-def layer_rows(prev: LayerState, z_next: float, tau_next: float,
-               g: GridSpec, p: MarketParams, mode: SchemeMode) -> LayerRows:
-    """Assemble the interior rows, their z-derivatives and the F1 right-hand side."""
-    if z_next <= 0:
-        raise NonPositiveZ(float(z_next))
+def _constraint_coefficients(tau_next: float, g: GridSpec, p: MarketParams):
+    """(c0, c1, 2h) with F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h)."""
     _require_pre_maturity(tau_next, p.T)
-    dt = tau_next - prev.tau
-    if dt <= 0:
-        raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
     ttm = p.T - tau_next
-    h = g.h
-    sig2 = p.sigma**2
-    # bounded advection part mu and singular part s_i; only these depend on z:
-    # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
-    mu = (z_next - prev.z) / (dt * z_next) + p.r - p.q - 0.5 * sig2
-    exp_xi = g.exp_neg_xi
-    s = (z_next * exp_xi - 1.0) / ttm
-    dmu = prev.z / (dt * z_next**2)
-    ds = exp_xi / ttm
+    denom = 1.0 + p.q * ttm
+    return (1.0 + p.r * ttm) / denom, 0.5 * p.sigma**2 * ttm / denom, 2.0 * g.h
 
-    # central rows everywhere; their diagonals are z-free
-    diff = 0.5 * sig2 / h**2
-    adv = 0.5 * mu / h
-    d = 0.5 * s / h
-    lower = -adv - diff + d
-    upper = adv - diff - d
-    diag_base = 1.0 / dt + sig2 / h**2 + (p.r + 1.0 / ttm)  # beta = r + 1/(T - tau)
-    diag = np.full(s.shape, diag_base)
-    da = -0.5 * dmu / h + 0.5 * ds / h
-    dc = np.zeros(s.shape)
-    db = 0.5 * dmu / h - 0.5 * ds / h
-    if mode is SchemeMode.CENTRAL:
-        onesided = np.zeros(s.shape, dtype=bool)
-    else:
+
+def _root(y: np.ndarray, coefficients) -> float:
+    c0, c1, two_h = coefficients
+    y0, y1, y2 = y[:3].tolist()
+    return float(c0 + c1 * ((-3.0 * y0 + 4.0 * y1 - y2) / two_h))
+
+
+@dataclass(eq=False)
+class LayerFrame:
+    """The layer system of one march, assembled in buffers it owns.
+
+    ``start(prev, tau_next)`` builds the frame of a time layer once: dt,
+    1/(T - tau) through ttm, ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h
+    scaling, the z-free diagonal and dc, rhs = y^prev/dt and the
+    constraint's coefficients.  ``rows(z)`` then writes only the
+    z-dependent rows of one iterate into the buffers.  It returns the same
+    LayerRows at every call, so each call overwrites the rows the last
+    one returned; layer_rows() is the one-shot form with arrays of its own.
+
+    ``pair`` and ``single`` are J11 (lower[1:], diag, upper[:-1]) as
+    TridiagonalSystems over the row buffers, with a (2, n) and an (n,)
+    right-hand side buffer that the engines fill and solve in place.
+    """
+
+    g: GridSpec
+    p: MarketParams
+    mode: SchemeMode
+    pair: TridiagonalSystem = field(init=False, repr=False)
+    single: TridiagonalSystem = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.g.N - 1
+        sig2 = self.p.sigma**2
+        self._sig2 = sig2
+        self._half_sig2 = 0.5 * sig2
+        self._diff = 0.5 * sig2 / self.g.h**2
+        self._rows = LayerRows(lower=np.zeros(n), diag=np.zeros(n), upper=np.zeros(n),
+                               da=np.zeros(n), dc=np.zeros(n), db=np.zeros(n),
+                               rhs=np.zeros(n), onesided=np.zeros(n, dtype=bool))
+        self._s = np.empty(n)       # singular advection part s_i
+        self._d = np.empty(n)       # s_i/(2h), then scratch
+        self._ds = np.empty(n)      # ds_i/dz = e^{-xi_i}/(T - tau)
+        self._half_ds_h = np.empty(n)
+        self._rewritten = False     # whether the last rows() upwinded a row
+        rows = self._rows
+        j11 = (rows.lower[1:], rows.diag, rows.upper[:-1])
+        self.pair = TridiagonalSystem(*j11, np.zeros((2, n)))
+        self.single = TridiagonalSystem(*j11, np.zeros(n))
+
+    def start(self, prev: LayerState, tau_next: float) -> LayerFrame:
+        """Build the z-free part of the layer from ``prev`` to ``tau_next``."""
+        p, h = self.p, self.g.h
+        self._constraint = _constraint_coefficients(tau_next, self.g, p)
+        dt = tau_next - prev.tau
+        if dt <= 0:
+            raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
+        ttm = p.T - tau_next
+        self._dt, self._ttm, self._z_prev = dt, ttm, prev.z
+        np.divide(self.g.exp_neg_xi, ttm, out=self._ds)
+        np.multiply(self._ds, 0.5, out=self._half_ds_h)
+        self._half_ds_h /= h
+        # beta = r + 1/(T - tau); the central diagonal is z-free
+        self._diag_base = 1.0 / dt + self._sig2 / h**2 + (p.r + 1.0 / ttm)
+        rows = self._rows
+        rows.diag.fill(self._diag_base)
+        rows.dc.fill(0.0)
+        rows.onesided.fill(False)
+        self._rewritten = False
+        np.divide(prev.y[1:-1], dt, out=rows.rhs)
+        return self
+
+    def rows(self, z: float) -> LayerRows:
+        """Write the rows, their z-derivatives and the one-sided mask at z."""
+        if z <= 0:
+            raise NonPositiveZ(float(z))
+        rows, h, dt, ttm = self._rows, self.g.h, self._dt, self._ttm
+        p, diff, sig2 = self.p, self._diff, self._sig2
+        # bounded advection part mu and singular part s_i; only these depend on z:
+        # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
+        mu = (z - self._z_prev) / (dt * z) + p.r - p.q - self._half_sig2
+        s = np.multiply(self.g.exp_neg_xi, z, out=self._s)
+        s -= 1.0
+        s /= ttm
+        dmu = self._z_prev / (dt * z**2)
+
+        # central rows everywhere
+        adv = 0.5 * mu / h
+        d = np.multiply(s, 0.5, out=self._d)
+        d /= h
+        np.add(d, -adv - diff, out=rows.lower)
+        np.subtract(adv - diff, d, out=rows.upper)
+        np.add(self._half_ds_h, -0.5 * dmu / h, out=rows.da)
+        np.subtract(0.5 * dmu / h, self._half_ds_h, out=rows.db)
+        if self.mode is SchemeMode.CENTRAL:
+            return rows
+        if self._rewritten:  # restore the z-free diagonal and dc
+            rows.diag.fill(self._diag_base)
+            rows.dc.fill(0.0)
+            self._rewritten = False
         # |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal
-        onesided = np.abs(mu - s) > sig2 / h
-        idx = np.flatnonzero(onesided)
+        np.subtract(mu, s, out=d)
+        np.greater(np.abs(d, out=d), sig2 / h, out=rows.onesided)
+        idx = np.flatnonzero(rows.onesided)
         if idx.size:
             # the singular term upwinded: forward where s_i >= 0, backward otherwise
-            s1, ds1 = s[idx], ds[idx]
+            s1, ds1 = s[idx], self._ds[idx]
             pos = s1 >= 0.0
-            lower[idx] = -adv - diff + np.where(pos, 0.0, s1 / h)
-            upper[idx] = adv - diff - np.where(pos, s1 / h, 0.0)
-            diag[idx] = diag_base + np.abs(s1) / h
-            da[idx] = -0.5 * dmu / h + np.where(pos, 0.0, ds1 / h)
-            dc[idx] = np.where(pos, ds1 / h, -ds1 / h)
-            db[idx] = 0.5 * dmu / h - np.where(pos, ds1 / h, 0.0)
-    return LayerRows(lower=lower, diag=diag, upper=upper, da=da, dc=dc, db=db,
-                     rhs=prev.y[1:-1] / dt, onesided=onesided)
+            rows.lower[idx] = -adv - diff + np.where(pos, 0.0, s1 / h)
+            rows.upper[idx] = adv - diff - np.where(pos, s1 / h, 0.0)
+            rows.diag[idx] = self._diag_base + np.abs(s1) / h
+            rows.da[idx] = -0.5 * dmu / h + np.where(pos, 0.0, ds1 / h)
+            rows.dc[idx] = np.where(pos, ds1 / h, -ds1 / h)
+            rows.db[idx] = 0.5 * dmu / h - np.where(pos, ds1 / h, 0.0)
+            self._rewritten = True
+        return rows
+
+    def residual_constraint(self, y: np.ndarray, z: float) -> float:
+        """F2 of this layer at (y, z); see the module function."""
+        return float(z - _root(y, self._constraint))
+
+
+def layer_rows(prev: LayerState, z_next: float, tau_next: float,
+               g: GridSpec, p: MarketParams, mode: SchemeMode) -> LayerRows:
+    """The rows, their z-derivatives and the F1 right-hand side at one
+    iterate, in arrays of their own."""
+    return LayerFrame(g, p, mode).start(prev, tau_next).rows(z_next)
 
 
 def residual_constraint(y_next: np.ndarray, z_next: float, tau_next: float,
                         g: GridSpec, p: MarketParams) -> float:
     """Constraint residual F2; affine in z_next with unit leading coefficient."""
-    _require_pre_maturity(tau_next, p.T)
     return float(z_next - constraint_root(y_next, tau_next, g, p))
 
 
 def constraint_root(y_next: np.ndarray, tau_next: float, g: GridSpec,
                     p: MarketParams) -> float:
     """The z solving F2 = 0 for given y (explicit since F2 is affine in z)."""
-    _require_pre_maturity(tau_next, p.T)
-    y_next = np.asarray(y_next, dtype=float)
-    ttm = p.T - tau_next
-    slope = (-3.0 * y_next[0] + 4.0 * y_next[1] - y_next[2]) / (2.0 * g.h)
-    denom = 1.0 + p.q * ttm
-    return float((1.0 + p.r * ttm) / denom + 0.5 * p.sigma**2 * ttm / denom * slope)
+    return _root(np.asarray(y_next, dtype=float), _constraint_coefficients(tau_next, g, p))

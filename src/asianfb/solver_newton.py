@@ -18,9 +18,12 @@ This is algebraically the coupled block solve; the Schur denominator is
 guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
 
-Each iterate assembles the layer once: scheme.layer_rows gives J11, the
-row derivatives J12 is built from, and F1 in row form.  One more
-assembly at the accepted z gives the layer's diagnostics.
+The march keeps one scheme.LayerFrame.  Per layer it builds the frame's
+z-free part once and computes J21; each iterate then writes only the
+z-dependent rows (J11 and the row derivatives J12 is built from), puts
+F1 and J12 into the frame's (2, n) right-hand side, solves it in place
+and updates y in place.  One more assembly at the accepted z gives the
+layer's diagnostics.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .mesh import GridSpec, LayerState, initial_layer
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult
 from .scheme import SchemeMode
-from .tridiag import TridiagonalSystem, thomas_solve
+from .tridiag import thomas_solve
 
 __all__ = ["NewtonConfig", "JacobianBlocks", "interior_residual", "z_column", "constraint_row",
            "build_jacobian", "newton_layer", "march_newton"]
@@ -77,14 +80,23 @@ def _with_boundaries(interior: np.ndarray) -> np.ndarray:
     return y
 
 
-def interior_residual(rows: scheme.LayerRows, y: np.ndarray) -> np.ndarray:
-    """F1 in row form; y carries its boundary values."""
-    return rows.lower * y[:-2] + rows.diag * y[1:-1] + rows.upper * y[2:] - rows.rhs
+def interior_residual(rows: scheme.LayerRows, y: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """F1 in row form; y carries its boundary values.  Written into ``out`` if given."""
+    f1 = np.multiply(rows.lower, y[:-2], out=out)
+    f1 += rows.diag * y[1:-1]
+    f1 += rows.upper * y[2:]
+    f1 -= rows.rhs
+    return f1
 
 
-def z_column(rows: scheme.LayerRows, y: np.ndarray) -> np.ndarray:
+def z_column(rows: scheme.LayerRows, y: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """J12 = dF1/dz at y and the boundary value the rows were assembled at."""
-    return rows.da * y[:-2] + rows.dc * y[1:-1] + rows.db * y[2:]
+    j12 = np.multiply(rows.da, y[:-2], out=out)
+    j12 += rows.dc * y[1:-1]
+    j12 += rows.db * y[2:]
+    return j12
 
 
 def constraint_row(tau_next: float, g: GridSpec, p: MarketParams) -> tuple[float, float]:
@@ -114,44 +126,51 @@ def build_jacobian(y_next: np.ndarray, z_next: float, prev: LayerState,
     )
 
 
-def _dominance_violations(rows: scheme.LayerRows) -> int:
-    return int(np.sum(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
-
-
 def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
                  mode: SchemeMode, cfg: NewtonConfig = NewtonConfig(),
-                 trace: list | None = None) -> tuple[LayerState, LayerDiagnostics]:
+                 trace: list | None = None,
+                 frame: scheme.LayerFrame | None = None) -> tuple[LayerState, LayerDiagnostics]:
     """Solve one layer; returns the new state and its diagnostics.
 
+    ``frame`` is a LayerFrame of (g, p, mode) to assemble in; march_newton
+    passes one for the whole march, and without it the layer makes its own.
     When ``trace`` is a list, every iteration appends
     (blocks, F1, F2, dY1, dz) for oracle comparison in tests.
     """
-    y1 = prev.y[1:-1].copy()
+    if frame is None:
+        frame = scheme.LayerFrame(g, p, mode)
+    frame.start(prev, tau_next)  # raises ValueError past maturity
+    j21_y1, j21_y2 = constraint_row(tau_next, g, p)
+    system = frame.pair
+    f1, j12 = system.rhs
+    y = prev.y.copy()
+    y1 = y[1:-1]
     z = prev.z
     diag = LayerDiagnostics(layer=prev.j + 1, tau=tau_next, iterations=0,
                             residual_f1=np.inf, residual_f2=np.inf)
     for it in range(1, cfg.max_iter + 1):
-        blocks = build_jacobian(y1, z, prev, tau_next, g, p, mode)  # raises NonPositiveZ
-        y_full = _with_boundaries(y1)
-        f1 = interior_residual(blocks.rows, y_full)
-        f2 = scheme.residual_constraint(y_full, z, tau_next, g, p)
+        rows = frame.rows(z)  # raises NonPositiveZ
+        interior_residual(rows, y, out=f1)
+        z_column(rows, y, out=j12)
+        f2 = frame.residual_constraint(y, z)
         if it == 1:
             diag.initial_residual = max(float(np.max(np.abs(f1))), abs(f2))
-        diag.onesided_rows = max(diag.onesided_rows, int(np.sum(blocks.rows.onesided)))
-        diag.dominance_violations += _dominance_violations(blocks.rows)
+        diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
+        diag.dominance_violations += rows.dominance_violations()
 
-        u, v = thomas_solve(TridiagonalSystem(blocks.lower, blocks.diag, blocks.upper,
-                                              np.stack((f1, blocks.j12))))
-        j21_u = blocks.j21_y1 * u[0] + blocks.j21_y2 * u[1]
-        j21_v = blocks.j21_y1 * v[0] + blocks.j21_y2 * v[1]
-        denom = blocks.j22 - j21_v
+        u, v = thomas_solve(system)
+        j21_u = j21_y1 * u[0] + j21_y2 * u[1]
+        j21_v = j21_y1 * v[0] + j21_y2 * v[1]
+        denom = 1.0 - j21_v  # J22 = 1
         if abs(denom) < SCHUR_FLOOR:
             raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
         dz = (-f2 + j21_u) / denom
-        dy1 = -u - v * dz
+        dy1 = np.negative(u, out=u)
+        dy1 -= v * dz  # dY1 = -u - v dz
         if trace is not None:
-            trace.append((blocks, f1.copy(), f2, dy1.copy(), dz))
-        y1 = y1 + dy1
+            trace.append((build_jacobian(y1, z, prev, tau_next, g, p, mode), f1.copy(), f2,
+                          dy1.copy(), dz))
+        y1 += dy1
         z = z + dz
         diag.iterations = it
         step = max(float(np.max(np.abs(dy1))), abs(dz))
@@ -160,11 +179,10 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     else:
         raise NoConvergence(cfg.max_iter, step)
 
-    y_full = _with_boundaries(y1)
-    rows = scheme.layer_rows(prev, z, tau_next, g, p, mode)  # raises NonPositiveZ
-    diag.residual_f1 = float(np.max(np.abs(interior_residual(rows, y_full))))
-    diag.residual_f2 = abs(scheme.residual_constraint(y_full, z, tau_next, g, p))
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y_full, z=z), diag
+    rows = frame.rows(z)  # raises NonPositiveZ
+    diag.residual_f1 = float(np.max(np.abs(interior_residual(rows, y, out=f1))))
+    diag.residual_f2 = abs(frame.residual_constraint(y, z))
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
 
 
 def march_newton(p: MarketParams, g: GridSpec,
@@ -177,10 +195,11 @@ def march_newton(p: MarketParams, g: GridSpec,
     rho[0] = state.z
     surface[0] = state.y
     diags: list[LayerDiagnostics] = []
+    frame = scheme.LayerFrame(g, p, mode)
     for j in range(g.M):
         tau_next = float(g.taus[j + 1])
         try:
-            state, d = newton_layer(state, tau_next, g, p, mode, cfg)
+            state, d = newton_layer(state, tau_next, g, p, mode, cfg, frame=frame)
         except SolverError as exc:
             raise LayerFailure(j + 1, tau_next, exc) from exc
         rho[j + 1] = state.z

@@ -67,7 +67,7 @@ from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult
 from .scheme import SchemeMode
 from .solver_newton import SCHUR_FLOOR, constraint_row, interior_residual, z_column
-from .tridiag import TridiagonalSystem, thomas_solve
+from .tridiag import thomas_solve
 
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "corrector", "march_pc"]
 
@@ -199,40 +199,41 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     return PredictorResult(y1=eq_i(x), z=x, iterations=iterations)
 
 
-def _frozen_solve(prev: LayerState, z: float, tau_next: float, g: GridSpec,
-                  p: MarketParams, mode: SchemeMode):
+def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows, np.ndarray]:
     """Interior rows frozen at boundary value z and the layer y they solve for."""
-    rows = scheme.layer_rows(prev, z, tau_next, g, p, mode)
-    rhs = rows.rhs.copy()
+    rows = frame.rows(z)  # raises NonPositiveZ
+    rhs = frame.single.rhs
+    np.copyto(rhs, rows.rhs)
     rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
-    y = np.empty(g.N + 1)
+    y = np.empty(frame.g.N + 1)
     y[0] = -1.0
     y[-1] = 0.0
-    y[1:-1] = thomas_solve(TridiagonalSystem(rows.lower[1:], rows.diag, rows.upper[:-1], rhs))
+    y[1:-1] = thomas_solve(frame.single)
     return rows, y
 
 
-def _correct(prev: LayerState, z_tilde: float, tau_next: float, g: GridSpec,
-             p: MarketParams, mode: SchemeMode):
-    """corrector(), also returning the rows the stored layer was solved with."""
-    rows, y = _frozen_solve(prev, z_tilde, tau_next, g, p, mode)  # raises NonPositiveZ
+def _correct(frame: scheme.LayerFrame, prev: LayerState, z_tilde: float, tau_next: float):
+    """corrector() in a frame started for the layer; also returns the rows
+    the stored layer was solved with (the frame's, valid until its next rows())."""
+    rows, y = _frozen_solve(frame, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of solver_newton reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
-    v = thomas_solve(TridiagonalSystem(rows.lower[1:], rows.diag, rows.upper[:-1],
-                                       z_column(rows, y)))
-    j21_y1, j21_y2 = constraint_row(tau_next, g, p)
+    z_column(rows, y, out=frame.single.rhs)
+    v = thomas_solve(frame.single)
+    j21_y1, j21_y2 = constraint_row(tau_next, frame.g, frame.p)
     denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
     if abs(denom) < SCHUR_FLOOR:
         raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
-    z = z_tilde - scheme.residual_constraint(y, z_tilde, tau_next, g, p) / denom
-    rows, y = _frozen_solve(prev, z, tau_next, g, p, mode)  # raises NonPositiveZ
+    z = z_tilde - frame.residual_constraint(y, z_tilde) / denom
+    rows, y = _frozen_solve(frame, z)
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), rows
 
 
 def corrector(prev: LayerState, z_tilde: float, tau_next: float, g: GridSpec,
               p: MarketParams, mode: SchemeMode) -> LayerState:
     """Frozen solve at z_tilde, one Schur step on the boundary, frozen solve at the new z."""
-    return _correct(prev, z_tilde, tau_next, g, p, mode)[0]
+    frame = scheme.LayerFrame(g, p, mode).start(prev, tau_next)
+    return _correct(frame, prev, z_tilde, tau_next)[0]
 
 
 def march_pc(p: MarketParams, g: GridSpec,
@@ -245,6 +246,7 @@ def march_pc(p: MarketParams, g: GridSpec,
     rho[0] = state.z
     surface[0] = state.y
     diags: list[LayerDiagnostics] = []
+    frame = scheme.LayerFrame(g, p, mode)
     for j in range(g.M):
         tau_next = float(g.taus[j + 1])
         fallback = False
@@ -255,7 +257,8 @@ def march_pc(p: MarketParams, g: GridSpec,
             except NoBracket:
                 z_tilde, root_iters = state.z, 0
                 fallback = True
-            new_state, rows = _correct(state, z_tilde, tau_next, g, p, mode)
+            frame.start(state, tau_next)
+            new_state, rows = _correct(frame, state, z_tilde, tau_next)
         except SolverError as exc:
             raise LayerFailure(j + 1, tau_next, exc) from exc
 
@@ -266,13 +269,12 @@ def march_pc(p: MarketParams, g: GridSpec,
             + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
         f1 = np.abs(interior_residual(rows, y))
         rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
-        f2 = abs(scheme.residual_constraint(new_state.y, new_state.z, tau_next, g, p))
+        f2 = abs(frame.residual_constraint(new_state.y, new_state.z))
         diags.append(LayerDiagnostics(
             layer=j + 1, tau=tau_next, iterations=root_iters,
             residual_f1=rel_f1, residual_f2=f2,
-            onesided_rows=int(np.sum(rows.onesided)),
-            dominance_violations=int(np.sum(
-                np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper))),
+            onesided_rows=int(np.count_nonzero(rows.onesided)),
+            dominance_violations=rows.dominance_violations(),
             predictor_fallback=fallback,
         ))
         state = new_state
