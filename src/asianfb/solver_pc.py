@@ -185,7 +185,9 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
             x_new = x - fx / dfx
         else:
             x_new = math.nan
-        if not (lo < x_new < hi):
+        # x is a bracket end here, so a converged (zero) Newton step lands on
+        # one; accept it rather than bisect away from the root
+        if not (lo < x_new < hi or x_new == x):
             x_new = 0.5 * (lo + hi)  # bisection fallback
         step = abs(x_new - x)
         x = x_new

@@ -148,6 +148,14 @@ class TestCorrector:
         assert np.max(np.abs(out.y - frozen_layer(prev, out.z, tau_next, g, params, mode))) \
             <= 1e-12
 
+    def test_non_finite_previous_layer_raises(self, params):
+        # the finiteness check runs on every system the engine solves
+        g = make_grid(params, N=16)
+        prev = initial_layer(params, g)
+        prev.y[g.N // 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            corrector(prev, prev.z, float(g.taus[1]), g, params, SchemeMode.UPWIND_SINGULAR)
+
     def test_rejects_nonpositive_predictor_value(self, params, default_grid):
         prev = initial_layer(params, default_grid)
         with pytest.raises(NonPositiveZ):
@@ -165,6 +173,11 @@ class TestMarchPC:
         fallbacks = [d.layer for d in pc_default.diagnostics if d.predictor_fallback]
         assert fallbacks  # the no-root regime is real on the default grid
         assert set(fallbacks) <= {pc_default.grid.M - 1, pc_default.grid.M}
+
+    def test_root_iterations_per_layer(self, pc_default):
+        # safeguarded Newton keeps its converged root: a zero step is accepted,
+        # not replaced by about 25 bisections from the bracket end it lands on
+        assert max(d.iterations for d in pc_default.diagnostics) <= 8
 
     def test_maximum_principle_upwind(self, pc_default):
         assert pc_default.surface.min() >= -1.0 - 1e-12
