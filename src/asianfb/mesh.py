@@ -60,6 +60,13 @@ class GridSpec:
         xi[-1] = self.L
         taus = np.arange(self.M + 1) * k
         taus[-1] = self.T - self.eps_final
+        if not (taus[-2] < taus[-1] < self.T):
+            # eps_final too small for T's precision (T - eps rounds to T),
+            # or so close to k that the last step rounds to nothing
+            raise ValueError(
+                f"eps_final={self.eps_final} leaves no final layer strictly between "
+                f"tau={taus[-2]} and T={self.T}: T - eps_final rounds to {taus[-1]}"
+            )
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "xi", xi)

@@ -203,6 +203,11 @@ class TestConfigResolution:
     def test_invalid_market_params(self, tmp_path):
         assert run_cli(["solve", "--sigma", "-0.1"], tmp_path) == 2
 
+    def test_eps_final_below_the_precision_of_T(self, tmp_path, capsys):
+        # T - eps_final rounds to T = 50: a config error, not a crash in the march
+        assert run_cli(["solve", "--N", "16", "--eps-final", "1e-15"], tmp_path) == 2
+        assert "config error: eps_final" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(["solve", "--N", "16", "--tol", "1e-14", "--max-iter", "1"],
                        tmp_path)

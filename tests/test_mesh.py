@@ -61,6 +61,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(N=8, M=10, L=1.0, T=50.0, eps_final=6.0)  # eps >= k
 
+    def test_eps_final_below_the_precision_of_T_rejected(self):
+        # 50 - 1e-15 rounds to 50: the final layer would sit at maturity
+        assert 50.0 - 1e-15 == 50.0
+        with pytest.raises(ValueError, match="eps_final"):
+            GridSpec(N=8, M=10, L=1.0, T=50.0, eps_final=1e-15)
+        g = GridSpec(N=8, M=10, L=1.0, T=50.0, eps_final=1e-13)  # representable
+        assert g.taus[-2] < g.taus[-1] < g.T
+
 
 class TestInitialLayer:
     def test_reference_grid_jump_location(self, params):
