@@ -342,3 +342,34 @@ def test_march_bit_identical_across_backends(params, march, mode):
     assert by_native.surface.tobytes() == by_pure.surface.tobytes()
     assert [dataclasses.astuple(d) for d in by_native.diagnostics] == \
         [dataclasses.astuple(d) for d in by_pure.diagnostics]
+
+
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_eliminations_enter_through_the_traced_entry_points(params, monkeypatch, march):
+    """Every elimination calls tridiag.thomas_solve, as bound in the module
+    that calls it, and the active backend's thomas with diag second, which
+    is where a tracer set on those names counts solves and rows."""
+    grid = make_grid(params, N=40)
+    backend = _kernels.active()
+    kernel_rows, solves = [], []
+
+    def counting_kernel(*args, **kwargs):
+        kernel_rows.append(len(args[1]))
+        return kernel(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return thomas_solve(*args, **kwargs)
+
+    kernel = backend.thomas
+    monkeypatch.setattr(backend, "thomas", counting_kernel)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("asianfb") and getattr(module, "thomas_solve", None) is thomas_solve:
+            monkeypatch.setattr(module, "thomas_solve", counting_solve)
+    result = march(params, grid)
+    if march is march_newton:  # one (2, n) elimination per Newton iteration
+        expected = sum(d.iterations for d in result.diagnostics)
+    else:  # frozen solve, Schur column, frozen solve at the corrected z
+        expected = 3 * grid.M
+    assert len(kernel_rows) == len(solves) == expected
+    assert set(kernel_rows) == {grid.N - 1}

@@ -107,6 +107,14 @@ class TestNewtonLayer:
                 scale = np.max(np.abs(dense)) + 1e-30
                 assert np.max(np.abs(combined - dense)) <= 1e-10 * max(scale, 1.0)
 
+    def test_non_finite_previous_layer_raises(self, params):
+        # the finiteness check runs on every system the engine solves
+        g = make_grid(params, N=16)
+        prev = initial_layer(params, g)
+        prev.y[g.N // 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            newton_layer(prev, float(g.taus[1]), g, params, SchemeMode.UPWIND_SINGULAR)
+
     def test_no_convergence_raises(self, params):
         g = make_grid(params, N=16)
         prev = initial_layer(params, g)
