@@ -10,7 +10,9 @@ It measures, from the sources in ``src/`` of the checkout it sits in:
   line and result line;
 * the time march: ``march_newton`` and ``march_pc`` on the reference point
   (upwind-singular mode, M = ceil(2.5 N)) at N = 50, 200, 800 and 1600,
-  best of ``REPEATS`` runs, with seconds per layer and iteration counts;
+  best of ``REPEATS`` runs, with seconds per layer and iteration counts,
+  and per engine the least-squares line ms per layer = intercept + slope N
+  (the intercept is the cost of a layer that does not grow with N);
 * the default ``asianfb refine`` (N = 50 ... 800) as a whole process, with
   ``--jobs 1`` and ``--jobs 2``, best of ``REPEATS`` runs.
 
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -91,6 +94,19 @@ def marches() -> list[dict]:
     return rows
 
 
+def layer_cost_fit(rows: list[dict]) -> dict:
+    """Per engine, the least-squares fit of best ms per layer against N."""
+    fit = {}
+    for engine in dict.fromkeys(row["engine"] for row in rows):
+        picked = [row for row in rows if row["engine"] == engine]
+        slope, intercept = statistics.linear_regression(
+            [row["N"] for row in picked], [1e3 * row["best_s_per_layer"] for row in picked])
+        fit[engine] = {"intercept_ms_per_layer": intercept, "slope_ms_per_layer_per_N": slope}
+        print(f"fit {engine}: {intercept:.4f} ms/layer + {1e3 * slope:.4f} us/layer per N",
+              file=sys.stderr)
+    return fit
+
+
 def refine() -> dict:
     """Whole-process wall time of the default refine with --jobs 1 and 2."""
     out = {}
@@ -124,9 +140,10 @@ def main(argv=None) -> int:
     import numpy
 
     record = {"label": args.label, "git_commit": git_commit()}
+    rows = marches()
     record["march"] = {"repeats": REPEATS, "params": REFERENCE,
                        "mode": "upwind-singular", "M": "ceil(2.5 N)",
-                       "rows": marches()}
+                       "rows": rows, "fit": layer_cost_fit(rows)}
     record["kernel_backend"] = asianfb.kernel_backend()  # chosen by the marches above
     record["environment"] = {"python": platform.python_version(), "numpy": numpy.__version__,
                              "nproc": os.cpu_count(), "machine": platform.machine()}

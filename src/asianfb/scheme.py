@@ -96,10 +96,6 @@ class LayerRows:
     rhs: np.ndarray    # y^prev_i / dt
     onesided: np.ndarray  # bool; True where the singular term is upwinded
 
-    def dominance_violations(self) -> int:
-        """Number of rows failing strict diagonal dominance, |c_i| <= |a_i| + |b_i|."""
-        return int(np.count_nonzero(np.abs(self.diag) <= np.abs(self.lower) + np.abs(self.upper)))
-
 
 def _require_pre_maturity(tau_next, T) -> None:
     if not tau_next < T:
@@ -170,6 +166,7 @@ class LayerFrame:
         if dt <= 0:
             raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
         ttm = p.T - tau_next
+        self.prev, self.tau_next = prev, tau_next
         self._dt, self._ttm, self._z_prev = dt, ttm, prev.z
         np.divide(self.g.exp_neg_xi, ttm, out=self._ds)
         np.multiply(self._ds, 0.5, out=self._half_ds_h)

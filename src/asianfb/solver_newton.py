@@ -126,6 +126,10 @@ def build_jacobian(y_next: np.ndarray, z_next: float, prev: LayerState,
     )
 
 
+def _dominance_violations(rows: scheme.LayerRows) -> int:
+    return int(np.sum(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
+
+
 def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
                  mode: SchemeMode, cfg: NewtonConfig = NewtonConfig(),
                  trace: list | None = None,
@@ -156,7 +160,7 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         if it == 1:
             diag.initial_residual = max(float(np.max(np.abs(f1))), abs(f2))
         diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
-        diag.dominance_violations += rows.dominance_violations()
+        diag.dominance_violations += _dominance_violations(rows)
 
         u, v = thomas_solve(system)
         j21_u = j21_y1 * u[0] + j21_y2 * u[1]

@@ -214,9 +214,10 @@ def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows,
     return rows, y
 
 
-def _correct(frame: scheme.LayerFrame, prev: LayerState, z_tilde: float, tau_next: float):
+def _correct(frame: scheme.LayerFrame, z_tilde: float):
     """corrector() in a frame started for the layer; also returns the rows
     the stored layer was solved with (the frame's, valid until its next rows())."""
+    prev, tau_next = frame.prev, frame.tau_next
     rows, y = _frozen_solve(frame, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of solver_newton reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
@@ -234,8 +235,7 @@ def _correct(frame: scheme.LayerFrame, prev: LayerState, z_tilde: float, tau_nex
 def corrector(prev: LayerState, z_tilde: float, tau_next: float, g: GridSpec,
               p: MarketParams, mode: SchemeMode) -> LayerState:
     """Frozen solve at z_tilde, one Schur step on the boundary, frozen solve at the new z."""
-    frame = scheme.LayerFrame(g, p, mode).start(prev, tau_next)
-    return _correct(frame, prev, z_tilde, tau_next)[0]
+    return _correct(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_tilde)[0]
 
 
 def march_pc(p: MarketParams, g: GridSpec,
@@ -259,8 +259,7 @@ def march_pc(p: MarketParams, g: GridSpec,
             except NoBracket:
                 z_tilde, root_iters = state.z, 0
                 fallback = True
-            frame.start(state, tau_next)
-            new_state, rows = _correct(frame, state, z_tilde, tau_next)
+            new_state, rows = _correct(frame.start(state, tau_next), z_tilde)
         except SolverError as exc:
             raise LayerFailure(j + 1, tau_next, exc) from exc
 
@@ -275,8 +274,9 @@ def march_pc(p: MarketParams, g: GridSpec,
         diags.append(LayerDiagnostics(
             layer=j + 1, tau=tau_next, iterations=root_iters,
             residual_f1=rel_f1, residual_f2=f2,
-            onesided_rows=int(np.count_nonzero(rows.onesided)),
-            dominance_violations=rows.dominance_violations(),
+            onesided_rows=int(np.sum(rows.onesided)),
+            dominance_violations=int(np.sum(
+                np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper))),
             predictor_fallback=fallback,
         ))
         state = new_state
