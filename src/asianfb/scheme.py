@@ -18,19 +18,24 @@ part, d_i = s_i/(2h) the singular part):
     c_i = 1/dt + sigma^2/h^2 + r + 1/(T - tau_{j+1})
     b_i = +mu/(2h) - sigma^2/(2h^2) - d_i
 
-layer_rows is the only assembly of this system.  One evaluation of mu,
-s_i and the one-sided switch below gives the rows, their z-derivatives
-(the Newton column dF1/dz) and the right-hand side y_i/dt, so both
-engines take the interior residual from the rows,
+LayerFrame is the only assembly of this system, split by what depends on
+the boundary iterate z.  Once per time layer, LayerFrame.start computes
+the z-free part: dt, 1/(T - tau), e^{-xi_i}/(T - tau) (= ds_i/dz) and its
+0.5/h scaling, the central diagonal c_i and dc = 0, and the right-hand
+side y_i/dt.  Per iterate, LayerFrame.rows evaluates mu, s_i and the
+one-sided switch below once and writes the z-dependent rows and their
+z-derivatives (the Newton column dF1/dz) into the frame's buffers, so
+both engines take the interior residual from the rows,
 
     F1_i = a_i y_{i-1}' + c_i y_i' + b_i y_{i+1}' - y_i/dt.
 
-Each row is computed once: layer_rows builds the central rows and then
+Each row is computed once: rows() builds the central rows and then
 rewrites only the rows the one-sided switch below selects (none in
-central mode; in upwind-singular mode only near expiry).  The test suite
-keeps the difference-quotient form of F1 as the oracle that pins this
-row form, and the mask blend of both stencils as the oracle that pins
-the rewrite.
+central mode; in upwind-singular mode only near expiry).  Every
+operation keeps the order of the one-pass form, so the rows are the same
+bits.  layer_rows() is the one-shot form.  The test suite keeps the
+difference-quotient form of F1 as the oracle that pins this row form,
+and the mask blend of both stencils as the oracle that pins the rewrite.
 
 The boundary constraint closing the system uses the one-sided
 second-order slope at xi = 0:

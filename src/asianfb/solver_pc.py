@@ -20,7 +20,10 @@ relation (spatial terms frozen at the old layer):
 (I) - (II) is one scalar equation for the predicted boundary z-tilde,
 solved by safeguarded Newton (bisection fallback) inside a bracket found
 by scanning outward from the previous z; the sign-change cell nearest
-z_prev is used, which tracks the branch continuous with the march.
+z_prev is used, which tracks the branch continuous with the march.  A
+Newton step that leaves the open bracket falls back to bisection, except
+a zero step: that is convergence, landing on the bracket end the last
+update set.
 
 Near tau -> T the scalar residual loses its root: (II) overshoots once
 the singular advection dominates the explicit step, and on the final
@@ -42,7 +45,9 @@ Thomas solve on the same rows, with J12 from their z-derivatives).  The
 interior is solved once more with coefficients frozen at z, and (y(z), z)
 is stored, so the boundary value kept for the next layer is the one the
 layer's transport term used.  The layer's F1 and row counts come from the
-rows of that last solve, so a layer costs two assemblies.
+rows of that last solve, so a layer costs two assemblies.  Both frozen
+solves share one scheme.LayerFrame, started once per layer, and all
+three eliminations solve its one-column system in place.
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
