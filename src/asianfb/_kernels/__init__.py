@@ -8,7 +8,8 @@ predictor-corrector layer.  Two backends share one contract,
 fail_index)`` with ``bind(lower, diag, upper, rhs) -> binding``: a system
 solved repeatedly with its arrays overwritten in place is bound once,
 and each solve passes the binding (the native backend keeps the array
-addresses, its scratch and a solution buffer in it; pure binds nothing):
+addresses, its cp work row and a solution buffer in it; pure binds
+nothing):
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on the first
   elimination in a process into a cache next to the source (see

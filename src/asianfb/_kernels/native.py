@@ -11,11 +11,11 @@ library.  Without a C compiler, or when the build or the load of the
 fresh build fails, ``load()`` returns False and the caller keeps the
 pure kernel.
 
-A call converts its arrays to contiguous float64, allocates the scratch
+A call converts its arrays to contiguous float64, allocates the cp work
 row and the solution, and looks up six addresses (``arr.ctypes.data``,
 about 1-2 us each), which costs more than the C loop at n = 200.  A
 system solved repeatedly is therefore bound once: ``bind`` keeps the
-addresses, the scratch and a solution buffer in a Binding, and a call
+addresses, the cp work row and a solution buffer in a Binding, and a call
 given that Binding (with the same array objects) goes straight to C.
 """
 
@@ -101,9 +101,9 @@ def load() -> bool:
 
 class Binding:
     """A system's arrays as the C function takes them: their addresses,
-    the scratch row and a solution buffer, derived once by ``bind``."""
+    the cp work row and a solution buffer, derived once by ``bind``."""
 
-    __slots__ = ("arrays", "scratch", "x", "head", "tail")
+    __slots__ = ("arrays", "cp", "x", "head", "tail")
 
     def __init__(self, lower, diag, upper, rhs):
         n = diag.size
@@ -113,12 +113,12 @@ class Binding:
                              "entries and a (n,) or (2, n) right-hand side")
         # references keep every array alive while its address is in use
         self.arrays = (lower, diag, upper, rhs)
-        self.scratch = np.empty(n)
+        self.cp = np.empty(n)
         self.x = np.empty(rhs.shape)
         # the C arguments before and after pivot_floor
         self.head = (n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
                      upper.ctypes.data, rhs.ctypes.data)
-        self.tail = (self.scratch.ctypes.data, self.x.ctypes.data)
+        self.tail = (self.cp.ctypes.data, self.x.ctypes.data)
 
 
 def bind(lower, diag, upper, rhs):

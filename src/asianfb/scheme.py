@@ -154,7 +154,7 @@ class LayerFrame:
                                da=np.zeros(n), dc=np.zeros(n), db=np.zeros(n),
                                rhs=np.zeros(n), onesided=np.zeros(n, dtype=bool))
         self._s = np.empty(n)       # singular advection part s_i
-        self._d = np.empty(n)       # s_i/(2h), then scratch
+        self._d = np.empty(n)       # s_i/(2h), then mu - s_i
         self._ds = np.empty(n)      # ds_i/dz = e^{-xi_i}/(T - tau)
         self._half_ds_h = np.empty(n)
         self._rewritten = False     # whether the last rows() upwinded a row

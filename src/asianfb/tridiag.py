@@ -12,7 +12,7 @@ compiler is available); both give the same bits.
 A system can be solved again after its arrays are overwritten in place.
 The engines keep one per march over the row buffers of their
 scheme.LayerFrame, so the checks of shape and dtype and the backend's
-binding (the compiled kernel's array addresses and scratch) are made
+binding (the compiled kernel's array addresses and work row) are made
 once per march; the finiteness check runs at every solve.
 """
 
