@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .mesh import GridSpec, make_grid
+from .mesh import GridSpec, default_domain_length, make_grid
 from .model import MarketParams, log_moneyness_nodes
 from .results import SolveResult
 from .scheme import SchemeMode
@@ -92,7 +92,6 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
     ns = [base_N * 2**lvl for lvl in range(levels)]
     length = L  # shared across levels so the grids are nested
     if length is None:
-        from .mesh import default_domain_length
         length = default_domain_length(p)
 
     args = [(p, n_val, length, eps_final, mode.value, engine, tuple(probes),

@@ -2,6 +2,8 @@
 
 Configuration is resolved in increasing precedence: built-in defaults,
 a flat ``key = value`` config file (``--config``), command-line flags.
+Each option is one row of OPTIONS, from which the defaults, the
+config-file types and the flags are all derived.
 The environment variable ASIANFB_OUT, when set, overrides the output
 directory; nothing else is read from the environment.
 
@@ -39,41 +41,39 @@ from .solver_pc import PredictorConfig
 
 __all__ = ["main"]
 
-DEFAULTS = {
-    "r": 0.06,
-    "q": 0.04,
-    "sigma": 0.2,
-    "T": 50.0,
-    "N": 200,
-    "M": None,          # ceil(2.5 N) when omitted
-    "L": None,          # 5 ln rho(0) when omitted
-    "eps_final": 1e-7,
-    "engine": "newton",
-    "scheme_mode": "upwind-singular",
-    "tol": None,        # engine default when omitted
-    "max_iter": None,
-    "tau_probes": "10,20,40",
-    "jobs": None,       # cpu count when omitted
-    "out_dir": ".",
-    "base_N": 50,
-    "levels": 5,
-    "boundary_csv": "boundary.csv",
-    "surface_csv": "surface.csv",
-    "summary_json": "summary.json",
-    "refine_csv": "refine.csv",
-    "compare_csv": "compare.csv",
-    "compare_json": "compare.json",
-}
-
-_COERCE = {
-    "r": float, "q": float, "sigma": float, "T": float,
-    "N": int, "M": int, "L": float, "eps_final": float,
-    "engine": str, "scheme_mode": str, "tol": float, "max_iter": int,
-    "tau_probes": str, "jobs": int, "out_dir": str,
-    "base_N": int, "levels": int,
-    "boundary_csv": str, "surface_csv": str, "summary_json": str,
-    "refine_csv": str, "compare_csv": str, "compare_json": str,
-}
+# The options: (key, type, default, help).  A key is set from a config file
+# as ``key = value`` and from the command line as --key (with - for _); a
+# row without help is a config-file key with no flag.
+OPTIONS = (
+    ("r", float, 0.06, "risk-free rate (1/year)"),
+    ("q", float, 0.04, "continuous dividend rate (1/year)"),
+    ("sigma", float, 0.2, "volatility (1/sqrt(year))"),
+    ("T", float, 50.0, "maturity (years)"),
+    ("N", int, 200, "number of spatial intervals"),
+    ("M", int, None, "number of time layers (default ceil(2.5 N))"),
+    ("L", float, None, "domain truncation length (default 5 ln rho(0))"),
+    ("eps_final", float, 1e-7, "final-layer offset so tau_M = T - eps"),
+    ("engine", str, "newton", "solver engine"),
+    ("scheme_mode", str, "upwind-singular", "advection discretization"),
+    ("tol", float, None,  # None: the engine's default, as for max_iter
+     "engine tolerance (Newton step norm / predictor root)"),
+    ("max_iter", int, None, "engine iteration cap"),
+    ("tau_probes", str, "10,20,40", "comma-separated probe times (default 10,20,40)"),
+    ("jobs", int, None, "worker processes for refine"),  # None: the cpu count
+    ("out_dir", str, ".", "output directory"),
+    ("base_N", int, 50, "coarsest spatial resolution (default 50)"),
+    ("levels", int, 5, "number of doublings (default 5)"),
+    ("boundary_csv", str, "boundary.csv", None),
+    ("surface_csv", str, "surface.csv", None),
+    ("summary_json", str, "summary.json", None),
+    ("refine_csv", str, "refine.csv", None),
+    ("compare_csv", str, "compare.csv", None),
+    ("compare_json", str, "compare.json", None),
+)
+DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
+_COERCE = {key: kind for key, kind, _, _ in OPTIONS}
+_CHOICES = {"engine": ("newton", "pc"), "scheme_mode": tuple(m.value for m in SchemeMode)}
+_REFINE_ONLY = ("base_N", "levels")
 
 
 class ConfigError(Exception):
@@ -160,7 +160,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if env_out:
         cfg["out_dir"] = env_out
 
-    if cfg["engine"] not in ("newton", "pc"):
+    if cfg["engine"] not in _CHOICES["engine"]:
         raise ConfigError(f"engine must be 'newton' or 'pc', got {cfg['engine']!r}")
     try:
         scheme_mode = SchemeMode(cfg["scheme_mode"])
@@ -194,9 +194,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         eps_final=cfg["eps_final"], engine=cfg["engine"], scheme_mode=scheme_mode,
         newton=newton, predictor=predictor, probes=probes, jobs=jobs,
         out_dir=cfg["out_dir"],
-        files={key: cfg[key] for key in ("boundary_csv", "surface_csv",
-                                         "summary_json", "refine_csv",
-                                         "compare_csv", "compare_json")},
+        files={key: cfg[key] for key, _, _, help_text in OPTIONS if help_text is None},
         base_N=cfg["base_N"], levels=cfg["levels"],
         raw={"tol": cfg["tol"], "max_iter": cfg["max_iter"],
              "tau_probes": cfg["tau_probes"]},
@@ -320,8 +318,6 @@ def cmd_refine(cfg: RunConfig) -> int:
             L=cfg.L, eps_final=cfg.eps_final,
             newton_cfg=cfg.newton, pc_cfg=cfg.predictor, jobs=cfg.jobs,
         )
-    except SolverError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - started
@@ -380,30 +376,15 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--r", type=float, help="risk-free rate (1/year)")
-    sub.add_argument("--q", type=float, help="continuous dividend rate (1/year)")
-    sub.add_argument("--sigma", type=float, help="volatility (1/sqrt(year))")
-    sub.add_argument("--T", type=float, help="maturity (years)")
-    sub.add_argument("--N", type=int, help="number of spatial intervals")
-    sub.add_argument("--M", type=int, help="number of time layers (default ceil(2.5 N))")
-    sub.add_argument("--L", type=float, help="domain truncation length (default 5 ln rho(0))")
-    sub.add_argument("--eps-final", dest="eps_final", type=float,
-                     help="final-layer offset so tau_M = T - eps")
-    sub.add_argument("--engine", choices=["newton", "pc"], help="solver engine")
-    sub.add_argument("--scheme-mode", dest="scheme_mode",
-                     choices=[m.value for m in SchemeMode], help="advection discretization")
-    sub.add_argument("--tol", type=float,
-                     help="engine tolerance (Newton step norm / predictor root)")
-    sub.add_argument("--max-iter", dest="max_iter", type=int, help="engine iteration cap")
-    sub.add_argument("--tau-probes", dest="tau_probes",
-                     help="comma-separated probe times (default 10,20,40)")
-    sub.add_argument("--jobs", type=int, help="worker processes for refine")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
+def _add_flags(sub: argparse.ArgumentParser, keys) -> None:
+    for key, kind, _, help_text in OPTIONS:
+        if key in keys and help_text is not None:
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                             choices=_CHOICES.get(key), help=help_text)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The three subcommands, with a flag for every OPTIONS row that has help."""
     parser = argparse.ArgumentParser(
         prog="asianfb",
         description="Early exercise boundary of the American floating-strike "
@@ -417,13 +398,16 @@ def main(argv=None) -> int:
                                                 "convergence ratios")
     compare = commands.add_parser("compare", help="run both engines and compare "
                                                   "boundary paths")
+    common = [key for key in DEFAULTS if key not in _REFINE_ONLY]
     for sub in (solve, refine, compare):
-        _add_common_flags(sub)
-    refine.add_argument("--base-N", dest="base_N", type=int,
-                        help="coarsest spatial resolution (default 50)")
-    refine.add_argument("--levels", type=int, help="number of doublings (default 5)")
+        sub.add_argument("--config", help="flat key = value configuration file")
+        _add_flags(sub, common)
+    _add_flags(refine, _REFINE_ONLY)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         handler = {"solve": cmd_solve, "refine": cmd_refine, "compare": cmd_compare}

@@ -46,6 +46,9 @@ class GridSpec:
             raise ValueError(f"N must be >= 4, got {self.N}")
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
+        for name in ("L", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.L > 0):
             raise ValueError(f"L must be positive, got {self.L}")
         if not (self.T > 0):

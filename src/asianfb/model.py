@@ -33,6 +33,7 @@ the engines operate on the (xi, tau, Pi) problem only.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,9 @@ class MarketParams:
     T: float
 
     def __post_init__(self):
+        for name in ("r", "q", "sigma", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.r > 0):
             raise ValueError(f"r must be positive, got {self.r}")
         if self.q < 0:

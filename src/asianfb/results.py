@@ -1,4 +1,11 @@
-"""Result containers shared by both engines."""
+"""Result containers shared by both engines, and march, the one time loop.
+
+march owns the initial layer, the stored rho and surface, one
+scheme.LayerFrame and the LayerFailure wrapping; an engine supplies only
+step(prev, tau_next, frame) -> (LayerState, LayerDiagnostics).  march is
+not in ``__all__``, so a tracer of the public names charges the loop to
+the engine's march that calls it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import GridSpec
+from . import scheme
+from .errors import LayerFailure, SolverError
+from .mesh import GridSpec, initial_layer
 from .model import MarketParams
 
 __all__ = ["LayerDiagnostics", "SolveResult"]
@@ -53,3 +62,26 @@ class SolveResult:
     def boundary_path(self) -> np.ndarray:
         """(tau, rho) pairs, one per layer."""
         return np.column_stack([self.taus, self.rho])
+
+
+def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
+          step) -> SolveResult:
+    """March ``step`` over the time mesh from the initial layer."""
+    state = initial_layer(p, g)
+    rho = np.empty(g.M + 1)
+    surface = np.empty((g.M + 1, g.N + 1))
+    rho[0] = state.z
+    surface[0] = state.y
+    diags: list[LayerDiagnostics] = []
+    frame = scheme.LayerFrame(g, p, mode)
+    for j in range(g.M):
+        tau_next = float(g.taus[j + 1])
+        try:
+            state, d = step(state, tau_next, frame)
+        except SolverError as exc:
+            raise LayerFailure(j + 1, tau_next, exc) from exc
+        rho[j + 1] = state.z
+        surface[j + 1] = state.y
+        diags.append(d)
+    return SolveResult(params=p, grid=g, engine=engine, mode=mode.value,
+                       taus=g.taus.copy(), rho=rho, surface=surface, diagnostics=diags)

@@ -18,8 +18,9 @@ This is algebraically the coupled block solve; the Schur denominator is
 guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
 
-The march keeps one scheme.LayerFrame.  Per layer it builds the frame's
-z-free part once and computes J21; each iterate then writes only the
+march_newton is results.march stepping with newton_layer in the march's
+one scheme.LayerFrame.  Per layer newton_layer builds the frame's z-free
+part once and computes J21; each iterate then writes only the
 z-dependent rows (J11 and the row derivatives J12 is built from), puts
 F1 and J12 into the frame's (2, n) right-hand side, solves it in place
 and updates y in place.  One more assembly at the accepted z gives the
@@ -33,15 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scheme
-from .errors import LayerFailure, NoConvergence, SingularSchur, SolverError
-from .mesh import GridSpec, LayerState, initial_layer
+from .errors import NoConvergence, SingularSchur
+from .mesh import GridSpec, LayerState
 from .model import MarketParams
-from .results import LayerDiagnostics, SolveResult
+from .results import LayerDiagnostics, SolveResult, march
 from .scheme import SchemeMode
 from .tridiag import thomas_solve
 
-__all__ = ["NewtonConfig", "JacobianBlocks", "interior_residual", "z_column", "constraint_row",
-           "build_jacobian", "newton_layer", "march_newton"]
+__all__ = ["NewtonConfig", "interior_residual", "z_column", "constraint_row",
+           "newton_layer", "march_newton"]
 
 SCHUR_FLOOR = 1e-14
 
@@ -56,28 +57,6 @@ class NewtonConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass
-class JacobianBlocks:
-    """Bordered-tridiagonal Jacobian of the layer system."""
-
-    lower: np.ndarray   # J11 sub-diagonal (a_2..a_{N-1})
-    diag: np.ndarray    # J11 diagonal (c_1..c_{N-1})
-    upper: np.ndarray   # J11 super-diagonal (b_1..b_{N-2})
-    j12: np.ndarray     # dF1_i/dz
-    j21_y1: float       # dF2/dy_1 = -sigma^2/(D h)
-    j21_y2: float       # dF2/dy_2 = +sigma^2/(4 D h)
-    j22: float          # dF2/dz = 1
-    rows: scheme.LayerRows  # assembly the blocks were cut from
-
-
-def _with_boundaries(interior: np.ndarray) -> np.ndarray:
-    y = np.empty(interior.size + 2)
-    y[0] = -1.0
-    y[-1] = 0.0
-    y[1:-1] = interior
-    return y
 
 
 def interior_residual(rows: scheme.LayerRows, y: np.ndarray,
@@ -107,39 +86,19 @@ def constraint_row(tau_next: float, g: GridSpec, p: MarketParams) -> tuple[float
     return -sig2 / (d_coef * g.h), sig2 / (4.0 * d_coef * g.h)
 
 
-def build_jacobian(y_next: np.ndarray, z_next: float, prev: LayerState,
-                   tau_next: float, g: GridSpec, p: MarketParams,
-                   mode: SchemeMode) -> JacobianBlocks:
-    """Analytic Jacobian blocks at iterate (y_next interior, z_next)."""
-    rows = scheme.layer_rows(prev, z_next, tau_next, g, p, mode)
-    y = _with_boundaries(np.asarray(y_next, dtype=float))
-    j21_y1, j21_y2 = constraint_row(tau_next, g, p)
-    return JacobianBlocks(
-        lower=rows.lower[1:],
-        diag=rows.diag,
-        upper=rows.upper[:-1],
-        j12=z_column(rows, y),
-        j21_y1=j21_y1,
-        j21_y2=j21_y2,
-        j22=1.0,
-        rows=rows,
-    )
-
-
-def _dominance_violations(rows: scheme.LayerRows) -> int:
-    return int(np.sum(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
+def dominance_violations(rows: scheme.LayerRows) -> int:
+    """Rows failing strict diagonal dominance, counted in both engines' layer steps
+    (internal to them, so not in ``__all__``)."""
+    return int(np.count_nonzero(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
 
 
 def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
                  mode: SchemeMode, cfg: NewtonConfig = NewtonConfig(),
-                 trace: list | None = None,
                  frame: scheme.LayerFrame | None = None) -> tuple[LayerState, LayerDiagnostics]:
     """Solve one layer; returns the new state and its diagnostics.
 
     ``frame`` is a LayerFrame of (g, p, mode) to assemble in; march_newton
-    passes one for the whole march, and without it the layer makes its own.
-    When ``trace`` is a list, every iteration appends
-    (blocks, F1, F2, dY1, dz) for oracle comparison in tests.
+    passes the march's, and without it the layer makes its own.
     """
     if frame is None:
         frame = scheme.LayerFrame(g, p, mode)
@@ -160,7 +119,7 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         if it == 1:
             diag.initial_residual = max(float(np.max(np.abs(f1))), abs(f2))
         diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
-        diag.dominance_violations += _dominance_violations(rows)
+        diag.dominance_violations += dominance_violations(rows)
 
         u, v = thomas_solve(system)
         j21_u = j21_y1 * u[0] + j21_y2 * u[1]
@@ -171,9 +130,6 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         dz = (-f2 + j21_u) / denom
         dy1 = np.negative(u, out=u)
         dy1 -= v * dz  # dY1 = -u - v dz
-        if trace is not None:
-            trace.append((build_jacobian(y1, z, prev, tau_next, g, p, mode), f1.copy(), f2,
-                          dy1.copy(), dz))
         y1 += dy1
         z = z + dz
         diag.iterations = it
@@ -193,21 +149,6 @@ def march_newton(p: MarketParams, g: GridSpec,
                  mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
                  cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Layer-by-layer Newton march over the full time mesh."""
-    state = initial_layer(p, g)
-    rho = np.empty(g.M + 1)
-    surface = np.empty((g.M + 1, g.N + 1))
-    rho[0] = state.z
-    surface[0] = state.y
-    diags: list[LayerDiagnostics] = []
-    frame = scheme.LayerFrame(g, p, mode)
-    for j in range(g.M):
-        tau_next = float(g.taus[j + 1])
-        try:
-            state, d = newton_layer(state, tau_next, g, p, mode, cfg, frame=frame)
-        except SolverError as exc:
-            raise LayerFailure(j + 1, tau_next, exc) from exc
-        rho[j + 1] = state.z
-        surface[j + 1] = state.y
-        diags.append(d)
-    return SolveResult(params=p, grid=g, engine="newton", mode=mode.value,
-                       taus=g.taus.copy(), rho=rho, surface=surface, diagnostics=diags)
+    def step(prev, tau_next, frame):
+        return newton_layer(prev, tau_next, g, p, mode, cfg, frame=frame)
+    return march(p, g, mode, "newton", step)

@@ -47,7 +47,8 @@ is stored, so the boundary value kept for the next layer is the one the
 layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
 solves share one scheme.LayerFrame, started once per layer, and all
-three eliminations solve its one-column system in place.
+three eliminations solve its one-column system in place.  march_pc's
+layer step runs predictor() and the corrector in results.march's frame.
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
@@ -65,13 +66,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scheme
-from .errors import (LayerFailure, NoBracket, NoConvergence, NonPositiveZ, SingularSchur,
-                     SolverError)
-from .mesh import GridSpec, LayerState, initial_layer
+from .errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur
+from .mesh import GridSpec, LayerState
 from .model import MarketParams
-from .results import LayerDiagnostics, SolveResult
+from .results import LayerDiagnostics, SolveResult, march
 from .scheme import SchemeMode
-from .solver_newton import SCHUR_FLOOR, constraint_row, interior_residual, z_column
+from .solver_newton import (SCHUR_FLOOR, constraint_row, dominance_violations,
+                            interior_residual, z_column)
 from .tridiag import thomas_solve
 
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "corrector", "march_pc"]
@@ -247,45 +248,28 @@ def march_pc(p: MarketParams, g: GridSpec,
              mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
              cfg: PredictorConfig = PredictorConfig()) -> SolveResult:
     """One predictor and one corrector per layer over the full time mesh."""
-    state = initial_layer(p, g)
-    rho = np.empty(g.M + 1)
-    surface = np.empty((g.M + 1, g.N + 1))
-    rho[0] = state.z
-    surface[0] = state.y
-    diags: list[LayerDiagnostics] = []
-    frame = scheme.LayerFrame(g, p, mode)
-    for j in range(g.M):
-        tau_next = float(g.taus[j + 1])
+    def step(prev, tau_next, frame):
         fallback = False
         try:
-            try:
-                pred = predictor(state, tau_next, g, p, cfg)
-                z_tilde, root_iters = pred.z, pred.iterations
-            except NoBracket:
-                z_tilde, root_iters = state.z, 0
-                fallback = True
-            new_state, rows = _correct(frame.start(state, tau_next), z_tilde)
-        except SolverError as exc:
-            raise LayerFailure(j + 1, tau_next, exc) from exc
+            pred = predictor(prev, tau_next, frame.g, frame.p, cfg)
+            z_tilde, root_iters = pred.z, pred.iterations
+        except NoBracket:
+            z_tilde, root_iters = prev.z, 0
+            fallback = True
+        state, rows = _correct(frame.start(prev, tau_next), z_tilde)
 
         # linear-solve quality: row-wise backward error of the stored layer,
         # |F1_i| over the magnitudes of the terms F1_i sums
-        y = new_state.y
+        y = state.y
         terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
             + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
         f1 = np.abs(interior_residual(rows, y))
         rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
-        f2 = abs(frame.residual_constraint(new_state.y, new_state.z))
-        diags.append(LayerDiagnostics(
-            layer=j + 1, tau=tau_next, iterations=root_iters,
-            residual_f1=rel_f1, residual_f2=f2,
-            onesided_rows=int(np.sum(rows.onesided)),
-            dominance_violations=int(np.sum(
-                np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper))),
+        return state, LayerDiagnostics(
+            layer=state.j, tau=tau_next, iterations=root_iters,
+            residual_f1=rel_f1, residual_f2=abs(frame.residual_constraint(y, state.z)),
+            onesided_rows=int(np.count_nonzero(rows.onesided)),
+            dominance_violations=dominance_violations(rows),
             predictor_fallback=fallback,
-        ))
-        state = new_state
-        rho[j + 1] = state.z
-        surface[j + 1] = state.y
-    return SolveResult(params=p, grid=g, engine="pc", mode=mode.value,
-                       taus=g.taus.copy(), rho=rho, surface=surface, diagnostics=diags)
+        )
+    return march(p, g, mode, "pc", step)

@@ -10,6 +10,7 @@ from asianfb import scheme
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.scheme import LayerRows, SchemeMode
+from asianfb.solver_newton import constraint_row, interior_residual, newton_layer, z_column
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):
@@ -111,6 +112,30 @@ def dense_solve(sys):
     return np.linalg.solve(dense_tridiag(sys.lower, sys.diag, sys.upper), sys.rhs)
 
 
+@dataclass
+class JacobianBlocks:
+    """Bordered-tridiagonal Jacobian of Newton's layer system."""
+
+    lower: np.ndarray   # J11 sub-diagonal (a_2..a_{N-1})
+    diag: np.ndarray    # J11 diagonal (c_1..c_{N-1})
+    upper: np.ndarray   # J11 super-diagonal (b_1..b_{N-2})
+    j12: np.ndarray     # dF1_i/dz
+    j21_y1: float       # dF2/dy_1 = -sigma^2/(D h)
+    j21_y2: float       # dF2/dy_2 = +sigma^2/(4 D h)
+    j22: float          # dF2/dz = 1
+    rows: LayerRows     # assembly the blocks were cut from
+
+
+def build_jacobian(y_next, z_next, prev, tau_next, g, p, mode) -> JacobianBlocks:
+    """Analytic Jacobian blocks at iterate (y_next interior, z_next)."""
+    rows = scheme.layer_rows(prev, z_next, tau_next, g, p, mode)
+    y = np.concatenate([[-1.0], np.asarray(y_next, dtype=float), [0.0]])
+    j21_y1, j21_y2 = constraint_row(tau_next, g, p)
+    return JacobianBlocks(lower=rows.lower[1:], diag=rows.diag, upper=rows.upper[:-1],
+                          j12=z_column(rows, y), j21_y1=j21_y1, j21_y2=j21_y2, j22=1.0,
+                          rows=rows)
+
+
 def dense_jacobian(blocks):
     """Full (N, N) matrix of Newton's JacobianBlocks; oracle for the block elimination."""
     m = blocks.diag.size
@@ -121,6 +146,39 @@ def dense_jacobian(blocks):
     full[m, 1] = blocks.j21_y2
     full[m, m] = blocks.j22
     return full
+
+
+class RecordingFrame(scheme.LayerFrame):
+    """A LayerFrame that records (y, z) at each constraint evaluation.
+
+    newton_layer evaluates F2 at every iterate and once more at the accepted
+    state, so a layer of k iterations records k + 1 states.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.states = []
+
+    def residual_constraint(self, y, z):
+        self.states.append((y.copy(), z))
+        return super().residual_constraint(y, z)
+
+
+def newton_steps_and_dense_solves(prev, tau_next, g, p, mode):
+    """One newton_layer call, and for each of its iterations the step it took
+    (the difference of consecutive iterates) with the dense solve of
+    J dY = -F at the earlier iterate, J from build_jacobian."""
+    frame = RecordingFrame(g, p, mode)
+    state, diag = newton_layer(prev, tau_next, g, p, mode, frame=frame)
+    assert len(frame.states) == diag.iterations + 1
+    pairs = []
+    for (y, z), (y_next, z_next) in zip(frame.states, frame.states[1:]):
+        blocks = build_jacobian(y[1:-1], z, prev, tau_next, g, p, mode)
+        f = np.append(interior_residual(blocks.rows, y),
+                      scheme.residual_constraint(y, z, tau_next, g, p))
+        dense = np.linalg.solve(dense_jacobian(blocks), -f)
+        pairs.append((np.append(y_next[1:-1] - y[1:-1], z_next - z), dense))
+    return state, pairs
 
 
 def layer_rows_where(prev, z_next, tau_next, g, p, mode):

@@ -15,10 +15,10 @@ from asianfb.analysis import refinement_study
 from asianfb.cli import main as cli_main
 from asianfb.mesh import initial_layer
 from asianfb.scheme import SchemeMode
-from asianfb.solver_newton import build_jacobian, newton_layer
 from asianfb.tridiag import thomas_solve
 
-from _oracles import dense_jacobian, dense_solve, finite_difference_jacobian
+from _oracles import (build_jacobian, dense_jacobian, dense_solve, finite_difference_jacobian,
+                      newton_steps_and_dense_solves)
 from test_solver_newton import random_state
 from test_tridiag import random_dominant_system
 
@@ -113,13 +113,10 @@ def test_criterion_06_schur_equals_dense_solve(report, params):
     worst = 0.0
     iterations = 0
     for j in range(g.M):
-        trace = []
-        state, _ = newton_layer(state, float(g.taus[j + 1]), g, params,
-                                SchemeMode.UPWIND_SINGULAR, trace=trace)
-        for blocks, f1, f2, dy1, dz in trace:
+        state, pairs = newton_steps_and_dense_solves(state, float(g.taus[j + 1]), g, params,
+                                                     SchemeMode.UPWIND_SINGULAR)
+        for block, dense in pairs:
             iterations += 1
-            dense = np.linalg.solve(dense_jacobian(blocks), -np.concatenate([f1, [f2]]))
-            block = np.concatenate([dy1, [dz]])
             scale = max(float(np.max(np.abs(dense))), 1.0)
             worst = max(worst, float(np.max(np.abs(block - dense))) / scale)
     report(6, "block elimination equals dense Newton solve each iteration",

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import asianfb
-from asianfb.cli import main
+from asianfb.cli import DEFAULTS, OPTIONS, build_parser, main, parse_config_file, resolve_config
 
 from _oracles import write_surface_csv
 
@@ -159,7 +159,47 @@ class TestCompare:
         assert read_json(b_dir / "compare.json")["scheme_mode"] == "central"
 
 
+# A valid value other than the default for every option, as a config file spells it.
+OPTION_SAMPLES = {
+    "r": "0.07", "q": "0.03", "sigma": "0.3", "T": "45", "N": "64", "M": "100",
+    "L": "2.5", "eps_final": "1e-6", "engine": "pc", "scheme_mode": "central",
+    "tol": "1e-9", "max_iter": "7", "tau_probes": "5,15", "jobs": "3",
+    "out_dir": "elsewhere", "base_N": "25", "levels": "3",
+    "boundary_csv": "b.csv", "surface_csv": "s.csv", "summary_json": "s.json",
+    "refine_csv": "r.csv", "compare_csv": "c.csv", "compare_json": "c.json",
+}
+
+
 class TestConfigResolution:
+    @pytest.mark.parametrize("key, kind, default, help_text", OPTIONS,
+                             ids=[row[0] for row in OPTIONS])
+    def test_option_table(self, tmp_path, monkeypatch, key, kind, default, help_text):
+        assert list(OPTION_SAMPLES) == list(DEFAULTS)
+        monkeypatch.delenv("ASIANFB_OUT", raising=False)
+        value = OPTION_SAMPLES[key]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        from_file = parse_config_file(str(cfg_file))[key]
+        assert type(from_file) is kind and from_file == kind(value) != default
+
+        flag = "--" + key.replace("_", "-")
+        command = "refine" if key in ("base_N", "levels") else "solve"
+        parser = build_parser()
+        if help_text is None:  # a config-file key only
+            for sub in ("solve", "refine", "compare"):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([sub, flag, value])
+                assert exc.value.code == 2
+            return
+        by_flag = resolve_config(parser.parse_args([command, flag, value]))
+        by_file = resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        assert by_flag == by_file != resolve_config(parser.parse_args([command]))
+        if command == "refine":  # refine's keys have no flag on solve or compare
+            for sub in ("solve", "compare"):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([sub, flag, value])
+                assert exc.value.code == 2
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -200,8 +240,14 @@ class TestConfigResolution:
         assert run_cli(["solve", "--r", "0.05", "--q", "0.05", "--N", "16",
                         "--L", "1.5", "--M", "40"], tmp_path) == 0
 
-    def test_invalid_market_params(self, tmp_path):
+    def test_invalid_market_params(self, tmp_path, capsys):
         assert run_cli(["solve", "--sigma", "-0.1"], tmp_path) == 2
+        # non-finite inputs are configuration errors too, not crashes in the march
+        for command, name in (("solve", "sigma"), ("solve", "r"), ("solve", "L"),
+                              ("solve", "T"), ("compare", "sigma")):
+            capsys.readouterr()
+            assert run_cli([command, "--N", "16", f"--{name}", "inf"], tmp_path) == 2
+            assert f"config error: {name} must be finite" in capsys.readouterr().err
 
     def test_eps_final_below_the_precision_of_T(self, tmp_path, capsys):
         # T - eps_final rounds to T = 50: a config error, not a crash in the march

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import _kernels, make_grid, march_newton, march_pc
+from asianfb import _kernels, make_grid, march_newton, march_pc, solver_newton, solver_pc
 from asianfb._kernels import native, pure
 from asianfb.errors import ZeroPivot
 from asianfb.scheme import SchemeMode
@@ -373,3 +373,29 @@ def test_eliminations_enter_through_the_traced_entry_points(params, monkeypatch,
         expected = 3 * grid.M
     assert len(kernel_rows) == len(solves) == expected
     assert set(kernel_rows) == {grid.N - 1}
+
+
+@pytest.mark.parametrize("march, module, opener",
+                         [(march_newton, solver_newton, "newton_layer"),
+                          (march_pc, solver_pc, "predictor")], ids=["newton", "pc"])
+def test_each_layer_opens_through_its_traced_entry_point(params, monkeypatch, march,
+                                                          module, opener):
+    """A tracer set on solver_newton.newton_layer or solver_pc.predictor opens
+    one time layer per call, numbered prev.j + 1 of the grid's M, so each
+    march must look its opener up on the module at every layer, pc's
+    fallback layers included."""
+    grid = make_grid(params, N=50)
+    opened = []
+
+    def counting_opener(*args, **kwargs):
+        prev = args[0] if args else kwargs["prev"]
+        g = args[2] if len(args) > 2 else kwargs["g"]
+        opened.append((prev.j + 1, g.M))
+        return original(*args, **kwargs)
+
+    original = getattr(module, opener)
+    monkeypatch.setattr(module, opener, counting_opener)
+    result = march(params, grid)
+    assert opened == [(j, grid.M) for j in range(1, grid.M + 1)]
+    if march is march_pc:
+        assert any(d.predictor_fallback for d in result.diagnostics)

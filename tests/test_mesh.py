@@ -60,6 +60,10 @@ class TestGridSpec:
             GridSpec(N=8, M=1, L=1.0, T=50.0)
         with pytest.raises(ValueError):
             GridSpec(N=8, M=10, L=1.0, T=50.0, eps_final=6.0)  # eps >= k
+        with pytest.raises(ValueError, match="L must be finite"):
+            GridSpec(N=8, M=10, L=math.inf, T=50.0)
+        with pytest.raises(ValueError, match="T must be finite"):
+            GridSpec(N=8, M=10, L=1.0, T=math.inf)
 
     def test_eps_final_below_the_precision_of_T_rejected(self):
         # 50 - 1e-15 rounds to 50: the final layer would sit at maturity

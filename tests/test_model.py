@@ -25,6 +25,11 @@ class TestMarketParams:
             MarketParams(r=0.06, q=0.04, sigma=0.0, T=50.0)
         with pytest.raises(ValueError):
             MarketParams(r=0.06, q=0.04, sigma=0.2, T=0.0)
+        reference = {"r": 0.06, "q": 0.04, "sigma": 0.2, "T": 50.0}
+        for name in reference:
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    MarketParams(**{**reference, name: value})
 
     def test_zero_dividend_warns(self):
         with pytest.warns(UserWarning):
