@@ -3,13 +3,9 @@
 The tridiagonal solve sits in the innermost loop of the time marchers:
 one elimination per Newton iteration, which solves for both Schur
 right-hand sides at once, and three single solves per
-predictor-corrector layer.  Two backends share one contract,
-``thomas(lower, diag, upper, rhs, pivot_floor, binding=None) -> (x,
-fail_index)`` with ``bind(lower, diag, upper, rhs) -> binding``: a system
-solved repeatedly with its arrays overwritten in place is bound once,
-and each solve passes the binding (the native backend keeps the array
-addresses, its cp work row and a solution buffer in it; pure binds
-nothing):
+predictor-corrector layer.  Each backend is one function,
+``thomas(lower, diag, upper, rhs, pivot_floor) -> (x, fail_index)``,
+with rhs of shape (n,) or (2, n):
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on the first
   elimination in a process into a cache next to the source (see

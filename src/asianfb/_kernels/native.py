@@ -11,12 +11,14 @@ library.  Without a C compiler, or when the build or the load of the
 fresh build fails, ``load()`` returns False and the caller keeps the
 pure kernel.
 
-A call converts its arrays to contiguous float64, allocates the cp work
-row and the solution, and looks up six addresses (``arr.ctypes.data``,
-about 1-2 us each), which costs more than the C loop at n = 200.  A
-system solved repeatedly is therefore bound once: ``bind`` keeps the
-addresses, the cp work row and a solution buffer in a Binding, and a call
-given that Binding (with the same array objects) goes straight to C.
+Converting the arrays to contiguous float64, allocating the cp work row
+and the solution buffer and looking up six addresses (``arr.ctypes.data``,
+about 1-2 us each) costs more than the C loop at n = 200.  The engines
+overwrite one system's arrays in place and solve it again, so the module
+keeps all of that in a Binding of the last call's arrays: a call given
+those same four array objects goes straight to C, and any other call
+builds and keeps a new Binding.  A bound array must therefore not be
+reshaped in place.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def load() -> bool:
 
 class Binding:
     """A system's arrays as the C function takes them: their addresses,
-    the cp work row and a solution buffer, derived once by ``bind``."""
+    the cp work row and a solution buffer."""
 
     __slots__ = ("arrays", "cp", "x", "head", "tail")
 
@@ -121,35 +123,28 @@ class Binding:
         self.tail = (self.cp.ctypes.data, self.x.ctypes.data)
 
 
-def bind(lower, diag, upper, rhs):
-    """A Binding of a system whose arrays are overwritten in place and
-    solved again, or None when an array is not C-contiguous float64 (a
-    solve then converts it).  The arrays must not be resized while bound.
-    """
-    arrays = (lower, diag, upper, rhs)
-    if all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays):
-        return Binding(*arrays)
-    return None
+# The Binding of the last call's arrays.  Its buffers serve one call at a
+# time: the program is single-threaded, and refine fans out to processes.
+_last = None
 
 
-def thomas(lower, diag, upper, rhs, pivot_floor, binding=None):
+def thomas(lower, diag, upper, rhs, pivot_floor):
     """Solve the tridiagonal system in O(n); same contract as pure.thomas.
 
-    Returns (x, fail_index): x has the shape of rhs, (n,) or (2, n), and
-    fail_index is -1 on success, else the row whose pivot fell below
-    ``pivot_floor`` (x is then zeros).  ``binding``, from ``bind`` on
-    these same arrays, spares the per-call conversions, allocations and
-    address lookups; with any other arrays it is ignored.
+    Returns (x, fail_index): x has the shape of rhs, (n,) or (2, n), in an
+    array of its own, and fail_index is -1 on success, else the row whose
+    pivot fell below ``pivot_floor`` (x is then zeros).
     """
+    global _last
     if _kernel is None and not load():
         raise OSError("the compiled Thomas kernel cannot be built or loaded")
-    shared = binding is not None and binding.arrays[0] is lower and \
-        binding.arrays[1] is diag and binding.arrays[2] is upper and binding.arrays[3] is rhs
-    if not shared:
-        binding = Binding(*(np.ascontiguousarray(a, dtype=float)
-                            for a in (lower, diag, upper, rhs)))
+    binding = _last
+    # rhs alone tells apart systems that share their matrix arrays
+    if binding is None or binding.arrays[3] is not rhs or binding.arrays[0] is not lower \
+            or binding.arrays[1] is not diag or binding.arrays[2] is not upper:
+        binding = _last = Binding(*(np.ascontiguousarray(a, dtype=float)
+                                    for a in (lower, diag, upper, rhs)))
     fail = _kernel(*binding.head, pivot_floor, *binding.tail)
     if fail >= 0:
         return np.zeros(binding.x.shape), fail
-    # a shared binding's buffer is overwritten by the next solve
-    return (binding.x.copy() if shared else binding.x), -1
+    return binding.x.copy(), -1

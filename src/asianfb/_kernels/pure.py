@@ -1,22 +1,19 @@
 """Pure-Python Thomas kernel: the fallback without a C compiler, and the
 reference the compiled kernel (thomas.c) is tested against.
 
-Plain forward elimination / back substitution without pivoting, for one
-right-hand side or for two that share the matrix.  The two-column loop
-performs, for each column, exactly the operations of the one-column loop
-in the same order, so each of its solutions is bit-identical to a single
-solve of that column.
+Plain forward elimination / back substitution without pivoting.  The
+elimination computes the pivots and cp alongside the first column's
+recurrence, a second column runs the same recurrence over the stored
+pivots, and back substitution then runs on each column.  Every column
+thus performs the operations of thomas.c in the same order, so each
+solution of a (2, n) right-hand side is bit-identical to a single solve
+of its column, and to the compiled kernel's.
 """
 
 import numpy as np
 
 
-def bind(lower, diag, upper, rhs):
-    """The pure loop derives nothing it could reuse: None."""
-    return None
-
-
-def thomas(lower, diag, upper, rhs, pivot_floor, binding=None):
+def thomas(lower, diag, upper, rhs, pivot_floor):
     """Solve the tridiagonal system in O(n).
 
     lower: n-1 sub-diagonal entries (rows 1..n-1)
@@ -25,100 +22,39 @@ def thomas(lower, diag, upper, rhs, pivot_floor, binding=None):
     rhs:   right-hand side, shape (n,) or (2, n); a (2, n) rhs is
            eliminated in one pass and gives a (2, n) solution
     pivot_floor: elimination aborts when a pivot magnitude falls below it
-    binding: bind()'s result, accepted for the common contract and unused
 
     Returns (x, fail_index); fail_index is -1 on success, else the row
-    whose pivot underflowed (x is then meaningless).
+    whose pivot underflowed (x is then zeros).
     """
-    if rhs.ndim == 2:
-        return _thomas2(lower, diag, upper, rhs, pivot_floor)
     n = len(diag)
     a = lower.tolist()
+    b = upper.tolist() + [0.0]  # the last row has no super-diagonal entry
     c = diag.tolist()
-    b = upper.tolist()
-    d = rhs.tolist()
-    cp = [0.0] * n
-    dp = [0.0] * n
+    columns = rhs.tolist() if rhs.ndim == 2 else [rhs.tolist()]
     piv = c[0]
     if abs(piv) < pivot_floor:
-        return np.zeros(n), 0
-    dp_i = d[0] / piv
-    if n > 1:
-        # the previous row's cp/dp stay in locals; the last row, which has
-        # no super-diagonal entry, is eliminated after the loop
-        cp_i = b[0] / piv
-        cp[0] = cp_i
-        dp[0] = dp_i
-        last = n - 1
-        for i in range(1, last):
-            a_i = a[i - 1]
-            piv = c[i] - a_i * cp_i
-            if abs(piv) < pivot_floor:
-                return np.zeros(n), i
-            cp_i = b[i] / piv
-            dp_i = (d[i] - a_i * dp_i) / piv
-            cp[i] = cp_i
-            dp[i] = dp_i
-        a_i = a[last - 1]
-        piv = c[last] - a_i * cp_i
-        if abs(piv) < pivot_floor:
-            return np.zeros(n), last
-        dp_i = (d[last] - a_i * dp_i) / piv
-    # back substitution overwrites dp with x, from the last row up
-    x = dp
-    x[n - 1] = x_i = dp_i
-    for i in range(n - 2, -1, -1):
-        x_i = dp[i] - cp[i] * x_i
-        x[i] = x_i
-    return np.array(x), -1
-
-
-def _thomas2(lower, diag, upper, rhs, pivot_floor):
-    """thomas() for a (2, n) rhs: one elimination, two substitutions."""
-    n = len(diag)
-    a = lower.tolist()
-    c = diag.tolist()
-    b = upper.tolist()
-    d, e = rhs.tolist()
+        return np.zeros(rhs.shape), 0
+    pivots = [piv] * n
     cp = [0.0] * n
-    dp = [0.0] * n
-    ep = [0.0] * n
-    piv = c[0]
-    if abs(piv) < pivot_floor:
-        return np.zeros((2, n)), 0
-    dp_i = d[0] / piv
-    ep_i = e[0] / piv
-    if n > 1:
-        cp_i = b[0] / piv
-        cp[0] = cp_i
-        dp[0] = dp_i
-        ep[0] = ep_i
-        last = n - 1
-        for i in range(1, last):
-            a_i = a[i - 1]
-            piv = c[i] - a_i * cp_i
-            if abs(piv) < pivot_floor:
-                return np.zeros((2, n)), i
-            cp_i = b[i] / piv
-            dp_i = (d[i] - a_i * dp_i) / piv
-            ep_i = (e[i] - a_i * ep_i) / piv
-            cp[i] = cp_i
-            dp[i] = dp_i
-            ep[i] = ep_i
-        a_i = a[last - 1]
-        piv = c[last] - a_i * cp_i
+    cp_i = cp[0] = b[0] / piv
+    # each column is eliminated in place, its previous row kept in a local
+    d = columns[0]
+    d_i = d[0] = d[0] / piv
+    for i in range(1, n):
+        a_i = a[i - 1]
+        piv = c[i] - a_i * cp_i
         if abs(piv) < pivot_floor:
-            return np.zeros((2, n)), last
-        dp_i = (d[last] - a_i * dp_i) / piv
-        ep_i = (e[last] - a_i * ep_i) / piv
-    x = dp
-    w = ep
-    x[n - 1] = x_i = dp_i
-    w[n - 1] = w_i = ep_i
-    for i in range(n - 2, -1, -1):
-        cp_i = cp[i]
-        x_i = dp[i] - cp_i * x_i
-        w_i = ep[i] - cp_i * w_i
-        x[i] = x_i
-        w[i] = w_i
-    return np.array((x, w)), -1
+            return np.zeros(rhs.shape), i
+        pivots[i] = piv
+        cp_i = cp[i] = b[i] / piv
+        d_i = d[i] = (d[i] - a_i * d_i) / piv
+    for d in columns[1:]:
+        d_i = d[0] = d[0] / pivots[0]
+        for i in range(1, n):
+            d_i = d[i] = (d[i] - a[i - 1] * d_i) / pivots[i]
+    # back substitution overwrites each column with x, from the last row up
+    for x in columns:
+        x_i = x[n - 1]
+        for i in range(n - 2, -1, -1):
+            x_i = x[i] = x[i] - cp[i] * x_i
+    return np.array(columns if rhs.ndim == 2 else columns[0]), -1

@@ -196,8 +196,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         out_dir=cfg["out_dir"],
         files={key: cfg[key] for key, _, _, help_text in OPTIONS if help_text is None},
         base_N=cfg["base_N"], levels=cfg["levels"],
-        raw={"tol": cfg["tol"], "max_iter": cfg["max_iter"],
-             "tau_probes": cfg["tau_probes"]},
+        raw={"tol": cfg["tol"], "max_iter": cfg["max_iter"]},
     )
 
 
@@ -308,8 +307,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_refine(cfg: RunConfig) -> int:
-    if cfg.levels < 2:
-        raise ConfigError(f"levels must be >= 2, got {cfg.levels}")
     started = time.perf_counter()
     try:
         report = refinement_study(

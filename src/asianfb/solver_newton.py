@@ -29,6 +29,7 @@ layer's diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class NewtonConfig:
     max_iter: int = 20
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if not (self.tol > 0):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:

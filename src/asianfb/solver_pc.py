@@ -78,6 +78,7 @@ from .tridiag import thomas_solve
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "corrector", "march_pc"]
 
 _BRACKET_SCAN = 64
+_BRACKET_FACTOR = 2.0  # initial bracket [z/f, z f], expanded by f
 _BRACKET_EXPANSIONS = 6
 
 
@@ -85,15 +86,14 @@ _BRACKET_EXPANSIONS = 6
 class PredictorConfig:
     root_tol: float = 1e-10      # absolute tolerance on the z root
     max_iter: int = 100
-    bracket_factor: float = 2.0  # initial bracket [z/f, z f], expanded by f
 
     def __post_init__(self):
+        if not math.isfinite(self.root_tol):
+            raise ValueError(f"root_tol must be finite, got {self.root_tol}")
         if not (self.root_tol > 0):
             raise ValueError(f"root_tol must be positive, got {self.root_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.bracket_factor > 1):
-            raise ValueError(f"bracket_factor must exceed 1, got {self.bracket_factor}")
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,9 @@ def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec, p: Ma
     return residual, derivative, eq_i
 
 
-def _bracket_nearest(residual, z_prev: float, cfg: PredictorConfig):
+def _bracket_nearest(residual, z_prev: float):
     """Sign-change cell closest to z_prev inside an expanding bracket."""
-    factor = cfg.bracket_factor
+    factor = _BRACKET_FACTOR
     for _ in range(_BRACKET_EXPANSIONS):
         zs = np.linspace(z_prev / factor, z_prev * factor, _BRACKET_SCAN + 1)
         vals = residual(zs)
@@ -160,7 +160,7 @@ def _bracket_nearest(residual, z_prev: float, cfg: PredictorConfig):
             pick = cells[int(np.argmin(np.abs(mids - z_prev)))]
             return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
         widest = factor
-        factor *= cfg.bracket_factor
+        factor *= _BRACKET_FACTOR
     raise NoBracket(
         f"predictor residual has no sign change within "
         f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]"
@@ -173,7 +173,7 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     if not tau_next < p.T:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
     residual, derivative, eq_i = _scalar_residual_funcs(prev, tau_next, g, p)
-    lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z, cfg)
+    lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
 
     x = 0.5 * (lo + hi)
     fx = residual(x)

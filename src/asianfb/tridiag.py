@@ -11,15 +11,14 @@ compiler is available); both give the same bits.
 
 A system can be solved again after its arrays are overwritten in place.
 The engines keep one per march over the row buffers of their
-scheme.LayerFrame, so the checks of shape and dtype and the backend's
-binding (the compiled kernel's array addresses and work row) are made
-once per march; the finiteness check runs at every solve.
+scheme.LayerFrame, so the checks of shape and dtype are made once per
+march; the finiteness check runs at every solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +43,6 @@ class TridiagonalSystem:
     diag: np.ndarray
     upper: np.ndarray
     rhs: np.ndarray
-    # (backend module, its binding of these arrays), made at the first solve
-    _binding: list = field(default_factory=lambda: [None, None], init=False,
-                           repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("lower", "diag", "upper", "rhs"):
@@ -80,12 +76,8 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     Returns the solution in the shape of ``sys.rhs``, in an array of its own.
     """
     _check_finite(sys)
-    backend = _kernels.active()
-    binding = sys._binding
-    if binding[0] is not backend:
-        binding[:] = backend, backend.bind(sys.lower, sys.diag, sys.upper, sys.rhs)
-    x, fail = backend.thomas(sys.lower, sys.diag, sys.upper, sys.rhs,
-                             _pivot_floor(sys.diag), binding[1])
+    x, fail = _kernels.active().thomas(sys.lower, sys.diag, sys.upper, sys.rhs,
+                                       _pivot_floor(sys.diag))
     if fail >= 0:
         raise ZeroPivot(fail)
     return x

@@ -244,7 +244,8 @@ class TestConfigResolution:
         assert run_cli(["solve", "--sigma", "-0.1"], tmp_path) == 2
         # non-finite inputs are configuration errors too, not crashes in the march
         for command, name in (("solve", "sigma"), ("solve", "r"), ("solve", "L"),
-                              ("solve", "T"), ("compare", "sigma")):
+                              ("solve", "T"), ("compare", "sigma"),
+                              ("solve", "tol"), ("compare", "tol")):
             capsys.readouterr()
             assert run_cli([command, "--N", "16", f"--{name}", "inf"], tmp_path) == 2
             assert f"config error: {name} must be finite" in capsys.readouterr().err

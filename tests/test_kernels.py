@@ -305,6 +305,68 @@ class TestNativeMatchesPure:
                 native.thomas(lower, diag, np.ones(3), rhs, 1e-14)
 
 
+@pytest.fixture
+def bindings_built(monkeypatch):
+    """A list that gains one entry per native.Binding constructed; nothing cached."""
+    built = []
+    init = native.Binding.__init__
+
+    def counting_init(self, *arrays):
+        built.append(1)
+        init(self, *arrays)
+
+    monkeypatch.setattr(native.Binding, "__init__", counting_init)
+    monkeypatch.setattr(native, "_last", None)
+    return built
+
+
+@needs_cc
+class TestNativeCache:
+    """native.thomas reuses the Binding of the last call's arrays, and only it."""
+
+    @pytest.mark.parametrize("run, expected", [
+        (march_newton, 1), (march_pc, 1), (asianfb.compare_engines, 2),
+    ], ids=["newton", "pc", "compare"])
+    def test_one_binding_per_march(self, params, bindings_built, run, expected):
+        with backend_in_use(native):
+            run(params, make_grid(params, N=50))
+        assert len(bindings_built) == expected
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-matrix", "own-arrays"])
+    def test_alternating_systems_overwritten_in_place(self, shared):
+        # a frame's pair and single systems share lower, diag and upper, so
+        # their right-hand sides alone tell them apart
+        lower, diag, upper, rhs, _ = kernel_input(3, 60, 2)
+        a = [lower, diag, upper, rhs]
+        b = [lower, diag, upper, rhs[0].copy()] if shared else \
+            [x.copy() for x in (lower, diag, upper, rhs[0])]
+        rng = np.random.default_rng(5)
+        solved = []
+        # each system solved again after an overwrite, and the two alternated
+        for step, system in enumerate((a, a, b, b, a, b, a, b)):
+            if step:
+                fresh = kernel_input(int(rng.integers(1000)), 60, system[3].ndim)
+                for array, values in zip(system, fresh):
+                    array[...] = values
+            args = (*system, _pivot_floor(system[1]))
+            x, fail = native.thomas(*args)
+            x_pure, fail_pure = pure.thomas(*args)
+            assert fail == fail_pure == -1
+            assert x.tobytes() == x_pure.tobytes()
+            solved.append((x, x_pure))
+        # every solution is an array of its own, untouched by later solves
+        assert all(x.tobytes() == x_pure.tobytes() for x, x_pure in solved)
+
+    @pytest.mark.parametrize("ncol", [1, 2])
+    def test_solvable_call_after_a_zero_pivot(self, ncol):
+        lower, diag, upper, rhs, floor = kernel_input(11, 50, ncol)
+        kept = diag[20], lower[19]
+        diag[20] = lower[19] = 0.0
+        assert assert_same_result((lower, diag, upper, rhs, floor)) == 20
+        diag[20], lower[19] = kept
+        assert assert_same_result((lower, diag, upper, rhs, floor)) == -1
+
+
 BACKENDS = [pure, pytest.param(native, marks=needs_cc)]
 
 

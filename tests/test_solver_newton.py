@@ -112,6 +112,16 @@ class TestNewtonLayer:
             newton_layer(prev, float(g.taus[1]), g, params,
                          SchemeMode.UPWIND_SINGULAR, NewtonConfig(tol=1e-14, max_iter=1))
 
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            NewtonConfig(tol=0.0)
+        with pytest.raises(ValueError):
+            NewtonConfig(max_iter=0)
+        # an infinite tol would end every layer after one iteration
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                NewtonConfig(tol=bad)
+
 
 class TestMarchNewton:
     def test_initialization_and_boundaries(self, newton_default, params):

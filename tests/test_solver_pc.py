@@ -109,8 +109,9 @@ class TestPredictor:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PredictorConfig(root_tol=0.0)
-        with pytest.raises(ValueError):
-            PredictorConfig(bracket_factor=1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="root_tol must be finite"):
+                PredictorConfig(root_tol=bad)
 
 
 class TestCorrector:
