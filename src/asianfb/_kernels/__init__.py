@@ -4,8 +4,12 @@ The tridiagonal solve sits in the innermost loop of the time marchers:
 one elimination per Newton iteration, which solves for both Schur
 right-hand sides at once, and three single solves per
 predictor-corrector layer.  Each backend is one function,
-``thomas(lower, diag, upper, rhs, pivot_floor) -> (x, fail_index)``,
-with rhs of shape (n,) or (2, n):
+``thomas(lower, diag, upper, rhs, pivot_rtol) -> (x, fail_index)``,
+with rhs of shape (n,) or (2, n).  Each backend makes the checks of a
+solve itself: it raises ValueError("<name> contains non-finite values")
+on a NaN or an infinity in any of the four arrays, before any pivot is
+tested, and fails at the first row whose pivot magnitude falls below
+``max(pivot_rtol * max|diag|, ulp(0.0))`` (``pure.pivot_floor``):
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on the first
   elimination in a process into a cache next to the source (see

@@ -19,6 +19,11 @@ keeps all of that in a Binding of the last call's arrays: a call given
 those same four array objects goes straight to C, and any other call
 builds and keeps a new Binding.  A bound array must therefore not be
 reshaped in place.
+
+The C function also makes the checks of the contract in the pass that
+reads the arrays: it takes the pivot floor from max |diag| and reports a
+non-finite entry with its own return code, and only then does this module
+run pure's numpy check, to raise the ValueError that names the array.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pure
+
 SOURCE = Path(__file__).with_name("thomas.c")
 # -ffp-contract=off keeps a*b - c from fusing into one rounding; never add
 # -ffast-math or -march=native, which would change the bits.
@@ -41,6 +48,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # temporary directory.
 CACHE_DIR = Path(__file__).with_name("_build")
 BUILD_TIMEOUT_S = 120
+NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 
 _kernel = None  # the loaded C function, once load() succeeds
 
@@ -117,7 +125,7 @@ class Binding:
         self.arrays = (lower, diag, upper, rhs)
         self.cp = np.empty(n)
         self.x = np.empty(rhs.shape)
-        # the C arguments before and after pivot_floor
+        # the C arguments before and after pivot_rtol
         self.head = (n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
                      upper.ctypes.data, rhs.ctypes.data)
         self.tail = (self.cp.ctypes.data, self.x.ctypes.data)
@@ -128,12 +136,13 @@ class Binding:
 _last = None
 
 
-def thomas(lower, diag, upper, rhs, pivot_floor):
+def thomas(lower, diag, upper, rhs, pivot_rtol):
     """Solve the tridiagonal system in O(n); same contract as pure.thomas.
 
-    Returns (x, fail_index): x has the shape of rhs, (n,) or (2, n), in an
-    array of its own, and fail_index is -1 on success, else the row whose
-    pivot fell below ``pivot_floor`` (x is then zeros).
+    Raises ValueError, naming the array, on a non-finite entry.  Returns
+    (x, fail_index): x has the shape of rhs, (n,) or (2, n), in an array of
+    its own, and fail_index is -1 on success, else the row whose pivot fell
+    below ``pure.pivot_floor(diag, pivot_rtol)`` (x is then zeros).
     """
     global _last
     if _kernel is None and not load():
@@ -144,7 +153,10 @@ def thomas(lower, diag, upper, rhs, pivot_floor):
             or binding.arrays[1] is not diag or binding.arrays[2] is not upper:
         binding = _last = Binding(*(np.ascontiguousarray(a, dtype=float)
                                     for a in (lower, diag, upper, rhs)))
-    fail = _kernel(*binding.head, pivot_floor, *binding.tail)
+    fail = _kernel(*binding.head, pivot_rtol, *binding.tail)
+    if fail == NON_FINITE:
+        pure.check_finite(*binding.arrays)
+        raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
     if fail >= 0:
         return np.zeros(binding.x.shape), fail
     return binding.x.copy(), -1

@@ -8,12 +8,35 @@ pivots, and back substitution then runs on each column.  Every column
 thus performs the operations of thomas.c in the same order, so each
 solution of a (2, n) right-hand side is bit-identical to a single solve
 of its column, and to the compiled kernel's.
+
+Before any pivot is tested, ``thomas`` rejects a non-finite entry with
+``check_finite`` (native.thomas runs it too, to name the array) and
+computes the pivot floor with ``pivot_floor``, which thomas.c matches bit
+for bit.
 """
+
+import math
 
 import numpy as np
 
 
-def thomas(lower, diag, upper, rhs, pivot_floor):
+def check_finite(lower, diag, upper, rhs) -> None:
+    """Raise ValueError naming the first array that holds a NaN or an infinity."""
+    for name, values in (("lower", lower), ("diag", diag), ("upper", upper), ("rhs", rhs)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} contains non-finite values")
+
+
+def pivot_floor(diag, pivot_rtol) -> float:
+    """The magnitude a pivot must reach: pivot_rtol * max |diag|.
+
+    An all-zero diagonal makes that 0, which no pivot falls below; the
+    smallest positive double still catches an exactly zero pivot.
+    """
+    return max(pivot_rtol * float(np.abs(diag).max()), math.ulp(0.0))
+
+
+def thomas(lower, diag, upper, rhs, pivot_rtol):
     """Solve the tridiagonal system in O(n).
 
     lower: n-1 sub-diagonal entries (rows 1..n-1)
@@ -21,18 +44,22 @@ def thomas(lower, diag, upper, rhs, pivot_floor):
     upper: n-1 super-diagonal entries (rows 0..n-2)
     rhs:   right-hand side, shape (n,) or (2, n); a (2, n) rhs is
            eliminated in one pass and gives a (2, n) solution
-    pivot_floor: elimination aborts when a pivot magnitude falls below it
+    pivot_rtol: elimination aborts when a pivot magnitude falls below
+           ``pivot_floor(diag, pivot_rtol)``
 
-    Returns (x, fail_index); fail_index is -1 on success, else the row
-    whose pivot underflowed (x is then zeros).
+    Raises ValueError, naming the array, on a non-finite entry.  Returns
+    (x, fail_index); fail_index is -1 on success, else the row whose pivot
+    underflowed (x is then zeros).
     """
+    check_finite(lower, diag, upper, rhs)
+    floor = pivot_floor(diag, pivot_rtol)
     n = len(diag)
     a = lower.tolist()
     b = upper.tolist() + [0.0]  # the last row has no super-diagonal entry
     c = diag.tolist()
     columns = rhs.tolist() if rhs.ndim == 2 else [rhs.tolist()]
     piv = c[0]
-    if abs(piv) < pivot_floor:
+    if abs(piv) < floor:
         return np.zeros(rhs.shape), 0
     pivots = [piv] * n
     cp = [0.0] * n
@@ -43,7 +70,7 @@ def thomas(lower, diag, upper, rhs, pivot_floor):
     for i in range(1, n):
         a_i = a[i - 1]
         piv = c[i] - a_i * cp_i
-        if abs(piv) < pivot_floor:
+        if abs(piv) < floor:
             return np.zeros(rhs.shape), i
         pivots[i] = piv
         cp_i = cp[i] = b[i] / piv

@@ -240,15 +240,14 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
                    surface: np.ndarray) -> None:
     """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes it.
 
-    Each xi cell is formatted once and each time layer written as one chunk.
+    The xi cells are formatted once into a layer template, and each time
+    layer is one %-format of its values ("%.9f" formats as _fmt does).
     """
-    xi_cells = [_fmt(x) for x in xi]
+    layer = "".join(["\0," + _fmt(x) + ",%.9f\r\n" for x in xi])
     with path.open("w", newline="") as fh:
         fh.write("tau,xi,pi\r\n")
         for tau, values in zip(taus, surface):
-            lead = _fmt(tau)
-            fh.write("".join([f"{lead},{cell},{v:.9f}\r\n"
-                              for cell, v in zip(xi_cells, values.tolist())]))
+            fh.write(layer.replace("\0", _fmt(tau)) % tuple(values.tolist()))
 
 
 def cmd_solve(cfg: RunConfig) -> int:

@@ -217,7 +217,7 @@ class LayerFrame:
         # |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal
         np.subtract(mu, s, out=d)
         np.greater(np.abs(d, out=d), sig2 / h, out=rows.onesided)
-        idx = np.flatnonzero(rows.onesided)
+        idx = rows.onesided.nonzero()[0]
         if idx.size:
             # the singular term upwinded: forward where s_i >= 0, backward otherwise
             s1, ds1 = s[idx], self._ds[idx]

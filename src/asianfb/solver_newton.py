@@ -120,7 +120,7 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         z_column(rows, y, out=j12)
         f2 = frame.residual_constraint(y, z)
         if it == 1:
-            diag.initial_residual = max(float(np.max(np.abs(f1))), abs(f2))
+            diag.initial_residual = max(float(np.abs(f1).max()), abs(f2))
         diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
         diag.dominance_violations += dominance_violations(rows)
 
@@ -136,14 +136,14 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         y1 += dy1
         z = z + dz
         diag.iterations = it
-        step = max(float(np.max(np.abs(dy1))), abs(dz))
+        step = max(float(np.abs(dy1).max()), abs(dz))
         if step < cfg.tol:
             break
     else:
         raise NoConvergence(cfg.max_iter, step)
 
     rows = frame.rows(z)  # raises NonPositiveZ
-    diag.residual_f1 = float(np.max(np.abs(interior_residual(rows, y, out=f1))))
+    diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
     diag.residual_f2 = abs(frame.residual_constraint(y, z))
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
 

@@ -5,19 +5,19 @@ their rows diagonally dominant (see scheme), so only a zero-pivot guard
 is needed to stay O(n).  A system may carry two right-hand sides, shape
 (2, n): the Newton engine solves J11 for F1 and J12 together, in one
 elimination, and each solution is bit-identical to a single solve.
-``thomas_solve`` checks the system and runs the kernel backend that
-``_kernels.active()`` reports (compiled C, or the pure loop when no C
-compiler is available); both give the same bits.
+``thomas_solve`` runs the kernel backend that ``_kernels.active()``
+reports (compiled C, or the pure loop when no C compiler is available);
+both give the same bits, and both reject a non-finite entry and take the
+pivot floor from ``PIVOT_RTOL`` in the pass that reads the arrays.
 
 A system can be solved again after its arrays are overwritten in place.
 The engines keep one per march over the row buffers of their
 scheme.LayerFrame, so the checks of shape and dtype are made once per
-march; the finiteness check runs at every solve.
+march; the kernel's finiteness check runs at every solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +54,7 @@ class TridiagonalSystem:
             raise ValueError("off-diagonals must have length n-1")
         if self.rhs.shape not in ((n,), (2, n)):
             raise ValueError("rhs must have shape (n,) or (2, n)")
-        _check_finite(self)
-
-
-def _check_finite(sys: TridiagonalSystem) -> None:
-    for name in ("lower", "diag", "upper", "rhs"):
-        if not np.isfinite(getattr(sys, name)).all():
-            raise ValueError(f"{name} contains non-finite values")
-
-
-def _pivot_floor(diag: np.ndarray) -> float:
-    # An all-zero diagonal makes the relative floor 0, which no pivot falls
-    # below; the smallest positive double still catches an exactly zero pivot.
-    return max(PIVOT_RTOL * float(np.abs(diag).max()), math.ulp(0.0))
+        _kernels.pure.check_finite(self.lower, self.diag, self.upper, self.rhs)
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
@@ -75,9 +63,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
     Returns the solution in the shape of ``sys.rhs``, in an array of its own.
     """
-    _check_finite(sys)
-    x, fail = _kernels.active().thomas(sys.lower, sys.diag, sys.upper, sys.rhs,
-                                       _pivot_floor(sys.diag))
+    x, fail = _kernels.active().thomas(sys.lower, sys.diag, sys.upper, sys.rhs, PIVOT_RTOL)
     if fail >= 0:
         raise ZeroPivot(fail)
     return x

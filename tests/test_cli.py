@@ -3,10 +3,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asianfb
-from asianfb.cli import DEFAULTS, OPTIONS, build_parser, main, parse_config_file, resolve_config
+from asianfb.cli import (DEFAULTS, OPTIONS, _write_surface, build_parser, main,
+                         parse_config_file, resolve_config)
+from asianfb.mesh import DEFAULT_EPS_FINAL
 
 from _oracles import write_surface_csv
 
@@ -23,6 +28,26 @@ def read_csv(path):
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def beside_a_half_way_point(k, side):
+    """(k + 1/2) 1e-9, half-way between two 9-decimal cells, or one ulp
+    below (side -1) or above (side 1) it."""
+    mid = (2 * k + 1) * 5e-10
+    return mid if side == 0 else float(np.nextafter(mid, side * np.inf))
+
+
+CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(beside_a_half_way_point, st.integers(-10**15, 10**15), st.sampled_from([-1, 0, 1])),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormal scale, -0.000000000 included
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+TAUS = st.lists(st.one_of(
+    st.floats(min_value=0.0, max_value=100.0),
+    st.builds(lambda T, eps: T - eps, st.floats(min_value=1.0, max_value=100.0),
+              st.sampled_from([DEFAULT_EPS_FINAL, 1e-9])),  # the final layer, T - eps_final
+), min_size=1, max_size=4)
 
 
 class TestSolve:
@@ -88,6 +113,18 @@ class TestSolve:
         result = {"newton": march_newton, "pc": march_pc}[engine](params, g)
         write_surface_csv(tmp_path / "oracle.csv", result.taus, g.xi, result.surface)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(taus=TAUS, xi=st.lists(CELLS, min_size=1, max_size=8), data=st.data())
+    def test_surface_writer_matches_csv_writer_bytes(self, tmp_path_factory, taus, xi, data):
+        surface = data.draw(st.lists(st.lists(CELLS, min_size=len(xi), max_size=len(xi)),
+                                     min_size=len(taus), max_size=len(taus)))
+        out = tmp_path_factory.getbasetemp() / "surface-property"
+        out.mkdir(exist_ok=True)
+        args = np.array(taus), np.array(xi), np.array(surface)
+        _write_surface(out / "surface.csv", *args)
+        write_surface_csv(out / "oracle.csv", *args)
+        assert (out / "surface.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--N", "50", "--out-dir", str(tmp_path)]

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from asianfb import _kernels, make_grid, march_newton, march_pc, solver_newton, 
 from asianfb._kernels import native, pure
 from asianfb.errors import ZeroPivot
 from asianfb.scheme import SchemeMode
-from asianfb.tridiag import TridiagonalSystem, _pivot_floor, thomas_solve
+from asianfb.tridiag import PIVOT_RTOL, TridiagonalSystem, thomas_solve
 
 from test_tridiag import random_dominant_system
 
@@ -29,6 +30,7 @@ COLUMNS = st.sampled_from([1, 2])
 HAS_CC = native.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
 RUNNABLE = [pure, native] if HAS_CC else [pure]
+BACKENDS = [pure, pytest.param(native, marks=needs_cc)]
 
 
 @contextlib.contextmanager
@@ -89,7 +91,7 @@ class TestBackendSelection:
         assert _kernels.active() is pure
         assert asianfb.kernel_backend() == "pure"
         assert np.array_equal(x, pure.thomas(sys_.lower, sys_.diag, sys_.upper, sys_.rhs,
-                                             _pivot_floor(sys_.diag))[0])
+                                             PIVOT_RTOL)[0])
         assert cache_files(empty_cache) == []
 
     def test_pure_when_the_build_fails(self, empty_cache, tmp_path, monkeypatch):
@@ -127,7 +129,7 @@ class TestBackendSelection:
         x = thomas_solve(sys_)
         assert _kernels.active_name() == "native"
         assert np.array_equal(x, pure.thomas(sys_.lower, sys_.diag, sys_.upper, sys_.rhs,
-                                             _pivot_floor(sys_.diag))[0])
+                                             PIVOT_RTOL)[0])
         assert cache_files(empty_cache) == [native.library_path().name]
         assert native.library_path().read_bytes() != b"not a shared library"
 
@@ -145,6 +147,14 @@ class TestBackendSelection:
             assert child.returncode == 0, err
             assert out.strip() == "native True"
         assert len(cache_files(cache)) == 1  # one library, no temporary left behind
+
+
+@needs_cc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run([native.find_compiler(), *native.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "thomas.so"), str(native.SOURCE)],
+                          capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
 
 
 # Build the kernel into an empty cache (argv[1]) from a fresh interpreter at a
@@ -183,6 +193,11 @@ def two_column_system(seed, n, coupling=1.0):
     return sys.lower * coupling, sys.diag, sys.upper * coupling, rhs
 
 
+def entry_at(n, where):
+    """Index of the first, an inner or the last of n entries."""
+    return {"first": 0, "inner": n // 2, "last": n - 1}[where]
+
+
 def solve_or_fail(lower, diag, upper, rhs):
     """(solution, None) or (None, index of the ZeroPivot raised)."""
     try:
@@ -216,7 +231,7 @@ class TestTwoColumnKernel:
     @given(seed=SEEDS, n=SIZES, where=st.sampled_from(["first", "inner", "last"]))
     def test_zero_pivot_reported_at_the_same_row(self, seed, n, where):
         lower, diag, upper, rhs = two_column_system(seed, n)
-        row = {"first": 0, "inner": n // 2, "last": n - 1}[where]
+        row = entry_at(n, where)
         # rows above stay dominant; this row's pivot is 0 - 0 * cp = 0 exactly
         diag[row] = 0.0
         if row > 0:
@@ -244,7 +259,7 @@ class TestTwoColumnKernel:
 def kernel_input(seed, n, ncol, coupling=1.0):
     """thomas() arguments: a (possibly non-dominant) system with 1 or 2 columns."""
     lower, diag, upper, rhs = two_column_system(seed, n, coupling)
-    return lower, diag, upper, (rhs[0] if ncol == 1 else rhs), _pivot_floor(diag)
+    return lower, diag, upper, (rhs[0] if ncol == 1 else rhs), PIVOT_RTOL
 
 
 def assert_same_result(args):
@@ -271,31 +286,13 @@ class TestNativeMatchesPure:
     @given(seed=SEEDS, n=SIZES, ncol=COLUMNS,
            where=st.sampled_from(["first", "inner", "last"]))
     def test_zero_pivot_row(self, seed, n, ncol, where):
-        lower, diag, upper, rhs, floor = kernel_input(seed, n, ncol)
-        row = {"first": 0, "inner": n // 2, "last": n - 1}[where]
+        lower, diag, upper, rhs, rtol = kernel_input(seed, n, ncol)
+        row = entry_at(n, where)
         diag[row] = 0.0
         if row > 0:
             lower[row - 1] = 0.0
-        assert assert_same_result((lower, diag, upper, rhs, floor)) == row
-        assert not native.thomas(lower, diag, upper, rhs, floor)[0].any()
-
-    @PROPERTY
-    @given(seed=SEEDS, n=SIZES, ncol=COLUMNS,
-           field=st.sampled_from(["lower", "diag", "upper", "rhs"]),
-           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
-    def test_non_finite_values_propagate_like_pure(self, seed, n, ncol, field, bad):
-        # thomas_solve rejects these before any kernel runs; the kernels
-        # themselves must still agree on them (NaN payloads aside)
-        lower, diag, upper, rhs, floor = kernel_input(seed, n, ncol)
-        target = {"lower": lower, "diag": diag, "upper": upper, "rhs": rhs.reshape(-1)}[field]
-        assume(target.size > 0)
-        target[seed % target.size] = bad
-        x, fail = native.thomas(lower, diag, upper, rhs, floor)
-        x_pure, fail_pure = pure.thomas(lower, diag, upper, rhs, floor)
-        assert fail == fail_pure
-        assert np.array_equal(x, x_pure, equal_nan=True)
-        with backend_in_use(native), pytest.raises(ValueError):
-            thomas_solve(TridiagonalSystem(lower, diag, upper, rhs))
+        assert assert_same_result((lower, diag, upper, rhs, rtol)) == row
+        assert not native.thomas(lower, diag, upper, rhs, rtol)[0].any()
 
     def test_rejects_mismatched_shapes(self):
         diag = np.ones(4)
@@ -303,6 +300,75 @@ class TestNativeMatchesPure:
                            (np.ones(3), np.ones((3, 4)))):
             with pytest.raises(ValueError):
                 native.thomas(lower, diag, np.ones(3), rhs, 1e-14)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=["pure", "native"])
+class TestKernelContract:
+    """Each backend checks finiteness and takes the pivot floor itself."""
+
+    @pytest.mark.parametrize("ncol", [1, 2])
+    def test_non_finite_entry_names_its_array(self, backend, ncol):
+        lower, diag, upper, rhs, rtol = kernel_input(4, 9, ncol)
+        # a system over the same arrays, overwritten in place as the engines do
+        system = TridiagonalSystem(lower, diag, upper, rhs)
+        assert system.rhs is rhs
+        targets = [("lower", lower), ("diag", diag), ("upper", upper)] + \
+            [("rhs", column) for column in rhs.reshape(ncol, -1)]
+        for name, target in targets:
+            message = f"{name} contains non-finite values"
+            for where in ("first", "inner", "last"):
+                i = entry_at(target.size, where)
+                for bad in NON_FINITE:
+                    kept, target[i] = target[i], bad
+                    with pytest.raises(ValueError, match=message):
+                        backend.thomas(lower, diag, upper, rhs, rtol)
+                    with backend_in_use(backend), pytest.raises(ValueError, match=message):
+                        thomas_solve(system)
+                    target[i] = kept
+        assert backend.thomas(lower, diag, upper, rhs, rtol)[1] == -1
+
+    @pytest.mark.parametrize("field", ["lower", "diag", "upper", "rhs"])
+    def test_non_finite_entry_wins_over_a_zero_pivot(self, backend, field):
+        lower, diag, upper, rhs, rtol = kernel_input(5, 9, 2)
+        diag[0] = 0.0  # the pivot of row 0
+        target = {"lower": lower, "diag": diag, "upper": upper, "rhs": rhs[1]}[field]
+        target[-1] = np.nan
+        with pytest.raises(ValueError, match=f"{field} contains non-finite values"):
+            backend.thomas(lower, diag, upper, rhs, rtol)
+
+    @PROPERTY
+    @given(seed=SEEDS, n=st.integers(min_value=2, max_value=60), ncol=COLUMNS,
+           where=st.sampled_from(["first", "inner", "last"]), sign=st.sampled_from([1.0, -1.0]))
+    def test_pivot_at_the_floor_passes_and_one_ulp_below_fails(self, backend, seed, n, ncol,
+                                                                where, sign):
+        lower, diag, upper, rhs, rtol = kernel_input(seed, n, ncol)
+        row = entry_at(n, where)
+        # the pivot of this row is diag[row] exactly, and the rows below it
+        # do not see it (cp[row] = 0)
+        if row > 0:
+            lower[row - 1] = 0.0
+        if row < n - 1:
+            upper[row] = 0.0
+        diag[row] = 0.0
+        floor = pure.pivot_floor(diag, rtol)
+        assert floor == rtol * float(np.abs(diag).max())
+        diag[row] = sign * floor
+        x, fail = backend.thomas(lower, diag, upper, rhs, rtol)
+        assert fail == -1 and np.isfinite(x).all()
+        diag[row] = sign * np.nextafter(floor, 0.0)
+        assert backend.thomas(lower, diag, upper, rhs, rtol)[1] == row
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_all_zero_diagonal_fails_at_row_0(self, backend, n):
+        lower, _, upper, rhs, rtol = kernel_input(6, n, 2)
+        diag = np.zeros(n)
+        assert pure.pivot_floor(diag, rtol) == math.ulp(0.0)
+        x, fail = backend.thomas(lower, diag, upper, rhs, rtol)
+        assert fail == 0
+        assert not x.any()
 
 
 @pytest.fixture
@@ -348,7 +414,7 @@ class TestNativeCache:
                 fresh = kernel_input(int(rng.integers(1000)), 60, system[3].ndim)
                 for array, values in zip(system, fresh):
                     array[...] = values
-            args = (*system, _pivot_floor(system[1]))
+            args = (*system, PIVOT_RTOL)
             x, fail = native.thomas(*args)
             x_pure, fail_pure = pure.thomas(*args)
             assert fail == fail_pure == -1
@@ -359,15 +425,12 @@ class TestNativeCache:
 
     @pytest.mark.parametrize("ncol", [1, 2])
     def test_solvable_call_after_a_zero_pivot(self, ncol):
-        lower, diag, upper, rhs, floor = kernel_input(11, 50, ncol)
+        args = lower, diag, upper, rhs, rtol = kernel_input(11, 50, ncol)
         kept = diag[20], lower[19]
         diag[20] = lower[19] = 0.0
-        assert assert_same_result((lower, diag, upper, rhs, floor)) == 20
+        assert assert_same_result(args) == 20
         diag[20], lower[19] = kept
-        assert assert_same_result((lower, diag, upper, rhs, floor)) == -1
-
-
-BACKENDS = [pure, pytest.param(native, marks=needs_cc)]
+        assert assert_same_result(args) == -1
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=["pure", "native"])
