@@ -1,27 +1,34 @@
-"""The Thomas kernel.
+"""The compiled kernel and its pure-Python fallback.
 
 The tridiagonal solve sits in the innermost loop of the time marchers:
 one elimination per Newton iteration, which solves for both Schur
 right-hand sides at once, and three single solves per
-predictor-corrector layer.  Each backend is one function,
-``thomas(lower, diag, upper, rhs, pivot_rtol) -> (x, fail_index)``,
-with rhs of shape (n,) or (2, n).  Each backend makes the checks of a
-solve itself: it raises ValueError("<name> contains non-finite values")
-on a NaN or an infinity in any of the four arrays, before any pivot is
-tested, and fails at the first row whose pivot magnitude falls below
-``max(pivot_rtol * max|diag|, ulp(0.0))`` (``pure.pivot_floor``):
+predictor-corrector layer.  Each backend offers the Thomas solve as one
+function, ``thomas(lower, diag, upper, rhs, pivot_rtol) -> (x,
+fail_index)``, with rhs of shape (n,) or (2, n).  Each backend makes the
+checks of a solve itself: it raises ValueError("<name> contains
+non-finite values") on a NaN or an infinity in any of the four arrays,
+before any pivot is tested, and fails at the first row whose pivot
+magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
+(``pure.pivot_floor``):
 
-* ``native``: thomas.c through ctypes, compiled by ``cc`` on the first
-  elimination in a process into a cache next to the source (see
-  native.py); its solutions and failing rows are bit-identical to pure's.
+* ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
+  in a process into a cache next to the source (see native.py); its
+  solutions and failing rows are bit-identical to pure's.  It also
+  offers Newton's layer as one C call, ``native.newton_layer``, which
+  runs a layer's iterations over a scheme.LayerFrame and eliminates
+  with the same ``thomas`` loop.
 * ``pure``: the plain Python loop, used when no C compiler is found or
-  the build or the load fails, and the tests' reference.
+  the build or the load fails, and the tests' reference.  Its Newton
+  layer is solver_newton's numpy loop, which the C call repeats bit for
+  bit.
 
 ``active()`` picks the backend once, on its first call; nothing is
-compiled or loaded at import.  tridiag.thomas_solve looks
-``active().thomas`` up at each call, so a wrapper set on either module's
-``thomas`` attribute (as the benchmark's tracer sets one) sees every
-elimination.
+compiled or loaded at import, and nothing else selects the backend.
+tridiag.thomas_solve looks ``active().thomas`` up at each call, so a
+wrapper set on either module's ``thomas`` attribute (as the benchmark's
+tracer sets one) sees every elimination made from Python: pc's, and
+Newton's on the pure backend.
 """
 
 from . import native, pure

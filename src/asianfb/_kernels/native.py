@@ -1,4 +1,9 @@
-"""Compiled Thomas kernel: thomas.c through ctypes, built on first use.
+"""Compiled kernel: thomas.c through ctypes, built on first use.
+
+The library holds two functions: ``thomas``, the Thomas solve of the
+kernel contract, and ``newton_layer``, the iterations of one Newton time
+layer over a scheme.LayerFrame's buffers, which eliminates with that
+same ``thomas`` (see ``newton_layer`` below).
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 ``_kernels.active`` on the first elimination in a process) looks for a
@@ -24,6 +29,11 @@ The C function also makes the checks of the contract in the pass that
 reads the arrays: it takes the pivot floor from max |diag| and reports a
 non-finite entry with its own return code, and only then does this module
 run pure's numpy check, to raise the ValueError that names the array.
+
+``newton_layer`` keeps the same kind of cache for Newton's layer: a
+FrameBinding of the last scheme.LayerFrame it ran in holds the march's
+constants and the addresses of the frame's buffers, so a march binds its
+frame once and each layer passes only its z-free scalars.
 """
 
 from __future__ import annotations
@@ -41,16 +51,25 @@ import numpy as np
 from . import pure
 
 SOURCE = Path(__file__).with_name("thomas.c")
-# -ffp-contract=off keeps a*b - c from fusing into one rounding; never add
-# -ffast-math or -march=native, which would change the bits.
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -ffp-contract=off keeps a*b - c from fusing into one rounding, and
+# -fno-builtin-pow keeps pow(z, 2.0) the libm call that Python's z**2 makes
+# (gcc folds it into z*z, which differs in the last bit for some z); never
+# add -ffast-math or -march=native, which would change the bits.
+CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
+LIBS = ("-lm",)
 # Gitignored build cache next to the source; the tests point it at a
 # temporary directory.
 CACHE_DIR = Path(__file__).with_name("_build")
 BUILD_TIMEOUT_S = 120
 NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
+# thomas.c's newton_layer status codes
+(NEWTON_OK, NEWTON_NON_POSITIVE_Z, NEWTON_NON_FINITE, NEWTON_ZERO_PIVOT,
+ NEWTON_SINGULAR_SCHUR, NEWTON_NO_CONVERGENCE) = range(6)
+# newton_layer's out[]: 7 diagnostics, then these two slots
+OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS = 7, 8, 9
 
-_kernel = None  # the loaded C function, once load() succeeds
+_kernel = None  # the loaded thomas function, once load() succeeds
+_newton = None  # the loaded newton_layer function
 
 
 def find_compiler() -> str | None:
@@ -62,7 +81,7 @@ def library_path() -> Path:
     """Cache file of the library built from the current source and flags."""
     # crc32, not hashlib: a key needs no cryptographic hash, and hashlib's
     # OpenSSL library would add 3.5 MB to the process's resident memory
-    key = zlib.crc32(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
+    key = zlib.crc32(SOURCE.read_bytes() + " ".join(CFLAGS + LIBS).encode())
     return CACHE_DIR / f"thomas-{key:08x}.so"
 
 
@@ -71,7 +90,7 @@ def _build(compiler: str, target: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f".{target.stem}-", suffix=".so", dir=target.parent)
     os.close(fd)
     try:
-        subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE)], check=True,
+        subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS], check=True,
                        capture_output=True, timeout=BUILD_TIMEOUT_S)
         os.replace(tmp, target)
     finally:
@@ -86,7 +105,7 @@ def load() -> bool:
     Returns False, leaving nothing loaded, when there is no C compiler or
     the build or the load of the fresh build fails.
     """
-    global _kernel
+    global _kernel, _newton
     if _kernel is not None:
         return True
     try:
@@ -99,13 +118,16 @@ def load() -> bool:
                 return False
             _build(compiler, path)
             library = ctypes.CDLL(str(path))
-        function = library.thomas
-    except (OSError, subprocess.SubprocessError):
+        function, layer = library.thomas, library.newton_layer
+    except (OSError, subprocess.SubprocessError, AttributeError):
         return False
     function.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 4 + \
         [ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
     function.restype = ctypes.c_long
-    _kernel = function
+    layer.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_double] * 9 + [ctypes.c_long] + \
+        [ctypes.c_double] * 2 + [ctypes.c_void_p]
+    layer.restype = ctypes.c_long
+    _kernel, _newton = function, layer
     return True
 
 
@@ -160,3 +182,81 @@ def thomas(lower, diag, upper, rhs, pivot_rtol):
     if fail >= 0:
         return np.zeros(binding.x.shape), fail
     return binding.x.copy(), -1
+
+
+class _Frame(ctypes.Structure):
+    """thomas.c's struct layer_frame."""
+
+    _fields_ = [("n", ctypes.c_long), ("upwind", ctypes.c_long)] + \
+        [(name, ctypes.c_double) for name in
+         ("h", "two_h", "r", "q", "half_sig2", "diff", "sig2")] + \
+        [(name, ctypes.c_void_p) for name in
+         ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
+          "db", "onesided", "s", "d", "f", "cp", "x")]
+
+
+class FrameBinding:
+    """A scheme.LayerFrame as newton_layer takes it: the march's constants,
+    the addresses of the frame's buffers, the cp work row, the (2, n)
+    solution buffer and the out[] slots."""
+
+    __slots__ = ("frame", "cp", "x", "struct", "address", "out", "out_address")
+
+    def __init__(self, frame):
+        rows, g, p = frame._rows, frame.g, frame.p
+        n = rows.diag.size
+        self.frame = frame  # keeps every buffer alive while its address is in use
+        self.cp = np.empty(n)
+        self.x = np.empty((2, n))
+        arrays = {"exp_neg_xi": g.exp_neg_xi, "ds": frame._ds,
+                  "half_ds_h": frame._half_ds_h, "rhs": rows.rhs, "lower": rows.lower,
+                  "diag": rows.diag, "upper": rows.upper, "da": rows.da, "dc": rows.dc,
+                  "db": rows.db, "onesided": rows.onesided, "s": frame._s, "d": frame._d,
+                  "f": frame.pair.rhs, "cp": self.cp, "x": self.x}
+        self.struct = _Frame(n=n, upwind=frame.mode.value == "upwind-singular", h=g.h,
+                             two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=frame._half_sig2,
+                             diff=frame._diff, sig2=frame._sig2,
+                             **{name: a.ctypes.data for name, a in arrays.items()})
+        self.address = ctypes.addressof(self.struct)
+        self.out = (ctypes.c_double * OUT_SLOTS)()
+        self.out_address = ctypes.addressof(self.out)
+
+
+# The FrameBinding of the last frame newton_layer ran in: one per march.
+_last_frame = None
+
+
+def newton_layer(frame, y, j21, tol, max_iter, pivot_rtol, schur_floor):
+    """Newton's iterations on the layer ``frame.start`` built, in one C call.
+
+    y is a copy of the previous layer, updated in place; j21 is
+    (dF2/dy_1, dF2/dy_2), and tol, max_iter, pivot_rtol and schur_floor
+    are those of solver_newton's loop, whose every operation the C
+    function repeats in order, over the frame's buffers.
+
+    Raises ValueError, naming the array, when an elimination meets a
+    non-finite entry.  Returns (NEWTON_OK, (iterations, z,
+    initial_residual, onesided_rows, dominance_violations, residual_f1,
+    residual_f2)), or the status of the first failure with its value:
+    the non-positive z, the failing pivot row, the Schur denominator or
+    the last step.
+    """
+    global _last_frame
+    if _newton is None and not load():
+        raise OSError("the compiled kernel cannot be built or loaded")
+    binding = _last_frame
+    if binding is None or binding.frame is not frame:
+        binding = _last_frame = FrameBinding(frame)
+    c0, c1, _ = frame._constraint
+    status = _newton(binding.address, y.ctypes.data, frame._z_prev, frame._dt, frame._ttm,
+                     frame._diag_base, c0, c1, *j21, tol, max_iter, pivot_rtol, schur_floor,
+                     binding.out_address)
+    out = binding.out[:]
+    frame._rewritten = out[OUT_UPWINDED] > 0  # which rows() restores, as after its own call
+    if status == NEWTON_NON_FINITE:
+        system = frame.pair
+        pure.check_finite(system.lower, system.diag, system.upper, system.rhs)
+        raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
+    if status != NEWTON_OK:
+        return status, out[OUT_FAILURE]
+    return status, tuple(out[:OUT_UPWINDED])

@@ -33,9 +33,11 @@ Each row is computed once: rows() builds the central rows and then
 rewrites only the rows the one-sided switch below selects (none in
 central mode; in upwind-singular mode only near expiry).  Every
 operation keeps the order of the one-pass form, so the rows are the same
-bits.  layer_rows() is the one-shot form.  The test suite keeps the
-difference-quotient form of F1 as the oracle that pins this row form,
-and the mask blend of both stencils as the oracle that pins the rewrite.
+bits.  The test suite keeps the difference-quotient form of F1 as the
+oracle that pins this row form, and the mask blend of both stencils as
+the oracle that pins the rewrite.  With the compiled kernel, Newton's
+layer runs rows() in C (native.newton_layer) over the same buffers, with
+the same operations in the same order.
 
 The boundary constraint closing the system uses the one-sided
 second-order slope at xi = 0:
@@ -68,14 +70,7 @@ from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .tridiag import TridiagonalSystem
 
-__all__ = [
-    "SchemeMode",
-    "LayerRows",
-    "LayerFrame",
-    "layer_rows",
-    "residual_constraint",
-    "constraint_root",
-]
+__all__ = ["SchemeMode", "LayerRows", "LayerFrame"]
 
 
 class SchemeMode(str, enum.Enum):
@@ -131,7 +126,7 @@ class LayerFrame:
     constraint's coefficients.  ``rows(z)`` then writes only the
     z-dependent rows of one iterate into the buffers.  It returns the same
     LayerRows at every call, so each call overwrites the rows the last
-    one returned; layer_rows() is the one-shot form with arrays of its own.
+    one returned.
 
     ``pair`` and ``single`` are J11 (lower[1:], diag, upper[:-1]) as
     TridiagonalSystems over the row buffers, with a (2, n) and an (n,)
@@ -232,24 +227,6 @@ class LayerFrame:
         return rows
 
     def residual_constraint(self, y: np.ndarray, z: float) -> float:
-        """F2 of this layer at (y, z); see the module function."""
+        """F2 of this layer at (y, z): affine in z, with unit leading coefficient."""
         return float(z - _root(y, self._constraint))
 
-
-def layer_rows(prev: LayerState, z_next: float, tau_next: float,
-               g: GridSpec, p: MarketParams, mode: SchemeMode) -> LayerRows:
-    """The rows, their z-derivatives and the F1 right-hand side at one
-    iterate, in arrays of their own."""
-    return LayerFrame(g, p, mode).start(prev, tau_next).rows(z_next)
-
-
-def residual_constraint(y_next: np.ndarray, z_next: float, tau_next: float,
-                        g: GridSpec, p: MarketParams) -> float:
-    """Constraint residual F2; affine in z_next with unit leading coefficient."""
-    return float(z_next - constraint_root(y_next, tau_next, g, p))
-
-
-def constraint_root(y_next: np.ndarray, tau_next: float, g: GridSpec,
-                    p: MarketParams) -> float:
-    """The z solving F2 = 0 for given y (explicit since F2 is affine in z)."""
-    return _root(np.asarray(y_next, dtype=float), _constraint_coefficients(tau_next, g, p))

@@ -25,6 +25,15 @@ z-dependent rows (J11 and the row derivatives J12 is built from), puts
 F1 and J12 into the frame's (2, n) right-hand side, solves it in place
 and updates y in place.  One more assembly at the accepted z gives the
 layer's diagnostics.
+
+With the compiled kernel (``_kernels.active()`` is native), newton_layer
+hands those iterations, after the frame's start and J21, to one C call,
+native.newton_layer, which works in the frame's buffers, eliminates with
+the kernel's Thomas loop, and keeps every operation of the numpy loop
+below in order, so the layer's result, diagnostics and errors are the
+same bits.  tol, max_iter, tridiag.PIVOT_RTOL and SCHUR_FLOOR go to C
+from here.  Otherwise the numpy loop runs: it is the path without a C
+compiler and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scheme
-from .errors import NoConvergence, SingularSchur
+from . import _kernels, scheme, tridiag
+from .errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
@@ -107,6 +116,8 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         frame = scheme.LayerFrame(g, p, mode)
     frame.start(prev, tau_next)  # raises ValueError past maturity
     j21_y1, j21_y2 = constraint_row(tau_next, g, p)
+    if _kernels.active() is _kernels.native:
+        return _native_layer(frame, prev, tau_next, (j21_y1, j21_y2), cfg)
     system = frame.pair
     f1, j12 = system.rhs
     y = prev.y.copy()
@@ -146,6 +157,28 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
     diag.residual_f2 = abs(frame.residual_constraint(y, z))
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
+
+
+def _native_layer(frame, prev, tau_next, j21, cfg):
+    """The iterations of newton_layer's loop as one call of the compiled
+    kernel, with the same result bits, errors and diagnostics."""
+    native = _kernels.native
+    y = prev.y.copy()
+    status, values = native.newton_layer(frame, y, j21, cfg.tol, cfg.max_iter,
+                                         tridiag.PIVOT_RTOL, SCHUR_FLOOR)  # ValueError
+    if status == native.NEWTON_NON_POSITIVE_Z:
+        raise NonPositiveZ(values)
+    if status == native.NEWTON_ZERO_PIVOT:
+        raise ZeroPivot(int(values))
+    if status == native.NEWTON_SINGULAR_SCHUR:
+        raise SingularSchur(f"Schur denominator {values:.3e} at tau={tau_next:.6g}")
+    if status == native.NEWTON_NO_CONVERGENCE:
+        raise NoConvergence(cfg.max_iter, values)
+    iterations, z, initial, onesided, violations, residual_f1, residual_f2 = values
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
+        layer=prev.j + 1, tau=tau_next, iterations=int(iterations), residual_f1=residual_f1,
+        residual_f2=residual_f2, initial_residual=initial, onesided_rows=int(onesided),
+        dominance_violations=int(violations))
 
 
 def march_newton(p: MarketParams, g: GridSpec,

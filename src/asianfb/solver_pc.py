@@ -75,7 +75,7 @@ from .solver_newton import (SCHUR_FLOOR, constraint_row, dominance_violations,
                             interior_residual, z_column)
 from .tridiag import thomas_solve
 
-__all__ = ["PredictorConfig", "PredictorResult", "predictor", "corrector", "march_pc"]
+__all__ = ["PredictorConfig", "PredictorResult", "predictor", "march_pc"]
 
 _BRACKET_SCAN = 64
 _BRACKET_FACTOR = 2.0  # initial bracket [z/f, z f], expanded by f
@@ -221,8 +221,10 @@ def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows,
 
 
 def _correct(frame: scheme.LayerFrame, z_tilde: float):
-    """corrector() in a frame started for the layer; also returns the rows
-    the stored layer was solved with (the frame's, valid until its next rows())."""
+    """The corrector in a frame started for the layer: frozen solve at
+    z_tilde, one Schur step on the boundary, frozen solve at the new z.
+    Returns the new state and the rows the stored layer was solved with
+    (the frame's, valid until its next rows())."""
     prev, tau_next = frame.prev, frame.tau_next
     rows, y = _frozen_solve(frame, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
@@ -236,12 +238,6 @@ def _correct(frame: scheme.LayerFrame, z_tilde: float):
     z = z_tilde - frame.residual_constraint(y, z_tilde) / denom
     rows, y = _frozen_solve(frame, z)
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), rows
-
-
-def corrector(prev: LayerState, z_tilde: float, tau_next: float, g: GridSpec,
-              p: MarketParams, mode: SchemeMode) -> LayerState:
-    """Frozen solve at z_tilde, one Schur step on the boundary, frozen solve at the new z."""
-    return _correct(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_tilde)[0]
 
 
 def march_pc(p: MarketParams, g: GridSpec,

@@ -8,7 +8,9 @@ elimination, and each solution is bit-identical to a single solve.
 ``thomas_solve`` runs the kernel backend that ``_kernels.active()``
 reports (compiled C, or the pure loop when no C compiler is available);
 both give the same bits, and both reject a non-finite entry and take the
-pivot floor from ``PIVOT_RTOL`` in the pass that reads the arrays.
+pivot floor from ``PIVOT_RTOL`` in the pass that reads the arrays.  With
+the compiled kernel, Newton's eliminations run inside its one C call per
+layer (solver_newton), which takes ``PIVOT_RTOL`` from here.
 
 A system can be solved again after its arrays are overwritten in place.
 The engines keep one per march over the row buffers of their

@@ -1,16 +1,59 @@
 """Independent reference computations used only by the test suite."""
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from asianfb import scheme
+from asianfb import _kernels, scheme, solver_pc
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.scheme import LayerRows, SchemeMode
 from asianfb.solver_newton import constraint_row, interior_residual, newton_layer, z_column
+
+
+def layer_rows(prev, z_next, tau_next, g, p, mode):
+    """The rows, their z-derivatives and the F1 right-hand side at one
+    iterate, from a LayerFrame of their own."""
+    return scheme.LayerFrame(g, p, mode).start(prev, tau_next).rows(z_next)
+
+
+def constraint_root(y_next, tau_next, g, p):
+    """The z solving F2 = 0 for given y, written from the constraint
+
+        F2 = z - (1 + r ttm)/(1 + q ttm)
+                - (sigma^2/2) ttm/(1 + q ttm) (-3 y_0 + 4 y_1 - y_2)/(2h).
+    """
+    if not tau_next < p.T:
+        raise ValueError(f"tau_next must be < T; got {tau_next} with T={p.T}")
+    ttm = p.T - tau_next
+    slope = (-3.0 * y_next[0] + 4.0 * y_next[1] - y_next[2]) / (2.0 * g.h)
+    return float((1.0 + p.r * ttm + 0.5 * p.sigma**2 * ttm * slope) / (1.0 + p.q * ttm))
+
+
+def residual_constraint(y_next, z_next, tau_next, g, p):
+    """Constraint residual F2; affine in z_next with unit leading coefficient."""
+    return float(z_next - constraint_root(y_next, tau_next, g, p))
+
+
+def corrector(prev, z_tilde, tau_next, g, p, mode):
+    """march_pc's corrector on one layer: frozen solve at z_tilde, one Schur
+    step on the boundary, frozen solve at the new z."""
+    return solver_pc._correct(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_tilde)[0]
+
+
+@contextlib.contextmanager
+def pure_backend():
+    """Run the kernel's pure backend inside the block: Newton's layer then
+    runs its Python loop, whose iterates a LayerFrame subclass can observe."""
+    saved = _kernels._active
+    _kernels._active = _kernels.pure
+    try:
+        yield
+    finally:
+        _kernels._active = saved
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):
@@ -43,7 +86,7 @@ def assemble_interior_row(i, prev, z_next, tau_next, g, p, mode):
     """
     if not 1 <= i <= g.N - 1:
         raise ValueError(f"interior node index must satisfy 1 <= i <= N-1, got {i}")
-    rows = scheme.layer_rows(prev, z_next, tau_next, g, p, mode)
+    rows = layer_rows(prev, z_next, tau_next, g, p, mode)
     d_i = (z_next * np.exp(-g.xi[i]) - 1.0) / (2.0 * g.h * (p.T - tau_next))
     return RowCoefficients(
         a_i=float(rows.lower[i - 1]),
@@ -128,7 +171,7 @@ class JacobianBlocks:
 
 def build_jacobian(y_next, z_next, prev, tau_next, g, p, mode) -> JacobianBlocks:
     """Analytic Jacobian blocks at iterate (y_next interior, z_next)."""
-    rows = scheme.layer_rows(prev, z_next, tau_next, g, p, mode)
+    rows = layer_rows(prev, z_next, tau_next, g, p, mode)
     y = np.concatenate([[-1.0], np.asarray(y_next, dtype=float), [0.0]])
     j21_y1, j21_y2 = constraint_row(tau_next, g, p)
     return JacobianBlocks(lower=rows.lower[1:], diag=rows.diag, upper=rows.upper[:-1],
@@ -167,15 +210,19 @@ class RecordingFrame(scheme.LayerFrame):
 def newton_steps_and_dense_solves(prev, tau_next, g, p, mode):
     """One newton_layer call, and for each of its iterations the step it took
     (the difference of consecutive iterates) with the dense solve of
-    J dY = -F at the earlier iterate, J from build_jacobian."""
+    J dY = -F at the earlier iterate, J from build_jacobian.
+
+    The layer runs on the pure backend: the compiled kernel runs all of a
+    layer's iterations in one call, which the frame cannot observe."""
     frame = RecordingFrame(g, p, mode)
-    state, diag = newton_layer(prev, tau_next, g, p, mode, frame=frame)
+    with pure_backend():
+        state, diag = newton_layer(prev, tau_next, g, p, mode, frame=frame)
     assert len(frame.states) == diag.iterations + 1
     pairs = []
     for (y, z), (y_next, z_next) in zip(frame.states, frame.states[1:]):
         blocks = build_jacobian(y[1:-1], z, prev, tau_next, g, p, mode)
         f = np.append(interior_residual(blocks.rows, y),
-                      scheme.residual_constraint(y, z, tau_next, g, p))
+                      residual_constraint(y, z, tau_next, g, p))
         dense = np.linalg.solve(dense_jacobian(blocks), -f)
         pairs.append((np.append(y_next[1:-1] - y[1:-1], z_next - z), dense))
     return state, pairs
@@ -231,7 +278,7 @@ def write_surface_csv(path, taus, xi, surface):
 
 def frozen_layer(prev, z, tau_next, g, p, mode):
     """Dense solve of the interior rows with coefficients frozen at z."""
-    rows = scheme.layer_rows(prev, z, tau_next, g, p, mode)
+    rows = layer_rows(prev, z, tau_next, g, p, mode)
     rhs = prev.y[1:-1] / (tau_next - prev.tau)
     rhs[0] += rows.lower[0]  # move a_1 * y_0 = -a_1 to the right-hand side
     mat = dense_tridiag(rows.lower[1:], rows.diag, rows.upper[:-1])
@@ -249,7 +296,7 @@ def solve_layer_fixed_point(prev, tau_next, g, p, mode, omega=0.5,
     y = prev.y.copy()
     for _ in range(max_iter):
         y = frozen_layer(prev, z, tau_next, g, p, mode)
-        z_new = scheme.constraint_root(y, tau_next, g, p)
+        z_new = constraint_root(y, tau_next, g, p)
         step = z_new - z
         z = z + omega * step
         if abs(step) < tol:
@@ -269,7 +316,7 @@ def stationary_state(z_start, dt, tau_next, g, p, mode, omega=0.5,
     for _ in range(max_iter):
         template = LayerState(j=0, tau=tau_next - dt,
                               y=_boundary_template(g.N), z=z)
-        rows = scheme.layer_rows(template, z, tau_next, g, p, mode)
+        rows = layer_rows(template, z, tau_next, g, p, mode)
         # stationarity: rows . y - y/dt = boundary contribution
         mat = dense_tridiag(rows.lower[1:], rows.diag, rows.upper[:-1])
         mat -= np.eye(g.N - 1) / dt
@@ -277,7 +324,7 @@ def stationary_state(z_start, dt, tau_next, g, p, mode, omega=0.5,
         rhs[0] = rows.lower[0]  # from a_1 * y_0 with y_0 = -1
         y_int = np.linalg.solve(mat, rhs)
         y = np.concatenate([[-1.0], y_int, [0.0]])
-        z_new = scheme.constraint_root(y, tau_next, g, p)
+        z_new = constraint_root(y, tau_next, g, p)
         step = z_new - z
         z = z + omega * step
         if abs(step) < tol:
@@ -297,7 +344,7 @@ def finite_difference_jacobian(y1, z, prev, tau_next, g, p, mode, step=1e-6):
     def full_residual(y1_val, z_val):
         y = np.concatenate([[-1.0], y1_val, [0.0]])
         f1 = residual_interior(y, prev, z_val, tau_next, g, p, mode)
-        f2 = scheme.residual_constraint(y, z_val, tau_next, g, p)
+        f2 = residual_constraint(y, z_val, tau_next, g, p)
         return np.concatenate([f1, [f2]])
 
     m = y1.size + 1

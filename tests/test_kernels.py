@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -13,10 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import _kernels, make_grid, march_newton, march_pc, solver_newton, solver_pc
+from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, solver_newton,
+                     solver_pc, tridiag)
 from asianfb._kernels import native, pure
 from asianfb.errors import ZeroPivot
+from asianfb.mesh import GridSpec, initial_layer
 from asianfb.scheme import SchemeMode
+from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.tridiag import PIVOT_RTOL, TridiagonalSystem, thomas_solve
 
 from test_tridiag import random_dominant_system
@@ -371,32 +375,42 @@ class TestKernelContract:
         assert not x.any()
 
 
+def count_constructions(monkeypatch, cls):
+    """A list that gains one entry per ``cls`` constructed."""
+    built = []
+    init = cls.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
 @pytest.fixture
 def bindings_built(monkeypatch):
-    """A list that gains one entry per native.Binding constructed; nothing cached."""
-    built = []
-    init = native.Binding.__init__
-
-    def counting_init(self, *arrays):
-        built.append(1)
-        init(self, *arrays)
-
-    monkeypatch.setattr(native.Binding, "__init__", counting_init)
+    """Lists that gain one entry per native.Binding and per
+    native.FrameBinding constructed; nothing cached."""
     monkeypatch.setattr(native, "_last", None)
-    return built
+    monkeypatch.setattr(native, "_last_frame", None)
+    return (count_constructions(monkeypatch, native.Binding),
+            count_constructions(monkeypatch, native.FrameBinding))
 
 
 @needs_cc
 class TestNativeCache:
-    """native.thomas reuses the Binding of the last call's arrays, and only it."""
+    """native.thomas reuses the Binding of the last call's arrays, and only
+    it; native.newton_layer binds a march's frame once, and eliminates in C
+    without a Binding."""
 
     @pytest.mark.parametrize("run, expected", [
-        (march_newton, 1), (march_pc, 1), (asianfb.compare_engines, 2),
+        (march_newton, (0, 1)), (march_pc, (1, 0)), (asianfb.compare_engines, (1, 1)),
     ], ids=["newton", "pc", "compare"])
     def test_one_binding_per_march(self, params, bindings_built, run, expected):
         with backend_in_use(native):
             run(params, make_grid(params, N=50))
-        assert len(bindings_built) == expected
+        assert tuple(map(len, bindings_built)) == expected
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-matrix", "own-arrays"])
     def test_alternating_systems_overwritten_in_place(self, shared):
@@ -453,51 +467,205 @@ def test_strided_input(backend):
     assert single.tobytes() == want[1].tobytes()
 
 
+# (r, q, sigma) at T = 50 of the bit-identity runs: the reference point and
+# perfbench's workload seeds 2, 4, 68 and 89
+BIT_IDENTITY_PARAMS = {
+    "ref": (0.06, 0.04, 0.2),
+    "seed2": (0.069121, 0.044217, 0.182262),
+    "seed4": (0.054721, 0.031547, 0.195842),
+    "seed68": (0.064833, 0.044112, 0.209896),
+    "seed89": (0.051622, 0.039102, 0.219909),
+}
+# (N, M): criterion 6's grid, and N = 50 and 200 with M = ceil(2.5 N)
+BIT_IDENTITY_GRIDS = {"N8M4": (8, 4), "N50": (50, None), "N200": (200, None)}
+# pc runs only up to N = 50: it makes no Newton layer call, and its marches
+# at N = 200 are the slowest of the pure loop's
+PC_GRIDS = ("N8M4", "N50")
+
+# march_digest of each run (engine, mode, parameters, grid), recorded with the
+# Python Newton loop before Newton's layer had a compiled path; both backends
+# must still give these bits.
+MARCH_DIGESTS = {
+    ("newton", "central", "ref", "N8M4"): "1b2710f6184f5bc2",
+    ("newton", "central", "ref", "N50"): "873d8111127bdf9f",
+    ("newton", "central", "ref", "N200"): "e4b93f29da24e694",
+    ("newton", "central", "seed2", "N8M4"): "9d52474b19fe0d52",
+    ("newton", "central", "seed2", "N50"): "aacb851c86569370",
+    ("newton", "central", "seed2", "N200"): "1e905863e97426db",
+    ("newton", "central", "seed4", "N8M4"): "955d08f0cfcd6aa9",
+    ("newton", "central", "seed4", "N50"): "2e56e65be0d365e5",
+    ("newton", "central", "seed4", "N200"): "3fda9ec23aa24bd7",
+    ("newton", "central", "seed68", "N8M4"): "84fc4325c4332e22",
+    ("newton", "central", "seed68", "N50"): "ec782f00f10ea38a",
+    ("newton", "central", "seed68", "N200"): "967b5682e32e0be6",
+    ("newton", "central", "seed89", "N8M4"): "6847d4e7dc702390",
+    ("newton", "central", "seed89", "N50"): "ea3e036e889756a6",
+    ("newton", "central", "seed89", "N200"): "4e9f98bf5e1d2e36",
+    ("newton", "upwind-singular", "ref", "N8M4"): "f9c3d9db20125c45",
+    ("newton", "upwind-singular", "ref", "N50"): "05f4f4d6315f8e82",
+    ("newton", "upwind-singular", "ref", "N200"): "f02ce560cf875cba",
+    ("newton", "upwind-singular", "seed2", "N8M4"): "285c3cff7c5e5960",
+    ("newton", "upwind-singular", "seed2", "N50"): "76caa6aeb81e8956",
+    ("newton", "upwind-singular", "seed2", "N200"): "eb47d62b002c64e7",
+    ("newton", "upwind-singular", "seed4", "N8M4"): "c8aa5bc6fe0d3cff",
+    ("newton", "upwind-singular", "seed4", "N50"): "8be9a4ecc0cf5955",
+    ("newton", "upwind-singular", "seed4", "N200"): "cb67a00d8017d53b",
+    ("newton", "upwind-singular", "seed68", "N8M4"): "b42e6ae93451f0e2",
+    ("newton", "upwind-singular", "seed68", "N50"): "af68347463294d7d",
+    ("newton", "upwind-singular", "seed68", "N200"): "bc4a5f19f471a5a8",
+    ("newton", "upwind-singular", "seed89", "N8M4"): "370a877fa4891e0c",
+    ("newton", "upwind-singular", "seed89", "N50"): "d7e338569362ae9b",
+    ("newton", "upwind-singular", "seed89", "N200"): "cb0f12b9a040f4f4",
+    ("pc", "central", "ref", "N8M4"): "6cdc620a9b65f9fc",
+    ("pc", "central", "ref", "N50"): "819a58dff82fcdcc",
+    ("pc", "central", "seed2", "N8M4"): "2662b468c929c5cd",
+    ("pc", "central", "seed2", "N50"): "6fe97e44459e1b3b",
+    ("pc", "central", "seed4", "N8M4"): "7cdbf0ad026bc4da",
+    ("pc", "central", "seed4", "N50"): "c9e67c269f6e906b",
+    ("pc", "central", "seed68", "N8M4"): "9fbfabf18d4d30f6",
+    ("pc", "central", "seed68", "N50"): "cf7cd20ed75a3ea2",
+    ("pc", "central", "seed89", "N8M4"): "c117662909c080b8",
+    ("pc", "central", "seed89", "N50"): "31168a9cb46f6ce7",
+    ("pc", "upwind-singular", "ref", "N8M4"): "31e3af54450fe8be",
+    ("pc", "upwind-singular", "ref", "N50"): "a173c372f3e656fe",
+    ("pc", "upwind-singular", "seed2", "N8M4"): "fad76d07a63bf370",
+    ("pc", "upwind-singular", "seed2", "N50"): "e6f50d2dd229a7bf",
+    ("pc", "upwind-singular", "seed4", "N8M4"): "9e9d045c8c711577",
+    ("pc", "upwind-singular", "seed4", "N50"): "cb3c1354b88e4244",
+    ("pc", "upwind-singular", "seed68", "N8M4"): "72fcc8a90de7763d",
+    ("pc", "upwind-singular", "seed68", "N50"): "3b09fd6a221ed453",
+    ("pc", "upwind-singular", "seed89", "N8M4"): "8bc41e4f6cfe6a4d",
+    ("pc", "upwind-singular", "seed89", "N50"): "4ba6b1558fb868c2",
+}
+
+
+def march_digest(march, p, grid, mode):
+    """sha256 (16 hex digits) of a march: rho, the surface, every
+    LayerDiagnostics field and, after each Newton layer, the frame's row
+    buffers and its (2, n) right-hand side (F1 at the accepted z, J12 of
+    the last iterate)."""
+    digest = hashlib.sha256()
+
+    def observed(*args, **kwargs):
+        out = original(*args, **kwargs)
+        frame = kwargs["frame"]
+        for row in dataclasses.fields(frame._rows):
+            digest.update(getattr(frame._rows, row.name).tobytes())
+        digest.update(frame.pair.rhs.tobytes())
+        return out
+
+    original = solver_newton.newton_layer
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_newton, "newton_layer", observed)
+        result = march(p, grid, mode)
+    digest.update(result.rho.tobytes())
+    digest.update(result.surface.tobytes())
+    digest.update(np.array([dataclasses.astuple(d) for d in result.diagnostics],
+                           dtype=float).tobytes())
+    return digest.hexdigest()[:16]
+
+
 @needs_cc
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
-def test_march_bit_identical_across_backends(params, march, mode):
-    grid = make_grid(params, N=50)
-    results = []
+def test_march_bit_identical_across_backends(march, mode):
+    engine = "newton" if march is march_newton else "pc"
+    for name, (r, q, sigma) in BIT_IDENTITY_PARAMS.items():
+        p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
+        for grid_name, (n, m) in BIT_IDENTITY_GRIDS.items():
+            if engine == "pc" and grid_name not in PC_GRIDS:
+                continue
+            grid = make_grid(p, N=n, M=m)
+            digests = []
+            for backend in (pure, native):
+                with backend_in_use(backend):
+                    digests.append(march_digest(march, p, grid, mode))
+            assert digests == [MARCH_DIGESTS[engine, mode.value, name, grid_name]] * 2, \
+                (name, grid_name, digests)
+
+
+def failing_layer(case, params, patch):
+    """(params, grid, prev, cfg) of a first layer that fails with ``case``,
+    which may need a module constant patched."""
+    if case == "NonPositiveZ":  # an r < q set, where undamped Newton overshoots
+        p = MarketParams(r=0.069, q=0.085, sigma=0.51, T=24.8)
+        grid = GridSpec(N=100, M=2500, L=2.0, T=p.T)
+        return p, grid, initial_layer(p, grid), NewtonConfig()
+    grid = make_grid(params, N=16)
+    prev = initial_layer(params, grid)
+    cfg = NewtonConfig()
+    if case == "ValueError":
+        prev.y[grid.N // 2] = np.nan
+    elif case == "ZeroPivot":
+        patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+    elif case == "SingularSchur":
+        patch.setattr(solver_newton, "SCHUR_FLOOR", 1e300)
+    else:
+        cfg = NewtonConfig(max_iter=1)
+    return params, grid, prev, cfg
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["NonPositiveZ", "ValueError", "ZeroPivot", "SingularSchur",
+                                  "NoConvergence"])
+def test_newton_layer_fails_alike_on_both_backends(params, case):
+    """Each failure raises the same class, message and attributes on both
+    backends; the limits patched here reach the compiled path from Python."""
+    raised = []
     for backend in (pure, native):
-        with backend_in_use(backend):
-            results.append(march(params, grid, mode))
-    by_pure, by_native = results
-    assert by_native.rho.tobytes() == by_pure.rho.tobytes()
-    assert by_native.surface.tobytes() == by_pure.surface.tobytes()
-    assert [dataclasses.astuple(d) for d in by_native.diagnostics] == \
-        [dataclasses.astuple(d) for d in by_pure.diagnostics]
+        with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
+            p, grid, prev, cfg = failing_layer(case, params, patch)
+            with pytest.raises(Exception) as exc:
+                newton_layer(prev, float(grid.taus[1]), grid, p, SchemeMode.UPWIND_SINGULAR,
+                             cfg)
+        raised.append((type(exc.value), str(exc.value), vars(exc.value)))
+    assert raised[0] == raised[1]
+    kind, message, attributes = raised[0]
+    assert kind.__name__ == case
+    if case == "NonPositiveZ":
+        assert attributes["z"] == pytest.approx(-0.513934, abs=1e-6)
+    elif case == "ValueError":
+        assert message == "rhs contains non-finite values"
+    elif case == "NoConvergence":
+        assert attributes["iterations"] == 1
+        assert attributes["last_step"] >= NewtonConfig().tol
 
 
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
-def test_eliminations_enter_through_the_traced_entry_points(params, monkeypatch, march):
-    """Every elimination calls tridiag.thomas_solve, as bound in the module
-    that calls it, and the active backend's thomas with diag second, which
-    is where a tracer set on those names counts solves and rows."""
+def test_eliminations_enter_through_the_traced_entry_points(params, march):
+    """Every elimination of a Python layer loop calls tridiag.thomas_solve,
+    as bound in the module that calls it, and the active backend's thomas
+    with diag second, which is where a tracer set on those names counts
+    solves and rows.  With the compiled kernel, Newton's eliminations run
+    inside native.newton_layer's one call per layer, so it makes none."""
     grid = make_grid(params, N=40)
-    backend = _kernels.active()
-    kernel_rows, solves = [], []
+    for backend in RUNNABLE:
+        kernel_rows, solves = [], []
 
-    def counting_kernel(*args, **kwargs):
-        kernel_rows.append(len(args[1]))
-        return kernel(*args, **kwargs)
+        def counting_kernel(*args, **kwargs):
+            kernel_rows.append(len(args[1]))
+            return kernel(*args, **kwargs)
 
-    def counting_solve(*args, **kwargs):
-        solves.append(1)
-        return thomas_solve(*args, **kwargs)
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return thomas_solve(*args, **kwargs)
 
-    kernel = backend.thomas
-    monkeypatch.setattr(backend, "thomas", counting_kernel)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("asianfb") and getattr(module, "thomas_solve", None) is thomas_solve:
-            monkeypatch.setattr(module, "thomas_solve", counting_solve)
-    result = march(params, grid)
-    if march is march_newton:  # one (2, n) elimination per Newton iteration
-        expected = sum(d.iterations for d in result.diagnostics)
-    else:  # frozen solve, Schur column, frozen solve at the corrected z
-        expected = 3 * grid.M
-    assert len(kernel_rows) == len(solves) == expected
-    assert set(kernel_rows) == {grid.N - 1}
+        kernel = backend.thomas
+        with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend, "thomas", counting_kernel)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("asianfb") and \
+                        getattr(module, "thomas_solve", None) is thomas_solve:
+                    patch.setattr(module, "thomas_solve", counting_solve)
+            result = march(params, grid)
+        if march is march_pc:  # frozen solve, Schur column, frozen solve at the corrected z
+            expected = 3 * grid.M
+        elif backend is pure:  # one (2, n) elimination per Newton iteration
+            expected = sum(d.iterations for d in result.diagnostics)
+        else:
+            expected = 0
+        assert len(kernel_rows) == len(solves) == expected, backend.__name__
+        assert set(kernel_rows) == ({grid.N - 1} if expected else set())
 
 
 @pytest.mark.parametrize("march, module, opener",

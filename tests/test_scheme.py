@@ -5,7 +5,7 @@ import pytest
 
 from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
-from asianfb.scheme import SchemeMode, constraint_root, layer_rows, residual_constraint
+from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import interior_residual, march_newton, newton_layer
 from asianfb.mesh import initial_layer
 
@@ -13,8 +13,11 @@ from _oracles import (
     alpha_continuous,
     assemble_interior_row,
     beta,
+    constraint_root,
     discrete_alpha,
+    layer_rows,
     layer_rows_where,
+    residual_constraint,
     residual_interior,
 )
 

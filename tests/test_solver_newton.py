@@ -6,7 +6,7 @@ from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig, march_newton, newton_layer
 
-from _oracles import (build_jacobian, dense_jacobian, finite_difference_jacobian,
+from _oracles import (build_jacobian, dense_jacobian, finite_difference_jacobian, layer_rows,
                       newton_steps_and_dense_solves, solve_layer_fixed_point, stationary_state)
 
 MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
@@ -37,8 +37,6 @@ class TestBuildJacobian:
                 assert np.max(np.abs(dense - fd) / scale) <= 1e-5
 
     def test_diagonal_is_z_free_in_central_mode(self, params, rng):
-        from asianfb.scheme import layer_rows
-
         g = make_grid(params, N=12)
         prev, _, z = random_state(rng, g, 20.0)
         dc = layer_rows(prev, z, 20.0, g, params, SchemeMode.CENTRAL).dc

@@ -6,12 +6,12 @@ import pytest
 from asianfb.errors import LayerFailure, NoBracket, NoConvergence, NonPositiveZ
 from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.model import MarketParams
-from asianfb.scheme import SchemeMode, residual_constraint
+from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton
-from asianfb.solver_pc import PredictorConfig, corrector, march_pc, predictor
+from asianfb.solver_pc import PredictorConfig, march_pc, predictor
 
-from _oracles import (build_jacobian, dense_jacobian, frozen_layer, residual_interior,
-                      stationary_state)
+from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer,
+                      residual_constraint, residual_interior, stationary_state)
 
 
 def scalar_residual_reference(prev, tau_next, g, p):
