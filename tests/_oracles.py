@@ -45,11 +45,12 @@ def corrector(prev, z_tilde, tau_next, g, p, mode):
 
 
 @contextlib.contextmanager
-def pure_backend():
-    """Run the kernel's pure backend inside the block: Newton's layer then
-    runs its Python loop, whose iterates a LayerFrame subclass can observe."""
+def backend_in_use(module):
+    """Run the kernel backend ``module`` (pure or native) inside the block."""
+    if module is _kernels.native:
+        assert _kernels.native.load()
     saved = _kernels._active
-    _kernels._active = _kernels.pure
+    _kernels._active = module
     try:
         yield
     finally:
@@ -212,10 +213,11 @@ def newton_steps_and_dense_solves(prev, tau_next, g, p, mode):
     (the difference of consecutive iterates) with the dense solve of
     J dY = -F at the earlier iterate, J from build_jacobian.
 
-    The layer runs on the pure backend: the compiled kernel runs all of a
-    layer's iterations in one call, which the frame cannot observe."""
+    The layer runs on the pure backend, whose Python loop the frame
+    observes; the compiled kernel runs all of a layer's iterations in one
+    call."""
     frame = RecordingFrame(g, p, mode)
-    with pure_backend():
+    with backend_in_use(_kernels.pure):
         state, diag = newton_layer(prev, tau_next, g, p, mode, frame=frame)
     assert len(frame.states) == diag.iterations + 1
     pairs = []

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import hashlib
 import math
@@ -23,6 +22,7 @@ from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.tridiag import PIVOT_RTOL, TridiagonalSystem, thomas_solve
 
+from _oracles import backend_in_use
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -35,16 +35,6 @@ HAS_CC = native.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
 RUNNABLE = [pure, native] if HAS_CC else [pure]
 BACKENDS = [pure, pytest.param(native, marks=needs_cc)]
-
-
-@contextlib.contextmanager
-def backend_in_use(module):
-    """Run thomas_solve on ``module`` (pure or native) inside the block."""
-    if module is native:
-        assert native.load()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "_active", module)
-        yield
 
 
 @pytest.fixture
