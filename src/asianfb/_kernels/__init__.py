@@ -5,12 +5,14 @@ one elimination per Newton iteration, which solves for both Schur
 right-hand sides at once, and three single solves per
 predictor-corrector layer.  Each backend offers the Thomas solve as one
 function, ``thomas(lower, diag, upper, rhs, pivot_rtol) -> (x,
-fail_index)``, with rhs of shape (n,) or (2, n).  Each backend makes the
-checks of a solve itself: it raises ValueError("<name> contains
-non-finite values") on a NaN or an infinity in any of the four arrays,
-before any pivot is tested, and fails at the first row whose pivot
-magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
-(``pure.pivot_floor``):
+fail_index)``, with rhs of shape (n,) or (2, n); it is the only solve
+interface, and tridiag.thomas_solve passes it the four arrays it is
+given.  Each backend makes the checks of a solve itself: it raises
+ValueError when the shapes do not fit that form (``pure.check_shape``)
+and ValueError("<name> contains non-finite values") on a NaN or an
+infinity in any of the four arrays, before any pivot is tested, and
+fails at the first row whose pivot magnitude falls below
+``max(pivot_rtol * max|diag|, ulp(0.0))`` (``pure.pivot_floor``):
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
   in a process into a cache next to the source (see native.py); its

@@ -16,14 +16,16 @@ library.  Without a C compiler, or when the build or the load of the
 fresh build fails, ``load()`` returns False and the caller keeps the
 pure kernel.
 
-Converting the arrays to contiguous float64, allocating the cp work row
-and the solution buffer and looking up six addresses (``arr.ctypes.data``,
-about 1-2 us each) costs more than the C loop at n = 200.  The engines
-overwrite one system's arrays in place and solve it again, so the module
-keeps all of that in a Binding of the last call's arrays: a call given
-those same four array objects goes straight to C, and any other call
-builds and keeps a new Binding.  A bound array must therefore not be
-reshaped in place.
+Converting the arrays to contiguous float64, checking their shapes,
+allocating the cp work row and the solution buffer and looking up six
+addresses (``arr.ctypes.data``, about 1-2 us each) costs more than the C
+loop at n = 200.  The engines pass a scheme.LayerFrame's J11 views
+(``frame.j11``, made once per frame) and one of its right-hand side
+buffers at every solve, overwritten in place, so the module keeps all of
+that in a Binding of the last call's arrays: a call given those same four
+array objects goes straight to C, and any other call builds and keeps a
+new Binding, whose construction runs pure's ``check_shape``.  A bound
+array must therefore not be reshaped in place.
 
 The C function also makes the checks of the contract in the pass that
 reads the arrays: it takes the pivot floor from max |diag| and reports a
@@ -33,7 +35,8 @@ run pure's numpy check, to raise the ValueError that names the array.
 ``newton_layer`` keeps the same kind of cache for Newton's layer: a
 FrameBinding of the last scheme.LayerFrame it ran in holds the march's
 constants and the addresses of the frame's buffers, so a march binds its
-frame once and each layer passes only its z-free scalars.
+frame once and each layer passes only the z-free scalars and J21 that
+its start() computed.
 """
 
 from __future__ import annotations
@@ -138,11 +141,8 @@ class Binding:
     __slots__ = ("arrays", "cp", "x", "head", "tail")
 
     def __init__(self, lower, diag, upper, rhs):
+        pure.check_shape(lower, diag, upper, rhs)
         n = diag.size
-        if n < 1 or lower.size != n - 1 or upper.size != n - 1 or \
-                rhs.shape not in ((n,), (2, n)):
-            raise ValueError("system must have n >= 1 rows, n-1 off-diagonal "
-                             "entries and a (n,) or (2, n) right-hand side")
         # references keep every array alive while its address is in use
         self.arrays = (lower, diag, upper, rhs)
         self.cp = np.empty(n)
@@ -161,10 +161,11 @@ _last = None
 def thomas(lower, diag, upper, rhs, pivot_rtol):
     """Solve the tridiagonal system in O(n); same contract as pure.thomas.
 
-    Raises ValueError, naming the array, on a non-finite entry.  Returns
-    (x, fail_index): x has the shape of rhs, (n,) or (2, n), in an array of
-    its own, and fail_index is -1 on success, else the row whose pivot fell
-    below ``pure.pivot_floor(diag, pivot_rtol)`` (x is then zeros).
+    Raises ValueError on mismatched shapes, and, naming the array, on a
+    non-finite entry.  Returns (x, fail_index): x has the shape of rhs,
+    (n,) or (2, n), in an array of its own, and fail_index is -1 on
+    success, else the row whose pivot fell below
+    ``pure.pivot_floor(diag, pivot_rtol)`` (x is then zeros).
     """
     global _last
     if _kernel is None and not load():
@@ -192,7 +193,7 @@ class _Frame(ctypes.Structure):
          ("h", "two_h", "r", "q", "half_sig2", "diff", "sig2")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
-          "db", "onesided", "s", "d", "f", "cp", "x")]
+          "db", "onesided", "f", "cp", "x")]
 
 
 class FrameBinding:
@@ -211,8 +212,8 @@ class FrameBinding:
         arrays = {"exp_neg_xi": g.exp_neg_xi, "ds": frame._ds,
                   "half_ds_h": frame._half_ds_h, "rhs": rows.rhs, "lower": rows.lower,
                   "diag": rows.diag, "upper": rows.upper, "da": rows.da, "dc": rows.dc,
-                  "db": rows.db, "onesided": rows.onesided, "s": frame._s, "d": frame._d,
-                  "f": frame.pair.rhs, "cp": self.cp, "x": self.x}
+                  "db": rows.db, "onesided": rows.onesided, "f": frame.pair_rhs,
+                  "cp": self.cp, "x": self.x}
         self.struct = _Frame(n=n, upwind=frame.mode.value == "upwind-singular", h=g.h,
                              two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=frame._half_sig2,
                              diff=frame._diff, sig2=frame._sig2,
@@ -226,13 +227,13 @@ class FrameBinding:
 _last_frame = None
 
 
-def newton_layer(frame, y, j21, tol, max_iter, pivot_rtol, schur_floor):
+def newton_layer(frame, y, tol, max_iter, pivot_rtol, schur_floor):
     """Newton's iterations on the layer ``frame.start`` built, in one C call.
 
-    y is a copy of the previous layer, updated in place; j21 is
-    (dF2/dy_1, dF2/dy_2), and tol, max_iter, pivot_rtol and schur_floor
-    are those of solver_newton's loop, whose every operation the C
-    function repeats in order, over the frame's buffers.
+    y is a copy of the previous layer, updated in place; tol, max_iter,
+    pivot_rtol and schur_floor are those of solver_newton's loop, whose
+    every operation the C function repeats in order, over the frame's
+    buffers and with its ``j21``.
 
     Raises ValueError, naming the array, when an elimination meets a
     non-finite entry.  Returns (NEWTON_OK, (iterations, z,
@@ -249,13 +250,12 @@ def newton_layer(frame, y, j21, tol, max_iter, pivot_rtol, schur_floor):
         binding = _last_frame = FrameBinding(frame)
     c0, c1, _ = frame._constraint
     status = _newton(binding.address, y.ctypes.data, frame._z_prev, frame._dt, frame._ttm,
-                     frame._diag_base, c0, c1, *j21, tol, max_iter, pivot_rtol, schur_floor,
-                     binding.out_address)
+                     frame._diag_base, c0, c1, *frame.j21, tol, max_iter, pivot_rtol,
+                     schur_floor, binding.out_address)
     out = binding.out[:]
     frame._rewritten = out[OUT_UPWINDED] > 0  # which rows() restores, as after its own call
     if status == NEWTON_NON_FINITE:
-        system = frame.pair
-        pure.check_finite(system.lower, system.diag, system.upper, system.rhs)
+        pure.check_finite(*frame.j11, frame.pair_rhs)
         raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
     if status != NEWTON_OK:
         return status, out[OUT_FAILURE]

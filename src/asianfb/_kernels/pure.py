@@ -9,15 +9,26 @@ thus performs the operations of thomas.c in the same order, so each
 solution of a (2, n) right-hand side is bit-identical to a single solve
 of its column, and to the compiled kernel's.
 
-Before any pivot is tested, ``thomas`` rejects a non-finite entry with
-``check_finite`` (native.thomas runs it too, to name the array) and
-computes the pivot floor with ``pivot_floor``, which thomas.c matches bit
-for bit.
+Before any pivot is tested, ``thomas`` rejects arrays of mismatched
+shapes with ``check_shape`` and a non-finite entry with ``check_finite``
+(native.thomas runs both too: the first when it binds new arrays, the
+second to name the array) and computes the pivot floor with
+``pivot_floor``, which thomas.c matches bit for bit.
 """
 
 import math
 
 import numpy as np
+
+
+def check_shape(lower, diag, upper, rhs) -> None:
+    """Raise ValueError unless diag holds n >= 1 entries, lower and upper
+    n-1 each, and rhs has the shape (n,) or (2, n)."""
+    n = diag.shape[0] if diag.ndim == 1 else 0
+    if n < 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,) or \
+            rhs.shape not in ((n,), (2, n)):
+        raise ValueError("system must have n >= 1 rows, n-1 off-diagonal "
+                         "entries and a (n,) or (2, n) right-hand side")
 
 
 def check_finite(lower, diag, upper, rhs) -> None:
@@ -47,10 +58,11 @@ def thomas(lower, diag, upper, rhs, pivot_rtol):
     pivot_rtol: elimination aborts when a pivot magnitude falls below
            ``pivot_floor(diag, pivot_rtol)``
 
-    Raises ValueError, naming the array, on a non-finite entry.  Returns
-    (x, fail_index); fail_index is -1 on success, else the row whose pivot
-    underflowed (x is then zeros).
+    Raises ValueError on mismatched shapes, and, naming the array, on a
+    non-finite entry.  Returns (x, fail_index); fail_index is -1 on
+    success, else the row whose pivot underflowed (x is then zeros).
     """
+    check_shape(lower, diag, upper, rhs)
     check_finite(lower, diag, upper, rhs)
     floor = pivot_floor(diag, pivot_rtol)
     n = len(diag)

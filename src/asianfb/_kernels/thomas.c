@@ -93,7 +93,6 @@ struct layer_frame {
     const double *exp_neg_xi, *ds, *half_ds_h, *rhs;
     double *lower, *diag, *upper, *da, *dc, *db;
     unsigned char *onesided;  /* numpy bool */
-    double *s, *d;
     double *f, *cp, *x;
 };
 
@@ -150,19 +149,15 @@ static long frame_rows(const struct layer_frame *f, const struct layer *l, doubl
     for (i = 0; i < f->n; i++) {
         double s = (f->exp_neg_xi[i] * z - 1.0) / l->ttm;
         double d = s * 0.5 / f->h;
-        f->s[i] = s;
         /* central rows */
         f->lower[i] = d + lower;
         f->upper[i] = upper - d;
         f->da[i] = f->half_ds_h[i] + da;
         f->db[i] = db - f->half_ds_h[i];
-        if (!f->upwind) {
-            f->d[i] = d;
+        if (!f->upwind)
             continue;
-        }
         /* |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal */
-        d = f->d[i] = fabs(mu - s);
-        f->onesided[i] = d > limit;
+        f->onesided[i] = fabs(mu - s) > limit;
         if (!f->onesided[i]) {
             f->diag[i] = l->diag_base;
             f->dc[i] = 0.0;

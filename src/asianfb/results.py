@@ -59,10 +59,6 @@ class SolveResult:
     def rho_at(self, tau: float) -> float:
         return float(self.rho[self.layer_index_at(tau)])
 
-    def boundary_path(self) -> np.ndarray:
-        """(tau, rho) pairs, one per layer."""
-        return np.column_stack([self.taus, self.rho])
-
 
 def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
           step) -> SolveResult:

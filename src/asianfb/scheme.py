@@ -45,6 +45,11 @@ second-order slope at xi = 0:
     F2 = z' - (1 + r ttm)/(1 + q ttm)
             - (sigma^2/2) ttm/(1 + q ttm) (-3 y_0' + 4 y_1' - y_2')/(2h).
 
+This module is the whole layer system of both engines: the rows, F1
+(interior_residual), J12 = dF1/dz (z_column), F2 and its row J21 =
+dF2/dy (constraint_row, which start() evaluates once per layer into
+``frame.j21``), and the count of rows that fail diagonal dominance.
+
 Advection modes.  "central" differences the whole advection term
 centrally.  "upwind-singular" is central too, except that the singular
 term s_i dPi/dxi switches to a first-order one-sided difference (forward
@@ -61,16 +66,16 @@ layers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveZ
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
-from .tridiag import TridiagonalSystem
 
-__all__ = ["SchemeMode", "LayerRows", "LayerFrame"]
+__all__ = ["SchemeMode", "LayerRows", "LayerFrame", "interior_residual", "z_column",
+           "constraint_row", "dominance_violations"]
 
 
 class SchemeMode(str, enum.Enum):
@@ -95,6 +100,38 @@ class LayerRows:
     db: np.ndarray     # d(b_i)/dz
     rhs: np.ndarray    # y^prev_i / dt
     onesided: np.ndarray  # bool; True where the singular term is upwinded
+
+
+def interior_residual(rows: LayerRows, y: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """F1 in row form; y carries its boundary values.  Written into ``out`` if given."""
+    f1 = np.multiply(rows.lower, y[:-2], out=out)
+    f1 += rows.diag * y[1:-1]
+    f1 += rows.upper * y[2:]
+    f1 -= rows.rhs
+    return f1
+
+
+def z_column(rows: LayerRows, y: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """J12 = dF1/dz at y and the boundary value the rows were assembled at."""
+    j12 = np.multiply(rows.da, y[:-2], out=out)
+    j12 += rows.dc * y[1:-1]
+    j12 += rows.db * y[2:]
+    return j12
+
+
+def constraint_row(tau_next: float, g: GridSpec, p: MarketParams) -> tuple[float, float]:
+    """J21 = (dF2/dy_1, dF2/dy_2), the only y-dependence of the constraint."""
+    ttm = p.T - tau_next
+    d_coef = p.q + 1.0 / ttm
+    sig2 = p.sigma**2
+    return -sig2 / (d_coef * g.h), sig2 / (4.0 * d_coef * g.h)
+
+
+def dominance_violations(rows: LayerRows) -> int:
+    """Rows failing strict diagonal dominance, counted in both engines' layer steps."""
+    return int(np.count_nonzero(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
 
 
 def _require_pre_maturity(tau_next, T) -> None:
@@ -123,21 +160,22 @@ class LayerFrame:
     ``start(prev, tau_next)`` builds the frame of a time layer once: dt,
     1/(T - tau) through ttm, ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h
     scaling, the z-free diagonal and dc, rhs = y^prev/dt and the
-    constraint's coefficients.  ``rows(z)`` then writes only the
-    z-dependent rows of one iterate into the buffers.  It returns the same
-    LayerRows at every call, so each call overwrites the rows the last
-    one returned.
+    constraint's coefficients and its row ``j21``.  ``rows(z)`` then
+    writes only the z-dependent rows of one iterate into the buffers.  It
+    returns the same LayerRows at every call, so each call overwrites the
+    rows the last one returned.
 
-    ``pair`` and ``single`` are J11 (lower[1:], diag, upper[:-1]) as
-    TridiagonalSystems over the row buffers, with a (2, n) and an (n,)
-    right-hand side buffer that the engines fill and solve in place.
+    ``j11`` is J11 (lower[1:], diag, upper[:-1]): three views of the row
+    buffers, made once.  ``pair_rhs`` (2, n) and ``single_rhs`` (n,) are
+    right-hand side buffers that the engines fill and solve in place with
+    ``tridiag.thomas_solve(*frame.j11, rhs)``.  Passing the same four
+    arrays at every solve lets the compiled kernel reuse its binding of
+    them (see _kernels.native).
     """
 
     g: GridSpec
     p: MarketParams
     mode: SchemeMode
-    pair: TridiagonalSystem = field(init=False, repr=False)
-    single: TridiagonalSystem = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.g.N - 1
@@ -154,14 +192,15 @@ class LayerFrame:
         self._half_ds_h = np.empty(n)
         self._rewritten = False     # whether the last rows() upwinded a row
         rows = self._rows
-        j11 = (rows.lower[1:], rows.diag, rows.upper[:-1])
-        self.pair = TridiagonalSystem(*j11, np.zeros((2, n)))
-        self.single = TridiagonalSystem(*j11, np.zeros(n))
+        self.j11 = (rows.lower[1:], rows.diag, rows.upper[:-1])
+        self.pair_rhs = np.zeros((2, n))
+        self.single_rhs = np.zeros(n)
 
     def start(self, prev: LayerState, tau_next: float) -> LayerFrame:
         """Build the z-free part of the layer from ``prev`` to ``tau_next``."""
         p, h = self.p, self.g.h
         self._constraint = _constraint_coefficients(tau_next, self.g, p)
+        self.j21 = constraint_row(tau_next, self.g, p)
         dt = tau_next - prev.tau
         if dt <= 0:
             raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")

@@ -18,22 +18,24 @@ This is algebraically the coupled block solve; the Schur denominator is
 guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
 
+The layer system itself (rows, F1, J12, F2, J21 and the dominance
+count) is scheme's; this module is the iteration over it.
 march_newton is results.march stepping with newton_layer in the march's
 one scheme.LayerFrame.  Per layer newton_layer builds the frame's z-free
-part once and computes J21; each iterate then writes only the
+part and J21 once (LayerFrame.start); each iterate then writes only the
 z-dependent rows (J11 and the row derivatives J12 is built from), puts
-F1 and J12 into the frame's (2, n) right-hand side, solves it in place
-and updates y in place.  One more assembly at the accepted z gives the
-layer's diagnostics.
+F1 and J12 into the frame's (2, n) right-hand side ``pair_rhs``, solves
+it in place against ``frame.j11`` and updates y in place.  One more
+assembly at the accepted z gives the layer's diagnostics.
 
 With the compiled kernel (``_kernels.active()`` is native), newton_layer
-hands those iterations, after the frame's start and J21, to one C call,
+hands those iterations, after the frame's start, to one C call,
 native.newton_layer, which works in the frame's buffers, eliminates with
 the kernel's Thomas loop, and keeps every operation of the numpy loop
 below in order, so the layer's result, diagnostics and errors are the
-same bits.  tol, max_iter, tridiag.PIVOT_RTOL and SCHUR_FLOOR go to C
-from here.  Otherwise the numpy loop runs: it is the path without a C
-compiler and the tests' oracle.
+same bits.  tol, max_iter, tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR go
+to C from here.  Otherwise the numpy loop runs: it is the path without a
+C compiler and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -48,13 +50,10 @@ from .errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
-from .scheme import SchemeMode
+from .scheme import SchemeMode, dominance_violations, interior_residual, z_column
 from .tridiag import thomas_solve
 
-__all__ = ["NewtonConfig", "interior_residual", "z_column", "constraint_row",
-           "newton_layer", "march_newton"]
-
-SCHUR_FLOOR = 1e-14
+__all__ = ["NewtonConfig", "newton_layer", "march_newton"]
 
 
 @dataclass(frozen=True)
@@ -71,39 +70,6 @@ class NewtonConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def interior_residual(rows: scheme.LayerRows, y: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """F1 in row form; y carries its boundary values.  Written into ``out`` if given."""
-    f1 = np.multiply(rows.lower, y[:-2], out=out)
-    f1 += rows.diag * y[1:-1]
-    f1 += rows.upper * y[2:]
-    f1 -= rows.rhs
-    return f1
-
-
-def z_column(rows: scheme.LayerRows, y: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """J12 = dF1/dz at y and the boundary value the rows were assembled at."""
-    j12 = np.multiply(rows.da, y[:-2], out=out)
-    j12 += rows.dc * y[1:-1]
-    j12 += rows.db * y[2:]
-    return j12
-
-
-def constraint_row(tau_next: float, g: GridSpec, p: MarketParams) -> tuple[float, float]:
-    """J21 = (dF2/dy_1, dF2/dy_2), the only y-dependence of the constraint."""
-    ttm = p.T - tau_next
-    d_coef = p.q + 1.0 / ttm
-    sig2 = p.sigma**2
-    return -sig2 / (d_coef * g.h), sig2 / (4.0 * d_coef * g.h)
-
-
-def dominance_violations(rows: scheme.LayerRows) -> int:
-    """Rows failing strict diagonal dominance, counted in both engines' layer steps
-    (internal to them, so not in ``__all__``)."""
-    return int(np.count_nonzero(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
-
-
 def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
                  mode: SchemeMode, cfg: NewtonConfig = NewtonConfig(),
                  frame: scheme.LayerFrame | None = None) -> tuple[LayerState, LayerDiagnostics]:
@@ -115,11 +81,10 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     if frame is None:
         frame = scheme.LayerFrame(g, p, mode)
     frame.start(prev, tau_next)  # raises ValueError past maturity
-    j21_y1, j21_y2 = constraint_row(tau_next, g, p)
     if _kernels.active() is _kernels.native:
-        return _native_layer(frame, prev, tau_next, (j21_y1, j21_y2), cfg)
-    system = frame.pair
-    f1, j12 = system.rhs
+        return _native_layer(frame, prev, tau_next, cfg)
+    j21_y1, j21_y2 = frame.j21
+    f1, j12 = frame.pair_rhs
     y = prev.y.copy()
     y1 = y[1:-1]
     z = prev.z
@@ -135,11 +100,11 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
         diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
         diag.dominance_violations += dominance_violations(rows)
 
-        u, v = thomas_solve(system)
+        u, v = thomas_solve(*frame.j11, frame.pair_rhs)
         j21_u = j21_y1 * u[0] + j21_y2 * u[1]
         j21_v = j21_y1 * v[0] + j21_y2 * v[1]
         denom = 1.0 - j21_v  # J22 = 1
-        if abs(denom) < SCHUR_FLOOR:
+        if abs(denom) < tridiag.SCHUR_FLOOR:
             raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
         dz = (-f2 + j21_u) / denom
         dy1 = np.negative(u, out=u)
@@ -159,13 +124,13 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
 
 
-def _native_layer(frame, prev, tau_next, j21, cfg):
+def _native_layer(frame, prev, tau_next, cfg):
     """The iterations of newton_layer's loop as one call of the compiled
     kernel, with the same result bits, errors and diagnostics."""
     native = _kernels.native
     y = prev.y.copy()
-    status, values = native.newton_layer(frame, y, j21, cfg.tol, cfg.max_iter,
-                                         tridiag.PIVOT_RTOL, SCHUR_FLOOR)  # ValueError
+    status, values = native.newton_layer(frame, y, cfg.tol, cfg.max_iter, tridiag.PIVOT_RTOL,
+                                         tridiag.SCHUR_FLOOR)  # ValueError
     if status == native.NEWTON_NON_POSITIVE_Z:
         raise NonPositiveZ(values)
     if status == native.NEWTON_ZERO_PIVOT:

@@ -36,7 +36,8 @@ Corrector.  One implicit solve of the interior scheme with coefficients
 frozen at z-tilde (both in the (z'-z)/(dt z') ratio and in the singular
 term) gives y(z-tilde), at which the interior residual F1 vanishes.  One
 Newton step on the layer system (F1, F2) from (y(z-tilde), z-tilde) then
-moves the boundary: with the blocks of solver_newton,
+moves the boundary: with the Jacobian blocks of solver_newton (J11, J12
+and J21, which scheme computes for both engines),
 
     z = z-tilde - F2 / (1 - J21 J11^{-1} J12),
 
@@ -47,8 +48,9 @@ is stored, so the boundary value kept for the next layer is the one the
 layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
 solves share one scheme.LayerFrame, started once per layer, and all
-three eliminations solve its one-column system in place.  march_pc's
-layer step runs predictor() and the corrector in results.march's frame.
+three eliminations solve its J11 against its one-column right-hand side
+``single_rhs`` in place.  march_pc's layer step runs predictor() and the
+corrector in results.march's frame.
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
@@ -65,14 +67,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scheme
+from . import scheme, tridiag
 from .errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
-from .scheme import SchemeMode
-from .solver_newton import (SCHUR_FLOOR, constraint_row, dominance_violations,
-                            interior_residual, z_column)
+from .scheme import SchemeMode, dominance_violations, interior_residual, z_column
 from .tridiag import thomas_solve
 
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "march_pc"]
@@ -98,13 +98,13 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class PredictorResult:
-    y1: float
     z: float
     iterations: int
 
 
 def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams):
-    """Residual R(z) of (I)-(II) and its analytic derivative.
+    """Residual R(z) of (I)-(II), its analytic derivative and the right
+    side of (I), the y_1 it implies.
 
     Each closure takes a scalar z or an array of them.
     """
@@ -169,10 +169,10 @@ def _bracket_nearest(residual, z_prev: float):
 
 def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
               cfg: PredictorConfig = PredictorConfig()) -> PredictorResult:
-    """Predicted (y1, z) at the next layer from the scalar root problem."""
+    """Predicted boundary z at the next layer from the scalar root problem."""
     if not tau_next < p.T:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
-    residual, derivative, eq_i = _scalar_residual_funcs(prev, tau_next, g, p)
+    residual, derivative, _ = _scalar_residual_funcs(prev, tau_next, g, p)
     lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
 
     x = 0.5 * (lo + hi)
@@ -204,19 +204,19 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
         raise NoConvergence(cfg.max_iter, step)
     if x <= 0:
         raise NonPositiveZ(x)
-    return PredictorResult(y1=eq_i(x), z=x, iterations=iterations)
+    return PredictorResult(z=x, iterations=iterations)
 
 
 def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows, np.ndarray]:
     """Interior rows frozen at boundary value z and the layer y they solve for."""
     rows = frame.rows(z)  # raises NonPositiveZ
-    rhs = frame.single.rhs
+    rhs = frame.single_rhs
     np.copyto(rhs, rows.rhs)
     rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
     y = np.empty(frame.g.N + 1)
     y[0] = -1.0
     y[-1] = 0.0
-    y[1:-1] = thomas_solve(frame.single)
+    y[1:-1] = thomas_solve(*frame.j11, rhs)
     return rows, y
 
 
@@ -229,11 +229,11 @@ def _correct(frame: scheme.LayerFrame, z_tilde: float):
     rows, y = _frozen_solve(frame, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of solver_newton reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
-    z_column(rows, y, out=frame.single.rhs)
-    v = thomas_solve(frame.single)
-    j21_y1, j21_y2 = constraint_row(tau_next, frame.g, frame.p)
+    z_column(rows, y, out=frame.single_rhs)
+    v = thomas_solve(*frame.j11, frame.single_rhs)
+    j21_y1, j21_y2 = frame.j21
     denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
-    if abs(denom) < SCHUR_FLOOR:
+    if abs(denom) < tridiag.SCHUR_FLOOR:
         raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
     z = z_tilde - frame.residual_constraint(y, z_tilde) / denom
     rows, y = _frozen_solve(frame, z)

@@ -4,14 +4,15 @@ import contextlib
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from asianfb import _kernels, scheme, solver_pc
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
-from asianfb.scheme import LayerRows, SchemeMode
-from asianfb.solver_newton import constraint_row, interior_residual, newton_layer, z_column
+from asianfb.scheme import LayerRows, SchemeMode, constraint_row, interior_residual, z_column
+from asianfb.solver_newton import newton_layer
 
 
 def layer_rows(prev, z_next, tau_next, g, p, mode):
@@ -142,8 +143,17 @@ def dense_tridiag(lower, diag, upper):
     return a
 
 
+class System(NamedTuple):
+    """The four arrays of a thomas_solve call, by name."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    rhs: np.ndarray
+
+
 def tridiag_matvec(sys, x):
-    """A x for a TridiagonalSystem's matrix A, from its three diagonals."""
+    """A x for a System's matrix A, from its three diagonals."""
     x = np.asarray(x, dtype=float)
     out = sys.diag * x
     out[1:] += sys.lower * x[:-1]
@@ -152,7 +162,7 @@ def tridiag_matvec(sys, x):
 
 
 def dense_solve(sys):
-    """Dense LU solve of a TridiagonalSystem (O(n^3)); oracle for thomas_solve."""
+    """Dense LU solve of a System (O(n^3)); oracle for thomas_solve."""
     return np.linalg.solve(dense_tridiag(sys.lower, sys.diag, sys.upper), sys.rhs)
 
 

@@ -128,7 +128,7 @@ def test_criterion_07_thomas_matches_dense_oracle(report, rng):
     for _ in range(100):
         n = int(rng.integers(2, 201))
         sys = random_dominant_system(rng, n)
-        x = thomas_solve(sys)
+        x = thomas_solve(*sys)
         ref = dense_solve(sys)
         worst = max(worst, float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
     report(7, "Thomas solve vs dense elimination (100 systems, n in [2,200])",

@@ -20,7 +20,7 @@ from asianfb.errors import ZeroPivot
 from asianfb.mesh import GridSpec, initial_layer
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig, newton_layer
-from asianfb.tridiag import PIVOT_RTOL, TridiagonalSystem, thomas_solve
+from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
 from _oracles import backend_in_use
 from test_tridiag import random_dominant_system
@@ -70,7 +70,7 @@ class TestBackendSelection:
     @needs_cc
     def test_first_elimination_builds_into_the_cache(self, empty_cache, monkeypatch):
         sys_ = random_dominant_system(np.random.default_rng(0), 12)
-        thomas_solve(sys_)
+        thomas_solve(*sys_)
         assert _kernels.active() is native
         assert cache_files(empty_cache) == [native.library_path().name]
         # a second process (here: a reset) loads the cached library, with no compiler
@@ -81,11 +81,10 @@ class TestBackendSelection:
     def test_pure_without_compiler(self, empty_cache, monkeypatch):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         sys_ = random_dominant_system(np.random.default_rng(0), 12)
-        x = thomas_solve(sys_)
+        x = thomas_solve(*sys_)
         assert _kernels.active() is pure
         assert asianfb.kernel_backend() == "pure"
-        assert np.array_equal(x, pure.thomas(sys_.lower, sys_.diag, sys_.upper, sys_.rhs,
-                                             PIVOT_RTOL)[0])
+        assert np.array_equal(x, pure.thomas(*sys_, PIVOT_RTOL)[0])
         assert cache_files(empty_cache) == []
 
     def test_pure_when_the_build_fails(self, empty_cache, tmp_path, monkeypatch):
@@ -120,10 +119,9 @@ class TestBackendSelection:
         empty_cache.mkdir()
         native.library_path().write_bytes(b"not a shared library")
         sys_ = random_dominant_system(np.random.default_rng(0), 12)
-        x = thomas_solve(sys_)
+        x = thomas_solve(*sys_)
         assert _kernels.active_name() == "native"
-        assert np.array_equal(x, pure.thomas(sys_.lower, sys_.diag, sys_.upper, sys_.rhs,
-                                             PIVOT_RTOL)[0])
+        assert np.array_equal(x, pure.thomas(*sys_, PIVOT_RTOL)[0])
         assert cache_files(empty_cache) == [native.library_path().name]
         assert native.library_path().read_bytes() != b"not a shared library"
 
@@ -195,7 +193,7 @@ def entry_at(n, where):
 def solve_or_fail(lower, diag, upper, rhs):
     """(solution, None) or (None, index of the ZeroPivot raised)."""
     try:
-        return thomas_solve(TridiagonalSystem(lower, diag, upper, rhs)), None
+        return thomas_solve(lower, diag, upper, rhs), None
     except ZeroPivot as exc:
         return None, exc.index
 
@@ -233,7 +231,7 @@ class TestTwoColumnKernel:
         for backend in RUNNABLE:
             for right in (rhs, rhs[0], rhs[1]):
                 with backend_in_use(backend), pytest.raises(ZeroPivot) as exc:
-                    thomas_solve(TridiagonalSystem(lower, diag, upper, right))
+                    thomas_solve(lower, diag, upper, right)
                 assert exc.value.index == row
 
     @PROPERTY
@@ -246,8 +244,9 @@ class TestTwoColumnKernel:
                   "rhs0": rhs[0], "rhs1": rhs[1]}[field]
         assume(target.size > 0)
         target[seed % target.size] = bad
-        with pytest.raises(ValueError):
-            TridiagonalSystem(lower, diag, upper, rhs)
+        for backend in RUNNABLE:
+            with backend_in_use(backend), pytest.raises(ValueError):
+                thomas_solve(lower, diag, upper, rhs)
 
 
 def kernel_input(seed, n, ncol, coupling=1.0):
@@ -288,27 +287,36 @@ class TestNativeMatchesPure:
         assert assert_same_result((lower, diag, upper, rhs, rtol)) == row
         assert not native.thomas(lower, diag, upper, rhs, rtol)[0].any()
 
-    def test_rejects_mismatched_shapes(self):
-        diag = np.ones(4)
-        for lower, rhs in ((np.ones(2), np.ones(4)), (np.ones(3), np.ones(5)),
-                           (np.ones(3), np.ones((3, 4)))):
-            with pytest.raises(ValueError):
-                native.thomas(lower, diag, np.ones(3), rhs, 1e-14)
-
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=["pure", "native"])
 class TestKernelContract:
-    """Each backend checks finiteness and takes the pivot floor itself."""
+    """Each backend checks shapes and finiteness and takes the pivot floor itself."""
+
+    def test_rejects_mismatched_shapes(self, backend):
+        lower, diag, upper, rhs = np.ones(1), np.full(2, 3.0), np.ones(1), np.ones(2)
+        off = [np.ones(0), np.ones(2), np.ones((1, 1))]  # too short, too long, not 1-D
+        empty = np.ones(0)
+        cases = [(bad, diag, upper, rhs) for bad in off] + \
+            [(lower, diag, bad, rhs) for bad in off] + \
+            [(lower, np.full((2, 1), 3.0), upper, rhs),
+             (empty, empty, empty, empty), (empty, empty, empty, np.ones((2, 0)))] + \
+            [(lower, diag, upper, np.ones(shape))
+             for shape in ((1,), (3,), (1, 2), (3, 2), (2, 1), (2, 3), (2, 2, 2))]
+        message = "system must have n >= 1 rows"
+        for args in cases:
+            with pytest.raises(ValueError, match=message):
+                backend.thomas(*args, PIVOT_RTOL)
+            with backend_in_use(backend), pytest.raises(ValueError, match=message):
+                thomas_solve(*args)
+        assert backend.thomas(lower, diag, upper, rhs, PIVOT_RTOL)[1] == -1
 
     @pytest.mark.parametrize("ncol", [1, 2])
     def test_non_finite_entry_names_its_array(self, backend, ncol):
+        # the arrays are overwritten in place between solves, as the engines do
         lower, diag, upper, rhs, rtol = kernel_input(4, 9, ncol)
-        # a system over the same arrays, overwritten in place as the engines do
-        system = TridiagonalSystem(lower, diag, upper, rhs)
-        assert system.rhs is rhs
         targets = [("lower", lower), ("diag", diag), ("upper", upper)] + \
             [("rhs", column) for column in rhs.reshape(ncol, -1)]
         for name, target in targets:
@@ -320,7 +328,7 @@ class TestKernelContract:
                     with pytest.raises(ValueError, match=message):
                         backend.thomas(lower, diag, upper, rhs, rtol)
                     with backend_in_use(backend), pytest.raises(ValueError, match=message):
-                        thomas_solve(system)
+                        thomas_solve(lower, diag, upper, rhs)
                     target[i] = kept
         assert backend.thomas(lower, diag, upper, rhs, rtol)[1] == -1
 
@@ -404,8 +412,8 @@ class TestNativeCache:
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-matrix", "own-arrays"])
     def test_alternating_systems_overwritten_in_place(self, shared):
-        # a frame's pair and single systems share lower, diag and upper, so
-        # their right-hand sides alone tell them apart
+        # a frame's two right-hand sides share its J11 views (lower, diag and
+        # upper), so they alone tell the two systems apart
         lower, diag, upper, rhs, _ = kernel_input(3, 60, 2)
         a = [lower, diag, upper, rhs]
         b = [lower, diag, upper, rhs[0].copy()] if shared else \
@@ -445,14 +453,13 @@ def test_strided_input(backend):
     rhs = np.stack((sys_.rhs, rng.uniform(-5, 5, 40)))
     wide = np.zeros((4, 2 * 40))
     wide[0, ::2], wide[1, :-2:2], wide[2, :-2:2] = sys_.diag, sys_.lower, sys_.upper
-    strided = TridiagonalSystem(wide[1, :-2:2], wide[0, ::2], wide[2, :-2:2],
-                                np.asfortranarray(rhs))
-    assert not strided.diag.flags.c_contiguous and not strided.rhs.flags.c_contiguous
+    strided = (wide[1, :-2:2], wide[0, ::2], wide[2, :-2:2])
+    fortran = np.asfortranarray(rhs)
+    assert not strided[1].flags.c_contiguous and not fortran.flags.c_contiguous
     with backend_in_use(backend):
-        got = thomas_solve(strided)
-        want = thomas_solve(TridiagonalSystem(sys_.lower, sys_.diag, sys_.upper, rhs))
-        single = thomas_solve(TridiagonalSystem(wide[1, :-2:2], wide[0, ::2],
-                                                wide[2, :-2:2], rhs.T[:, 1]))
+        got = thomas_solve(*strided, fortran)
+        want = thomas_solve(sys_.lower, sys_.diag, sys_.upper, rhs)
+        single = thomas_solve(*strided, rhs.T[:, 1])
     assert got.tobytes() == want.tobytes()
     assert single.tobytes() == want[1].tobytes()
 
@@ -541,7 +548,7 @@ def march_digest(march, p, grid, mode):
         frame = kwargs["frame"]
         for row in dataclasses.fields(frame._rows):
             digest.update(getattr(frame._rows, row.name).tobytes())
-        digest.update(frame.pair.rhs.tobytes())
+        digest.update(frame.pair_rhs.tobytes())
         return out
 
     original = solver_newton.newton_layer
@@ -589,7 +596,7 @@ def failing_layer(case, params, patch):
     elif case == "ZeroPivot":
         patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
     elif case == "SingularSchur":
-        patch.setattr(solver_newton, "SCHUR_FLOOR", 1e300)
+        patch.setattr(tridiag, "SCHUR_FLOOR", 1e300)
     else:
         cfg = NewtonConfig(max_iter=1)
     return params, grid, prev, cfg

@@ -5,8 +5,8 @@ import pytest
 
 from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
-from asianfb.scheme import SchemeMode
-from asianfb.solver_newton import interior_residual, march_newton, newton_layer
+from asianfb.scheme import SchemeMode, interior_residual
+from asianfb.solver_newton import march_newton, newton_layer
 from asianfb.mesh import initial_layer
 
 from _oracles import (

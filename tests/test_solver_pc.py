@@ -8,7 +8,7 @@ from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.model import MarketParams
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton
-from asianfb.solver_pc import PredictorConfig, march_pc, predictor
+from asianfb.solver_pc import PredictorConfig, _scalar_residual_funcs, march_pc, predictor
 
 from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer,
                       residual_constraint, residual_interior, stationary_state)
@@ -61,20 +61,21 @@ class TestPredictor:
         assert abs(res(pred.z)) <= 1e-9
 
     def test_artificial_node_consistency(self, params, default_grid):
-        # with y_{-1} rebuilt from the returned pair, the PDE relation at
-        # xi = 0 must hold to root-finding accuracy
+        # with y_{-1} rebuilt from the predicted z and the y_1 that (I) gives
+        # at it, the PDE relation at xi = 0 must hold to root-finding accuracy
         prev = initial_layer(params, default_grid)
         tau1 = float(default_grid.taus[1])
         pred = predictor(prev, tau1, default_grid, params)
+        y1 = _scalar_residual_funcs(prev, tau1, default_grid, params)[2](pred.z)
         h, sig2 = default_grid.h, params.sigma**2
         ttm = params.T - tau1
         g_val = params.q * pred.z - params.r + (pred.z - 1.0) / ttm
-        y_m1 = pred.y1 - g_val * 4.0 * h / sig2
+        y_m1 = y1 - g_val * 4.0 * h / sig2
         alpha0 = (pred.z - prev.z) / ((tau1 - prev.tau) * pred.z) \
             + params.r - params.q - sig2 / 2 - (pred.z - 1.0) / ttm
         beta_val = params.r + 1.0 / ttm
-        residual = (alpha0 * (pred.y1 - y_m1) / (2 * h)
-                    - sig2 / 2 * (pred.y1 - 2 * (-1.0) + y_m1) / h**2
+        residual = (alpha0 * (y1 - y_m1) / (2 * h)
+                    - sig2 / 2 * (y1 - 2 * (-1.0) + y_m1) / h**2
                     + beta_val * (-1.0))
         assert abs(residual) <= 1e-9
 

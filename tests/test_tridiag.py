@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from asianfb.errors import ZeroPivot
-from asianfb.tridiag import TridiagonalSystem, thomas_solve
+from asianfb.tridiag import thomas_solve
 
-from _oracles import dense_solve, dense_tridiag, tridiag_matvec
+from _oracles import System, dense_solve, dense_tridiag, tridiag_matvec
+
+
+def system(lower, diag, upper, rhs):
+    """A System of float arrays from sequences."""
+    return System(*(np.asarray(a, dtype=float) for a in (lower, diag, upper, rhs)))
 
 
 def random_dominant_system(rng, n):
@@ -18,32 +23,32 @@ def random_dominant_system(rng, n):
     diag += rng.uniform(0.5, 2.0, n)
     diag *= rng.choice([-1.0, 1.0], n)
     rhs = rng.uniform(-5, 5, n)
-    return TridiagonalSystem(lower, diag, upper, rhs)
+    return System(lower, diag, upper, rhs)
 
 
 class TestThomasSolve:
     def test_identity(self):
-        sys = TridiagonalSystem([0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0], [3.0, -2.0, 7.0])
-        assert np.array_equal(thomas_solve(sys), [3.0, -2.0, 7.0])
+        sys = system([0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0], [3.0, -2.0, 7.0])
+        assert np.array_equal(thomas_solve(*sys), [3.0, -2.0, 7.0])
 
     def test_symmetric_two_by_two(self):
-        sys = TridiagonalSystem([1.0], [2.0, 2.0], [1.0], [3.0, 3.0])
-        assert thomas_solve(sys) == pytest.approx([1.0, 1.0], rel=1e-15)
+        sys = system([1.0], [2.0, 2.0], [1.0], [3.0, 3.0])
+        assert thomas_solve(*sys) == pytest.approx([1.0, 1.0], rel=1e-15)
 
     def test_single_row(self):
-        sys = TridiagonalSystem([], [4.0], [], [2.0])
-        assert thomas_solve(sys) == pytest.approx([0.5])
+        sys = system([], [4.0], [], [2.0])
+        assert thomas_solve(*sys) == pytest.approx([0.5])
 
     def test_matches_dense_oracle(self, rng):
         sys = random_dominant_system(rng, 50)
-        x = thomas_solve(sys)
+        x = thomas_solve(*sys)
         x_dense = dense_solve(sys)
         assert np.max(np.abs(x - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
     def test_residual_contract(self, rng):
         for n in (2, 7, 33, 120):
             sys = random_dominant_system(rng, n)
-            x = thomas_solve(sys)
+            x = thomas_solve(*sys)
             resid = np.max(np.abs(tridiag_matvec(sys, x) - sys.rhs))
             assert resid <= 1e-10 * (1.0 + np.max(np.abs(sys.rhs)))
 
@@ -53,62 +58,53 @@ class TestThomasSolve:
         for k in (0, 7, n - 1):
             e = np.zeros(n)
             e[k] = 1.0
-            probe = TridiagonalSystem(sys.lower, sys.diag, sys.upper, tridiag_matvec(sys, e))
-            assert np.max(np.abs(thomas_solve(probe) - e)) <= 1e-10
+            probe = sys._replace(rhs=tridiag_matvec(sys, e))
+            assert np.max(np.abs(thomas_solve(*probe) - e)) <= 1e-10
 
     def test_scaling_invariance(self, rng):
         sys = random_dominant_system(rng, 31)
-        ref = thomas_solve(sys)
+        ref = thomas_solve(*sys)
         for scale in (1e-8, 3.7, -2.0, 1e8):
-            scaled = TridiagonalSystem(scale * sys.lower, scale * sys.diag,
-                                       scale * sys.upper, scale * sys.rhs)
-            assert thomas_solve(scaled) == pytest.approx(ref, rel=1e-12)
+            scaled = [scale * a for a in sys]
+            assert thomas_solve(*scaled) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_pivot_detection(self):
         # elimination: second pivot = 1 - 1*1 = 0
-        sys = TridiagonalSystem([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])
+        sys = system([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])
         with pytest.raises(ZeroPivot) as exc:
-            thomas_solve(sys)
+            thomas_solve(*sys)
         assert exc.value.index == 1
 
         # the same vanishing pivot on an inner row of a longer system
-        inner = TridiagonalSystem([1.0, 1.0], [1.0, 1.0, 5.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+        inner = system([1.0, 1.0], [1.0, 1.0, 5.0], [1.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ZeroPivot) as exc:
-            thomas_solve(inner)
+            thomas_solve(*inner)
         assert exc.value.index == 1
 
-        lead = TridiagonalSystem([1.0], [0.0, 5.0], [1.0], [1.0, 1.0])
+        lead = system([1.0], [0.0, 5.0], [1.0], [1.0, 1.0])
         with pytest.raises(ZeroPivot) as exc:
-            thomas_solve(lead)
+            thomas_solve(*lead)
         assert exc.value.index == 0
 
         # an all-zero diagonal makes the relative pivot floor 0
-        for zero in (TridiagonalSystem([], [0.0], [], [1.0]),
-                     TridiagonalSystem([0.0], [0.0, 0.0], [0.0], [1.0, 1.0])):
+        for zero in (system([], [0.0], [], [1.0]),
+                     system([0.0], [0.0, 0.0], [0.0], [1.0, 1.0])):
             with pytest.raises(ZeroPivot) as exc:
-                thomas_solve(zero)
+                thomas_solve(*zero)
             assert exc.value.index == 0
 
     def test_deterministic(self, rng):
         sys = random_dominant_system(rng, 64)
-        assert np.array_equal(thomas_solve(sys), thomas_solve(sys))
+        assert np.array_equal(thomas_solve(*sys), thomas_solve(*sys))
 
 
 class TestTridiagonalSystem:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            TridiagonalSystem([1.0], [1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            TridiagonalSystem([1.0], [1.0, 1.0], [1.0], [1.0])
-        with pytest.raises(ValueError):
-            TridiagonalSystem([], [], [], [])
-        for rhs in (np.ones((3, 2)), np.ones((2, 3)), np.ones((2, 1)), np.ones((2, 2, 2))):
-            with pytest.raises(ValueError):
-                TridiagonalSystem([1.0], [1.0, 1.0], [1.0], rhs)
+    """The system a solve is given: checked by the solve itself (the shape
+    checks are test_kernels' TestKernelContract), and the dense oracle."""
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem([np.nan], [1.0, 1.0], [0.0], [1.0, 1.0])
+            thomas_solve(*system([np.nan], [1.0, 1.0], [0.0], [1.0, 1.0]))
 
     def test_dense_assembly_matches_matvec(self, rng):
         sys = random_dominant_system(rng, 9)
