@@ -17,20 +17,23 @@ fails at the first row whose pivot magnitude falls below
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
   in a process into a cache next to the source (see native.py); its
   solutions and failing rows are bit-identical to pure's.  It also
-  offers Newton's layer as one C call, ``native.newton_layer``, which
-  runs a layer's iterations over a scheme.LayerFrame and eliminates
-  with the same ``thomas`` loop.
+  offers each engine's time layer in C, eliminating with the same
+  ``thomas`` loop: Newton's as one call, ``native.newton_layer``, which
+  runs a layer's iterations over a scheme.LayerFrame, and the
+  predictor-corrector's as two, ``native.pc_predictor`` (the scalar
+  root) and ``native.pc_corrector`` (the three solves and the layer's
+  diagnostics over the frame).
 * ``pure``: the plain Python loop, used when no C compiler is found or
-  the build or the load fails, and the tests' reference.  Its Newton
-  layer is solver_newton's numpy loop, which the C call repeats bit for
-  bit.
+  the build or the load fails, and the tests' reference.  Its layers
+  are solver_newton's and solver_pc's numpy code, which the C calls
+  repeat bit for bit.
 
 ``active()`` picks the backend once, on its first call; nothing is
 compiled or loaded at import, and nothing else selects the backend.
 tridiag.thomas_solve looks ``active().thomas`` up at each call, so a
 wrapper set on either module's ``thomas`` attribute (as the benchmark's
-tracer sets one) sees every elimination made from Python: pc's, and
-Newton's on the pure backend.
+tracer sets one) sees every elimination made from Python: both
+engines' on the pure backend, and none on the native one.
 """
 
 from . import native, pure

@@ -1,9 +1,12 @@
 """Compiled kernel: thomas.c through ctypes, built on first use.
 
-The library holds two functions: ``thomas``, the Thomas solve of the
-kernel contract, and ``newton_layer``, the iterations of one Newton time
-layer over a scheme.LayerFrame's buffers, which eliminates with that
-same ``thomas`` (see ``newton_layer`` below).
+The library holds ``thomas``, the Thomas solve of the kernel contract,
+and one time layer of each engine, which eliminates with that same
+``thomas``: ``newton_layer``, the iterations of one Newton layer over a
+scheme.LayerFrame's buffers, and the predictor-corrector layer's two
+halves, ``pc_predictor``, the predictor's scalar root, and
+``pc_corrector``, the corrector and the layer's diagnostics over the
+frame's buffers (see below).
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 ``_kernels.active`` on the first elimination in a process) looks for a
@@ -32,11 +35,12 @@ reads the arrays: it takes the pivot floor from max |diag| and reports a
 non-finite entry with its own return code, and only then does this module
 run pure's numpy check, to raise the ValueError that names the array.
 
-``newton_layer`` keeps the same kind of cache for Newton's layer: a
-FrameBinding of the last scheme.LayerFrame it ran in holds the march's
-constants and the addresses of the frame's buffers, so a march binds its
-frame once and each layer passes only the z-free scalars and J21 that
-its start() computed.
+``newton_layer`` and ``pc_corrector`` keep the same kind of cache for a
+layer: a FrameBinding of the last scheme.LayerFrame either ran in holds
+the march's constants and the addresses of the frame's buffers, so a
+march binds its frame once and each layer passes only the z-free scalars
+and J21 that its start() computed.  ``pc_predictor`` takes its scalars
+alone.
 """
 
 from __future__ import annotations
@@ -65,14 +69,18 @@ LIBS = ("-lm",)
 CACHE_DIR = Path(__file__).with_name("_build")
 BUILD_TIMEOUT_S = 120
 NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
-# thomas.c's newton_layer status codes
-(NEWTON_OK, NEWTON_NON_POSITIVE_Z, NEWTON_NON_FINITE, NEWTON_ZERO_PIVOT,
- NEWTON_SINGULAR_SCHUR, NEWTON_NO_CONVERGENCE) = range(6)
-# newton_layer's out[]: 7 diagnostics, then these two slots
-OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS = 7, 8, 9
+# thomas.c's status codes of the layer functions
+(LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
+ LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET) = range(7)
+# the layer functions' out[] slots: newton_layer's 7 diagnostics, then two more
+(OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
+ OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS) = range(10)
 
 _kernel = None  # the loaded thomas function, once load() succeeds
 _newton = None  # the loaded newton_layer function
+_predictor = None  # the loaded pc_predictor function
+_corrector = None  # the loaded pc_corrector function
+_predictor_out = None  # pc_predictor's out[] slots and their address, made by load()
 
 
 def find_compiler() -> str | None:
@@ -108,7 +116,7 @@ def load() -> bool:
     Returns False, leaving nothing loaded, when there is no C compiler or
     the build or the load of the fresh build fails.
     """
-    global _kernel, _newton
+    global _kernel, _newton, _predictor, _corrector, _predictor_out
     if _kernel is not None:
         return True
     try:
@@ -122,15 +130,19 @@ def load() -> bool:
             _build(compiler, path)
             library = ctypes.CDLL(str(path))
         function, layer = library.thomas, library.newton_layer
+        predictor, corrector = library.pc_predictor, library.pc_corrector
     except (OSError, subprocess.SubprocessError, AttributeError):
         return False
-    function.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 4 + \
-        [ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
-    function.restype = ctypes.c_long
-    layer.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_double] * 9 + [ctypes.c_long] + \
-        [ctypes.c_double] * 2 + [ctypes.c_void_p]
-    layer.restype = ctypes.c_long
-    _kernel, _newton = function, layer
+    double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
+    function.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
+    layer.argtypes = [pointer] * 2 + [double] * 9 + [long] + [double] * 2 + [pointer]
+    predictor.argtypes = [double] * 10 + [long, double, long, double, long, pointer]
+    corrector.argtypes = [pointer] * 2 + [double] * 11 + [pointer]
+    for loaded in (function, layer, predictor, corrector):
+        loaded.restype = long
+    out = (double * OUT_SLOTS)()
+    _predictor_out = out, ctypes.addressof(out)
+    _kernel, _newton, _predictor, _corrector = function, layer, predictor, corrector
     return True
 
 
@@ -193,13 +205,13 @@ class _Frame(ctypes.Structure):
          ("h", "two_h", "r", "q", "half_sig2", "diff", "sig2")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
-          "db", "onesided", "f", "cp", "x")]
+          "db", "onesided", "f", "single", "cp", "x")]
 
 
 class FrameBinding:
-    """A scheme.LayerFrame as newton_layer takes it: the march's constants,
-    the addresses of the frame's buffers, the cp work row, the (2, n)
-    solution buffer and the out[] slots."""
+    """A scheme.LayerFrame as newton_layer and pc_corrector take it: the
+    march's constants, the addresses of the frame's buffers, the cp work
+    row, the (2, n) solution buffer and the out[] slots."""
 
     __slots__ = ("frame", "cp", "x", "struct", "address", "out", "out_address")
 
@@ -213,7 +225,7 @@ class FrameBinding:
                   "half_ds_h": frame._half_ds_h, "rhs": rows.rhs, "lower": rows.lower,
                   "diag": rows.diag, "upper": rows.upper, "da": rows.da, "dc": rows.dc,
                   "db": rows.db, "onesided": rows.onesided, "f": frame.pair_rhs,
-                  "cp": self.cp, "x": self.x}
+                  "single": frame.single_rhs, "cp": self.cp, "x": self.x}
         self.struct = _Frame(n=n, upwind=frame.mode.value == "upwind-singular", h=g.h,
                              two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=frame._half_sig2,
                              diff=frame._diff, sig2=frame._sig2,
@@ -223,8 +235,31 @@ class FrameBinding:
         self.out_address = ctypes.addressof(self.out)
 
 
-# The FrameBinding of the last frame newton_layer ran in: one per march.
+# The FrameBinding of the last frame a layer function ran in: one per march.
 _last_frame = None
+
+
+def _in_frame(function, frame, y, rhs, *args):
+    """Call ``function`` (newton_layer or pc_corrector) on the layer
+    ``frame.start`` built, with y and the scalars ``args`` between J21 and
+    out[].  Returns its status and out[] slots.
+
+    Raises ValueError, naming the array, when an elimination against J11
+    and ``rhs`` meets a non-finite entry.
+    """
+    global _last_frame
+    binding = _last_frame
+    if binding is None or binding.frame is not frame:
+        binding = _last_frame = FrameBinding(frame)
+    c0, c1, _ = frame._constraint
+    status = function(binding.address, y.ctypes.data, frame._z_prev, frame._dt, frame._ttm,
+                      frame._diag_base, c0, c1, *frame.j21, *args, binding.out_address)
+    out = binding.out[:]
+    frame._rewritten = out[OUT_UPWINDED] > 0  # which rows() restores, as after its own call
+    if status == LAYER_NON_FINITE:
+        pure.check_finite(*frame.j11, rhs)
+        raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
+    return status, out
 
 
 def newton_layer(frame, y, tol, max_iter, pivot_rtol, schur_floor):
@@ -236,27 +271,60 @@ def newton_layer(frame, y, tol, max_iter, pivot_rtol, schur_floor):
     buffers and with its ``j21``.
 
     Raises ValueError, naming the array, when an elimination meets a
-    non-finite entry.  Returns (NEWTON_OK, (iterations, z,
+    non-finite entry.  Returns (LAYER_OK, (iterations, z,
     initial_residual, onesided_rows, dominance_violations, residual_f1,
     residual_f2)), or the status of the first failure with its value:
     the non-positive z, the failing pivot row, the Schur denominator or
     the last step.
     """
-    global _last_frame
     if _newton is None and not load():
         raise OSError("the compiled kernel cannot be built or loaded")
-    binding = _last_frame
-    if binding is None or binding.frame is not frame:
-        binding = _last_frame = FrameBinding(frame)
-    c0, c1, _ = frame._constraint
-    status = _newton(binding.address, y.ctypes.data, frame._z_prev, frame._dt, frame._ttm,
-                     frame._diag_base, c0, c1, *frame.j21, tol, max_iter, pivot_rtol,
-                     schur_floor, binding.out_address)
-    out = binding.out[:]
-    frame._rewritten = out[OUT_UPWINDED] > 0  # which rows() restores, as after its own call
-    if status == NEWTON_NON_FINITE:
-        pure.check_finite(*frame.j11, frame.pair_rhs)
-        raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
-    if status != NEWTON_OK:
+    status, out = _in_frame(_newton, frame, y, frame.pair_rhs, tol, max_iter, pivot_rtol,
+                            schur_floor)
+    if status != LAYER_OK:
         return status, out[OUT_FAILURE]
     return status, tuple(out[:OUT_UPWINDED])
+
+
+def pc_predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor, expansions,
+                 root_tol, max_iter):
+    """solver_pc.predictor's root in one C call, from the previous layer's
+    z and first three values, dt, ttm = T - tau_next, the market's r, q
+    and sigma and the grid's h; the bracket scan's scan + 1 points,
+    widening factor and widenings, root_tol and max_iter are the Python
+    loop's, whose every operation the C function repeats in order.
+
+    Returns (LAYER_OK, (z, iterations)), or LAYER_NO_BRACKET with the
+    widest factor scanned, LAYER_NO_CONVERGENCE with the last step or
+    LAYER_NON_POSITIVE_Z with the root.
+    """
+    if _predictor is None and not load():
+        raise OSError("the compiled kernel cannot be built or loaded")
+    out, address = _predictor_out
+    status = _predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor, expansions,
+                        root_tol, max_iter, address)
+    if status != LAYER_OK:
+        return status, out[OUT_FAILURE]
+    return status, (out[OUT_Z], int(out[OUT_ITERATIONS]))
+
+
+def pc_corrector(frame, y, z_tilde, pivot_rtol, schur_floor):
+    """solver_pc._correct on the layer ``frame.start`` built, with the
+    layer's diagnostics, in one C call: y (N + 1 entries) receives the
+    stored layer, and pivot_rtol and schur_floor are those of the Python
+    corrector, whose every operation the C function repeats in order.
+
+    Raises ValueError, naming the array, when an elimination meets a
+    non-finite entry.  Returns (LAYER_OK, (z, residual_f1, residual_f2,
+    onesided_rows, dominance_violations)), or the status of the first
+    failure with its value: the non-positive z, the failing pivot row or
+    the Schur denominator.
+    """
+    if _corrector is None and not load():
+        raise OSError("the compiled kernel cannot be built or loaded")
+    status, out = _in_frame(_corrector, frame, y, frame.single_rhs, z_tilde, pivot_rtol,
+                            schur_floor)
+    if status != LAYER_OK:
+        return status, out[OUT_FAILURE]
+    return status, (out[OUT_Z], out[OUT_RESIDUAL_F1], out[OUT_RESIDUAL_F2],
+                    int(out[OUT_ONESIDED_ROWS]), int(out[OUT_DOMINANCE_VIOLATIONS]))

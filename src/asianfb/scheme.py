@@ -35,9 +35,10 @@ central mode; in upwind-singular mode only near expiry).  Every
 operation keeps the order of the one-pass form, so the rows are the same
 bits.  The test suite keeps the difference-quotient form of F1 as the
 oracle that pins this row form, and the mask blend of both stencils as
-the oracle that pins the rewrite.  With the compiled kernel, Newton's
-layer runs rows() in C (native.newton_layer) over the same buffers, with
-the same operations in the same order.
+the oracle that pins the rewrite.  With the compiled kernel, both
+engines' layers run rows() in C (native.newton_layer,
+native.pc_corrector) over the same buffers, with the same operations in
+the same order.
 
 The boundary constraint closing the system uses the one-sided
 second-order slope at xi = 0:

@@ -131,13 +131,13 @@ def _native_layer(frame, prev, tau_next, cfg):
     y = prev.y.copy()
     status, values = native.newton_layer(frame, y, cfg.tol, cfg.max_iter, tridiag.PIVOT_RTOL,
                                          tridiag.SCHUR_FLOOR)  # ValueError
-    if status == native.NEWTON_NON_POSITIVE_Z:
+    if status == native.LAYER_NON_POSITIVE_Z:
         raise NonPositiveZ(values)
-    if status == native.NEWTON_ZERO_PIVOT:
+    if status == native.LAYER_ZERO_PIVOT:
         raise ZeroPivot(int(values))
-    if status == native.NEWTON_SINGULAR_SCHUR:
+    if status == native.LAYER_SINGULAR_SCHUR:
         raise SingularSchur(f"Schur denominator {values:.3e} at tau={tau_next:.6g}")
-    if status == native.NEWTON_NO_CONVERGENCE:
+    if status == native.LAYER_NO_CONVERGENCE:
         raise NoConvergence(cfg.max_iter, values)
     iterations, z, initial, onesided, violations, residual_f1, residual_f2 = values
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(

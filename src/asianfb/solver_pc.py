@@ -58,6 +58,16 @@ amplifies the predictor's error, and the stored z differs from the z
 inside the (z'-z)/(dt z') term by an O(dt) amount that the march sums to
 an O(1) gap from the Newton engine that refining does not shrink.  The
 Newton step leaves a constraint remainder F2 quadratic in z - z-tilde.
+
+With the compiled kernel (``_kernels.active()`` is native), a layer is
+two C calls: predictor() hands its bracket scan and root iteration to
+native.pc_predictor, and the corrector with the layer's diagnostics runs
+in native.pc_corrector over the frame's buffers, with
+tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR passed from here.  Both keep
+every operation of the numpy code below in order, so the layer's result,
+diagnostics and errors are the same bits.  Otherwise the numpy code
+runs: it is the path without a C compiler and the tests' oracle.
+predictor() stays the call that opens each layer, on either backend.
 """
 
 from __future__ import annotations
@@ -67,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scheme, tridiag
-from .errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur
+from . import _kernels, scheme, tridiag
+from .errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
@@ -161,10 +171,12 @@ def _bracket_nearest(residual, z_prev: float):
             return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
         widest = factor
         factor *= _BRACKET_FACTOR
-    raise NoBracket(
-        f"predictor residual has no sign change within "
-        f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]"
-    )
+    raise _no_bracket(z_prev, widest)
+
+
+def _no_bracket(z_prev: float, widest: float) -> NoBracket:
+    return NoBracket(f"predictor residual has no sign change within "
+                     f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
 
 
 def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
@@ -172,6 +184,8 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     """Predicted boundary z at the next layer from the scalar root problem."""
     if not tau_next < p.T:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
+    if _kernels.active() is _kernels.native:
+        return _native_predictor(prev, tau_next, g, p, cfg)
     residual, derivative, _ = _scalar_residual_funcs(prev, tau_next, g, p)
     lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
 
@@ -207,6 +221,24 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     return PredictorResult(z=x, iterations=iterations)
 
 
+def _native_predictor(prev, tau_next, g, p, cfg):
+    """predictor's scan and root as one call of the compiled kernel, with
+    the same result bits and errors."""
+    native = _kernels.native
+    status, value = native.pc_predictor(
+        prev.z, tau_next - prev.tau, p.T - tau_next, p.r, p.q, p.sigma, g.h,
+        *prev.y[:3].tolist(), _BRACKET_SCAN, _BRACKET_FACTOR, _BRACKET_EXPANSIONS,
+        cfg.root_tol, cfg.max_iter)
+    if status == native.LAYER_NO_BRACKET:
+        raise _no_bracket(prev.z, value)
+    if status == native.LAYER_NO_CONVERGENCE:
+        raise NoConvergence(cfg.max_iter, value)
+    if status == native.LAYER_NON_POSITIVE_Z:
+        raise NonPositiveZ(value)
+    z, iterations = value
+    return PredictorResult(z=z, iterations=iterations)
+
+
 def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows, np.ndarray]:
     """Interior rows frozen at boundary value z and the layer y they solve for."""
     rows = frame.rows(z)  # raises NonPositiveZ
@@ -220,11 +252,13 @@ def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows,
     return rows, y
 
 
-def _correct(frame: scheme.LayerFrame, z_tilde: float):
+def _correct(frame: scheme.LayerFrame, z_tilde: float) -> tuple[LayerState, LayerDiagnostics]:
     """The corrector in a frame started for the layer: frozen solve at
     z_tilde, one Schur step on the boundary, frozen solve at the new z.
-    Returns the new state and the rows the stored layer was solved with
-    (the frame's, valid until its next rows())."""
+    Returns the new state and its diagnostics, without the predictor's
+    iterations and fallback flag."""
+    if _kernels.active() is _kernels.native:
+        return _native_correct(frame, z_tilde)
     prev, tau_next = frame.prev, frame.tau_next
     rows, y = _frozen_solve(frame, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
@@ -237,7 +271,53 @@ def _correct(frame: scheme.LayerFrame, z_tilde: float):
         raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
     z = z_tilde - frame.residual_constraint(y, z_tilde) / denom
     rows, y = _frozen_solve(frame, z)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), rows
+
+    # linear-solve quality: row-wise backward error of the stored layer,
+    # |F1_i| over the magnitudes of the terms F1_i sums
+    terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
+        + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
+    f1 = np.abs(interior_residual(rows, y))
+    rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
+        layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=rel_f1,
+        residual_f2=abs(frame.residual_constraint(y, z)),
+        onesided_rows=int(np.count_nonzero(rows.onesided)),
+        dominance_violations=dominance_violations(rows))
+
+
+def _native_correct(frame, z_tilde):
+    """_correct as one call of the compiled kernel, with the same result
+    bits, errors and diagnostics."""
+    native = _kernels.native
+    prev, tau_next = frame.prev, frame.tau_next
+    y = np.empty(frame.g.N + 1)
+    status, values = native.pc_corrector(frame, y, z_tilde, tridiag.PIVOT_RTOL,
+                                         tridiag.SCHUR_FLOOR)  # ValueError
+    if status == native.LAYER_NON_POSITIVE_Z:
+        raise NonPositiveZ(values)
+    if status == native.LAYER_ZERO_PIVOT:
+        raise ZeroPivot(int(values))
+    if status == native.LAYER_SINGULAR_SCHUR:
+        raise SingularSchur(f"Schur denominator {values:.3e} at tau={tau_next:.6g}")
+    z, residual_f1, residual_f2, onesided, violations = values
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
+        layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=residual_f1,
+        residual_f2=residual_f2, onesided_rows=onesided, dominance_violations=violations)
+
+
+def _layer(prev: LayerState, tau_next: float, frame: scheme.LayerFrame,
+           cfg: PredictorConfig) -> tuple[LayerState, LayerDiagnostics]:
+    """One predictor and one corrector: march_pc's layer step."""
+    fallback = False
+    try:
+        pred = predictor(prev, tau_next, frame.g, frame.p, cfg)
+        z_tilde, root_iters = pred.z, pred.iterations
+    except NoBracket:
+        z_tilde, root_iters = prev.z, 0
+        fallback = True
+    state, diag = _correct(frame.start(prev, tau_next), z_tilde)
+    diag.iterations, diag.predictor_fallback = root_iters, fallback
+    return state, diag
 
 
 def march_pc(p: MarketParams, g: GridSpec,
@@ -245,27 +325,5 @@ def march_pc(p: MarketParams, g: GridSpec,
              cfg: PredictorConfig = PredictorConfig()) -> SolveResult:
     """One predictor and one corrector per layer over the full time mesh."""
     def step(prev, tau_next, frame):
-        fallback = False
-        try:
-            pred = predictor(prev, tau_next, frame.g, frame.p, cfg)
-            z_tilde, root_iters = pred.z, pred.iterations
-        except NoBracket:
-            z_tilde, root_iters = prev.z, 0
-            fallback = True
-        state, rows = _correct(frame.start(prev, tau_next), z_tilde)
-
-        # linear-solve quality: row-wise backward error of the stored layer,
-        # |F1_i| over the magnitudes of the terms F1_i sums
-        y = state.y
-        terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
-            + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
-        f1 = np.abs(interior_residual(rows, y))
-        rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
-        return state, LayerDiagnostics(
-            layer=state.j, tau=tau_next, iterations=root_iters,
-            residual_f1=rel_f1, residual_f2=abs(frame.residual_constraint(y, state.z)),
-            onesided_rows=int(np.count_nonzero(rows.onesided)),
-            dominance_violations=dominance_violations(rows),
-            predictor_fallback=fallback,
-        )
+        return _layer(prev, tau_next, frame, cfg)
     return march(p, g, mode, "pc", step)

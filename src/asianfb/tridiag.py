@@ -10,10 +10,11 @@ bit-identical to a single solve.  ``thomas_solve`` runs the kernel
 backend that ``_kernels.active()`` reports (compiled C, or the pure loop
 when no C compiler is available); both give the same bits, and both
 check the shapes, reject a non-finite entry and take the pivot floor
-from ``PIVOT_RTOL`` themselves.  With the compiled kernel, Newton's
-eliminations run inside its one C call per layer (solver_newton), which
-takes ``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the
-Schur denominator, from here.
+from ``PIVOT_RTOL`` themselves.  With the compiled kernel, both
+engines' eliminations run inside their C calls per layer (Newton's one
+in solver_newton, pc's corrector in solver_pc), which take
+``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the Schur
+denominator, from here at each call.
 """
 
 from __future__ import annotations

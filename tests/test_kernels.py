@@ -13,13 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, solver_newton,
-                     solver_pc, tridiag)
+from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, scheme,
+                     solver_newton, solver_pc, tridiag)
 from asianfb._kernels import native, pure
-from asianfb.errors import ZeroPivot
-from asianfb.mesh import GridSpec, initial_layer
+from asianfb.errors import NoBracket, NoConvergence, ZeroPivot
+from asianfb.mesh import GridSpec, LayerState, initial_layer
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig, newton_layer
+from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
 from _oracles import backend_in_use
@@ -399,11 +400,11 @@ def bindings_built(monkeypatch):
 @needs_cc
 class TestNativeCache:
     """native.thomas reuses the Binding of the last call's arrays, and only
-    it; native.newton_layer binds a march's frame once, and eliminates in C
-    without a Binding."""
+    it; native.newton_layer and native.pc_corrector bind a march's frame
+    once, and eliminate in C without a Binding."""
 
     @pytest.mark.parametrize("run, expected", [
-        (march_newton, (0, 1)), (march_pc, (1, 0)), (asianfb.compare_engines, (1, 1)),
+        (march_newton, (0, 1)), (march_pc, (0, 1)), (asianfb.compare_engines, (0, 2)),
     ], ids=["newton", "pc", "compare"])
     def test_one_binding_per_march(self, params, bindings_built, run, expected):
         with backend_in_use(native):
@@ -628,13 +629,111 @@ def test_newton_layer_fails_alike_on_both_backends(params, case):
         assert attributes["last_step"] >= NewtonConfig().tol
 
 
+@needs_cc
+def test_predictor_iterates_bit_identical_across_backends():
+    """The predictor's root, and its first iterates through the last step
+    that NoConvergence reports when max_iter cuts the loop short, are the
+    same bits on both backends from every layer of a march."""
+    for r, q, sigma in BIT_IDENTITY_PARAMS.values():
+        p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
+        grid = make_grid(p, N=50)
+        run = march_pc(p, grid)
+        for j in range(grid.M):
+            prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
+                              z=float(run.rho[j]))
+            for max_iter in (1, 2, 3, 100):
+                ended = []
+                for backend in (pure, native):
+                    with backend_in_use(backend):
+                        try:
+                            pred = solver_pc.predictor(prev, float(run.taus[j + 1]), grid, p,
+                                                       PredictorConfig(max_iter=max_iter))
+                        except (NoBracket, NoConvergence) as exc:
+                            ended.append((type(exc), str(exc), vars(exc)))
+                        else:
+                            ended.append((pred.z, pred.iterations))
+                assert ended[0] == ended[1], (r, q, sigma, j, max_iter)
+
+
+def pc_layer_case(case, params, patch):
+    """(prev, tau_next, frame, cfg) of a first pc layer that ends with
+    ``case``, which may need a module constant patched; NoBracket's is the
+    final layer, where the predictor has no root."""
+    grid = make_grid(params, N=16)
+    prev, tau_next, cfg = initial_layer(params, grid), float(grid.taus[1]), PredictorConfig()
+    if case == "NoBracket":
+        run = march_pc(params, grid)
+        j = grid.M - 1
+        prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
+                          z=float(run.rho[j]))
+        tau_next = float(grid.taus[grid.M])
+    elif case == "NonPositiveZ":  # a steep previous layer: the Schur step overshoots past 0
+        prev.y[1:-1] *= 20.0
+    elif case == "ValueError":
+        prev.y[grid.N // 2] = np.nan
+    elif case == "ZeroPivot":
+        patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+    elif case == "SingularSchur":
+        patch.setattr(tridiag, "SCHUR_FLOOR", 1e300)
+    elif case == "NoConvergence":
+        cfg = PredictorConfig(max_iter=1)
+    else:  # predictor() rejects a layer at maturity
+        tau_next = params.T
+    return prev, tau_next, scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR), cfg
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["NoBracket", "NonPositiveZ", "ValueError", "ZeroPivot",
+                                  "SingularSchur", "NoConvergence", "PastMaturity"])
+def test_pc_layer_fails_alike_on_both_backends(params, case):
+    """Each pc layer that fails raises the same class, message and attributes
+    on both backends, and the one whose predictor finds no root (raising
+    the same NoBracket) returns the same fallback layer; the limits patched
+    here reach the compiled path from Python."""
+    def raised(exc):
+        return type(exc), str(exc), vars(exc)
+
+    ended = []
+    for backend in (pure, native):
+        with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
+            prev, tau_next, frame, cfg = pc_layer_case(case, params, patch)
+            try:
+                state, diag = solver_pc._layer(prev, tau_next, frame, cfg)
+            except Exception as exc:
+                ended.append(raised(exc))
+            else:
+                with pytest.raises(NoBracket) as exc:
+                    solver_pc.predictor(prev, tau_next, frame.g, frame.p, cfg)
+                ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag),
+                              raised(exc.value)))
+    assert ended[0] == ended[1]
+    if case == "NoBracket":
+        # the fallback layer is the corrector's from z_tilde = z_prev
+        corrected, _ = solver_pc._correct(frame.start(prev, tau_next), prev.z)
+        assert state.z == corrected.z
+        assert diag.predictor_fallback and diag.iterations == 0
+        return
+    kind, message, attributes = ended[0]
+    assert kind.__name__ == ("ValueError" if case == "PastMaturity" else case)
+    if case == "NonPositiveZ":
+        assert attributes["z"] < 0
+    elif case == "ValueError":
+        assert message == "rhs contains non-finite values"
+    elif case == "NoConvergence":
+        assert attributes["iterations"] == 1
+        assert attributes["last_step"] >= PredictorConfig().root_tol
+    elif case == "PastMaturity":
+        assert message == f"tau_next must be < T; got {params.T}"
+
+
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_eliminations_enter_through_the_traced_entry_points(params, march):
     """Every elimination of a Python layer loop calls tridiag.thomas_solve,
     as bound in the module that calls it, and the active backend's thomas
     with diag second, which is where a tracer set on those names counts
-    solves and rows.  With the compiled kernel, Newton's eliminations run
-    inside native.newton_layer's one call per layer, so it makes none."""
+    solves and rows.  With the compiled kernel, each engine's eliminations
+    run inside its C calls per layer (native.newton_layer,
+    native.pc_corrector), so neither march makes any."""
     grid = make_grid(params, N=40)
     for backend in RUNNABLE:
         kernel_rows, solves = [], []
@@ -655,12 +754,12 @@ def test_eliminations_enter_through_the_traced_entry_points(params, march):
                         getattr(module, "thomas_solve", None) is thomas_solve:
                     patch.setattr(module, "thomas_solve", counting_solve)
             result = march(params, grid)
-        if march is march_pc:  # frozen solve, Schur column, frozen solve at the corrected z
-            expected = 3 * grid.M
-        elif backend is pure:  # one (2, n) elimination per Newton iteration
-            expected = sum(d.iterations for d in result.diagnostics)
-        else:
+        if backend is not pure:
             expected = 0
+        elif march is march_pc:  # frozen solve, Schur column, frozen solve at the corrected z
+            expected = 3 * grid.M
+        else:  # one (2, n) elimination per Newton iteration
+            expected = sum(d.iterations for d in result.diagnostics)
         assert len(kernel_rows) == len(solves) == expected, backend.__name__
         assert set(kernel_rows) == ({grid.N - 1} if expected else set())
 

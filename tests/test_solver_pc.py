@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,11 @@ from asianfb.solver_pc import PredictorConfig, _scalar_residual_funcs, march_pc,
 
 from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer,
                       residual_constraint, residual_interior, stationary_state)
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench import workloads  # noqa: E402
 
 
 def scalar_residual_reference(prev, tau_next, g, p):
@@ -176,6 +183,19 @@ class TestMarchPC:
         fallbacks = [d.layer for d in pc_default.diagnostics if d.predictor_fallback]
         assert fallbacks  # the no-root regime is real on the default grid
         assert set(fallbacks) <= {pc_default.grid.M - 1, pc_default.grid.M}
+
+    def test_near_expiry_regime_across_the_benchmark_box(self):
+        # perfbench's parameter sets (workload seeds 0-15) at N = 200: the
+        # predictor loses its root only on the last layers (498-500 on seeds
+        # 1, 5, 7, 8, 11, 13 and 14, 499-500 on the rest), and its root
+        # takes at most 7 iterations elsewhere
+        for seed in range(16):
+            p = MarketParams(**workloads.market_params(seed))
+            run = march_pc(p, make_grid(p, N=200))
+            m = run.grid.M
+            fallbacks = {d.layer for d in run.diagnostics if d.predictor_fallback}
+            assert fallbacks <= {m - 2, m - 1, m}, (seed, sorted(fallbacks))
+            assert max(d.iterations for d in run.diagnostics) <= 8, seed
 
     def test_root_iterations_per_layer(self, pc_default):
         # safeguarded Newton keeps its converged root: a zero step is accepted,

@@ -38,13 +38,16 @@ def test_traced_solve_and_compare(tmp_path):
     iterations = json.loads((tmp_path / "solve" / "summary.json").read_text())["iterations"]
     assert layers == (M, 0)
     assert m["solver_newton.iterations"] == iterations["total"]
-    # the compiled kernel runs each Newton layer, eliminations included, in one call
-    newton_solves = 0 if _kernels.active() is _kernels.native else iterations["total"]
+    # the compiled kernel runs each layer of either engine, eliminations
+    # included, in its own C calls
+    native = _kernels.active() is _kernels.native
+    newton_solves = 0 if native else iterations["total"]
     assert m["tridiag.solves"] == newton_solves
 
     layers, m = traced("compare", tmp_path / "compare")
     assert layers == (M, M)
     assert m["solver_newton.iterations"] == iterations["total"]
     # pc's corrector: frozen solve, Schur column, frozen solve at the corrected z
-    assert m["tridiag.solves"] == 3 * M + newton_solves
+    pc_solves = 0 if native else 3 * M
+    assert m["tridiag.solves"] == pc_solves + newton_solves
     assert m["kernels.flops_computed"] == metrics.FLOPS_PER_ROW * (N - 1) * m["tridiag.solves"]
