@@ -35,7 +35,11 @@ reaches both sides of a round alike.  Per engine and N it writes each
 round's ratio (this tree's time over the other's, so below 1 is
 faster) with the median and a bootstrap 95 % interval of the median,
 and per engine and tree the least-squares line of the median ms per
-layer against N.  Nothing else is measured in this mode.
+layer against N.  Each round also times one default ``asianfb solve``
+(``SOLVE_ARGV``, output files written) in a fresh process of each tree,
+in the same ABBA order, right after that tree's marches, and the file
+gets the command's per-round ratios with their median and its bootstrap
+95 % interval.  Nothing else is measured in this mode.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ REPEATS = 3       # k: each march and refine is timed k times, best kept
 PAIRED_SIZES = (50, 200, 800)   # N of the paired recording
 PAIRED_ROUNDS = 10              # R: rounds of the paired recording at each N
 BOOTSTRAP_SAMPLES = 2000        # resamples of the ratios for the 95 % interval
+SOLVE_ARGV = ("solve",)          # the command timed in each round of the paired recording
 OUT_DIR = ROOT    # where BENCH_<label>.json is written
 
 
@@ -158,13 +163,44 @@ print(json.dumps({"M": grid.M, "times_s": times, "kernel_backend": asianfb.kerne
 """
 
 
+# One fresh-process sample of the command: argv is the kernel cache, the
+# output directory and the command's arguments as JSON.  A solve at N = 20
+# first pays the imports, the kernel load or build and first calls; then
+# the command is timed, its stdout discarded.
+SOLVE_CHILD = """
+import contextlib, io, json, sys, time
+from pathlib import Path
+import asianfb
+from asianfb import cli
+from asianfb._kernels import native
+native.CACHE_DIR = Path(sys.argv[1])
+out = ["--out-dir", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "--N", "20", *out]) == 0
+    start = time.perf_counter()
+    assert cli.main([*json.loads(sys.argv[3]), *out]) == 0
+    elapsed = time.perf_counter() - start
+print(json.dumps({"time_s": elapsed, "kernel_backend": asianfb.kernel_backend()}))
+"""
+
+
+def child_run(tree: Path, *argv: str) -> dict:
+    """The JSON line printed by ``python -c argv...`` run on ``tree``'s sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("ASIANFB_OUT", None)
+    done = subprocess.run([sys.executable, "-c", *argv], env=env, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def paired_sample(tree: Path, cache: Path, n: int) -> dict:
     """Times of one fresh-process march of each engine at N, from ``tree``'s sources."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run([sys.executable, "-c", PAIRED_CHILD, str(cache),
-                           json.dumps(REFERENCE), str(n)],
-                          env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(done.stdout)
+    return child_run(tree, PAIRED_CHILD, str(cache), json.dumps(REFERENCE), str(n))
+
+
+def solve_sample(tree: Path, cache: Path, out: Path) -> dict:
+    """Time of one fresh-process ``SOLVE_ARGV`` command, from ``tree``'s sources."""
+    return child_run(tree, SOLVE_CHILD, str(cache), str(out), json.dumps(SOLVE_ARGV))
 
 
 def median_interval(values: list[float]) -> list[float]:
@@ -179,7 +215,7 @@ def median_interval(values: list[float]) -> list[float]:
 def paired(against: Path) -> dict:
     """ABBA rounds of fresh-process marches of this checkout and ``against``."""
     trees = {"this": ROOT, "against": against}
-    runs, backends = [], {}
+    runs, solves, backends = [], [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in PAIRED_SIZES:
             for round_ in range(PAIRED_ROUNDS):
@@ -188,6 +224,10 @@ def paired(against: Path) -> dict:
                     sample = paired_sample(trees[side], Path(tmp) / side, n)
                     backends[side] = sample.pop("kernel_backend")
                     runs.append({"N": n, "round": round_, "tree": side, **sample})
+                    sample = solve_sample(trees[side], Path(tmp) / side, Path(tmp) / "out")
+                    if sample.pop("kernel_backend") != backends[side]:
+                        raise RuntimeError(f"{side}: the solve ran another kernel backend")
+                    solves.append({"N": n, "round": round_, "tree": side, **sample})
     engines = {}
     for engine in ("newton", "pc"):
         by_n, median_ms = [], {"this": [], "against": []}
@@ -210,10 +250,20 @@ def paired(against: Path) -> dict:
         fit["intercept_ratio"] = fit["this"]["intercept_ms_per_layer"] / \
             fit["against"]["intercept_ms_per_layer"]
         engines[engine] = {"by_N": by_n, "median_ms_per_layer": median_ms, "fit": fit}
+    times = {side: [run["time_s"] for run in solves if run["tree"] == side] for side in trees}
+    ratios = [mine / theirs for mine, theirs in zip(times["this"], times["against"])]
+    command = {"argv": ["asianfb", *SOLVE_ARGV], "this_s": times["this"],
+               "against_s": times["against"], "ratios": ratios,
+               "median_ratio": statistics.median(ratios),
+               "median_ratio_ci95": median_interval(ratios), "runs": solves}
+    print(f"paired {' '.join(command['argv'])}: median ratio {command['median_ratio']:.3f} "
+          f"(95 % {command['median_ratio_ci95'][0]:.3f} .. "
+          f"{command['median_ratio_ci95'][1]:.3f})", file=sys.stderr)
     return {"rounds": PAIRED_ROUNDS, "sizes": list(PAIRED_SIZES), "order": "ABBA",
             "params": REFERENCE, "mode": "upwind-singular", "M": "ceil(2.5 N)",
-            "ratio": "this tree's march time over the other's, per round",
-            "kernel_backend": backends, "engines": engines, "runs": runs}
+            "ratio": "this tree's time over the other's, per round",
+            "kernel_backend": backends, "engines": engines, "runs": runs,
+            "command": command}
 
 
 def refine() -> dict:

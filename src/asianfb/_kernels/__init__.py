@@ -22,11 +22,14 @@ fails at the first row whose pivot magnitude falls below
   runs a layer's iterations over a scheme.LayerFrame, and the
   predictor-corrector's as two, ``native.pc_predictor`` (the scalar
   root) and ``native.pc_corrector`` (the three solves and the layer's
-  diagnostics over the frame).
+  diagnostics over the frame).  Its ``native.fixed9_rows`` formats the
+  CLI's CSV cells, byte for byte as Python's "%.9f" does, for
+  cli._write_fixed9, which streams each output table through it.
 * ``pure``: the plain Python loop, used when no C compiler is found or
   the build or the load fails, and the tests' reference.  Its layers
   are solver_newton's and solver_pc's numpy code, which the C calls
-  repeat bit for bit.
+  repeat bit for bit; on it the CLI formats its CSV cells with Python's
+  %-templates.
 
 ``active()`` picks the backend once, on its first call; nothing is
 compiled or loaded at import, and nothing else selects the backend.

@@ -6,7 +6,7 @@ and one time layer of each engine, which eliminates with that same
 scheme.LayerFrame's buffers, and the predictor-corrector layer's two
 halves, ``pc_predictor``, the predictor's scalar root, and
 ``pc_corrector``, the corrector and the layer's diagnostics over the
-frame's buffers (see below).
+frame's buffers (see below); and ``fixed9_rows``, the CLI's CSV cells.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 ``_kernels.active`` on the first elimination in a process) looks for a
@@ -41,6 +41,13 @@ the march's constants and the addresses of the frame's buffers, so a
 march binds its frame once and each layer passes only the z-free scalars
 and J21 that its start() computed.  ``pc_predictor`` takes its scalars
 alone.
+
+``fixed9_rows`` writes a chunk of table rows as CSV lines of ``"%.9f"``
+cells into a buffer the caller reuses for a whole file, byte for byte as
+Python formats them, and hands back (by its index) the first cell it
+leaves to Python: a NaN, an infinity, or a magnitude of 4.5e6 or more.
+It checks that both arrays are contiguous and large enough before the C
+call, which trusts them.
 """
 
 from __future__ import annotations
@@ -75,12 +82,14 @@ NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # the layer functions' out[] slots: newton_layer's 7 diagnostics, then two more
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
  OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS) = range(10)
+FIXED9_CELL = 18  # thomas.c's FIXED9_CELL: the widest cell fixed9_rows writes
 
 _kernel = None  # the loaded thomas function, once load() succeeds
 _newton = None  # the loaded newton_layer function
 _predictor = None  # the loaded pc_predictor function
 _corrector = None  # the loaded pc_corrector function
 _predictor_out = None  # pc_predictor's out[] slots and their address, made by load()
+_fixed9 = None  # the loaded fixed9_rows function
 
 
 def find_compiler() -> str | None:
@@ -116,7 +125,7 @@ def load() -> bool:
     Returns False, leaving nothing loaded, when there is no C compiler or
     the build or the load of the fresh build fails.
     """
-    global _kernel, _newton, _predictor, _corrector, _predictor_out
+    global _kernel, _newton, _predictor, _corrector, _predictor_out, _fixed9
     if _kernel is not None:
         return True
     try:
@@ -131,6 +140,7 @@ def load() -> bool:
             library = ctypes.CDLL(str(path))
         function, layer = library.thomas, library.newton_layer
         predictor, corrector = library.pc_predictor, library.pc_corrector
+        fixed9 = library.fixed9_rows
     except (OSError, subprocess.SubprocessError, AttributeError):
         return False
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
@@ -138,11 +148,13 @@ def load() -> bool:
     layer.argtypes = [pointer] * 2 + [double] * 9 + [long] + [double] * 2 + [pointer]
     predictor.argtypes = [double] * 10 + [long, double, long, double, long, pointer]
     corrector.argtypes = [pointer] * 2 + [double] * 11 + [pointer]
-    for loaded in (function, layer, predictor, corrector):
+    fixed9.argtypes = [long, long, pointer, pointer]
+    for loaded in (function, layer, predictor, corrector, fixed9):
         loaded.restype = long
     out = (double * OUT_SLOTS)()
     _predictor_out = out, ctypes.addressof(out)
     _kernel, _newton, _predictor, _corrector = function, layer, predictor, corrector
+    _fixed9 = fixed9
     return True
 
 
@@ -328,3 +340,31 @@ def pc_corrector(frame, y, z_tilde, pivot_rtol, schur_floor):
         return status, out[OUT_FAILURE]
     return status, (out[OUT_Z], out[OUT_RESIDUAL_F1], out[OUT_RESIDUAL_F2],
                     int(out[OUT_ONESIDED_ROWS]), int(out[OUT_DOMINANCE_VIOLATIONS]))
+
+
+def fixed9_bytes(rows, cols):
+    """The buffer ``fixed9_rows`` needs for ``rows`` lines of ``cols`` cells."""
+    return rows * (cols * (FIXED9_CELL + 1) + 1)
+
+
+def fixed9_rows(cells, out):
+    """Write the (rows, cols) float64 array ``cells`` into the uint8 array
+    ``out`` as CSV lines, each cell as Python's ``"%.9f"`` formats it and
+    each line ended by "\r\n", as csv.writer ends it.
+
+    cells must be C-contiguous with cols >= 1, and out must hold
+    ``fixed9_bytes(rows, cols)`` bytes; anything else raises ValueError,
+    so the C function reads and writes only within the two arrays.
+    Returns the number of bytes written, or -1 - i when the flat cell i
+    is one that Python must format (not finite, or |x| >= 4.5e6); out
+    then holds a partial chunk.
+    """
+    if _fixed9 is None and not load():
+        raise OSError("the compiled kernel cannot be built or loaded")
+    if cells.dtype != np.float64 or cells.ndim != 2 or cells.shape[1] < 1 or \
+            not cells.flags.c_contiguous:
+        raise ValueError("cells must be a C-contiguous float64 array of shape (rows, cols >= 1)")
+    if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or \
+            not out.flags.writeable or out.size < fixed9_bytes(*cells.shape):
+        raise ValueError("out must be a writable uint8 array of fixed9_bytes(rows, cols) bytes")
+    return _fixed9(*cells.shape, cells.ctypes.data, out.ctypes.data)

@@ -1,7 +1,8 @@
 /* Compiled kernel, loaded through ctypes by native.py: thomas, the
  * Thomas solve, and the time layers of both engines, which eliminate with
  * thomas: newton_layer, Newton's iterations, and pc_predictor and
- * pc_corrector, the two halves of a predictor-corrector layer (below).
+ * pc_corrector, the two halves of a predictor-corrector layer (below);
+ * and fixed9_rows, the CSV writer's "%.9f" cells (at the end).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
  * its solution is bit-identical to the pure loop's: build with
@@ -552,4 +553,85 @@ long pc_predictor(double z_prev, double dt, double ttm, double r, double q, doub
     out[OUT_Z] = x;
     out[OUT_ITERATIONS] = (double)it;
     return LAYER_OK;
+}
+
+/* The CSV writer's cells: Python's "%.9f" of a double, bit for bit, with
+ * no snprintf (which follows LC_NUMERIC and prints -nan where Python
+ * prints nan).
+ *
+ * "%.9f" rounds the exact binary value of x to 9 decimals, ties to even.
+ * For |x| < FIXED9_LIMIT, p = x 1e9 rounds to a double below 2^52, where
+ * every half-integer is a double, so nearbyint(p) is the correctly
+ * rounded x 1e9 unless p itself sits on a half: then the exact error
+ * fma(x, 1e9, -p) (an explicit call, which -ffp-contract=off leaves
+ * alone) says which side the true product lies on, and only an exact
+ * tie is left to nearbyint's ties-to-even.  The sign is x's, so -0.0 and
+ * -1e-12 both print -0.000000000, as Python's do. */
+#define FIXED9_LIMIT 4.5e6  /* below 2^52 / 1e9: at most 7 integer digits */
+#define FIXED9_CELL 18      /* the widest cell: sign, 7 digits, point, 9 decimals */
+
+/* x in "%.9f" into s, returning its length, or 0 when x is not finite or
+ * |x| >= FIXED9_LIMIT (the caller formats those) */
+static int fixed9_cell(double x, char *s)
+{
+    char digits[20];
+    double p, n;
+    unsigned long long u, whole;
+    unsigned long frac;
+    int len = 0, k;
+
+    if (!(fabs(x) < FIXED9_LIMIT))
+        return 0;
+    p = x * 1e9;
+    n = nearbyint(p);
+    if (fabs(p - n) == 0.5) {
+        double err = fma(x, 1e9, -p);
+
+        if (err != 0.0)
+            n = p + copysign(0.5, err);
+    }
+    u = (unsigned long long)fabs(n);
+    whole = u / 1000000000ULL;
+    frac = (unsigned long)(u % 1000000000ULL);
+    if (signbit(x))
+        s[len++] = '-';
+    k = 0;
+    do {
+        digits[k++] = (char)('0' + whole % 10);
+        whole /= 10;
+    } while (whole);
+    while (k)
+        s[len++] = digits[--k];
+    s[len++] = '.';
+    for (k = 8; k >= 0; k--) {
+        s[len + k] = (char)('0' + frac % 10);
+        frac /= 10;
+    }
+    return len + 9;
+}
+
+/* rows x cols cells, row-major, as CSV lines "c,c,...\r\n" into out,
+ * which holds at least rows (cols (FIXED9_CELL + 1) + 1) bytes.
+ * Returns the number of bytes written, or -1 - i for the first cell i
+ * that fixed9_cell leaves to the caller (out is then partly written). */
+long fixed9_rows(long rows, long cols, const double *cells, char *out)
+{
+    char *s = out;
+    long i, k;
+
+    if (cols < 1)
+        return 0;
+    for (i = 0; i < rows; i++) {
+        for (k = 0; k < cols; k++) {
+            int len = fixed9_cell(cells[i * cols + k], s);
+
+            if (!len)
+                return -1 - (i * cols + k);
+            s += len;
+            *s++ = ',';
+        }
+        s[-1] = '\r';
+        *s++ = '\n';
+    }
+    return s - out;
 }

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from ._kernels import active_name as kernel_backend
 from .analysis import compare_engines, refinement_study, run_engine
 from .errors import SolverError
@@ -74,6 +74,9 @@ DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 _COERCE = {key: kind for key, kind, _, _ in OPTIONS}
 _CHOICES = {"engine": ("newton", "pc"), "scheme_mode": tuple(m.value for m in SchemeMode)}
 _REFINE_ONLY = ("base_N", "levels")
+# The compiled CSV writer's buffer holds at most this many bytes (or one
+# time layer of surface.csv, when that is larger).
+CHUNK_BYTES = 1 << 16
 
 
 class ConfigError(Exception):
@@ -236,18 +239,82 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _write_fixed9(path: Path, header: str, count: int, step: int, cells, text) -> None:
+    """Write a CSV table of fixed 9-decimal numbers, byte for byte as
+    csv.writer with _fmt writes it: the header line, then units 0 ..
+    count - 1 of the table (rows, or layers of rows) in chunks of ``step``.
+
+    On the native backend ``cells(start, stop)`` returns a chunk as a
+    (rows, cols) float64 array, and native.fixed9_rows formats it into one
+    buffer reused for the whole file, so the file is streamed in pieces of
+    at most about CHUNK_BYTES.  ``text(start, stop)`` returns the chunk as
+    Python's "%.9f" formats it; it writes every chunk on the pure backend,
+    and on the native one a chunk holding a cell that C hands back (not
+    finite, or of magnitude 4.5e6 or more).
+    """
+    compiled = _kernels.active() is _kernels.native
+    out = None
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\r\n")
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            if compiled:
+                chunk = cells(start, stop)
+                if out is None:  # the first chunk is the largest
+                    out = np.empty(_kernels.native.fixed9_bytes(*chunk.shape), np.uint8)
+                size = _kernels.native.fixed9_rows(chunk, out)
+                if size >= 0:
+                    fh.write(out[:size])
+                    continue
+            fh.write(text(start, stop).encode("ascii"))
+
+
+def _write_table(path: Path, header: str, columns) -> None:
+    """The CSV table of equal-length float columns, every cell in fixed 9
+    decimals, in chunks of rows (see _write_fixed9)."""
+    cells = np.ascontiguousarray(np.column_stack(columns), dtype=float)
+    rows, cols = cells.shape
+    template = ",".join(["%.9f"] * cols) + "\r\n"
+    step = max(1, CHUNK_BYTES // _kernels.native.fixed9_bytes(1, cols))
+    _write_fixed9(path, header, rows, step, lambda start, stop: cells[start:stop],
+                  lambda start, stop: template * (stop - start) %
+                  tuple(cells[start:stop].ravel().tolist()))
+
+
 def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
                    surface: np.ndarray) -> None:
-    """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes it.
+    """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes
+    it, in chunks of whole time layers (see _write_fixed9).
 
-    The xi cells are formatted once into a layer template, and each time
-    layer is one %-format of its values ("%.9f" formats as _fmt does).
+    On the native backend each chunk of layers is copied into one (layers,
+    N + 1, 3) block of cells, reused for the whole file, which
+    native.fixed9_rows formats.  The pure backend formats the xi cells once
+    into a layer template, and each time layer is one %-format of its
+    values ("%.9f" formats as _fmt does).
+
+    Raises ValueError unless taus and xi are 1-D and surface has the shape
+    (taus.size, xi.size).
     """
+    taus, xi, surface = (np.ascontiguousarray(a, dtype=float) for a in (taus, xi, surface))
+    if taus.ndim != 1 or xi.ndim != 1 or surface.shape != (taus.size, xi.size):
+        raise ValueError(f"surface of shape {surface.shape} does not fit {taus.size} "
+                         f"taus and {xi.size} xi nodes")
+    n = xi.size
+    per = max(1, CHUNK_BYTES // _kernels.native.fixed9_bytes(max(n, 1), 3))
+    block = np.empty((per, n, 3))
+    block[:, :, 1] = xi
     layer = "".join(["\0," + _fmt(x) + ",%.9f\r\n" for x in xi])
-    with path.open("w", newline="") as fh:
-        fh.write("tau,xi,pi\r\n")
-        for tau, values in zip(taus, surface):
-            fh.write(layer.replace("\0", _fmt(tau)) % tuple(values.tolist()))
+
+    def cells(start, stop):
+        block[:stop - start, :, 0] = taus[start:stop, None]
+        block[:stop - start, :, 2] = surface[start:stop]
+        return block[:stop - start].reshape(-1, 3)
+
+    def text(start, stop):
+        return "".join([layer.replace("\0", _fmt(taus[j])) % tuple(surface[j].tolist())
+                        for j in range(start, stop)])
+
+    _write_fixed9(path, "tau,xi,pi", taus.size, per, cells, text)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -259,11 +326,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     elapsed = time.perf_counter() - started
 
     boundary_path = _out_path(cfg, "boundary_csv")
-    with boundary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "rho", "xf_t", "t"])
-        for tau, rho in zip(result.taus, result.rho):
-            writer.writerow([_fmt(tau), _fmt(rho), _fmt(1.0 / rho), _fmt(p.T - tau)])
+    _write_table(boundary_path, "tau,rho,xf_t,t",
+                 (result.taus, result.rho, 1.0 / result.rho, p.T - result.taus))
 
     surface_path = _out_path(cfg, "surface_csv")
     _write_surface(surface_path, result.taus, grid.xi, result.surface)
@@ -348,11 +412,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     elapsed = time.perf_counter() - started
 
     compare_path = _out_path(cfg, "compare_csv")
-    with compare_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "rho_newton", "rho_pc", "diff"])
-        for tau, rn, rp in zip(record.taus, record.rho_newton, record.rho_pc):
-            writer.writerow([_fmt(tau), _fmt(rn), _fmt(rp), _fmt(rp - rn)])
+    _write_table(compare_path, "tau,rho_newton,rho_pc,diff",
+                 (record.taus, record.rho_newton, record.rho_pc, record.diff))
 
     payload = {
         "command": "compare",

@@ -465,6 +465,38 @@ def test_strided_input(backend):
     assert single.tobytes() == want[1].tobytes()
 
 
+@needs_cc
+class TestFixed9Rows:
+    """native.fixed9_rows, the compiled CSV cell writer (the CSV tests
+    compare whole files with csv.writer's)."""
+
+    def test_lines_and_byte_count(self):
+        cells = np.array([[0.0009765625, -0.0], [-1e-12, np.nextafter(4.5e6, 0.0)]])
+        out = np.full(native.fixed9_bytes(2, 2), 255, np.uint8)
+        size = native.fixed9_rows(cells, out)
+        assert out[:size].tobytes() == \
+            b"0.000976562,-0.000000000\r\n-0.000000000,4499999.999999999\r\n"
+        assert out[size:].tobytes() == b"\xff" * (out.size - size)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.5e6, -4.5e6, 1e300])
+    def test_hands_back_the_first_cell_it_cannot_format(self, bad):
+        cells = np.zeros((3, 2))
+        cells[1, 1] = cells[2, 0] = bad
+        out = np.empty(native.fixed9_bytes(3, 2), np.uint8)
+        assert native.fixed9_rows(cells, out) == -1 - 3
+
+    def test_rejects_buffers_it_could_overrun(self):
+        cells = np.zeros((4, 3))
+        out = np.empty(native.fixed9_bytes(4, 3), np.uint8)
+        for bad_cells in (cells.astype(np.float32), cells[:, ::2], np.asfortranarray(cells),
+                          cells.ravel(), np.zeros((4, 0))):
+            with pytest.raises(ValueError, match="cells"):
+                native.fixed9_rows(bad_cells, out)
+        for bad_out in (out[:-1], out.view(np.int8), out[::2].copy()[:0]):
+            with pytest.raises(ValueError, match="out"):
+                native.fixed9_rows(cells, bad_out)
+
+
 # (r, q, sigma) at T = 50 of the bit-identity runs: the reference point and
 # perfbench's workload seeds 2, 4, 68 and 89
 BIT_IDENTITY_PARAMS = {

@@ -18,6 +18,7 @@ def test_paired_recording_schema(tmp_path, monkeypatch):
     record = load_record()
     monkeypatch.setattr(record, "PAIRED_SIZES", (8, 12))
     monkeypatch.setattr(record, "PAIRED_ROUNDS", 2)
+    monkeypatch.setattr(record, "SOLVE_ARGV", ("solve", "--N", "8"))
     monkeypatch.setattr(record, "OUT_DIR", tmp_path)
     assert record.main(["smoke", "--against", str(ROOT)]) == 0
     out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
@@ -39,3 +40,10 @@ def test_paired_recording_schema(tmp_path, monkeypatch):
             assert set(engine["fit"][side]) == {"intercept_ms_per_layer",
                                                 "slope_ms_per_layer_per_N"}
         assert isinstance(engine["fit"]["intercept_ratio"], float)
+    # one command per tree in each round, in the marches' ABBA order
+    command = paired["command"]
+    assert command["argv"] == ["asianfb", "solve", "--N", "8"]
+    assert [run["tree"] for run in command["runs"]] == [run["tree"] for run in paired["runs"]]
+    assert len(command["this_s"]) == len(command["against_s"]) == len(command["ratios"]) == 4
+    low, high = command["median_ratio_ci95"]
+    assert low <= command["median_ratio"] <= high
