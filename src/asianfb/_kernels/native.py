@@ -9,33 +9,27 @@ halves, ``pc_predictor``, the predictor's scalar root, and
 frame's buffers (see below); and ``fixed9_rows``, the CLI's CSV cells.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
-``_kernels.active`` on the first elimination in a process) looks for a
-shared library in ``CACHE_DIR`` whose name carries a hash of the C source
-and the compiler flags.  When there is none, or the file there cannot be
-loaded (corrupt, or built for another machine), it runs ``cc`` once,
-writing to a temporary name in that directory and renaming it into
-place, so processes that build at the same time each end with a complete
-library.  Without a C compiler, or when the build or the load of the
-fresh build fails, ``load()`` returns False and the caller keeps the
-pure kernel.
+the first kernel call in a process) looks for a shared library in
+``CACHE_DIR`` whose name carries a hash of the C source and the compiler
+flags.  When there is none, or the file there cannot be loaded (corrupt,
+or built for another machine), it runs ``cc`` once, writing to a
+temporary name in that directory and renaming it into place, so
+processes that build at the same time each end with a complete library.
+Without a C compiler, or when the build or the load of the fresh build
+fails, ``load()`` raises KernelUnavailable, an OSError whose one-line
+message names the missing compiler, or the build command and the first
+line it wrote to stderr, and the cache directory.
 
-Converting the arrays to contiguous float64, checking their shapes,
-allocating the cp work row and the solution buffer and looking up six
-addresses (``arr.ctypes.data``, about 1-2 us each) costs more than the C
-loop at n = 200.  The engines pass a scheme.LayerFrame's J11 views
-(``frame.j11``, made once per frame) and one of its right-hand side
-buffers at every solve, overwritten in place, so the module keeps all of
-that in a Binding of the last call's arrays: a call given those same four
-array objects goes straight to C, and any other call builds and keeps a
-new Binding, whose construction runs pure's ``check_shape``.  A bound
-array must therefore not be reshaped in place.
+``thomas`` converts its arrays to contiguous float64, runs pure's
+``check_shape`` and calls C with a fresh cp work row and solution
+buffer.  The C function makes the other checks of the contract in the
+pass that reads the arrays: it takes the pivot floor from max |diag| and
+reports a non-finite entry with its own return code, and only then does
+this module run pure's numpy check, to raise the ValueError that names
+the array.  No march calls it: both engines eliminate inside their layer
+calls.
 
-The C function also makes the checks of the contract in the pass that
-reads the arrays: it takes the pivot floor from max |diag| and reports a
-non-finite entry with its own return code, and only then does this module
-run pure's numpy check, to raise the ValueError that names the array.
-
-``newton_layer`` and ``pc_corrector`` keep the same kind of cache for a
+``newton_layer`` and ``pc_corrector`` cache their arguments for a
 layer: a FrameBinding of the last scheme.LayerFrame either ran in holds
 the march's constants and the addresses of the frame's buffers, so a
 march binds its frame once and each layer passes only the z-free scalars
@@ -84,12 +78,8 @@ NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
  OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS) = range(10)
 FIXED9_CELL = 18  # thomas.c's FIXED9_CELL: the widest cell fixed9_rows writes
 
-_kernel = None  # the loaded thomas function, once load() succeeds
-_newton = None  # the loaded newton_layer function
-_predictor = None  # the loaded pc_predictor function
-_corrector = None  # the loaded pc_corrector function
+_kernel = None  # the loaded library, once load() succeeds
 _predictor_out = None  # pc_predictor's out[] slots and their address, made by load()
-_fixed9 = None  # the loaded fixed9_rows function
 
 
 def find_compiler() -> str | None:
@@ -105,81 +95,77 @@ def library_path() -> Path:
     return CACHE_DIR / f"thomas-{key:08x}.so"
 
 
-def _build(compiler: str, target: Path) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{target.stem}-", suffix=".so", dir=target.parent)
-    os.close(fd)
+class KernelUnavailable(OSError):
+    """The compiled kernel can be neither loaded from the cache nor built:
+    there is no C compiler, or the build or the load of the fresh build
+    fails.  The message says which, in one line."""
+
+
+def _unavailable(reason: str) -> KernelUnavailable:
+    return KernelUnavailable(f"{reason} (kernel cache directory {CACHE_DIR})")
+
+
+def _build(target: Path) -> None:
+    """Compile SOURCE into ``target`` with ``cc``, through a temporary file
+    in its directory, or raise KernelUnavailable."""
+    compiler = find_compiler()
+    if compiler is None:
+        raise _unavailable(f"no C compiler: asianfb builds its kernel {SOURCE.name} with "
+                           "'cc', which is not on PATH")
     try:
-        subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS], check=True,
-                       capture_output=True, timeout=BUILD_TIMEOUT_S)
-        os.replace(tmp, target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.stem}-", suffix=".so", dir=target.parent)
+    except OSError as exc:
+        raise _unavailable(f"cannot write the kernel cache: {exc}") from None
+    os.close(fd)
+    command = [compiler, *CFLAGS, "-o", tmp, str(SOURCE), *LIBS]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True, timeout=BUILD_TIMEOUT_S)
+        if done.returncode == 0:
+            os.replace(tmp, target)
+            return
+        first = next(iter(done.stderr.splitlines()), "no message")
+        reason = f"exit status {done.returncode}: {first}"
+    except (OSError, subprocess.SubprocessError) as exc:  # not runnable, or timed out
+        reason = str(exc)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    raise _unavailable(f"building the kernel failed: {' '.join(command)}: {reason}")
 
 
-def load() -> bool:
+def load() -> None:
     """Load the compiled kernel, building it first if the cached file is
     missing or cannot be loaded.
 
-    Returns False, leaving nothing loaded, when there is no C compiler or
-    the build or the load of the fresh build fails.
+    Raises KernelUnavailable, leaving nothing loaded, when there is no C
+    compiler or the build or the load of the fresh build fails.
     """
-    global _kernel, _newton, _predictor, _corrector, _predictor_out, _fixed9
+    global _kernel, _predictor_out
     if _kernel is not None:
-        return True
+        return
+    path = library_path()
     try:
-        path = library_path()
+        library = ctypes.CDLL(str(path))
+    except OSError:  # not built yet, or a file that does not load here
+        _build(path)
         try:
             library = ctypes.CDLL(str(path))
-        except OSError:  # not built yet, or a file that does not load here
-            compiler = find_compiler()
-            if compiler is None:
-                return False
-            _build(compiler, path)
-            library = ctypes.CDLL(str(path))
-        function, layer = library.thomas, library.newton_layer
-        predictor, corrector = library.pc_predictor, library.pc_corrector
-        fixed9 = library.fixed9_rows
-    except (OSError, subprocess.SubprocessError, AttributeError):
-        return False
+        except OSError as exc:
+            raise _unavailable(f"the freshly built kernel does not load: {exc}") from None
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
-    function.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
-    layer.argtypes = [pointer] * 2 + [double] * 9 + [long] + [double] * 2 + [pointer]
-    predictor.argtypes = [double] * 10 + [long, double, long, double, long, pointer]
-    corrector.argtypes = [pointer] * 2 + [double] * 11 + [pointer]
-    fixed9.argtypes = [long, long, pointer, pointer]
-    for loaded in (function, layer, predictor, corrector, fixed9):
-        loaded.restype = long
+    library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
+    library.newton_layer.argtypes = [pointer] * 2 + [double] * 9 + [long] + [double] * 2 + \
+        [pointer]
+    library.pc_predictor.argtypes = [double] * 10 + [long, double, long, double, long, pointer]
+    library.pc_corrector.argtypes = [pointer] * 2 + [double] * 11 + [pointer]
+    library.fixed9_rows.argtypes = [long, long, pointer, pointer]
+    for function in (library.thomas, library.newton_layer, library.pc_predictor,
+                     library.pc_corrector, library.fixed9_rows):
+        function.restype = long
     out = (double * OUT_SLOTS)()
     _predictor_out = out, ctypes.addressof(out)
-    _kernel, _newton, _predictor, _corrector = function, layer, predictor, corrector
-    _fixed9 = fixed9
-    return True
-
-
-class Binding:
-    """A system's arrays as the C function takes them: their addresses,
-    the cp work row and a solution buffer."""
-
-    __slots__ = ("arrays", "cp", "x", "head", "tail")
-
-    def __init__(self, lower, diag, upper, rhs):
-        pure.check_shape(lower, diag, upper, rhs)
-        n = diag.size
-        # references keep every array alive while its address is in use
-        self.arrays = (lower, diag, upper, rhs)
-        self.cp = np.empty(n)
-        self.x = np.empty(rhs.shape)
-        # the C arguments before and after pivot_rtol
-        self.head = (n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
-                     upper.ctypes.data, rhs.ctypes.data)
-        self.tail = (self.cp.ctypes.data, self.x.ctypes.data)
-
-
-# The Binding of the last call's arrays.  Its buffers serve one call at a
-# time: the program is single-threaded, and refine fans out to processes.
-_last = None
+    _kernel = library
 
 
 def thomas(lower, diag, upper, rhs, pivot_rtol):
@@ -191,22 +177,22 @@ def thomas(lower, diag, upper, rhs, pivot_rtol):
     success, else the row whose pivot fell below
     ``pure.pivot_floor(diag, pivot_rtol)`` (x is then zeros).
     """
-    global _last
-    if _kernel is None and not load():
-        raise OSError("the compiled Thomas kernel cannot be built or loaded")
-    binding = _last
-    # rhs alone tells apart systems that share their matrix arrays
-    if binding is None or binding.arrays[3] is not rhs or binding.arrays[0] is not lower \
-            or binding.arrays[1] is not diag or binding.arrays[2] is not upper:
-        binding = _last = Binding(*(np.ascontiguousarray(a, dtype=float)
-                                    for a in (lower, diag, upper, rhs)))
-    fail = _kernel(*binding.head, pivot_rtol, *binding.tail)
+    if _kernel is None:
+        load()
+    lower, diag, upper, rhs = (np.ascontiguousarray(a, dtype=float)
+                               for a in (lower, diag, upper, rhs))
+    pure.check_shape(lower, diag, upper, rhs)
+    n = diag.size
+    cp, x = np.empty(n), np.empty(rhs.shape)
+    fail = _kernel.thomas(n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
+                          upper.ctypes.data, rhs.ctypes.data, pivot_rtol, cp.ctypes.data,
+                          x.ctypes.data)
     if fail == NON_FINITE:
-        pure.check_finite(*binding.arrays)
+        pure.check_finite(lower, diag, upper, rhs)
         raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
     if fail >= 0:
-        return np.zeros(binding.x.shape), fail
-    return binding.x.copy(), -1
+        return np.zeros(x.shape), fail
+    return x, -1
 
 
 class _Frame(ctypes.Structure):
@@ -263,11 +249,10 @@ def _in_frame(function, frame, y, rhs, *args):
     binding = _last_frame
     if binding is None or binding.frame is not frame:
         binding = _last_frame = FrameBinding(frame)
-    c0, c1, _ = frame._constraint
+    c0, c1 = frame._constraint
     status = function(binding.address, y.ctypes.data, frame._z_prev, frame._dt, frame._ttm,
                       frame._diag_base, c0, c1, *frame.j21, *args, binding.out_address)
     out = binding.out[:]
-    frame._rewritten = out[OUT_UPWINDED] > 0  # which rows() restores, as after its own call
     if status == LAYER_NON_FINITE:
         pure.check_finite(*frame.j11, rhs)
         raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
@@ -278,9 +263,10 @@ def newton_layer(frame, y, tol, max_iter, pivot_rtol, schur_floor):
     """Newton's iterations on the layer ``frame.start`` built, in one C call.
 
     y is a copy of the previous layer, updated in place; tol, max_iter,
-    pivot_rtol and schur_floor are those of solver_newton's loop, whose
-    every operation the C function repeats in order, over the frame's
-    buffers and with its ``j21``.
+    pivot_rtol and schur_floor are solver_newton's.  The C function works
+    over the frame's buffers and with its ``j21``, and repeats every
+    operation of the numpy Newton loop that the tests keep as its oracle
+    in order.
 
     Raises ValueError, naming the array, when an elimination meets a
     non-finite entry.  Returns (LAYER_OK, (iterations, z,
@@ -289,10 +275,10 @@ def newton_layer(frame, y, tol, max_iter, pivot_rtol, schur_floor):
     the non-positive z, the failing pivot row, the Schur denominator or
     the last step.
     """
-    if _newton is None and not load():
-        raise OSError("the compiled kernel cannot be built or loaded")
-    status, out = _in_frame(_newton, frame, y, frame.pair_rhs, tol, max_iter, pivot_rtol,
-                            schur_floor)
+    if _kernel is None:
+        load()
+    status, out = _in_frame(_kernel.newton_layer, frame, y, frame.pair_rhs, tol, max_iter,
+                            pivot_rtol, schur_floor)
     if status != LAYER_OK:
         return status, out[OUT_FAILURE]
     return status, tuple(out[:OUT_UPWINDED])
@@ -302,29 +288,32 @@ def pc_predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor, expa
                  root_tol, max_iter):
     """solver_pc.predictor's root in one C call, from the previous layer's
     z and first three values, dt, ttm = T - tau_next, the market's r, q
-    and sigma and the grid's h; the bracket scan's scan + 1 points,
-    widening factor and widenings, root_tol and max_iter are the Python
-    loop's, whose every operation the C function repeats in order.
+    and sigma and the grid's h; scan (the bracket scan's scan + 1
+    points), factor (its widening factor), expansions (its widenings),
+    root_tol and max_iter are solver_pc's.  The C function repeats every
+    operation of the numpy predictor that the tests keep as its oracle in
+    order.
 
     Returns (LAYER_OK, (z, iterations)), or LAYER_NO_BRACKET with the
     widest factor scanned, LAYER_NO_CONVERGENCE with the last step or
     LAYER_NON_POSITIVE_Z with the root.
     """
-    if _predictor is None and not load():
-        raise OSError("the compiled kernel cannot be built or loaded")
+    if _kernel is None:
+        load()
     out, address = _predictor_out
-    status = _predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor, expansions,
-                        root_tol, max_iter, address)
+    status = _kernel.pc_predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor,
+                                  expansions, root_tol, max_iter, address)
     if status != LAYER_OK:
         return status, out[OUT_FAILURE]
     return status, (out[OUT_Z], int(out[OUT_ITERATIONS]))
 
 
 def pc_corrector(frame, y, z_tilde, pivot_rtol, schur_floor):
-    """solver_pc._correct on the layer ``frame.start`` built, with the
-    layer's diagnostics, in one C call: y (N + 1 entries) receives the
-    stored layer, and pivot_rtol and schur_floor are those of the Python
-    corrector, whose every operation the C function repeats in order.
+    """The predictor-corrector's corrector on the layer ``frame.start``
+    built, with the layer's diagnostics, in one C call: y (N + 1 entries)
+    receives the stored layer, and pivot_rtol and schur_floor are
+    solver_pc's.  The C function repeats every operation of the numpy
+    corrector that the tests keep as its oracle in order.
 
     Raises ValueError, naming the array, when an elimination meets a
     non-finite entry.  Returns (LAYER_OK, (z, residual_f1, residual_f2,
@@ -332,10 +321,10 @@ def pc_corrector(frame, y, z_tilde, pivot_rtol, schur_floor):
     failure with its value: the non-positive z, the failing pivot row or
     the Schur denominator.
     """
-    if _corrector is None and not load():
-        raise OSError("the compiled kernel cannot be built or loaded")
-    status, out = _in_frame(_corrector, frame, y, frame.single_rhs, z_tilde, pivot_rtol,
-                            schur_floor)
+    if _kernel is None:
+        load()
+    status, out = _in_frame(_kernel.pc_corrector, frame, y, frame.single_rhs, z_tilde,
+                            pivot_rtol, schur_floor)
     if status != LAYER_OK:
         return status, out[OUT_FAILURE]
     return status, (out[OUT_Z], out[OUT_RESIDUAL_F1], out[OUT_RESIDUAL_F2],
@@ -359,12 +348,12 @@ def fixed9_rows(cells, out):
     is one that Python must format (not finite, or |x| >= 4.5e6); out
     then holds a partial chunk.
     """
-    if _fixed9 is None and not load():
-        raise OSError("the compiled kernel cannot be built or loaded")
+    if _kernel is None:
+        load()
     if cells.dtype != np.float64 or cells.ndim != 2 or cells.shape[1] < 1 or \
             not cells.flags.c_contiguous:
         raise ValueError("cells must be a C-contiguous float64 array of shape (rows, cols >= 1)")
     if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or \
             not out.flags.writeable or out.size < fixed9_bytes(*cells.shape):
         raise ValueError("out must be a writable uint8 array of fixed9_bytes(rows, cols) bytes")
-    return _fixed9(*cells.shape, cells.ctypes.data, out.ctypes.data)
+    return _kernel.fixed9_rows(*cells.shape, cells.ctypes.data, out.ctypes.data)

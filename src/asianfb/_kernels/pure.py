@@ -1,5 +1,5 @@
-"""Pure-Python Thomas kernel: the fallback without a C compiler, and the
-reference the compiled kernel (thomas.c) is tested against.
+"""Pure-Python Thomas loop: the reference of the kernel contract, which the
+compiled kernel (thomas.c) is tested against, and its checks.
 
 Plain forward elimination / back substitution without pivoting.  The
 elimination computes the pivots and cp alongside the first column's
@@ -11,8 +11,8 @@ of its column, and to the compiled kernel's.
 
 Before any pivot is tested, ``thomas`` rejects arrays of mismatched
 shapes with ``check_shape`` and a non-finite entry with ``check_finite``
-(native.thomas runs both too: the first when it binds new arrays, the
-second to name the array) and computes the pivot floor with
+(native.thomas runs both too: the first at every call, the second to
+name the array) and computes the pivot floor with
 ``pivot_floor``, which thomas.c matches bit for bit.
 """
 

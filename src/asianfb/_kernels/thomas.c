@@ -79,8 +79,10 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * whose start() has run; and pc_predictor, solver_pc.predictor's scalar
  * root.  native.py calls each once per time layer.
  *
- * Every operation keeps the order of the numpy code it replaces, so the
- * rows, iterates, roots and diagnostics are bit-identical to it.
+ * Every operation keeps the order of the numpy twin that the tests keep
+ * as its oracle (tests/_oracles.py: newton_layer_numpy, correct_numpy,
+ * predictor_numpy), so the rows, iterates, roots and diagnostics are
+ * bit-identical to it.
  * Python's z**2 (on a float or a numpy float64) calls libm pow, which
  * differs from z*z in the last bit for some z; the kernel is built with
  * -fno-builtin-pow so that pow(z, 2.0) below stays that call and is not
@@ -141,7 +143,7 @@ static double py_max(double a, double b)
     return b > a ? b : a;
 }
 
-/* LayerFrame.rows(z) (z > 0): the rows, their z-derivatives and the
+/* The rows at z > 0 (the oracles' frame_rows): the rows, their z-derivatives and the
  * one-sided mask.  Returns the number of upwinded rows. */
 static long frame_rows(const struct layer_frame *f, const struct layer *l, double z)
 {
@@ -190,7 +192,7 @@ static long frame_rows(const struct layer_frame *f, const struct layer *l, doubl
     return count;
 }
 
-/* F1 into f[0:n] (interior_residual); y carries its boundary values */
+/* F1 into f[0:n]; y carries its boundary values */
 static void interior_residual(const struct layer_frame *f, const double *y)
 {
     long i;
@@ -200,7 +202,7 @@ static void interior_residual(const struct layer_frame *f, const double *y)
             - f->rhs[i];
 }
 
-/* F2 (LayerFrame.residual_constraint) */
+/* F2 at (y, z) */
 static double residual_constraint(const struct layer_frame *f, const struct layer *l,
                                   const double *y, double z)
 {
@@ -226,7 +228,7 @@ static long eliminate(const struct layer_frame *f, long ncol, const double *d, d
 
 /* Newton's iterations on one layer from (y, z_prev), updating y[1..n] in
  * place; j21_y1, j21_y2 are the constraint row, and tol, max_iter,
- * pivot_rtol and schur_floor those of the Python loop.  Returns LAYER_OK
+ * pivot_rtol and schur_floor those of solver_newton.  Returns LAYER_OK
  * with the accepted z and the layer's diagnostics in out[], or the status
  * of the first failure, with out[OUT_FAILURE] = the non-positive z, the
  * failing pivot row, the Schur denominator or the last step.  Either way
@@ -304,7 +306,7 @@ long newton_layer(const struct layer_frame *f, double *y, double z_prev, double 
     return LAYER_OK;
 }
 
-/* pc's frozen solve (solver_pc._frozen_solve): the rows at z > 0, and
+/* pc's frozen solve: the rows at z > 0, and
  * y[1..n] solved from them with the Dirichlet values y[0] = -1 and
  * y[n+1] = 0, in the frame's single right-hand side */
 static long frozen_solve(const struct layer_frame *f, const struct layer *l, double z,
@@ -325,7 +327,7 @@ static long frozen_solve(const struct layer_frame *f, const struct layer *l, dou
     return eliminate(f, 1, f->single, y + 1, pivot_rtol, out);
 }
 
-/* pc's corrector on one layer from z_tilde (solver_pc._correct): the
+/* pc's corrector on one layer from z_tilde: the
  * frozen solve at z_tilde, one Schur step on the boundary, the frozen
  * solve at the new z, written into y (n + 2 entries), and the layer's
  * diagnostics.  The scalars are those of newton_layer.  Returns LAYER_OK
@@ -386,7 +388,7 @@ long pc_corrector(const struct layer_frame *f, double *y, double z_prev, double 
 }
 
 /* The predictor's scalar equations (I) and (II) for one layer
- * (solver_pc._scalar_residual_funcs), with their z-free terms, each
+ * (the oracles' predictor_equations), with their z-free terms, each
  * computed in the order of the Python expression it stands for. */
 struct predictor_eq {
     double q, r, z_prev, dt, ttm, drift, exp_h, h2, sig4, y1p, grad_prev;

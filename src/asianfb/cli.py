@@ -13,7 +13,10 @@ with the same configuration are byte-identical.  Wall time is reported
 on stdout only so it never perturbs the files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(message carries the failing layer).
+(message carries the failing layer), 4 the compiled kernel can be
+neither loaded nor built (message names the missing C compiler, or the
+failed build command and its first line of errors, and the cache
+directory).
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
-from ._kernels import active_name as kernel_backend
+from . import __version__
+from ._kernels import active_name as kernel_backend, native
 from .analysis import compare_engines, refinement_study, run_engine
 from .errors import SolverError
 from .mesh import make_grid
@@ -244,29 +247,26 @@ def _write_fixed9(path: Path, header: str, count: int, step: int, cells, text) -
     csv.writer with _fmt writes it: the header line, then units 0 ..
     count - 1 of the table (rows, or layers of rows) in chunks of ``step``.
 
-    On the native backend ``cells(start, stop)`` returns a chunk as a
-    (rows, cols) float64 array, and native.fixed9_rows formats it into one
-    buffer reused for the whole file, so the file is streamed in pieces of
-    at most about CHUNK_BYTES.  ``text(start, stop)`` returns the chunk as
-    Python's "%.9f" formats it; it writes every chunk on the pure backend,
-    and on the native one a chunk holding a cell that C hands back (not
-    finite, or of magnitude 4.5e6 or more).
+    ``cells(start, stop)`` returns a chunk as a (rows, cols) float64
+    array, and native.fixed9_rows formats it into one buffer reused for the
+    whole file, so the file is streamed in pieces of at most about
+    CHUNK_BYTES.  ``text(start, stop)`` returns the chunk as Python's
+    "%.9f" formats it; it writes a chunk holding a cell that C hands back
+    (not finite, or of magnitude 4.5e6 or more).
     """
-    compiled = _kernels.active() is _kernels.native
     out = None
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\r\n")
         for start in range(0, count, step):
             stop = min(start + step, count)
-            if compiled:
-                chunk = cells(start, stop)
-                if out is None:  # the first chunk is the largest
-                    out = np.empty(_kernels.native.fixed9_bytes(*chunk.shape), np.uint8)
-                size = _kernels.native.fixed9_rows(chunk, out)
-                if size >= 0:
-                    fh.write(out[:size])
-                    continue
-            fh.write(text(start, stop).encode("ascii"))
+            chunk = cells(start, stop)
+            if out is None:  # the first chunk is the largest
+                out = np.empty(native.fixed9_bytes(*chunk.shape), np.uint8)
+            size = native.fixed9_rows(chunk, out)
+            if size >= 0:
+                fh.write(out[:size])
+            else:
+                fh.write(text(start, stop).encode("ascii"))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -275,7 +275,7 @@ def _write_table(path: Path, header: str, columns) -> None:
     cells = np.ascontiguousarray(np.column_stack(columns), dtype=float)
     rows, cols = cells.shape
     template = ",".join(["%.9f"] * cols) + "\r\n"
-    step = max(1, CHUNK_BYTES // _kernels.native.fixed9_bytes(1, cols))
+    step = max(1, CHUNK_BYTES // native.fixed9_bytes(1, cols))
     _write_fixed9(path, header, rows, step, lambda start, stop: cells[start:stop],
                   lambda start, stop: template * (stop - start) %
                   tuple(cells[start:stop].ravel().tolist()))
@@ -286,10 +286,10 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
     """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes
     it, in chunks of whole time layers (see _write_fixed9).
 
-    On the native backend each chunk of layers is copied into one (layers,
-    N + 1, 3) block of cells, reused for the whole file, which
-    native.fixed9_rows formats.  The pure backend formats the xi cells once
-    into a layer template, and each time layer is one %-format of its
+    Each chunk of layers is copied into one (layers, N + 1, 3) block of
+    cells, reused for the whole file, which native.fixed9_rows formats.  A
+    chunk that it hands back is written from a layer template, the xi
+    cells formatted once, and each time layer is one %-format of its
     values ("%.9f" formats as _fmt does).
 
     Raises ValueError unless taus and xi are 1-D and surface has the shape
@@ -300,7 +300,7 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
         raise ValueError(f"surface of shape {surface.shape} does not fit {taus.size} "
                          f"taus and {xi.size} xi nodes")
     n = xi.size
-    per = max(1, CHUNK_BYTES // _kernels.native.fixed9_bytes(max(n, 1), 3))
+    per = max(1, CHUNK_BYTES // native.fixed9_bytes(max(n, 1), 3))
     block = np.empty((per, n, 3))
     block[:, :, 1] = xi
     layer = "".join(["\0," + _fmt(x) + ",%.9f\r\n" for x in xi])
@@ -475,6 +475,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except native.KernelUnavailable as exc:
+        print(f"kernel unavailable: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

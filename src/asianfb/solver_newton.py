@@ -18,24 +18,18 @@ This is algebraically the coupled block solve; the Schur denominator is
 guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
 
-The layer system itself (rows, F1, J12, F2, J21 and the dominance
-count) is scheme's; this module is the iteration over it.
-march_newton is results.march stepping with newton_layer in the march's
+The layer system itself is scheme's; this module is the iteration over
+it.  march_newton is results.march stepping with newton_layer in the march's
 one scheme.LayerFrame.  Per layer newton_layer builds the frame's z-free
-part and J21 once (LayerFrame.start); each iterate then writes only the
-z-dependent rows (J11 and the row derivatives J12 is built from), puts
-F1 and J12 into the frame's (2, n) right-hand side ``pair_rhs``, solves
-it in place against ``frame.j11`` and updates y in place.  One more
-assembly at the accepted z gives the layer's diagnostics.
-
-With the compiled kernel (``_kernels.active()`` is native), newton_layer
-hands those iterations, after the frame's start, to one C call,
-native.newton_layer, which works in the frame's buffers, eliminates with
-the kernel's Thomas loop, and keeps every operation of the numpy loop
-below in order, so the layer's result, diagnostics and errors are the
-same bits.  tol, max_iter, tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR go
-to C from here.  Otherwise the numpy loop runs: it is the path without a
-C compiler and the tests' oracle.
+part and J21 once (LayerFrame.start) and hands the iterations to one C
+call, native.newton_layer, which works in the frame's buffers.  Each
+iterate writes only the z-dependent rows (J11 and the row derivatives
+J12 is built from), puts F1 and J12 into the frame's (2, n) right-hand
+side ``pair_rhs``, eliminates it in place against J11 with the kernel's
+Thomas loop and updates y in place.  One more assembly at the accepted z
+gives the layer's diagnostics.  tol, max_iter, tridiag.PIVOT_RTOL and
+tridiag.SCHUR_FLOOR go to C from here; the test suite keeps the numpy
+loop that the C function repeats operation by operation as its oracle.
 """
 
 from __future__ import annotations
@@ -43,15 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels, scheme, tridiag
+from . import scheme, tridiag
+from ._kernels import native
 from .errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
-from .scheme import SchemeMode, dominance_violations, interior_residual, z_column
-from .tridiag import thomas_solve
+from .scheme import SchemeMode
 
 __all__ = ["NewtonConfig", "newton_layer", "march_newton"]
 
@@ -81,53 +73,6 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     if frame is None:
         frame = scheme.LayerFrame(g, p, mode)
     frame.start(prev, tau_next)  # raises ValueError past maturity
-    if _kernels.active() is _kernels.native:
-        return _native_layer(frame, prev, tau_next, cfg)
-    j21_y1, j21_y2 = frame.j21
-    f1, j12 = frame.pair_rhs
-    y = prev.y.copy()
-    y1 = y[1:-1]
-    z = prev.z
-    diag = LayerDiagnostics(layer=prev.j + 1, tau=tau_next, iterations=0,
-                            residual_f1=np.inf, residual_f2=np.inf)
-    for it in range(1, cfg.max_iter + 1):
-        rows = frame.rows(z)  # raises NonPositiveZ
-        interior_residual(rows, y, out=f1)
-        z_column(rows, y, out=j12)
-        f2 = frame.residual_constraint(y, z)
-        if it == 1:
-            diag.initial_residual = max(float(np.abs(f1).max()), abs(f2))
-        diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
-        diag.dominance_violations += dominance_violations(rows)
-
-        u, v = thomas_solve(*frame.j11, frame.pair_rhs)
-        j21_u = j21_y1 * u[0] + j21_y2 * u[1]
-        j21_v = j21_y1 * v[0] + j21_y2 * v[1]
-        denom = 1.0 - j21_v  # J22 = 1
-        if abs(denom) < tridiag.SCHUR_FLOOR:
-            raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
-        dz = (-f2 + j21_u) / denom
-        dy1 = np.negative(u, out=u)
-        dy1 -= v * dz  # dY1 = -u - v dz
-        y1 += dy1
-        z = z + dz
-        diag.iterations = it
-        step = max(float(np.abs(dy1).max()), abs(dz))
-        if step < cfg.tol:
-            break
-    else:
-        raise NoConvergence(cfg.max_iter, step)
-
-    rows = frame.rows(z)  # raises NonPositiveZ
-    diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
-    diag.residual_f2 = abs(frame.residual_constraint(y, z))
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
-
-
-def _native_layer(frame, prev, tau_next, cfg):
-    """The iterations of newton_layer's loop as one call of the compiled
-    kernel, with the same result bits, errors and diagnostics."""
-    native = _kernels.native
     y = prev.y.copy()
     status, values = native.newton_layer(frame, y, cfg.tol, cfg.max_iter, tridiag.PIVOT_RTOL,
                                          tridiag.SCHUR_FLOOR)  # ValueError

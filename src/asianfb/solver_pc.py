@@ -59,15 +59,13 @@ inside the (z'-z)/(dt z') term by an O(dt) amount that the march sums to
 an O(1) gap from the Newton engine that refining does not shrink.  The
 Newton step leaves a constraint remainder F2 quadratic in z - z-tilde.
 
-With the compiled kernel (``_kernels.active()`` is native), a layer is
-two C calls: predictor() hands its bracket scan and root iteration to
-native.pc_predictor, and the corrector with the layer's diagnostics runs
-in native.pc_corrector over the frame's buffers, with
-tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR passed from here.  Both keep
-every operation of the numpy code below in order, so the layer's result,
-diagnostics and errors are the same bits.  Otherwise the numpy code
-runs: it is the path without a C compiler and the tests' oracle.
-predictor() stays the call that opens each layer, on either backend.
+A layer is two C calls: predictor() hands its bracket scan and root
+iteration to native.pc_predictor, and the corrector with the layer's
+diagnostics runs in native.pc_corrector over the frame's buffers, with
+tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR passed from here.
+predictor() is the call that opens each layer.  The test suite keeps the
+numpy predictor and corrector that the C functions repeat operation by
+operation as their oracles.
 """
 
 from __future__ import annotations
@@ -77,13 +75,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, scheme, tridiag
+from . import scheme, tridiag
+from ._kernels import native
 from .errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
-from .scheme import SchemeMode, dominance_violations, interior_residual, z_column
-from .tridiag import thomas_solve
+from .scheme import SchemeMode
 
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "march_pc"]
 
@@ -112,68 +110,6 @@ class PredictorResult:
     iterations: int
 
 
-def _scalar_residual_funcs(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams):
-    """Residual R(z) of (I)-(II), its analytic derivative and the right
-    side of (I), the y_1 it implies.
-
-    Each closure takes a scalar z or an array of them.
-    """
-    dt = tau_next - prev.tau
-    ttm = p.T - tau_next
-    h = g.h
-    sig2 = p.sigma**2
-    beta_val = p.r + 1.0 / ttm
-    drift = p.r - p.q - 0.5 * sig2
-    y0p, y1p, y2p = prev.y[0], prev.y[1], prev.y[2]
-    grad_prev = (y2p - y0p) / (2.0 * h)
-    lap_prev = (y2p - 2.0 * y1p + y0p) / h**2
-    exp_h = math.exp(-h)
-
-    def eq_i(z):
-        g_val = p.q * z - p.r + (z - 1.0) / ttm
-        alpha0 = (z - prev.z) / (dt * z) + drift - (z - 1.0) / ttm
-        return (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * g_val \
-            - beta_val * h**2 / sig2 - 1.0
-
-    def eq_ii(z):
-        alpha1 = (z - prev.z) / (dt * z) + drift - (z * exp_h - 1.0) / ttm
-        flux = alpha1 * grad_prev - 0.5 * sig2 * lap_prev
-        return y1p - dt * (flux + beta_val * y1p)
-
-    def residual(z):
-        return eq_i(z) - eq_ii(z)
-
-    def derivative(z):
-        dg = p.q + 1.0 / ttm
-        g_val = p.q * z - p.r + (z - 1.0) / ttm
-        alpha0 = (z - prev.z) / (dt * z) + drift - (z - 1.0) / ttm
-        dalpha = prev.z / (dt * z**2)
-        d_i = (2.0 * h**2 / sig2**2) * (dalpha - 1.0 / ttm) * g_val \
-            + (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * dg
-        d_flux = (dalpha - exp_h / ttm) * grad_prev
-        d_ii = -dt * d_flux
-        return d_i - d_ii
-
-    return residual, derivative, eq_i
-
-
-def _bracket_nearest(residual, z_prev: float):
-    """Sign-change cell closest to z_prev inside an expanding bracket."""
-    factor = _BRACKET_FACTOR
-    for _ in range(_BRACKET_EXPANSIONS):
-        zs = np.linspace(z_prev / factor, z_prev * factor, _BRACKET_SCAN + 1)
-        vals = residual(zs)
-        signs = np.sign(vals)
-        cells = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
-        if cells.size:
-            mids = 0.5 * (zs[cells] + zs[cells + 1])
-            pick = cells[int(np.argmin(np.abs(mids - z_prev)))]
-            return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
-        widest = factor
-        factor *= _BRACKET_FACTOR
-    raise _no_bracket(z_prev, widest)
-
-
 def _no_bracket(z_prev: float, widest: float) -> NoBracket:
     return NoBracket(f"predictor residual has no sign change within "
                      f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
@@ -184,47 +120,6 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     """Predicted boundary z at the next layer from the scalar root problem."""
     if not tau_next < p.T:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
-    if _kernels.active() is _kernels.native:
-        return _native_predictor(prev, tau_next, g, p, cfg)
-    residual, derivative, _ = _scalar_residual_funcs(prev, tau_next, g, p)
-    lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
-
-    x = 0.5 * (lo + hi)
-    fx = residual(x)
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        if fx == 0.0:
-            break
-        # keep the bracket valid around the root
-        if f_lo * fx <= 0.0:
-            hi = x
-        else:
-            lo, f_lo = x, fx
-        dfx = derivative(x)
-        if dfx != 0.0:
-            x_new = x - fx / dfx
-        else:
-            x_new = math.nan
-        # x is a bracket end here, so a converged (zero) Newton step lands on
-        # one; accept it rather than bisect away from the root
-        if not (lo < x_new < hi or x_new == x):
-            x_new = 0.5 * (lo + hi)  # bisection fallback
-        step = abs(x_new - x)
-        x = x_new
-        fx = residual(x)
-        if step < cfg.root_tol or (hi - lo) < cfg.root_tol:
-            break
-    else:
-        raise NoConvergence(cfg.max_iter, step)
-    if x <= 0:
-        raise NonPositiveZ(x)
-    return PredictorResult(z=x, iterations=iterations)
-
-
-def _native_predictor(prev, tau_next, g, p, cfg):
-    """predictor's scan and root as one call of the compiled kernel, with
-    the same result bits and errors."""
-    native = _kernels.native
     status, value = native.pc_predictor(
         prev.z, tau_next - prev.tau, p.T - tau_next, p.r, p.q, p.sigma, g.h,
         *prev.y[:3].tolist(), _BRACKET_SCAN, _BRACKET_FACTOR, _BRACKET_EXPANSIONS,
@@ -239,56 +134,11 @@ def _native_predictor(prev, tau_next, g, p, cfg):
     return PredictorResult(z=z, iterations=iterations)
 
 
-def _frozen_solve(frame: scheme.LayerFrame, z: float) -> tuple[scheme.LayerRows, np.ndarray]:
-    """Interior rows frozen at boundary value z and the layer y they solve for."""
-    rows = frame.rows(z)  # raises NonPositiveZ
-    rhs = frame.single_rhs
-    np.copyto(rhs, rows.rhs)
-    rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
-    y = np.empty(frame.g.N + 1)
-    y[0] = -1.0
-    y[-1] = 0.0
-    y[1:-1] = thomas_solve(*frame.j11, rhs)
-    return rows, y
-
-
 def _correct(frame: scheme.LayerFrame, z_tilde: float) -> tuple[LayerState, LayerDiagnostics]:
     """The corrector in a frame started for the layer: frozen solve at
     z_tilde, one Schur step on the boundary, frozen solve at the new z.
     Returns the new state and its diagnostics, without the predictor's
     iterations and fallback flag."""
-    if _kernels.active() is _kernels.native:
-        return _native_correct(frame, z_tilde)
-    prev, tau_next = frame.prev, frame.tau_next
-    rows, y = _frozen_solve(frame, z_tilde)
-    # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
-    # Schur step of solver_newton reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
-    z_column(rows, y, out=frame.single_rhs)
-    v = thomas_solve(*frame.j11, frame.single_rhs)
-    j21_y1, j21_y2 = frame.j21
-    denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
-    if abs(denom) < tridiag.SCHUR_FLOOR:
-        raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
-    z = z_tilde - frame.residual_constraint(y, z_tilde) / denom
-    rows, y = _frozen_solve(frame, z)
-
-    # linear-solve quality: row-wise backward error of the stored layer,
-    # |F1_i| over the magnitudes of the terms F1_i sums
-    terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
-        + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
-    f1 = np.abs(interior_residual(rows, y))
-    rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
-        layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=rel_f1,
-        residual_f2=abs(frame.residual_constraint(y, z)),
-        onesided_rows=int(np.count_nonzero(rows.onesided)),
-        dominance_violations=dominance_violations(rows))
-
-
-def _native_correct(frame, z_tilde):
-    """_correct as one call of the compiled kernel, with the same result
-    bits, errors and diagnostics."""
-    native = _kernels.native
     prev, tau_next = frame.prev, frame.tau_next
     y = np.empty(frame.g.N + 1)
     status, values = native.pc_corrector(frame, y, z_tilde, tridiag.PIVOT_RTOL,

@@ -1,4 +1,29 @@
-"""Independent reference computations used only by the test suite."""
+"""Reference computations used only by the test suite.
+
+Two kinds live here.
+
+Independent oracles, which share no code with the kernel: the
+difference-quotient form of F1 (``residual_interior``), the constraint
+written out (``constraint_root``, ``residual_constraint``) and the
+central finite-difference Jacobian built from them; the dense solves of
+a tridiagonal system, of the bordered Newton Jacobian and of a frozen
+layer (``dense_solve``, ``dense_jacobian``, ``frozen_layer``), whose
+rows come from ``frame_rows`` below but whose elimination is numpy's
+LAPACK; the mask blend of both stencils (``layer_rows_where``); the
+fixed-point layer solve; csv.writer's surface.csv; and the continuous
+model's coefficients.
+
+Twins of the compiled kernel, which repeat its C code operation by
+operation in numpy, so that each gives the kernel's bits: the layer rows
+(``frame_rows``, thomas.c's frame_rows), F1, J12, F2 and the dominance
+count; Newton's layer (``newton_layer_numpy``, thomas.c's newton_layer);
+and the predictor-corrector's predictor and corrector
+(``predictor_numpy``, ``correct_numpy``: pc_predictor and pc_corrector).
+They eliminate with ``_kernels.pure``'s Thomas loop, not with C.
+``numpy_layers()`` runs both engines' marches on them, which is how the
+tests hold every march, layer failure and predictor iterate of the
+kernel against its twin.
+"""
 
 import contextlib
 import csv
@@ -7,18 +32,326 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
-from asianfb import _kernels, scheme, solver_pc
+from asianfb import scheme, solver_newton, solver_pc, tridiag
+from asianfb._kernels import pure
+from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
-from asianfb.scheme import LayerRows, SchemeMode, constraint_row, interior_residual, z_column
-from asianfb.solver_newton import newton_layer
+from asianfb.results import LayerDiagnostics
+from asianfb.scheme import LayerRows, SchemeMode, constraint_row
+from asianfb.solver_newton import NewtonConfig
+from asianfb.solver_pc import PredictorConfig, PredictorResult
 
+
+# -- numpy twins of the compiled layer functions ----------------------------
+
+def pure_solve(lower, diag, upper, rhs):
+    """tridiag.thomas_solve on the pure Thomas loop."""
+    x, fail = pure.thomas(lower, diag, upper, rhs, tridiag.PIVOT_RTOL)
+    if fail >= 0:
+        raise ZeroPivot(fail)
+    return x
+
+
+def frame_rows(frame, z) -> LayerRows:
+    """Write the rows, their z-derivatives and the one-sided mask at z into
+    the buffers of ``frame``, whose start() has run, and return them.
+
+    The central rows are built everywhere, and then only the rows the
+    one-sided switch selects are rewritten (none in central mode).
+    """
+    if z <= 0:
+        raise NonPositiveZ(float(z))
+    rows, g, p = frame._rows, frame.g, frame.p
+    h, dt, ttm, diff, sig2 = g.h, frame._dt, frame._ttm, frame._diff, frame._sig2
+    # bounded advection part mu and singular part s_i; only these depend on z:
+    # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
+    mu = (z - frame._z_prev) / (dt * z) + p.r - p.q - frame._half_sig2
+    s = np.multiply(g.exp_neg_xi, z)
+    s -= 1.0
+    s /= ttm
+    dmu = frame._z_prev / (dt * z**2)
+
+    # central rows everywhere
+    adv = 0.5 * mu / h
+    d = np.multiply(s, 0.5)
+    d /= h
+    np.add(d, -adv - diff, out=rows.lower)
+    np.subtract(adv - diff, d, out=rows.upper)
+    np.add(frame._half_ds_h, -0.5 * dmu / h, out=rows.da)
+    np.subtract(0.5 * dmu / h, frame._half_ds_h, out=rows.db)
+    if frame.mode is SchemeMode.CENTRAL:
+        return rows
+    # restore the z-free diagonal and dc, which an earlier call may have rewritten
+    rows.diag.fill(frame._diag_base)
+    rows.dc.fill(0.0)
+    # |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal
+    np.subtract(mu, s, out=d)
+    np.greater(np.abs(d, out=d), sig2 / h, out=rows.onesided)
+    idx = rows.onesided.nonzero()[0]
+    if idx.size:
+        # the singular term upwinded: forward where s_i >= 0, backward otherwise
+        s1, ds1 = s[idx], frame._ds[idx]
+        pos = s1 >= 0.0
+        rows.lower[idx] = -adv - diff + np.where(pos, 0.0, s1 / h)
+        rows.upper[idx] = adv - diff - np.where(pos, s1 / h, 0.0)
+        rows.diag[idx] = frame._diag_base + np.abs(s1) / h
+        rows.da[idx] = -0.5 * dmu / h + np.where(pos, 0.0, ds1 / h)
+        rows.dc[idx] = np.where(pos, ds1 / h, -ds1 / h)
+        rows.db[idx] = 0.5 * dmu / h - np.where(pos, ds1 / h, 0.0)
+    return rows
+
+
+def interior_residual(rows, y, out=None):
+    """F1 in row form; y carries its boundary values.  Written into ``out`` if given."""
+    f1 = np.multiply(rows.lower, y[:-2], out=out)
+    f1 += rows.diag * y[1:-1]
+    f1 += rows.upper * y[2:]
+    f1 -= rows.rhs
+    return f1
+
+
+def z_column(rows, y, out=None):
+    """J12 = dF1/dz at y and the boundary value the rows were assembled at."""
+    j12 = np.multiply(rows.da, y[:-2], out=out)
+    j12 += rows.dc * y[1:-1]
+    j12 += rows.db * y[2:]
+    return j12
+
+
+def frame_constraint(frame, y, z):
+    """F2 of the started ``frame``'s layer at (y, z)."""
+    c0, c1 = frame._constraint
+    y0, y1, y2 = y[:3].tolist()
+    return float(z - float(c0 + c1 * ((-3.0 * y0 + 4.0 * y1 - y2) / (2.0 * frame.g.h))))
+
+
+def dominance_violations(rows):
+    """Rows failing strict diagonal dominance."""
+    return int(np.count_nonzero(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
+
+
+def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=None,
+                       states=None):
+    """solver_newton.newton_layer with its iterations in numpy.
+
+    ``states``, when given, is a list that gains (y, z) at each evaluation
+    of F2: at every iterate, and once more at the accepted state.
+    """
+    if frame is None:
+        frame = scheme.LayerFrame(g, p, mode)
+    frame.start(prev, tau_next)  # raises ValueError past maturity
+    j21_y1, j21_y2 = frame.j21
+    f1, j12 = frame.pair_rhs
+    y = prev.y.copy()
+    y1 = y[1:-1]
+    z = prev.z
+    diag = LayerDiagnostics(layer=prev.j + 1, tau=tau_next, iterations=0,
+                            residual_f1=np.inf, residual_f2=np.inf)
+
+    def constraint(y, z):
+        if states is not None:
+            states.append((y.copy(), z))
+        return frame_constraint(frame, y, z)
+
+    for it in range(1, cfg.max_iter + 1):
+        rows = frame_rows(frame, z)  # raises NonPositiveZ
+        interior_residual(rows, y, out=f1)
+        z_column(rows, y, out=j12)
+        f2 = constraint(y, z)
+        if it == 1:
+            diag.initial_residual = max(float(np.abs(f1).max()), abs(f2))
+        diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
+        diag.dominance_violations += dominance_violations(rows)
+
+        u, v = pure_solve(*frame.j11, frame.pair_rhs)
+        j21_u = j21_y1 * u[0] + j21_y2 * u[1]
+        j21_v = j21_y1 * v[0] + j21_y2 * v[1]
+        denom = 1.0 - j21_v  # J22 = 1
+        if abs(denom) < tridiag.SCHUR_FLOOR:
+            raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
+        dz = (-f2 + j21_u) / denom
+        dy1 = np.negative(u, out=u)
+        dy1 -= v * dz  # dY1 = -u - v dz
+        y1 += dy1
+        z = z + dz
+        diag.iterations = it
+        step = max(float(np.abs(dy1).max()), abs(dz))
+        if step < cfg.tol:
+            break
+    else:
+        raise NoConvergence(cfg.max_iter, step)
+
+    rows = frame_rows(frame, z)  # raises NonPositiveZ
+    diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
+    diag.residual_f2 = abs(constraint(y, z))
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
+
+
+def predictor_equations(prev, tau_next, g, p):
+    """Residual R(z) of the predictor's (I) - (II), its analytic derivative
+    and the right side of (I), the y_1 it implies.
+
+    Each closure takes a scalar z or an array of them.
+    """
+    dt = tau_next - prev.tau
+    ttm = p.T - tau_next
+    h = g.h
+    sig2 = p.sigma**2
+    beta_val = p.r + 1.0 / ttm
+    drift = p.r - p.q - 0.5 * sig2
+    y0p, y1p, y2p = prev.y[0], prev.y[1], prev.y[2]
+    grad_prev = (y2p - y0p) / (2.0 * h)
+    lap_prev = (y2p - 2.0 * y1p + y0p) / h**2
+    exp_h = math.exp(-h)
+
+    def eq_i(z):
+        g_val = p.q * z - p.r + (z - 1.0) / ttm
+        alpha0 = (z - prev.z) / (dt * z) + drift - (z - 1.0) / ttm
+        return (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * g_val \
+            - beta_val * h**2 / sig2 - 1.0
+
+    def eq_ii(z):
+        alpha1 = (z - prev.z) / (dt * z) + drift - (z * exp_h - 1.0) / ttm
+        flux = alpha1 * grad_prev - 0.5 * sig2 * lap_prev
+        return y1p - dt * (flux + beta_val * y1p)
+
+    def residual(z):
+        return eq_i(z) - eq_ii(z)
+
+    def derivative(z):
+        dg = p.q + 1.0 / ttm
+        g_val = p.q * z - p.r + (z - 1.0) / ttm
+        alpha0 = (z - prev.z) / (dt * z) + drift - (z - 1.0) / ttm
+        dalpha = prev.z / (dt * z**2)
+        d_i = (2.0 * h**2 / sig2**2) * (dalpha - 1.0 / ttm) * g_val \
+            + (2.0 * alpha0 * h**2 / sig2**2 + 2.0 * h / sig2) * dg
+        d_flux = (dalpha - exp_h / ttm) * grad_prev
+        d_ii = -dt * d_flux
+        return d_i - d_ii
+
+    return residual, derivative, eq_i
+
+
+def _bracket_nearest(residual, z_prev):
+    """Sign-change cell closest to z_prev inside an expanding bracket."""
+    factor = solver_pc._BRACKET_FACTOR
+    for _ in range(solver_pc._BRACKET_EXPANSIONS):
+        zs = np.linspace(z_prev / factor, z_prev * factor, solver_pc._BRACKET_SCAN + 1)
+        vals = residual(zs)
+        signs = np.sign(vals)
+        cells = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
+        if cells.size:
+            mids = 0.5 * (zs[cells] + zs[cells + 1])
+            pick = cells[int(np.argmin(np.abs(mids - z_prev)))]
+            return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
+        widest = factor
+        factor *= solver_pc._BRACKET_FACTOR
+    raise solver_pc._no_bracket(z_prev, widest)
+
+
+def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig()):
+    """solver_pc.predictor with its bracket scan and root in numpy."""
+    if not tau_next < p.T:
+        raise ValueError(f"tau_next must be < T; got {tau_next}")
+    residual, derivative, _ = predictor_equations(prev, tau_next, g, p)
+    lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
+
+    x = 0.5 * (lo + hi)
+    fx = residual(x)
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        if fx == 0.0:
+            break
+        # keep the bracket valid around the root
+        if f_lo * fx <= 0.0:
+            hi = x
+        else:
+            lo, f_lo = x, fx
+        dfx = derivative(x)
+        if dfx != 0.0:
+            x_new = x - fx / dfx
+        else:
+            x_new = math.nan
+        # x is a bracket end here, so a converged (zero) Newton step lands on
+        # one; accept it rather than bisect away from the root
+        if not (lo < x_new < hi or x_new == x):
+            x_new = 0.5 * (lo + hi)  # bisection fallback
+        step = abs(x_new - x)
+        x = x_new
+        fx = residual(x)
+        if step < cfg.root_tol or (hi - lo) < cfg.root_tol:
+            break
+    else:
+        raise NoConvergence(cfg.max_iter, step)
+    if x <= 0:
+        raise NonPositiveZ(x)
+    return PredictorResult(z=x, iterations=iterations)
+
+
+def _frozen_solve(frame, z):
+    """Interior rows frozen at boundary value z and the layer y they solve for."""
+    rows = frame_rows(frame, z)  # raises NonPositiveZ
+    rhs = frame.single_rhs
+    np.copyto(rhs, rows.rhs)
+    rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
+    y = np.empty(frame.g.N + 1)
+    y[0] = -1.0
+    y[-1] = 0.0
+    y[1:-1] = pure_solve(*frame.j11, rhs)
+    return rows, y
+
+
+def correct_numpy(frame, z_tilde):
+    """solver_pc._correct in numpy: frozen solve at z_tilde, one Schur step
+    on the boundary, frozen solve at the new z, and the layer's
+    diagnostics."""
+    prev, tau_next = frame.prev, frame.tau_next
+    rows, y = _frozen_solve(frame, z_tilde)
+    # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
+    # Schur step of the Newton engine reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
+    z_column(rows, y, out=frame.single_rhs)
+    v = pure_solve(*frame.j11, frame.single_rhs)
+    j21_y1, j21_y2 = frame.j21
+    denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
+    if abs(denom) < tridiag.SCHUR_FLOOR:
+        raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
+    z = z_tilde - frame_constraint(frame, y, z_tilde) / denom
+    rows, y = _frozen_solve(frame, z)
+
+    # linear-solve quality: row-wise backward error of the stored layer,
+    # |F1_i| over the magnitudes of the terms F1_i sums
+    terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
+        + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
+    f1 = np.abs(interior_residual(rows, y))
+    rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
+        layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=rel_f1,
+        residual_f2=abs(frame_constraint(frame, y, z)),
+        onesided_rows=int(np.count_nonzero(rows.onesided)),
+        dominance_violations=dominance_violations(rows))
+
+
+@contextlib.contextmanager
+def numpy_layers():
+    """Run both engines' time layers on their numpy twins inside the block:
+    march_newton, march_pc and everything that calls them (analysis, the
+    CLI) then make no C layer call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_newton, "newton_layer", newton_layer_numpy)
+        patch.setattr(solver_pc, "predictor", predictor_numpy)
+        patch.setattr(solver_pc, "_correct", correct_numpy)
+        yield
+
+
+# -- independent oracles ----------------------------------------------------
 
 def layer_rows(prev, z_next, tau_next, g, p, mode):
     """The rows, their z-derivatives and the F1 right-hand side at one
     iterate, from a LayerFrame of their own."""
-    return scheme.LayerFrame(g, p, mode).start(prev, tau_next).rows(z_next)
+    return frame_rows(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_next)
 
 
 def constraint_root(y_next, tau_next, g, p):
@@ -43,19 +376,6 @@ def corrector(prev, z_tilde, tau_next, g, p, mode):
     """march_pc's corrector on one layer: frozen solve at z_tilde, one Schur
     step on the boundary, frozen solve at the new z."""
     return solver_pc._correct(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_tilde)[0]
-
-
-@contextlib.contextmanager
-def backend_in_use(module):
-    """Run the kernel backend ``module`` (pure or native) inside the block."""
-    if module is _kernels.native:
-        assert _kernels.native.load()
-    saved = _kernels._active
-    _kernels._active = module
-    try:
-        yield
-    finally:
-        _kernels._active = saved
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):
@@ -202,36 +522,18 @@ def dense_jacobian(blocks):
     return full
 
 
-class RecordingFrame(scheme.LayerFrame):
-    """A LayerFrame that records (y, z) at each constraint evaluation.
-
-    newton_layer evaluates F2 at every iterate and once more at the accepted
-    state, so a layer of k iterations records k + 1 states.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.states = []
-
-    def residual_constraint(self, y, z):
-        self.states.append((y.copy(), z))
-        return super().residual_constraint(y, z)
-
-
 def newton_steps_and_dense_solves(prev, tau_next, g, p, mode):
-    """One newton_layer call, and for each of its iterations the step it took
+    """One Newton layer, and for each of its iterations the step it took
     (the difference of consecutive iterates) with the dense solve of
     J dY = -F at the earlier iterate, J from build_jacobian.
 
-    The layer runs on the pure backend, whose Python loop the frame
-    observes; the compiled kernel runs all of a layer's iterations in one
-    call."""
-    frame = RecordingFrame(g, p, mode)
-    with backend_in_use(_kernels.pure):
-        state, diag = newton_layer(prev, tau_next, g, p, mode, frame=frame)
-    assert len(frame.states) == diag.iterations + 1
+    The layer runs on its numpy twin, whose iterates can be observed; the
+    compiled kernel runs all of a layer's iterations in one call."""
+    states = []
+    state, diag = newton_layer_numpy(prev, tau_next, g, p, mode, states=states)
+    assert len(states) == diag.iterations + 1
     pairs = []
-    for (y, z), (y_next, z_next) in zip(frame.states, frame.states[1:]):
+    for (y, z), (y_next, z_next) in zip(states, states[1:]):
         blocks = build_jacobian(y[1:-1], z, prev, tau_next, g, p, mode)
         f = np.append(interior_residual(blocks.rows, y),
                       residual_constraint(y, z, tau_next, g, p))
@@ -241,11 +543,11 @@ def newton_steps_and_dense_solves(prev, tau_next, g, p, mode):
 
 
 def layer_rows_where(prev, z_next, tau_next, g, p, mode):
-    """scheme.layer_rows as a mask blend: both stencils on every row under np.where.
+    """layer_rows as a mask blend: both stencils on every row under np.where.
 
-    The library builds the central rows and rewrites only the upwinded ones;
-    this form evaluates each row both ways and picks, so the two must agree
-    bit for bit.  It has none of the library's input guards.
+    frame_rows, like thomas.c, builds the central rows and rewrites only the
+    upwinded ones; this form evaluates each row both ways and picks, so the
+    two must agree bit for bit.  It has none of frame_rows' input guards.
     """
     dt = tau_next - prev.tau
     ttm = p.T - tau_next

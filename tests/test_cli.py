@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 import asianfb
 from asianfb import cli
+from asianfb._kernels import native
 from asianfb.cli import (DEFAULTS, OPTIONS, _write_surface, build_parser, main,
                          parse_config_file, resolve_config)
 from asianfb.mesh import DEFAULT_EPS_FINAL
 
-from _oracles import backend_in_use, write_surface_csv
-from test_kernels import RUNNABLE
+from _oracles import numpy_layers, write_surface_csv
 
 
 def run_cli(args, tmp_path, extra=()):
@@ -31,11 +32,6 @@ def read_csv(path):
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
-
-
-def backend_name(backend):
-    """"pure" or "native", as summary.json names a kernel backend module."""
-    return backend.__name__.rsplit(".", 1)[-1]
 
 
 def beside_a_half_way_point(k, side):
@@ -131,20 +127,19 @@ class TestSolve:
     @settings(derandomize=True, deadline=None, database=None)
     @given(taus=TAUS, xi=st.lists(CELLS, min_size=1, max_size=8), data=st.data())
     def test_surface_writer_matches_csv_writer_bytes(self, tmp_path_factory, taus, xi, data):
-        """On every backend, in chunks of the default size and of one layer."""
+        """In chunks of the default size and of one layer."""
         surface = data.draw(st.lists(st.lists(CELLS, min_size=len(xi), max_size=len(xi)),
                                      min_size=len(taus), max_size=len(taus)))
         out = tmp_path_factory.getbasetemp() / "surface-property"
         out.mkdir(exist_ok=True)
         args = np.array(taus), np.array(xi), np.array(surface)
         write_surface_csv(out / "oracle.csv", *args)
-        for backend in RUNNABLE:
-            for chunk_bytes in (cli.CHUNK_BYTES, 1):
-                with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
-                    _write_surface(out / "surface.csv", *args)
-                assert (out / "surface.csv").read_bytes() == \
-                    (out / "oracle.csv").read_bytes(), (backend.__name__, chunk_bytes)
+        for chunk_bytes in (cli.CHUNK_BYTES, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+                _write_surface(out / "surface.csv", *args)
+            assert (out / "surface.csv").read_bytes() == \
+                (out / "oracle.csv").read_bytes(), chunk_bytes
 
     @pytest.mark.parametrize("value, cell", [(0.0009765625, "0.000976562"),
                                              (0.0029296875, "0.002929688"),
@@ -152,16 +147,14 @@ class TestSolve:
                                              (-1e-12, "-0.000000000")])
     def test_surface_writer_rounds_ties_to_even(self, tmp_path, value, cell):
         """An exact tie at the 10th decimal rounds to the even 9th, as "%.9f" does."""
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
-                _write_surface(tmp_path / "surface.csv", np.array([1.0]), np.array([0.5]),
-                               np.array([[value]]))
-            assert (tmp_path / "surface.csv").read_bytes() == \
-                f"tau,xi,pi\r\n1.000000000,0.500000000,{cell}\r\n".encode()
+        _write_surface(tmp_path / "surface.csv", np.array([1.0]), np.array([0.5]),
+                       np.array([[value]]))
+        assert (tmp_path / "surface.csv").read_bytes() == \
+            f"tau,xi,pi\r\n1.000000000,0.500000000,{cell}\r\n".encode()
 
     def test_surface_writer_streams_many_chunks(self, tmp_path, rng):
-        """A table of several chunks, one of them holding a cell that the
-        compiled writer hands back, on every backend."""
+        """A table of several chunks, some of them holding a cell that the
+        compiled writer hands back."""
         taus = np.linspace(0.0, 50.0, 41)
         xi = np.linspace(0.0, 3.0, 201)
         surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
@@ -169,19 +162,15 @@ class TestSolve:
         surface[30, 200] = -1e7
         assert taus.size * xi.size * 58 > 4 * cli.CHUNK_BYTES
         write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
-                _write_surface(tmp_path / "surface.csv", taus, xi, surface)
-            assert (tmp_path / "surface.csv").read_bytes() == \
-                (tmp_path / "oracle.csv").read_bytes(), backend.__name__
+        _write_surface(tmp_path / "surface.csv", taus, xi, surface)
+        assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_surface_writer_rejects_mismatched_shapes(self, tmp_path):
         taus, xi = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5])
         for surface in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(6),
                         np.zeros((4, 2))):
-            for backend in RUNNABLE:
-                with backend_in_use(backend), pytest.raises(ValueError, match="does not fit"):
-                    _write_surface(tmp_path / "surface.csv", taus, xi, surface)
+            with pytest.raises(ValueError, match="does not fit"):
+                _write_surface(tmp_path / "surface.csv", taus, xi, surface)
 
     def test_surface_writer_takes_strided_and_non_float64_input(self, tmp_path):
         taus = np.arange(6, dtype=np.float32)[::2]
@@ -189,15 +178,12 @@ class TestSolve:
         surface = np.asfortranarray(np.arange(9.0).reshape(3, 3) / 7.0)
         write_surface_csv(tmp_path / "oracle.csv", taus.astype(float), xi.astype(float),
                           np.ascontiguousarray(surface))
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
-                _write_surface(tmp_path / "surface.csv", taus, xi, surface)
-            assert (tmp_path / "surface.csv").read_bytes() == \
-                (tmp_path / "oracle.csv").read_bytes(), backend.__name__
+        _write_surface(tmp_path / "surface.csv", taus, xi, surface)
+        assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_table_writer_matches_csv_writer_bytes(self, tmp_path, rng):
         """boundary.csv's and compare.csv's writer over several chunks, with
-        cells the compiled writer hands back, on every backend."""
+        cells the compiled writer hands back."""
         columns = [rng.uniform(-2.0, 2.0, 3000) for _ in range(4)]
         columns[1][[5, 1500, 2999]] = [np.inf, -1e300, np.nan]
         columns[3][::7] = 0.0009765625
@@ -206,26 +192,21 @@ class TestSolve:
             writer.writerow(["a", "b", "c", "d"])
             for row in zip(*columns):
                 writer.writerow([f"{x:.9f}" for x in row])
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
-                cli._write_table(tmp_path / "table.csv", "a,b,c,d", columns)
-            assert (tmp_path / "table.csv").read_bytes() == \
-                (tmp_path / "oracle.csv").read_bytes(), backend.__name__
+        cli._write_table(tmp_path / "table.csv", "a,b,c,d", columns)
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_outputs_identical_across_backends(self, tmp_path):
-        """Every file of solve at N = 50 has the same bytes on every backend,
-        apart from summary.json's kernel_backend."""
-        outputs = []
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
-                assert run_cli(["solve", "--N", "50"], tmp_path) == 0
-            field = f'"kernel_backend": "{backend_name(backend)}"'
-            summary = (tmp_path / "summary.json").read_text()
-            assert summary.count(field) == 1
-            outputs.append([(tmp_path / name).read_bytes()
-                            for name in ("boundary.csv", "surface.csv")] +
-                           [summary.replace(field, "")])
-        assert all(files == outputs[0] for files in outputs)
+        """Every file of solve at N = 50 has the same bytes, for either
+        engine, when the time layers run in the compiled kernel and on their
+        numpy twins."""
+        for engine in ("newton", "pc"):
+            outputs = []
+            for layers in (contextlib.nullcontext(), numpy_layers()):
+                with layers:
+                    assert run_cli(["solve", "--engine", engine, "--N", "50"], tmp_path) == 0
+                outputs.append([(tmp_path / name).read_bytes()
+                                for name in ("boundary.csv", "surface.csv", "summary.json")])
+            assert outputs[0] == outputs[1], engine
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--N", "50", "--out-dir", str(tmp_path)]
@@ -288,12 +269,15 @@ class TestCompare:
         assert payload["asianfb_version"] == asianfb.__version__
 
     def test_compare_csv_identical_across_backends(self, tmp_path):
-        tables = []
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
+        """compare.csv and compare.json at N = 50 have the same bytes when the
+        time layers run in the compiled kernel and on their numpy twins."""
+        outputs = []
+        for layers in (contextlib.nullcontext(), numpy_layers()):
+            with layers:
                 assert run_cli(["compare", "--N", "50"], tmp_path) == 0
-            tables.append((tmp_path / "compare.csv").read_bytes())
-        assert all(table == tables[0] for table in tables)
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("compare.csv", "compare.json")])
+        assert outputs[0] == outputs[1]
 
     def test_scheme_mode_flag_distinguishes_runs(self, tmp_path):
         a_dir = tmp_path / "a"
@@ -406,6 +390,19 @@ class TestConfigResolution:
                        tmp_path)
         assert code == 3
         assert "layer 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "refine"])
+    def test_missing_compiler_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # no kernel in the cache and no compiler to build one: one line, no traceback
+        monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(native, "_kernel", None)
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        extra = ["--levels", "2", "--jobs", "1"] if command == "refine" else []
+        assert run_cli([command, "--N", "16", *extra], tmp_path / "out") == 4
+        err = capsys.readouterr().err
+        assert err == ("kernel unavailable: no C compiler: asianfb builds its kernel "
+                       "thomas.c with 'cc', which is not on PATH (kernel cache directory "
+                       f"{tmp_path / 'cache'})\n")
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -23,7 +24,7 @@ from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import backend_in_use
+from _oracles import newton_layer_numpy, numpy_layers, predictor_numpy, pure_solve
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -31,21 +32,26 @@ SIZES = st.integers(min_value=1, max_value=400)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 COLUMNS = st.sampled_from([1, 2])
 
-# Only a missing C compiler may skip the compiled-kernel tests.
-HAS_CC = native.find_compiler() is not None
-needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler")
-RUNNABLE = [pure, native] if HAS_CC else [pure]
-BACKENDS = [pure, pytest.param(native, marks=needs_cc)]
+# The two sides of the kernel contract, and the solve each gives
+# tridiag.thomas_solve's errors on: the pure loop's and the compiled kernel's.
+BACKENDS = [pure, native]
+SOLVE = {pure: pure_solve, native: thomas_solve}
 
 
 @pytest.fixture
 def empty_cache(tmp_path, monkeypatch):
-    """No kernel chosen or loaded, and an empty cache directory."""
+    """No kernel loaded, and an empty cache directory."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(native, "CACHE_DIR", cache)
     monkeypatch.setattr(native, "_kernel", None)
-    monkeypatch.setattr(_kernels, "_active", None)
     return cache
+
+
+def fake_compiler(path, script):
+    """An executable shell script at ``path``, for find_compiler to return."""
+    path.write_text("#!/bin/sh\n" + script)
+    path.chmod(0o755)
+    return str(path)
 
 
 def cache_files(cache):
@@ -53,80 +59,89 @@ def cache_files(cache):
 
 
 class TestBackendSelection:
-    @needs_cc
     def test_active_name(self):
-        assert _kernels.active() is native
         assert _kernels.active_name() == "native"
         assert asianfb.kernel_backend() == "native"
 
     def test_import_compiles_and_loads_nothing(self):
         probe = ("import asianfb.cli\n"
-                 "from asianfb import _kernels\n"
-                 "print(_kernels._active is None and _kernels.native._kernel is None)")
+                 "from asianfb._kernels import native\n"
+                 "print(native._kernel is None)")
         done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "True"
 
-    @needs_cc
     def test_first_elimination_builds_into_the_cache(self, empty_cache, monkeypatch):
         sys_ = random_dominant_system(np.random.default_rng(0), 12)
         thomas_solve(*sys_)
-        assert _kernels.active() is native
+        assert native._kernel is not None
         assert cache_files(empty_cache) == [native.library_path().name]
         # a second process (here: a reset) loads the cached library, with no compiler
         monkeypatch.setattr(native, "_kernel", None)
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        assert native.load()
+        native.load()
+        assert native._kernel is not None
 
-    def test_pure_without_compiler(self, empty_cache, monkeypatch):
+    def test_error_without_compiler(self, empty_cache, monkeypatch):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         sys_ = random_dominant_system(np.random.default_rng(0), 12)
-        x = thomas_solve(*sys_)
-        assert _kernels.active() is pure
-        assert asianfb.kernel_backend() == "pure"
-        assert np.array_equal(x, pure.thomas(*sys_, PIVOT_RTOL)[0])
+        with pytest.raises(native.KernelUnavailable) as exc:
+            thomas_solve(*sys_)
+        assert isinstance(exc.value, OSError)
+        assert str(exc.value) == ("no C compiler: asianfb builds its kernel thomas.c with 'cc', "
+                                  f"which is not on PATH (kernel cache directory {empty_cache})")
+        assert native._kernel is None
         assert cache_files(empty_cache) == []
 
-    def test_pure_when_the_build_fails(self, empty_cache, tmp_path, monkeypatch):
-        failing = tmp_path / "cc"
-        failing.write_text("#!/bin/sh\nexit 1\n")
-        failing.chmod(0o755)
-        monkeypatch.setattr(native, "find_compiler", lambda: str(failing))
-        assert _kernels.active_name() == "pure"
+    def test_error_when_the_build_fails(self, empty_cache, tmp_path, monkeypatch):
+        failing = fake_compiler(tmp_path / "cc", "echo 'thomas.c:1: error: broken' >&2\n"
+                                                 "echo 'second line' >&2\nexit 1\n")
+        monkeypatch.setattr(native, "find_compiler", lambda: failing)
+        with pytest.raises(native.KernelUnavailable) as exc:
+            native.load()
+        message = str(exc.value)
+        assert message.startswith(f"building the kernel failed: {failing} -O2 ")
+        assert message.endswith(": exit status 1: thomas.c:1: error: broken "
+                                f"(kernel cache directory {empty_cache})")
+        assert "\n" not in message and "second line" not in message
+        assert native._kernel is None
         assert cache_files(empty_cache) == []  # no half-written library is left
 
-    def test_pure_when_the_load_fails(self, empty_cache, tmp_path, monkeypatch):
+    def test_error_when_the_fresh_build_does_not_load(self, empty_cache, tmp_path,
+                                                      monkeypatch):
         # a corrupt cached file, and a "compiler" whose output does not load either
-        junk = tmp_path / "cc"
-        junk.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho junk > "$2"\n')
-        junk.chmod(0o755)
-        monkeypatch.setattr(native, "find_compiler", lambda: str(junk))
+        junk = fake_compiler(tmp_path / "cc",
+                             'while [ "$1" != -o ]; do shift; done\necho junk > "$2"\n')
+        monkeypatch.setattr(native, "find_compiler", lambda: junk)
         empty_cache.mkdir()
         native.library_path().write_bytes(b"not a shared library")
-        assert _kernels.active_name() == "pure"
+        with pytest.raises(native.KernelUnavailable,
+                           match="^the freshly built kernel does not load: .*"
+                                 r"\(kernel cache directory .*\)$"):
+            native.load()
+        assert native._kernel is None
         assert cache_files(empty_cache) == [native.library_path().name]
 
-    def test_pure_when_the_cached_file_does_not_load_and_no_compiler(self, empty_cache,
-                                                                     monkeypatch):
+    def test_error_with_a_broken_cache_and_no_compiler(self, empty_cache, monkeypatch):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         empty_cache.mkdir()
         native.library_path().write_bytes(b"not a shared library")
-        assert _kernels.active_name() == "pure"
+        with pytest.raises(native.KernelUnavailable, match="^no C compiler: .*'cc'"):
+            native.load()
+        assert native._kernel is None
         assert native.library_path().read_bytes() == b"not a shared library"
 
-    @needs_cc
     def test_corrupt_cached_library_is_rebuilt(self, empty_cache):
         empty_cache.mkdir()
         native.library_path().write_bytes(b"not a shared library")
         sys_ = random_dominant_system(np.random.default_rng(0), 12)
         x = thomas_solve(*sys_)
-        assert _kernels.active_name() == "native"
+        assert native._kernel is not None
         assert np.array_equal(x, pure.thomas(*sys_, PIVOT_RTOL)[0])
         assert cache_files(empty_cache) == [native.library_path().name]
         assert native.library_path().read_bytes() != b"not a shared library"
 
-    @needs_cc
     def test_concurrent_cold_builds(self, tmp_path):
         cache = tmp_path / "cache"
         start_at = time.time() + 1.0  # both interpreters are up by then
@@ -138,11 +153,10 @@ class TestBackendSelection:
         for child in children:
             out, err = child.communicate(timeout=120)
             assert child.returncode == 0, err
-            assert out.strip() == "native True"
+            assert out.strip() == "True"
         assert len(cache_files(cache)) == 1  # one library, no temporary left behind
 
 
-@needs_cc
 def test_kernel_source_compiles_without_warnings(tmp_path):
     done = subprocess.run([native.find_compiler(), *native.CFLAGS, "-Wall", "-Wextra", "-Werror",
                            "-o", str(tmp_path / "thomas.so"), str(native.SOURCE)],
@@ -151,12 +165,11 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 
 # Build the kernel into an empty cache (argv[1]) from a fresh interpreter at a
-# set time (argv[3]) and check one solve against the pure kernel.
+# set time (argv[3]) and check one solve against the pure loop.
 BUILD_AND_SOLVE = """
 import sys, time
 from pathlib import Path
 import numpy as np
-from asianfb import _kernels
 from asianfb._kernels import native, pure
 native.CACHE_DIR = Path(sys.argv[1])
 rng = np.random.default_rng(int(sys.argv[2]))
@@ -164,10 +177,9 @@ n = 300
 args = (rng.uniform(-1, 1, n - 1), rng.uniform(2.5, 4, n), rng.uniform(-1, 1, n - 1),
         rng.uniform(-5, 5, (2, n)), 1e-14)
 time.sleep(max(0.0, float(sys.argv[3]) - time.time()))
-name = _kernels.active_name()
 x, fail = native.thomas(*args)
 x_pure, fail_pure = pure.thomas(*args)
-print(name, fail == fail_pure == -1 and x.tobytes() == x_pure.tobytes())
+print(fail == fail_pure == -1 and x.tobytes() == x_pure.tobytes())
 """
 
 
@@ -191,10 +203,10 @@ def entry_at(n, where):
     return {"first": 0, "inner": n // 2, "last": n - 1}[where]
 
 
-def solve_or_fail(lower, diag, upper, rhs):
+def solve_or_fail(solve, lower, diag, upper, rhs):
     """(solution, None) or (None, index of the ZeroPivot raised)."""
     try:
-        return thomas_solve(lower, diag, upper, rhs), None
+        return solve(lower, diag, upper, rhs), None
     except ZeroPivot as exc:
         return None, exc.index
 
@@ -202,18 +214,17 @@ def solve_or_fail(lower, diag, upper, rhs):
 class TestTwoColumnKernel:
     """A (2, n) right-hand side is one elimination that equals two single solves.
 
-    Each property runs on every backend this machine can run.
+    Each property runs on both sides of the contract.
     """
 
     @PROPERTY
     @given(seed=SEEDS, n=SIZES, coupling=st.floats(min_value=0.0, max_value=4.0))
     def test_columns_bitwise_equal_single_solves(self, seed, n, coupling):
         lower, diag, upper, rhs = two_column_system(seed, n, coupling)
-        for backend in RUNNABLE:
-            with backend_in_use(backend):
-                both, fail = solve_or_fail(lower, diag, upper, rhs)
-                first, fail_first = solve_or_fail(lower, diag, upper, rhs[0])
-                second, fail_second = solve_or_fail(lower, diag, upper, rhs[1])
+        for solve in SOLVE.values():
+            both, fail = solve_or_fail(solve, lower, diag, upper, rhs)
+            first, fail_first = solve_or_fail(solve, lower, diag, upper, rhs[0])
+            second, fail_second = solve_or_fail(solve, lower, diag, upper, rhs[1])
             assert fail == fail_first == fail_second
             if fail is None:
                 assert both.shape == (2, n)
@@ -229,10 +240,10 @@ class TestTwoColumnKernel:
         diag[row] = 0.0
         if row > 0:
             lower[row - 1] = 0.0
-        for backend in RUNNABLE:
+        for solve in SOLVE.values():
             for right in (rhs, rhs[0], rhs[1]):
-                with backend_in_use(backend), pytest.raises(ZeroPivot) as exc:
-                    thomas_solve(lower, diag, upper, right)
+                with pytest.raises(ZeroPivot) as exc:
+                    solve(lower, diag, upper, right)
                 assert exc.value.index == row
 
     @PROPERTY
@@ -245,9 +256,9 @@ class TestTwoColumnKernel:
                   "rhs0": rhs[0], "rhs1": rhs[1]}[field]
         assume(target.size > 0)
         target[seed % target.size] = bad
-        for backend in RUNNABLE:
-            with backend_in_use(backend), pytest.raises(ValueError):
-                thomas_solve(lower, diag, upper, rhs)
+        for solve in SOLVE.values():
+            with pytest.raises(ValueError):
+                solve(lower, diag, upper, rhs)
 
 
 def kernel_input(seed, n, ncol, coupling=1.0):
@@ -266,7 +277,6 @@ def assert_same_result(args):
     return fail
 
 
-@needs_cc
 class TestNativeMatchesPure:
     """The compiled kernel against the pure loop as the oracle."""
 
@@ -310,8 +320,8 @@ class TestKernelContract:
         for args in cases:
             with pytest.raises(ValueError, match=message):
                 backend.thomas(*args, PIVOT_RTOL)
-            with backend_in_use(backend), pytest.raises(ValueError, match=message):
-                thomas_solve(*args)
+            with pytest.raises(ValueError, match=message):
+                SOLVE[backend](*args)
         assert backend.thomas(lower, diag, upper, rhs, PIVOT_RTOL)[1] == -1
 
     @pytest.mark.parametrize("ncol", [1, 2])
@@ -328,8 +338,8 @@ class TestKernelContract:
                     kept, target[i] = target[i], bad
                     with pytest.raises(ValueError, match=message):
                         backend.thomas(lower, diag, upper, rhs, rtol)
-                    with backend_in_use(backend), pytest.raises(ValueError, match=message):
-                        thomas_solve(lower, diag, upper, rhs)
+                    with pytest.raises(ValueError, match=message):
+                        SOLVE[backend](lower, diag, upper, rhs)
                     target[i] = kept
         assert backend.thomas(lower, diag, upper, rhs, rtol)[1] == -1
 
@@ -389,27 +399,22 @@ def count_constructions(monkeypatch, cls):
 
 @pytest.fixture
 def bindings_built(monkeypatch):
-    """Lists that gain one entry per native.Binding and per
-    native.FrameBinding constructed; nothing cached."""
-    monkeypatch.setattr(native, "_last", None)
+    """A list that gains one entry per native.FrameBinding constructed;
+    nothing cached."""
     monkeypatch.setattr(native, "_last_frame", None)
-    return (count_constructions(monkeypatch, native.Binding),
-            count_constructions(monkeypatch, native.FrameBinding))
+    return count_constructions(monkeypatch, native.FrameBinding)
 
 
-@needs_cc
 class TestNativeCache:
-    """native.thomas reuses the Binding of the last call's arrays, and only
-    it; native.newton_layer and native.pc_corrector bind a march's frame
-    once, and eliminate in C without a Binding."""
+    """native.newton_layer and native.pc_corrector bind a march's frame
+    once; native.thomas binds the arrays of each call afresh."""
 
     @pytest.mark.parametrize("run, expected", [
-        (march_newton, (0, 1)), (march_pc, (0, 1)), (asianfb.compare_engines, (0, 2)),
+        (march_newton, 1), (march_pc, 1), (asianfb.compare_engines, 2),
     ], ids=["newton", "pc", "compare"])
     def test_one_binding_per_march(self, params, bindings_built, run, expected):
-        with backend_in_use(native):
-            run(params, make_grid(params, N=50))
-        assert tuple(map(len, bindings_built)) == expected
+        run(params, make_grid(params, N=50))
+        assert len(bindings_built) == expected
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-matrix", "own-arrays"])
     def test_alternating_systems_overwritten_in_place(self, shared):
@@ -457,15 +462,14 @@ def test_strided_input(backend):
     strided = (wide[1, :-2:2], wide[0, ::2], wide[2, :-2:2])
     fortran = np.asfortranarray(rhs)
     assert not strided[1].flags.c_contiguous and not fortran.flags.c_contiguous
-    with backend_in_use(backend):
-        got = thomas_solve(*strided, fortran)
-        want = thomas_solve(sys_.lower, sys_.diag, sys_.upper, rhs)
-        single = thomas_solve(*strided, rhs.T[:, 1])
+    solve = SOLVE[backend]
+    got = solve(*strided, fortran)
+    want = solve(sys_.lower, sys_.diag, sys_.upper, rhs)
+    single = solve(*strided, rhs.T[:, 1])
     assert got.tobytes() == want.tobytes()
     assert single.tobytes() == want[1].tobytes()
 
 
-@needs_cc
 class TestFixed9Rows:
     """native.fixed9_rows, the compiled CSV cell writer (the CSV tests
     compare whole files with csv.writer's)."""
@@ -509,12 +513,13 @@ BIT_IDENTITY_PARAMS = {
 # (N, M): criterion 6's grid, and N = 50 and 200 with M = ceil(2.5 N)
 BIT_IDENTITY_GRIDS = {"N8M4": (8, 4), "N50": (50, None), "N200": (200, None)}
 # pc runs only up to N = 50: it makes no Newton layer call, and its marches
-# at N = 200 are the slowest of the pure loop's
+# at N = 200 are the slowest of the numpy twins'
 PC_GRIDS = ("N8M4", "N50")
 
 # march_digest of each run (engine, mode, parameters, grid), recorded with the
-# Python Newton loop before Newton's layer had a compiled path; both backends
-# must still give these bits.
+# numpy Newton loop before Newton's layer had a compiled path; the compiled
+# kernel and the numpy twins of its layers (tests/_oracles.py) must both
+# still give these bits.
 MARCH_DIGESTS = {
     ("newton", "central", "ref", "N8M4"): "1b2710f6184f5bc2",
     ("newton", "central", "ref", "N50"): "873d8111127bdf9f",
@@ -595,10 +600,10 @@ def march_digest(march, p, grid, mode):
     return digest.hexdigest()[:16]
 
 
-@needs_cc
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_march_bit_identical_across_backends(march, mode):
+    """The kernel's march and the march on the numpy twins of its layers."""
     engine = "newton" if march is march_newton else "pc"
     for name, (r, q, sigma) in BIT_IDENTITY_PARAMS.items():
         p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
@@ -607,8 +612,8 @@ def test_march_bit_identical_across_backends(march, mode):
                 continue
             grid = make_grid(p, N=n, M=m)
             digests = []
-            for backend in (pure, native):
-                with backend_in_use(backend):
+            for layers in (contextlib.nullcontext(), numpy_layers()):
+                with layers:
                     digests.append(march_digest(march, p, grid, mode))
             assert digests == [MARCH_DIGESTS[engine, mode.value, name, grid_name]] * 2, \
                 (name, grid_name, digests)
@@ -635,19 +640,18 @@ def failing_layer(case, params, patch):
     return params, grid, prev, cfg
 
 
-@needs_cc
 @pytest.mark.parametrize("case", ["NonPositiveZ", "ValueError", "ZeroPivot", "SingularSchur",
                                   "NoConvergence"])
 def test_newton_layer_fails_alike_on_both_backends(params, case):
-    """Each failure raises the same class, message and attributes on both
-    backends; the limits patched here reach the compiled path from Python."""
+    """Each failure raises the same class, message and attributes in the
+    kernel's layer and in its numpy twin; the limits patched here reach the
+    compiled path from Python."""
     raised = []
-    for backend in (pure, native):
-        with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
+    for layer in (newton_layer, newton_layer_numpy):
+        with pytest.MonkeyPatch.context() as patch:
             p, grid, prev, cfg = failing_layer(case, params, patch)
             with pytest.raises(Exception) as exc:
-                newton_layer(prev, float(grid.taus[1]), grid, p, SchemeMode.UPWIND_SINGULAR,
-                             cfg)
+                layer(prev, float(grid.taus[1]), grid, p, SchemeMode.UPWIND_SINGULAR, cfg)
         raised.append((type(exc.value), str(exc.value), vars(exc.value)))
     assert raised[0] == raised[1]
     kind, message, attributes = raised[0]
@@ -661,11 +665,11 @@ def test_newton_layer_fails_alike_on_both_backends(params, case):
         assert attributes["last_step"] >= NewtonConfig().tol
 
 
-@needs_cc
 def test_predictor_iterates_bit_identical_across_backends():
     """The predictor's root, and its first iterates through the last step
     that NoConvergence reports when max_iter cuts the loop short, are the
-    same bits on both backends from every layer of a march."""
+    same bits in the kernel and in its numpy twin from every layer of a
+    march."""
     for r, q, sigma in BIT_IDENTITY_PARAMS.values():
         p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
         grid = make_grid(p, N=50)
@@ -675,15 +679,14 @@ def test_predictor_iterates_bit_identical_across_backends():
                               z=float(run.rho[j]))
             for max_iter in (1, 2, 3, 100):
                 ended = []
-                for backend in (pure, native):
-                    with backend_in_use(backend):
-                        try:
-                            pred = solver_pc.predictor(prev, float(run.taus[j + 1]), grid, p,
-                                                       PredictorConfig(max_iter=max_iter))
-                        except (NoBracket, NoConvergence) as exc:
-                            ended.append((type(exc), str(exc), vars(exc)))
-                        else:
-                            ended.append((pred.z, pred.iterations))
+                for predict in (solver_pc.predictor, predictor_numpy):
+                    try:
+                        pred = predict(prev, float(run.taus[j + 1]), grid, p,
+                                       PredictorConfig(max_iter=max_iter))
+                    except (NoBracket, NoConvergence) as exc:
+                        ended.append((type(exc), str(exc), vars(exc)))
+                    else:
+                        ended.append((pred.z, pred.iterations))
                 assert ended[0] == ended[1], (r, q, sigma, j, max_iter)
 
 
@@ -714,20 +717,20 @@ def pc_layer_case(case, params, patch):
     return prev, tau_next, scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR), cfg
 
 
-@needs_cc
 @pytest.mark.parametrize("case", ["NoBracket", "NonPositiveZ", "ValueError", "ZeroPivot",
                                   "SingularSchur", "NoConvergence", "PastMaturity"])
 def test_pc_layer_fails_alike_on_both_backends(params, case):
     """Each pc layer that fails raises the same class, message and attributes
-    on both backends, and the one whose predictor finds no root (raising
-    the same NoBracket) returns the same fallback layer; the limits patched
-    here reach the compiled path from Python."""
+    in the kernel and on the numpy twins of its layer, and the one whose
+    predictor finds no root (raising the same NoBracket) returns the same
+    fallback layer; the limits patched here reach the compiled path from
+    Python."""
     def raised(exc):
         return type(exc), str(exc), vars(exc)
 
     ended = []
-    for backend in (pure, native):
-        with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
+    for layers in (contextlib.nullcontext(), numpy_layers()):
+        with layers, pytest.MonkeyPatch.context() as patch:
             prev, tau_next, frame, cfg = pc_layer_case(case, params, patch)
             try:
                 state, diag = solver_pc._layer(prev, tau_next, frame, cfg)
@@ -760,40 +763,28 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
 
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_eliminations_enter_through_the_traced_entry_points(params, march):
-    """Every elimination of a Python layer loop calls tridiag.thomas_solve,
-    as bound in the module that calls it, and the active backend's thomas
-    with diag second, which is where a tracer set on those names counts
-    solves and rows.  With the compiled kernel, each engine's eliminations
-    run inside its C calls per layer (native.newton_layer,
-    native.pc_corrector), so neither march makes any."""
+    """A tracer counts solves and rows at tridiag.thomas_solve, as bound in
+    the module that calls it, and at each backend's thomas.  Each engine's
+    eliminations run inside its C calls per layer (native.newton_layer,
+    native.pc_corrector), so neither march makes any there."""
     grid = make_grid(params, N=40)
-    for backend in RUNNABLE:
-        kernel_rows, solves = [], []
+    calls = []
 
-        def counting_kernel(*args, **kwargs):
-            kernel_rows.append(len(args[1]))
-            return kernel(*args, **kwargs)
+    def counting(function):
+        def counted(*args, **kwargs):
+            calls.append(function)
+            return function(*args, **kwargs)
+        return counted
 
-        def counting_solve(*args, **kwargs):
-            solves.append(1)
-            return thomas_solve(*args, **kwargs)
-
-        kernel = backend.thomas
-        with backend_in_use(backend), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(backend, "thomas", counting_kernel)
-            for name, module in list(sys.modules.items()):
-                if name.startswith("asianfb") and \
-                        getattr(module, "thomas_solve", None) is thomas_solve:
-                    patch.setattr(module, "thomas_solve", counting_solve)
-            result = march(params, grid)
-        if backend is not pure:
-            expected = 0
-        elif march is march_pc:  # frozen solve, Schur column, frozen solve at the corrected z
-            expected = 3 * grid.M
-        else:  # one (2, n) elimination per Newton iteration
-            expected = sum(d.iterations for d in result.diagnostics)
-        assert len(kernel_rows) == len(solves) == expected, backend.__name__
-        assert set(kernel_rows) == ({grid.N - 1} if expected else set())
+    with pytest.MonkeyPatch.context() as patch:
+        for backend in BACKENDS:
+            patch.setattr(backend, "thomas", counting(backend.thomas))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("asianfb") and \
+                    getattr(module, "thomas_solve", None) is thomas_solve:
+                patch.setattr(module, "thomas_solve", counting(thomas_solve))
+        march(params, grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize("march, module, opener",

@@ -5,7 +5,7 @@ import pytest
 
 from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
-from asianfb.scheme import SchemeMode, interior_residual
+from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton, newton_layer
 from asianfb.mesh import initial_layer
 
@@ -15,6 +15,7 @@ from _oracles import (
     beta,
     constraint_root,
     discrete_alpha,
+    interior_residual,
     layer_rows,
     layer_rows_where,
     residual_constraint,

@@ -10,10 +10,11 @@ from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.model import MarketParams
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton
-from asianfb.solver_pc import PredictorConfig, _scalar_residual_funcs, march_pc, predictor
+from asianfb.solver_pc import PredictorConfig, march_pc, predictor
 
 from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer,
-                      residual_constraint, residual_interior, stationary_state)
+                      predictor_equations, residual_constraint, residual_interior,
+                      stationary_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -73,7 +74,7 @@ class TestPredictor:
         prev = initial_layer(params, default_grid)
         tau1 = float(default_grid.taus[1])
         pred = predictor(prev, tau1, default_grid, params)
-        y1 = _scalar_residual_funcs(prev, tau1, default_grid, params)[2](pred.z)
+        y1 = predictor_equations(prev, tau1, default_grid, params)[2](pred.z)
         h, sig2 = default_grid.h, params.sigma**2
         ttm = params.T - tau1
         g_val = params.q * pred.z - params.r + (pred.z - 1.0) / ttm
