@@ -2,11 +2,13 @@
 
 The library holds ``thomas``, the Thomas solve of the kernel contract,
 and one time layer of each engine, which eliminates with that same
-``thomas``: ``newton_layer``, the iterations of one Newton layer over a
-scheme.LayerFrame's buffers, and the predictor-corrector layer's two
-halves, ``pc_predictor``, the predictor's scalar root, and
-``pc_corrector``, the corrector and the layer's diagnostics over the
-frame's buffers (see below); and ``fixed9_rows``, the CLI's CSV cells.
+``thomas``: ``newton_layer``, the z-free part of a layer and its Newton
+iterations over a scheme.LayerFrame's buffers, and the
+predictor-corrector layer's two halves, ``pc_predictor``, the
+predictor's scalar root, and ``pc_corrector``, the z-free part, the
+corrector and the layer's diagnostics over the frame's buffers (see
+below); and ``fixed9_rows`` and ``fixed9_surface``, the CLI's CSV
+cells.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 the first kernel call in a process) looks for a shared library in
@@ -29,19 +31,27 @@ this module run pure's numpy check, to raise the ValueError that names
 the array.  No march calls it: both engines eliminate inside their layer
 calls.
 
-``newton_layer`` and ``pc_corrector`` cache their arguments for a
-layer: a FrameBinding of the last scheme.LayerFrame either ran in holds
-the march's constants and the addresses of the frame's buffers, so a
-march binds its frame once and each layer passes only the z-free scalars
-and J21 that its start() computed.  ``pc_predictor`` takes its scalars
-alone.
+The three layer functions share a binding per march: a FrameBinding of
+the last scheme.LayerFrame any of them ran in holds the march's
+constants (T, h, h**2, r, q, sigma**2 and their products), the
+addresses of the frame's buffers, a y buffer and the out[] slots, so a
+march binds its frame once.  The limits a call takes (Newton's tol and
+max_iter, the predictor's root search, the eliminations' pivot_rtol and
+schur_floor) are written into the binding only when they differ from
+those it holds.  Each layer copies the previous layer into the y buffer
+and passes only tau_prev, tau_next and z_prev (and pc's corrector its
+z_tilde) to C, which builds the layer's z-free part itself; a refused
+layer (tau_next >= T, or a non-positive step) comes back as a status
+code.
 
 ``fixed9_rows`` writes a chunk of table rows as CSV lines of ``"%.9f"``
 cells into a buffer the caller reuses for a whole file, byte for byte as
 Python formats them, and hands back (by its index) the first cell it
 leaves to Python: a NaN, an infinity, or a magnitude of 4.5e6 or more.
-It checks that both arrays are contiguous and large enough before the C
-call, which trusts them.
+``fixed9_surface`` writes chunks of surface.csv alike, formatting each
+layer's tau cell once and copying xi cells formatted once per file.
+Both check that their arrays are contiguous and large enough before the
+C call, which trusts them.
 """
 
 from __future__ import annotations
@@ -72,14 +82,17 @@ BUILD_TIMEOUT_S = 120
 NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
- LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET) = range(7)
-# the layer functions' out[] slots: newton_layer's 7 diagnostics, then two more
+ LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(9)
+# the statuses of a layer that frame_start refuses: tau_next >= T, and dt <= 0
+_START_FAILURES = (LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP)
+# the layer functions' out[] slots: newton_layer's 8 diagnostics, then two more
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
- OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS) = range(10)
-FIXED9_CELL = 18  # thomas.c's FIXED9_CELL: the widest cell fixed9_rows writes
+ OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_UPWINDED, OUT_FAILURE,
+ OUT_SLOTS) = range(11)
+FIXED9_CELL = 18  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
+FIXED9_LIMIT = 4.5e6  # thomas.c's FIXED9_LIMIT: smaller magnitudes are formatted in C
 
 _kernel = None  # the loaded library, once load() succeeds
-_predictor_out = None  # pc_predictor's out[] slots and their address, made by load()
 
 
 def find_compiler() -> str | None:
@@ -141,7 +154,7 @@ def load() -> None:
     Raises KernelUnavailable, leaving nothing loaded, when there is no C
     compiler or the build or the load of the fresh build fails.
     """
-    global _kernel, _predictor_out
+    global _kernel
     if _kernel is not None:
         return
     path = library_path()
@@ -155,16 +168,15 @@ def load() -> None:
             raise _unavailable(f"the freshly built kernel does not load: {exc}") from None
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
-    library.newton_layer.argtypes = [pointer] * 2 + [double] * 9 + [long] + [double] * 2 + \
-        [pointer]
-    library.pc_predictor.argtypes = [double] * 10 + [long, double, long, double, long, pointer]
-    library.pc_corrector.argtypes = [pointer] * 2 + [double] * 11 + [pointer]
+    # each layer function: (frame, tau_prev, tau_next, z_prev), and pc_corrector z_tilde
+    library.newton_layer.argtypes = [pointer] + [double] * 3
+    library.pc_predictor.argtypes = [pointer] + [double] * 3
+    library.pc_corrector.argtypes = [pointer] + [double] * 4
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
+    library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
     for function in (library.thomas, library.newton_layer, library.pc_predictor,
-                     library.pc_corrector, library.fixed9_rows):
+                     library.pc_corrector, library.fixed9_rows, library.fixed9_surface):
         function.restype = long
-    out = (double * OUT_SLOTS)()
-    _predictor_out = out, ctypes.addressof(out)
     _kernel = library
 
 
@@ -198,20 +210,30 @@ def thomas(lower, diag, upper, rhs, pivot_rtol):
 class _Frame(ctypes.Structure):
     """thomas.c's struct layer_frame."""
 
-    _fields_ = [("n", ctypes.c_long), ("upwind", ctypes.c_long)] + \
+    _fields_ = [(name, ctypes.c_long) for name in
+                ("n", "upwind", "max_iter", "root_max_iter", "scan", "expansions")] + \
         [(name, ctypes.c_double) for name in
-         ("h", "two_h", "r", "q", "half_sig2", "diff", "sig2")] + \
+         ("T", "h", "h2", "two_h", "r", "q", "half_sig2", "diff", "sig2", "tol", "root_tol",
+          "bracket_factor", "pivot_rtol", "schur_floor")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
-          "db", "onesided", "f", "single", "cp", "x")]
+          "db", "onesided", "f", "single", "cp", "x", "y", "out")]
+
+
+# The struct's fields that a layer function's limits set, by group: Newton's
+# iterations, the predictor's root search, and the eliminations' guards.
+_LIMITS = {"iteration": ("tol", "max_iter"),
+           "search": ("root_tol", "root_max_iter", "scan", "bracket_factor", "expansions"),
+           "solve": ("pivot_rtol", "schur_floor")}
 
 
 class FrameBinding:
-    """A scheme.LayerFrame as newton_layer and pc_corrector take it: the
-    march's constants, the addresses of the frame's buffers, the cp work
-    row, the (2, n) solution buffer and the out[] slots."""
+    """A scheme.LayerFrame as the layer functions take it: the march's
+    constants, the addresses of the frame's buffers, the cp work row, the
+    (2, n) solution buffer, the layer's y and the out[] slots, and the
+    limits last set, by group (see _LIMITS)."""
 
-    __slots__ = ("frame", "cp", "x", "struct", "address", "out", "out_address")
+    __slots__ = ("frame", "cp", "x", "y", "struct", "address", "out") + tuple(_LIMITS)
 
     def __init__(self, frame):
         rows, g, p = frame._rows, frame.g, frame.p
@@ -219,116 +241,148 @@ class FrameBinding:
         self.frame = frame  # keeps every buffer alive while its address is in use
         self.cp = np.empty(n)
         self.x = np.empty((2, n))
+        self.y = np.empty(n + 2)
+        self.out = (ctypes.c_double * OUT_SLOTS)()
         arrays = {"exp_neg_xi": g.exp_neg_xi, "ds": frame._ds,
                   "half_ds_h": frame._half_ds_h, "rhs": rows.rhs, "lower": rows.lower,
                   "diag": rows.diag, "upper": rows.upper, "da": rows.da, "dc": rows.dc,
                   "db": rows.db, "onesided": rows.onesided, "f": frame.pair_rhs,
-                  "single": frame.single_rhs, "cp": self.cp, "x": self.x}
-        self.struct = _Frame(n=n, upwind=frame.mode.value == "upwind-singular", h=g.h,
-                             two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=frame._half_sig2,
-                             diff=frame._diff, sig2=frame._sig2,
+                  "single": frame.single_rhs, "cp": self.cp, "x": self.x, "y": self.y}
+        self.struct = _Frame(n=n, upwind=frame.mode.value == "upwind-singular", T=p.T, h=g.h,
+                             h2=g.h**2, two_h=2.0 * g.h, r=p.r, q=p.q,
+                             half_sig2=frame._half_sig2, diff=frame._diff, sig2=frame._sig2,
+                             out=ctypes.addressof(self.out),
                              **{name: a.ctypes.data for name, a in arrays.items()})
         self.address = ctypes.addressof(self.struct)
-        self.out = (ctypes.c_double * OUT_SLOTS)()
-        self.out_address = ctypes.addressof(self.out)
+        for group in _LIMITS:
+            setattr(self, group, None)
+
+    def set_limits(self, group, values):
+        """Bind ``values`` to the struct's fields of ``group``."""
+        setattr(self, group, values)
+        for name, value in zip(_LIMITS[group], values):
+            setattr(self.struct, name, value)
 
 
 # The FrameBinding of the last frame a layer function ran in: one per march.
 _last_frame = None
 
 
-def _in_frame(function, frame, y, rhs, *args):
-    """Call ``function`` (newton_layer or pc_corrector) on the layer
-    ``frame.start`` built, with y and the scalars ``args`` between J21 and
-    out[].  Returns its status and out[] slots.
+def _bind(frame, y_prev):
+    """The binding of ``frame``, made when the frame is not the last one
+    bound, with the previous layer ``y_prev`` copied into its y.
 
-    Raises ValueError, naming the array, when an elimination against J11
-    and ``rhs`` meets a non-finite entry.
+    Raises ValueError when y_prev does not have the N + 1 entries of a
+    layer.
     """
     global _last_frame
+    if _kernel is None:
+        load()
     binding = _last_frame
     if binding is None or binding.frame is not frame:
         binding = _last_frame = FrameBinding(frame)
-    c0, c1 = frame._constraint
-    status = function(binding.address, y.ctypes.data, frame._z_prev, frame._dt, frame._ttm,
-                      frame._diag_base, c0, c1, *frame.j21, *args, binding.out_address)
-    out = binding.out[:]
+    np.copyto(binding.y, y_prev)
+    return binding
+
+
+def _failed(binding, status, rhs):
+    """The value of a failed layer call's ``status``: None for a layer that
+    frame_start refuses, else out[OUT_FAILURE].
+
+    Raises ValueError, naming the array, when an elimination against J11
+    and ``rhs`` met a non-finite entry.
+    """
     if status == LAYER_NON_FINITE:
-        pure.check_finite(*frame.j11, rhs)
+        pure.check_finite(*binding.frame.j11, rhs)
         raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
-    return status, out
+    if status in _START_FAILURES:
+        return None
+    return binding.out[OUT_FAILURE]
 
 
-def newton_layer(frame, y, tol, max_iter, pivot_rtol, schur_floor):
-    """Newton's iterations on the layer ``frame.start`` built, in one C call.
+def newton_layer(frame, y_prev, tau_prev, tau_next, z_prev, tol, max_iter, pivot_rtol,
+                 schur_floor):
+    """Newton's iterations on the layer from (tau_prev, y_prev, z_prev) to
+    tau_next in ``frame``, in one C call, which first builds the frame's
+    z-free part.
 
-    y is a copy of the previous layer, updated in place; tol, max_iter,
-    pivot_rtol and schur_floor are solver_newton's.  The C function works
-    over the frame's buffers and with its ``j21``, and repeats every
+    tol, max_iter, pivot_rtol and schur_floor are solver_newton's, bound
+    to the frame's binding when they change.  The C function repeats every
     operation of the numpy Newton loop that the tests keep as its oracle
     in order.
 
-    Raises ValueError, naming the array, when an elimination meets a
-    non-finite entry.  Returns (LAYER_OK, (iterations, z,
-    initial_residual, onesided_rows, dominance_violations, residual_f1,
-    residual_f2)), or the status of the first failure with its value:
-    the non-positive z, the failing pivot row, the Schur denominator or
-    the last step.
+    Raises ValueError when y_prev does not fit the frame and, naming the
+    array, when an elimination meets a non-finite entry.  Returns
+    (LAYER_OK, (y, iterations, z, initial_residual, onesided_rows,
+    dominance_violations, residual_f1, residual_f2, backward_error)), y
+    the new layer in an array of its own, or the status of the first
+    failure with its value: LAYER_PAST_MATURITY or LAYER_NON_POSITIVE_STEP
+    (with None), the non-positive z, the failing pivot row, the Schur
+    denominator or the last step.
     """
-    if _kernel is None:
-        load()
-    status, out = _in_frame(_kernel.newton_layer, frame, y, frame.pair_rhs, tol, max_iter,
-                            pivot_rtol, schur_floor)
-    if status != LAYER_OK:
-        return status, out[OUT_FAILURE]
-    return status, tuple(out[:OUT_UPWINDED])
+    binding = _bind(frame, y_prev)
+    if binding.iteration != (tol, max_iter):
+        binding.set_limits("iteration", (tol, max_iter))
+    if binding.solve != (pivot_rtol, schur_floor):
+        binding.set_limits("solve", (pivot_rtol, schur_floor))
+    status = _kernel.newton_layer(binding.address, tau_prev, tau_next, z_prev)
+    if status == LAYER_OK:
+        return status, (binding.y.copy(), *binding.out[:OUT_UPWINDED])
+    return status, _failed(binding, status, frame.pair_rhs)
 
 
-def pc_predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor, expansions,
-                 root_tol, max_iter):
-    """solver_pc.predictor's root in one C call, from the previous layer's
-    z and first three values, dt, ttm = T - tau_next, the market's r, q
-    and sigma and the grid's h; scan (the bracket scan's scan + 1
-    points), factor (its widening factor), expansions (its widenings),
-    root_tol and max_iter are solver_pc's.  The C function repeats every
-    operation of the numpy predictor that the tests keep as its oracle in
-    order.
+def pc_predictor(frame, y_prev, tau_prev, tau_next, z_prev, root_tol, max_iter, scan, factor,
+                 expansions):
+    """solver_pc.predictor's root on the layer from (tau_prev, y_prev,
+    z_prev) to tau_next in one C call, from the previous layer's first
+    three values and the march's constants in ``frame``'s binding;
+    root_tol, max_iter, scan (the bracket scan's scan + 1 points), factor
+    (its widening factor) and expansions (its widenings) are solver_pc's,
+    bound when they change.  The C function repeats every operation of
+    the numpy predictor that the tests keep as its oracle in order.
 
-    Returns (LAYER_OK, (z, iterations)), or LAYER_NO_BRACKET with the
-    widest factor scanned, LAYER_NO_CONVERGENCE with the last step or
-    LAYER_NON_POSITIVE_Z with the root.
+    Returns (LAYER_OK, (z, iterations)), or LAYER_PAST_MATURITY with
+    None, LAYER_NO_BRACKET with the widest factor scanned,
+    LAYER_NO_CONVERGENCE with the last step or LAYER_NON_POSITIVE_Z with
+    the root.
     """
-    if _kernel is None:
-        load()
-    out, address = _predictor_out
-    status = _kernel.pc_predictor(z_prev, dt, ttm, r, q, sigma, h, y0, y1, y2, scan, factor,
-                                  expansions, root_tol, max_iter, address)
-    if status != LAYER_OK:
-        return status, out[OUT_FAILURE]
-    return status, (out[OUT_Z], int(out[OUT_ITERATIONS]))
+    binding = _bind(frame, y_prev)
+    search = (root_tol, max_iter, scan, factor, expansions)
+    if binding.search != search:
+        binding.set_limits("search", search)
+    status = _kernel.pc_predictor(binding.address, tau_prev, tau_next, z_prev)
+    out = binding.out
+    if status == LAYER_OK:
+        return status, (out[OUT_Z], int(out[OUT_ITERATIONS]))
+    return status, None if status == LAYER_PAST_MATURITY else out[OUT_FAILURE]
 
 
-def pc_corrector(frame, y, z_tilde, pivot_rtol, schur_floor):
-    """The predictor-corrector's corrector on the layer ``frame.start``
-    built, with the layer's diagnostics, in one C call: y (N + 1 entries)
-    receives the stored layer, and pivot_rtol and schur_floor are
-    solver_pc's.  The C function repeats every operation of the numpy
-    corrector that the tests keep as its oracle in order.
+def pc_corrector(frame, y_prev, tau_prev, tau_next, z_prev, z_tilde, pivot_rtol, schur_floor):
+    """The predictor-corrector's corrector on the layer from (tau_prev,
+    y_prev, z_prev) to tau_next in ``frame``, with the layer's
+    diagnostics, in one C call, which first builds the frame's z-free
+    part; pivot_rtol and schur_floor are solver_pc's, bound when they
+    change.  The C function repeats every operation of the numpy corrector
+    that the tests keep as its oracle in order.
 
-    Raises ValueError, naming the array, when an elimination meets a
-    non-finite entry.  Returns (LAYER_OK, (z, residual_f1, residual_f2,
-    onesided_rows, dominance_violations)), or the status of the first
-    failure with its value: the non-positive z, the failing pivot row or
-    the Schur denominator.
+    Raises ValueError when y_prev does not fit the frame and, naming the
+    array, when an elimination meets a non-finite entry.  Returns
+    (LAYER_OK, (y, z, residual_f1, residual_f2, onesided_rows,
+    dominance_violations)), y the new layer in an array of its own, or the
+    status of the first failure with its value: LAYER_PAST_MATURITY or
+    LAYER_NON_POSITIVE_STEP (with None), the non-positive z, the failing
+    pivot row or the Schur denominator.
     """
-    if _kernel is None:
-        load()
-    status, out = _in_frame(_kernel.pc_corrector, frame, y, frame.single_rhs, z_tilde,
-                            pivot_rtol, schur_floor)
-    if status != LAYER_OK:
-        return status, out[OUT_FAILURE]
-    return status, (out[OUT_Z], out[OUT_RESIDUAL_F1], out[OUT_RESIDUAL_F2],
-                    int(out[OUT_ONESIDED_ROWS]), int(out[OUT_DOMINANCE_VIOLATIONS]))
+    binding = _bind(frame, y_prev)
+    if binding.solve != (pivot_rtol, schur_floor):
+        binding.set_limits("solve", (pivot_rtol, schur_floor))
+    status = _kernel.pc_corrector(binding.address, tau_prev, tau_next, z_prev, z_tilde)
+    if status == LAYER_OK:
+        out = binding.out
+        return status, (binding.y.copy(), out[OUT_Z], out[OUT_RESIDUAL_F1],
+                        out[OUT_RESIDUAL_F2], int(out[OUT_ONESIDED_ROWS]),
+                        int(out[OUT_DOMINANCE_VIOLATIONS]))
+    return status, _failed(binding, status, frame.single_rhs)
 
 
 def fixed9_bytes(rows, cols):
@@ -357,3 +411,38 @@ def fixed9_rows(cells, out):
             not out.flags.writeable or out.size < fixed9_bytes(*cells.shape):
         raise ValueError("out must be a writable uint8 array of fixed9_bytes(rows, cols) bytes")
     return _kernel.fixed9_rows(*cells.shape, cells.ctypes.data, out.ctypes.data)
+
+
+def fixed9_surface(taus, xi_cells, pi, out):
+    """Write the surface.csv lines of the (layers, n) float64 array ``pi``
+    into the uint8 array ``out``: for each layer j and node i the line
+    "tau_j,xi_i,pi_ji\r\n", tau_j and pi_ji as Python's ``"%.9f"``
+    formats them (tau_j formatted once per layer), and xi_i copied from
+    row i of the (n, FIXED9_CELL) uint8 ``xi_cells``, its text padded with
+    NUL bytes.
+
+    taus must be a contiguous float64 array of ``layers`` entries, pi
+    C-contiguous with n >= 1, and out must hold ``fixed9_bytes(layers n,
+    3)`` bytes; anything else raises ValueError, so the C function reads
+    and writes only within the arrays.  Returns the number of bytes
+    written, or -1 - i when the cell i of the (layers n, 3) table is one
+    that Python must format (not finite, or |x| >= 4.5e6); out then holds
+    a partial chunk.
+    """
+    if _kernel is None:
+        load()
+    if pi.dtype != np.float64 or pi.ndim != 2 or pi.shape[1] < 1 or \
+            not pi.flags.c_contiguous:
+        raise ValueError("pi must be a C-contiguous float64 array of shape (layers, n >= 1)")
+    layers, n = pi.shape
+    if taus.dtype != np.float64 or taus.shape != (layers,) or not taus.flags.c_contiguous:
+        raise ValueError(f"taus must be a contiguous float64 array of {layers} entries")
+    if xi_cells.dtype != np.uint8 or xi_cells.shape != (n, FIXED9_CELL) or \
+            not xi_cells.flags.c_contiguous:
+        raise ValueError(f"xi_cells must be a C-contiguous uint8 array of shape "
+                         f"({n}, {FIXED9_CELL})")
+    if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or \
+            not out.flags.writeable or out.size < fixed9_bytes(layers * n, 3):
+        raise ValueError("out must be a writable uint8 array of fixed9_bytes(layers n, 3) bytes")
+    return _kernel.fixed9_surface(layers, n, taus.ctypes.data, xi_cells.ctypes.data,
+                                  pi.ctypes.data, out.ctypes.data)

@@ -2,7 +2,8 @@
  * Thomas solve, and the time layers of both engines, which eliminate with
  * thomas: newton_layer, Newton's iterations, and pc_predictor and
  * pc_corrector, the two halves of a predictor-corrector layer (below);
- * and fixed9_rows, the CSV writer's "%.9f" cells (at the end).
+ * and fixed9_rows and fixed9_surface, the CSV writer's "%.9f" cells (at
+ * the end).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
  * its solution is bit-identical to the pure loop's: build with
@@ -75,38 +76,48 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
 
 /* The time layers: newton_layer, the iterations of
  * solver_newton.newton_layer, and pc_corrector, solver_pc._correct with
- * the layer's diagnostics, each over the buffers of a scheme.LayerFrame
- * whose start() has run; and pc_predictor, solver_pc.predictor's scalar
- * root.  native.py calls each once per time layer.
+ * the layer's diagnostics, each over the buffers of a scheme.LayerFrame,
+ * which frame_start fills first with the layer's z-free part; and
+ * pc_predictor, solver_pc.predictor's scalar root.  native.py calls each
+ * once per time layer, with the march's constants and buffers bound once
+ * in a struct layer_frame, y among them, and the layer's own scalars as
+ * arguments.
  *
  * Every operation keeps the order of the numpy twin that the tests keep
- * as its oracle (tests/_oracles.py: newton_layer_numpy, correct_numpy,
- * predictor_numpy), so the rows, iterates, roots and diagnostics are
- * bit-identical to it.
+ * as its oracle (tests/_oracles.py: frame_start, newton_layer_numpy,
+ * correct_numpy, predictor_numpy), so the rows, iterates, roots and
+ * diagnostics are bit-identical to it.
  * Python's z**2 (on a float or a numpy float64) calls libm pow, which
  * differs from z*z in the last bit for some z; the kernel is built with
  * -fno-builtin-pow so that pow(z, 2.0) below stays that call and is not
- * folded into a multiplication.  math.exp is libm exp too.
+ * folded into a multiplication.  math.exp is libm exp too.  sigma**2 and
+ * h**2 arrive computed by Python (sig2, h2).
  */
 
-/* The march's constants and the frame's buffers, in LayerFrame's names
- * (native.FrameBinding fills it once per march).  All arrays have n
- * entries, the interior rows i = 1..N-1, except f and x, which are (2, n)
+/* The march's constants, the frame's buffers in LayerFrame's names, y,
+ * and out[], the layer functions' results (native.FrameBinding fills it
+ * once per march).  All arrays have n entries, the interior rows
+ * i = 1..N-1, except y (n + 2: the previous layer on entry to a layer
+ * function, the new one on its return), and f and x, which are (2, n)
  * row-major: F1 then J12, and u then v.  single is the frame's one-column
- * right-hand side, which pc solves in place. */
+ * right-hand side, which pc solves in place.  tol and max_iter are
+ * Newton's; the predictor has its own. */
 struct layer_frame {
     long n;
     long upwind;            /* 1 in upwind-singular mode, 0 in central mode */
-    double h, two_h, r, q, half_sig2, diff, sig2;
-    const double *exp_neg_xi, *ds, *half_ds_h, *rhs;
+    long max_iter, root_max_iter, scan, expansions;
+    double T, h, h2, two_h, r, q, half_sig2, diff, sig2;
+    double tol, root_tol, bracket_factor, pivot_rtol, schur_floor;
+    const double *exp_neg_xi;
+    double *ds, *half_ds_h, *rhs;
     double *lower, *diag, *upper, *da, *dc, *db;
     unsigned char *onesided;  /* numpy bool */
-    double *f, *single, *cp, *x;
+    double *f, *single, *cp, *x, *y, *out;
 };
 
-/* The z-free scalars start() computed for one layer. */
+/* The z-free scalars of one layer, which frame_start computes. */
 struct layer {
-    double z_prev, dt, ttm, diag_base, c0, c1;
+    double z_prev, dt, ttm, diag_base, c0, c1, j21_y1, j21_y2;
 };
 
 /* The layer functions' status codes (native.py names them) */
@@ -117,10 +128,12 @@ struct layer {
 #define LAYER_SINGULAR_SCHUR 4
 #define LAYER_NO_CONVERGENCE 5
 #define LAYER_NO_BRACKET 6
+#define LAYER_PAST_MATURITY 7
+#define LAYER_NON_POSITIVE_STEP 8
 
 /* The layer functions' out[] slots; each fills those it reports */
 enum { OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS,
-       OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2,
+       OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR,
        OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS };
 
 /* np.abs(v).max(): a NaN anywhere gives NaN */
@@ -141,6 +154,50 @@ static double max_abs(const double *v, long n)
 static double py_max(double a, double b)
 {
     return b > a ? b : a;
+}
+
+/* The z-free part of the layer from (tau_prev, y_prev = f->y, z_prev) to
+ * tau_next (the oracles' frame_start): the constraint's c0 and c1 with
+ * F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h), its row J21, dt, ttm,
+ * ds_i/dz = e^{-xi_i}/ttm and its 0.5/h scaling, the central diagonal
+ * and rhs = y_prev/dt.  diag, dc and onesided are filled only in central
+ * mode: in upwind mode frame_rows rewrites every row of them before
+ * anything reads them.  Returns LAYER_OK, LAYER_PAST_MATURITY unless
+ * tau_next < T, or LAYER_NON_POSITIVE_STEP unless dt > 0. */
+static long frame_start(const struct layer_frame *f, struct layer *l, double tau_prev,
+                        double tau_next, double z_prev)
+{
+    double ttm, denom, d_coef;
+    long i;
+
+    if (!(tau_next < f->T))
+        return LAYER_PAST_MATURITY;
+    ttm = f->T - tau_next;
+    denom = 1.0 + f->q * ttm;
+    l->c0 = (1.0 + f->r * ttm) / denom;
+    l->c1 = f->half_sig2 * ttm / denom;
+    d_coef = f->q + 1.0 / ttm;
+    l->j21_y1 = -f->sig2 / (d_coef * f->h);
+    l->j21_y2 = f->sig2 / (4.0 * d_coef * f->h);
+    l->dt = tau_next - tau_prev;
+    if (l->dt <= 0)
+        return LAYER_NON_POSITIVE_STEP;
+    l->ttm = ttm;
+    l->z_prev = z_prev;
+    /* beta = r + 1/(T - tau); the central diagonal is z-free */
+    l->diag_base = 1.0 / l->dt + f->sig2 / f->h2 + (f->r + 1.0 / ttm);
+    for (i = 0; i < f->n; i++) {
+        f->ds[i] = f->exp_neg_xi[i] / ttm;
+        f->half_ds_h[i] = f->ds[i] * 0.5 / f->h;
+        f->rhs[i] = f->y[i + 1] / l->dt;
+    }
+    if (!f->upwind)
+        for (i = 0; i < f->n; i++) {
+            f->diag[i] = l->diag_base;
+            f->dc[i] = 0.0;
+            f->onesided[i] = 0;
+        }
+    return LAYER_OK;
 }
 
 /* The rows at z > 0 (the oracles' frame_rows): the rows, their z-derivatives and the
@@ -209,43 +266,73 @@ static double residual_constraint(const struct layer_frame *f, const struct laye
     return z - (l->c0 + l->c1 * ((-3.0 * y[0] + 4.0 * y[1] - y[2]) / f->two_h));
 }
 
+/* Rows failing strict diagonal dominance */
+static long dominance_violations(const struct layer_frame *f)
+{
+    long i, count = 0;
+
+    for (i = 0; i < f->n; i++)
+        count += fabs(f->diag[i]) <= fabs(f->lower[i]) + fabs(f->upper[i]);
+    return count;
+}
+
+/* The row-wise backward error of F1 at y: max_i |F1_i| over the
+ * magnitudes of the terms F1_i sums, |a_i y_{i-1}| + |c_i y_i| +
+ * |b_i y_{i+1}| + |y^prev_i/dt|; a NaN wins the max */
+static double backward_error(const struct layer_frame *f, const double *y)
+{
+    double backward = 0.0;
+    long i;
+
+    for (i = 0; i < f->n; i++) {
+        double lo = f->lower[i] * y[i], mid = f->diag[i] * y[i + 1];
+        double up = f->upper[i] * y[i + 2];
+        double terms = fabs(lo) + fabs(mid) + fabs(up) + fabs(f->rhs[i]);
+        double e = fabs(lo + mid + up - f->rhs[i]) / (terms > 0.0 ? terms : 1.0);
+
+        if (i == 0 || e > backward || isnan(e))
+            backward = e;
+    }
+    return backward;
+}
+
 /* thomas on J11 (the frame's lower[1:], diag and upper[:-1]) for ncol
  * right-hand sides d, solved into x.  Returns LAYER_OK, LAYER_NON_FINITE,
  * or LAYER_ZERO_PIVOT with the failing row in out[OUT_FAILURE]. */
-static long eliminate(const struct layer_frame *f, long ncol, const double *d, double *x,
-                      double pivot_rtol, double *out)
+static long eliminate(const struct layer_frame *f, long ncol, const double *d, double *x)
 {
-    long fail = thomas(f->n, ncol, f->lower + 1, f->diag, f->upper, d, pivot_rtol, f->cp, x);
+    long fail = thomas(f->n, ncol, f->lower + 1, f->diag, f->upper, d, f->pivot_rtol, f->cp, x);
 
     if (fail == THOMAS_NON_FINITE)
         return LAYER_NON_FINITE;
     if (fail >= 0) {
-        out[OUT_FAILURE] = (double)fail;
+        f->out[OUT_FAILURE] = (double)fail;
         return LAYER_ZERO_PIVOT;
     }
     return LAYER_OK;
 }
 
-/* Newton's iterations on one layer from (y, z_prev), updating y[1..n] in
- * place; j21_y1, j21_y2 are the constraint row, and tol, max_iter,
- * pivot_rtol and schur_floor those of solver_newton.  Returns LAYER_OK
- * with the accepted z and the layer's diagnostics in out[], or the status
- * of the first failure, with out[OUT_FAILURE] = the non-positive z, the
- * failing pivot row, the Schur denominator or the last step.  Either way
- * out[OUT_UPWINDED] counts the rows the last frame_rows() upwinded. */
-long newton_layer(const struct layer_frame *f, double *y, double z_prev, double dt,
-                  double ttm, double diag_base, double c0, double c1, double j21_y1,
-                  double j21_y2, double tol, long max_iter, double pivot_rtol,
-                  double schur_floor, double *out)
+/* Newton's iterations on the layer from (tau_prev, y, z_prev) to
+ * tau_next, updating the frame's y[1..n] (the previous layer on entry) in
+ * place, with the frame's tol, max_iter, pivot_rtol and schur_floor.
+ * Returns LAYER_OK with the accepted z and the layer's diagnostics in
+ * out[], or the status of the first failure: frame_start's, or with
+ * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
+ * denominator or the last step.  After frame_start out[OUT_UPWINDED]
+ * counts the rows the last frame_rows() upwinded. */
+long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev)
 {
-    const struct layer l = {z_prev, dt, ttm, diag_base, c0, c1};
+    struct layer l;
     const long n = f->n;
-    double *u = f->x, *v = f->x + n, *j12 = f->f + n;
+    double *y = f->y, *u = f->x, *v = f->x + n, *j12 = f->f + n, *out = f->out;
     double z = z_prev, step = 0.0, f2;
-    long it, i, onesided, violations = 0, onesided_max = 0, status;
+    long it, i, onesided, violations = 0, onesided_max = 0,
+        status = frame_start(f, &l, tau_prev, tau_next, z_prev);
 
-    out[OUT_UPWINDED] = 0.0;  /* start() left no row upwinded */
-    for (it = 1; it <= max_iter; it++) {
+    if (status != LAYER_OK)
+        return status;
+    out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
+    for (it = 1; it <= f->max_iter; it++) {
         double j21_u, j21_v, denom, dz, step_y;
 
         if (z <= 0) {
@@ -262,17 +349,16 @@ long newton_layer(const struct layer_frame *f, double *y, double z_prev, double 
             out[OUT_INITIAL_RESIDUAL] = py_max(max_abs(f->f, n), fabs(f2));
         if (onesided > onesided_max)
             onesided_max = onesided;
-        for (i = 0; i < n; i++)
-            violations += fabs(f->diag[i]) <= fabs(f->lower[i]) + fabs(f->upper[i]);
+        violations += dominance_violations(f);
 
         /* u = J11^{-1} F1 and v = J11^{-1} J12 in one elimination */
-        status = eliminate(f, 2, f->f, f->x, pivot_rtol, out);
+        status = eliminate(f, 2, f->f, f->x);
         if (status != LAYER_OK)
             return status;
-        j21_u = j21_y1 * u[0] + j21_y2 * u[1];
-        j21_v = j21_y1 * v[0] + j21_y2 * v[1];
+        j21_u = l.j21_y1 * u[0] + l.j21_y2 * u[1];
+        j21_v = l.j21_y1 * v[0] + l.j21_y2 * v[1];
         denom = 1.0 - j21_v;  /* J22 = 1 */
-        if (fabs(denom) < schur_floor) {
+        if (fabs(denom) < f->schur_floor) {
             out[OUT_FAILURE] = denom;
             return LAYER_SINGULAR_SCHUR;
         }
@@ -284,10 +370,10 @@ long newton_layer(const struct layer_frame *f, double *y, double z_prev, double 
         step_y = max_abs(u, n);
         z = z + dz;
         step = py_max(step_y, fabs(dz));
-        if (step < tol)
+        if (step < f->tol)
             break;
     }
-    if (it > max_iter) {
+    if (it > f->max_iter) {
         out[OUT_FAILURE] = step;
         return LAYER_NO_CONVERGENCE;
     }
@@ -303,6 +389,7 @@ long newton_layer(const struct layer_frame *f, double *y, double z_prev, double 
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
     out[OUT_RESIDUAL_F1] = max_abs(f->f, n);
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
+    out[OUT_BACKWARD_ERROR] = backward_error(f, y);
     return LAYER_OK;
 }
 
@@ -310,80 +397,72 @@ long newton_layer(const struct layer_frame *f, double *y, double z_prev, double 
  * y[1..n] solved from them with the Dirichlet values y[0] = -1 and
  * y[n+1] = 0, in the frame's single right-hand side */
 static long frozen_solve(const struct layer_frame *f, const struct layer *l, double z,
-                         double *y, double pivot_rtol, double *out)
+                         double *y)
 {
     long i;
 
     if (z <= 0) {
-        out[OUT_FAILURE] = z;
+        f->out[OUT_FAILURE] = z;
         return LAYER_NON_POSITIVE_Z;
     }
-    out[OUT_UPWINDED] = (double)frame_rows(f, l, z);
+    f->out[OUT_UPWINDED] = (double)frame_rows(f, l, z);
     for (i = 0; i < f->n; i++)
         f->single[i] = f->rhs[i];
     f->single[0] += f->lower[0];  /* a_1 y_0 with the Dirichlet value y_0 = -1 */
     y[0] = -1.0;
     y[f->n + 1] = 0.0;
-    return eliminate(f, 1, f->single, y + 1, pivot_rtol, out);
+    return eliminate(f, 1, f->single, y + 1);
 }
 
-/* pc's corrector on one layer from z_tilde: the
- * frozen solve at z_tilde, one Schur step on the boundary, the frozen
- * solve at the new z, written into y (n + 2 entries), and the layer's
- * diagnostics.  The scalars are those of newton_layer.  Returns LAYER_OK
- * with out[OUT_Z], out[OUT_RESIDUAL_F1] (the row-wise backward error),
- * out[OUT_RESIDUAL_F2], out[OUT_ONESIDED_ROWS] and
- * out[OUT_DOMINANCE_VIOLATIONS], or the status of the first failure with
- * out[OUT_FAILURE] = the non-positive z, the failing pivot row or the
- * Schur denominator.  out[OUT_UPWINDED] counts the rows the last
- * frame_rows() upwinded. */
-long pc_corrector(const struct layer_frame *f, double *y, double z_prev, double dt,
-                  double ttm, double diag_base, double c0, double c1, double j21_y1,
-                  double j21_y2, double z_tilde, double pivot_rtol, double schur_floor,
-                  double *out)
+/* pc's corrector on the layer from (tau_prev, y, z_prev) to tau_next,
+ * from z_tilde: the frozen solve at z_tilde, one Schur step on the
+ * boundary, the frozen solve at the new z, written over the frame's y
+ * (the previous layer on entry), and the layer's diagnostics,
+ * with the frame's pivot_rtol and schur_floor.  Returns LAYER_OK with
+ * out[OUT_Z], out[OUT_RESIDUAL_F1] and out[OUT_BACKWARD_ERROR] (both the
+ * row-wise backward error), out[OUT_RESIDUAL_F2], out[OUT_ONESIDED_ROWS]
+ * and out[OUT_DOMINANCE_VIOLATIONS], or the status of the first failure:
+ * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
+ * failing pivot row or the Schur denominator.  After frame_start
+ * out[OUT_UPWINDED] counts the rows the last frame_rows() upwinded. */
+long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
+                  double z_tilde)
 {
-    const struct layer l = {z_prev, dt, ttm, diag_base, c0, c1};
+    struct layer l;
     const long n = f->n;
-    double *v = f->x, denom, z, backward = 0.0;
-    long i, status, violations = 0;
+    double *y = f->y, *v = f->x, *out = f->out, denom, z, backward;
+    long i, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
 
-    out[OUT_UPWINDED] = 0.0;  /* start() left no row upwinded */
-    status = frozen_solve(f, &l, z_tilde, y, pivot_rtol, out);
+    if (status != LAYER_OK)
+        return status;
+    out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
+    status = frozen_solve(f, &l, z_tilde, y);
     if (status != LAYER_OK)
         return status;
     /* one Newton step on (F1, F2) from (y, z_tilde), where F1 vanishes:
      * dz = -F2 / (1 - J21 J11^{-1} J12) */
     for (i = 0; i < n; i++)
         f->single[i] = f->da[i] * y[i] + f->dc[i] * y[i + 1] + f->db[i] * y[i + 2];
-    status = eliminate(f, 1, f->single, v, pivot_rtol, out);
+    status = eliminate(f, 1, f->single, v);
     if (status != LAYER_OK)
         return status;
-    denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1]);
-    if (fabs(denom) < schur_floor) {
+    denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * v[1]);
+    if (fabs(denom) < f->schur_floor) {
         out[OUT_FAILURE] = denom;
         return LAYER_SINGULAR_SCHUR;
     }
     z = z_tilde - residual_constraint(f, &l, y, z_tilde) / denom;
-    status = frozen_solve(f, &l, z, y, pivot_rtol, out);
+    status = frozen_solve(f, &l, z, y);
     if (status != LAYER_OK)
         return status;
 
-    /* |F1_i| over the magnitudes of the terms F1_i sums; a NaN wins the max */
-    for (i = 0; i < n; i++) {
-        double lo = f->lower[i] * y[i], mid = f->diag[i] * y[i + 1];
-        double up = f->upper[i] * y[i + 2];
-        double terms = fabs(lo) + fabs(mid) + fabs(up) + fabs(f->rhs[i]);
-        double e = fabs(lo + mid + up - f->rhs[i]) / (terms > 0.0 ? terms : 1.0);
-
-        if (i == 0 || e > backward || isnan(e))
-            backward = e;
-        violations += fabs(f->diag[i]) <= fabs(f->lower[i]) + fabs(f->upper[i]);
-    }
+    backward = backward_error(f, y);
     out[OUT_Z] = z;
     out[OUT_RESIDUAL_F1] = backward;
+    out[OUT_BACKWARD_ERROR] = backward;
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
     out[OUT_ONESIDED_ROWS] = out[OUT_UPWINDED];
-    out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
+    out[OUT_DOMINANCE_VIOLATIONS] = (double)dominance_violations(f);
     return LAYER_OK;
 }
 
@@ -446,33 +525,39 @@ static double sign(double v)
     return v == 0.0 ? 0.0 : v;  /* 0 for either zero, NaN for NaN */
 }
 
-/* solver_pc.predictor's root from the previous layer's z_prev and y0, y1,
- * y2, the step dt and ttm = T - tau_next: the bracket scan (scan + 1
- * points of np.linspace(z_prev / f, z_prev f) for f = bracket_factor,
- * bracket_factor^2, ... over `expansions` widenings, keeping the sign-change cell whose
- * midpoint is nearest z_prev), then safeguarded Newton inside it.
- * Returns LAYER_OK with out[OUT_Z] and out[OUT_ITERATIONS], or
- * LAYER_NO_BRACKET with the widest factor, LAYER_NO_CONVERGENCE with the
- * last step or LAYER_NON_POSITIVE_Z with the root in out[OUT_FAILURE]. */
-long pc_predictor(double z_prev, double dt, double ttm, double r, double q, double sigma,
-                  double h, double y0p, double y1p, double y2p, long scan,
-                  double bracket_factor, long expansions, double root_tol, long max_iter,
-                  double *out)
+/* solver_pc.predictor's root on the layer from (tau_prev, y, z_prev) to
+ * tau_next, from the previous layer's y[0..2] in the frame's y: the
+ * bracket scan (scan + 1 points of np.linspace(z_prev / f, z_prev f) for
+ * f = bracket_factor, bracket_factor^2, ... over `expansions` widenings,
+ * keeping the sign-change cell whose midpoint is nearest z_prev), then
+ * safeguarded Newton inside it, with the frame's root_tol and
+ * root_max_iter.
+ * Returns LAYER_OK with out[OUT_Z] and out[OUT_ITERATIONS],
+ * LAYER_PAST_MATURITY unless tau_next < T, or LAYER_NO_BRACKET with the
+ * widest factor, LAYER_NO_CONVERGENCE with the last step or
+ * LAYER_NON_POSITIVE_Z with the root in out[OUT_FAILURE]. */
+long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev)
 {
     struct predictor_eq e;
-    double sig2 = pow(sigma, 2.0), beta = r + 1.0 / ttm, lap_prev;
+    const long scan = f->scan, expansions = f->expansions, max_iter = f->root_max_iter;
+    const double h = f->h, r = f->r, q = f->q, sig2 = f->sig2, ttm = f->T - tau_next;
+    const double bracket_factor = f->bracket_factor, y0p = f->y[0], y1p = f->y[1],
+        y2p = f->y[2];
+    double beta = r + 1.0 / ttm, lap_prev, *out = f->out;
     double zs[scan + 1], vals[scan + 1];
     double factor = bracket_factor, widest = factor, lo, hi, f_lo, x, fx, step = 0.0;
     long k, i, it, pick = -1;
 
+    if (!(tau_next < f->T))
+        return LAYER_PAST_MATURITY;
     e.q = q;
     e.r = r;
     e.z_prev = z_prev;
-    e.dt = dt;
+    e.dt = tau_next - tau_prev;
     e.ttm = ttm;
     e.drift = r - q - 0.5 * sig2;
     e.exp_h = exp(-h);
-    e.h2 = pow(h, 2.0);
+    e.h2 = f->h2;
     e.sig4 = pow(sig2, 2.0);
     e.y1p = y1p;
     e.grad_prev = (y2p - y0p) / (2.0 * h);
@@ -541,7 +626,7 @@ long pc_predictor(double z_prev, double dt, double ttm, double r, double q, doub
         step = fabs(x_new - x);
         x = x_new;
         fx = predictor_residual(&e, x);
-        if (step < root_tol || (hi - lo) < root_tol)
+        if (step < f->root_tol || (hi - lo) < f->root_tol)
             break;
     }
     if (it > max_iter) {
@@ -634,6 +719,46 @@ long fixed9_rows(long rows, long cols, const double *cells, char *out)
         }
         s[-1] = '\r';
         *s++ = '\n';
+    }
+    return s - out;
+}
+
+/* layers x n lines "tau,xi,pi\r\n" of surface.csv into out, which holds
+ * at least layers n (3 (FIXED9_CELL + 1) + 1) bytes: each layer's tau
+ * cell formatted once, the xi cells copied from xi_cells, n rows of
+ * FIXED9_CELL bytes that each hold a cell's text padded with '\0', and
+ * the pi cells formatted from the (layers, n) row-major pi.  Returns the
+ * number of bytes written, or -1 - i for the first cell i of the
+ * (layers n, 3) table that fixed9_cell leaves to the caller (out is then
+ * partly written). */
+long fixed9_surface(long layers, long n, const double *taus, const char *xi_cells,
+                    const double *pi, char *out)
+{
+    char tau[FIXED9_CELL];
+    char *s = out;
+    long j, i, k;
+
+    for (j = 0; j < layers; j++) {
+        int tau_len = fixed9_cell(taus[j], tau), len;
+
+        if (!tau_len)
+            return -1 - j * n * 3;
+        for (i = 0; i < n; i++) {
+            const char *xi = xi_cells + i * FIXED9_CELL;
+
+            for (k = 0; k < tau_len; k++)
+                *s++ = tau[k];
+            *s++ = ',';
+            for (k = 0; k < FIXED9_CELL && xi[k]; k++)
+                *s++ = xi[k];
+            *s++ = ',';
+            len = fixed9_cell(pi[j * n + i], s);
+            if (!len)
+                return -1 - ((j * n + i) * 3 + 2);
+            s += len;
+            *s++ = '\r';
+            *s++ = '\n';
+        }
     }
     return s - out;
 }

@@ -242,41 +242,42 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_fixed9(path: Path, header: str, count: int, step: int, cells, text) -> None:
+def _write_fixed9(path: Path, header: str, count: int, step: int, size: int, compiled,
+                  text) -> None:
     """Write a CSV table of fixed 9-decimal numbers, byte for byte as
     csv.writer with _fmt writes it: the header line, then units 0 ..
     count - 1 of the table (rows, or layers of rows) in chunks of ``step``.
 
-    ``cells(start, stop)`` returns a chunk as a (rows, cols) float64
-    array, and native.fixed9_rows formats it into one buffer reused for the
-    whole file, so the file is streamed in pieces of at most about
-    CHUNK_BYTES.  ``text(start, stop)`` returns the chunk as Python's
-    "%.9f" formats it; it writes a chunk holding a cell that C hands back
-    (not finite, or of magnitude 4.5e6 or more).
+    ``compiled(start, stop, out)`` formats a chunk into ``out``, one
+    buffer of ``size`` bytes reused for the whole file, so the file is
+    streamed in pieces of at most about CHUNK_BYTES, and returns the bytes
+    written, or a negative number when the chunk holds a cell that C
+    hands back (not finite, or of magnitude 4.5e6 or more).
+    ``text(start, stop)`` then returns the chunk as Python's "%.9f"
+    formats it.
     """
-    out = None
+    out = np.empty(size, np.uint8)
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\r\n")
         for start in range(0, count, step):
             stop = min(start + step, count)
-            chunk = cells(start, stop)
-            if out is None:  # the first chunk is the largest
-                out = np.empty(native.fixed9_bytes(*chunk.shape), np.uint8)
-            size = native.fixed9_rows(chunk, out)
-            if size >= 0:
-                fh.write(out[:size])
+            written = compiled(start, stop, out)
+            if written >= 0:
+                fh.write(out[:written])
             else:
                 fh.write(text(start, stop).encode("ascii"))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
     """The CSV table of equal-length float columns, every cell in fixed 9
-    decimals, in chunks of rows (see _write_fixed9)."""
+    decimals, in chunks of rows that native.fixed9_rows formats (see
+    _write_fixed9)."""
     cells = np.ascontiguousarray(np.column_stack(columns), dtype=float)
     rows, cols = cells.shape
     template = ",".join(["%.9f"] * cols) + "\r\n"
     step = max(1, CHUNK_BYTES // native.fixed9_bytes(1, cols))
-    _write_fixed9(path, header, rows, step, lambda start, stop: cells[start:stop],
+    _write_fixed9(path, header, rows, step, native.fixed9_bytes(min(step, rows), cols),
+                  lambda start, stop, out: native.fixed9_rows(cells[start:stop], out),
                   lambda start, stop: template * (stop - start) %
                   tuple(cells[start:stop].ravel().tolist()))
 
@@ -286,10 +287,11 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
     """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes
     it, in chunks of whole time layers (see _write_fixed9).
 
-    Each chunk of layers is copied into one (layers, N + 1, 3) block of
-    cells, reused for the whole file, which native.fixed9_rows formats.  A
-    chunk that it hands back is written from a layer template, the xi
-    cells formatted once, and each time layer is one %-format of its
+    The xi cells are formatted once for the file, and native.fixed9_surface
+    formats each chunk's tau cells once per layer and its pi cells, copying
+    the xi cells.  A chunk that it hands back, and every chunk when an xi
+    cell is one C leaves to Python, is written from a layer template, the
+    xi cells formatted once, and each time layer is one %-format of its
     values ("%.9f" formats as _fmt does).
 
     Raises ValueError unless taus and xi are 1-D and surface has the shape
@@ -301,20 +303,24 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
                          f"taus and {xi.size} xi nodes")
     n = xi.size
     per = max(1, CHUNK_BYTES // native.fixed9_bytes(max(n, 1), 3))
-    block = np.empty((per, n, 3))
-    block[:, :, 1] = xi
-    layer = "".join(["\0," + _fmt(x) + ",%.9f\r\n" for x in xi])
+    xi_text = [_fmt(x) for x in xi.tolist()]
+    layer = "".join(["\0," + x + ",%.9f\r\n" for x in xi_text])
+    if n and np.all(np.abs(xi) < native.FIXED9_LIMIT):  # so no xi cell is wider than C's
+        xi_cells = np.frombuffer(b"".join([x.encode().ljust(native.FIXED9_CELL, b"\0")
+                                           for x in xi_text]), np.uint8).reshape(n, -1)
 
-    def cells(start, stop):
-        block[:stop - start, :, 0] = taus[start:stop, None]
-        block[:stop - start, :, 2] = surface[start:stop]
-        return block[:stop - start].reshape(-1, 3)
+        def compiled(start, stop, out):
+            return native.fixed9_surface(taus[start:stop], xi_cells, surface[start:stop], out)
+    else:  # every chunk holds an xi cell that C leaves to Python, or no cell at all
+        def compiled(start, stop, out):
+            return -1
 
     def text(start, stop):
         return "".join([layer.replace("\0", _fmt(taus[j])) % tuple(surface[j].tolist())
                         for j in range(start, stop)])
 
-    _write_fixed9(path, "tau,xi,pi", taus.size, per, cells, text)
+    _write_fixed9(path, "tau,xi,pi", taus.size, per,
+                  native.fixed9_bytes(min(per, taus.size) * n, 3), compiled, text)
 
 
 def cmd_solve(cfg: RunConfig) -> int:

@@ -37,6 +37,9 @@ class LayerDiagnostics:
     onesided_rows: int = 0   # rows where the singular term was upwinded
     dominance_violations: int = 0  # rows failing strict diagonal dominance
     predictor_fallback: bool = False  # predictor had no root; z_tilde = z_prev
+    # row-wise backward error of F1 at the accepted state, max |F1_i| / (|a_i y_{i-1}|
+    # + |c_i y_i| + |b_i y_{i+1}| + |y^prev_i|/dt), from both engines (pc's residual_f1)
+    backward_error: float = np.nan
 
 
 @dataclass

@@ -18,16 +18,18 @@ part, d_i = s_i/(2h) the singular part):
     c_i = 1/dt + sigma^2/h^2 + r + 1/(T - tau_{j+1})
     b_i = +mu/(2h) - sigma^2/(2h^2) - d_i
 
-LayerFrame is the only assembly of this system, split by what depends on
-the boundary iterate z.  Once per time layer, LayerFrame.start computes
-the z-free part: dt, 1/(T - tau), e^{-xi_i}/(T - tau) (= ds_i/dz) and its
-0.5/h scaling, the central diagonal c_i and dc = 0, the right-hand side
-y_i/dt, and the constraint's coefficients and its row J21.  Per iterate,
-the engines' C layer functions (native.newton_layer,
-native.pc_corrector) evaluate mu, s_i and the one-sided switch below once
-and write the z-dependent rows and their z-derivatives (the Newton column
-J12 = dF1/dz) into the frame's buffers, and take the interior residual
-from the rows,
+LayerFrame holds the buffers of this system for one march; the engines'
+C layer functions (native.newton_layer, native.pc_corrector) assemble
+it there, split by what depends on the boundary iterate z.  Once per
+time layer each first builds the z-free part: dt, 1/(T - tau),
+e^{-xi_i}/(T - tau) (= ds_i/dz) and its 0.5/h scaling, the central
+diagonal c_i (in central mode also written out, with dc = 0; upwind rows
+are all rewritten per iterate), the right-hand side y_i/dt, and the
+constraint's coefficients and its row J21.  Per iterate
+they evaluate mu, s_i and the one-sided switch below once and write the
+z-dependent rows and their z-derivatives (the Newton column J12 =
+dF1/dz) into the frame's buffers, and take the interior residual from
+the rows,
 
     F1_i = a_i y_{i-1}' + c_i y_i' + b_i y_{i+1}' - y_i/dt.
 
@@ -37,11 +39,14 @@ second-order slope at xi = 0:
     F2 = z' - (1 + r ttm)/(1 + q ttm)
             - (sigma^2/2) ttm/(1 + q ttm) (-3 y_0' + 4 y_1' - y_2')/(2h),
 
-and its only y-dependence is the row J21 = dF2/dy (constraint_row).
-The test suite keeps the numpy form of the rows, F1, J12 and F2 that the
-C code repeats operation by operation, the difference-quotient form of
-F1 that pins the row form, and the mask blend of both stencils that pins
-the one-sided rewrite.
+and its only y-dependence is the row J21 = dF2/dy,
+
+    J21 = (-sigma^2/(D h), sigma^2/(4 D h)),   D = q + 1/ttm.
+
+The test suite keeps the numpy form of the z-free part (frame_start),
+the rows, F1, J12 and F2 that the C code repeats operation by
+operation, the difference-quotient form of F1 that pins the row form,
+and the mask blend of both stencils that pins the one-sided rewrite.
 
 Advection modes.  "central" differences the whole advection term
 centrally.  "upwind-singular" is central too, except that the singular
@@ -63,10 +68,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import native
+from .errors import NonPositiveZ, SingularSchur, ZeroPivot
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 
-__all__ = ["SchemeMode", "LayerRows", "LayerFrame", "constraint_row"]
+__all__ = ["SchemeMode", "LayerRows", "LayerFrame"]
 
 
 class SchemeMode(str, enum.Enum):
@@ -93,32 +100,35 @@ class LayerRows:
     onesided: np.ndarray  # bool; True where the singular term is upwinded
 
 
-def constraint_row(tau_next: float, g: GridSpec, p: MarketParams) -> tuple[float, float]:
-    """J21 = (dF2/dy_1, dF2/dy_2), the only y-dependence of the constraint."""
-    ttm = p.T - tau_next
-    d_coef = p.q + 1.0 / ttm
-    sig2 = p.sigma**2
-    return -sig2 / (d_coef * g.h), sig2 / (4.0 * d_coef * g.h)
-
-
-def _constraint_coefficients(tau_next: float, p: MarketParams) -> tuple[float, float]:
-    """(c0, c1) with F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h)."""
-    if not tau_next < p.T:
-        raise ValueError(f"tau_next must be < T; got {tau_next} with T={p.T}")
-    ttm = p.T - tau_next
-    denom = 1.0 + p.q * ttm
-    return (1.0 + p.r * ttm) / denom, 0.5 * p.sigma**2 * ttm / denom
+def layer_error(status: int, value, prev: LayerState, tau_next: float,
+                p: MarketParams) -> Exception:
+    """The exception of a C layer call (native.newton_layer or
+    native.pc_corrector) from ``prev`` to ``tau_next`` that ended with the
+    failure ``status`` and its value, for the failures both engines share:
+    the layer past maturity or with a non-positive step, which the frame
+    refuses, and a non-positive z, a zero pivot or a singular Schur step."""
+    if status == native.LAYER_PAST_MATURITY:
+        return ValueError(f"tau_next must be < T; got {tau_next} with T={p.T}")
+    if status == native.LAYER_NON_POSITIVE_STEP:
+        return ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
+    if status == native.LAYER_NON_POSITIVE_Z:
+        return NonPositiveZ(value)
+    if status == native.LAYER_ZERO_PIVOT:
+        return ZeroPivot(int(value))
+    if status == native.LAYER_SINGULAR_SCHUR:
+        return SingularSchur(f"Schur denominator {value:.3e} at tau={tau_next:.6g}")
+    return RuntimeError(f"layer status {status} is not a failure both engines share")
 
 
 @dataclass(eq=False)
 class LayerFrame:
-    """The layer system of one march, assembled in buffers it owns.
+    """The layer system of one march, in buffers it owns.
 
-    ``start(prev, tau_next)`` builds the frame of a time layer once: dt,
-    1/(T - tau) through ttm, ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h
-    scaling, the z-free diagonal and dc, rhs = y^prev/dt and the
-    constraint's coefficients and its row ``j21``.  The engines' C layer
-    functions then write the z-dependent rows of each iterate into the
+    The engines' C layer functions build the frame of each time layer in
+    these buffers: the z-free part first (dt, 1/(T - tau) through ttm,
+    ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h scaling, the z-free
+    diagonal, rhs = y^prev/dt, and the constraint's coefficients and its
+    row J21), then the z-dependent rows of each iterate, all in the
     LayerRows buffers, which every layer of the march overwrites.
 
     ``j11`` is J11 (lower[1:], diag, upper[:-1]): three views of the row
@@ -147,26 +157,3 @@ class LayerFrame:
         self.j11 = (rows.lower[1:], rows.diag, rows.upper[:-1])
         self.pair_rhs = np.zeros((2, n))
         self.single_rhs = np.zeros(n)
-
-    def start(self, prev: LayerState, tau_next: float) -> LayerFrame:
-        """Build the z-free part of the layer from ``prev`` to ``tau_next``."""
-        p, h = self.p, self.g.h
-        self._constraint = _constraint_coefficients(tau_next, p)
-        self.j21 = constraint_row(tau_next, self.g, p)
-        dt = tau_next - prev.tau
-        if dt <= 0:
-            raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
-        ttm = p.T - tau_next
-        self.prev, self.tau_next = prev, tau_next
-        self._dt, self._ttm, self._z_prev = dt, ttm, prev.z
-        np.divide(self.g.exp_neg_xi, ttm, out=self._ds)
-        np.multiply(self._ds, 0.5, out=self._half_ds_h)
-        self._half_ds_h /= h
-        # beta = r + 1/(T - tau); the central diagonal is z-free
-        self._diag_base = 1.0 / dt + self._sig2 / h**2 + (p.r + 1.0 / ttm)
-        rows = self._rows
-        rows.diag.fill(self._diag_base)
-        rows.dc.fill(0.0)
-        rows.onesided.fill(False)
-        np.divide(prev.y[1:-1], dt, out=rows.rhs)
-        return self

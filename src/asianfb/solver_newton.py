@@ -19,17 +19,20 @@ guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
 
 The layer system itself is scheme's; this module is the iteration over
-it.  march_newton is results.march stepping with newton_layer in the march's
-one scheme.LayerFrame.  Per layer newton_layer builds the frame's z-free
-part and J21 once (LayerFrame.start) and hands the iterations to one C
-call, native.newton_layer, which works in the frame's buffers.  Each
+it.  march_newton is results.march stepping with newton_layer in the
+march's one scheme.LayerFrame.  Each layer is one C call,
+native.newton_layer, which works in the frame's buffers: it builds the
+layer's z-free part and J21 once from the previous layer, then each
 iterate writes only the z-dependent rows (J11 and the row derivatives
 J12 is built from), puts F1 and J12 into the frame's (2, n) right-hand
 side ``pair_rhs``, eliminates it in place against J11 with the kernel's
 Thomas loop and updates y in place.  One more assembly at the accepted z
-gives the layer's diagnostics.  tol, max_iter, tridiag.PIVOT_RTOL and
-tridiag.SCHUR_FLOOR go to C from here; the test suite keeps the numpy
-loop that the C function repeats operation by operation as its oracle.
+gives the layer's diagnostics, among them the row-wise backward error of
+F1 that pc reports as its residual.  tol, max_iter, tridiag.PIVOT_RTOL
+and tridiag.SCHUR_FLOOR are bound to the frame's binding once per march;
+the call carries only the layer's own values.  The test suite keeps the
+numpy loop that the C function repeats operation by operation as its
+oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 from . import scheme, tridiag
 from ._kernels import native
-from .errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
+from .errors import NoConvergence
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
@@ -72,23 +75,18 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
     """
     if frame is None:
         frame = scheme.LayerFrame(g, p, mode)
-    frame.start(prev, tau_next)  # raises ValueError past maturity
-    y = prev.y.copy()
-    status, values = native.newton_layer(frame, y, cfg.tol, cfg.max_iter, tridiag.PIVOT_RTOL,
+    status, values = native.newton_layer(frame, prev.y, prev.tau, tau_next, prev.z, cfg.tol,
+                                         cfg.max_iter, tridiag.PIVOT_RTOL,
                                          tridiag.SCHUR_FLOOR)  # ValueError
-    if status == native.LAYER_NON_POSITIVE_Z:
-        raise NonPositiveZ(values)
-    if status == native.LAYER_ZERO_PIVOT:
-        raise ZeroPivot(int(values))
-    if status == native.LAYER_SINGULAR_SCHUR:
-        raise SingularSchur(f"Schur denominator {values:.3e} at tau={tau_next:.6g}")
-    if status == native.LAYER_NO_CONVERGENCE:
-        raise NoConvergence(cfg.max_iter, values)
-    iterations, z, initial, onesided, violations, residual_f1, residual_f2 = values
+    if status != native.LAYER_OK:
+        if status == native.LAYER_NO_CONVERGENCE:
+            raise NoConvergence(cfg.max_iter, values)
+        raise scheme.layer_error(status, values, prev, tau_next, p)
+    y, iterations, z, initial, onesided, violations, residual_f1, residual_f2, backward = values
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
         layer=prev.j + 1, tau=tau_next, iterations=int(iterations), residual_f1=residual_f1,
         residual_f2=residual_f2, initial_residual=initial, onesided_rows=int(onesided),
-        dominance_violations=int(violations))
+        dominance_violations=int(violations), backward_error=backward)
 
 
 def march_newton(p: MarketParams, g: GridSpec,

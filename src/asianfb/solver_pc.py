@@ -47,7 +47,8 @@ interior is solved once more with coefficients frozen at z, and (y(z), z)
 is stored, so the boundary value kept for the next layer is the one the
 layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
-solves share one scheme.LayerFrame, started once per layer, and all
+solves share one scheme.LayerFrame, whose z-free part is built once per
+layer, and all
 three eliminations solve its J11 against its one-column right-hand side
 ``single_rhs`` in place.  march_pc's layer step runs predictor() and the
 corrector in results.march's frame.
@@ -60,9 +61,12 @@ an O(1) gap from the Newton engine that refining does not shrink.  The
 Newton step leaves a constraint remainder F2 quadratic in z - z-tilde.
 
 A layer is two C calls: predictor() hands its bracket scan and root
-iteration to native.pc_predictor, and the corrector with the layer's
-diagnostics runs in native.pc_corrector over the frame's buffers, with
-tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR passed from here.
+iteration to native.pc_predictor, and the corrector, which first builds
+the layer's z-free part in the frame, runs with the layer's diagnostics
+in native.pc_corrector over the frame's buffers.  Both read the march's
+constants (the predictor's root_tol, max_iter and bracket scan, and
+tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR) from the frame's binding,
+made once per march, and each call carries only the layer's own values.
 predictor() is the call that opens each layer.  The test suite keeps the
 numpy predictor and corrector that the C functions repeat operation by
 operation as their oracles.
@@ -73,11 +77,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import scheme, tridiag
 from ._kernels import native
-from .errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
+from .errors import NoBracket, NoConvergence, NonPositiveZ
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
@@ -116,43 +118,46 @@ def _no_bracket(z_prev: float, widest: float) -> NoBracket:
 
 
 def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
-              cfg: PredictorConfig = PredictorConfig()) -> PredictorResult:
-    """Predicted boundary z at the next layer from the scalar root problem."""
-    if not tau_next < p.T:
+              cfg: PredictorConfig = PredictorConfig(), *,
+              frame: scheme.LayerFrame | None = None) -> PredictorResult:
+    """Predicted boundary z at the next layer from the scalar root problem.
+
+    ``frame`` is a LayerFrame of (g, p) whose binding holds the march's
+    constants; march_pc passes the march's, and without it the predictor
+    makes its own.
+    """
+    if frame is None:
+        frame = scheme.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR)
+    status, value = native.pc_predictor(frame, prev.y, prev.tau, tau_next, prev.z, cfg.root_tol,
+                                        cfg.max_iter, _BRACKET_SCAN, _BRACKET_FACTOR,
+                                        _BRACKET_EXPANSIONS)
+    if status == native.LAYER_OK:
+        z, iterations = value
+        return PredictorResult(z=z, iterations=iterations)
+    if status == native.LAYER_PAST_MATURITY:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
-    status, value = native.pc_predictor(
-        prev.z, tau_next - prev.tau, p.T - tau_next, p.r, p.q, p.sigma, g.h,
-        *prev.y[:3].tolist(), _BRACKET_SCAN, _BRACKET_FACTOR, _BRACKET_EXPANSIONS,
-        cfg.root_tol, cfg.max_iter)
     if status == native.LAYER_NO_BRACKET:
         raise _no_bracket(prev.z, value)
     if status == native.LAYER_NO_CONVERGENCE:
         raise NoConvergence(cfg.max_iter, value)
-    if status == native.LAYER_NON_POSITIVE_Z:
-        raise NonPositiveZ(value)
-    z, iterations = value
-    return PredictorResult(z=z, iterations=iterations)
+    raise NonPositiveZ(value)
 
 
-def _correct(frame: scheme.LayerFrame, z_tilde: float) -> tuple[LayerState, LayerDiagnostics]:
-    """The corrector in a frame started for the layer: frozen solve at
-    z_tilde, one Schur step on the boundary, frozen solve at the new z.
-    Returns the new state and its diagnostics, without the predictor's
-    iterations and fallback flag."""
-    prev, tau_next = frame.prev, frame.tau_next
-    y = np.empty(frame.g.N + 1)
-    status, values = native.pc_corrector(frame, y, z_tilde, tridiag.PIVOT_RTOL,
-                                         tridiag.SCHUR_FLOOR)  # ValueError
-    if status == native.LAYER_NON_POSITIVE_Z:
-        raise NonPositiveZ(values)
-    if status == native.LAYER_ZERO_PIVOT:
-        raise ZeroPivot(int(values))
-    if status == native.LAYER_SINGULAR_SCHUR:
-        raise SingularSchur(f"Schur denominator {values:.3e} at tau={tau_next:.6g}")
-    z, residual_f1, residual_f2, onesided, violations = values
+def _correct(prev: LayerState, tau_next: float, frame: scheme.LayerFrame,
+             z_tilde: float) -> tuple[LayerState, LayerDiagnostics]:
+    """The corrector of the layer from ``prev`` to ``tau_next`` in
+    ``frame``: frozen solve at z_tilde, one Schur step on the boundary,
+    frozen solve at the new z.  Returns the new state and its diagnostics,
+    without the predictor's iterations and fallback flag."""
+    status, values = native.pc_corrector(frame, prev.y, prev.tau, tau_next, prev.z, z_tilde,
+                                         tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)  # ValueError
+    if status != native.LAYER_OK:
+        raise scheme.layer_error(status, values, prev, tau_next, frame.p)
+    y, z, residual_f1, residual_f2, onesided, violations = values
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
         layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=residual_f1,
-        residual_f2=residual_f2, onesided_rows=onesided, dominance_violations=violations)
+        residual_f2=residual_f2, onesided_rows=onesided, dominance_violations=violations,
+        backward_error=residual_f1)
 
 
 def _layer(prev: LayerState, tau_next: float, frame: scheme.LayerFrame,
@@ -160,12 +165,12 @@ def _layer(prev: LayerState, tau_next: float, frame: scheme.LayerFrame,
     """One predictor and one corrector: march_pc's layer step."""
     fallback = False
     try:
-        pred = predictor(prev, tau_next, frame.g, frame.p, cfg)
+        pred = predictor(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
         z_tilde, root_iters = pred.z, pred.iterations
     except NoBracket:
         z_tilde, root_iters = prev.z, 0
         fallback = True
-    state, diag = _correct(frame.start(prev, tau_next), z_tilde)
+    state, diag = _correct(prev, tau_next, frame, z_tilde)
     diag.iterations, diag.predictor_fallback = root_iters, fallback
     return state, diag
 

@@ -10,8 +10,9 @@ and each solution is bit-identical to a single solve.  The kernel checks
 the shapes, rejects a non-finite entry and takes the pivot floor from
 ``PIVOT_RTOL`` itself.  Both engines eliminate inside their C calls per
 layer (Newton's one in solver_newton, pc's corrector in solver_pc),
-which take ``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the
-Schur denominator, from here at each call.
+which read ``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the
+Schur denominator, from here at each layer and bind them to the
+march's frame when they change.
 """
 
 from __future__ import annotations

@@ -14,11 +14,14 @@ fixed-point layer solve; csv.writer's surface.csv; and the continuous
 model's coefficients.
 
 Twins of the compiled kernel, which repeat its C code operation by
-operation in numpy, so that each gives the kernel's bits: the layer rows
-(``frame_rows``, thomas.c's frame_rows), F1, J12, F2 and the dominance
-count; Newton's layer (``newton_layer_numpy``, thomas.c's newton_layer);
-and the predictor-corrector's predictor and corrector
-(``predictor_numpy``, ``correct_numpy``: pc_predictor and pc_corrector).
+operation in numpy, so that each gives the kernel's bits: the z-free
+part of a layer (``frame_start``, thomas.c's frame_start, with the
+constraint's coefficients and its row J21), the layer rows
+(``frame_rows``, thomas.c's frame_rows), F1, J12, F2, the dominance
+count and the row-wise backward error; Newton's layer
+(``newton_layer_numpy``, thomas.c's newton_layer); and the
+predictor-corrector's predictor and corrector (``predictor_numpy``,
+``correct_numpy``: pc_predictor and pc_corrector).
 They eliminate with ``_kernels.pure``'s Thomas loop, not with C.
 ``numpy_layers()`` runs both engines' marches on them, which is how the
 tests hold every march, layer failure and predictor iterate of the
@@ -40,7 +43,7 @@ from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.results import LayerDiagnostics
-from asianfb.scheme import LayerRows, SchemeMode, constraint_row
+from asianfb.scheme import LayerRows, SchemeMode
 from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig, PredictorResult
 
@@ -55,24 +58,88 @@ def pure_solve(lower, diag, upper, rhs):
     return x
 
 
-def frame_rows(frame, z) -> LayerRows:
+def _constraint_coefficients(tau_next, p):
+    """(c0, c1) with F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h)."""
+    if not tau_next < p.T:
+        raise ValueError(f"tau_next must be < T; got {tau_next} with T={p.T}")
+    ttm = p.T - tau_next
+    denom = 1.0 + p.q * ttm
+    return (1.0 + p.r * ttm) / denom, 0.5 * p.sigma**2 * ttm / denom
+
+
+def constraint_row(tau_next, g, p):
+    """J21 = (dF2/dy_1, dF2/dy_2), the only y-dependence of the constraint."""
+    ttm = p.T - tau_next
+    d_coef = p.q + 1.0 / ttm
+    sig2 = p.sigma**2
+    return -sig2 / (d_coef * g.h), sig2 / (4.0 * d_coef * g.h)
+
+
+@dataclass(frozen=True)
+class LayerStart:
+    """The z-free scalars of the layer from ``prev`` to ``tau_next`` that
+    frame_start computed, next to the buffers it filled in ``frame``."""
+
+    frame: scheme.LayerFrame
+    prev: LayerState
+    tau_next: float
+    dt: float
+    ttm: float
+    diag_base: float
+    constraint: tuple  # (c0, c1)
+    j21: tuple         # (dF2/dy_1, dF2/dy_2)
+
+
+def frame_start(frame, prev, tau_next) -> LayerStart:
+    """Build the z-free part of the layer from ``prev`` to ``tau_next`` in
+    the buffers of ``frame``: ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h
+    scaling, the z-free diagonal, dc = 0, no one-sided row and
+    rhs = y^prev/dt; and return the layer's scalars.
+
+    Raises ValueError unless tau_next < T and tau_next > prev.tau.
+    """
+    p, g, h = frame.p, frame.g, frame.g.h
+    constraint = _constraint_coefficients(tau_next, p)
+    j21 = constraint_row(tau_next, g, p)
+    dt = tau_next - prev.tau
+    if dt <= 0:
+        raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
+    ttm = p.T - tau_next
+    np.divide(g.exp_neg_xi, ttm, out=frame._ds)
+    np.multiply(frame._ds, 0.5, out=frame._half_ds_h)
+    frame._half_ds_h /= h
+    # beta = r + 1/(T - tau); the central diagonal is z-free
+    diag_base = 1.0 / dt + frame._sig2 / h**2 + (p.r + 1.0 / ttm)
+    rows = frame._rows
+    rows.diag.fill(diag_base)
+    rows.dc.fill(0.0)
+    rows.onesided.fill(False)
+    np.divide(prev.y[1:-1], dt, out=rows.rhs)
+    return LayerStart(frame=frame, prev=prev, tau_next=tau_next, dt=dt, ttm=ttm,
+                      diag_base=diag_base, constraint=constraint, j21=j21)
+
+
+def frame_rows(start, z) -> LayerRows:
     """Write the rows, their z-derivatives and the one-sided mask at z into
-    the buffers of ``frame``, whose start() has run, and return them.
+    the buffers of the frame that frame_start built ``start`` in, and
+    return them.
 
     The central rows are built everywhere, and then only the rows the
     one-sided switch selects are rewritten (none in central mode).
     """
     if z <= 0:
         raise NonPositiveZ(float(z))
+    frame = start.frame
     rows, g, p = frame._rows, frame.g, frame.p
-    h, dt, ttm, diff, sig2 = g.h, frame._dt, frame._ttm, frame._diff, frame._sig2
+    h, dt, ttm, diff, sig2 = g.h, start.dt, start.ttm, frame._diff, frame._sig2
+    z_prev, diag_base = start.prev.z, start.diag_base
     # bounded advection part mu and singular part s_i; only these depend on z:
     # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
-    mu = (z - frame._z_prev) / (dt * z) + p.r - p.q - frame._half_sig2
+    mu = (z - z_prev) / (dt * z) + p.r - p.q - frame._half_sig2
     s = np.multiply(g.exp_neg_xi, z)
     s -= 1.0
     s /= ttm
-    dmu = frame._z_prev / (dt * z**2)
+    dmu = z_prev / (dt * z**2)
 
     # central rows everywhere
     adv = 0.5 * mu / h
@@ -85,7 +152,7 @@ def frame_rows(frame, z) -> LayerRows:
     if frame.mode is SchemeMode.CENTRAL:
         return rows
     # restore the z-free diagonal and dc, which an earlier call may have rewritten
-    rows.diag.fill(frame._diag_base)
+    rows.diag.fill(diag_base)
     rows.dc.fill(0.0)
     # |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal
     np.subtract(mu, s, out=d)
@@ -97,7 +164,7 @@ def frame_rows(frame, z) -> LayerRows:
         pos = s1 >= 0.0
         rows.lower[idx] = -adv - diff + np.where(pos, 0.0, s1 / h)
         rows.upper[idx] = adv - diff - np.where(pos, s1 / h, 0.0)
-        rows.diag[idx] = frame._diag_base + np.abs(s1) / h
+        rows.diag[idx] = diag_base + np.abs(s1) / h
         rows.da[idx] = -0.5 * dmu / h + np.where(pos, 0.0, ds1 / h)
         rows.dc[idx] = np.where(pos, ds1 / h, -ds1 / h)
         rows.db[idx] = 0.5 * dmu / h - np.where(pos, ds1 / h, 0.0)
@@ -121,16 +188,25 @@ def z_column(rows, y, out=None):
     return j12
 
 
-def frame_constraint(frame, y, z):
-    """F2 of the started ``frame``'s layer at (y, z)."""
-    c0, c1 = frame._constraint
+def frame_constraint(start, y, z):
+    """F2 of the layer that frame_start built ``start`` for, at (y, z)."""
+    c0, c1 = start.constraint
     y0, y1, y2 = y[:3].tolist()
-    return float(z - float(c0 + c1 * ((-3.0 * y0 + 4.0 * y1 - y2) / (2.0 * frame.g.h))))
+    return float(z - float(c0 + c1 * ((-3.0 * y0 + 4.0 * y1 - y2) / (2.0 * start.frame.g.h))))
 
 
 def dominance_violations(rows):
     """Rows failing strict diagonal dominance."""
     return int(np.count_nonzero(np.abs(rows.diag) <= np.abs(rows.lower) + np.abs(rows.upper)))
+
+
+def backward_error(rows, y):
+    """The row-wise backward error of F1 at y: max |F1_i| over the
+    magnitudes of the terms F1_i sums."""
+    terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
+        + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
+    f1 = np.abs(interior_residual(rows, y))
+    return float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
 
 
 def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=None,
@@ -142,8 +218,8 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
     """
     if frame is None:
         frame = scheme.LayerFrame(g, p, mode)
-    frame.start(prev, tau_next)  # raises ValueError past maturity
-    j21_y1, j21_y2 = frame.j21
+    start = frame_start(frame, prev, tau_next)  # raises ValueError past maturity
+    j21_y1, j21_y2 = start.j21
     f1, j12 = frame.pair_rhs
     y = prev.y.copy()
     y1 = y[1:-1]
@@ -154,10 +230,10 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
     def constraint(y, z):
         if states is not None:
             states.append((y.copy(), z))
-        return frame_constraint(frame, y, z)
+        return frame_constraint(start, y, z)
 
     for it in range(1, cfg.max_iter + 1):
-        rows = frame_rows(frame, z)  # raises NonPositiveZ
+        rows = frame_rows(start, z)  # raises NonPositiveZ
         interior_residual(rows, y, out=f1)
         z_column(rows, y, out=j12)
         f2 = constraint(y, z)
@@ -184,9 +260,10 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
     else:
         raise NoConvergence(cfg.max_iter, step)
 
-    rows = frame_rows(frame, z)  # raises NonPositiveZ
+    rows = frame_rows(start, z)  # raises NonPositiveZ
     diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
     diag.residual_f2 = abs(constraint(y, z))
+    diag.backward_error = backward_error(rows, y)
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
 
 
@@ -252,8 +329,9 @@ def _bracket_nearest(residual, z_prev):
     raise solver_pc._no_bracket(z_prev, widest)
 
 
-def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig()):
-    """solver_pc.predictor with its bracket scan and root in numpy."""
+def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
+    """solver_pc.predictor with its bracket scan and root in numpy; it
+    takes ``frame`` as predictor does, and needs none."""
     if not tau_next < p.T:
         raise ValueError(f"tau_next must be < T; got {tau_next}")
     residual, derivative, _ = predictor_equations(prev, tau_next, g, p)
@@ -291,47 +369,43 @@ def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig()):
     return PredictorResult(z=x, iterations=iterations)
 
 
-def _frozen_solve(frame, z):
+def _frozen_solve(start, z):
     """Interior rows frozen at boundary value z and the layer y they solve for."""
-    rows = frame_rows(frame, z)  # raises NonPositiveZ
-    rhs = frame.single_rhs
-    np.copyto(rhs, rows.rhs)
-    rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
+    rows = frame_rows(start, z)  # raises NonPositiveZ
+    frame = start.frame
+    np.copyto(frame.single_rhs, rows.rhs)
+    frame.single_rhs[0] += rows.lower[0]  # a_1 y_0 with the Dirichlet value y_0 = -1
     y = np.empty(frame.g.N + 1)
     y[0] = -1.0
     y[-1] = 0.0
-    y[1:-1] = pure_solve(*frame.j11, rhs)
+    y[1:-1] = pure_solve(*frame.j11, frame.single_rhs)
     return rows, y
 
 
-def correct_numpy(frame, z_tilde):
+def correct_numpy(prev, tau_next, frame, z_tilde):
     """solver_pc._correct in numpy: frozen solve at z_tilde, one Schur step
     on the boundary, frozen solve at the new z, and the layer's
     diagnostics."""
-    prev, tau_next = frame.prev, frame.tau_next
-    rows, y = _frozen_solve(frame, z_tilde)
+    start = frame_start(frame, prev, tau_next)
+    rows, y = _frozen_solve(start, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of the Newton engine reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
     z_column(rows, y, out=frame.single_rhs)
     v = pure_solve(*frame.j11, frame.single_rhs)
-    j21_y1, j21_y2 = frame.j21
+    j21_y1, j21_y2 = start.j21
     denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
     if abs(denom) < tridiag.SCHUR_FLOOR:
         raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
-    z = z_tilde - frame_constraint(frame, y, z_tilde) / denom
-    rows, y = _frozen_solve(frame, z)
+    z = z_tilde - frame_constraint(start, y, z_tilde) / denom
+    rows, y = _frozen_solve(start, z)
 
-    # linear-solve quality: row-wise backward error of the stored layer,
-    # |F1_i| over the magnitudes of the terms F1_i sums
-    terms = np.abs(rows.lower * y[:-2]) + np.abs(rows.diag * y[1:-1]) \
-        + np.abs(rows.upper * y[2:]) + np.abs(rows.rhs)
-    f1 = np.abs(interior_residual(rows, y))
-    rel_f1 = float(np.max(f1 / np.where(terms > 0.0, terms, 1.0)))
+    # linear-solve quality: row-wise backward error of the stored layer
+    rel_f1 = backward_error(rows, y)
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
         layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=rel_f1,
-        residual_f2=abs(frame_constraint(frame, y, z)),
+        residual_f2=abs(frame_constraint(start, y, z)),
         onesided_rows=int(np.count_nonzero(rows.onesided)),
-        dominance_violations=dominance_violations(rows))
+        dominance_violations=dominance_violations(rows), backward_error=rel_f1)
 
 
 @contextlib.contextmanager
@@ -351,7 +425,7 @@ def numpy_layers():
 def layer_rows(prev, z_next, tau_next, g, p, mode):
     """The rows, their z-derivatives and the F1 right-hand side at one
     iterate, from a LayerFrame of their own."""
-    return frame_rows(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_next)
+    return frame_rows(frame_start(scheme.LayerFrame(g, p, mode), prev, tau_next), z_next)
 
 
 def constraint_root(y_next, tau_next, g, p):
@@ -375,7 +449,7 @@ def residual_constraint(y_next, z_next, tau_next, g, p):
 def corrector(prev, z_tilde, tau_next, g, p, mode):
     """march_pc's corrector on one layer: frozen solve at z_tilde, one Schur
     step on the boundary, frozen solve at the new z."""
-    return solver_pc._correct(scheme.LayerFrame(g, p, mode).start(prev, tau_next), z_tilde)[0]
+    return solver_pc._correct(prev, tau_next, scheme.LayerFrame(g, p, mode), z_tilde)[0]
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):

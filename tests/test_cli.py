@@ -165,6 +165,30 @@ class TestSolve:
         _write_surface(tmp_path / "surface.csv", taus, xi, surface)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, FIXED9_LIMIT, -1e7])
+    @pytest.mark.parametrize("column", ["tau", "xi", "pi"])
+    def test_surface_writer_hands_back_a_cell_in_each_column(self, tmp_path, rng, column, bad):
+        """A cell that the compiled writer leaves to Python, in the tau, xi or
+        pi column of a table of several chunks, at the default chunk size
+        and at one layer per chunk."""
+        taus = np.linspace(0.0, 50.0, 13)
+        xi = np.linspace(0.0, 3.0, 201)
+        surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
+        if column == "tau":
+            taus[7] = bad
+        elif column == "xi":
+            xi[100] = bad
+        else:
+            surface[7, 100] = bad
+        assert taus.size * xi.size * 58 > 2 * cli.CHUNK_BYTES
+        write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
+        for chunk_bytes in (cli.CHUNK_BYTES, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+                _write_surface(tmp_path / "surface.csv", taus, xi, surface)
+            assert (tmp_path / "surface.csv").read_bytes() == \
+                (tmp_path / "oracle.csv").read_bytes(), chunk_bytes
+
     def test_surface_writer_rejects_mismatched_shapes(self, tmp_path):
         taus, xi = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5])
         for surface in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(6),

@@ -17,14 +17,15 @@ import asianfb
 from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, scheme,
                      solver_newton, solver_pc, tridiag)
 from asianfb._kernels import native, pure
-from asianfb.errors import NoBracket, NoConvergence, ZeroPivot
+from asianfb.errors import NoBracket, NoConvergence, SingularSchur, SolverError, ZeroPivot
 from asianfb.mesh import GridSpec, LayerState, initial_layer
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import newton_layer_numpy, numpy_layers, predictor_numpy, pure_solve
+from _oracles import (frame_start, newton_layer_numpy, numpy_layers, predictor_numpy,
+                      pure_solve)
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -416,6 +417,38 @@ class TestNativeCache:
         run(params, make_grid(params, N=50))
         assert len(bindings_built) == expected
 
+    def test_changed_limits_reach_a_bound_frame(self, params, bindings_built):
+        """A frame's binding holds the limits of its last layer call, and a
+        call with other limits (an engine's config, tridiag's floors) binds
+        them before it runs, so a reused frame never runs on stale ones."""
+        grid = make_grid(params, N=16)
+        prev, tau_next = initial_layer(params, grid), float(grid.taus[1])
+        frame = scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
+        args = (prev, tau_next, grid, params, SchemeMode.UPWIND_SINGULAR)
+        state, diag = newton_layer(*args, frame=frame)
+        pred = solver_pc.predictor(prev, tau_next, grid, params, frame=frame)
+        assert diag.iterations > 1 and pred.iterations > 1
+        with pytest.raises(NoConvergence):
+            newton_layer(*args, NewtonConfig(max_iter=1), frame=frame)
+        with pytest.raises(NoConvergence):
+            solver_pc.predictor(prev, tau_next, grid, params, PredictorConfig(max_iter=1),
+                                frame=frame)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+            with pytest.raises(ZeroPivot):
+                newton_layer(*args, frame=frame)
+            with pytest.raises(ZeroPivot):
+                solver_pc._correct(prev, tau_next, frame, pred.z)
+            patch.setattr(tridiag, "PIVOT_RTOL", PIVOT_RTOL)
+            patch.setattr(tridiag, "SCHUR_FLOOR", 1e300)
+            with pytest.raises(SingularSchur):
+                solver_pc._correct(prev, tau_next, frame, pred.z)
+        again, again_diag = newton_layer(*args, frame=frame)
+        assert again.y.tobytes() == state.y.tobytes() and again.z == state.z
+        assert dataclasses.astuple(again_diag) == dataclasses.astuple(diag)
+        assert solver_pc.predictor(prev, tau_next, grid, params, frame=frame) == pred
+        assert len(bindings_built) == 1
+
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-matrix", "own-arrays"])
     def test_alternating_systems_overwritten_in_place(self, shared):
         # a frame's two right-hand sides share its J11 views (lower, diag and
@@ -574,11 +607,20 @@ MARCH_DIGESTS = {
 }
 
 
-def march_digest(march, p, grid, mode):
-    """sha256 (16 hex digits) of a march: rho, the surface, every
-    LayerDiagnostics field and, after each Newton layer, the frame's row
-    buffers and its (2, n) right-hand side (F1 at the accepted z, J12 of
-    the last iterate)."""
+# The LayerDiagnostics fields that MARCH_DIGESTS covers: all that existed when
+# the digests were recorded.  test_march_bit_identical_across_backends holds
+# the later backward_error to the numpy twins separately.
+DIGEST_FIELDS = ("layer", "tau", "iterations", "residual_f1", "residual_f2",
+                 "initial_residual", "onesided_rows", "dominance_violations",
+                 "predictor_fallback")
+
+
+def march_digest(march, p, grid, mode, results=None):
+    """sha256 (16 hex digits) of a march: rho, the surface, the
+    LayerDiagnostics fields of DIGEST_FIELDS and, after each Newton layer,
+    the frame's row buffers and its (2, n) right-hand side (F1 at the
+    accepted z, J12 of the last iterate).  ``results``, when given, is a
+    list that gains the march's SolveResult."""
     digest = hashlib.sha256()
 
     def observed(*args, **kwargs):
@@ -595,15 +637,18 @@ def march_digest(march, p, grid, mode):
         result = march(p, grid, mode)
     digest.update(result.rho.tobytes())
     digest.update(result.surface.tobytes())
-    digest.update(np.array([dataclasses.astuple(d) for d in result.diagnostics],
-                           dtype=float).tobytes())
+    digest.update(np.array([[getattr(d, name) for name in DIGEST_FIELDS]
+                            for d in result.diagnostics], dtype=float).tobytes())
+    if results is not None:
+        results.append(result)
     return digest.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_march_bit_identical_across_backends(march, mode):
-    """The kernel's march and the march on the numpy twins of its layers."""
+    """The kernel's march and the march on the numpy twins of its layers,
+    and the backward error of each of their layers."""
     engine = "newton" if march is march_newton else "pc"
     for name, (r, q, sigma) in BIT_IDENTITY_PARAMS.items():
         p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
@@ -611,12 +656,14 @@ def test_march_bit_identical_across_backends(march, mode):
             if engine == "pc" and grid_name not in PC_GRIDS:
                 continue
             grid = make_grid(p, N=n, M=m)
-            digests = []
+            digests, results = [], []
             for layers in (contextlib.nullcontext(), numpy_layers()):
                 with layers:
-                    digests.append(march_digest(march, p, grid, mode))
+                    digests.append(march_digest(march, p, grid, mode, results))
             assert digests == [MARCH_DIGESTS[engine, mode.value, name, grid_name]] * 2, \
                 (name, grid_name, digests)
+            errors = [np.array([d.backward_error for d in run.diagnostics]) for run in results]
+            assert errors[0].tobytes() == errors[1].tobytes(), (name, grid_name)
 
 
 def failing_layer(case, params, patch):
@@ -744,7 +791,7 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
     assert ended[0] == ended[1]
     if case == "NoBracket":
         # the fallback layer is the corrector's from z_tilde = z_prev
-        corrected, _ = solver_pc._correct(frame.start(prev, tau_next), prev.z)
+        corrected, _ = solver_pc._correct(prev, tau_next, frame, prev.z)
         assert state.z == corrected.z
         assert diag.predictor_fallback and diag.iterations == 0
         return
@@ -759,6 +806,80 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
         assert attributes["last_step"] >= PredictorConfig().root_tol
     elif case == "PastMaturity":
         assert message == f"tau_next must be < T; got {params.T}"
+
+
+# The C layer calls that build a frame's z-free part (thomas.c's frame_start)
+# before they run: Newton's layer, and pc's corrector from z_tilde = z_prev.
+def newton_call(prev, tau_next, frame):
+    return newton_layer(prev, tau_next, frame.g, frame.p, frame.mode, frame=frame)
+
+
+def corrector_call(prev, tau_next, frame):
+    return solver_pc._correct(prev, tau_next, frame, prev.z)
+
+
+def oracle_start(prev, tau_next, frame):
+    return frame_start(frame, prev, tau_next)
+
+
+START_CALLS = {"newton": newton_call, "pc": corrector_call}
+# The buffers that frame_start fills, and those it fills only in central mode,
+# where frame_rows leaves them as they are
+START_BUFFERS = ("ds", "half_ds_h", "rhs")
+CENTRAL_BUFFERS = ("diag", "dc", "onesided")
+
+
+def start_buffer(frame, name):
+    return getattr(frame, "_" + name) if name in ("ds", "half_ds_h") else \
+        getattr(frame._rows, name)
+
+
+class TestFrameStart:
+    """Each C layer call builds its frame's z-free part in the frame's
+    buffers bit for bit as the oracle frame_start does, and refuses the
+    layers that frame_start refuses with its messages."""
+
+    @PROPERTY
+    @given(r=st.floats(0.05, 0.07), q=st.floats(0.03, 0.045), sigma=st.floats(0.18, 0.22),
+           T=st.floats(0.5, 60.0), n=st.integers(4, 24), mode=st.sampled_from(list(SchemeMode)),
+           call=st.sampled_from(sorted(START_CALLS)), data=st.data())
+    def test_buffers_bit_identical_to_the_oracle(self, r, q, sigma, T, n, mode, call, data):
+        p = MarketParams(r=r, q=q, sigma=sigma, T=T)
+        grid = make_grid(p, N=n)
+        # the last layer, to tau_M = T - eps_final, or any other
+        j = data.draw(st.one_of(st.just(grid.M - 1), st.integers(0, grid.M - 1)), label="j")
+        run = march_newton(p, grid, mode)
+        prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
+                          z=float(run.rho[j]))
+        tau_next = float(run.taus[j + 1])
+        frame = scheme.LayerFrame(grid, p, mode)
+        with contextlib.suppress(SolverError):  # the frame is built before the layer runs
+            START_CALLS[call](prev, tau_next, frame)
+        oracle = scheme.LayerFrame(grid, p, mode)
+        frame_start(oracle, prev, tau_next)
+        names = START_BUFFERS + (CENTRAL_BUFFERS if mode is SchemeMode.CENTRAL else ())
+        for name in names:
+            assert start_buffer(frame, name).tobytes() == start_buffer(oracle, name).tobytes(), \
+                name
+
+    @pytest.mark.parametrize("call", sorted(START_CALLS))
+    def test_refused_layers_raise_the_oracles_messages(self, params, call):
+        grid = make_grid(params, N=16)
+        first = initial_layer(params, grid)
+        later = LayerState(j=1, tau=float(grid.taus[1]), y=first.y, z=first.z)
+        cases = [(first, params.T, f"tau_next must be < T; got {params.T} with T={params.T}"),
+                 (first, params.T + 1.0,
+                  f"tau_next must be < T; got {params.T + 1.0} with T={params.T}"),
+                 (first, math.nan, f"tau_next must be < T; got nan with T={params.T}"),
+                 (later, later.tau,
+                  f"non-positive time step: tau_next={later.tau}, prev tau={later.tau}"),
+                 (later, 0.0, f"non-positive time step: tau_next=0.0, prev tau={later.tau}")]
+        for prev, tau_next, message in cases:
+            for layer in (START_CALLS[call], oracle_start):
+                frame = scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
+                with pytest.raises(ValueError) as exc:
+                    layer(prev, tau_next, frame)
+                assert str(exc.value) == message, (layer, tau_next)
 
 
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
