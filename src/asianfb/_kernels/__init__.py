@@ -19,11 +19,12 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   only kernel that runs.  Next to ``thomas`` it offers each engine's
   time layer in C, eliminating with the same ``thomas`` loop: Newton's
   as one call, ``native.newton_layer``, which builds the layer's z-free
-  part in a scheme.LayerFrame and runs its iterations there, and the
+  part in a ``native.LayerFrame`` and runs its iterations there, and the
   predictor-corrector's as two, ``native.pc_predictor`` (the scalar
   root) and ``native.pc_corrector`` (the z-free part, the three solves
-  and the layer's diagnostics over the frame), each with the march's
-  constants bound once.  Its ``native.fixed9_rows`` and
+  and the layer's diagnostics over the frame).  A march's frame holds
+  its constants, filled once, and each call writes its own limits into
+  it and raises its own failure.  Its ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" does, for cli._write_fixed9, which streams each output
   table through them.  Without a C compiler, or when the build or the

@@ -3,12 +3,11 @@
 The library holds ``thomas``, the Thomas solve of the kernel contract,
 and one time layer of each engine, which eliminates with that same
 ``thomas``: ``newton_layer``, the z-free part of a layer and its Newton
-iterations over a scheme.LayerFrame's buffers, and the
-predictor-corrector layer's two halves, ``pc_predictor``, the
-predictor's scalar root, and ``pc_corrector``, the z-free part, the
-corrector and the layer's diagnostics over the frame's buffers (see
-below); and ``fixed9_rows`` and ``fixed9_surface``, the CLI's CSV
-cells.
+iterations over a LayerFrame's buffers, and the predictor-corrector
+layer's two halves, ``pc_predictor``, the predictor's scalar root, and
+``pc_corrector``, the z-free part, the corrector and the layer's
+diagnostics over the frame's buffers (see below); and ``fixed9_rows``
+and ``fixed9_surface``, the CLI's CSV cells.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 the first kernel call in a process) looks for a shared library in
@@ -31,18 +30,19 @@ this module run pure's numpy check, to raise the ValueError that names
 the array.  No march calls it: both engines eliminate inside their layer
 calls.
 
-The three layer functions share a binding per march: a FrameBinding of
-the last scheme.LayerFrame any of them ran in holds the march's
-constants (T, h, h**2, r, q, sigma**2 and their products), the
-addresses of the frame's buffers, a y buffer and the out[] slots, so a
-march binds its frame once.  The limits a call takes (Newton's tol and
-max_iter, the predictor's root search, the eliminations' pivot_rtol and
-schur_floor) are written into the binding only when they differ from
-those it holds.  Each layer copies the previous layer into the y buffer
-and passes only tau_prev, tau_next and z_prev (and pc's corrector its
-z_tilde) to C, which builds the layer's z-free part itself; a refused
-layer (tau_next >= T, or a non-positive step) comes back as a status
-code.
+A march makes one LayerFrame (results.march does, and an engine's layer
+called without one makes its own): the buffers of its layer system,
+which it owns, and the _Frame struct that hands them to C with the
+march's constants (T, h, h**2, r, q, sigma**2 and their products),
+filled once.  Each layer function writes its own limits into its
+frame's struct (Newton's tol and max_iter, the predictor's root search,
+the eliminations' pivot_rtol and schur_floor), copies the previous layer
+into the frame's y buffer and passes only tau_prev, tau_next and z_prev
+(and pc's corrector its z_tilde) to C, which builds the layer's z-free
+part itself.  Marches in different frames share nothing, so they may run
+in different threads at once.  A failed call's status code, a refused
+layer (tau_next >= T, or a non-positive step) among them, becomes its
+exception here (``_failure``); no status code leaves this module.
 
 ``fixed9_rows`` writes a chunk of table rows as CSV lines of ``"%.9f"``
 cells into a buffer the caller reuses for a whole file, byte for byte as
@@ -66,6 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from . import pure
 
 SOURCE = Path(__file__).with_name("thomas.c")
@@ -83,8 +84,6 @@ NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
  LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(9)
-# the statuses of a layer that frame_start refuses: tau_next >= T, and dt <= 0
-_START_FAILURES = (LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP)
 # the layer functions' out[] slots: newton_layer's 8 diagnostics, then two more
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
  OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_UPWINDED, OUT_FAILURE,
@@ -220,169 +219,167 @@ class _Frame(ctypes.Structure):
           "db", "onesided", "f", "single", "cp", "x", "y", "out")]
 
 
-# The struct's fields that a layer function's limits set, by group: Newton's
-# iterations, the predictor's root search, and the eliminations' guards.
-_LIMITS = {"iteration": ("tol", "max_iter"),
-           "search": ("root_tol", "root_max_iter", "scan", "bracket_factor", "expansions"),
-           "solve": ("pivot_rtol", "schur_floor")}
+class LayerFrame:
+    """The layer system of one march on grid ``g`` with parameters ``p``
+    in scheme mode ``mode``, in buffers it owns, and the _Frame struct
+    that hands them to the layer functions.
 
+    Each layer call builds its layer in these buffers: the z-free part
+    first (``ds`` = ds_i/dz = e^{-xi_i}/(T - tau) and ``half_ds_h``, its
+    0.5/h scaling, the z-free ``diag``, ``rhs`` = y^prev/dt), then the
+    rows of each iterate, F1 = lower y[:-2] + diag y[1:-1] + upper y[2:]
+    - rhs, their z-derivatives (``da``, ``dc``, ``db``) and the
+    ``onesided`` mask, where the singular term is upwinded.  ``j11`` is
+    J11 (lower[1:], diag, upper[:-1]): three views of the row buffers.
+    ``pair_rhs`` (2, n) and ``single_rhs`` (n,) are the right-hand sides
+    that Newton's and pc's layers fill and solve against J11 in place,
+    ``cp`` the elimination's work row, ``x`` its (2, n) solution, ``y``
+    the layer (the previous one on entry) and ``out`` the out[] slots.
 
-class FrameBinding:
-    """A scheme.LayerFrame as the layer functions take it: the march's
-    constants, the addresses of the frame's buffers, the cp work row, the
-    (2, n) solution buffer, the layer's y and the out[] slots, and the
-    limits last set, by group (see _LIMITS)."""
+    The struct holds the march's constants (T, h, h**2, r, q, sigma**2
+    and their products) and the buffers' addresses, so a buffer must not
+    be replaced; each layer call writes its own limits into it.
+    Constructing a frame loads the kernel (see load()).
+    """
 
-    __slots__ = ("frame", "cp", "x", "y", "struct", "address", "out") + tuple(_LIMITS)
-
-    def __init__(self, frame):
-        rows, g, p = frame._rows, frame.g, frame.p
-        n = rows.diag.size
-        self.frame = frame  # keeps every buffer alive while its address is in use
-        self.cp = np.empty(n)
-        self.x = np.empty((2, n))
-        self.y = np.empty(n + 2)
+    def __init__(self, g, p, mode):
+        if _kernel is None:
+            load()
+        n = g.N - 1
+        self.g, self.p, self.mode = g, p, mode
+        self.lower, self.diag, self.upper, self.da, self.dc, self.db, self.rhs = \
+            (np.zeros(n) for _ in range(7))
+        self.onesided = np.zeros(n, dtype=bool)
+        self.ds, self.half_ds_h, self.cp = np.empty(n), np.empty(n), np.empty(n)
+        self.pair_rhs, self.single_rhs = np.zeros((2, n)), np.zeros(n)
+        self.x, self.y = np.empty((2, n)), np.empty(n + 2)
         self.out = (ctypes.c_double * OUT_SLOTS)()
-        arrays = {"exp_neg_xi": g.exp_neg_xi, "ds": frame._ds,
-                  "half_ds_h": frame._half_ds_h, "rhs": rows.rhs, "lower": rows.lower,
-                  "diag": rows.diag, "upper": rows.upper, "da": rows.da, "dc": rows.dc,
-                  "db": rows.db, "onesided": rows.onesided, "f": frame.pair_rhs,
-                  "single": frame.single_rhs, "cp": self.cp, "x": self.x, "y": self.y}
-        self.struct = _Frame(n=n, upwind=frame.mode.value == "upwind-singular", T=p.T, h=g.h,
-                             h2=g.h**2, two_h=2.0 * g.h, r=p.r, q=p.q,
-                             half_sig2=frame._half_sig2, diff=frame._diff, sig2=frame._sig2,
+        self.j11 = (self.lower[1:], self.diag, self.upper[:-1])
+        buffers = {name: getattr(self, name) for name in
+                   ("ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc", "db",
+                    "onesided", "cp", "x", "y")}
+        buffers.update(exp_neg_xi=g.exp_neg_xi, f=self.pair_rhs, single=self.single_rhs)
+        sig2 = p.sigma**2
+        self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", T=p.T, h=g.h,
+                             h2=g.h**2, two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=0.5 * sig2,
+                             diff=0.5 * sig2 / g.h**2, sig2=sig2,
                              out=ctypes.addressof(self.out),
-                             **{name: a.ctypes.data for name, a in arrays.items()})
+                             **{name: a.ctypes.data for name, a in buffers.items()})
         self.address = ctypes.addressof(self.struct)
-        for group in _LIMITS:
-            setattr(self, group, None)
-
-    def set_limits(self, group, values):
-        """Bind ``values`` to the struct's fields of ``group``."""
-        setattr(self, group, values)
-        for name, value in zip(_LIMITS[group], values):
-            setattr(self.struct, name, value)
 
 
-# The FrameBinding of the last frame a layer function ran in: one per march.
-_last_frame = None
+def _no_bracket(z_prev, widest):
+    return NoBracket(f"predictor residual has no sign change within "
+                     f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
 
 
-def _bind(frame, y_prev):
-    """The binding of ``frame``, made when the frame is not the last one
-    bound, with the previous layer ``y_prev`` copied into its y.
+def _failure(frame, status, tau_prev, tau_next, z_prev, max_iter=None, rhs=None):
+    """The exception of a layer call in ``frame`` from (tau_prev, z_prev)
+    to tau_next that ended with ``status``, whose value is in
+    out[OUT_FAILURE].
 
-    Raises ValueError when y_prev does not have the N + 1 entries of a
-    layer.
+    max_iter is the call's iteration cap, and rhs the right-hand side it
+    solves against J11, None for pc_predictor (whose past-maturity message
+    does not name T).  Raises ValueError, naming the array, when an
+    elimination met a non-finite entry.
     """
-    global _last_frame
-    if _kernel is None:
-        load()
-    binding = _last_frame
-    if binding is None or binding.frame is not frame:
-        binding = _last_frame = FrameBinding(frame)
-    np.copyto(binding.y, y_prev)
-    return binding
-
-
-def _failed(binding, status, rhs):
-    """The value of a failed layer call's ``status``: None for a layer that
-    frame_start refuses, else out[OUT_FAILURE].
-
-    Raises ValueError, naming the array, when an elimination against J11
-    and ``rhs`` met a non-finite entry.
-    """
+    value = frame.out[OUT_FAILURE]
     if status == LAYER_NON_FINITE:
-        pure.check_finite(*binding.frame.j11, rhs)
-        raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
-    if status in _START_FAILURES:
-        return None
-    return binding.out[OUT_FAILURE]
+        pure.check_finite(*frame.j11, rhs)
+        return RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
+    if status == LAYER_PAST_MATURITY:
+        return ValueError(f"tau_next must be < T; got {tau_next}"
+                          + ("" if rhs is None else f" with T={frame.p.T}"))
+    if status == LAYER_NON_POSITIVE_STEP:
+        return ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={tau_prev}")
+    if status == LAYER_NON_POSITIVE_Z:
+        return NonPositiveZ(value)
+    if status == LAYER_ZERO_PIVOT:
+        return ZeroPivot(int(value))
+    if status == LAYER_SINGULAR_SCHUR:
+        return SingularSchur(f"Schur denominator {value:.3e} at tau={tau_next:.6g}")
+    if status == LAYER_NO_CONVERGENCE:
+        return NoConvergence(max_iter, value)
+    if status == LAYER_NO_BRACKET:
+        return _no_bracket(z_prev, value)
+    return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
 def newton_layer(frame, y_prev, tau_prev, tau_next, z_prev, tol, max_iter, pivot_rtol,
                  schur_floor):
     """Newton's iterations on the layer from (tau_prev, y_prev, z_prev) to
-    tau_next in ``frame``, in one C call, which first builds the frame's
-    z-free part.
+    tau_next in the LayerFrame ``frame``, in one C call, which first
+    builds the frame's z-free part.
 
-    tol, max_iter, pivot_rtol and schur_floor are solver_newton's, bound
-    to the frame's binding when they change.  The C function repeats every
-    operation of the numpy Newton loop that the tests keep as its oracle
-    in order.
+    tol, max_iter, pivot_rtol and schur_floor are solver_newton's.  The C
+    function repeats every operation of the numpy Newton loop that the
+    tests keep as its oracle in order.
 
-    Raises ValueError when y_prev does not fit the frame and, naming the
-    array, when an elimination meets a non-finite entry.  Returns
-    (LAYER_OK, (y, iterations, z, initial_residual, onesided_rows,
-    dominance_violations, residual_f1, residual_f2, backward_error)), y
-    the new layer in an array of its own, or the status of the first
-    failure with its value: LAYER_PAST_MATURITY or LAYER_NON_POSITIVE_STEP
-    (with None), the non-positive z, the failing pivot row, the Schur
-    denominator or the last step.
+    Returns (y, iterations, z, initial_residual, onesided_rows,
+    dominance_violations, residual_f1, residual_f2, backward_error), y the
+    new layer in an array of its own.  Raises ValueError when y_prev does
+    not fit the frame, when the frame refuses the layer (tau_next >= T, or
+    a non-positive step) and, naming the array, when an elimination meets
+    a non-finite entry; else NonPositiveZ, ZeroPivot, SingularSchur or
+    NoConvergence on the first failure.
     """
-    binding = _bind(frame, y_prev)
-    if binding.iteration != (tol, max_iter):
-        binding.set_limits("iteration", (tol, max_iter))
-    if binding.solve != (pivot_rtol, schur_floor):
-        binding.set_limits("solve", (pivot_rtol, schur_floor))
-    status = _kernel.newton_layer(binding.address, tau_prev, tau_next, z_prev)
-    if status == LAYER_OK:
-        return status, (binding.y.copy(), *binding.out[:OUT_UPWINDED])
-    return status, _failed(binding, status, frame.pair_rhs)
+    np.copyto(frame.y, y_prev)
+    struct = frame.struct
+    struct.tol, struct.max_iter, struct.pivot_rtol, struct.schur_floor = \
+        tol, max_iter, pivot_rtol, schur_floor
+    status = _kernel.newton_layer(frame.address, tau_prev, tau_next, z_prev)
+    if status != LAYER_OK:
+        raise _failure(frame, status, tau_prev, tau_next, z_prev, max_iter, frame.pair_rhs)
+    return (frame.y.copy(), *frame.out[:OUT_UPWINDED])
 
 
 def pc_predictor(frame, y_prev, tau_prev, tau_next, z_prev, root_tol, max_iter, scan, factor,
                  expansions):
     """solver_pc.predictor's root on the layer from (tau_prev, y_prev,
     z_prev) to tau_next in one C call, from the previous layer's first
-    three values and the march's constants in ``frame``'s binding;
+    three values and the march's constants in the LayerFrame ``frame``;
     root_tol, max_iter, scan (the bracket scan's scan + 1 points), factor
-    (its widening factor) and expansions (its widenings) are solver_pc's,
-    bound when they change.  The C function repeats every operation of
-    the numpy predictor that the tests keep as its oracle in order.
+    (its widening factor) and expansions (its widenings) are solver_pc's.
+    The C function repeats every operation of the numpy predictor that the
+    tests keep as its oracle in order.
 
-    Returns (LAYER_OK, (z, iterations)), or LAYER_PAST_MATURITY with
-    None, LAYER_NO_BRACKET with the widest factor scanned,
-    LAYER_NO_CONVERGENCE with the last step or LAYER_NON_POSITIVE_Z with
-    the root.
+    Returns (z, iterations).  Raises ValueError when y_prev does not fit
+    the frame or tau_next >= T, NoBracket, NoConvergence, or NonPositiveZ
+    with the root.
     """
-    binding = _bind(frame, y_prev)
-    search = (root_tol, max_iter, scan, factor, expansions)
-    if binding.search != search:
-        binding.set_limits("search", search)
-    status = _kernel.pc_predictor(binding.address, tau_prev, tau_next, z_prev)
-    out = binding.out
-    if status == LAYER_OK:
-        return status, (out[OUT_Z], int(out[OUT_ITERATIONS]))
-    return status, None if status == LAYER_PAST_MATURITY else out[OUT_FAILURE]
+    np.copyto(frame.y, y_prev)
+    struct = frame.struct
+    struct.root_tol, struct.root_max_iter, struct.scan, struct.bracket_factor, \
+        struct.expansions = root_tol, max_iter, scan, factor, expansions
+    status = _kernel.pc_predictor(frame.address, tau_prev, tau_next, z_prev)
+    if status != LAYER_OK:
+        raise _failure(frame, status, tau_prev, tau_next, z_prev, max_iter)
+    return frame.out[OUT_Z], int(frame.out[OUT_ITERATIONS])
 
 
 def pc_corrector(frame, y_prev, tau_prev, tau_next, z_prev, z_tilde, pivot_rtol, schur_floor):
     """The predictor-corrector's corrector on the layer from (tau_prev,
-    y_prev, z_prev) to tau_next in ``frame``, with the layer's
-    diagnostics, in one C call, which first builds the frame's z-free
-    part; pivot_rtol and schur_floor are solver_pc's, bound when they
-    change.  The C function repeats every operation of the numpy corrector
-    that the tests keep as its oracle in order.
+    y_prev, z_prev) to tau_next in the LayerFrame ``frame``, with the
+    layer's diagnostics, in one C call, which first builds the frame's
+    z-free part; pivot_rtol and schur_floor are solver_pc's.  The C
+    function repeats every operation of the numpy corrector that the tests
+    keep as its oracle in order.
 
-    Raises ValueError when y_prev does not fit the frame and, naming the
-    array, when an elimination meets a non-finite entry.  Returns
-    (LAYER_OK, (y, z, residual_f1, residual_f2, onesided_rows,
-    dominance_violations)), y the new layer in an array of its own, or the
-    status of the first failure with its value: LAYER_PAST_MATURITY or
-    LAYER_NON_POSITIVE_STEP (with None), the non-positive z, the failing
-    pivot row or the Schur denominator.
+    Returns (y, z, residual_f1, residual_f2, onesided_rows,
+    dominance_violations), y the new layer in an array of its own.  Raises
+    ValueError when y_prev does not fit the frame, when the frame refuses
+    the layer and, naming the array, when an elimination meets a
+    non-finite entry; else NonPositiveZ, ZeroPivot or SingularSchur on the
+    first failure.
     """
-    binding = _bind(frame, y_prev)
-    if binding.solve != (pivot_rtol, schur_floor):
-        binding.set_limits("solve", (pivot_rtol, schur_floor))
-    status = _kernel.pc_corrector(binding.address, tau_prev, tau_next, z_prev, z_tilde)
-    if status == LAYER_OK:
-        out = binding.out
-        return status, (binding.y.copy(), out[OUT_Z], out[OUT_RESIDUAL_F1],
-                        out[OUT_RESIDUAL_F2], int(out[OUT_ONESIDED_ROWS]),
-                        int(out[OUT_DOMINANCE_VIOLATIONS]))
-    return status, _failed(binding, status, frame.single_rhs)
+    np.copyto(frame.y, y_prev)
+    frame.struct.pivot_rtol, frame.struct.schur_floor = pivot_rtol, schur_floor
+    status = _kernel.pc_corrector(frame.address, tau_prev, tau_next, z_prev, z_tilde)
+    if status != LAYER_OK:
+        raise _failure(frame, status, tau_prev, tau_next, z_prev, rhs=frame.single_rhs)
+    out = frame.out
+    return (frame.y.copy(), out[OUT_Z], out[OUT_RESIDUAL_F1], out[OUT_RESIDUAL_F2],
+            int(out[OUT_ONESIDED_ROWS]), int(out[OUT_DOMINANCE_VIOLATIONS]))
 
 
 def fixed9_bytes(rows, cols):

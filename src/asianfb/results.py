@@ -1,7 +1,7 @@
 """Result containers shared by both engines, and march, the one time loop.
 
 march owns the initial layer, the stored rho and surface, one
-scheme.LayerFrame and the LayerFailure wrapping; an engine supplies only
+native.LayerFrame and the LayerFailure wrapping; an engine supplies only
 step(prev, tau_next, frame) -> (LayerState, LayerDiagnostics).  march is
 not in ``__all__``, so a tracer of the public names charges the loop to
 the engine's march that calls it.
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scheme
+from ._kernels import native
 from .errors import LayerFailure, SolverError
 from .mesh import GridSpec, initial_layer
 from .model import MarketParams
@@ -72,7 +73,7 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     rho[0] = state.z
     surface[0] = state.y
     diags: list[LayerDiagnostics] = []
-    frame = scheme.LayerFrame(g, p, mode)
+    frame = native.LayerFrame(g, p, mode)
     for j in range(g.M):
         tau_next = float(g.taus[j + 1])
         try:

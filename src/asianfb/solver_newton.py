@@ -20,7 +20,7 @@ values and stops when ||dY||_inf < tol.
 
 The layer system itself is scheme's; this module is the iteration over
 it.  march_newton is results.march stepping with newton_layer in the
-march's one scheme.LayerFrame.  Each layer is one C call,
+march's one native.LayerFrame.  Each layer is one C call,
 native.newton_layer, which works in the frame's buffers: it builds the
 layer's z-free part and J21 once from the previous layer, then each
 iterate writes only the z-dependent rows (J11 and the row derivatives
@@ -28,11 +28,11 @@ J12 is built from), puts F1 and J12 into the frame's (2, n) right-hand
 side ``pair_rhs``, eliminates it in place against J11 with the kernel's
 Thomas loop and updates y in place.  One more assembly at the accepted z
 gives the layer's diagnostics, among them the row-wise backward error of
-F1 that pc reports as its residual.  tol, max_iter, tridiag.PIVOT_RTOL
-and tridiag.SCHUR_FLOOR are bound to the frame's binding once per march;
-the call carries only the layer's own values.  The test suite keeps the
-numpy loop that the C function repeats operation by operation as its
-oracle.
+F1 that pc reports as its residual.  Each call writes tol, max_iter,
+tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR into the frame's struct next
+to the march's constants, and passes the layer's own values.  The test
+suite keeps the numpy loop that the C function repeats operation by
+operation as its oracle.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import scheme, tridiag
+from . import tridiag
 from ._kernels import native
-from .errors import NoConvergence
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
@@ -67,22 +66,18 @@ class NewtonConfig:
 
 def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
                  mode: SchemeMode, cfg: NewtonConfig = NewtonConfig(),
-                 frame: scheme.LayerFrame | None = None) -> tuple[LayerState, LayerDiagnostics]:
+                 frame: native.LayerFrame | None = None) -> tuple[LayerState, LayerDiagnostics]:
     """Solve one layer; returns the new state and its diagnostics.
 
-    ``frame`` is a LayerFrame of (g, p, mode) to assemble in; march_newton
-    passes the march's, and without it the layer makes its own.
+    ``frame`` is a native.LayerFrame of (g, p, mode) to assemble in;
+    march_newton passes the march's, and without it the layer makes its
+    own.  Raises what native.newton_layer raises.
     """
     if frame is None:
-        frame = scheme.LayerFrame(g, p, mode)
-    status, values = native.newton_layer(frame, prev.y, prev.tau, tau_next, prev.z, cfg.tol,
-                                         cfg.max_iter, tridiag.PIVOT_RTOL,
-                                         tridiag.SCHUR_FLOOR)  # ValueError
-    if status != native.LAYER_OK:
-        if status == native.LAYER_NO_CONVERGENCE:
-            raise NoConvergence(cfg.max_iter, values)
-        raise scheme.layer_error(status, values, prev, tau_next, p)
-    y, iterations, z, initial, onesided, violations, residual_f1, residual_f2, backward = values
+        frame = native.LayerFrame(g, p, mode)
+    y, iterations, z, initial, onesided, violations, residual_f1, residual_f2, backward = \
+        native.newton_layer(frame, prev.y, prev.tau, tau_next, prev.z, cfg.tol, cfg.max_iter,
+                            tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
         layer=prev.j + 1, tau=tau_next, iterations=int(iterations), residual_f1=residual_f1,
         residual_f2=residual_f2, initial_residual=initial, onesided_rows=int(onesided),

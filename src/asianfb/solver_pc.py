@@ -47,10 +47,9 @@ interior is solved once more with coefficients frozen at z, and (y(z), z)
 is stored, so the boundary value kept for the next layer is the one the
 layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
-solves share one scheme.LayerFrame, whose z-free part is built once per
-layer, and all
-three eliminations solve its J11 against its one-column right-hand side
-``single_rhs`` in place.  march_pc's layer step runs predictor() and the
+solves share one native.LayerFrame, whose z-free part is built once per
+layer, and all three eliminations solve its J11 against its one-column
+right-hand side ``single_rhs`` in place.  march_pc's layer step runs predictor() and the
 corrector in results.march's frame.
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
@@ -64,12 +63,14 @@ A layer is two C calls: predictor() hands its bracket scan and root
 iteration to native.pc_predictor, and the corrector, which first builds
 the layer's z-free part in the frame, runs with the layer's diagnostics
 in native.pc_corrector over the frame's buffers.  Both read the march's
-constants (the predictor's root_tol, max_iter and bracket scan, and
-tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR) from the frame's binding,
-made once per march, and each call carries only the layer's own values.
-predictor() is the call that opens each layer.  The test suite keeps the
-numpy predictor and corrector that the C functions repeat operation by
-operation as their oracles.
+constants from the frame's struct, filled once per march; each call
+writes its own limits there (the predictor's root_tol, max_iter and
+bracket scan, the corrector's tridiag.PIVOT_RTOL and
+tridiag.SCHUR_FLOOR) and passes the layer's own values, and native turns
+a failed call's status into its exception.  predictor() is the call that
+opens each layer.  The test suite keeps the numpy predictor and
+corrector that the C functions repeat operation by operation as their
+oracles.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import scheme, tridiag
+from . import tridiag
 from ._kernels import native
-from .errors import NoBracket, NoConvergence, NonPositiveZ
+from .errors import NoBracket
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
 from .results import LayerDiagnostics, SolveResult, march
@@ -112,55 +113,40 @@ class PredictorResult:
     iterations: int
 
 
-def _no_bracket(z_prev: float, widest: float) -> NoBracket:
-    return NoBracket(f"predictor residual has no sign change within "
-                     f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
-
-
 def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
               cfg: PredictorConfig = PredictorConfig(), *,
-              frame: scheme.LayerFrame | None = None) -> PredictorResult:
+              frame: native.LayerFrame | None = None) -> PredictorResult:
     """Predicted boundary z at the next layer from the scalar root problem.
 
-    ``frame`` is a LayerFrame of (g, p) whose binding holds the march's
-    constants; march_pc passes the march's, and without it the predictor
-    makes its own.
+    ``frame`` is a native.LayerFrame of (g, p) whose struct holds the
+    march's constants; march_pc passes the march's, and without it the
+    predictor makes its own.  Raises what native.pc_predictor raises.
     """
     if frame is None:
-        frame = scheme.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR)
-    status, value = native.pc_predictor(frame, prev.y, prev.tau, tau_next, prev.z, cfg.root_tol,
-                                        cfg.max_iter, _BRACKET_SCAN, _BRACKET_FACTOR,
-                                        _BRACKET_EXPANSIONS)
-    if status == native.LAYER_OK:
-        z, iterations = value
-        return PredictorResult(z=z, iterations=iterations)
-    if status == native.LAYER_PAST_MATURITY:
-        raise ValueError(f"tau_next must be < T; got {tau_next}")
-    if status == native.LAYER_NO_BRACKET:
-        raise _no_bracket(prev.z, value)
-    if status == native.LAYER_NO_CONVERGENCE:
-        raise NoConvergence(cfg.max_iter, value)
-    raise NonPositiveZ(value)
+        frame = native.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR)
+    z, iterations = native.pc_predictor(frame, prev.y, prev.tau, tau_next, prev.z,
+                                        cfg.root_tol, cfg.max_iter, _BRACKET_SCAN,
+                                        _BRACKET_FACTOR, _BRACKET_EXPANSIONS)
+    return PredictorResult(z=z, iterations=iterations)
 
 
-def _correct(prev: LayerState, tau_next: float, frame: scheme.LayerFrame,
+def _correct(prev: LayerState, tau_next: float, frame: native.LayerFrame,
              z_tilde: float) -> tuple[LayerState, LayerDiagnostics]:
     """The corrector of the layer from ``prev`` to ``tau_next`` in
     ``frame``: frozen solve at z_tilde, one Schur step on the boundary,
     frozen solve at the new z.  Returns the new state and its diagnostics,
-    without the predictor's iterations and fallback flag."""
-    status, values = native.pc_corrector(frame, prev.y, prev.tau, tau_next, prev.z, z_tilde,
-                                         tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)  # ValueError
-    if status != native.LAYER_OK:
-        raise scheme.layer_error(status, values, prev, tau_next, frame.p)
-    y, z, residual_f1, residual_f2, onesided, violations = values
+    without the predictor's iterations and fallback flag; raises what
+    native.pc_corrector raises."""
+    y, z, residual_f1, residual_f2, onesided, violations = native.pc_corrector(
+        frame, prev.y, prev.tau, tau_next, prev.z, z_tilde, tridiag.PIVOT_RTOL,
+        tridiag.SCHUR_FLOOR)
     return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
         layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=residual_f1,
         residual_f2=residual_f2, onesided_rows=onesided, dominance_violations=violations,
         backward_error=residual_f1)
 
 
-def _layer(prev: LayerState, tau_next: float, frame: scheme.LayerFrame,
+def _layer(prev: LayerState, tau_next: float, frame: native.LayerFrame,
            cfg: PredictorConfig) -> tuple[LayerState, LayerDiagnostics]:
     """One predictor and one corrector: march_pc's layer step."""
     fallback = False

@@ -11,8 +11,8 @@ the shapes, rejects a non-finite entry and takes the pivot floor from
 ``PIVOT_RTOL`` itself.  Both engines eliminate inside their C calls per
 layer (Newton's one in solver_newton, pc's corrector in solver_pc),
 which read ``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the
-Schur denominator, from here at each layer and bind them to the
-march's frame when they change.
+Schur denominator, from here at each layer and write them into the
+march's frame.
 """
 
 from __future__ import annotations

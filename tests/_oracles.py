@@ -17,7 +17,8 @@ Twins of the compiled kernel, which repeat its C code operation by
 operation in numpy, so that each gives the kernel's bits: the z-free
 part of a layer (``frame_start``, thomas.c's frame_start, with the
 constraint's coefficients and its row J21), the layer rows
-(``frame_rows``, thomas.c's frame_rows), F1, J12, F2, the dominance
+(``frame_rows``, thomas.c's frame_rows, written into a
+native.LayerFrame's buffers and returned as ``LayerRows``), F1, J12, F2, the dominance
 count and the row-wise backward error; Newton's layer
 (``newton_layer_numpy``, thomas.c's newton_layer); and the
 predictor-corrector's predictor and corrector (``predictor_numpy``,
@@ -31,24 +32,49 @@ kernel against its twin.
 import contextlib
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from asianfb import scheme, solver_newton, solver_pc, tridiag
-from asianfb._kernels import pure
+from asianfb import solver_newton, solver_pc, tridiag
+from asianfb._kernels import native, pure
 from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.results import LayerDiagnostics
-from asianfb.scheme import LayerRows, SchemeMode
+from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig, PredictorResult
 
 
 # -- numpy twins of the compiled layer functions ----------------------------
+
+@dataclass(frozen=True)
+class LayerRows:
+    """Interior rows i = 1..N-1 of the layer system at one boundary iterate.
+
+    F1 = lower * y[:-2] + diag * y[1:-1] + upper * y[2:] - rhs, and
+    (da, dc, db) are the z-derivatives of (lower, diag, upper) with the
+    one-sided switch held fixed.
+    """
+
+    lower: np.ndarray  # a_i
+    diag: np.ndarray   # c_i
+    upper: np.ndarray  # b_i
+    da: np.ndarray     # d(a_i)/dz
+    dc: np.ndarray     # d(c_i)/dz
+    db: np.ndarray     # d(b_i)/dz
+    rhs: np.ndarray    # y^prev_i / dt
+    onesided: np.ndarray  # bool; True where the singular term is upwinded
+
+
+def rows_of(frame) -> LayerRows:
+    """The row buffers of a native.LayerFrame, as LayerRows."""
+    return LayerRows(**{field.name: getattr(frame, field.name)
+                        for field in fields(LayerRows)})
+
 
 def pure_solve(lower, diag, upper, rhs):
     """tridiag.thomas_solve on the pure Thomas loop."""
@@ -80,7 +106,7 @@ class LayerStart:
     """The z-free scalars of the layer from ``prev`` to ``tau_next`` that
     frame_start computed, next to the buffers it filled in ``frame``."""
 
-    frame: scheme.LayerFrame
+    frame: native.LayerFrame
     prev: LayerState
     tau_next: float
     dt: float
@@ -105,16 +131,15 @@ def frame_start(frame, prev, tau_next) -> LayerStart:
     if dt <= 0:
         raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
     ttm = p.T - tau_next
-    np.divide(g.exp_neg_xi, ttm, out=frame._ds)
-    np.multiply(frame._ds, 0.5, out=frame._half_ds_h)
-    frame._half_ds_h /= h
+    np.divide(g.exp_neg_xi, ttm, out=frame.ds)
+    np.multiply(frame.ds, 0.5, out=frame.half_ds_h)
+    frame.half_ds_h /= h
     # beta = r + 1/(T - tau); the central diagonal is z-free
-    diag_base = 1.0 / dt + frame._sig2 / h**2 + (p.r + 1.0 / ttm)
-    rows = frame._rows
-    rows.diag.fill(diag_base)
-    rows.dc.fill(0.0)
-    rows.onesided.fill(False)
-    np.divide(prev.y[1:-1], dt, out=rows.rhs)
+    diag_base = 1.0 / dt + p.sigma**2 / h**2 + (p.r + 1.0 / ttm)
+    frame.diag.fill(diag_base)
+    frame.dc.fill(0.0)
+    frame.onesided.fill(False)
+    np.divide(prev.y[1:-1], dt, out=frame.rhs)
     return LayerStart(frame=frame, prev=prev, tau_next=tau_next, dt=dt, ttm=ttm,
                       diag_base=diag_base, constraint=constraint, j21=j21)
 
@@ -130,12 +155,13 @@ def frame_rows(start, z) -> LayerRows:
     if z <= 0:
         raise NonPositiveZ(float(z))
     frame = start.frame
-    rows, g, p = frame._rows, frame.g, frame.p
-    h, dt, ttm, diff, sig2 = g.h, start.dt, start.ttm, frame._diff, frame._sig2
+    rows, g, p = rows_of(frame), frame.g, frame.p
+    sig2 = p.sigma**2
+    h, dt, ttm, diff = g.h, start.dt, start.ttm, 0.5 * sig2 / g.h**2
     z_prev, diag_base = start.prev.z, start.diag_base
     # bounded advection part mu and singular part s_i; only these depend on z:
     # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
-    mu = (z - z_prev) / (dt * z) + p.r - p.q - frame._half_sig2
+    mu = (z - z_prev) / (dt * z) + p.r - p.q - 0.5 * sig2
     s = np.multiply(g.exp_neg_xi, z)
     s -= 1.0
     s /= ttm
@@ -147,8 +173,8 @@ def frame_rows(start, z) -> LayerRows:
     d /= h
     np.add(d, -adv - diff, out=rows.lower)
     np.subtract(adv - diff, d, out=rows.upper)
-    np.add(frame._half_ds_h, -0.5 * dmu / h, out=rows.da)
-    np.subtract(0.5 * dmu / h, frame._half_ds_h, out=rows.db)
+    np.add(frame.half_ds_h, -0.5 * dmu / h, out=rows.da)
+    np.subtract(0.5 * dmu / h, frame.half_ds_h, out=rows.db)
     if frame.mode is SchemeMode.CENTRAL:
         return rows
     # restore the z-free diagonal and dc, which an earlier call may have rewritten
@@ -160,7 +186,7 @@ def frame_rows(start, z) -> LayerRows:
     idx = rows.onesided.nonzero()[0]
     if idx.size:
         # the singular term upwinded: forward where s_i >= 0, backward otherwise
-        s1, ds1 = s[idx], frame._ds[idx]
+        s1, ds1 = s[idx], frame.ds[idx]
         pos = s1 >= 0.0
         rows.lower[idx] = -adv - diff + np.where(pos, 0.0, s1 / h)
         rows.upper[idx] = adv - diff - np.where(pos, s1 / h, 0.0)
@@ -217,7 +243,7 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
     of F2: at every iterate, and once more at the accepted state.
     """
     if frame is None:
-        frame = scheme.LayerFrame(g, p, mode)
+        frame = native.LayerFrame(g, p, mode)
     start = frame_start(frame, prev, tau_next)  # raises ValueError past maturity
     j21_y1, j21_y2 = start.j21
     f1, j12 = frame.pair_rhs
@@ -326,7 +352,7 @@ def _bracket_nearest(residual, z_prev):
             return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
         widest = factor
         factor *= solver_pc._BRACKET_FACTOR
-    raise solver_pc._no_bracket(z_prev, widest)
+    raise native._no_bracket(z_prev, widest)
 
 
 def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
@@ -425,7 +451,7 @@ def numpy_layers():
 def layer_rows(prev, z_next, tau_next, g, p, mode):
     """The rows, their z-derivatives and the F1 right-hand side at one
     iterate, from a LayerFrame of their own."""
-    return frame_rows(frame_start(scheme.LayerFrame(g, p, mode), prev, tau_next), z_next)
+    return frame_rows(frame_start(native.LayerFrame(g, p, mode), prev, tau_next), z_next)
 
 
 def constraint_root(y_next, tau_next, g, p):
@@ -449,7 +475,7 @@ def residual_constraint(y_next, z_next, tau_next, g, p):
 def corrector(prev, z_tilde, tau_next, g, p, mode):
     """march_pc's corrector on one layer: frozen solve at z_tilde, one Schur
     step on the boundary, frozen solve at the new z."""
-    return solver_pc._correct(prev, tau_next, scheme.LayerFrame(g, p, mode), z_tilde)[0]
+    return solver_pc._correct(prev, tau_next, native.LayerFrame(g, p, mode), z_tilde)[0]
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):

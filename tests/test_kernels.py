@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, scheme,
-                     solver_newton, solver_pc, tridiag)
+from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, solver_newton,
+                     solver_pc, tridiag)
 from asianfb._kernels import native, pure
 from asianfb.errors import NoBracket, NoConvergence, SingularSchur, SolverError, ZeroPivot
 from asianfb.mesh import GridSpec, LayerState, initial_layer
@@ -24,7 +26,7 @@ from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (frame_start, newton_layer_numpy, numpy_layers, predictor_numpy,
+from _oracles import (LayerRows, frame_start, newton_layer_numpy, numpy_layers, predictor_numpy,
                       pure_solve)
 from test_tridiag import random_dominant_system
 
@@ -398,17 +400,20 @@ def count_constructions(monkeypatch, cls):
     return built
 
 
+# Marches each thread runs in test_marches_in_two_threads_match_the_marches_alone
+THREAD_ROUNDS = 5
+
+
 @pytest.fixture
 def bindings_built(monkeypatch):
-    """A list that gains one entry per native.FrameBinding constructed;
-    nothing cached."""
-    monkeypatch.setattr(native, "_last_frame", None)
-    return count_constructions(monkeypatch, native.FrameBinding)
+    """A list that gains one entry per native.LayerFrame constructed."""
+    return count_constructions(monkeypatch, native.LayerFrame)
 
 
 class TestNativeCache:
-    """native.newton_layer and native.pc_corrector bind a march's frame
-    once; native.thomas binds the arrays of each call afresh."""
+    """A march binds its frame once: it makes one native.LayerFrame, whose
+    struct the layer functions share; native.thomas binds the arrays of
+    each call afresh."""
 
     @pytest.mark.parametrize("run, expected", [
         (march_newton, 1), (march_pc, 1), (asianfb.compare_engines, 2),
@@ -418,12 +423,12 @@ class TestNativeCache:
         assert len(bindings_built) == expected
 
     def test_changed_limits_reach_a_bound_frame(self, params, bindings_built):
-        """A frame's binding holds the limits of its last layer call, and a
-        call with other limits (an engine's config, tridiag's floors) binds
+        """A frame's struct holds the limits of its last layer call, and a
+        call with other limits (an engine's config, tridiag's floors) writes
         them before it runs, so a reused frame never runs on stale ones."""
         grid = make_grid(params, N=16)
         prev, tau_next = initial_layer(params, grid), float(grid.taus[1])
-        frame = scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
+        frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
         args = (prev, tau_next, grid, params, SchemeMode.UPWIND_SINGULAR)
         state, diag = newton_layer(*args, frame=frame)
         pred = solver_pc.predictor(prev, tau_next, grid, params, frame=frame)
@@ -448,6 +453,30 @@ class TestNativeCache:
         assert dataclasses.astuple(again_diag) == dataclasses.astuple(diag)
         assert solver_pc.predictor(prev, tau_next, grid, params, frame=frame) == pred
         assert len(bindings_built) == 1
+
+    def test_marches_in_two_threads_match_the_marches_alone(self, params, bindings_built):
+        """A Newton march and a pc march run at once in two threads, each
+        in the one frame it makes, give the bits they give alone: rho, the
+        surface and every LayerDiagnostics field."""
+        grid = make_grid(params, N=50)
+        marches = (march_newton, march_pc)
+
+        def bits(result):
+            return (result.rho.tobytes(), result.surface.tobytes(),
+                    np.array([dataclasses.astuple(d) for d in result.diagnostics],
+                             dtype=float).tobytes())
+
+        alone = [bits(march(params, grid)) for march in marches]
+        start = threading.Barrier(len(marches), timeout=60)
+
+        def rounds(march):
+            start.wait()
+            return [bits(march(params, grid)) for _ in range(THREAD_ROUNDS)]
+
+        with concurrent.futures.ThreadPoolExecutor(len(marches)) as pool:
+            together = list(pool.map(rounds, marches))
+        assert together == [[bits] * THREAD_ROUNDS for bits in alone]
+        assert len(bindings_built) == len(marches) * (1 + THREAD_ROUNDS)
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-matrix", "own-arrays"])
     def test_alternating_systems_overwritten_in_place(self, shared):
@@ -626,8 +655,8 @@ def march_digest(march, p, grid, mode, results=None):
     def observed(*args, **kwargs):
         out = original(*args, **kwargs)
         frame = kwargs["frame"]
-        for row in dataclasses.fields(frame._rows):
-            digest.update(getattr(frame._rows, row.name).tobytes())
+        for row in dataclasses.fields(LayerRows):
+            digest.update(getattr(frame, row.name).tobytes())
         digest.update(frame.pair_rhs.tobytes())
         return out
 
@@ -761,7 +790,7 @@ def pc_layer_case(case, params, patch):
         cfg = PredictorConfig(max_iter=1)
     else:  # predictor() rejects a layer at maturity
         tau_next = params.T
-    return prev, tau_next, scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR), cfg
+    return prev, tau_next, native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR), cfg
 
 
 @pytest.mark.parametrize("case", ["NoBracket", "NonPositiveZ", "ValueError", "ZeroPivot",
@@ -829,10 +858,6 @@ START_BUFFERS = ("ds", "half_ds_h", "rhs")
 CENTRAL_BUFFERS = ("diag", "dc", "onesided")
 
 
-def start_buffer(frame, name):
-    return getattr(frame, "_" + name) if name in ("ds", "half_ds_h") else \
-        getattr(frame._rows, name)
-
 
 class TestFrameStart:
     """Each C layer call builds its frame's z-free part in the frame's
@@ -852,15 +877,14 @@ class TestFrameStart:
         prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
                           z=float(run.rho[j]))
         tau_next = float(run.taus[j + 1])
-        frame = scheme.LayerFrame(grid, p, mode)
+        frame = native.LayerFrame(grid, p, mode)
         with contextlib.suppress(SolverError):  # the frame is built before the layer runs
             START_CALLS[call](prev, tau_next, frame)
-        oracle = scheme.LayerFrame(grid, p, mode)
+        oracle = native.LayerFrame(grid, p, mode)
         frame_start(oracle, prev, tau_next)
         names = START_BUFFERS + (CENTRAL_BUFFERS if mode is SchemeMode.CENTRAL else ())
         for name in names:
-            assert start_buffer(frame, name).tobytes() == start_buffer(oracle, name).tobytes(), \
-                name
+            assert getattr(frame, name).tobytes() == getattr(oracle, name).tobytes(), name
 
     @pytest.mark.parametrize("call", sorted(START_CALLS))
     def test_refused_layers_raise_the_oracles_messages(self, params, call):
@@ -876,7 +900,7 @@ class TestFrameStart:
                  (later, 0.0, f"non-positive time step: tau_next=0.0, prev tau={later.tau}")]
         for prev, tau_next, message in cases:
             for layer in (START_CALLS[call], oracle_start):
-                frame = scheme.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
+                frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
                 with pytest.raises(ValueError) as exc:
                     layer(prev, tau_next, frame)
                 assert str(exc.value) == message, (layer, tau_next)
