@@ -70,12 +70,6 @@ class LayerRows:
     onesided: np.ndarray  # bool; True where the singular term is upwinded
 
 
-def rows_of(frame) -> LayerRows:
-    """The row buffers of a native.LayerFrame, as LayerRows."""
-    return LayerRows(**{field.name: getattr(frame, field.name)
-                        for field in fields(LayerRows)})
-
-
 def pure_solve(lower, diag, upper, rhs):
     """tridiag.thomas_solve on the pure Thomas loop."""
     x, fail = pure.thomas(lower, diag, upper, rhs, tridiag.PIVOT_RTOL)
@@ -155,7 +149,8 @@ def frame_rows(start, z) -> LayerRows:
     if z <= 0:
         raise NonPositiveZ(float(z))
     frame = start.frame
-    rows, g, p = rows_of(frame), frame.g, frame.p
+    rows = LayerRows(**{field.name: getattr(frame, field.name) for field in fields(LayerRows)})
+    g, p = frame.g, frame.p
     sig2 = p.sigma**2
     h, dt, ttm, diff = g.h, start.dt, start.ttm, 0.5 * sig2 / g.h**2
     z_prev, diag_base = start.prev.z, start.diag_base
