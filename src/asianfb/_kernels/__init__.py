@@ -18,13 +18,15 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   in a process into a cache next to the source (see native.py), and the
   only kernel that runs.  Next to ``thomas`` it offers each engine's
   time layer in C, eliminating with the same ``thomas`` loop: Newton's
-  as one call, ``native.newton_layer``, which builds the layer's z-free
-  part in a ``native.LayerFrame`` and runs its iterations there, and the
-  predictor-corrector's as two, ``native.pc_predictor`` (the scalar
-  root) and ``native.pc_corrector`` (the z-free part, the three solves
-  and the layer's diagnostics over the frame).  A march's frame holds
-  its constants, filled once, and each call writes its own limits into
-  it and raises its own failure.  Its ``native.fixed9_rows`` and
+  as one function, newton_layer, which builds the layer's z-free part in
+  a ``native.LayerFrame`` and runs its iterations there, and the
+  predictor-corrector's as two, pc_predictor (the scalar root) and
+  pc_corrector (the z-free part, the three solves and the layer's
+  diagnostics over the frame).  ``native.march`` runs one engine's
+  whole march over them in one call, and ``native.layer`` one of them
+  alone.  A march's frame holds its constants, filled once, and each
+  call writes its limits into it and raises its own failure.  Its
+  ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" does, for cli._write_fixed9, which streams each output
   table through them.  Without a C compiler, or when the build or the
@@ -38,7 +40,7 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
 Nothing is compiled or loaded at import.  tridiag.thomas_solve looks
 ``native.thomas`` up at each call, so a wrapper set on that attribute
 (as the benchmark's tracer sets one) sees every elimination made from
-Python; the engines' eliminations run inside their C layer calls.
+Python; the engines' eliminations run inside their C calls.
 """
 
 from . import native, pure  # the benchmark's tracer wraps each module's thomas

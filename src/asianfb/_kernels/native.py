@@ -1,13 +1,14 @@
 """Compiled kernel: thomas.c through ctypes, built on first use.
 
-The library holds ``thomas``, the Thomas solve of the kernel contract,
-and one time layer of each engine, which eliminates with that same
+The library holds ``thomas``, the Thomas solve of the kernel contract;
+one time layer of each engine, which eliminates with that same
 ``thomas``: ``newton_layer``, the z-free part of a layer and its Newton
 iterations over a LayerFrame's buffers, and the predictor-corrector
 layer's two halves, ``pc_predictor``, the predictor's scalar root, and
 ``pc_corrector``, the z-free part, the corrector and the layer's
-diagnostics over the frame's buffers (see below); and ``fixed9_rows``
-and ``fixed9_surface``, the CLI's CSV cells.
+diagnostics over the frame's buffers; ``march``, which steps one engine
+over every layer of a march with those functions (see below); and
+``fixed9_rows`` and ``fixed9_surface``, the CLI's CSV cells.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 the first kernel call in a process) looks for a shared library in
@@ -34,24 +35,30 @@ A march makes one LayerFrame (results.march does, and an engine's layer
 called without one makes its own): the buffers of its layer system,
 which it owns, and the _Frame struct that hands them to C with the
 march's constants (T, h, h**2, r, q, sigma**2 and their products),
-filled once.  Each layer function writes its own limits into its
-frame's struct (Newton's tol and max_iter, the predictor's root search,
-the eliminations' pivot_rtol and schur_floor), copies the previous layer
-into the frame's y buffer and passes only tau_prev, tau_next and z_prev
-(and pc's corrector its z_tilde) to C, which builds the layer's z-free
-part itself.  Marches in different frames share nothing, so they may run
-in different threads at once.  A failed call's status code, a refused
-layer (tau_next >= T, or a non-positive step) among them, becomes its
-exception here (``_failure``); no status code leaves this module.
+filled once.  ``march`` writes the engine's limits into its frame's
+struct once (Newton's tol and max_iter, or the predictor's root search,
+and the eliminations' pivot_rtol and schur_floor) and runs the whole
+march in one C call, which holds no GIL: C copies each stored layer
+forward and builds every layer's z-free part itself.  ``layer`` runs one
+layer function alone: it writes that function's limits alike, copies the
+previous layer into the frame's y buffer and passes only tau_prev,
+tau_next and z_prev (and pc's corrector its z_tilde) to C.  Marches in
+different frames share nothing, so they may run in different threads at
+once.  A failed call's status code, a refused layer (tau_next >= T, or a
+non-positive step) among them, becomes its exception here
+(``_failure``); no status code leaves this module.
 
-``fixed9_rows`` writes a chunk of table rows as CSV lines of ``"%.9f"``
-cells into a buffer the caller reuses for a whole file, byte for byte as
-Python formats them, and hands back (by its index) the first cell it
-leaves to Python: a NaN, an infinity, or a magnitude of 4.5e6 or more.
-``fixed9_surface`` writes chunks of surface.csv alike, formatting each
-layer's tau cell once and copying xi cells formatted once per file.
-Both check that their arrays are contiguous and large enough before the
-C call, which trusts them.
+``fixed9_rows`` checks a table and a buffer once and returns the
+function that writes a chunk of the table's rows into the buffer as CSV
+lines of ``"%.9f"`` cells, byte for byte as Python formats them, and
+hands back (by its index) the first cell it leaves to Python: a NaN, an
+infinity, or a magnitude of 4.5e6 or more.  ``fixed9_surface`` does the
+same for chunks of layers of surface.csv, formatting each layer's tau
+cell once and copying xi cells formatted once per file.  The checks, that
+each array is contiguous and of the right type and shape, are made once
+per file; each chunk passes only offsets into the checked arrays, after
+checking that its range lies within them and fits the buffer, so the C
+call, which trusts them, stays within the arrays.
 """
 
 from __future__ import annotations
@@ -84,10 +91,13 @@ NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
  LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(9)
-# the layer functions' out[] slots: newton_layer's 8 diagnostics, then two more
+# the layer functions' out[] slots: newton_layer's 8 diagnostics, then three more
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
  OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_UPWINDED, OUT_FAILURE,
- OUT_SLOTS) = range(11)
+ OUT_FALLBACK, OUT_SLOTS) = range(12)
+# thomas.c's engines of march, and its layer functions, in the order of its CALL_* codes
+MARCH_ENGINES = {"newton": 0, "pc": 1}
+CALLS = ("newton_layer", "pc_predictor", "pc_corrector")
 FIXED9_CELL = 18  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
 FIXED9_LIMIT = 4.5e6  # thomas.c's FIXED9_LIMIT: smaller magnitudes are formatted in C
 
@@ -171,10 +181,13 @@ def load() -> None:
     library.newton_layer.argtypes = [pointer] + [double] * 3
     library.pc_predictor.argtypes = [pointer] + [double] * 3
     library.pc_corrector.argtypes = [pointer] + [double] * 4
+    # march: (frame, engine, layers, taus, rho, surface, rows, failed)
+    library.march.argtypes = [pointer, long, long] + [pointer] * 5
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
     library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
     for function in (library.thomas, library.newton_layer, library.pc_predictor,
-                     library.pc_corrector, library.fixed9_rows, library.fixed9_surface):
+                     library.pc_corrector, library.march, library.fixed9_rows,
+                     library.fixed9_surface):
         function.restype = long
     _kernel = library
 
@@ -224,7 +237,7 @@ class LayerFrame:
     in scheme mode ``mode``, in buffers it owns, and the _Frame struct
     that hands them to the layer functions.
 
-    Each layer call builds its layer in these buffers: the z-free part
+    Each layer function builds its layer in these buffers: the z-free part
     first (``ds`` = ds_i/dz = e^{-xi_i}/(T - tau) and ``half_ds_h``, its
     0.5/h scaling, the z-free ``diag``, ``rhs`` = y^prev/dt), then the
     rows of each iterate, F1 = lower y[:-2] + diag y[1:-1] + upper y[2:]
@@ -238,7 +251,8 @@ class LayerFrame:
 
     The struct holds the march's constants (T, h, h**2, r, q, sigma**2
     and their products) and the buffers' addresses, so a buffer must not
-    be replaced; each layer call writes its own limits into it.
+    be replaced; a march, or a layer function called alone, writes its
+    limits into it.
     Constructing a frame loads the kernel (see load()).
     """
 
@@ -273,17 +287,19 @@ def _no_bracket(z_prev, widest):
                      f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
 
 
-def _failure(frame, status, tau_prev, tau_next, z_prev, max_iter=None, rhs=None):
-    """The exception of a layer call in ``frame`` from (tau_prev, z_prev)
-    to tau_next that ended with ``status``, whose value is in
-    out[OUT_FAILURE].
+def _failure(frame, status, call, tau_prev, tau_next, z_prev):
+    """The exception of the layer call ``call`` (one of CALLS) in
+    ``frame`` from (tau_prev, z_prev) to tau_next that ended with
+    ``status``, whose value is in out[OUT_FAILURE], with the limits in the
+    frame's struct.
 
-    max_iter is the call's iteration cap, and rhs the right-hand side it
-    solves against J11, None for pc_predictor (whose past-maturity message
-    does not name T).  Raises ValueError, naming the array, when an
-    elimination met a non-finite entry.
+    Raises ValueError, naming the array, when an elimination met a
+    non-finite entry.
     """
     value = frame.out[OUT_FAILURE]
+    # the right-hand side the call solves against J11; pc_predictor solves none,
+    # and its past-maturity message does not name T
+    rhs = {"newton_layer": frame.pair_rhs, "pc_corrector": frame.single_rhs}.get(call)
     if status == LAYER_NON_FINITE:
         pure.check_finite(*frame.j11, rhs)
         return RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
@@ -299,87 +315,73 @@ def _failure(frame, status, tau_prev, tau_next, z_prev, max_iter=None, rhs=None)
     if status == LAYER_SINGULAR_SCHUR:
         return SingularSchur(f"Schur denominator {value:.3e} at tau={tau_next:.6g}")
     if status == LAYER_NO_CONVERGENCE:
-        return NoConvergence(max_iter, value)
+        struct = frame.struct
+        return NoConvergence(struct.root_max_iter if rhs is None else struct.max_iter, value)
     if status == LAYER_NO_BRACKET:
         return _no_bracket(z_prev, value)
     return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
-def newton_layer(frame, y_prev, tau_prev, tau_next, z_prev, tol, max_iter, pivot_rtol,
-                 schur_floor):
-    """Newton's iterations on the layer from (tau_prev, y_prev, z_prev) to
-    tau_next in the LayerFrame ``frame``, in one C call, which first
-    builds the frame's z-free part.
+def layer(frame, call, y_prev, *args, **limits):
+    """One layer function of thomas.c alone, ``call`` (one of CALLS), on
+    the layer from the previous layer ``y_prev`` in the LayerFrame
+    ``frame``, in one C call: ``args`` are tau_prev, tau_next and z_prev,
+    and pc_corrector's z_tilde, and ``limits`` the fields of the frame's
+    struct the call reads (newton_layer's tol, max_iter, pivot_rtol and
+    schur_floor; pc_predictor's root_tol, root_max_iter, scan,
+    bracket_factor and expansions; pc_corrector's pivot_rtol and
+    schur_floor), written there first.
 
-    tol, max_iter, pivot_rtol and schur_floor are solver_newton's.  The C
-    function repeats every operation of the numpy Newton loop that the
-    tests keep as its oracle in order.
-
-    Returns (y, iterations, z, initial_residual, onesided_rows,
-    dominance_violations, residual_f1, residual_f2, backward_error), y the
-    new layer in an array of its own.  Raises ValueError when y_prev does
-    not fit the frame, when the frame refuses the layer (tau_next >= T, or
-    a non-positive step) and, naming the array, when an elimination meets
-    a non-finite entry; else NonPositiveZ, ZeroPivot, SingularSchur or
-    NoConvergence on the first failure.
+    Returns the call's out[] slots as a list; newton_layer and
+    pc_corrector leave the new layer in frame.y.  Raises ValueError when
+    y_prev does not fit the frame, when the frame refuses the layer
+    (tau_next >= T, or a non-positive step) and, naming the array, when an
+    elimination meets a non-finite entry; else the call's first failure:
+    NonPositiveZ, ZeroPivot, SingularSchur, NoConvergence or NoBracket.
     """
     np.copyto(frame.y, y_prev)
-    struct = frame.struct
-    struct.tol, struct.max_iter, struct.pivot_rtol, struct.schur_floor = \
-        tol, max_iter, pivot_rtol, schur_floor
-    status = _kernel.newton_layer(frame.address, tau_prev, tau_next, z_prev)
+    for name, value in limits.items():
+        setattr(frame.struct, name, value)
+    status = getattr(_kernel, call)(frame.address, *args)
     if status != LAYER_OK:
-        raise _failure(frame, status, tau_prev, tau_next, z_prev, max_iter, frame.pair_rhs)
-    return (frame.y.copy(), *frame.out[:OUT_UPWINDED])
+        raise _failure(frame, status, call, *args[:3])
+    return frame.out[:]
 
 
-def pc_predictor(frame, y_prev, tau_prev, tau_next, z_prev, root_tol, max_iter, scan, factor,
-                 expansions):
-    """solver_pc.predictor's root on the layer from (tau_prev, y_prev,
-    z_prev) to tau_next in one C call, from the previous layer's first
-    three values and the march's constants in the LayerFrame ``frame``;
-    root_tol, max_iter, scan (the bracket scan's scan + 1 points), factor
-    (its widening factor) and expansions (its widenings) are solver_pc's.
-    The C function repeats every operation of the numpy predictor that the
-    tests keep as its oracle in order.
+def march(frame, engine, y0, z0, limits):
+    """The march of ``engine`` ("newton" or "pc") over every layer of the
+    frame's grid g in the LayerFrame ``frame``, in one C call, from the
+    layer (y0, z0) at taus[0]: layer j + 1 from (taus[j], surface[j],
+    rho[j]) to taus[j + 1].
 
-    Returns (z, iterations).  Raises ValueError when y_prev does not fit
-    the frame or tau_next >= T, NoBracket, NoConvergence, or NonPositiveZ
-    with the root.
+    ``limits`` maps the fields of the frame's struct that the engine's
+    layer calls read (see layer()) to the values written there before the
+    march.  Newton's layers are newton_layer's, and pc's are
+    pc_predictor's, falling back to z_tilde = z_prev where the predictor
+    finds no root, then pc_corrector's.
+
+    Returns (rho, surface, rows, failure): rho (M + 1,) and surface
+    (M + 1, N + 1), each layer's out[] slots in the rows of the (M,
+    OUT_SLOTS) array rows (pc's hold its predictor's iterations in
+    OUT_ITERATIONS and 1 in OUT_FALLBACK on its fallback layers), and
+    failure None, or (layer, exception) of the first layer call that
+    failed, the exception layer() raises for it; the march stops there.
+    Raises ValueError when y0 has not N + 1 values and, naming the array,
+    when an elimination met a non-finite entry.
     """
-    np.copyto(frame.y, y_prev)
-    struct = frame.struct
-    struct.root_tol, struct.root_max_iter, struct.scan, struct.bracket_factor, \
-        struct.expansions = root_tol, max_iter, scan, factor, expansions
-    status = _kernel.pc_predictor(frame.address, tau_prev, tau_next, z_prev)
-    if status != LAYER_OK:
-        raise _failure(frame, status, tau_prev, tau_next, z_prev, max_iter)
-    return frame.out[OUT_Z], int(frame.out[OUT_ITERATIONS])
-
-
-def pc_corrector(frame, y_prev, tau_prev, tau_next, z_prev, z_tilde, pivot_rtol, schur_floor):
-    """The predictor-corrector's corrector on the layer from (tau_prev,
-    y_prev, z_prev) to tau_next in the LayerFrame ``frame``, with the
-    layer's diagnostics, in one C call, which first builds the frame's
-    z-free part; pivot_rtol and schur_floor are solver_pc's.  The C
-    function repeats every operation of the numpy corrector that the tests
-    keep as its oracle in order.
-
-    Returns (y, z, residual_f1, residual_f2, onesided_rows,
-    dominance_violations), y the new layer in an array of its own.  Raises
-    ValueError when y_prev does not fit the frame, when the frame refuses
-    the layer and, naming the array, when an elimination meets a
-    non-finite entry; else NonPositiveZ, ZeroPivot or SingularSchur on the
-    first failure.
-    """
-    np.copyto(frame.y, y_prev)
-    frame.struct.pivot_rtol, frame.struct.schur_floor = pivot_rtol, schur_floor
-    status = _kernel.pc_corrector(frame.address, tau_prev, tau_next, z_prev, z_tilde)
-    if status != LAYER_OK:
-        raise _failure(frame, status, tau_prev, tau_next, z_prev, rhs=frame.single_rhs)
-    out = frame.out
-    return (frame.y.copy(), out[OUT_Z], out[OUT_RESIDUAL_F1], out[OUT_RESIDUAL_F2],
-            int(out[OUT_ONESIDED_ROWS]), int(out[OUT_DOMINANCE_VIOLATIONS]))
+    g = frame.g
+    rho, surface = np.empty(g.M + 1), np.empty((g.M + 1, g.N + 1))
+    rho[0], surface[0] = z0, y0
+    for name, value in limits.items():
+        setattr(frame.struct, name, value)
+    rows, failed = np.empty((g.M, OUT_SLOTS)), (ctypes.c_long * 2)()
+    status = _kernel.march(frame.address, MARCH_ENGINES[engine], g.M, g.taus.ctypes.data,
+                           rho.ctypes.data, surface.ctypes.data, rows.ctypes.data, failed)
+    if status == LAYER_OK:
+        return rho, surface, rows, None
+    j = failed[0]
+    return rho, surface, rows, (j, _failure(frame, status, CALLS[failed[1]], float(g.taus[j - 1]),
+                                            float(g.taus[j]), float(rho[j - 1])))
 
 
 def fixed9_bytes(rows, cols):
@@ -388,43 +390,48 @@ def fixed9_bytes(rows, cols):
 
 
 def fixed9_rows(cells, out):
-    """Write the (rows, cols) float64 array ``cells`` into the uint8 array
-    ``out`` as CSV lines, each cell as Python's ``"%.9f"`` formats it and
-    each line ended by "\r\n", as csv.writer ends it.
+    """Check the (rows, cols) float64 array ``cells`` and the uint8 array
+    ``out`` once, and return ``write(start, stop)``, which writes rows
+    start .. stop - 1 of cells into out as CSV lines, each cell as
+    Python's ``"%.9f"`` formats it and each line ended by "\r\n", as
+    csv.writer ends it.
 
-    cells must be C-contiguous with cols >= 1, and out must hold
-    ``fixed9_bytes(rows, cols)`` bytes; anything else raises ValueError,
-    so the C function reads and writes only within the two arrays.
-    Returns the number of bytes written, or -1 - i when the flat cell i
-    is one that Python must format (not finite, or |x| >= 4.5e6); out
-    then holds a partial chunk.
+    cells must be C-contiguous with cols >= 1, and out writable and
+    contiguous; anything else raises ValueError.  write raises ValueError
+    unless 0 <= start <= stop <= rows and out holds
+    ``fixed9_bytes(stop - start, cols)`` bytes, so the C function reads
+    and writes only within the two arrays.  It returns the number of
+    bytes written, or -1 - i when the flat cell i of the chunk is one that
+    Python must format (not finite, or |x| >= 4.5e6); out then holds a
+    partial chunk.
     """
     if _kernel is None:
         load()
     if cells.dtype != np.float64 or cells.ndim != 2 or cells.shape[1] < 1 or \
             not cells.flags.c_contiguous:
         raise ValueError("cells must be a C-contiguous float64 array of shape (rows, cols >= 1)")
-    if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or \
-            not out.flags.writeable or out.size < fixed9_bytes(*cells.shape):
-        raise ValueError("out must be a writable uint8 array of fixed9_bytes(rows, cols) bytes")
-    return _kernel.fixed9_rows(*cells.shape, cells.ctypes.data, out.ctypes.data)
+    rows, cols = cells.shape
+    return _chunk_writer(_kernel.fixed9_rows, rows, fixed9_bytes(1, cols), cols, out,
+                         [(cells, True)])
 
 
 def fixed9_surface(taus, xi_cells, pi, out):
-    """Write the surface.csv lines of the (layers, n) float64 array ``pi``
-    into the uint8 array ``out``: for each layer j and node i the line
-    "tau_j,xi_i,pi_ji\r\n", tau_j and pi_ji as Python's ``"%.9f"``
-    formats them (tau_j formatted once per layer), and xi_i copied from
-    row i of the (n, FIXED9_CELL) uint8 ``xi_cells``, its text padded with
-    NUL bytes.
+    """Check the arrays once, and return ``write(start, stop)``, which
+    writes the surface.csv lines of layers start .. stop - 1 of the
+    (layers, n) float64 array ``pi`` into the uint8 array ``out``: for
+    each layer j and node i the line "tau_j,xi_i,pi_ji\r\n", tau_j and
+    pi_ji as Python's ``"%.9f"`` formats them (tau_j formatted once per
+    layer), and xi_i copied from row i of the (n, FIXED9_CELL) uint8
+    ``xi_cells``, its text padded with NUL bytes.
 
     taus must be a contiguous float64 array of ``layers`` entries, pi
-    C-contiguous with n >= 1, and out must hold ``fixed9_bytes(layers n,
-    3)`` bytes; anything else raises ValueError, so the C function reads
-    and writes only within the arrays.  Returns the number of bytes
-    written, or -1 - i when the cell i of the (layers n, 3) table is one
-    that Python must format (not finite, or |x| >= 4.5e6); out then holds
-    a partial chunk.
+    C-contiguous with n >= 1, and out writable and contiguous; anything
+    else raises ValueError.  write raises ValueError unless 0 <= start <=
+    stop <= layers and out holds ``fixed9_bytes((stop - start) n, 3)``
+    bytes, so the C function reads and writes only within the arrays.  It
+    returns the number of bytes written, or -1 - i when the cell i of the
+    chunk's ((stop - start) n, 3) table is one that Python must format
+    (not finite, or |x| >= 4.5e6); out then holds a partial chunk.
     """
     if _kernel is None:
         load()
@@ -438,8 +445,27 @@ def fixed9_surface(taus, xi_cells, pi, out):
             not xi_cells.flags.c_contiguous:
         raise ValueError(f"xi_cells must be a C-contiguous uint8 array of shape "
                          f"({n}, {FIXED9_CELL})")
+    return _chunk_writer(_kernel.fixed9_surface, layers, fixed9_bytes(n, 3), n, out,
+                         [(taus, True), (xi_cells, False), (pi, True)])
+
+
+def _chunk_writer(function, units, unit_bytes, cols, out, arrays):
+    """Check ``out`` and return write(start, stop), which calls the C
+    ``function(stop - start, cols, *addresses, out)`` on units (rows or
+    layers) start .. stop - 1 of the checked ``arrays``, each (array,
+    moves) addressed at unit ``start`` if it moves, else at its start,
+    after checking that the chunk lies within the ``units`` units and that
+    its ``unit_bytes`` per unit fit ``out``."""
     if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or \
-            not out.flags.writeable or out.size < fixed9_bytes(layers * n, 3):
-        raise ValueError("out must be a writable uint8 array of fixed9_bytes(layers n, 3) bytes")
-    return _kernel.fixed9_surface(layers, n, taus.ctypes.data, xi_cells.ctypes.data,
-                                  pi.ctypes.data, out.ctypes.data)
+            not out.flags.writeable:
+        raise ValueError("out must be a writable contiguous uint8 array")
+    starts = [(a.ctypes.data, a.strides[0] if moves else 0) for a, moves in arrays]
+    out_at = out.ctypes.data
+
+    def write(start, stop):
+        if not 0 <= start <= stop <= units or (stop - start) * unit_bytes > out.size:
+            raise ValueError(f"the chunk {start}:{stop} of {units} does not fit the arrays "
+                             f"and out ({out.size} bytes)")
+        return function(stop - start, cols, *[at + start * step for at, step in starts], out_at)
+    write.arrays = arrays  # the addresses stay valid while write lives
+    return write

@@ -1,7 +1,8 @@
 /* Compiled kernel, loaded through ctypes by native.py: thomas, the
  * Thomas solve, and the time layers of both engines, which eliminate with
  * thomas: newton_layer, Newton's iterations, and pc_predictor and
- * pc_corrector, the two halves of a predictor-corrector layer (below);
+ * pc_corrector, the two halves of a predictor-corrector layer, and
+ * march, which steps one engine over all the layers of a march (below);
  * and fixed9_rows and fixed9_surface, the CSV writer's "%.9f" cells (at
  * the end).
  *
@@ -23,6 +24,7 @@
  */
 #include <float.h>
 #include <math.h>
+#include <string.h>
 
 #define THOMAS_NON_FINITE (-2)
 
@@ -76,12 +78,13 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
 
 /* The time layers: newton_layer, the iterations of
  * solver_newton.newton_layer, and pc_corrector, solver_pc._correct with
- * the layer's diagnostics, each over the buffers of a scheme.LayerFrame,
+ * the layer's diagnostics, each over the buffers of a native.LayerFrame,
  * which frame_start fills first with the layer's z-free part; and
- * pc_predictor, solver_pc.predictor's scalar root.  native.py calls each
- * once per time layer, with the march's constants and buffers bound once
- * in a struct layer_frame, y among them, and the layer's own scalars as
- * arguments.
+ * pc_predictor, solver_pc.predictor's scalar root.  Each takes the
+ * march's constants and buffers, bound once in a struct layer_frame, y
+ * among them, and the layer's own scalars as arguments.  march calls them
+ * for every layer of a march; native.py also calls each alone, for one
+ * layer.
  *
  * Every operation keeps the order of the numpy twin that the tests keep
  * as its oracle (tests/_oracles.py: frame_start, newton_layer_numpy,
@@ -95,7 +98,7 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  */
 
 /* The march's constants, the frame's buffers in LayerFrame's names, y,
- * and out[], the layer functions' results (native.FrameBinding fills it
+ * and out[], the layer functions' results (native.LayerFrame fills it
  * once per march).  All arrays have n entries, the interior rows
  * i = 1..N-1, except y (n + 2: the previous layer on entry to a layer
  * function, the new one on its return), and f and x, which are (2, n)
@@ -131,10 +134,11 @@ struct layer {
 #define LAYER_PAST_MATURITY 7
 #define LAYER_NON_POSITIVE_STEP 8
 
-/* The layer functions' out[] slots; each fills those it reports */
+/* The layer functions' out[] slots; each fills those it reports, and
+ * march the predictor's fallback flag */
 enum { OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS,
        OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR,
-       OUT_UPWINDED, OUT_FAILURE, OUT_SLOTS };
+       OUT_UPWINDED, OUT_FAILURE, OUT_FALLBACK, OUT_SLOTS };
 
 /* np.abs(v).max(): a NaN anywhere gives NaN */
 static double max_abs(const double *v, long n)
@@ -316,7 +320,8 @@ static long eliminate(const struct layer_frame *f, long ncol, const double *d, d
  * tau_next, updating the frame's y[1..n] (the previous layer on entry) in
  * place, with the frame's tol, max_iter, pivot_rtol and schur_floor.
  * Returns LAYER_OK with the accepted z and the layer's diagnostics in
- * out[], or the status of the first failure: frame_start's, or with
+ * out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
+ * frame_start's, or with
  * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
  * denominator or the last step.  After frame_start out[OUT_UPWINDED]
  * counts the rows the last frame_rows() upwinded. */
@@ -390,6 +395,7 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
     out[OUT_RESIDUAL_F1] = max_abs(f->f, n);
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
     out[OUT_BACKWARD_ERROR] = backward_error(f, y);
+    out[OUT_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
@@ -421,7 +427,10 @@ static long frozen_solve(const struct layer_frame *f, const struct layer *l, dou
  * with the frame's pivot_rtol and schur_floor.  Returns LAYER_OK with
  * out[OUT_Z], out[OUT_RESIDUAL_F1] and out[OUT_BACKWARD_ERROR] (both the
  * row-wise backward error), out[OUT_RESIDUAL_F2], out[OUT_ONESIDED_ROWS]
- * and out[OUT_DOMINANCE_VIOLATIONS], or the status of the first failure:
+ * and out[OUT_DOMINANCE_VIOLATIONS], with no iterations, an infinite
+ * initial residual (the corrector has no iterate before its own) and no
+ * fallback in out[OUT_ITERATIONS], out[OUT_INITIAL_RESIDUAL] and
+ * out[OUT_FALLBACK], or the status of the first failure:
  * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
  * failing pivot row or the Schur denominator.  After frame_start
  * out[OUT_UPWINDED] counts the rows the last frame_rows() upwinded. */
@@ -463,6 +472,9 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
     out[OUT_ONESIDED_ROWS] = out[OUT_UPWINDED];
     out[OUT_DOMINANCE_VIOLATIONS] = (double)dominance_violations(f);
+    out[OUT_ITERATIONS] = 0.0;
+    out[OUT_INITIAL_RESIDUAL] = INFINITY;
+    out[OUT_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
@@ -639,6 +651,66 @@ long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
     }
     out[OUT_Z] = x;
     out[OUT_ITERATIONS] = (double)it;
+    return LAYER_OK;
+}
+
+/* march's engines, and the layer calls whose failure it reports
+ * (native.py names them) */
+enum { MARCH_NEWTON, MARCH_PC };
+enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
+
+/* One engine's march over `layers` time layers in the frame f, from the
+ * stored layer 0: layer j + 1, from (taus[j], surface[j], rho[j]) to
+ * taus[j + 1], is written to surface[j + 1] (rows of n + 2 values) and
+ * rho[j + 1], and its out[] slots to rows[j] (OUT_SLOTS each), with the
+ * limits in f.  Newton's layer is newton_layer.  pc's is pc_predictor,
+ * whose LAYER_NO_BRACKET falls back to z_tilde = z_prev, then
+ * pc_corrector, with the predictor's iterations (none on a fallback) in
+ * out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1 on a fallback.  Returns
+ * LAYER_OK, or the status of the first failing layer call, with
+ * failed[0] = its layer j + 1, failed[1] = the call (CALL_*) and its
+ * out[] slots copied into f's out.  f's own y is not used. */
+long march(struct layer_frame *f, long engine, long layers, const double *taus,
+           double *rho, double *surface, double *rows, long *failed)
+{
+    struct layer_frame layer = *f;
+    const long width = f->n + 2;
+    long j, status;
+
+    for (j = 0; j < layers; j++) {
+        double *out = rows + j * OUT_SLOTS, z_tilde = rho[j], iterations = 0.0;
+        int fallback = 0;
+
+        layer.out = out;
+        layer.y = surface + (j + 1) * width;
+        memcpy(layer.y, layer.y - width, width * sizeof(double));
+        if (engine == MARCH_NEWTON) {
+            failed[1] = CALL_NEWTON_LAYER;
+            status = newton_layer(&layer, taus[j], taus[j + 1], rho[j]);
+        } else {
+            failed[1] = CALL_PC_PREDICTOR;
+            status = pc_predictor(&layer, taus[j], taus[j + 1], rho[j]);
+            if (status == LAYER_OK) {
+                z_tilde = out[OUT_Z];
+                iterations = out[OUT_ITERATIONS];
+            } else if (status == LAYER_NO_BRACKET) {
+                fallback = 1;
+                status = LAYER_OK;
+            }
+            if (status == LAYER_OK) {
+                failed[1] = CALL_PC_CORRECTOR;
+                status = pc_corrector(&layer, taus[j], taus[j + 1], rho[j], z_tilde);
+                out[OUT_ITERATIONS] = iterations;
+                out[OUT_FALLBACK] = fallback;
+            }
+        }
+        if (status != LAYER_OK) {
+            failed[0] = j + 1;
+            memcpy(f->out, out, OUT_SLOTS * sizeof(double));
+            return status;
+        }
+        rho[j + 1] = out[OUT_Z];
+    }
     return LAYER_OK;
 }
 

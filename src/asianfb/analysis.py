@@ -4,12 +4,17 @@ The refinement study doubles N (halving h) with M = ceil(2.5 N), reads
 the boundary ratio at a set of probe times, and reports the consecutive
 differences diff_N = |rho_N - rho_{N/2}| together with the empirical
 convergence ratio CR = log2(diff_{N/2} / diff_N).
+
+A march is one C call that holds no GIL (see results.march), so the
+levels of a refinement study and the two engines of a comparison run at
+once on plain threads (``_in_threads``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +68,40 @@ class RefinementReport:
     rows: list[RefinementRow] = field(default_factory=list)
 
 
-def _refinement_level(args) -> tuple[int, int, dict[float, float]]:
-    """Worker for one refinement level (picklable for process pools)."""
-    p, n_val, length, eps_final, mode_value, engine, probes, newton_cfg, pc_cfg = args
+def _in_threads(calls, jobs: int) -> list:
+    """The results of the zero-argument ``calls``, in order, from ``jobs``
+    threads at once: this one runs calls[0::jobs] and each of jobs - 1
+    worker threads calls[k::jobs], each thread stopping at its first
+    failure.  Every worker is joined; then the exception of the first
+    failing call in order is raised."""
+    results, errors = [None] * len(calls), {}
+
+    def run(first):
+        for i in range(first, len(calls), jobs):
+            try:
+                results[i] = calls[i]()
+            except BaseException as exc:  # raised on this thread once all are joined
+                errors[i] = exc
+                return
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, min(jobs, len(calls)))]
+    for worker in workers:
+        worker.start()
+    run(0)  # never raises: it keeps every exception for below
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _refinement_level(p, n_val, length, eps_final, mode, engine, probes, newton_cfg,
+                      pc_cfg) -> tuple[int, int, dict[float, float]]:
+    """One refinement level, run on one of refinement_study's worker
+    threads or on the caller's thread."""
     g = make_grid(p, n_val, M=None, L=length, eps_final=eps_final)
     try:
-        result = run_engine(engine, p, g, SchemeMode(mode_value), newton_cfg, pc_cfg)
+        result = run_engine(engine, p, g, mode, newton_cfg, pc_cfg)
     except SolverError as exc:
         raise SolverError(f"refinement level N={n_val} failed: {exc}") from exc
     return n_val, g.M, {t: result.rho_at(t) for t in probes}
@@ -83,7 +116,11 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
                      newton_cfg: NewtonConfig | None = None,
                      pc_cfg: PredictorConfig | None = None,
                      jobs: int = 1) -> RefinementReport:
-    """Run ``levels`` nested grids N = base_N * 2^l and tabulate differences."""
+    """Run ``levels`` nested grids N = base_N * 2^l and tabulate differences.
+
+    The levels run on ``jobs`` threads (see _in_threads); the first level
+    by N that fails raises its SolverError.
+    """
     if levels < 2:
         raise ValueError(f"at least 2 levels are needed for differences, got {levels}")
     for t in probes:
@@ -94,14 +131,9 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
     if length is None:
         length = default_domain_length(p)
 
-    args = [(p, n_val, length, eps_final, mode.value, engine, tuple(probes),
-             newton_cfg, pc_cfg) for n_val in ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            levels_out = list(pool.map(_refinement_level, args))
-    else:
-        levels_out = [_refinement_level(a) for a in args]
-    levels_out.sort(key=lambda rec: rec[0])
+    levels_out = _in_threads([functools.partial(_refinement_level, p, n_val, length, eps_final,
+                                                mode, engine, tuple(probes), newton_cfg, pc_cfg)
+                              for n_val in ns], max(jobs, 1))
 
     report = RefinementReport(probe_times=tuple(probes), engine=engine, mode=mode.value)
     for idx, (n_val, m_val, rho) in enumerate(levels_out):
@@ -171,9 +203,14 @@ def compare_engines(p: MarketParams, g: GridSpec,
                     mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
                     newton_cfg: NewtonConfig | None = None,
                     pc_cfg: PredictorConfig | None = None) -> ComparisonRecord:
-    """Run both engines on the same grid and compare boundary paths."""
-    res_n = march_newton(p, g, mode, newton_cfg or NewtonConfig())
-    res_pc = march_pc(p, g, mode, pc_cfg or PredictorConfig())
+    """Run both engines on the same grid and compare boundary paths.
+
+    march_pc runs on a worker thread while march_newton runs on this one;
+    when both fail, Newton's LayerFailure is raised.
+    """
+    res_n, res_pc = _in_threads(
+        [lambda: march_newton(p, g, mode, newton_cfg or NewtonConfig()),
+         lambda: march_pc(p, g, mode, pc_cfg or PredictorConfig())], 2)
     diff = res_pc.rho - res_n.rho
     below = float(np.mean(res_pc.rho[1:] < res_n.rho[1:]))
     return ComparisonRecord(

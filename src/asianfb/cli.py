@@ -62,7 +62,7 @@ OPTIONS = (
      "engine tolerance (Newton step norm / predictor root)"),
     ("max_iter", int, None, "engine iteration cap"),
     ("tau_probes", str, "10,20,40", "comma-separated probe times (default 10,20,40)"),
-    ("jobs", int, None, "worker processes for refine"),  # None: the cpu count
+    ("jobs", int, None, "worker threads for refine"),  # None: the cpu count
     ("out_dir", str, ".", "output directory"),
     ("base_N", int, 50, "coarsest spatial resolution (default 50)"),
     ("levels", int, 5, "number of doublings (default 5)"),
@@ -242,26 +242,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_fixed9(path: Path, header: str, count: int, step: int, size: int, compiled,
+def _write_fixed9(path: Path, header: str, count: int, step: int, out: np.ndarray, compiled,
                   text) -> None:
     """Write a CSV table of fixed 9-decimal numbers, byte for byte as
     csv.writer with _fmt writes it: the header line, then units 0 ..
     count - 1 of the table (rows, or layers of rows) in chunks of ``step``.
 
-    ``compiled(start, stop, out)`` formats a chunk into ``out``, one
-    buffer of ``size`` bytes reused for the whole file, so the file is
-    streamed in pieces of at most about CHUNK_BYTES, and returns the bytes
-    written, or a negative number when the chunk holds a cell that C
-    hands back (not finite, or of magnitude 4.5e6 or more).
-    ``text(start, stop)`` then returns the chunk as Python's "%.9f"
-    formats it.
+    ``compiled(start, stop)`` (a writer of native.fixed9_rows or
+    native.fixed9_surface) formats a chunk into ``out``, one buffer reused
+    for the whole file, so the file is streamed in pieces of at most about
+    CHUNK_BYTES, and returns the bytes written, or a negative number when
+    the chunk holds a cell that C hands back (not finite, or of magnitude
+    4.5e6 or more).  ``text(start, stop)`` then returns the chunk as
+    Python's "%.9f" formats it, and every chunk when compiled is None.
     """
-    out = np.empty(size, np.uint8)
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\r\n")
         for start in range(0, count, step):
             stop = min(start + step, count)
-            written = compiled(start, stop, out)
+            written = compiled(start, stop) if compiled else -1
             if written >= 0:
                 fh.write(out[:written])
             else:
@@ -271,13 +270,13 @@ def _write_fixed9(path: Path, header: str, count: int, step: int, size: int, com
 def _write_table(path: Path, header: str, columns) -> None:
     """The CSV table of equal-length float columns, every cell in fixed 9
     decimals, in chunks of rows that native.fixed9_rows formats (see
-    _write_fixed9)."""
+    _write_fixed9), its arrays checked once for the file."""
     cells = np.ascontiguousarray(np.column_stack(columns), dtype=float)
     rows, cols = cells.shape
     template = ",".join(["%.9f"] * cols) + "\r\n"
     step = max(1, CHUNK_BYTES // native.fixed9_bytes(1, cols))
-    _write_fixed9(path, header, rows, step, native.fixed9_bytes(min(step, rows), cols),
-                  lambda start, stop, out: native.fixed9_rows(cells[start:stop], out),
+    out = np.empty(native.fixed9_bytes(min(step, rows), cols), np.uint8)
+    _write_fixed9(path, header, rows, step, out, native.fixed9_rows(cells, out),
                   lambda start, stop: template * (stop - start) %
                   tuple(cells[start:stop].ravel().tolist()))
 
@@ -287,9 +286,10 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
     """The (tau, xi, pi) table, byte for byte as csv.writer with _fmt writes
     it, in chunks of whole time layers (see _write_fixed9).
 
-    The xi cells are formatted once for the file, and native.fixed9_surface
-    formats each chunk's tau cells once per layer and its pi cells, copying
-    the xi cells.  A chunk that it hands back, and every chunk when an xi
+    The xi cells are formatted once for the file, and the writer of
+    native.fixed9_surface, whose arrays are checked once for the file,
+    formats each chunk's tau cells once per layer and its pi cells,
+    copying the xi cells.  A chunk that it hands back, and every chunk when an xi
     cell is one C leaves to Python, is written from a layer template, the
     xi cells formatted once, and each time layer is one %-format of its
     values ("%.9f" formats as _fmt does).
@@ -303,24 +303,20 @@ def _write_surface(path: Path, taus: np.ndarray, xi: np.ndarray,
                          f"taus and {xi.size} xi nodes")
     n = xi.size
     per = max(1, CHUNK_BYTES // native.fixed9_bytes(max(n, 1), 3))
+    out = np.empty(native.fixed9_bytes(min(per, taus.size) * n, 3), np.uint8)
     xi_text = [_fmt(x) for x in xi.tolist()]
     layer = "".join(["\0," + x + ",%.9f\r\n" for x in xi_text])
-    if n and np.all(np.abs(xi) < native.FIXED9_LIMIT):  # so no xi cell is wider than C's
+    compiled = None  # unless C can write the xi cells: none is wider than C's, and n > 0
+    if n and np.all(np.abs(xi) < native.FIXED9_LIMIT):
         xi_cells = np.frombuffer(b"".join([x.encode().ljust(native.FIXED9_CELL, b"\0")
                                            for x in xi_text]), np.uint8).reshape(n, -1)
-
-        def compiled(start, stop, out):
-            return native.fixed9_surface(taus[start:stop], xi_cells, surface[start:stop], out)
-    else:  # every chunk holds an xi cell that C leaves to Python, or no cell at all
-        def compiled(start, stop, out):
-            return -1
+        compiled = native.fixed9_surface(taus, xi_cells, surface, out)
 
     def text(start, stop):
         return "".join([layer.replace("\0", _fmt(taus[j])) % tuple(surface[j].tolist())
                         for j in range(start, stop)])
 
-    _write_fixed9(path, "tau,xi,pi", taus.size, per,
-                  native.fixed9_bytes(min(per, taus.size) * n, 3), compiled, text)
+    _write_fixed9(path, "tau,xi,pi", taus.size, per, out, compiled, text)
 
 
 def cmd_solve(cfg: RunConfig) -> int:

@@ -1,10 +1,12 @@
-"""Result containers shared by both engines, and march, the one time loop.
+"""Result containers shared by both engines, and march, the one march driver.
 
 march owns the initial layer, the stored rho and surface, one
-native.LayerFrame and the LayerFailure wrapping; an engine supplies only
-step(prev, tau_next, frame) -> (LayerState, LayerDiagnostics).  march is
-not in ``__all__``, so a tracer of the public names charges the loop to
-the engine's march that calls it.
+native.LayerFrame, the LayerDiagnostics built from each layer's out[]
+slots and the LayerFailure wrapping; an engine supplies only its name
+and its limits.  The layers themselves run in one native.march call,
+which steps the engine over the whole time mesh in C.  march is not in
+``__all__``, so a tracer of the public names charges it to the engine's
+march that calls it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scheme
+from . import scheme, tridiag
 from ._kernels import native
 from .errors import LayerFailure, SolverError
 from .mesh import GridSpec, initial_layer
@@ -64,24 +66,34 @@ class SolveResult:
         return float(self.rho[self.layer_index_at(tau)])
 
 
+def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
+    """The LayerDiagnostics of layer ``layer`` at ``tau`` from the out[]
+    slots of its C layer call, in native's OUT_* order."""
+    iterations, _, initial, onesided, violations, f1, f2, backward, _, _, fallback = out
+    return LayerDiagnostics(layer, tau, int(iterations), f1, f2, initial, int(onesided),
+                            int(violations), bool(fallback), backward)
+
+
 def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
-          step) -> SolveResult:
-    """March ``step`` over the time mesh from the initial layer."""
+          limits: dict) -> SolveResult:
+    """March ``engine`` ("newton" or "pc") over the time mesh from the
+    initial layer in one native.march call, with ``limits``, the engine's
+    fields of the frame's struct, and tridiag's PIVOT_RTOL and SCHUR_FLOOR
+    as they are at the call.
+
+    Raises LayerFailure(layer, tau, cause) on the first layer that fails
+    with a SolverError, and a layer's ValueError as it is.
+    """
     state = initial_layer(p, g)
-    rho = np.empty(g.M + 1)
-    surface = np.empty((g.M + 1, g.N + 1))
-    rho[0] = state.z
-    surface[0] = state.y
-    diags: list[LayerDiagnostics] = []
-    frame = native.LayerFrame(g, p, mode)
-    for j in range(g.M):
-        tau_next = float(g.taus[j + 1])
-        try:
-            state, d = step(state, tau_next, frame)
-        except SolverError as exc:
-            raise LayerFailure(j + 1, tau_next, exc) from exc
-        rho[j + 1] = state.z
-        surface[j + 1] = state.y
-        diags.append(d)
+    rho, surface, rows, failure = native.march(
+        native.LayerFrame(g, p, mode), engine, state.y, state.z,
+        dict(limits, pivot_rtol=tridiag.PIVOT_RTOL, schur_floor=tridiag.SCHUR_FLOOR))
+    if failure is not None:
+        layer, exc = failure
+        if not isinstance(exc, SolverError):
+            raise exc
+        raise LayerFailure(layer, float(g.taus[layer]), exc) from exc
+    diags = [layer_diagnostics(j, tau, row)
+             for j, tau, row in zip(range(1, g.M + 1), g.taus[1:].tolist(), rows.tolist())]
     return SolveResult(params=p, grid=g, engine=engine, mode=mode.value,
                        taus=g.taus.copy(), rho=rho, surface=surface, diagnostics=diags)

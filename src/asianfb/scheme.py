@@ -19,7 +19,7 @@ part, d_i = s_i/(2h) the singular part):
     b_i = +mu/(2h) - sigma^2/(2h^2) - d_i
 
 This module defines the system and its advection modes; the engines'
-C layer functions (native.newton_layer, native.pc_corrector) assemble
+C layer functions (thomas.c's newton_layer and pc_corrector) assemble
 it in the buffers of a march's native.LayerFrame, split by what depends
 on the boundary iterate z.  Once per time layer each first builds the
 z-free part: dt, 1/(T - tau), e^{-xi_i}/(T - tau) (= ds_i/dz) and its

@@ -19,20 +19,20 @@ guarded against vanishing.  Iteration starts from the previous layer's
 values and stops when ||dY||_inf < tol.
 
 The layer system itself is scheme's; this module is the iteration over
-it.  march_newton is results.march stepping with newton_layer in the
-march's one native.LayerFrame.  Each layer is one C call,
-native.newton_layer, which works in the frame's buffers: it builds the
-layer's z-free part and J21 once from the previous layer, then each
-iterate writes only the z-dependent rows (J11 and the row derivatives
-J12 is built from), puts F1 and J12 into the frame's (2, n) right-hand
-side ``pair_rhs``, eliminates it in place against J11 with the kernel's
-Thomas loop and updates y in place.  One more assembly at the accepted z
-gives the layer's diagnostics, among them the row-wise backward error of
-F1 that pc reports as its residual.  Each call writes tol, max_iter,
-tridiag.PIVOT_RTOL and tridiag.SCHUR_FLOOR into the frame's struct next
-to the march's constants, and passes the layer's own values.  The test
-suite keeps the numpy loop that the C function repeats operation by
-operation as its oracle.
+it.  Each layer is thomas.c's newton_layer, which works in the buffers
+of a native.LayerFrame: it builds the layer's z-free part and J21 once
+from the previous layer, then each iterate writes only the z-dependent
+rows (J11 and the row derivatives J12 is built from), puts F1 and J12
+into the frame's (2, n) right-hand side ``pair_rhs``, eliminates it in
+place against J11 with the kernel's Thomas loop and updates y in place.
+One more assembly at the accepted z gives the layer's diagnostics, among
+them the row-wise backward error of F1 that pc reports as its residual.
+march_newton is results.march with Newton's tol and max_iter: one
+native.march call runs every layer in C in the march's one frame, whose
+struct holds them next to the march's constants.  newton_layer runs one
+layer alone, in one native.layer call.  The test suite keeps the
+numpy loop that the C function repeats operation by operation as its
+oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from . import tridiag
 from ._kernels import native
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
-from .results import LayerDiagnostics, SolveResult, march
+from .results import LayerDiagnostics, SolveResult, layer_diagnostics, march
 from .scheme import SchemeMode
 
 __all__ = ["NewtonConfig", "newton_layer", "march_newton"]
@@ -69,25 +69,20 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
                  frame: native.LayerFrame | None = None) -> tuple[LayerState, LayerDiagnostics]:
     """Solve one layer; returns the new state and its diagnostics.
 
-    ``frame`` is a native.LayerFrame of (g, p, mode) to assemble in;
-    march_newton passes the march's, and without it the layer makes its
-    own.  Raises what native.newton_layer raises.
+    ``frame`` is a native.LayerFrame of (g, p, mode) to assemble in, for
+    a caller to reuse; without it the layer makes its own.  Raises what native.layer raises.
     """
     if frame is None:
         frame = native.LayerFrame(g, p, mode)
-    y, iterations, z, initial, onesided, violations, residual_f1, residual_f2, backward = \
-        native.newton_layer(frame, prev.y, prev.tau, tau_next, prev.z, cfg.tol, cfg.max_iter,
-                            tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
-        layer=prev.j + 1, tau=tau_next, iterations=int(iterations), residual_f1=residual_f1,
-        residual_f2=residual_f2, initial_residual=initial, onesided_rows=int(onesided),
-        dominance_violations=int(violations), backward_error=backward)
+    out = native.layer(frame, "newton_layer", prev.y, prev.tau, tau_next, prev.z, tol=cfg.tol,
+                       max_iter=cfg.max_iter, pivot_rtol=tridiag.PIVOT_RTOL,
+                       schur_floor=tridiag.SCHUR_FLOOR)
+    return LayerState(j=prev.j + 1, tau=tau_next, y=frame.y.copy(), z=out[native.OUT_Z]), \
+        layer_diagnostics(prev.j + 1, tau_next, out)
 
 
 def march_newton(p: MarketParams, g: GridSpec,
                  mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
                  cfg: NewtonConfig = NewtonConfig()) -> SolveResult:
     """Layer-by-layer Newton march over the full time mesh."""
-    def step(prev, tau_next, frame):
-        return newton_layer(prev, tau_next, g, p, mode, cfg, frame=frame)
-    return march(p, g, mode, "newton", step)
+    return march(p, g, mode, "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter})

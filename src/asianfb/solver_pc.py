@@ -49,8 +49,7 @@ layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
 solves share one native.LayerFrame, whose z-free part is built once per
 layer, and all three eliminations solve its J11 against its one-column
-right-hand side ``single_rhs`` in place.  march_pc's layer step runs predictor() and the
-corrector in results.march's frame.
+right-hand side ``single_rhs`` in place.
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
@@ -59,18 +58,18 @@ inside the (z'-z)/(dt z') term by an O(dt) amount that the march sums to
 an O(1) gap from the Newton engine that refining does not shrink.  The
 Newton step leaves a constraint remainder F2 quadratic in z - z-tilde.
 
-A layer is two C calls: predictor() hands its bracket scan and root
-iteration to native.pc_predictor, and the corrector, which first builds
-the layer's z-free part in the frame, runs with the layer's diagnostics
-in native.pc_corrector over the frame's buffers.  Both read the march's
-constants from the frame's struct, filled once per march; each call
-writes its own limits there (the predictor's root_tol, max_iter and
-bracket scan, the corrector's tridiag.PIVOT_RTOL and
-tridiag.SCHUR_FLOOR) and passes the layer's own values, and native turns
-a failed call's status into its exception.  predictor() is the call that
-opens each layer.  The test suite keeps the numpy predictor and
-corrector that the C functions repeat operation by operation as their
-oracles.
+A layer is two functions of thomas.c: pc_predictor, the bracket scan
+and root iteration, and pc_corrector, which first builds the layer's
+z-free part in the frame and runs the corrector with the layer's
+diagnostics over the frame's buffers.  march_pc is results.march with
+the predictor's root_tol, max_iter and bracket scan: one native.march
+call runs every layer in C in the march's one frame, whose struct holds
+them next to the march's constants, and falls back to z-tilde = z_prev
+where pc_predictor finds no root.  predictor() and _correct() run one
+layer's halves alone, in one native.layer call each, and native turns a
+failed call's status into its exception.
+The test suite keeps the numpy predictor and corrector that the C
+functions repeat operation by operation as their oracles.
 """
 
 from __future__ import annotations
@@ -80,10 +79,9 @@ from dataclasses import dataclass
 
 from . import tridiag
 from ._kernels import native
-from .errors import NoBracket
 from .mesh import GridSpec, LayerState
 from .model import MarketParams
-from .results import LayerDiagnostics, SolveResult, march
+from .results import LayerDiagnostics, SolveResult, layer_diagnostics, march
 from .scheme import SchemeMode
 
 __all__ = ["PredictorConfig", "PredictorResult", "predictor", "march_pc"]
@@ -107,6 +105,12 @@ class PredictorConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+def _root_search(cfg: PredictorConfig) -> dict:
+    """The predictor's limits, as the fields of a frame's struct."""
+    return {"root_tol": cfg.root_tol, "root_max_iter": cfg.max_iter, "scan": _BRACKET_SCAN,
+            "bracket_factor": _BRACKET_FACTOR, "expansions": _BRACKET_EXPANSIONS}
+
+
 @dataclass(frozen=True)
 class PredictorResult:
     z: float
@@ -119,15 +123,14 @@ def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
     """Predicted boundary z at the next layer from the scalar root problem.
 
     ``frame`` is a native.LayerFrame of (g, p) whose struct holds the
-    march's constants; march_pc passes the march's, and without it the
-    predictor makes its own.  Raises what native.pc_predictor raises.
+    march's constants, for a caller to reuse; without it the predictor
+    makes its own.  Raises what native.layer raises.
     """
     if frame is None:
         frame = native.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR)
-    z, iterations = native.pc_predictor(frame, prev.y, prev.tau, tau_next, prev.z,
-                                        cfg.root_tol, cfg.max_iter, _BRACKET_SCAN,
-                                        _BRACKET_FACTOR, _BRACKET_EXPANSIONS)
-    return PredictorResult(z=z, iterations=iterations)
+    out = native.layer(frame, "pc_predictor", prev.y, prev.tau, tau_next, prev.z,
+                       **_root_search(cfg))
+    return PredictorResult(z=out[native.OUT_Z], iterations=int(out[native.OUT_ITERATIONS]))
 
 
 def _correct(prev: LayerState, tau_next: float, frame: native.LayerFrame,
@@ -136,35 +139,15 @@ def _correct(prev: LayerState, tau_next: float, frame: native.LayerFrame,
     ``frame``: frozen solve at z_tilde, one Schur step on the boundary,
     frozen solve at the new z.  Returns the new state and its diagnostics,
     without the predictor's iterations and fallback flag; raises what
-    native.pc_corrector raises."""
-    y, z, residual_f1, residual_f2, onesided, violations = native.pc_corrector(
-        frame, prev.y, prev.tau, tau_next, prev.z, z_tilde, tridiag.PIVOT_RTOL,
-        tridiag.SCHUR_FLOOR)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
-        layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=residual_f1,
-        residual_f2=residual_f2, onesided_rows=onesided, dominance_violations=violations,
-        backward_error=residual_f1)
-
-
-def _layer(prev: LayerState, tau_next: float, frame: native.LayerFrame,
-           cfg: PredictorConfig) -> tuple[LayerState, LayerDiagnostics]:
-    """One predictor and one corrector: march_pc's layer step."""
-    fallback = False
-    try:
-        pred = predictor(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
-        z_tilde, root_iters = pred.z, pred.iterations
-    except NoBracket:
-        z_tilde, root_iters = prev.z, 0
-        fallback = True
-    state, diag = _correct(prev, tau_next, frame, z_tilde)
-    diag.iterations, diag.predictor_fallback = root_iters, fallback
-    return state, diag
+    native.layer raises."""
+    out = native.layer(frame, "pc_corrector", prev.y, prev.tau, tau_next, prev.z, z_tilde,
+                       pivot_rtol=tridiag.PIVOT_RTOL, schur_floor=tridiag.SCHUR_FLOOR)
+    return LayerState(j=prev.j + 1, tau=tau_next, y=frame.y.copy(), z=out[native.OUT_Z]), \
+        layer_diagnostics(prev.j + 1, tau_next, out)
 
 
 def march_pc(p: MarketParams, g: GridSpec,
              mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
              cfg: PredictorConfig = PredictorConfig()) -> SolveResult:
     """One predictor and one corrector per layer over the full time mesh."""
-    def step(prev, tau_next, frame):
-        return _layer(prev, tau_next, frame, cfg)
-    return march(p, g, mode, "pc", step)
+    return march(p, g, mode, "pc", _root_search(cfg))

@@ -8,11 +8,11 @@ the four arrays of the kernel contract (see _kernels): lower (n-1), diag
 ``native.thomas`` on them; a (2, n) right-hand side is one elimination,
 and each solution is bit-identical to a single solve.  The kernel checks
 the shapes, rejects a non-finite entry and takes the pivot floor from
-``PIVOT_RTOL`` itself.  Both engines eliminate inside their C calls per
-layer (Newton's one in solver_newton, pc's corrector in solver_pc),
-which read ``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the
-Schur denominator, from here at each layer and write them into the
-march's frame.
+``PIVOT_RTOL`` itself.  Both engines eliminate inside their C layers,
+which a march (results.march) runs in one C call; it reads
+``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the Schur
+denominator, from here once and writes them into the march's frame, as
+each one-layer call (newton_layer, and pc's corrector) does.
 """
 
 from __future__ import annotations

@@ -24,9 +24,12 @@ count and the row-wise backward error; Newton's layer
 predictor-corrector's predictor and corrector (``predictor_numpy``,
 ``correct_numpy``: pc_predictor and pc_corrector).
 They eliminate with ``_kernels.pure``'s Thomas loop, not with C.
-``numpy_layers()`` runs both engines' marches on them, which is how the
-tests hold every march, layer failure and predictor iterate of the
-kernel against its twin.
+``pc_layer`` is one predictor-corrector layer made of the one-layer
+functions, the kernel's or their twins, with the predictor's fallback.
+``march_numpy`` is thomas.c's march on the twins, one Python call per
+layer, and ``numpy_layers()`` runs both engines' marches on it, which is
+how the tests hold every march, layer failure and predictor iterate of
+the kernel against its twin.
 """
 
 import contextlib
@@ -38,9 +41,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from asianfb import solver_newton, solver_pc, tridiag
+from asianfb import solver_pc, tridiag
 from asianfb._kernels import native, pure
-from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
+from asianfb.errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.results import LayerDiagnostics
@@ -429,15 +432,69 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
         dominance_violations=dominance_violations(rows), backward_error=rel_f1)
 
 
+def pc_layer(prev, tau_next, frame, cfg, numpy=False):
+    """One predictor and one corrector, from z_tilde = z_prev with the
+    fallback flag set where the predictor finds no root: a pc layer of
+    solver_pc.predictor and solver_pc._correct, or with ``numpy`` of their
+    twins."""
+    predict, correct = (predictor_numpy, correct_numpy) if numpy else \
+        (solver_pc.predictor, solver_pc._correct)
+    fallback = False
+    try:
+        pred = predict(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
+        z_tilde, root_iters = pred.z, pred.iterations
+    except NoBracket:
+        z_tilde, root_iters = prev.z, 0
+        fallback = True
+    state, diag = correct(prev, tau_next, frame, z_tilde)
+    diag.iterations, diag.predictor_fallback = root_iters, fallback
+    return state, diag
+
+
+def march_numpy(frame, engine, y0, z0, limits):
+    """native.march on the numpy twins, one layer call at a time: the same
+    arguments, and the same (rho, surface, rows, failure), with the rows'
+    OUT_UPWINDED and OUT_FAILURE slots NaN."""
+    g, p, mode = frame.g, frame.p, frame.mode
+    rho, surface = np.empty(g.M + 1), np.empty((g.M + 1, g.N + 1))
+    rho[0], surface[0] = z0, y0
+    if engine == "newton":
+        cfg = NewtonConfig(tol=limits["tol"], max_iter=limits["max_iter"])
+    else:
+        assert (limits["scan"], limits["bracket_factor"], limits["expansions"]) == \
+            (solver_pc._BRACKET_SCAN, solver_pc._BRACKET_FACTOR, solver_pc._BRACKET_EXPANSIONS)
+        cfg = PredictorConfig(root_tol=limits["root_tol"], max_iter=limits["root_max_iter"])
+    # the twins read tridiag's limits at each call
+    assert (limits["pivot_rtol"], limits["schur_floor"]) == \
+        (tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
+    rows = np.full((g.M, native.OUT_SLOTS), np.nan)
+    state = LayerState(j=0, tau=float(g.taus[0]), y=surface[0].copy(), z=float(rho[0]))
+    for j in range(g.M):
+        tau_next = float(g.taus[j + 1])
+        try:
+            if engine == "newton":
+                state, d = newton_layer_numpy(state, tau_next, g, p, mode, cfg, frame=frame)
+            else:
+                state, d = pc_layer(state, tau_next, frame, cfg, numpy=True)
+        except Exception as exc:  # noqa: BLE001 - the march hands each failure back
+            return rho, surface, rows, (j + 1, exc)
+        rho[j + 1], surface[j + 1] = state.z, state.y
+        rows[j, [native.OUT_ITERATIONS, native.OUT_Z, native.OUT_INITIAL_RESIDUAL,
+                 native.OUT_ONESIDED_ROWS, native.OUT_DOMINANCE_VIOLATIONS,
+                 native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2, native.OUT_BACKWARD_ERROR,
+                 native.OUT_FALLBACK]] = (
+            d.iterations, state.z, d.initial_residual, d.onesided_rows, d.dominance_violations,
+            d.residual_f1, d.residual_f2, d.backward_error, d.predictor_fallback)
+    return rho, surface, rows, None
+
+
 @contextlib.contextmanager
 def numpy_layers():
-    """Run both engines' time layers on their numpy twins inside the block:
+    """Run both engines' marches on march_numpy inside the block:
     march_newton, march_pc and everything that calls them (analysis, the
     CLI) then make no C layer call."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_newton, "newton_layer", newton_layer_numpy)
-        patch.setattr(solver_pc, "predictor", predictor_numpy)
-        patch.setattr(solver_pc, "_correct", correct_numpy)
+        patch.setattr(native, "march", march_numpy)
         yield
 
 

@@ -1,17 +1,25 @@
+import functools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from asianfb.analysis import (
     ComparisonRecord,
+    _in_threads,
     compare_engines,
     reconstruct_value,
     refinement_study,
     run_engine,
 )
+from asianfb.errors import LayerFailure, SolverError
 from asianfb.mesh import make_grid
 from asianfb.results import SolveResult
 from asianfb.scheme import SchemeMode
+from asianfb.solver_newton import NewtonConfig, march_newton
+from asianfb.solver_pc import PredictorConfig, march_pc
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +63,17 @@ class TestRefinementStudy:
         parallel = refinement_study(params, base_N=50, levels=3, jobs=2)
         for row_a, row_b in zip(small_report.rows, parallel.rows):
             assert row_a.rho == row_b.rho
+
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    def test_first_failing_level_by_n_is_raised(self, params, jobs):
+        """Every level fails; the one raised is the smallest N's, on the
+        thread of any level, and every worker thread has ended."""
+        threads = threading.active_count()
+        with pytest.raises(SolverError, match=r"^refinement level N=50 failed: layer 1 ") as exc:
+            refinement_study(params, base_N=50, levels=3, jobs=jobs,
+                             newton_cfg=NewtonConfig(max_iter=1))
+        assert isinstance(exc.value.__cause__, LayerFailure)
+        assert threading.active_count() == threads
 
     def test_pc_engine_accepted(self, params):
         report = refinement_study(params, base_N=50, levels=2, engine="pc")
@@ -146,3 +165,45 @@ class TestCompareEngines:
         again = compare_engines(params, make_grid(params, N=64))
         assert np.array_equal(record.rho_pc, again.rho_pc)
         assert np.array_equal(record.rho_newton, again.rho_newton)
+
+    def test_returns_the_bits_of_the_marches_run_alone(self, params):
+        grid = make_grid(params, N=64)
+        record = compare_engines(params, grid)
+        assert record.rho_newton.tobytes() == march_newton(params, grid).rho.tobytes()
+        assert record.rho_pc.tobytes() == march_pc(params, grid).rho.tobytes()
+
+    @pytest.mark.parametrize("pc_fails", [False, True], ids=["newton-fails", "both-fail"])
+    def test_newtons_failure_is_raised_and_the_worker_joined(self, params, pc_fails):
+        """When Newton's march fails, compare raises its LayerFailure, also
+        when pc's fails too, and the worker thread has ended."""
+        grid = make_grid(params, N=32)
+        newton_cfg, pc_cfg = NewtonConfig(max_iter=1), PredictorConfig(max_iter=1)
+        with pytest.raises(LayerFailure) as alone:
+            march_newton(params, grid, SchemeMode.UPWIND_SINGULAR, newton_cfg)
+        if pc_fails:
+            with pytest.raises(LayerFailure) as pc_alone:
+                march_pc(params, grid, SchemeMode.UPWIND_SINGULAR, pc_cfg)
+            assert str(pc_alone.value) != str(alone.value)
+        threads = threading.active_count()
+        with pytest.raises(LayerFailure) as exc:
+            compare_engines(params, grid, newton_cfg=newton_cfg,
+                            pc_cfg=pc_cfg if pc_fails else None)
+        assert threading.active_count() == threads
+        assert (exc.value.layer, exc.value.tau, str(exc.value)) == \
+            (alone.value.layer, alone.value.tau, str(alone.value))
+
+
+def test_threads_switching_often_return_each_march_in_order(params):
+    """Eight marches on four threads (more than this machine's cores),
+    switching every microsecond, return the bits of each march run alone,
+    in order."""
+    marches = [functools.partial(march, params, make_grid(params, N=n))
+               for n in (16, 20, 24, 28) for march in (march_newton, march_pc)]
+    alone = [march().rho.tobytes() for march in marches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        together = _in_threads(marches, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result.rho.tobytes() for result in together] == alone

@@ -430,6 +430,17 @@ class TestConfigResolution:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_process_pool(self):
+        """A fresh interpreter that imports the CLI has loaded neither
+        multiprocessing nor concurrent.futures: refine's levels and
+        compare's engines run on plain threads."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, asianfb.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "asianfb.cli", "solve", "--N", "16", "--M", "8",

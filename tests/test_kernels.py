@@ -19,15 +19,17 @@ import asianfb
 from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, solver_newton,
                      solver_pc, tridiag)
 from asianfb._kernels import native, pure
-from asianfb.errors import NoBracket, NoConvergence, SingularSchur, SolverError, ZeroPivot
+from asianfb.errors import (LayerFailure, NoBracket, NoConvergence, NonPositiveZ, SingularSchur,
+                            SolverError, ZeroPivot)
 from asianfb.mesh import GridSpec, LayerState, initial_layer
+from asianfb.results import LayerDiagnostics
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (LayerRows, frame_start, newton_layer_numpy, numpy_layers, predictor_numpy,
-                      pure_solve)
+from _oracles import (LayerRows, frame_start, newton_layer_numpy, numpy_layers, pc_layer,
+                      predictor_numpy, pure_solve)
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -539,17 +541,23 @@ class TestFixed9Rows:
     def test_lines_and_byte_count(self):
         cells = np.array([[0.0009765625, -0.0], [-1e-12, np.nextafter(4.5e6, 0.0)]])
         out = np.full(native.fixed9_bytes(2, 2), 255, np.uint8)
-        size = native.fixed9_rows(cells, out)
+        write = native.fixed9_rows(cells, out)
+        size = write(0, 2)
         assert out[:size].tobytes() == \
             b"0.000976562,-0.000000000\r\n-0.000000000,4499999.999999999\r\n"
         assert out[size:].tobytes() == b"\xff" * (out.size - size)
+        # a chunk starts at its offset into the checked cells
+        assert out[:write(1, 2)].tobytes() == b"-0.000000000,4499999.999999999\r\n"
+        assert write(1, 1) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.5e6, -4.5e6, 1e300])
     def test_hands_back_the_first_cell_it_cannot_format(self, bad):
         cells = np.zeros((3, 2))
         cells[1, 1] = cells[2, 0] = bad
         out = np.empty(native.fixed9_bytes(3, 2), np.uint8)
-        assert native.fixed9_rows(cells, out) == -1 - 3
+        write = native.fixed9_rows(cells, out)
+        assert write(0, 3) == -1 - 3
+        assert write(1, 3) == -1 - 1  # the cell's index within the chunk
 
     def test_rejects_buffers_it_could_overrun(self):
         cells = np.zeros((4, 3))
@@ -558,9 +566,27 @@ class TestFixed9Rows:
                           cells.ravel(), np.zeros((4, 0))):
             with pytest.raises(ValueError, match="cells"):
                 native.fixed9_rows(bad_cells, out)
-        for bad_out in (out[:-1], out.view(np.int8), out[::2].copy()[:0]):
+        for bad_out in (out.view(np.int8), out[::2], np.zeros((2, out.size // 2), np.uint8)):
             with pytest.raises(ValueError, match="out"):
                 native.fixed9_rows(cells, bad_out)
+        for small_out in (out[:-1], out[::2].copy()[:0]):
+            with pytest.raises(ValueError, match="out"):
+                native.fixed9_rows(cells, small_out)(0, 4)
+        write = native.fixed9_rows(cells, out)
+        for start, stop in ((-1, 2), (3, 5), (2, 1)):
+            with pytest.raises(ValueError, match="does not fit"):
+                write(start, stop)
+
+    def test_surface_rejects_chunks_outside_its_arrays(self):
+        taus, pi = np.zeros(3), np.zeros((3, 2))
+        xi_cells = np.zeros((2, native.FIXED9_CELL), np.uint8)
+        xi_cells[:, 0] = ord("0")
+        out = np.empty(native.fixed9_bytes(2 * 2, 3), np.uint8)
+        write = native.fixed9_surface(taus, xi_cells, pi, out)
+        assert out[:write(1, 3)].tobytes() == b"0.000000000,0,0.000000000\r\n" * 4
+        for start, stop in ((-1, 1), (2, 4), (0, 3)):  # (0, 3) does not fit out
+            with pytest.raises(ValueError, match="does not fit"):
+                write(start, stop)
 
 
 # (r, q, sigma) at T = 50 of the bit-identity runs: the reference point and
@@ -644,30 +670,41 @@ DIGEST_FIELDS = ("layer", "tau", "iterations", "residual_f1", "residual_f2",
                  "predictor_fallback")
 
 
-def march_digest(march, p, grid, mode, results=None):
+def diagnostics_bits(diagnostics, names=None):
+    """The bytes of the LayerDiagnostics fields ``names`` (all by default)
+    of each layer, as float64."""
+    names = names or [field.name for field in dataclasses.fields(LayerDiagnostics)]
+    return np.array([[getattr(d, name) for name in names] for d in diagnostics],
+                    dtype=float).tobytes()
+
+
+def march_digest(march, p, grid, mode, replay, results=None):
     """sha256 (16 hex digits) of a march: rho, the surface, the
     LayerDiagnostics fields of DIGEST_FIELDS and, after each Newton layer,
     the frame's row buffers and its (2, n) right-hand side (F1 at the
-    accepted z, J12 of the last iterate).  ``results``, when given, is a
-    list that gains the march's SolveResult."""
+    accepted z, J12 of the last iterate).  The march runs every layer in
+    one call, so ``replay`` (newton_layer or its numpy twin) runs each
+    Newton layer again from the march's stored layers, in a frame of its
+    own, where its rows are read; each replayed layer must equal the
+    stored one.  ``results``, when given, is a list that gains the
+    march's SolveResult."""
     digest = hashlib.sha256()
-
-    def observed(*args, **kwargs):
-        out = original(*args, **kwargs)
-        frame = kwargs["frame"]
-        for row in dataclasses.fields(LayerRows):
-            digest.update(getattr(frame, row.name).tobytes())
-        digest.update(frame.pair_rhs.tobytes())
-        return out
-
-    original = solver_newton.newton_layer
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_newton, "newton_layer", observed)
-        result = march(p, grid, mode)
+    result = march(p, grid, mode)
+    if march is march_newton:
+        frame = native.LayerFrame(grid, p, mode)
+        for j, stored in enumerate(result.diagnostics):
+            prev = LayerState(j=j, tau=float(result.taus[j]), y=result.surface[j].copy(),
+                              z=float(result.rho[j]))
+            state, diag = replay(prev, float(result.taus[j + 1]), grid, p, mode, frame=frame)
+            assert state.y.tobytes() == result.surface[j + 1].tobytes(), j
+            assert state.z == result.rho[j + 1], j
+            assert diagnostics_bits([diag]) == diagnostics_bits([stored]), j
+            for row in dataclasses.fields(LayerRows):
+                digest.update(getattr(frame, row.name).tobytes())
+            digest.update(frame.pair_rhs.tobytes())
     digest.update(result.rho.tobytes())
     digest.update(result.surface.tobytes())
-    digest.update(np.array([[getattr(d, name) for name in DIGEST_FIELDS]
-                            for d in result.diagnostics], dtype=float).tobytes())
+    digest.update(diagnostics_bits(result.diagnostics, DIGEST_FIELDS))
     if results is not None:
         results.append(result)
     return digest.hexdigest()[:16]
@@ -686,9 +723,10 @@ def test_march_bit_identical_across_backends(march, mode):
                 continue
             grid = make_grid(p, N=n, M=m)
             digests, results = [], []
-            for layers in (contextlib.nullcontext(), numpy_layers()):
+            for layers, replay in ((contextlib.nullcontext(), newton_layer),
+                                   (numpy_layers(), newton_layer_numpy)):
                 with layers:
-                    digests.append(march_digest(march, p, grid, mode, results))
+                    digests.append(march_digest(march, p, grid, mode, replay, results))
             assert digests == [MARCH_DIGESTS[engine, mode.value, name, grid_name]] * 2, \
                 (name, grid_name, digests)
             errors = [np.array([d.backward_error for d in run.diagnostics]) for run in results]
@@ -805,11 +843,11 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
         return type(exc), str(exc), vars(exc)
 
     ended = []
-    for layers in (contextlib.nullcontext(), numpy_layers()):
-        with layers, pytest.MonkeyPatch.context() as patch:
+    for numpy in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
             prev, tau_next, frame, cfg = pc_layer_case(case, params, patch)
             try:
-                state, diag = solver_pc._layer(prev, tau_next, frame, cfg)
+                state, diag = pc_layer(prev, tau_next, frame, cfg, numpy)
             except Exception as exc:
                 ended.append(raised(exc))
             else:
@@ -910,8 +948,8 @@ class TestFrameStart:
 def test_eliminations_enter_through_the_traced_entry_points(params, march):
     """A tracer counts solves and rows at tridiag.thomas_solve, as bound in
     the module that calls it, and at each backend's thomas.  Each engine's
-    eliminations run inside its C calls per layer (native.newton_layer,
-    native.pc_corrector), so neither march makes any there."""
+    eliminations run inside its one C call (native.march), so neither
+    march makes any there."""
     grid = make_grid(params, N=40)
     calls = []
 
@@ -932,27 +970,90 @@ def test_eliminations_enter_through_the_traced_entry_points(params, march):
     assert calls == []
 
 
-@pytest.mark.parametrize("march, module, opener",
-                         [(march_newton, solver_newton, "newton_layer"),
-                          (march_pc, solver_pc, "predictor")], ids=["newton", "pc"])
-def test_each_layer_opens_through_its_traced_entry_point(params, monkeypatch, march,
-                                                          module, opener):
-    """A tracer set on solver_newton.newton_layer or solver_pc.predictor opens
-    one time layer per call, numbered prev.j + 1 of the grid's M, so each
-    march must look its opener up on the module at every layer, pc's
-    fallback layers included."""
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_a_march_is_one_native_call(params, monkeypatch, march):
+    """A march runs every layer, pc's fallback layers included, in one
+    native.march call, and makes no call per layer from Python: none of
+    the one-layer functions runs."""
     grid = make_grid(params, N=50)
-    opened = []
+    marches = []
 
-    def counting_opener(*args, **kwargs):
-        prev = args[0] if args else kwargs["prev"]
-        g = args[2] if len(args) > 2 else kwargs["g"]
-        opened.append((prev.j + 1, g.M))
+    def counting_march(*args, **kwargs):
+        marches.append(args[1])
         return original(*args, **kwargs)
 
-    original = getattr(module, opener)
-    monkeypatch.setattr(module, opener, counting_opener)
+    def per_layer(*args, **kwargs):
+        raise AssertionError("a march called a one-layer function")
+
+    original = native.march
+    monkeypatch.setattr(native, "march", counting_march)
+    for module, name in ((native, "layer"), (solver_newton, "newton_layer"),
+                         (solver_pc, "predictor"), (solver_pc, "_correct")):
+        monkeypatch.setattr(module, name, per_layer)
     result = march(params, grid)
-    assert opened == [(j, grid.M) for j in range(1, grid.M + 1)]
+    assert marches == ["newton" if march is march_newton else "pc"]
+    assert len(result.diagnostics) == grid.M
     if march is march_pc:
         assert any(d.predictor_fallback for d in result.diagnostics)
+
+
+def failing_march(engine):
+    """(march, params, grid, cfg) of a march that fails: Newton's at layer
+    1 with max_iter = 1, pc's with NonPositiveZ at layer 57 of 58."""
+    if engine == "newton":
+        p = MarketParams(r=0.06, q=0.04, sigma=0.2, T=50.0)
+        return march_newton, p, make_grid(p, N=16), NewtonConfig(max_iter=1)
+    p = MarketParams(r=0.08429, q=0.02863, sigma=0.4697, T=28.52)
+    return march_pc, p, make_grid(p, N=23), PredictorConfig()
+
+
+@pytest.mark.parametrize("engine", ["newton", "pc"])
+def test_failing_march_raises_the_oracle_marches_failure(engine):
+    """A march that fails raises the same LayerFailure from the kernel's
+    march as from the oracle march on the numpy twins: the same layer and
+    tau, and a cause of the same class, message and attributes."""
+    raised = []
+    for layers in (contextlib.nullcontext(), numpy_layers()):
+        with layers:
+            march, p, grid, cfg = failing_march(engine)
+            with pytest.raises(LayerFailure) as exc:
+                march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg)
+        failure = exc.value
+        raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
+                       str(failure.cause), vars(failure.cause)))
+    assert raised[0] == raised[1]
+    layer, tau, _, cause, _, attributes = raised[0]
+    if engine == "newton":
+        assert (layer, cause) == (1, NoConvergence) and attributes["iterations"] == 1
+    else:
+        assert (layer, cause) == (57, NonPositiveZ) and attributes["z"] < 0
+    assert tau == grid.taus[layer]
+
+
+@pytest.mark.parametrize("limit, value, cause", [("PIVOT_RTOL", 1.0, ZeroPivot),
+                                                 ("SCHUR_FLOOR", 1e300, SingularSchur)])
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_march_reads_tridiags_limits_at_the_call(params, monkeypatch, march, limit, value,
+                                                 cause):
+    """tridiag's PIVOT_RTOL and SCHUR_FLOOR, as they are when a march is
+    called, reach its frame's struct: the march fails at layer 1."""
+    monkeypatch.setattr(tridiag, limit, value)
+    with pytest.raises(LayerFailure) as exc:
+        march(params, make_grid(params, N=16))
+    assert exc.value.layer == 1 and type(exc.value.cause) is cause
+
+
+def test_pc_march_with_fallback_layers_matches_the_oracle_march(params):
+    """A pc march whose last layers fall back to z_tilde = z_prev gives the
+    oracle march's rho, surface and every LayerDiagnostics field."""
+    grid = make_grid(params, N=50)
+    runs = []
+    for layers in (contextlib.nullcontext(), numpy_layers()):
+        with layers:
+            runs.append(march_pc(params, grid))
+    kernel, oracle = runs
+    assert any(d.predictor_fallback for d in kernel.diagnostics)
+    assert kernel.rho.tobytes() == oracle.rho.tobytes()
+    assert kernel.surface.tobytes() == oracle.surface.tobytes()
+    assert [dataclasses.astuple(d) for d in kernel.diagnostics] == \
+        [dataclasses.astuple(d) for d in oracle.diagnostics]
