@@ -1,14 +1,25 @@
 """Compiled kernel: thomas.c through ctypes, built on first use.
 
 The library holds ``thomas``, the Thomas solve of the kernel contract;
-one time layer of each engine, which eliminates with that same
-``thomas``: ``newton_layer``, the z-free part of a layer and its Newton
-iterations over a LayerFrame's buffers, and the predictor-corrector
-layer's two halves, ``pc_predictor``, the predictor's scalar root, and
-``pc_corrector``, the z-free part, the corrector and the layer's
-diagnostics over the frame's buffers; ``march``, which steps one engine
-over every layer of a march with those functions (see below); and
-``fixed9_rows`` and ``fixed9_surface``, the CLI's CSV cells.
+one time layer of each engine, which eliminates with the row step of
+that same ``thomas``: ``newton_layer``, the z-free part of a layer and
+its Newton iterations over a LayerFrame's buffers, and the
+predictor-corrector layer's two halves, ``pc_predictor``, the
+predictor's scalar root, and ``pc_corrector``, the z-free part, the
+corrector and the layer's diagnostics over the frame's buffers;
+``march``, which steps one engine over every layer of a march with
+those functions (see below); and ``fixed9_rows`` and
+``fixed9_surface``, the CLI's CSV cells.
+
+Each solve of a layer is one forward sweep over the rows and one
+backward sweep.  The forward sweep builds each row, its right-hand side
+and the row counts, records whether the row's entries are finite and
+max |diag|, and takes the row's elimination step, storing its pivot in
+the frame's ``piv``; once it ends, a non-finite entry, then the first
+pivot below the floor, fails the solve as ``thomas`` fails it.  The
+sweep writes every row buffer and right-hand side before any check, so
+``_failure`` finds the array to name.  pc's solve for dF1/dz reuses the
+pivots and ``cp`` of the first frozen solve, whose J11 it has.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 the first kernel call in a process) looks for a shared library in
@@ -24,12 +35,12 @@ line it wrote to stderr, and the cache directory.
 
 ``thomas`` converts its arrays to contiguous float64, runs pure's
 ``check_shape`` and calls C with a fresh cp work row and solution
-buffer.  The C function makes the other checks of the contract in the
-pass that reads the arrays: it takes the pivot floor from max |diag| and
-reports a non-finite entry with its own return code, and only then does
-this module run pure's numpy check, to raise the ValueError that names
-the array.  No march calls it: both engines eliminate inside their layer
-calls.
+buffer.  The C function makes the other checks of the contract in one
+pass over the rows before it eliminates: it takes the pivot floor from
+max |diag| and reports a non-finite entry with its own return code, and
+only then does this module run pure's numpy check, to raise the
+ValueError that names the array.  No march calls it: both engines
+eliminate inside their layer calls.
 
 A march makes one LayerFrame (results.march does, and an engine's layer
 called without one makes its own): the buffers of its layer system,
@@ -229,7 +240,7 @@ class _Frame(ctypes.Structure):
           "bracket_factor", "pivot_rtol", "schur_floor")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
-          "db", "onesided", "f", "single", "cp", "x", "y", "out")]
+          "db", "onesided", "f", "single", "cp", "piv", "x", "y", "out")]
 
 
 class LayerFrame:
@@ -246,8 +257,9 @@ class LayerFrame:
     J11 (lower[1:], diag, upper[:-1]): three views of the row buffers.
     ``pair_rhs`` (2, n) and ``single_rhs`` (n,) are the right-hand sides
     that Newton's and pc's layers fill and solve against J11 in place,
-    ``cp`` the elimination's work row, ``x`` its (2, n) solution, ``y``
-    the layer (the previous one on entry) and ``out`` the out[] slots.
+    ``cp`` the elimination's work row, ``piv`` the pivots of its last
+    forward sweep, ``x`` its (2, n) solution, ``y`` the layer (the
+    previous one on entry) and ``out`` the out[] slots.
 
     The struct holds the march's constants (T, h, h**2, r, q, sigma**2
     and their products) and the buffers' addresses, so a buffer must not
@@ -264,14 +276,14 @@ class LayerFrame:
         self.lower, self.diag, self.upper, self.da, self.dc, self.db, self.rhs = \
             (np.zeros(n) for _ in range(7))
         self.onesided = np.zeros(n, dtype=bool)
-        self.ds, self.half_ds_h, self.cp = np.empty(n), np.empty(n), np.empty(n)
+        self.ds, self.half_ds_h, self.cp, self.piv = (np.empty(n) for _ in range(4))
         self.pair_rhs, self.single_rhs = np.zeros((2, n)), np.zeros(n)
         self.x, self.y = np.empty((2, n)), np.empty(n + 2)
         self.out = (ctypes.c_double * OUT_SLOTS)()
         self.j11 = (self.lower[1:], self.diag, self.upper[:-1])
         buffers = {name: getattr(self, name) for name in
                    ("ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc", "db",
-                    "onesided", "cp", "x", "y")}
+                    "onesided", "cp", "piv", "x", "y")}
         buffers.update(exp_neg_xi=g.exp_neg_xi, f=self.pair_rhs, single=self.single_rhs)
         sig2 = p.sigma**2
         self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", T=p.T, h=g.h,

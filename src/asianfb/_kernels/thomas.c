@@ -1,23 +1,26 @@
 /* Compiled kernel, loaded through ctypes by native.py: thomas, the
- * Thomas solve, and the time layers of both engines, which eliminate with
- * thomas: newton_layer, Newton's iterations, and pc_predictor and
- * pc_corrector, the two halves of a predictor-corrector layer, and
- * march, which steps one engine over all the layers of a march (below);
- * and fixed9_rows and fixed9_surface, the CSV writer's "%.9f" cells (at
- * the end).
+ * Thomas solve of the kernel contract, and the time layers of both
+ * engines, which eliminate with thomas's row step: newton_layer, Newton's
+ * iterations, and pc_predictor and pc_corrector, the two halves of a
+ * predictor-corrector layer, and march, which steps one engine over all
+ * the layers of a march (below); and fixed9_rows and fixed9_surface, the
+ * CSV writer's "%.9f" cells (at the end).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
  * its solution is bit-identical to the pure loop's: build with
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
- * n rows; ncol right-hand sides stored row-major in d (column k starts
- * at d + k n); a: n-1 sub-diagonal entries (rows 1..n-1), c: n diagonal
- * entries, b: n-1 super-diagonal entries (rows 0..n-2).  cp is n doubles
- * of scratch; x (ncol n doubles) receives the solutions.
+ * n rows; ncol (1 or 2) right-hand sides stored row-major in d (column k
+ * starts at d + k n); a: n-1 sub-diagonal entries (rows 1..n-1), c: n
+ * diagonal entries, b: n-1 super-diagonal entries (rows 0..n-2).  cp is n
+ * doubles of scratch; x (ncol n doubles) receives the solutions.
  *
- * One pass over c, then a and b, then d checks every entry is finite and
- * takes max |c|; the pivot floor is max(pivot_rtol max |c|, the smallest
- * positive double), so an all-zero diagonal still fails at row 0.
+ * One pass over the rows checks every entry is finite and takes max |c|;
+ * the pivot floor is max(pivot_rtol max |c|, the smallest positive
+ * double), so an all-zero diagonal still fails at row 0.  Then each row
+ * takes its elimination step (eliminate_row, shared with the time layers
+ * below) and tests its pivot, and one backward pass back-substitutes
+ * every column.
  * Returns THOMAS_NON_FINITE when an entry is NaN or infinite (before any
  * pivot is tested), else the first row whose pivot magnitude falls below
  * the floor, or -1 on success.
@@ -28,51 +31,87 @@
 
 #define THOMAS_NON_FINITE (-2)
 
+/* The functions called on every row, and the back substitution, are
+ * inlined into each caller, whatever their size: a call per row would
+ * cost more than the row's own work, and each caller's constant ncol
+ * then selects its columns at compile time */
+#define ROW_STEP static inline __attribute__((always_inline))
+
+/* The running state of a forward elimination of one or two columns: the
+ * last row's cp and forward-substituted values, which the next row's
+ * step reads from here, so that the recurrence runs in registers */
+struct elimination {
+    double cp, x0, x1;
+};
+
+/* Row i's forward substitution of ncol (1 or 2) columns of d into x over
+ * its pivot: x_i = (d_i - a_i x_{i-1}) / piv (d_0 / piv on row 0) */
+ROW_STEP void forward_step(long n, long i, long ncol, double a_i, double piv, const double *d,
+                           double *x, struct elimination *e)
+{
+    x[i] = e->x0 = (i ? d[i] - a_i * e->x0 : d[i]) / piv;
+    if (ncol > 1)
+        x[n + i] = e->x1 = (i ? d[n + i] - a_i * e->x1 : d[n + i]) / piv;
+}
+
+/* Row i's step of the forward elimination: its pivot, c_i - a_i cp_{i-1}
+ * (c_0 on row 0), returned; cp_i = b_i over it on every row but the last;
+ * and its forward substitution of ncol (1 or 2) columns */
+ROW_STEP double eliminate_row(long n, long i, long ncol, double a_i, double c_i, double b_i,
+                              const double *d, double *cp, double *x, struct elimination *e)
+{
+    double piv = i ? c_i - a_i * e->cp : c_i;
+
+    if (i < n - 1)
+        cp[i] = e->cp = b_i / piv;
+    forward_step(n, i, ncol, a_i, piv, d, x, e);
+    return piv;
+}
+
+/* Back substitution of ncol (1 or 2) columns in one pass, the last row
+ * up: x_i -= cp_i x_{i+1} */
+ROW_STEP void back_substitute(long n, long ncol, const double *cp, double *x)
+{
+    double next0 = x[n - 1], next1 = ncol > 1 ? x[2 * n - 1] : 0.0;
+    long i;
+
+    for (i = n - 2; i >= 0; i--) {
+        x[i] = next0 = x[i] - cp[i] * next0;
+        if (ncol > 1)
+            x[n + i] = next1 = x[n + i] - cp[i] * next1;
+    }
+}
+
+/* The pivot floor of a diagonal whose largest magnitude is cmax */
+static double pivot_floor(double cmax, double pivot_rtol)
+{
+    double floor = pivot_rtol * cmax;
+
+    return floor < DBL_TRUE_MIN ? DBL_TRUE_MIN : floor;
+}
+
 long thomas(long n, long ncol, const double *a, const double *c, const double *b,
             const double *d, double pivot_rtol, double *cp, double *x)
 {
-    double cmax = 0.0, floor, piv;
+    struct elimination e = {0.0, 0.0, 0.0};
+    double cmax = 0.0, floor;
     long i, k;
 
     for (i = 0; i < n; i++) {
-        if (!isfinite(c[i]))
+        if (!isfinite(c[i]) || (i > 0 && !isfinite(a[i - 1])) || (i < n - 1 && !isfinite(b[i])))
             return THOMAS_NON_FINITE;
+        for (k = 0; k < ncol; k++)
+            if (!isfinite(d[k * n + i]))
+                return THOMAS_NON_FINITE;
         if (fabs(c[i]) > cmax)
             cmax = fabs(c[i]);
     }
-    for (i = 0; i < n - 1; i++)
-        if (!isfinite(a[i]) || !isfinite(b[i]))
-            return THOMAS_NON_FINITE;
-    for (i = 0; i < ncol * n; i++)
-        if (!isfinite(d[i]))
-            return THOMAS_NON_FINITE;
-    floor = pivot_rtol * cmax;
-    if (floor < DBL_TRUE_MIN)
-        floor = DBL_TRUE_MIN;
-
-    piv = c[0];
-    if (fabs(piv) < floor)
-        return 0;
-    for (k = 0; k < ncol; k++)
-        x[k * n] = d[k * n] / piv;
-    if (n > 1)
-        cp[0] = b[0] / piv;
-    for (i = 1; i < n; i++) {
-        double a_i = a[i - 1];
-        piv = c[i] - a_i * cp[i - 1];
-        if (fabs(piv) < floor)
+    floor = pivot_floor(cmax, pivot_rtol);
+    for (i = 0; i < n; i++)
+        if (fabs(eliminate_row(n, i, ncol, i ? a[i - 1] : 0.0, c[i], i < n - 1 ? b[i] : 0.0,
+                               d, cp, x, &e)) < floor)
             return i;
-        if (i < n - 1)
-            cp[i] = b[i] / piv;
-        for (k = 0; k < ncol; k++)
-            x[k * n + i] = (d[k * n + i] - a_i * x[k * n + i - 1]) / piv;
-    }
-    /* back substitution overwrites the eliminated rhs with x, last row up */
-    for (k = 0; k < ncol; k++) {
-        double *xk = x + k * n;
-        for (i = n - 2; i >= 0; i--)
-            xk[i] = xk[i] - cp[i] * xk[i + 1];
-    }
+    back_substitute(n, ncol, cp, x);
     return -1;
 }
 
@@ -85,6 +124,22 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * among them, and the layer's own scalars as arguments.  march calls them
  * for every layer of a march; native.py also calls each alone, for one
  * layer.
+ *
+ * Each solve against J11 is one forward sweep over the rows and one
+ * backward sweep.  For row i the forward sweep builds the row at z
+ * (build_row), the right-hand side it solves for (Newton's F1_i and
+ * J12_i, or pc's frozen y^prev_i/dt), the counts the diagnostics report,
+ * the finiteness of the row's entries and max |diag|, and takes the row's
+ * elimination step (eliminate_row, which thomas takes too), storing its
+ * pivot.  Only once the sweep ends are the pivots tested against the
+ * floor, which needs max |diag| (check_sweep): a non-finite entry first,
+ * then the first row whose pivot falls below the floor, as thomas reports
+ * them.  The sweep writes every row buffer and right-hand side whatever
+ * it meets, so a failure finds them as the numpy twins leave them.  The
+ * backward sweep back-substitutes every column in one pass.  pc's J12
+ * solve has the J11 of its first frozen solve, so it reuses that solve's
+ * pivots and cp.  The end of a Newton layer builds the rows at the
+ * accepted z with F1, max |F1| and the backward error in one pass.
  *
  * Every operation keeps the order of the numpy twin that the tests keep
  * as its oracle (tests/_oracles.py: frame_start, newton_layer_numpy,
@@ -103,8 +158,9 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * i = 1..N-1, except y (n + 2: the previous layer on entry to a layer
  * function, the new one on its return), and f and x, which are (2, n)
  * row-major: F1 then J12, and u then v.  single is the frame's one-column
- * right-hand side, which pc solves in place.  tol and max_iter are
- * Newton's; the predictor has its own. */
+ * right-hand side, which pc solves in place, and piv the pivots of the
+ * last forward sweep.  tol and max_iter are Newton's; the predictor has
+ * its own. */
 struct layer_frame {
     long n;
     long upwind;            /* 1 in upwind-singular mode, 0 in central mode */
@@ -115,7 +171,7 @@ struct layer_frame {
     double *ds, *half_ds_h, *rhs;
     double *lower, *diag, *upper, *da, *dc, *db;
     unsigned char *onesided;  /* numpy bool */
-    double *f, *single, *cp, *x, *y, *out;
+    double *f, *single, *cp, *piv, *x, *y, *out;
 };
 
 /* The z-free scalars of one layer, which frame_start computes. */
@@ -140,18 +196,11 @@ enum { OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS,
        OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR,
        OUT_UPWINDED, OUT_FAILURE, OUT_FALLBACK, OUT_SLOTS };
 
-/* np.abs(v).max(): a NaN anywhere gives NaN */
-static double max_abs(const double *v, long n)
+/* m after the i-th value a of a running np.max (a itself on i = 0): a
+ * NaN anywhere gives NaN */
+ROW_STEP double nan_max(double m, double a, long i)
 {
-    double m = fabs(v[0]);
-    long i;
-
-    for (i = 1; i < n; i++) {
-        double a = fabs(v[i]);
-        if (a > m || isnan(a))
-            m = a;
-    }
-    return m;
+    return i == 0 || a > m || isnan(a) ? a : m;
 }
 
 /* Python's max(a, b) */
@@ -165,7 +214,7 @@ static double py_max(double a, double b)
  * F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h), its row J21, dt, ttm,
  * ds_i/dz = e^{-xi_i}/ttm and its 0.5/h scaling, the central diagonal
  * and rhs = y_prev/dt.  diag, dc and onesided are filled only in central
- * mode: in upwind mode frame_rows rewrites every row of them before
+ * mode: in upwind mode build_row rewrites every row of them before
  * anything reads them.  Returns LAYER_OK, LAYER_PAST_MATURITY unless
  * tau_next < T, or LAYER_NON_POSITIVE_STEP unless dt > 0. */
 static long frame_start(const struct layer_frame *f, struct layer *l, double tau_prev,
@@ -204,63 +253,84 @@ static long frame_start(const struct layer_frame *f, struct layer *l, double tau
     return LAYER_OK;
 }
 
-/* The rows at z > 0 (the oracles' frame_rows): the rows, their z-derivatives and the
- * one-sided mask.  Returns the number of upwinded rows. */
-static long frame_rows(const struct layer_frame *f, const struct layer *l, double z)
-{
-    double mu = (z - l->z_prev) / (l->dt * z) + f->r - f->q - f->half_sig2;
-    double dmu = l->z_prev / (l->dt * pow(z, 2.0));
-    double adv = 0.5 * mu / f->h;
-    double lower = -adv - f->diff, upper = adv - f->diff;
-    double da = -0.5 * dmu / f->h, db = 0.5 * dmu / f->h;
-    double limit = f->sig2 / f->h;
-    long i, count = 0;
+/* The row-independent part of the rows at z > 0: z, the advection part
+ * mu, the central off-diagonals and z-derivatives it gives every row, and
+ * the one-sided switch's limit */
+struct rows_at {
+    double z, mu, lower, upper, da, db, limit;
+};
 
-    for (i = 0; i < f->n; i++) {
-        double s = (f->exp_neg_xi[i] * z - 1.0) / l->ttm;
-        double d = s * 0.5 / f->h;
-        /* central rows */
-        f->lower[i] = d + lower;
-        f->upper[i] = upper - d;
-        f->da[i] = f->half_ds_h[i] + da;
-        f->db[i] = db - f->half_ds_h[i];
-        if (!f->upwind)
-            continue;
-        /* |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal */
-        f->onesided[i] = fabs(mu - s) > limit;
-        if (!f->onesided[i]) {
-            f->diag[i] = l->diag_base;
-            f->dc[i] = 0.0;
-            continue;
-        }
-        /* the singular term upwinded: forward where s_i >= 0, backward otherwise */
-        count++;
-        if (s >= 0.0) {
-            f->lower[i] = lower + 0.0;
-            f->upper[i] = upper - s / f->h;
-            f->da[i] = da + 0.0;
-            f->dc[i] = f->ds[i] / f->h;
-            f->db[i] = db - f->ds[i] / f->h;
-        } else {
-            f->lower[i] = lower + s / f->h;
-            f->upper[i] = upper - 0.0;
-            f->da[i] = da + f->ds[i] / f->h;
-            f->dc[i] = -f->ds[i] / f->h;
-            f->db[i] = db - 0.0;
-        }
-        f->diag[i] = l->diag_base + fabs(s) / f->h;
-    }
-    return count;
+static struct rows_at rows_at(const struct layer_frame *f, const struct layer *l, double z)
+{
+    struct rows_at c;
+    double dmu = l->z_prev / (l->dt * pow(z, 2.0)), adv;
+
+    c.z = z;
+    c.mu = (z - l->z_prev) / (l->dt * z) + f->r - f->q - f->half_sig2;
+    adv = 0.5 * c.mu / f->h;
+    c.lower = -adv - f->diff;
+    c.upper = adv - f->diff;
+    c.da = -0.5 * dmu / f->h;
+    c.db = 0.5 * dmu / f->h;
+    c.limit = f->sig2 / f->h;
+    return c;
 }
 
-/* F1 into f[0:n]; y carries its boundary values */
-static void interior_residual(const struct layer_frame *f, const double *y)
-{
-    long i;
+/* One row at z: its entries, their z-derivatives and its one-sided flag */
+struct row {
+    double lower, diag, upper, da, dc, db;
+    int onesided;
+};
 
-    for (i = 0; i < f->n; i++)
-        f->f[i] = f->lower[i] * y[i] + f->diag[i] * y[i + 1] + f->upper[i] * y[i + 2]
-            - f->rhs[i];
+/* Row i at z (the oracles' frame_rows for one row), written into the
+ * frame's buffers and returned.  Its store of the one-sided flag goes
+ * through an unsigned char pointer, which may alias any object, so each
+ * function that calls it over the rows works on local copies of the
+ * frame and layer structs, whose fields the compiler can then keep in
+ * registers instead of loading them again on every row. */
+ROW_STEP struct row build_row(const struct layer_frame *f, const struct layer *l,
+                              const struct rows_at *c, long i)
+{
+    struct row r;
+    double s = (f->exp_neg_xi[i] * c->z - 1.0) / l->ttm;
+    double d = s * 0.5 / f->h;
+
+    /* central rows */
+    r.lower = d + c->lower;
+    r.upper = c->upper - d;
+    r.da = f->half_ds_h[i] + c->da;
+    r.db = c->db - f->half_ds_h[i];
+    r.diag = l->diag_base;
+    r.dc = 0.0;
+    /* |alpha_i| h / sigma^2 > 1 <=> the central row has a positive off-diagonal */
+    r.onesided = f->upwind && fabs(c->mu - s) > c->limit;
+    if (r.onesided) {
+        /* the singular term upwinded: forward where s_i >= 0, backward otherwise */
+        if (s >= 0.0) {
+            r.lower = c->lower + 0.0;
+            r.upper = c->upper - s / f->h;
+            r.da = c->da + 0.0;
+            r.dc = f->ds[i] / f->h;
+            r.db = c->db - f->ds[i] / f->h;
+        } else {
+            r.lower = c->lower + s / f->h;
+            r.upper = c->upper - 0.0;
+            r.da = c->da + f->ds[i] / f->h;
+            r.dc = -f->ds[i] / f->h;
+            r.db = c->db - 0.0;
+        }
+        r.diag = l->diag_base + fabs(s) / f->h;
+    }
+    f->lower[i] = r.lower;
+    f->upper[i] = r.upper;
+    f->da[i] = r.da;
+    f->db[i] = r.db;
+    if (f->upwind) {
+        f->diag[i] = r.diag;
+        f->dc[i] = r.dc;
+        f->onesided[i] = (unsigned char)r.onesided;
+    }
+    return r;
 }
 
 /* F2 at (y, z) */
@@ -270,50 +340,114 @@ static double residual_constraint(const struct layer_frame *f, const struct laye
     return z - (l->c0 + l->c1 * ((-3.0 * y[0] + 4.0 * y[1] - y[2]) / f->two_h));
 }
 
-/* Rows failing strict diagonal dominance */
-static long dominance_violations(const struct layer_frame *f)
+/* Row i's backward error at y, with F1_i in *f1: |F1_i| over the
+ * magnitudes of the terms F1_i sums, |a_i y_{i-1}| + |c_i y_i| +
+ * |b_i y_{i+1}| + |y^prev_i/dt| */
+ROW_STEP double row_backward_error(double a_i, double c_i, double b_i, double rhs_i,
+                                   const double *y, long i, double *f1)
 {
-    long i, count = 0;
+    double lo = a_i * y[i], mid = c_i * y[i + 1], up = b_i * y[i + 2];
+    double terms = fabs(lo) + fabs(mid) + fabs(up) + fabs(rhs_i);
 
-    for (i = 0; i < f->n; i++)
-        count += fabs(f->diag[i]) <= fabs(f->lower[i]) + fabs(f->upper[i]);
-    return count;
+    *f1 = lo + mid + up - rhs_i;
+    return fabs(*f1) / (terms > 0.0 ? terms : 1.0);
 }
 
-/* The row-wise backward error of F1 at y: max_i |F1_i| over the
- * magnitudes of the terms F1_i sums, |a_i y_{i-1}| + |c_i y_i| +
- * |b_i y_{i+1}| + |y^prev_i/dt|; a NaN wins the max */
-static double backward_error(const struct layer_frame *f, const double *y)
+/* What a forward sweep gathers besides its elimination: the one-sided
+ * rows, the rows failing strict diagonal dominance, max |diag|, max |F1|
+ * (Newton's), and whether every entry of J11 and of the right-hand sides
+ * it eliminated is finite */
+struct sweep {
+    long onesided, violations;
+    double cmax, f1max;
+    int finite;
+};
+
+/* Row i's share of a sweep: its one-sided flag, its dominance, the
+ * finiteness of its J11 entries (lower[i] from row 1, upper[i] to row
+ * n - 2) and |diag[i]| */
+ROW_STEP void tally_row(struct sweep *s, long n, long i, const struct row *r)
 {
-    double backward = 0.0;
+    double lo = r->lower, c = r->diag, up = r->upper;
+
+    s->onesided += r->onesided;
+    s->violations += fabs(c) <= fabs(lo) + fabs(up);
+    s->finite &= isfinite(c) && (i == 0 || isfinite(lo)) && (i == n - 1 || isfinite(up));
+    if (fabs(c) > s->cmax)
+        s->cmax = fabs(c);
+}
+
+/* thomas's verdict on a forward sweep that stored its pivots in f->piv:
+ * LAYER_NON_FINITE if an entry it eliminated is not finite, else
+ * LAYER_ZERO_PIVOT with the first row whose pivot magnitude falls below
+ * the floor in out[OUT_FAILURE], else LAYER_OK */
+static long check_sweep(const struct layer_frame *f, const struct sweep *s)
+{
+    double floor;
     long i;
 
-    for (i = 0; i < f->n; i++) {
-        double lo = f->lower[i] * y[i], mid = f->diag[i] * y[i + 1];
-        double up = f->upper[i] * y[i + 2];
-        double terms = fabs(lo) + fabs(mid) + fabs(up) + fabs(f->rhs[i]);
-        double e = fabs(lo + mid + up - f->rhs[i]) / (terms > 0.0 ? terms : 1.0);
-
-        if (i == 0 || e > backward || isnan(e))
-            backward = e;
-    }
-    return backward;
+    if (!s->finite)
+        return LAYER_NON_FINITE;
+    floor = pivot_floor(s->cmax, f->pivot_rtol);
+    for (i = 0; i < f->n; i++)
+        if (fabs(f->piv[i]) < floor) {
+            f->out[OUT_FAILURE] = (double)i;
+            return LAYER_ZERO_PIVOT;
+        }
+    return LAYER_OK;
 }
 
-/* thomas on J11 (the frame's lower[1:], diag and upper[:-1]) for ncol
- * right-hand sides d, solved into x.  Returns LAYER_OK, LAYER_NON_FINITE,
- * or LAYER_ZERO_PIVOT with the failing row in out[OUT_FAILURE]. */
-static long eliminate(const struct layer_frame *f, long ncol, const double *d, double *x)
+/* Newton's forward sweep at (y, z) with y = f->y: the rows, F1 and J12
+ * into f[0:n] and f[n:2n], and both eliminated into x */
+static struct sweep newton_sweep(const struct layer_frame *frame, const struct layer *layer,
+                                 double z)
 {
-    long fail = thomas(f->n, ncol, f->lower + 1, f->diag, f->upper, d, f->pivot_rtol, f->cp, x);
+    const struct layer_frame fc = *frame, *f = &fc;  /* copies: see build_row */
+    const struct layer lc = *layer, *l = &lc;
+    const struct rows_at c = rows_at(f, l, z);
+    const long n = f->n;
+    const double *y = f->y;
+    double *f1 = f->f, *j12 = f->f + n;
+    struct sweep s = {0, 0, 0.0, 0.0, 1};
+    struct elimination e = {0.0, 0.0, 0.0};
+    long i;
 
-    if (fail == THOMAS_NON_FINITE)
-        return LAYER_NON_FINITE;
-    if (fail >= 0) {
-        f->out[OUT_FAILURE] = (double)fail;
-        return LAYER_ZERO_PIVOT;
+    for (i = 0; i < n; i++) {
+        struct row r = build_row(f, l, &c, i);
+
+        f1[i] = r.lower * y[i] + r.diag * y[i + 1] + r.upper * y[i + 2] - f->rhs[i];
+        j12[i] = r.da * y[i] + r.dc * y[i + 1] + r.db * y[i + 2];
+        s.f1max = nan_max(s.f1max, fabs(f1[i]), i);
+        s.finite &= isfinite(f1[i]) && isfinite(j12[i]);
+        tally_row(&s, n, i, &r);
+        f->piv[i] = eliminate_row(n, i, 2, r.lower, r.diag, r.upper, f->f, f->cp, f->x, &e);
     }
-    return LAYER_OK;
+    return s;
+}
+
+/* The end of a Newton layer at the accepted (y, z) with y = f->y: the
+ * rows, F1 into f[0:n], and in out[] max |F1|, the backward error and the
+ * upwinded rows */
+static void newton_final(const struct layer_frame *frame, const struct layer *layer, double z)
+{
+    const struct layer_frame fc = *frame, *f = &fc;  /* copies: see build_row */
+    const struct layer lc = *layer, *l = &lc;
+    const struct rows_at c = rows_at(f, l, z);
+    double f1max = 0.0, backward = 0.0;
+    long i, onesided = 0;
+
+    for (i = 0; i < f->n; i++) {
+        struct row r = build_row(f, l, &c, i);
+        double f1, e = row_backward_error(r.lower, r.diag, r.upper, f->rhs[i], f->y, i, &f1);
+
+        onesided += r.onesided;
+        f->f[i] = f1;
+        f1max = nan_max(f1max, fabs(f1), i);
+        backward = nan_max(backward, e, i);
+    }
+    f->out[OUT_UPWINDED] = (double)onesided;
+    f->out[OUT_RESIDUAL_F1] = f1max;
+    f->out[OUT_BACKWARD_ERROR] = backward;
 }
 
 /* Newton's iterations on the layer from (tau_prev, y, z_prev) to
@@ -324,42 +458,41 @@ static long eliminate(const struct layer_frame *f, long ncol, const double *d, d
  * frame_start's, or with
  * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
  * denominator or the last step.  After frame_start out[OUT_UPWINDED]
- * counts the rows the last frame_rows() upwinded. */
+ * counts the rows the last sweep upwinded. */
 long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev)
 {
     struct layer l;
+    struct sweep s;
     const long n = f->n;
-    double *y = f->y, *u = f->x, *v = f->x + n, *j12 = f->f + n, *out = f->out;
+    double *y = f->y, *u = f->x, *v = f->x + n, *out = f->out;
     double z = z_prev, step = 0.0, f2;
-    long it, i, onesided, violations = 0, onesided_max = 0,
+    long it, i, violations = 0, onesided_max = 0,
         status = frame_start(f, &l, tau_prev, tau_next, z_prev);
 
     if (status != LAYER_OK)
         return status;
     out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
     for (it = 1; it <= f->max_iter; it++) {
-        double j21_u, j21_v, denom, dz, step_y;
+        double j21_u, j21_v, denom, dz, step_y = 0.0;
 
         if (z <= 0) {
             out[OUT_FAILURE] = z;
             return LAYER_NON_POSITIVE_Z;
         }
-        onesided = frame_rows(f, &l, z);
-        out[OUT_UPWINDED] = (double)onesided;
-        interior_residual(f, y);
-        for (i = 0; i < n; i++)
-            j12[i] = f->da[i] * y[i] + f->dc[i] * y[i + 1] + f->db[i] * y[i + 2];
+        s = newton_sweep(f, &l, z);
+        out[OUT_UPWINDED] = (double)s.onesided;
         f2 = residual_constraint(f, &l, y, z);
         if (it == 1)
-            out[OUT_INITIAL_RESIDUAL] = py_max(max_abs(f->f, n), fabs(f2));
-        if (onesided > onesided_max)
-            onesided_max = onesided;
-        violations += dominance_violations(f);
+            out[OUT_INITIAL_RESIDUAL] = py_max(s.f1max, fabs(f2));
+        if (s.onesided > onesided_max)
+            onesided_max = s.onesided;
+        violations += s.violations;
 
-        /* u = J11^{-1} F1 and v = J11^{-1} J12 in one elimination */
-        status = eliminate(f, 2, f->f, f->x);
+        /* u = J11^{-1} F1 and v = J11^{-1} J12 */
+        status = check_sweep(f, &s);
         if (status != LAYER_OK)
             return status;
+        back_substitute(n, 2, f->cp, f->x);
         j21_u = l.j21_y1 * u[0] + l.j21_y2 * u[1];
         j21_v = l.j21_y1 * v[0] + l.j21_y2 * v[1];
         denom = 1.0 - j21_v;  /* J22 = 1 */
@@ -371,8 +504,8 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
         for (i = 0; i < n; i++) {  /* dY1 = -u - v dz, kept in u */
             u[i] = -u[i] - v[i] * dz;
             y[i + 1] += u[i];
+            step_y = nan_max(step_y, fabs(u[i]), i);
         }
-        step_y = max_abs(u, n);
         z = z + dz;
         step = py_max(step_y, fabs(dz));
         if (step < f->tol)
@@ -386,38 +519,58 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
         out[OUT_FAILURE] = z;
         return LAYER_NON_POSITIVE_Z;
     }
-    out[OUT_UPWINDED] = (double)frame_rows(f, &l, z);
-    interior_residual(f, y);
+    newton_final(f, &l, z);
     out[OUT_ITERATIONS] = (double)it;
     out[OUT_Z] = z;
     out[OUT_ONESIDED_ROWS] = (double)onesided_max;
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
-    out[OUT_RESIDUAL_F1] = max_abs(f->f, n);
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
-    out[OUT_BACKWARD_ERROR] = backward_error(f, y);
     out[OUT_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
-/* pc's frozen solve: the rows at z > 0, and
- * y[1..n] solved from them with the Dirichlet values y[0] = -1 and
- * y[n+1] = 0, in the frame's single right-hand side */
-static long frozen_solve(const struct layer_frame *f, const struct layer *l, double z,
-                         double *y)
+/* pc's frozen solve: one forward sweep builds the rows at z > 0 and
+ * eliminates the frame's single right-hand side, y^prev/dt with a_1 y_0
+ * added for the Dirichlet value y_0 = -1, into y[1..n], and the backward
+ * sweep solves y[1..n] there, between y[0] = -1 and y[n+1] = 0.  Returns
+ * LAYER_OK with the rows failing strict diagonal dominance in
+ * *violations, or the status of the failure, with out[OUT_FAILURE] = the
+ * non-positive z or the failing pivot row; out[OUT_UPWINDED] counts the
+ * upwinded rows once they are built. */
+static long frozen_solve(const struct layer_frame *frame, const struct layer *layer, double z,
+                         double *y, long *violations)
 {
-    long i;
+    const struct layer_frame fc = *frame, *f = &fc;  /* copies: see build_row */
+    const struct layer lc = *layer, *l = &lc;
+    struct rows_at c;
+    struct sweep s = {0, 0, 0.0, 0.0, 1};
+    struct elimination e = {0.0, 0.0, 0.0};
+    const long n = f->n;
+    long i, status;
 
     if (z <= 0) {
         f->out[OUT_FAILURE] = z;
         return LAYER_NON_POSITIVE_Z;
     }
-    f->out[OUT_UPWINDED] = (double)frame_rows(f, l, z);
-    for (i = 0; i < f->n; i++)
-        f->single[i] = f->rhs[i];
-    f->single[0] += f->lower[0];  /* a_1 y_0 with the Dirichlet value y_0 = -1 */
+    c = rows_at(f, l, z);
+    for (i = 0; i < n; i++) {
+        struct row r = build_row(f, l, &c, i);
+
+        f->single[i] = i ? f->rhs[i] : f->rhs[0] + r.lower;
+        s.finite &= isfinite(f->single[i]);
+        tally_row(&s, n, i, &r);
+        f->piv[i] = eliminate_row(n, i, 1, r.lower, r.diag, r.upper, f->single, f->cp, y + 1,
+                                  &e);
+    }
+    f->out[OUT_UPWINDED] = (double)s.onesided;
     y[0] = -1.0;
-    y[f->n + 1] = 0.0;
-    return eliminate(f, 1, f->single, y + 1);
+    y[n + 1] = 0.0;
+    status = check_sweep(f, &s);
+    if (status != LAYER_OK)
+        return status;
+    back_substitute(n, 1, f->cp, y + 1);
+    *violations = s.violations;
+    return LAYER_OK;
 }
 
 /* pc's corrector on the layer from (tau_prev, y, z_prev) to tau_next,
@@ -433,45 +586,56 @@ static long frozen_solve(const struct layer_frame *f, const struct layer *l, dou
  * out[OUT_FALLBACK], or the status of the first failure:
  * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
  * failing pivot row or the Schur denominator.  After frame_start
- * out[OUT_UPWINDED] counts the rows the last frame_rows() upwinded. */
+ * out[OUT_UPWINDED] counts the rows the last frozen solve upwinded. */
 long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
                   double z_tilde)
 {
     struct layer l;
     const long n = f->n;
-    double *y = f->y, *v = f->x, *out = f->out, denom, z, backward;
-    long i, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
+    double *y = f->y, *v = f->x, *out = f->out, denom, z, backward = 0.0;
+    struct elimination e = {0.0, 0.0, 0.0};
+    long i, violations, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
+    int finite = 1;
 
     if (status != LAYER_OK)
         return status;
     out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
-    status = frozen_solve(f, &l, z_tilde, y);
+    status = frozen_solve(f, &l, z_tilde, y, &violations);
     if (status != LAYER_OK)
         return status;
     /* one Newton step on (F1, F2) from (y, z_tilde), where F1 vanishes:
-     * dz = -F2 / (1 - J21 J11^{-1} J12) */
-    for (i = 0; i < n; i++)
+     * dz = -F2 / (1 - J21 J11^{-1} J12), with v = J11^{-1} J12 solved over
+     * the pivots and cp of the frozen solve, whose J11 it is */
+    for (i = 0; i < n; i++) {
         f->single[i] = f->da[i] * y[i] + f->dc[i] * y[i + 1] + f->db[i] * y[i + 2];
-    status = eliminate(f, 1, f->single, v);
-    if (status != LAYER_OK)
-        return status;
+        finite &= isfinite(f->single[i]);
+        forward_step(n, i, 1, f->lower[i], f->piv[i], f->single, v, &e);
+    }
+    if (!finite)
+        return LAYER_NON_FINITE;
+    back_substitute(n, 1, f->cp, v);
     denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * v[1]);
     if (fabs(denom) < f->schur_floor) {
         out[OUT_FAILURE] = denom;
         return LAYER_SINGULAR_SCHUR;
     }
     z = z_tilde - residual_constraint(f, &l, y, z_tilde) / denom;
-    status = frozen_solve(f, &l, z, y);
+    status = frozen_solve(f, &l, z, y, &violations);
     if (status != LAYER_OK)
         return status;
 
-    backward = backward_error(f, y);
+    for (i = 0; i < n; i++) {
+        double f1;
+
+        backward = nan_max(backward, row_backward_error(f->lower[i], f->diag[i], f->upper[i],
+                                                        f->rhs[i], y, i, &f1), i);
+    }
     out[OUT_Z] = z;
     out[OUT_RESIDUAL_F1] = backward;
     out[OUT_BACKWARD_ERROR] = backward;
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
     out[OUT_ONESIDED_ROWS] = out[OUT_UPWINDED];
-    out[OUT_DOMINANCE_VIOLATIONS] = (double)dominance_violations(f);
+    out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
     out[OUT_ITERATIONS] = 0.0;
     out[OUT_INITIAL_RESIDUAL] = INFINITY;
     out[OUT_FALLBACK] = 0.0;

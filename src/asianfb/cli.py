@@ -354,6 +354,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     summary["diagnostics"] = {
         "max_residual_f1": _round9(max(d.residual_f1 for d in result.diagnostics)),
         "max_residual_f2": _round9(max(d.residual_f2 for d in result.diagnostics)),
+        # scale-free, so of rounding size: not rounded to 9 decimals
+        "max_backward_error": max(d.backward_error for d in result.diagnostics),
         "dominance_violations": int(sum(d.dominance_violations for d in result.diagnostics)),
         "onesided_rows_max": int(max(d.onesided_rows for d in result.diagnostics)),
         "predictor_fallback_layers": [d.layer for d in result.diagnostics

@@ -71,6 +71,17 @@ class TestSolve:
         assert summary["kernel_backend"] == asianfb.kernel_backend()
         assert summary["asianfb_version"] == asianfb.__version__
 
+    @pytest.mark.parametrize("engine", ["newton", "pc"])
+    def test_summary_reports_the_largest_backward_error(self, tmp_path, params, engine):
+        """diagnostics.max_backward_error is the march's largest
+        LayerDiagnostics.backward_error, unrounded."""
+        assert run_cli(["solve", "--engine", engine, "--N", "50"], tmp_path) == 0
+        reported = read_json(tmp_path / "summary.json")["diagnostics"]["max_backward_error"]
+        march = asianfb.march_newton if engine == "newton" else asianfb.march_pc
+        result = march(params, asianfb.make_grid(params, N=50))
+        assert reported == max(d.backward_error for d in result.diagnostics)
+        assert 0.0 < reported <= 1e-13
+
     def test_pc_engine_row_counts(self, tmp_path):
         assert run_cli(["solve", "--engine", "pc", "--N", "100"], tmp_path) == 0
         header, rows = read_csv(tmp_path / "boundary.csv")

@@ -733,47 +733,81 @@ def test_march_bit_identical_across_backends(march, mode):
             assert errors[0].tobytes() == errors[1].tobytes(), (name, grid_name)
 
 
+# A first layer's tau_next so close to tau = 0 that 1/dt, and with it
+# every diagonal entry, overflows, while the off-diagonals stay finite.
+OVERFLOWING_STEP = 1e-310
+# The pivot_rtol at which the first layer's first failing pivot is at row 2
+# at the reference point, N = 16 (row 1's |pivot| / max |diag| reads 0.82),
+# and every pivot after it fails too.
+LATE_PIVOT_RTOL = 0.8
+# The failing layers' cases beyond one per exception class: the class each
+# raises
+LATER_FAILURES = {"ValueError in J11": "ValueError", "ValueError beside ZeroPivot": "ValueError",
+                  "ZeroPivot past row 0": "ZeroPivot"}
+
+
+def frame_bits(frame):
+    """The bytes of a LayerFrame's row buffers and right-hand sides."""
+    return b"".join(getattr(frame, name).tobytes() for name in
+                    [row.name for row in dataclasses.fields(LayerRows)]
+                    + ["pair_rhs", "single_rhs"])
+
+
 def failing_layer(case, params, patch):
-    """(params, grid, prev, cfg) of a first layer that fails with ``case``,
-    which may need a module constant patched."""
+    """(params, grid, prev, tau_next, cfg) of a first layer that fails with
+    ``case``, which may need a module constant patched."""
     if case == "NonPositiveZ":  # an r < q set, where undamped Newton overshoots
         p = MarketParams(r=0.069, q=0.085, sigma=0.51, T=24.8)
         grid = GridSpec(N=100, M=2500, L=2.0, T=p.T)
-        return p, grid, initial_layer(p, grid), NewtonConfig()
+        return p, grid, initial_layer(p, grid), float(grid.taus[1]), NewtonConfig()
     grid = make_grid(params, N=16)
-    prev = initial_layer(params, grid)
+    prev, tau_next = initial_layer(params, grid), float(grid.taus[1])
     cfg = NewtonConfig()
-    if case == "ValueError":
+    if case in ("ValueError", "ValueError beside ZeroPivot"):
         prev.y[grid.N // 2] = np.nan
+        if case == "ValueError beside ZeroPivot":  # the non-finite entry wins
+            patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+    elif case == "ValueError in J11":
+        tau_next = OVERFLOWING_STEP
     elif case == "ZeroPivot":
         patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+    elif case == "ZeroPivot past row 0":
+        patch.setattr(tridiag, "PIVOT_RTOL", LATE_PIVOT_RTOL)
     elif case == "SingularSchur":
         patch.setattr(tridiag, "SCHUR_FLOOR", 1e300)
     else:
         cfg = NewtonConfig(max_iter=1)
-    return params, grid, prev, cfg
+    return params, grid, prev, tau_next, cfg
 
 
-@pytest.mark.parametrize("case", ["NonPositiveZ", "ValueError", "ZeroPivot", "SingularSchur",
-                                  "NoConvergence"])
+@pytest.mark.parametrize("case", ["NonPositiveZ", "ValueError", "ValueError in J11",
+                                  "ValueError beside ZeroPivot", "ZeroPivot",
+                                  "ZeroPivot past row 0", "SingularSchur", "NoConvergence"])
 def test_newton_layer_fails_alike_on_both_backends(params, case):
     """Each failure raises the same class, message and attributes in the
-    kernel's layer and in its numpy twin; the limits patched here reach the
+    kernel's layer and in its numpy twin, and leaves the same row buffers
+    and right-hand sides in its frame; the limits patched here reach the
     compiled path from Python."""
     raised = []
     for layer in (newton_layer, newton_layer_numpy):
-        with pytest.MonkeyPatch.context() as patch:
-            p, grid, prev, cfg = failing_layer(case, params, patch)
+        # the twin's numpy warns where the overflowing step makes infinities
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            p, grid, prev, tau_next, cfg = failing_layer(case, params, patch)
+            frame = native.LayerFrame(grid, p, SchemeMode.UPWIND_SINGULAR)
             with pytest.raises(Exception) as exc:
-                layer(prev, float(grid.taus[1]), grid, p, SchemeMode.UPWIND_SINGULAR, cfg)
-        raised.append((type(exc.value), str(exc.value), vars(exc.value)))
+                layer(prev, tau_next, grid, p, SchemeMode.UPWIND_SINGULAR, cfg, frame=frame)
+        raised.append((type(exc.value), str(exc.value), vars(exc.value), frame_bits(frame)))
     assert raised[0] == raised[1]
-    kind, message, attributes = raised[0]
-    assert kind.__name__ == case
+    kind, message, attributes, _ = raised[0]
+    assert kind.__name__ == LATER_FAILURES.get(case, case)
     if case == "NonPositiveZ":
         assert attributes["z"] == pytest.approx(-0.513934, abs=1e-6)
-    elif case == "ValueError":
+    elif case in ("ValueError", "ValueError beside ZeroPivot"):
         assert message == "rhs contains non-finite values"
+    elif case == "ValueError in J11":
+        assert message == "diag contains non-finite values"
+    elif case == "ZeroPivot past row 0":
+        assert attributes["index"] == 2
     elif case == "NoConvergence":
         assert attributes["iterations"] == 1
         assert attributes["last_step"] >= NewtonConfig().tol
@@ -818,10 +852,16 @@ def pc_layer_case(case, params, patch):
         tau_next = float(grid.taus[grid.M])
     elif case == "NonPositiveZ":  # a steep previous layer: the Schur step overshoots past 0
         prev.y[1:-1] *= 20.0
-    elif case == "ValueError":
+    elif case in ("ValueError", "ValueError beside ZeroPivot"):
         prev.y[grid.N // 2] = np.nan
+        if case == "ValueError beside ZeroPivot":  # the non-finite entry wins
+            patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+    elif case == "ValueError in J11":
+        tau_next = OVERFLOWING_STEP
     elif case == "ZeroPivot":
         patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
+    elif case == "ZeroPivot past row 0":
+        patch.setattr(tridiag, "PIVOT_RTOL", LATE_PIVOT_RTOL)
     elif case == "SingularSchur":
         patch.setattr(tridiag, "SCHUR_FLOOR", 1e300)
     elif case == "NoConvergence":
@@ -831,11 +871,14 @@ def pc_layer_case(case, params, patch):
     return prev, tau_next, native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR), cfg
 
 
-@pytest.mark.parametrize("case", ["NoBracket", "NonPositiveZ", "ValueError", "ZeroPivot",
-                                  "SingularSchur", "NoConvergence", "PastMaturity"])
+@pytest.mark.parametrize("case", ["NoBracket", "NonPositiveZ", "ValueError", "ValueError in J11",
+                                  "ValueError beside ZeroPivot", "ZeroPivot",
+                                  "ZeroPivot past row 0", "SingularSchur", "NoConvergence",
+                                  "PastMaturity"])
 def test_pc_layer_fails_alike_on_both_backends(params, case):
     """Each pc layer that fails raises the same class, message and attributes
-    in the kernel and on the numpy twins of its layer, and the one whose
+    in the kernel and on the numpy twins of its layer, leaving the same
+    row buffers and right-hand sides in its frame, and the one whose
     predictor finds no root (raising the same NoBracket) returns the same
     fallback layer; the limits patched here reach the compiled path from
     Python."""
@@ -844,12 +887,13 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
 
     ended = []
     for numpy in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
+        # the twins' numpy warns where the overflowing step makes infinities
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
             prev, tau_next, frame, cfg = pc_layer_case(case, params, patch)
             try:
                 state, diag = pc_layer(prev, tau_next, frame, cfg, numpy)
             except Exception as exc:
-                ended.append(raised(exc))
+                ended.append((*raised(exc), frame_bits(frame)))
             else:
                 with pytest.raises(NoBracket) as exc:
                     solver_pc.predictor(prev, tau_next, frame.g, frame.p, cfg)
@@ -862,12 +906,17 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
         assert state.z == corrected.z
         assert diag.predictor_fallback and diag.iterations == 0
         return
-    kind, message, attributes = ended[0]
-    assert kind.__name__ == ("ValueError" if case == "PastMaturity" else case)
+    kind, message, attributes, _ = ended[0]
+    assert kind.__name__ == ("ValueError" if case == "PastMaturity" else
+                             LATER_FAILURES.get(case, case))
     if case == "NonPositiveZ":
         assert attributes["z"] < 0
-    elif case == "ValueError":
+    elif case in ("ValueError", "ValueError beside ZeroPivot"):
         assert message == "rhs contains non-finite values"
+    elif case == "ValueError in J11":
+        assert message == "diag contains non-finite values"
+    elif case == "ZeroPivot past row 0":
+        assert attributes["index"] == 2
     elif case == "NoConvergence":
         assert attributes["iterations"] == 1
         assert attributes["last_step"] >= PredictorConfig().root_tol

@@ -11,7 +11,8 @@ Two of them do not hold everywhere in the range, so each has a test of
 its own, marked as a strict expected failure and pinned to a set where
 it fails; once the program is mended, that test passes and the mark
 must go.  Newton stops without converging at some sets with sigma near
-0.1, and on layer 1 of some others the backward error exceeds its bound
+0.1, and at one set of the benchmark's own parameter box at the default
+N = 200, and on layer 1 of some others the backward error exceeds its bound
 at the far rows, where y is below 1e-12.  (Hypothesis mixes constants
 from the loaded modules into its draws, so which sets a run draws
 depends on what else the run imports: a property that fails anywhere in
@@ -61,10 +62,14 @@ def test_upwind_newton_march_keeps_its_invariants(p, n):
 
 @pytest.mark.xfail(raises=LayerFailure, strict=True,
                    reason="Newton does not converge in 20 iterations at some sets with "
-                          "sigma near 0.1 (CHANGES.md, FOUND)")
+                          "sigma near 0.1, and at perfbench seed 981 (CHANGES.md, FOUND)")
 @PROPERTY
 @given(p=market(), n=SIZES)
 @example(p=MarketParams(r=0.07568, q=0.00693, sigma=0.132, T=17.427), n=18)
+# perfbench.workloads.market_params(981), inside the benchmark's own parameter
+# box, at the default N = 200: layer 499 of 500 cycles, its step 0.1518 after
+# 20, 21, 50 and 51 iterations, where central mode takes at most 5 per layer
+@example(p=MarketParams(r=0.068354, q=0.030826, sigma=0.194063, T=50.0), n=200)
 def test_upwind_newton_march_succeeds(p, n):
     march_newton(p, make_grid(p, N=n))
 
