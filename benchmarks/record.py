@@ -35,12 +35,13 @@ reaches both sides of a round alike.  Per engine and N it writes each
 round's ratio (this tree's time over the other's, so below 1 is
 faster) with the median and a bootstrap 95 % interval of the median,
 and per engine and tree the least-squares line of the median ms per
-layer against N.  Each round also times one default ``asianfb solve``
-and one default ``asianfb compare`` (``COMMANDS``, output files
-written), each in a fresh process of each tree after a small warm-up
-call, in the same ABBA order, right after that tree's marches, and the
-file gets each command's per-round ratios with their median and its
-bootstrap 95 % interval.  Nothing else is measured in this mode.
+layer against N.  Each round also times one default ``asianfb solve``,
+one default ``asianfb compare`` and one default ``asianfb refine``
+(``COMMANDS``, output files written), each in a fresh process of each
+tree after a warm-up call of the same subcommand with ``--N 20``, in
+the same ABBA order, right after that tree's marches, and the file gets
+each command's per-round ratios with their median and its bootstrap
+95 % interval.  Nothing else is measured in this mode.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ PAIRED_SIZES = (50, 200, 800)   # N of the paired recording
 PAIRED_ROUNDS = 10              # R: rounds of the paired recording at each N
 BOOTSTRAP_SAMPLES = 2000        # resamples of the ratios for the 95 % interval
 # the commands timed in each round of the paired recording, by name
-COMMANDS = {"solve": ("solve",), "compare": ("compare",)}
+COMMANDS = {"solve": ("solve",), "compare": ("compare",), "refine": ("refine",)}
 OUT_DIR = ROOT    # where BENCH_<label>.json is written
 
 
@@ -168,7 +169,8 @@ print(json.dumps({"M": grid.M, "times_s": times, "kernel_backend": asianfb.kerne
 # One fresh-process sample of a command: argv is the kernel cache, the
 # output directory and the command's arguments as JSON.  The same
 # subcommand at N = 20 first pays the imports, the kernel load or build and
-# first calls; then the command is timed, its stdout discarded.
+# first calls (refine's levels do not read --N, so its warm-up is a whole
+# default refine); then the command is timed, its stdout discarded.
 COMMAND_CHILD = """
 import contextlib, io, json, sys, time
 from pathlib import Path

@@ -51,10 +51,13 @@ its struct (Newton's tol and max_iter, or the predictor's root search,
 and the eliminations' pivot_rtol and schur_floor).  ``march`` runs a
 range of a march's layers, all of them or a chunk, in one C call, which
 holds no GIL, into arrays the caller allocates: C copies each stored
-layer forward and builds every layer's z-free part itself.  ``layer``
-runs one layer function alone: it writes that function's limits alike,
-copies the previous layer into the frame's y buffer and passes only
-tau_prev, tau_next and z_prev (and pc's corrector its z_tilde) to C.
+layer forward, builds every layer's z-free part itself and starts
+Newton's layers 3 .. M - 1 from an extrapolation of the two stored
+layers before them.  ``layer`` runs one layer function alone: it writes
+that function's limits alike, copies the previous layer into the frame's
+y buffer and passes only tau_prev, tau_next and z_prev (and pc's
+corrector its z_tilde, and Newton's layer its first iterate, the
+previous layer unless ``start`` is given) to C.
 Marches in different frames share nothing, so they may run in different
 threads at once.  A failed call's status code, a refused layer (tau_next
 >= T, or a non-positive step) among them, becomes its exception here
@@ -189,12 +192,13 @@ def load() -> None:
             raise _unavailable(f"the freshly built kernel does not load: {exc}") from None
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
-    # each layer function: (frame, tau_prev, tau_next, z_prev), and pc_corrector z_tilde
-    library.newton_layer.argtypes = [pointer] + [double] * 3
+    # each layer function: (frame, tau_prev, tau_next, z_prev), newton_layer
+    # its first iterate (y_start, z_start) and pc_corrector z_tilde
+    library.newton_layer.argtypes = [pointer] + [double] * 3 + [pointer, double]
     library.pc_predictor.argtypes = [pointer] + [double] * 3
     library.pc_corrector.argtypes = [pointer] + [double] * 4
-    # march: (frame, engine, layers, taus, rho, surface, rows, failed)
-    library.march.argtypes = [pointer, long, long] + [pointer] * 5
+    # march: (frame, engine, start, stop, total, taus, rho, surface, rows, failed)
+    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 5
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
     library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
     for function in (library.thomas, library.newton_layer, library.pc_predictor,
@@ -241,7 +245,7 @@ class _Frame(ctypes.Structure):
           "bracket_factor", "pivot_rtol", "schur_floor")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
-          "db", "onesided", "f", "single", "cp", "piv", "x", "y", "out")]
+          "db", "onesided", "f", "single", "cp", "piv", "x", "y", "first", "out")]
 
 
 class LayerFrame:
@@ -260,7 +264,9 @@ class LayerFrame:
     that Newton's and pc's layers fill and solve against J11 in place,
     ``cp`` the elimination's work row, ``piv`` the pivots of its last
     forward sweep, ``x`` its (2, n) solution, ``y`` the layer (the
-    previous one on entry) and ``out`` the out[] slots.
+    previous one on entry), ``first`` the interior of a Newton layer's
+    first iterate when it is not the previous layer, and ``out`` the out[]
+    slots.
 
     The struct holds the march's constants (T, h, h**2, r, q, sigma**2
     and their products) and the buffers' addresses, so a buffer must not
@@ -279,12 +285,12 @@ class LayerFrame:
         self.onesided = np.zeros(n, dtype=bool)
         self.ds, self.half_ds_h, self.cp, self.piv = (np.empty(n) for _ in range(4))
         self.pair_rhs, self.single_rhs = np.zeros((2, n)), np.zeros(n)
-        self.x, self.y = np.empty((2, n)), np.empty(n + 2)
+        self.x, self.y, self.first = np.empty((2, n)), np.empty(n + 2), np.empty(n)
         self.out = (ctypes.c_double * OUT_SLOTS)()
         self.j11 = (self.lower[1:], self.diag, self.upper[:-1])
         buffers = {name: getattr(self, name) for name in
                    ("ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc", "db",
-                    "onesided", "cp", "piv", "x", "y")}
+                    "onesided", "cp", "piv", "x", "y", "first")}
         buffers.update(exp_neg_xi=g.exp_neg_xi, f=self.pair_rhs, single=self.single_rhs)
         sig2 = p.sigma**2
         self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", T=p.T, h=g.h,
@@ -341,7 +347,7 @@ def _failure(frame, status, call, tau_prev, tau_next, z_prev):
     return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
-def layer(frame, call, y_prev, *args, **limits):
+def layer(frame, call, y_prev, *args, start=None, **limits):
     """One layer function of thomas.c alone, ``call`` (one of CALLS), on
     the layer from the previous layer ``y_prev`` in the LayerFrame
     ``frame``, in one C call: ``args`` are tau_prev, tau_next and z_prev,
@@ -349,7 +355,11 @@ def layer(frame, call, y_prev, *args, **limits):
     struct the call reads (newton_layer's tol, max_iter, pivot_rtol and
     schur_floor; pc_predictor's root_tol, root_max_iter, scan,
     bracket_factor and expansions; pc_corrector's pivot_rtol and
-    schur_floor), written there first.
+    schur_floor), written there first.  newton_layer's first iterate is
+    the previous layer, or ``start``, a (y, z) pair whose y has the
+    layer's N + 1 values (its interior is copied to the frame's
+    ``first``); the previous layer stays in the layer's rhs and in its
+    z_prev either way.
 
     Returns the call's out[] slots as a list; newton_layer and
     pc_corrector leave the new layer in frame.y.  Raises ValueError when
@@ -360,6 +370,12 @@ def layer(frame, call, y_prev, *args, **limits):
     """
     np.copyto(frame.y, y_prev)
     frame.set_limits(limits)
+    if call == "newton_layer":
+        if start is None:
+            args += (None, 0.0)
+        else:
+            np.copyto(frame.first, start[0][1:-1])
+            args += (frame.struct.first, start[1])
     status = getattr(_kernel, call)(frame.address, *args)
     if status != LAYER_OK:
         raise _failure(frame, status, call, *args[:3])
@@ -373,12 +389,16 @@ def march(frame, engine, rho, surface, rows, start, stop):
     of the frame's grid g, its boundary into rho[j + 1], its values into
     surface[j + 1] and its out[] slots into rows[j], with the limits in
     the frame's struct (see LayerFrame.set_limits).  Newton's layers are
-    newton_layer's, and pc's are pc_predictor's, falling back to z_tilde
-    = z_prev where the predictor finds no root, then pc_corrector's (pc's
-    rows hold its predictor's iterations in OUT_ITERATIONS and 1 in
-    OUT_FALLBACK on its fallback layers).  A layer reads only the stored
-    layer before it and the frame's buffers, so a march run in several
-    calls over consecutive ranges gives the bits of one call over all.
+    newton_layer's; layers 3 .. M - 1 start from the extrapolation
+    (y_j, z_j) + w ((y_j, z_j) - (y_{j-1}, z_{j-1})), w = dt_{j+1}/dt_j,
+    of the two stored layers before them, and the others from the
+    previous layer.  pc's layers are pc_predictor's, falling back to
+    z_tilde = z_prev where the predictor finds no root, then
+    pc_corrector's (pc's rows hold its predictor's iterations in
+    OUT_ITERATIONS and 1 in OUT_FALLBACK on its fallback layers).  A layer
+    reads only the stored layers before it, by their index in the whole
+    march, and the frame's buffers, so a march run in several calls over
+    consecutive ranges gives the bits of one call over all.
 
     rho must be a contiguous float64 array of M + 1 entries, surface a
     C-contiguous float64 (M + 1, N + 1) array and rows a C-contiguous
@@ -401,12 +421,11 @@ def march(frame, engine, rho, surface, rows, start, stop):
     if not 0 <= start <= stop <= g.M:
         raise ValueError(f"the layers {start + 1}..{stop} do not lie within 1..{g.M}")
     failed = (ctypes.c_long * 2)()
-    status = _kernel.march(frame.address, MARCH_ENGINES[engine], stop - start,
-                           *[a.ctypes.data + a.strides[0] * start
-                             for a in (g.taus, rho, surface, rows)], failed)
+    status = _kernel.march(frame.address, MARCH_ENGINES[engine], start, stop, g.M,
+                           *[a.ctypes.data for a in (g.taus, rho, surface, rows)], failed)
     if status == LAYER_OK:
         return None
-    j = start + failed[0]
+    j = failed[0]
     return j, _failure(frame, status, CALLS[failed[1]], float(g.taus[j - 1]), float(g.taus[j]),
                        float(rho[j - 1]))
 

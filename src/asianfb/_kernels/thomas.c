@@ -158,8 +158,10 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * i = 1..N-1, except y (n + 2: the previous layer on entry to a layer
  * function, the new one on its return), and f and x, which are (2, n)
  * row-major: F1 then J12, and u then v.  single is the frame's one-column
- * right-hand side, which pc solves in place, and piv the pivots of the
- * last forward sweep.  tol and max_iter are Newton's; the predictor has
+ * right-hand side, which pc solves in place, piv the pivots of the last
+ * forward sweep, and first the interior values of the first iterate of a
+ * Newton layer that does not start from the previous layer (march's
+ * extrapolated start).  tol and max_iter are Newton's; the predictor has
  * its own. */
 struct layer_frame {
     long n;
@@ -171,7 +173,7 @@ struct layer_frame {
     double *ds, *half_ds_h, *rhs;
     double *lower, *diag, *upper, *da, *dc, *db;
     unsigned char *onesided;  /* numpy bool */
-    double *f, *single, *cp, *piv, *x, *y, *out;
+    double *f, *single, *cp, *piv, *x, *y, *first, *out;
 };
 
 /* The z-free scalars of one layer, which frame_start computes. */
@@ -452,25 +454,31 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
 
 /* Newton's iterations on the layer from (tau_prev, y, z_prev) to
  * tau_next, updating the frame's y[1..n] (the previous layer on entry) in
- * place, with the frame's tol, max_iter, pivot_rtol and schur_floor.
- * Returns LAYER_OK with the accepted z and the layer's diagnostics in
- * out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
+ * place, with the frame's tol, max_iter, pivot_rtol and schur_floor.  The
+ * first iterate is the previous layer when y_start is NULL, else
+ * (y_start[0..n-1], z_start) as y[1..n] and z; the previous layer stays
+ * in the layer's rhs = y_prev/dt and in mu's (z - z_prev)/(dt z) either
+ * way.  Returns LAYER_OK with the accepted z and the layer's diagnostics
+ * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
  * frame_start's, or with
  * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
  * denominator or the last step.  After frame_start out[OUT_UPWINDED]
  * counts the rows the last sweep upwinded. */
-long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev)
+long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
+                  const double *y_start, double z_start)
 {
     struct layer l;
     struct sweep s;
     const long n = f->n;
     double *y = f->y, *u = f->x, *v = f->x + n, *out = f->out;
-    double z = z_prev, step = 0.0, f2;
+    double z = y_start ? z_start : z_prev, step = 0.0, f2;
     long it, i, violations = 0, onesided_max = 0,
         status = frame_start(f, &l, tau_prev, tau_next, z_prev);
 
     if (status != LAYER_OK)
         return status;
+    if (y_start)
+        memcpy(y + 1, y_start, n * sizeof(double));
     out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
     for (it = 1; it <= f->max_iter; it++) {
         double j21_u, j21_v, denom, dz, step_y = 0.0;
@@ -823,34 +831,53 @@ long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
 enum { MARCH_NEWTON, MARCH_PC };
 enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
 
-/* One engine's march over `layers` time layers in the frame f, from the
- * stored layer 0: layer j + 1, from (taus[j], surface[j], rho[j]) to
- * taus[j + 1], is written to surface[j + 1] (rows of n + 2 values) and
- * rho[j + 1], and its out[] slots to rows[j] (OUT_SLOTS each), with the
- * limits in f.  Newton's layer is newton_layer.  pc's is pc_predictor,
- * whose LAYER_NO_BRACKET falls back to z_tilde = z_prev, then
- * pc_corrector, with the predictor's iterations (none on a fallback) in
- * out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1 on a fallback.  Returns
- * LAYER_OK, or the status of the first failing layer call, with
+/* One engine's march over the layers start + 1 .. stop of a march of
+ * `total` time layers in the frame f, from the stored layers 0 .. start:
+ * layer j + 1, from (taus[j], surface[j], rho[j]) to taus[j + 1], is
+ * written to surface[j + 1] (rows of n + 2 values) and rho[j + 1], and
+ * its out[] slots to rows[j] (OUT_SLOTS each), with the limits in f.
+ * Newton's layer is newton_layer.  Layers 3 .. total - 1 start from the
+ * extrapolation of the two stored layers before them, (y_j, z_j) +
+ * w ((y_j, z_j) - (y_{j-1}, z_{j-1})) with w = dt_{j+1}/dt_j, written to
+ * f's first; layers 1 and 2, next to the datum's jump, and the final
+ * layer, whose step ends next to maturity, start from the previous layer.
+ * pc's layer is pc_predictor, whose LAYER_NO_BRACKET falls back to
+ * z_tilde = z_prev, then pc_corrector, with the predictor's iterations
+ * (none on a fallback) in out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1
+ * on a fallback.  Every index is the layer's in the whole march, so a
+ * march run over consecutive ranges gives the bits of one run over all.
+ * Returns LAYER_OK, or the status of the first failing layer call, with
  * failed[0] = its layer j + 1, failed[1] = the call (CALL_*) and its
  * out[] slots copied into f's out.  f's own y is not used. */
-long march(struct layer_frame *f, long engine, long layers, const double *taus,
-           double *rho, double *surface, double *rows, long *failed)
+long march(struct layer_frame *f, long engine, long start, long stop, long total,
+           const double *taus, double *rho, double *surface, double *rows, long *failed)
 {
     struct layer_frame layer = *f;
-    const long width = f->n + 2;
-    long j, status;
+    const long n = f->n, width = n + 2;
+    long i, j, status;
 
-    for (j = 0; j < layers; j++) {
+    for (j = start; j < stop; j++) {
         double *out = rows + j * OUT_SLOTS, z_tilde = rho[j], iterations = 0.0;
+        const double *y_prev = surface + j * width;
         int fallback = 0;
 
         layer.out = out;
         layer.y = surface + (j + 1) * width;
-        memcpy(layer.y, layer.y - width, width * sizeof(double));
+        memcpy(layer.y, y_prev, width * sizeof(double));
         if (engine == MARCH_NEWTON) {
+            const double *y_start = NULL;
+            double z_start = rho[j];
+
+            if (j >= 2 && j + 1 < total) {
+                double w = (taus[j + 1] - taus[j]) / (taus[j] - taus[j - 1]);
+
+                for (i = 1; i <= n; i++)
+                    f->first[i - 1] = y_prev[i] + w * (y_prev[i] - y_prev[i - width]);
+                z_start = rho[j] + w * (rho[j] - rho[j - 1]);
+                y_start = f->first;
+            }
             failed[1] = CALL_NEWTON_LAYER;
-            status = newton_layer(&layer, taus[j], taus[j + 1], rho[j]);
+            status = newton_layer(&layer, taus[j], taus[j + 1], rho[j], y_start, z_start);
         } else {
             failed[1] = CALL_PC_PREDICTOR;
             status = pc_predictor(&layer, taus[j], taus[j + 1], rho[j]);

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -433,7 +434,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     _write_table(boundary_path, "tau,rho,xf_t,t",
                  (result.taus, result.rho, 1.0 / result.rho, p.T - result.taus))
 
-    iterations = np.array([d.iterations for d in result.diagnostics])
+    # each layer's out[] slots (native's OUT_* columns), which the diagnostics are built from
+    rows = result.rows
+    iterations = rows[:, native.OUT_ITERATIONS]
     summary = {
         "command": "solve",
         "engine": cfg.engine,
@@ -451,14 +454,13 @@ def cmd_solve(cfg: RunConfig) -> int:
         "total": int(iterations.sum()),
     }
     summary["diagnostics"] = {
-        "max_residual_f1": _round9(max(d.residual_f1 for d in result.diagnostics)),
-        "max_residual_f2": _round9(max(d.residual_f2 for d in result.diagnostics)),
+        "max_residual_f1": _round9(rows[:, native.OUT_RESIDUAL_F1].max()),
+        "max_residual_f2": _round9(rows[:, native.OUT_RESIDUAL_F2].max()),
         # scale-free, so of rounding size: not rounded to 9 decimals
-        "max_backward_error": max(d.backward_error for d in result.diagnostics),
-        "dominance_violations": int(sum(d.dominance_violations for d in result.diagnostics)),
-        "onesided_rows_max": int(max(d.onesided_rows for d in result.diagnostics)),
-        "predictor_fallback_layers": [d.layer for d in result.diagnostics
-                                      if d.predictor_fallback],
+        "max_backward_error": float(rows[:, native.OUT_BACKWARD_ERROR].max()),
+        "dominance_violations": int(rows[:, native.OUT_DOMINANCE_VIOLATIONS].sum()),
+        "onesided_rows_max": int(rows[:, native.OUT_ONESIDED_ROWS].max()),
+        "predictor_fallback_layers": (np.flatnonzero(rows[:, native.OUT_FALLBACK]) + 1).tolist(),
     }
     summary["outputs"] = {"boundary_csv": boundary_path.name,
                           "surface_csv": surface_path.name}
@@ -566,8 +568,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """main's parser, built by its first call and shared by every later
+    call and thread: building one makes a help formatter per flag, each
+    reading the terminal size, which cost about 1 ms a call, and parsing
+    leaves the parser as it found it.  --help makes its formatter when it
+    prints, so it reads the terminal as it is then."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         handler = {"solve": cmd_solve, "refine": cmd_refine, "compare": cmd_compare}

@@ -1,9 +1,11 @@
 """Result containers shared by both engines, and march, the one march driver.
 
 march owns the initial layer, the stored rho and surface, one
-native.LayerFrame, the LayerDiagnostics built from each layer's out[]
-slots and the LayerFailure wrapping; an engine supplies only its name
-and its limits.  The layers themselves run in one native.march call,
+native.LayerFrame, the array of each layer's out[] slots and the
+LayerFailure wrapping; an engine supplies only its name and its limits.
+A SolveResult builds its LayerDiagnostics from those slots when they
+are first read, so a caller that reads only rho (compare, refine) pays
+nothing for them.  The layers themselves run in one native.march call,
 which steps the engine over the whole time mesh in C, or, for a caller
 that reads the layers while the march runs (cli's solve, which streams
 surface.csv), in a call per READY_LAYERS layers.  march is not in
@@ -13,6 +15,7 @@ march that calls it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +69,17 @@ class SolveResult:
     taus: np.ndarray
     rho: np.ndarray
     surface: np.ndarray  # shape (M+1, N+1), layer-major
-    diagnostics: list[LayerDiagnostics] = field(default_factory=list)
+    # shape (M, native.OUT_SLOTS): row j - 1 holds layer j's out[] slots (none
+    # by default, which gives no diagnostics)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, native.OUT_SLOTS)),
+                             repr=False)
+
+    @functools.cached_property
+    def diagnostics(self) -> list[LayerDiagnostics]:
+        """The LayerDiagnostics of layers 1 .. M, built from ``rows`` on
+        first access."""
+        return [layer_diagnostics(j, tau, row) for j, tau, row in
+                zip(range(1, self.grid.M + 1), self.taus[1:].tolist(), self.rows.tolist())]
 
     def layer_index_at(self, tau: float) -> int:
         """Index of the stored layer nearest to tau."""
@@ -122,7 +135,5 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
             raise LayerFailure(layer, float(g.taus[layer]), exc) from exc
         if ready is not None:
             ready(surface, stop + 1)
-    diags = [layer_diagnostics(j, tau, row)
-             for j, tau, row in zip(range(1, g.M + 1), g.taus[1:].tolist(), rows.tolist())]
     return SolveResult(params=p, grid=g, engine=engine, mode=mode.value,
-                       taus=g.taus.copy(), rho=rho, surface=surface, diagnostics=diags)
+                       taus=g.taus.copy(), rho=rho, surface=surface, rows=rows)

@@ -243,30 +243,34 @@ def backward_error(rows, y):
 
 
 def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=None,
-                       states=None):
-    """solver_newton.newton_layer with its iterations in numpy.
+                       states=None, start=None):
+    """solver_newton.newton_layer with its iterations in numpy, from the
+    first iterate ``start``, a (y, z) pair, or by default from ``prev``.
 
     ``states``, when given, is a list that gains (y, z) at each evaluation
     of F2: at every iterate, and once more at the accepted state.
     """
     if frame is None:
         frame = native.LayerFrame(g, p, mode)
-    start = frame_start(frame, prev, tau_next)  # raises ValueError past maturity
-    j21_y1, j21_y2 = start.j21
+    layer = frame_start(frame, prev, tau_next)  # raises ValueError past maturity
+    j21_y1, j21_y2 = layer.j21
     f1, j12 = frame.pair_rhs
     y = prev.y.copy()
     y1 = y[1:-1]
     z = prev.z
+    if start is not None:
+        y1[:] = start[0][1:-1]
+        z = start[1]
     diag = LayerDiagnostics(layer=prev.j + 1, tau=tau_next, iterations=0,
                             residual_f1=np.inf, residual_f2=np.inf)
 
     def constraint(y, z):
         if states is not None:
             states.append((y.copy(), z))
-        return frame_constraint(start, y, z)
+        return frame_constraint(layer, y, z)
 
     for it in range(1, cfg.max_iter + 1):
-        rows = frame_rows(start, z)  # raises NonPositiveZ
+        rows = frame_rows(layer, z)  # raises NonPositiveZ
         interior_residual(rows, y, out=f1)
         z_column(rows, y, out=j12)
         f2 = constraint(y, z)
@@ -293,7 +297,7 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
     else:
         raise NoConvergence(cfg.max_iter, step)
 
-    rows = frame_rows(start, z)  # raises NonPositiveZ
+    rows = frame_rows(layer, z)  # raises NonPositiveZ
     diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
     diag.residual_f2 = abs(constraint(y, z))
     diag.backward_error = backward_error(rows, y)
@@ -460,6 +464,19 @@ def pc_layer(prev, tau_next, frame, cfg, numpy=False):
     return state, diag
 
 
+def extrapolated_start(taus, rho, surface, j):
+    """The first iterate of layer j + 1 of a Newton march whose layers
+    0 .. j are stored in (rho, surface) on the time mesh ``taus``, as
+    thomas.c's march takes it: for layers 3 .. M - 1 the (y, z) pair
+    (y_j, z_j) + w ((y_j, z_j) - (y_{j-1}, z_{j-1})), w = dt_{j+1}/dt_j,
+    else None, the previous layer."""
+    if not 2 <= j < taus.size - 2:
+        return None
+    w = (float(taus[j + 1]) - float(taus[j])) / (float(taus[j]) - float(taus[j - 1]))
+    z_j, z_before = float(rho[j]), float(rho[j - 1])
+    return surface[j] + w * (surface[j] - surface[j - 1]), z_j + w * (z_j - z_before)
+
+
 def march_numpy(frame, engine, rho, surface, rows, start, stop):
     """native.march on the numpy twins, one layer call at a time: the same
     arguments and result, and the same layers in the caller's arrays,
@@ -480,7 +497,8 @@ def march_numpy(frame, engine, rho, surface, rows, start, stop):
         tau_next = float(g.taus[j + 1])
         try:
             if engine == "newton":
-                state, d = newton_layer_numpy(state, tau_next, g, p, mode, cfg, frame=frame)
+                state, d = newton_layer_numpy(state, tau_next, g, p, mode, cfg, frame=frame,
+                                              start=extrapolated_start(g.taus, rho, surface, j))
             else:
                 state, d = pc_layer(state, tau_next, frame, cfg, numpy=True)
         except Exception as exc:  # noqa: BLE001 - the march hands each failure back

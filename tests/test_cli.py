@@ -555,7 +555,68 @@ class TestConfigResolution:
                        f"{tmp_path / 'cache'})\n")
 
 
+def help_text(parse, args, capsys):
+    """What ``parse(args)`` (main, or a parser's parse_args) prints for --help."""
+    with pytest.raises(SystemExit) as exc:
+        parse(args)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
 class TestEntryPoint:
+    def test_calls_share_one_parser_and_parse_independently(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """main builds its parser on its first call, not at import, and
+        reuses it: calls with different subcommands and flags, in turn and
+        on threads at once, each resolve their own configuration, and
+        --help prints the bytes a freshly built parser prints."""
+        monkeypatch.delenv("ASIANFB_OUT", raising=False)
+        monkeypatch.setenv("COLUMNS", "100")
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        cli._main_parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        helps = {command: help_text(build_parser().parse_args, [command, "--help"], capsys)
+                 for command in ("solve", "refine", "compare")}
+        assert built == []
+        calls = {"solve": ["solve", "--N", "16", "--sigma", "0.25"],
+                 "compare": ["compare", "--N", "12", "--engine", "pc"],
+                 "refine": ["refine", "--base-N", "8", "--levels", "2", "--jobs", "1"]}
+        for command, args in calls.items():
+            assert run_cli(args, tmp_path / command) == 0
+            capsys.readouterr()
+            assert help_text(main, [command, "--help"], capsys) == helps[command]
+        assert built == [1]
+        assert read_json(tmp_path / "solve" / "summary.json")["config"]["sigma"] == 0.25
+        assert read_json(tmp_path / "compare" / "compare.json")["config"]["N"] == 12
+        assert read_json(tmp_path / "compare" / "compare.json")["config"]["sigma"] == 0.2
+
+        codes = {}
+
+        commands = ("solve", "compare", "solve", "compare")
+
+        def run(k):
+            codes[k] = run_cli([commands[k], "--N", str(8 + k), "--T", str(45 + k)],
+                               tmp_path / f"thread{k}")
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(commands))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert codes == {k: 0 for k in range(len(commands))}
+        for k, command in enumerate(commands):
+            summary = read_json(tmp_path / f"thread{k}" /
+                                {"solve": "summary.json", "compare": "compare.json"}[command])
+            assert summary["command"] == command
+            config = summary["config"]
+            assert (config["N"], config["T"], config["sigma"]) == (8 + k, 45 + k, 0.2)
+        assert built == [1]
+
     def test_import_loads_no_process_pool(self):
         """A fresh interpreter that imports the CLI has loaded neither
         multiprocessing nor concurrent.futures: refine's levels and

@@ -28,8 +28,8 @@ from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (LayerRows, frame_start, newton_layer_numpy, numpy_layers, pc_layer,
-                      predictor_numpy, pure_solve)
+from _oracles import (LayerRows, extrapolated_start, frame_start, newton_layer_numpy,
+                      numpy_layers, pc_layer, predictor_numpy, pure_solve)
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -604,41 +604,42 @@ BIT_IDENTITY_GRIDS = {"N8M4": (8, 4), "N50": (50, None), "N200": (200, None)}
 # at N = 200 are the slowest of the numpy twins'
 PC_GRIDS = ("N8M4", "N50")
 
-# march_digest of each run (engine, mode, parameters, grid), recorded with the
-# numpy Newton loop before Newton's layer had a compiled path; the compiled
-# kernel and the numpy twins of its layers (tests/_oracles.py) must both
-# still give these bits.
+# march_digest of each run (engine, mode, parameters, grid): pc's recorded
+# with the numpy loops before its layers had a compiled path, Newton's
+# re-recorded on the numpy twins (march_numpy) when the march began to start
+# layers 3 .. M - 1 from an extrapolation; the compiled kernel and the numpy
+# twins of its layers (tests/_oracles.py) must both give these bits.
 MARCH_DIGESTS = {
-    ("newton", "central", "ref", "N8M4"): "1b2710f6184f5bc2",
-    ("newton", "central", "ref", "N50"): "873d8111127bdf9f",
-    ("newton", "central", "ref", "N200"): "e4b93f29da24e694",
-    ("newton", "central", "seed2", "N8M4"): "9d52474b19fe0d52",
-    ("newton", "central", "seed2", "N50"): "aacb851c86569370",
-    ("newton", "central", "seed2", "N200"): "1e905863e97426db",
-    ("newton", "central", "seed4", "N8M4"): "955d08f0cfcd6aa9",
-    ("newton", "central", "seed4", "N50"): "2e56e65be0d365e5",
-    ("newton", "central", "seed4", "N200"): "3fda9ec23aa24bd7",
-    ("newton", "central", "seed68", "N8M4"): "84fc4325c4332e22",
-    ("newton", "central", "seed68", "N50"): "ec782f00f10ea38a",
-    ("newton", "central", "seed68", "N200"): "967b5682e32e0be6",
-    ("newton", "central", "seed89", "N8M4"): "6847d4e7dc702390",
-    ("newton", "central", "seed89", "N50"): "ea3e036e889756a6",
-    ("newton", "central", "seed89", "N200"): "4e9f98bf5e1d2e36",
-    ("newton", "upwind-singular", "ref", "N8M4"): "f9c3d9db20125c45",
-    ("newton", "upwind-singular", "ref", "N50"): "05f4f4d6315f8e82",
-    ("newton", "upwind-singular", "ref", "N200"): "f02ce560cf875cba",
-    ("newton", "upwind-singular", "seed2", "N8M4"): "285c3cff7c5e5960",
-    ("newton", "upwind-singular", "seed2", "N50"): "76caa6aeb81e8956",
-    ("newton", "upwind-singular", "seed2", "N200"): "eb47d62b002c64e7",
-    ("newton", "upwind-singular", "seed4", "N8M4"): "c8aa5bc6fe0d3cff",
-    ("newton", "upwind-singular", "seed4", "N50"): "8be9a4ecc0cf5955",
-    ("newton", "upwind-singular", "seed4", "N200"): "cb67a00d8017d53b",
-    ("newton", "upwind-singular", "seed68", "N8M4"): "b42e6ae93451f0e2",
-    ("newton", "upwind-singular", "seed68", "N50"): "af68347463294d7d",
-    ("newton", "upwind-singular", "seed68", "N200"): "bc4a5f19f471a5a8",
-    ("newton", "upwind-singular", "seed89", "N8M4"): "370a877fa4891e0c",
-    ("newton", "upwind-singular", "seed89", "N50"): "d7e338569362ae9b",
-    ("newton", "upwind-singular", "seed89", "N200"): "cb0f12b9a040f4f4",
+    ("newton", "central", "ref", "N8M4"): "d78880a80eeb29eb",
+    ("newton", "central", "ref", "N50"): "d407136391e2ffe2",
+    ("newton", "central", "ref", "N200"): "fb5f992c0cfb9af8",
+    ("newton", "central", "seed2", "N8M4"): "4ae6c0ba22071833",
+    ("newton", "central", "seed2", "N50"): "f59a28af94ef443a",
+    ("newton", "central", "seed2", "N200"): "9df7d5d93cc77255",
+    ("newton", "central", "seed4", "N8M4"): "cf3e669a608ca9fb",
+    ("newton", "central", "seed4", "N50"): "3272ad803e7d667c",
+    ("newton", "central", "seed4", "N200"): "e6214fe08f0cc975",
+    ("newton", "central", "seed68", "N8M4"): "d0351aa8db074608",
+    ("newton", "central", "seed68", "N50"): "f22529f45ce5eccf",
+    ("newton", "central", "seed68", "N200"): "7776d912e9779b56",
+    ("newton", "central", "seed89", "N8M4"): "57f3e9e890b89c03",
+    ("newton", "central", "seed89", "N50"): "37b9def5d81b9545",
+    ("newton", "central", "seed89", "N200"): "5ef575c1e526cc80",
+    ("newton", "upwind-singular", "ref", "N8M4"): "d053dfe1009f34e4",
+    ("newton", "upwind-singular", "ref", "N50"): "0da7c404f9d320ad",
+    ("newton", "upwind-singular", "ref", "N200"): "ef3e0239e4052d4d",
+    ("newton", "upwind-singular", "seed2", "N8M4"): "329dd8b0921404c1",
+    ("newton", "upwind-singular", "seed2", "N50"): "10029732865e070a",
+    ("newton", "upwind-singular", "seed2", "N200"): "1b156aa51bcdb568",
+    ("newton", "upwind-singular", "seed4", "N8M4"): "af70e9f6d74e21b5",
+    ("newton", "upwind-singular", "seed4", "N50"): "52c444f2c1596dc7",
+    ("newton", "upwind-singular", "seed4", "N200"): "ca6b88c23620f32d",
+    ("newton", "upwind-singular", "seed68", "N8M4"): "bac76ef42b4e6c4c",
+    ("newton", "upwind-singular", "seed68", "N50"): "804aaf3294118088",
+    ("newton", "upwind-singular", "seed68", "N200"): "863173e0bcf80972",
+    ("newton", "upwind-singular", "seed89", "N8M4"): "3c495b50181e69d9",
+    ("newton", "upwind-singular", "seed89", "N50"): "80bda4f7aec209d2",
+    ("newton", "upwind-singular", "seed89", "N200"): "bfd7e4aa884f143a",
     ("pc", "central", "ref", "N8M4"): "6cdc620a9b65f9fc",
     ("pc", "central", "ref", "N50"): "819a58dff82fcdcc",
     ("pc", "central", "seed2", "N8M4"): "2662b468c929c5cd",
@@ -684,8 +685,9 @@ def march_digest(march, p, grid, mode, replay, results=None, ready=None):
     the frame's row buffers and its (2, n) right-hand side (F1 at the
     accepted z, J12 of the last iterate).  The march runs every layer in
     one call, so ``replay`` (newton_layer or its numpy twin) runs each
-    Newton layer again from the march's stored layers, in a frame of its
-    own, where its rows are read; each replayed layer must equal the
+    Newton layer again from the march's stored layers, and from the
+    extrapolated start the march takes (extrapolated_start), in a frame of
+    its own, where its rows are read; each replayed layer must equal the
     stored one.  ``results``, when given, is a list that gains the
     march's SolveResult, and ``ready`` is the march's callback."""
     digest = hashlib.sha256()
@@ -695,7 +697,9 @@ def march_digest(march, p, grid, mode, replay, results=None, ready=None):
         for j, stored in enumerate(result.diagnostics):
             prev = LayerState(j=j, tau=float(result.taus[j]), y=result.surface[j].copy(),
                               z=float(result.rho[j]))
-            state, diag = replay(prev, float(result.taus[j + 1]), grid, p, mode, frame=frame)
+            start = extrapolated_start(result.taus, result.rho, result.surface, j)
+            state, diag = replay(prev, float(result.taus[j + 1]), grid, p, mode, frame=frame,
+                                 start=start)
             assert state.y.tobytes() == result.surface[j + 1].tobytes(), j
             assert state.z == result.rho[j + 1], j
             assert diagnostics_bits([diag]) == diagnostics_bits([stored]), j

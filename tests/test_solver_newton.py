@@ -26,6 +26,14 @@ MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
 # 89 is rounding in row coefficients of size 1e7, not an unconverged layer.
 FINAL_BACKWARD_ERROR_BOUND = 1e-14
 BACKWARD_ERROR_BOUND = 1e-13
+# Iterations of the default march (reference point, N = 200, M = 500): 1568
+# when every layer started from the previous one
+DEFAULT_ITERATIONS = 1124
+# (r, q, sigma, T, N) of property-range sets where a start extrapolated into
+# layer 2 from the datum ends in NonPositiveZ (z = -0.138, -1.77 and -7.78)
+LAYER_TWO_TRAPS = [(0.04043, 0.03437, 0.2607, 18.066, 21),
+                   (0.05962, 0.05053, 0.4424, 13.648, 21),
+                   (0.0662, 0.06102, 0.2023, 33.314, 24)]
 
 
 def random_state(rng, g, tau_next):
@@ -158,6 +166,24 @@ class TestMarchNewton:
         assert d2 < d1
         cr = np.log2(d1 / d2)
         assert 0.9 <= cr <= 2.0
+
+    def test_extrapolated_start_iteration_total(self, newton_default):
+        assert sum(d.iterations for d in newton_default.diagnostics) == DEFAULT_ITERATIONS
+
+    @pytest.mark.parametrize("r, q, sigma, T, n", LAYER_TWO_TRAPS)
+    def test_layer_two_starts_from_the_previous_layer(self, r, q, sigma, T, n):
+        """The march succeeds where an extrapolation into layer 2 from the
+        discontinuous datum would start Newton past z = 0."""
+        p = MarketParams(r=r, q=q, sigma=sigma, T=T)
+        g = make_grid(p, N=n)
+        res = march_newton(p, g)
+        assert (res.rho > 0.0).all()
+        w = (g.taus[2] - g.taus[1]) / (g.taus[1] - g.taus[0])
+        start = (res.surface[1] + w * (res.surface[1] - res.surface[0]),
+                 float(res.rho[1] + w * (res.rho[1] - res.rho[0])))
+        prev = LayerState(j=1, tau=float(g.taus[1]), y=res.surface[1].copy(), z=float(res.rho[1]))
+        with pytest.raises(NonPositiveZ):
+            newton_layer(prev, float(g.taus[2]), g, p, SchemeMode.UPWIND_SINGULAR, start=start)
 
     def test_iteration_budget(self, newton_default):
         iters = np.array([d.iterations for d in newton_default.diagnostics])
