@@ -30,18 +30,21 @@ each N in ``PAIRED_SIZES`` it runs ``PAIRED_ROUNDS`` rounds; a round
 times one ``march_newton`` and one ``march_pc`` (reference point,
 upwind-singular, M = ceil(2.5 N)) in a fresh process of each tree, in
 ABBA order (this tree first in even rounds), each tree building and
-loading its kernel from a cache of its own.  Machine drift then
-reaches both sides of a round alike.  Per engine and N it writes each
-round's ratio (this tree's time over the other's, so below 1 is
-faster) with the median and a bootstrap 95 % interval of the median,
-and per engine and tree the least-squares line of the median ms per
-layer against N.  Each round also times one default ``asianfb solve``,
-one default ``asianfb compare`` and one default ``asianfb refine``
-(``COMMANDS``, output files written), each in a fresh process of each
-tree after a warm-up call of the same subcommand with ``--N 20``, in
-the same ABBA order, right after that tree's marches, and the file gets
-each command's per-round ratios with their median and its bootstrap
-95 % interval.  Nothing else is measured in this mode.
+loading its kernel from a cache of its own, and then, in the same
+process, the median of ``IN_PROCESS_REPEATS`` more marches of each
+engine, which spreads less than one fresh process's first march.
+Machine drift then reaches both sides of a round alike.  Per engine and
+N it writes each round's ratio (this tree's time over the other's, so
+below 1 is faster), of the first marches and of the in-process
+medians, each with its median and a bootstrap 95 % interval of the
+median, and per engine and tree the least-squares line of the median ms
+per layer (first marches) against N.  Each round also times one
+default ``asianfb solve``, one default ``asianfb compare`` and one
+default ``asianfb refine`` (``COMMANDS``, output files written), each
+in a fresh process of each tree after a warm-up call of the same
+subcommand with ``--N 20``, in the same ABBA order, right after that
+tree's marches, and the file gets each command's per-round ratios with
+their median and its bootstrap 95 % interval.  Nothing else is measured in this mode.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ SECONDS = 50.0    # perfbench run length per workload
 REPEATS = 3       # k: each march and refine is timed k times, best kept
 PAIRED_SIZES = (50, 200, 800)   # N of the paired recording
 PAIRED_ROUNDS = 10              # R: rounds of the paired recording at each N
+IN_PROCESS_REPEATS = 20         # marches per engine of a round's in-process median
 BOOTSTRAP_SAMPLES = 2000        # resamples of the ratios for the 95 % interval
 # the commands timed in each round of the paired recording, by name
 COMMANDS = {"solve": ("solve",), "compare": ("compare",), "refine": ("refine",)}
@@ -142,11 +146,12 @@ def layer_cost_fit(rows: list[dict]) -> dict:
     return fit
 
 
-# One fresh-process sample: argv is the kernel cache, the parameters as JSON
-# and N.  Small marches first pay the imports, the kernel load or build and
-# first calls; then one march of each engine at N is timed.
+# One fresh-process sample: argv is the kernel cache, the parameters as JSON,
+# N and the in-process repeats.  Small marches first pay the imports, the
+# kernel load or build and first calls; then one march of each engine at N
+# is timed, and then the median of the repeats of each engine.
 PAIRED_CHILD = """
-import json, sys, time
+import json, statistics, sys, time
 from pathlib import Path
 import asianfb
 from asianfb import MarketParams, make_grid, march_newton, march_pc
@@ -157,12 +162,17 @@ marches = {"newton": march_newton, "pc": march_pc}
 for march in marches.values():
     march(p, make_grid(p, N=20))
 grid = make_grid(p, N=int(sys.argv[3]))
-times = {}
-for engine, march in marches.items():
+
+def timed(march):
     start = time.perf_counter()
     march(p, grid)
-    times[engine] = time.perf_counter() - start
-print(json.dumps({"M": grid.M, "times_s": times, "kernel_backend": asianfb.kernel_backend()}))
+    return time.perf_counter() - start
+
+times = {engine: timed(march) for engine, march in marches.items()}
+medians = {engine: statistics.median(timed(march) for _ in range(int(sys.argv[4])))
+           for engine, march in marches.items()}
+print(json.dumps({"M": grid.M, "times_s": times, "median_s": medians,
+                  "kernel_backend": asianfb.kernel_backend()}))
 """
 
 
@@ -199,8 +209,10 @@ def child_run(tree: Path, *argv: str) -> dict:
 
 
 def paired_sample(tree: Path, cache: Path, n: int) -> dict:
-    """Times of one fresh-process march of each engine at N, from ``tree``'s sources."""
-    return child_run(tree, PAIRED_CHILD, str(cache), json.dumps(REFERENCE), str(n))
+    """Times of one fresh-process march of each engine at N, and the median
+    of IN_PROCESS_REPEATS more in the same process, from ``tree``'s sources."""
+    return child_run(tree, PAIRED_CHILD, str(cache), json.dumps(REFERENCE), str(n),
+                     str(IN_PROCESS_REPEATS))
 
 
 def command_sample(tree: Path, cache: Path, out: Path, argv: tuple[str, ...]) -> dict:
@@ -241,19 +253,27 @@ def paired(against: Path) -> dict:
         by_n, median_ms = [], {"this": [], "against": []}
         for n in PAIRED_SIZES:
             picked = [run for run in runs if run["N"] == n]
-            times = {side: [run["times_s"][engine] for run in picked if run["tree"] == side]
-                     for side in trees}
-            ratios = [mine / theirs for mine, theirs in zip(times["this"], times["against"])]
+            times, medians = ({side: [run[key][engine] for run in picked if run["tree"] == side]
+                               for side in trees} for key in ("times_s", "median_s"))
+            ratios, in_process = ([mine / theirs for mine, theirs in zip(t["this"], t["against"])]
+                                  for t in (times, medians))
             layers = picked[0]["M"]
             for side in trees:
                 median_ms[side].append(1e3 * statistics.median(times[side]) / layers)
             by_n.append({"N": n, "M": layers, "this_s": times["this"],
                          "against_s": times["against"], "ratios": ratios,
                          "median_ratio": statistics.median(ratios),
-                         "median_ratio_ci95": median_interval(ratios)})
-            print(f"paired {engine} N={n}: median ratio {by_n[-1]['median_ratio']:.3f} "
-                  f"(95 % {by_n[-1]['median_ratio_ci95'][0]:.3f} .. "
-                  f"{by_n[-1]['median_ratio_ci95'][1]:.3f})", file=sys.stderr)
+                         "median_ratio_ci95": median_interval(ratios),
+                         "in_process": {"repeats": IN_PROCESS_REPEATS,
+                                        "this_median_s": medians["this"],
+                                        "against_median_s": medians["against"],
+                                        "ratios": in_process,
+                                        "median_ratio": statistics.median(in_process),
+                                        "median_ratio_ci95": median_interval(in_process)}})
+            for label, ratio in (("", by_n[-1]), (" in process", by_n[-1]["in_process"])):
+                print(f"paired {engine} N={n}{label}: median ratio {ratio['median_ratio']:.3f} "
+                      f"(95 % {ratio['median_ratio_ci95'][0]:.3f} .. "
+                      f"{ratio['median_ratio_ci95'][1]:.3f})", file=sys.stderr)
         fit = {side: line_fit(PAIRED_SIZES, median_ms[side]) for side in trees}
         fit["intercept_ratio"] = fit["this"]["intercept_ms_per_layer"] / \
             fit["against"]["intercept_ms_per_layer"]

@@ -28,6 +28,8 @@ flags.  When there is none, or the file there cannot be loaded (corrupt,
 or built for another machine), it runs ``cc`` once, writing to a
 temporary name in that directory and renaming it into place, so
 processes that build at the same time each end with a complete library.
+Once a fresh build loads, it removes the libraries of other sources or
+flags from the cache, and leaves the temporary files of builds under way.
 Without a C compiler, or when the build or the load of the fresh build
 fails, ``load()`` raises KernelUnavailable, an OSError whose one-line
 message names the missing compiler, or the build command and the first
@@ -52,8 +54,8 @@ and the eliminations' pivot_rtol and schur_floor).  ``march`` runs a
 range of a march's layers, all of them or a chunk, in one C call, which
 holds no GIL, into arrays the caller allocates: C copies each stored
 layer forward, builds every layer's z-free part itself and starts
-Newton's layers 3 .. M - 1 from an extrapolation of the two stored
-layers before them.  ``layer`` runs one layer function alone: it writes
+Newton's layers 3 .. M - 1 from an extrapolation of the stored layers
+before them.  ``layer`` runs one layer function alone: it writes
 that function's limits alike, copies the previous layer into the frame's
 y buffer and passes only tau_prev, tau_next and z_prev (and pc's
 corrector its z_tilde, and Newton's layer its first iterate, the
@@ -78,6 +80,7 @@ call, which trusts them, stays within the arrays.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import shutil
@@ -171,6 +174,15 @@ def _build(target: Path) -> None:
     raise _unavailable(f"building the kernel failed: {' '.join(command)}: {reason}")
 
 
+def _remove_stale(current: Path) -> None:
+    """Remove every cached library but ``current``; a file that cannot be
+    removed stays."""
+    for stale in current.parent.glob("thomas-*.so"):
+        if stale != current:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+
+
 def load() -> None:
     """Load the compiled kernel, building it first if the cached file is
     missing or cannot be loaded.
@@ -190,6 +202,7 @@ def load() -> None:
             library = ctypes.CDLL(str(path))
         except OSError as exc:
             raise _unavailable(f"the freshly built kernel does not load: {exc}") from None
+        _remove_stale(path)
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
     # each layer function: (frame, tau_prev, tau_next, z_prev), newton_layer
@@ -389,11 +402,12 @@ def march(frame, engine, rho, surface, rows, start, stop):
     of the frame's grid g, its boundary into rho[j + 1], its values into
     surface[j + 1] and its out[] slots into rows[j], with the limits in
     the frame's struct (see LayerFrame.set_limits).  Newton's layers are
-    newton_layer's; layers 3 .. M - 1 start from the extrapolation
-    (y_j, z_j) + w ((y_j, z_j) - (y_{j-1}, z_{j-1})), w = dt_{j+1}/dt_j,
-    of the two stored layers before them, and the others from the
-    previous layer.  pc's layers are pc_predictor's, falling back to
-    z_tilde = z_prev where the predictor finds no root, then
+    newton_layer's; layers 4 .. M - 1 start from the three-point
+    Lagrange extrapolation of the stored layers j, j - 1 and j - 2 to
+    taus[j + 1], layer 3 from the linear one of layers 2 and 1, and the
+    others from the previous layer (see solver_newton).  pc's layers are
+    pc_predictor's, falling back to z_tilde = z_prev where the predictor
+    finds no root, then
     pc_corrector's (pc's rows hold its predictor's iterations in
     OUT_ITERATIONS and 1 in OUT_FALLBACK on its fallback layers).  A layer
     reads only the stored layers before it, by their index in the whole

@@ -144,7 +144,14 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * Every operation keeps the order of the numpy twin that the tests keep
  * as its oracle (tests/_oracles.py: frame_start, newton_layer_numpy,
  * correct_numpy, predictor_numpy), so the rows, iterates, roots and
- * diagnostics are bit-identical to it.
+ * diagnostics are bit-identical to it.  Where a row's formula divides by
+ * dt, T - tau or h (ds_i = e^{-xi_i}/ttm and its 0.5/h, rhs_i = y_i/dt,
+ * s_i = (e^{-xi_i} z - 1)/ttm and d_i = s_i 0.5/h), the row multiplies
+ * by the reciprocal frame_start took once for the layer instead, as a
+ * division costs several multiplications; these values may differ from
+ * the quotients in the last bit.  The one-sided rows, rare, still divide
+ * by h, and the elimination by its pivots: their reciprocals would add a
+ * multiplication to its serial recurrence.
  * Python's z**2 (on a float or a numpy float64) calls libm pow, which
  * differs from z*z in the last bit for some z; the kernel is built with
  * -fno-builtin-pow so that pow(z, 2.0) below stays that call and is not
@@ -178,7 +185,8 @@ struct layer_frame {
 
 /* The z-free scalars of one layer, which frame_start computes. */
 struct layer {
-    double z_prev, dt, ttm, diag_base, c0, c1, j21_y1, j21_y2;
+    double z_prev, dt, diag_base, c0, c1, j21_y1, j21_y2;
+    double inv_dt, inv_ttm, half_inv_h;  /* 1/dt, 1/ttm and 0.5/h */
 };
 
 /* The layer functions' status codes (native.py names them) */
@@ -213,7 +221,8 @@ static double py_max(double a, double b)
 
 /* The z-free part of the layer from (tau_prev, y_prev = f->y, z_prev) to
  * tau_next (the oracles' frame_start): the constraint's c0 and c1 with
- * F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h), its row J21, dt, ttm,
+ * F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h), its row J21, dt, ttm, the
+ * reciprocals 1/dt, 1/ttm and 0.5/h that every row multiplies by,
  * ds_i/dz = e^{-xi_i}/ttm and its 0.5/h scaling, the central diagonal
  * and rhs = y_prev/dt.  diag, dc and onesided are filled only in central
  * mode: in upwind mode build_row rewrites every row of them before
@@ -231,20 +240,22 @@ static long frame_start(const struct layer_frame *f, struct layer *l, double tau
     denom = 1.0 + f->q * ttm;
     l->c0 = (1.0 + f->r * ttm) / denom;
     l->c1 = f->half_sig2 * ttm / denom;
-    d_coef = f->q + 1.0 / ttm;
+    l->inv_ttm = 1.0 / ttm;
+    d_coef = f->q + l->inv_ttm;
     l->j21_y1 = -f->sig2 / (d_coef * f->h);
     l->j21_y2 = f->sig2 / (4.0 * d_coef * f->h);
     l->dt = tau_next - tau_prev;
     if (l->dt <= 0)
         return LAYER_NON_POSITIVE_STEP;
-    l->ttm = ttm;
     l->z_prev = z_prev;
+    l->inv_dt = 1.0 / l->dt;
+    l->half_inv_h = 0.5 / f->h;
     /* beta = r + 1/(T - tau); the central diagonal is z-free */
-    l->diag_base = 1.0 / l->dt + f->sig2 / f->h2 + (f->r + 1.0 / ttm);
+    l->diag_base = l->inv_dt + f->sig2 / f->h2 + (f->r + l->inv_ttm);
     for (i = 0; i < f->n; i++) {
-        f->ds[i] = f->exp_neg_xi[i] / ttm;
-        f->half_ds_h[i] = f->ds[i] * 0.5 / f->h;
-        f->rhs[i] = f->y[i + 1] / l->dt;
+        f->ds[i] = f->exp_neg_xi[i] * l->inv_ttm;
+        f->half_ds_h[i] = f->ds[i] * l->half_inv_h;
+        f->rhs[i] = f->y[i + 1] * l->inv_dt;
     }
     if (!f->upwind)
         for (i = 0; i < f->n; i++) {
@@ -294,8 +305,8 @@ ROW_STEP struct row build_row(const struct layer_frame *f, const struct layer *l
                               const struct rows_at *c, long i)
 {
     struct row r;
-    double s = (f->exp_neg_xi[i] * c->z - 1.0) / l->ttm;
-    double d = s * 0.5 / f->h;
+    double s = (f->exp_neg_xi[i] * c->z - 1.0) * l->inv_ttm;
+    double d = s * l->half_inv_h;
 
     /* central rows */
     r.lower = d + c->lower;
@@ -836,11 +847,14 @@ enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
  * layer j + 1, from (taus[j], surface[j], rho[j]) to taus[j + 1], is
  * written to surface[j + 1] (rows of n + 2 values) and rho[j + 1], and
  * its out[] slots to rows[j] (OUT_SLOTS each), with the limits in f.
- * Newton's layer is newton_layer.  Layers 3 .. total - 1 start from the
- * extrapolation of the two stored layers before them, (y_j, z_j) +
- * w ((y_j, z_j) - (y_{j-1}, z_{j-1})) with w = dt_{j+1}/dt_j, written to
- * f's first; layers 1 and 2, next to the datum's jump, and the final
- * layer, whose step ends next to maturity, start from the previous layer.
+ * Newton's layer is newton_layer.  Layers 4 .. total - 1 start from the
+ * three-point Lagrange extrapolation of the stored layers j, j - 1 and
+ * j - 2 to taus[j + 1], w0 (y_j, z_j) + w1 (y_{j-1}, z_{j-1}) +
+ * w2 (y_{j-2}, z_{j-2}), and layer 3, whose three-layer start would read
+ * the datum, from the linear one through layers 2 and 1 (w2 = 0), each
+ * written to f's first; layers 1 and 2, next to the datum's jump, and
+ * the final layer, whose step ends next to maturity, start from the
+ * previous layer.
  * pc's layer is pc_predictor, whose LAYER_NO_BRACKET falls back to
  * z_tilde = z_prev, then pc_corrector, with the predictor's iterations
  * (none on a fallback) in out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1
@@ -869,11 +883,24 @@ long march(struct layer_frame *f, long engine, long start, long stop, long total
             double z_start = rho[j];
 
             if (j >= 2 && j + 1 < total) {
-                double w = (taus[j + 1] - taus[j]) / (taus[j] - taus[j - 1]);
+                /* the Lagrange weights of layers j, j - 1 and j - 2 (of j and
+                 * j - 1 alone into layer 3) at taus[j + 1] */
+                double a = taus[j + 1] - taus[j], b = taus[j] - taus[j - 1], w0, w1, w2 = 0.0;
 
+                if (j >= 3) {
+                    double c = taus[j - 1] - taus[j - 2];
+
+                    w0 = (a + b) * (a + b + c) / (b * (b + c));
+                    w1 = -a * (a + b + c) / (b * c);
+                    w2 = a * (a + b) / ((b + c) * c);
+                } else {
+                    w0 = (a + b) / b;
+                    w1 = -a / b;
+                }
                 for (i = 1; i <= n; i++)
-                    f->first[i - 1] = y_prev[i] + w * (y_prev[i] - y_prev[i - width]);
-                z_start = rho[j] + w * (rho[j] - rho[j - 1]);
+                    f->first[i - 1] = w0 * y_prev[i] + w1 * y_prev[i - width]
+                        + w2 * y_prev[i - 2 * width];
+                z_start = w0 * rho[j] + w1 * rho[j - 1] + w2 * rho[j - 2];
                 y_start = f->first;
             }
             failed[1] = CALL_NEWTON_LAYER;

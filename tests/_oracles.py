@@ -107,7 +107,8 @@ class LayerStart:
     prev: LayerState
     tau_next: float
     dt: float
-    ttm: float
+    inv_ttm: float     # 1/(T - tau_next)
+    half_inv_h: float  # 0.5/h
     diag_base: float
     constraint: tuple  # (c0, c1)
     j21: tuple         # (dF2/dy_1, dF2/dy_2)
@@ -126,7 +127,8 @@ def frame_start(frame, prev, tau_next) -> LayerStart:
     """Build the z-free part of the layer from ``prev`` to ``tau_next`` in
     the buffers of ``frame``: ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h
     scaling, the z-free diagonal, dc = 0, no one-sided row and
-    rhs = y^prev/dt; and return the layer's scalars.
+    rhs = y^prev/dt, each row multiplied by the layer's reciprocals 1/dt,
+    1/(T - tau) and 0.5/h; and return the layer's scalars.
 
     Raises ValueError unless tau_next < T and tau_next > prev.tau.
     """
@@ -136,18 +138,18 @@ def frame_start(frame, prev, tau_next) -> LayerStart:
     dt = tau_next - prev.tau
     if dt <= 0:
         raise ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={prev.tau}")
-    ttm = p.T - tau_next
-    np.divide(g.exp_neg_xi, ttm, out=frame.ds)
-    np.multiply(frame.ds, 0.5, out=frame.half_ds_h)
-    frame.half_ds_h /= h
+    inv_dt, inv_ttm, half_inv_h = 1.0 / dt, 1.0 / (p.T - tau_next), 0.5 / h
+    np.multiply(g.exp_neg_xi, inv_ttm, out=frame.ds)
+    np.multiply(frame.ds, half_inv_h, out=frame.half_ds_h)
     # beta = r + 1/(T - tau); the central diagonal is z-free
-    diag_base = 1.0 / dt + p.sigma**2 / h**2 + (p.r + 1.0 / ttm)
+    diag_base = inv_dt + p.sigma**2 / h**2 + (p.r + inv_ttm)
     frame.diag.fill(diag_base)
     frame.dc.fill(0.0)
     frame.onesided.fill(False)
-    np.divide(prev.y[1:-1], dt, out=frame.rhs)
-    return LayerStart(frame=frame, prev=prev, tau_next=tau_next, dt=dt, ttm=ttm,
-                      diag_base=diag_base, constraint=constraint, j21=j21)
+    np.multiply(prev.y[1:-1], inv_dt, out=frame.rhs)
+    return LayerStart(frame=frame, prev=prev, tau_next=tau_next, dt=dt, inv_ttm=inv_ttm,
+                      half_inv_h=half_inv_h, diag_base=diag_base, constraint=constraint,
+                      j21=j21)
 
 
 def frame_rows(start, z) -> LayerRows:
@@ -164,20 +166,19 @@ def frame_rows(start, z) -> LayerRows:
     rows = LayerRows(**{field.name: getattr(frame, field.name) for field in fields(LayerRows)})
     g, p = frame.g, frame.p
     sig2 = p.sigma**2
-    h, dt, ttm, diff = g.h, start.dt, start.ttm, 0.5 * sig2 / g.h**2
+    h, dt, diff = g.h, start.dt, 0.5 * sig2 / g.h**2
     z_prev, diag_base = start.prev.z, start.diag_base
     # bounded advection part mu and singular part s_i; only these depend on z:
     # dmu/dz = z_prev/(dt z^2), ds_i/dz = e^{-xi_i}/(T - tau)
     mu = (z - z_prev) / (dt * z) + p.r - p.q - 0.5 * sig2
     s = np.multiply(g.exp_neg_xi, z)
     s -= 1.0
-    s /= ttm
+    s *= start.inv_ttm
     dmu = z_prev / (dt * _squared(z))
 
     # central rows everywhere
     adv = 0.5 * mu / h
-    d = np.multiply(s, 0.5)
-    d /= h
+    d = np.multiply(s, start.half_inv_h)
     np.add(d, -adv - diff, out=rows.lower)
     np.subtract(adv - diff, d, out=rows.upper)
     np.add(frame.half_ds_h, -0.5 * dmu / h, out=rows.da)
@@ -468,13 +469,21 @@ def extrapolated_start(taus, rho, surface, j):
     """The first iterate of layer j + 1 of a Newton march whose layers
     0 .. j are stored in (rho, surface) on the time mesh ``taus``, as
     thomas.c's march takes it: for layers 3 .. M - 1 the (y, z) pair
-    (y_j, z_j) + w ((y_j, z_j) - (y_{j-1}, z_{j-1})), w = dt_{j+1}/dt_j,
+    w0 (y_j, z_j) + w1 (y_{j-1}, z_{j-1}) + w2 (y_{j-2}, z_{j-2}) with
+    the Lagrange weights of taus[j], taus[j - 1] and taus[j - 2] at
+    taus[j + 1] (of taus[j] and taus[j - 1] alone, w2 = 0, for layer 3);
     else None, the previous layer."""
     if not 2 <= j < taus.size - 2:
         return None
-    w = (float(taus[j + 1]) - float(taus[j])) / (float(taus[j]) - float(taus[j - 1]))
-    z_j, z_before = float(rho[j]), float(rho[j - 1])
-    return surface[j] + w * (surface[j] - surface[j - 1]), z_j + w * (z_j - z_before)
+    t = [float(tau) for tau in taus[j - 2:j + 2]]
+    a, b, c = t[3] - t[2], t[2] - t[1], t[1] - t[0]
+    if j >= 3:
+        w0, w1, w2 = ((a + b) * (a + b + c) / (b * (b + c)), -a * (a + b + c) / (b * c),
+                      a * (a + b) / ((b + c) * c))
+    else:
+        w0, w1, w2 = (a + b) / b, -a / b, 0.0
+    z = w0 * float(rho[j]) + w1 * float(rho[j - 1]) + w2 * float(rho[j - 2])
+    return w0 * surface[j] + w1 * surface[j - 1] + w2 * surface[j - 2], z
 
 
 def march_numpy(frame, engine, rho, surface, rows, start, stop):
@@ -732,9 +741,11 @@ def layer_rows_where(prev, z_next, tau_next, g, p, mode):
     sig2 = p.sigma**2
     mu = (z_next - prev.z) / (dt * z_next) + p.r - p.q - 0.5 * sig2
     exp_xi = np.exp(-g.xi[1:-1])
-    s = (z_next * exp_xi - 1.0) / ttm
+    # each row multiplies by 1/(T - tau), 0.5/h and 1/dt, as thomas.c does
+    inv_ttm, half_inv_h = 1.0 / ttm, 0.5 / h
+    s = (z_next * exp_xi - 1.0) * inv_ttm
     dmu = prev.z / (dt * z_next**2)
-    ds = exp_xi / ttm
+    ds = exp_xi * inv_ttm
     if mode is SchemeMode.CENTRAL:
         onesided = np.zeros(s.shape, dtype=bool)
     else:
@@ -743,18 +754,18 @@ def layer_rows_where(prev, z_next, tau_next, g, p, mode):
 
     diff = 0.5 * sig2 / h**2
     adv = 0.5 * mu / h
-    d = 0.5 * s / h
+    d = s * half_inv_h
     lower = np.where(onesided, -adv - diff + np.where(pos, 0.0, s / h), -adv - diff + d)
     upper = np.where(onesided, adv - diff - np.where(pos, s / h, 0.0), adv - diff - d)
     diag_base = 1.0 / dt + sig2 / h**2 + (p.r + 1.0 / ttm)
     diag = np.where(onesided, diag_base + np.abs(s) / h, diag_base)
     da = np.where(onesided, -0.5 * dmu / h + np.where(pos, 0.0, ds / h),
-                  -0.5 * dmu / h + 0.5 * ds / h)
+                  -0.5 * dmu / h + ds * half_inv_h)
     dc = np.where(onesided, np.where(pos, ds / h, -ds / h), 0.0)
     db = np.where(onesided, 0.5 * dmu / h - np.where(pos, ds / h, 0.0),
-                  0.5 * dmu / h - 0.5 * ds / h)
+                  0.5 * dmu / h - ds * half_inv_h)
     return LayerRows(lower=lower, diag=diag, upper=upper, da=da, dc=dc, db=db,
-                     rhs=prev.y[1:-1] / dt, onesided=onesided)
+                     rhs=prev.y[1:-1] * (1.0 / dt), onesided=onesided)
 
 
 def write_surface_csv(path, taus, xi, surface):

@@ -147,6 +147,22 @@ class TestBackendSelection:
         assert cache_files(empty_cache) == [native.library_path().name]
         assert native.library_path().read_bytes() != b"not a shared library"
 
+    def test_fresh_build_removes_the_other_libraries(self, empty_cache, tmp_path,
+                                                     monkeypatch):
+        native.load()
+        first = native.library_path()
+        # the temporary file of a build under way in another process
+        building = empty_cache / f".{first.stem}-concurrent.so"
+        building.write_bytes(b"half written")
+        source = tmp_path / "thomas.c"
+        source.write_text(native.SOURCE.read_text() + "\n/* another source */\n")
+        monkeypatch.setattr(native, "SOURCE", source)
+        monkeypatch.setattr(native, "_kernel", None)
+        native.load()
+        assert native.library_path() != first
+        assert cache_files(empty_cache) == sorted([building.name, native.library_path().name])
+        assert building.read_bytes() == b"half written"
+
     def test_concurrent_cold_builds(self, tmp_path):
         cache = tmp_path / "cache"
         start_at = time.time() + 1.0  # both interpreters are up by then
@@ -604,62 +620,62 @@ BIT_IDENTITY_GRIDS = {"N8M4": (8, 4), "N50": (50, None), "N200": (200, None)}
 # at N = 200 are the slowest of the numpy twins'
 PC_GRIDS = ("N8M4", "N50")
 
-# march_digest of each run (engine, mode, parameters, grid): pc's recorded
-# with the numpy loops before its layers had a compiled path, Newton's
-# re-recorded on the numpy twins (march_numpy) when the march began to start
-# layers 3 .. M - 1 from an extrapolation; the compiled kernel and the numpy
-# twins of its layers (tests/_oracles.py) must both give these bits.
+# march_digest of each run (engine, mode, parameters, grid), re-recorded on
+# the numpy twins (march_numpy) when the rows began to multiply by each
+# layer's reciprocals 1/dt, 1/(T - tau) and 0.5/h, and Newton's layers 4 ..
+# M - 1 to start from a three-layer extrapolation; the compiled kernel and
+# the numpy twins of its layers (tests/_oracles.py) must both give these bits.
 MARCH_DIGESTS = {
-    ("newton", "central", "ref", "N8M4"): "d78880a80eeb29eb",
-    ("newton", "central", "ref", "N50"): "d407136391e2ffe2",
-    ("newton", "central", "ref", "N200"): "fb5f992c0cfb9af8",
-    ("newton", "central", "seed2", "N8M4"): "4ae6c0ba22071833",
-    ("newton", "central", "seed2", "N50"): "f59a28af94ef443a",
-    ("newton", "central", "seed2", "N200"): "9df7d5d93cc77255",
-    ("newton", "central", "seed4", "N8M4"): "cf3e669a608ca9fb",
-    ("newton", "central", "seed4", "N50"): "3272ad803e7d667c",
-    ("newton", "central", "seed4", "N200"): "e6214fe08f0cc975",
-    ("newton", "central", "seed68", "N8M4"): "d0351aa8db074608",
-    ("newton", "central", "seed68", "N50"): "f22529f45ce5eccf",
-    ("newton", "central", "seed68", "N200"): "7776d912e9779b56",
-    ("newton", "central", "seed89", "N8M4"): "57f3e9e890b89c03",
-    ("newton", "central", "seed89", "N50"): "37b9def5d81b9545",
-    ("newton", "central", "seed89", "N200"): "5ef575c1e526cc80",
-    ("newton", "upwind-singular", "ref", "N8M4"): "d053dfe1009f34e4",
-    ("newton", "upwind-singular", "ref", "N50"): "0da7c404f9d320ad",
-    ("newton", "upwind-singular", "ref", "N200"): "ef3e0239e4052d4d",
-    ("newton", "upwind-singular", "seed2", "N8M4"): "329dd8b0921404c1",
-    ("newton", "upwind-singular", "seed2", "N50"): "10029732865e070a",
-    ("newton", "upwind-singular", "seed2", "N200"): "1b156aa51bcdb568",
-    ("newton", "upwind-singular", "seed4", "N8M4"): "af70e9f6d74e21b5",
-    ("newton", "upwind-singular", "seed4", "N50"): "52c444f2c1596dc7",
-    ("newton", "upwind-singular", "seed4", "N200"): "ca6b88c23620f32d",
-    ("newton", "upwind-singular", "seed68", "N8M4"): "bac76ef42b4e6c4c",
-    ("newton", "upwind-singular", "seed68", "N50"): "804aaf3294118088",
-    ("newton", "upwind-singular", "seed68", "N200"): "863173e0bcf80972",
-    ("newton", "upwind-singular", "seed89", "N8M4"): "3c495b50181e69d9",
-    ("newton", "upwind-singular", "seed89", "N50"): "80bda4f7aec209d2",
-    ("newton", "upwind-singular", "seed89", "N200"): "bfd7e4aa884f143a",
-    ("pc", "central", "ref", "N8M4"): "6cdc620a9b65f9fc",
-    ("pc", "central", "ref", "N50"): "819a58dff82fcdcc",
-    ("pc", "central", "seed2", "N8M4"): "2662b468c929c5cd",
-    ("pc", "central", "seed2", "N50"): "6fe97e44459e1b3b",
-    ("pc", "central", "seed4", "N8M4"): "7cdbf0ad026bc4da",
-    ("pc", "central", "seed4", "N50"): "c9e67c269f6e906b",
-    ("pc", "central", "seed68", "N8M4"): "9fbfabf18d4d30f6",
-    ("pc", "central", "seed68", "N50"): "cf7cd20ed75a3ea2",
-    ("pc", "central", "seed89", "N8M4"): "c117662909c080b8",
-    ("pc", "central", "seed89", "N50"): "31168a9cb46f6ce7",
-    ("pc", "upwind-singular", "ref", "N8M4"): "31e3af54450fe8be",
-    ("pc", "upwind-singular", "ref", "N50"): "a173c372f3e656fe",
-    ("pc", "upwind-singular", "seed2", "N8M4"): "fad76d07a63bf370",
-    ("pc", "upwind-singular", "seed2", "N50"): "e6f50d2dd229a7bf",
-    ("pc", "upwind-singular", "seed4", "N8M4"): "9e9d045c8c711577",
-    ("pc", "upwind-singular", "seed4", "N50"): "cb3c1354b88e4244",
-    ("pc", "upwind-singular", "seed68", "N8M4"): "72fcc8a90de7763d",
-    ("pc", "upwind-singular", "seed68", "N50"): "3b09fd6a221ed453",
+    ("newton", "central", "ref", "N8M4"): "9aba15aba18895e7",
+    ("newton", "central", "ref", "N50"): "24bed68d677d3d87",
+    ("newton", "central", "ref", "N200"): "0d7ddd1cd10c0a27",
+    ("newton", "central", "seed2", "N8M4"): "b4cc30280bd2d48f",
+    ("newton", "central", "seed2", "N50"): "706b0ca4c9c641a7",
+    ("newton", "central", "seed2", "N200"): "e479b8fd36a7b0b2",
+    ("newton", "central", "seed4", "N8M4"): "8a970895fdddef64",
+    ("newton", "central", "seed4", "N50"): "dc6d5d6e810290d4",
+    ("newton", "central", "seed4", "N200"): "a94fcd0dcf452f53",
+    ("newton", "central", "seed68", "N8M4"): "bcb0dfeaa0d9bc2e",
+    ("newton", "central", "seed68", "N50"): "4eb0f18fdf773f46",
+    ("newton", "central", "seed68", "N200"): "921f6381ec32188a",
+    ("newton", "central", "seed89", "N8M4"): "b92462a3697ea5b0",
+    ("newton", "central", "seed89", "N50"): "ccb9e9477add4668",
+    ("newton", "central", "seed89", "N200"): "082399d60df061ed",
+    ("newton", "upwind-singular", "ref", "N8M4"): "87d36f0e2327cb9f",
+    ("newton", "upwind-singular", "ref", "N50"): "e905016e47fadfce",
+    ("newton", "upwind-singular", "ref", "N200"): "b883a14cdc6480e1",
+    ("newton", "upwind-singular", "seed2", "N8M4"): "13e08ed31b5c29f6",
+    ("newton", "upwind-singular", "seed2", "N50"): "f87aceb873727bb5",
+    ("newton", "upwind-singular", "seed2", "N200"): "0e98e59d62f53f36",
+    ("newton", "upwind-singular", "seed4", "N8M4"): "9632204a65b3826e",
+    ("newton", "upwind-singular", "seed4", "N50"): "8b7155ed22d81b6d",
+    ("newton", "upwind-singular", "seed4", "N200"): "2f09141946b95224",
+    ("newton", "upwind-singular", "seed68", "N8M4"): "05c42e09790bfeea",
+    ("newton", "upwind-singular", "seed68", "N50"): "1caedec3e78a8073",
+    ("newton", "upwind-singular", "seed68", "N200"): "23e94c8498cdb3be",
+    ("newton", "upwind-singular", "seed89", "N8M4"): "e8164ddc3f20dc1f",
+    ("newton", "upwind-singular", "seed89", "N50"): "b65d38385fd170ef",
+    ("newton", "upwind-singular", "seed89", "N200"): "b700a5616e5110b9",
+    ("pc", "central", "ref", "N8M4"): "ea9f99a40f207c3d",
+    ("pc", "central", "ref", "N50"): "3f9acc10eb515531",
+    ("pc", "central", "seed2", "N8M4"): "ab78f9f5459d437f",
+    ("pc", "central", "seed2", "N50"): "45922213d59c595e",
+    ("pc", "central", "seed4", "N8M4"): "05634cbdf432abd1",
+    ("pc", "central", "seed4", "N50"): "6f37a3e8bfc01d1c",
+    ("pc", "central", "seed68", "N8M4"): "1f5f332c8b4d1295",
+    ("pc", "central", "seed68", "N50"): "a9c548f036fc0a5b",
+    ("pc", "central", "seed89", "N8M4"): "e230e3bf59c8a0b8",
+    ("pc", "central", "seed89", "N50"): "7bd0c18747eb7ea9",
+    ("pc", "upwind-singular", "ref", "N8M4"): "58cb44ae9f373d89",
+    ("pc", "upwind-singular", "ref", "N50"): "455b1f001530e0ad",
+    ("pc", "upwind-singular", "seed2", "N8M4"): "957d8570a76fe648",
+    ("pc", "upwind-singular", "seed2", "N50"): "e6822de373c88f9c",
+    ("pc", "upwind-singular", "seed4", "N8M4"): "dd7abee79bef4614",
+    ("pc", "upwind-singular", "seed4", "N50"): "c12c923c6d376e0a",
+    ("pc", "upwind-singular", "seed68", "N8M4"): "8975e399b163f752",
+    ("pc", "upwind-singular", "seed68", "N50"): "8b71bb890edaf52a",
     ("pc", "upwind-singular", "seed89", "N8M4"): "8bc41e4f6cfe6a4d",
-    ("pc", "upwind-singular", "seed89", "N50"): "4ba6b1558fb868c2",
+    ("pc", "upwind-singular", "seed89", "N50"): "4b38ebd041bd2a1c",
 }
 
 

@@ -18,6 +18,7 @@ def test_paired_recording_schema(tmp_path, monkeypatch):
     record = load_record()
     monkeypatch.setattr(record, "PAIRED_SIZES", (8, 12))
     monkeypatch.setattr(record, "PAIRED_ROUNDS", 2)
+    monkeypatch.setattr(record, "IN_PROCESS_REPEATS", 3)
     monkeypatch.setattr(record, "COMMANDS", {"solve": ("solve", "--N", "8"),
                                              "compare": ("compare", "--N", "8")})
     monkeypatch.setattr(record, "OUT_DIR", tmp_path)
@@ -36,6 +37,12 @@ def test_paired_recording_schema(tmp_path, monkeypatch):
             assert len(row["this_s"]) == len(row["against_s"]) == len(row["ratios"]) == 2
             low, high = row["median_ratio_ci95"]
             assert low <= row["median_ratio"] <= high
+            in_process = row["in_process"]
+            assert in_process["repeats"] == 3
+            assert len(in_process["this_median_s"]) == len(in_process["against_median_s"]) == \
+                len(in_process["ratios"]) == 2
+            low, high = in_process["median_ratio_ci95"]
+            assert low <= in_process["median_ratio"] <= high
         for side in ("this", "against"):
             assert len(engine["median_ms_per_layer"][side]) == 2
             assert set(engine["fit"][side]) == {"intercept_ms_per_layer",

@@ -27,10 +27,16 @@ MODES = (SchemeMode.CENTRAL, SchemeMode.UPWIND_SINGULAR)
 FINAL_BACKWARD_ERROR_BOUND = 1e-14
 BACKWARD_ERROR_BOUND = 1e-13
 # Iterations of the default march (reference point, N = 200, M = 500): 1568
-# when every layer started from the previous one
-DEFAULT_ITERATIONS = 1124
+# when every layer started from the previous one, 1124 when layers 3 .. M - 1
+# started from the linear extrapolation of the two layers before them
+DEFAULT_ITERATIONS = 1045
 # (r, q, sigma, T, N) of property-range sets where a start extrapolated into
-# layer 2 from the datum ends in NonPositiveZ (z = -0.138, -1.77 and -7.78)
+# layer 2 from the datum ends in NonPositiveZ (z = -0.138, -1.77 and -7.78).
+# Layers 1 and 2 therefore start from the previous layer, and layer 3 from
+# the linear extrapolation of layers 1 and 2: a three-layer start there
+# would read the datum too, and on 300 random property-range sets and the
+# reference point it took 1288 iterations on layer 3, against 1243 from the
+# linear start and 1295 from the previous layer.
 LAYER_TWO_TRAPS = [(0.04043, 0.03437, 0.2607, 18.066, 21),
                    (0.05962, 0.05053, 0.4424, 13.648, 21),
                    (0.0662, 0.06102, 0.2023, 33.314, 24)]
