@@ -22,9 +22,10 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   a ``native.LayerFrame`` and runs its iterations there, and the
   predictor-corrector's as two, pc_predictor (the scalar root) and
   pc_corrector (the z-free part, the three solves and the layer's
-  diagnostics over the frame).  ``native.march`` runs a range of one
-  engine's march over them, all its layers or a chunk, in one call, and
-  ``native.layer`` one of them alone.  A march's frame holds its constants, filled once, and each
+  diagnostics over the frame).  ``native.march`` runs one engine's
+  march over them, every layer in one call, publishing each stored
+  layer through a layer count when given one, and ``native.layer`` one
+  of them alone.  A march's frame holds its constants, filled once, and each
   call writes its limits into it and raises its own failure.  Its
   ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as

@@ -8,8 +8,9 @@ predictor-corrector layer's two halves, ``pc_predictor``, the
 predictor's scalar root, and ``pc_corrector``, the z-free part, the
 corrector and the layer's diagnostics over the frame's buffers;
 ``march``, which steps one engine over every layer of a march with
-those functions (see below); and ``fixed9_rows`` and
-``fixed9_surface``, the CLI's CSV cells.
+those functions (see below), and ``published``, which reads the count
+of layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, the
+CLI's CSV cells.
 
 Each solve of a layer is one forward sweep over the rows and one
 backward sweep.  The forward sweep builds each row, its right-hand side
@@ -50,12 +51,14 @@ which it owns, and the _Frame struct that hands them to C with the
 march's constants (T, h, h**2, r, q, sigma**2 and their products),
 filled once.  The frame's ``set_limits`` writes an engine's limits into
 its struct (Newton's tol and max_iter, or the predictor's root search,
-and the eliminations' pivot_rtol and schur_floor).  ``march`` runs a
-range of a march's layers, all of them or a chunk, in one C call, which
-holds no GIL, into arrays the caller allocates: C copies each stored
-layer forward, builds every layer's z-free part itself and starts
-Newton's layers 3 .. M - 1 from an extrapolation of the stored layers
-before them.  ``layer`` runs one layer function alone: it writes
+and the eliminations' pivot_rtol and schur_floor).  ``march`` runs every
+layer of a march in one C call, which holds no GIL, into arrays the
+caller allocates: C copies each stored layer forward, builds every
+layer's z-free part itself and starts Newton's layers 3 .. M - 1 from an
+extrapolation of the stored layers before them.  Given a layer count,
+it publishes each layer it stores there, and another thread that reads
+the count with ``published`` may read those layers while the march
+runs.  ``layer`` runs one layer function alone: it writes
 that function's limits alike, copies the previous layer into the frame's
 y buffer and passes only tau_prev, tau_next and z_prev (and pc's
 corrector its z_tilde, and Newton's layer its first iterate, the
@@ -210,13 +213,14 @@ def load() -> None:
     library.newton_layer.argtypes = [pointer] + [double] * 3 + [pointer, double]
     library.pc_predictor.argtypes = [pointer] + [double] * 3
     library.pc_corrector.argtypes = [pointer] + [double] * 4
-    # march: (frame, engine, start, stop, total, taus, rho, surface, rows, failed)
-    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 5
+    # march: (frame, engine, total, taus, rho, surface, rows, failed, count)
+    library.march.argtypes = [pointer] + [long] * 2 + [pointer] * 5 + [ctypes.POINTER(long)]
+    library.published.argtypes = [ctypes.POINTER(long)]
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
     library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
     for function in (library.thomas, library.newton_layer, library.pc_predictor,
-                     library.pc_corrector, library.march, library.fixed9_rows,
-                     library.fixed9_surface):
+                     library.pc_corrector, library.march, library.published,
+                     library.fixed9_rows, library.fixed9_surface):
         function.restype = long
     _kernel = library
 
@@ -395,12 +399,12 @@ def layer(frame, call, y_prev, *args, start=None, **limits):
     return frame.out[:]
 
 
-def march(frame, engine, rho, surface, rows, start, stop):
-    """Layers start + 1 .. stop of the march of ``engine`` ("newton" or
-    "pc") in the LayerFrame ``frame``, in one C call, into the caller's
-    arrays: layer j + 1 from (taus[j], surface[j], rho[j]) to taus[j + 1]
-    of the frame's grid g, its boundary into rho[j + 1], its values into
-    surface[j + 1] and its out[] slots into rows[j], with the limits in
+def march(frame, engine, rho, surface, rows, count=None):
+    """Every layer of the march of ``engine`` ("newton" or "pc") in the
+    LayerFrame ``frame``, in one C call, into the caller's arrays: layer
+    j + 1 from (taus[j], surface[j], rho[j]) to taus[j + 1] of the frame's
+    grid g, its boundary into rho[j + 1], its values into surface[j + 1]
+    and its out[] slots into rows[j] (OUT_FAILURE 0), with the limits in
     the frame's struct (see LayerFrame.set_limits).  Newton's layers are
     newton_layer's; layers 4 .. M - 1 start from the three-point
     Lagrange extrapolation of the stored layers j, j - 1 and j - 2 to
@@ -409,21 +413,22 @@ def march(frame, engine, rho, surface, rows, start, stop):
     pc_predictor's, falling back to z_tilde = z_prev where the predictor
     finds no root, then
     pc_corrector's (pc's rows hold its predictor's iterations in
-    OUT_ITERATIONS and 1 in OUT_FALLBACK on its fallback layers).  A layer
-    reads only the stored layers before it, by their index in the whole
-    march, and the frame's buffers, so a march run in several calls over
-    consecutive ranges gives the bits of one call over all.
+    OUT_ITERATIONS and 1 in OUT_FALLBACK on its fallback layers).
+
+    ``count``, a ctypes.c_long, publishes the layers as they are stored:
+    once layer j + 1 is, C stores j + 2 there with release ordering, so
+    another thread that reads the count with ``published`` may read rows
+    0 .. count - 1 of surface (and of rho) while the march runs.
 
     rho must be a contiguous float64 array of M + 1 entries, surface a
     C-contiguous float64 (M + 1, N + 1) array and rows a C-contiguous
-    float64 (M, OUT_SLOTS) array, with 0 <= start <= stop <= M; anything
-    else raises ValueError, before any pointer reaches C.
+    float64 (M, OUT_SLOTS) array; anything else, or a count that is not
+    a ctypes.c_long, raises ValueError, before any pointer reaches C.
 
     Returns None, or (layer, exception) of the first layer call that
-    failed, layer the index of its layer in the whole march (between
-    start + 1 and stop), with the exception layer() raises for it; the
-    call stops there.  Raises ValueError,
-    naming the array, when an elimination met a non-finite entry.
+    failed, with the exception layer() raises for it; the call stops
+    there, and the count stays at that layer.  Raises ValueError, naming
+    the array, when an elimination met a non-finite entry.
     """
     g = frame.g
     for name, array, shape in (("rho", rho, (g.M + 1,)), ("surface", surface, (g.M + 1, g.N + 1)),
@@ -432,16 +437,23 @@ def march(frame, engine, rho, surface, rows, start, stop):
                 not array.flags.c_contiguous or not array.flags.writeable:
             raise ValueError(f"{name} must be a writable C-contiguous float64 array of "
                              f"shape {shape}")
-    if not 0 <= start <= stop <= g.M:
-        raise ValueError(f"the layers {start + 1}..{stop} do not lie within 1..{g.M}")
+    if count is not None and type(count) is not ctypes.c_long:
+        raise ValueError("count must be a ctypes.c_long")
     failed = (ctypes.c_long * 2)()
-    status = _kernel.march(frame.address, MARCH_ENGINES[engine], start, stop, g.M,
-                           *[a.ctypes.data for a in (g.taus, rho, surface, rows)], failed)
+    status = _kernel.march(frame.address, MARCH_ENGINES[engine], g.M,
+                           *[a.ctypes.data for a in (g.taus, rho, surface, rows)], failed, count)
     if status == LAYER_OK:
         return None
     j = failed[0]
     return j, _failure(frame, status, CALLS[failed[1]], float(g.taus[j - 1]), float(g.taus[j]),
                        float(rho[j - 1]))
+
+
+def published(count):
+    """The number of layers a march has stored, from its ``count`` (see
+    march), loaded in C with acquire ordering: every read this thread
+    makes after the call sees those layers as the march stored them."""
+    return _kernel.published(count)
 
 
 def fixed9_bytes(rows, cols):

@@ -2,8 +2,9 @@
  * Thomas solve of the kernel contract, and the time layers of both
  * engines, which eliminate with thomas's row step: newton_layer, Newton's
  * iterations, and pc_predictor and pc_corrector, the two halves of a
- * predictor-corrector layer, and march, which steps one engine over all
- * the layers of a march (below); and fixed9_rows and fixed9_surface, the
+ * predictor-corrector layer, march, which steps one engine over all
+ * the layers of a march, and published, which reads the count of layers
+ * it has stored (below); and fixed9_rows and fixed9_surface, the
  * CSV writer's "%.9f" cells (at the end).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
@@ -842,11 +843,11 @@ long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
 enum { MARCH_NEWTON, MARCH_PC };
 enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
 
-/* One engine's march over the layers start + 1 .. stop of a march of
- * `total` time layers in the frame f, from the stored layers 0 .. start:
- * layer j + 1, from (taus[j], surface[j], rho[j]) to taus[j + 1], is
- * written to surface[j + 1] (rows of n + 2 values) and rho[j + 1], and
- * its out[] slots to rows[j] (OUT_SLOTS each), with the limits in f.
+/* One engine's march over the `total` layers of a march in the frame f,
+ * from the stored layer 0: layer j + 1, from (taus[j], surface[j],
+ * rho[j]) to taus[j + 1], is written to surface[j + 1] (rows of n + 2
+ * values) and rho[j + 1], and its out[] slots to rows[j] (OUT_SLOTS each,
+ * out[OUT_FAILURE] = 0), with the limits in f.
  * Newton's layer is newton_layer.  Layers 4 .. total - 1 start from the
  * three-point Lagrange extrapolation of the stored layers j, j - 1 and
  * j - 2 to taus[j + 1], w0 (y_j, z_j) + w1 (y_{j-1}, z_{j-1}) +
@@ -858,19 +859,24 @@ enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
  * pc's layer is pc_predictor, whose LAYER_NO_BRACKET falls back to
  * z_tilde = z_prev, then pc_corrector, with the predictor's iterations
  * (none on a fallback) in out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1
- * on a fallback.  Every index is the layer's in the whole march, so a
- * march run over consecutive ranges gives the bits of one run over all.
+ * on a fallback.
+ * When count is not NULL, march publishes each stored layer through it:
+ * once layer j + 1 is stored, it stores j + 2, the number of layers
+ * stored, with release ordering, so a thread that loads the count with
+ * acquire ordering (published) may read those layers while the march
+ * runs.  That store is the only thing a layer costs beyond its own work.
  * Returns LAYER_OK, or the status of the first failing layer call, with
  * failed[0] = its layer j + 1, failed[1] = the call (CALL_*) and its
- * out[] slots copied into f's out.  f's own y is not used. */
-long march(struct layer_frame *f, long engine, long start, long stop, long total,
-           const double *taus, double *rho, double *surface, double *rows, long *failed)
+ * out[] slots copied into f's out; the count then stays at j + 1.  f's
+ * own y is not used. */
+long march(struct layer_frame *f, long engine, long total, const double *taus, double *rho,
+           double *surface, double *rows, long *failed, long *count)
 {
     struct layer_frame layer = *f;
     const long n = f->n, width = n + 2;
     long i, j, status;
 
-    for (j = start; j < stop; j++) {
+    for (j = 0; j < total; j++) {
         double *out = rows + j * OUT_SLOTS, z_tilde = rho[j], iterations = 0.0;
         const double *y_prev = surface + j * width;
         int fallback = 0;
@@ -928,8 +934,19 @@ long march(struct layer_frame *f, long engine, long start, long stop, long total
             return status;
         }
         rho[j + 1] = out[OUT_Z];
+        out[OUT_FAILURE] = 0.0;
+        if (count)
+            __atomic_store_n(count, j + 2, __ATOMIC_RELEASE);
     }
     return LAYER_OK;
+}
+
+/* The layer count that march publishes through its count pointer, loaded
+ * with acquire ordering: every read this thread makes after the call, in
+ * C or not, sees the layers it counts as march stored them. */
+long published(const long *count)
+{
+    return __atomic_load_n(count, __ATOMIC_ACQUIRE);
 }
 
 /* The CSV writer's cells: Python's "%.9f" of a double, bit for bit, with

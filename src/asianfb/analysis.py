@@ -44,8 +44,8 @@ DEFAULT_PROBES = (10.0, 20.0, 40.0)
 def run_engine(engine: str, p: MarketParams, g: GridSpec, mode: SchemeMode,
                newton_cfg: NewtonConfig | None = None,
                pc_cfg: PredictorConfig | None = None, ready=None) -> SolveResult:
-    """The march of ``engine``; ``ready``, when given, is told of the
-    layers as they are stored (see results.march)."""
+    """The march of ``engine``; ``ready``, when given, gets the march's
+    surface and layer count before the first layer (see results.march)."""
     if engine == "newton":
         return march_newton(p, g, mode, newton_cfg or NewtonConfig(), ready)
     if engine == "pc":

@@ -13,9 +13,10 @@ with the same configuration are byte-identical.  Wall time is reported
 on stdout only so it never perturbs the files.
 
 solve streams surface.csv while its march runs: the march stays on the
-calling thread, in chunks of layers, and one worker thread formats and
-writes each chunk's layers once they are stored (_SurfaceStream).  Its
-files appear only when the march succeeds; a failed solve leaves the
+calling thread, in one C call that publishes each layer it stores
+through a layer count, and one worker thread formats and writes each
+buffer of layers once the count says they are stored (_SurfaceStream).
+Its files appear only when the march succeeds; a failed solve leaves the
 output directory as it found it, apart from creating it.  Its stdout
 wall_time is the march's, with the surface stream beside it.
 
@@ -89,6 +90,9 @@ _REFINE_ONLY = ("base_N", "levels")
 # The compiled CSV writer's buffer holds at most this many bytes (or one
 # time layer of surface.csv, when that is larger).
 CHUNK_BYTES = 1 << 16
+# Seconds the surface.csv writer sleeps, without the GIL, each time it
+# finds that the march has not yet stored the layers of its next buffer
+POLL_S = 2e-5
 
 
 class ConfigError(Exception):
@@ -241,10 +245,12 @@ def _provenance() -> dict:
     return {"kernel_backend": kernel_backend(), "asianfb_version": __version__}
 
 
-def _out_path(cfg: RunConfig, name_key: str) -> Path:
+def _out_paths(cfg: RunConfig, *keys: str) -> list[Path]:
+    """The paths of a command's output files ``keys`` (of cfg.files), in
+    its output directory, which this makes: once per command."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / cfg.files[name_key]
+    return [out_dir / cfg.files[key] for key in keys]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -268,7 +274,8 @@ def _write_fixed9(fh, header: str, count: int, step: int, out, compiled, text,
 
     ``stored(stop)``, when given, is called before each chunk is
     formatted: it returns once units 0 .. stop - 1 are final, True, or
-    False to end the table there, unfinished.
+    False to end the table there, unfinished (_SurfaceStream's polls the
+    march's layer count).
     """
     fh.write(header.encode() + b"\r\n")
     for start in range(0, count, step):
@@ -349,16 +356,19 @@ class _SurfaceStream:
     """surface.csv of one solve, written on one worker thread while the
     march runs on the calling thread.
 
-    ``ready`` is the march's callback (see results.march).  Its first call
-    opens the file under a temporary name in the output directory, makes
-    its writer (_surface_writer, over the march's own surface array) and
-    starts the worker; each call publishes the number of layers stored,
-    under a Condition, and the worker formats a chunk only once its
-    layers are.  ``finish()``, once the march has returned, joins the
-    worker, raises what the writer raised, removes an earlier ``path`` and
-    renames the file to it.  Leaving the ``with`` block stops and joins a
-    worker still running and removes the temporary file, so a failed solve
-    leaves no surface.csv of its own and any earlier one as it was.
+    ``ready`` is the march's callback (see results.march), called once,
+    before the first layer: it starts the worker, which opens the file
+    under a temporary name in the output directory and makes its writer
+    (_surface_writer, over the march's own surface array) while the march
+    runs.  The worker formats each buffer of layers once the march's layer
+    count, read through native.published, says they are stored, and while
+    it has caught up with the march it sleeps POLL_S at a time, without
+    the GIL; the march makes no call per layer.  ``finish()``, once the
+    march has returned, joins the worker, raises what the worker raised,
+    removes an earlier ``path`` and renames the file to it.  Leaving the
+    ``with`` block stops a worker still waiting, joins it and removes the
+    temporary file, so a failed solve leaves no surface.csv of its own and
+    any earlier one as it was.
     """
 
     def __init__(self, path: Path, taus: np.ndarray, xi: np.ndarray):
@@ -366,30 +376,25 @@ class _SurfaceStream:
         # one name per solve running at the same time, in any process or thread
         self.partial = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}.part")
-        self.changed = threading.Condition()
-        self.layers, self.stopped = 0, False
+        self.stopped = False
         self.fh = self.worker = self.error = None
 
-    def ready(self, surface: np.ndarray, layers: int) -> None:
-        if self.worker is None:
-            self.fh = self.partial.open("wb")
-            write = _surface_writer(self.fh, self.taus, self.xi, surface)
-            self.worker = threading.Thread(target=self._write, args=(write,))
-            self.worker.start()
-        with self.changed:
-            self.layers = layers
-            self.changed.notify()
+    def ready(self, surface: np.ndarray, count) -> None:
+        self.worker = threading.Thread(target=self._write, args=(surface, count))
+        self.worker.start()
 
-    def _write(self, write) -> None:
+    def _write(self, surface, count) -> None:
+        def stored(layers):
+            while native.published(count) < layers:
+                if self.stopped:
+                    return False
+                time.sleep(POLL_S)
+            return True
         try:
-            write(self._stored)
+            self.fh = self.partial.open("wb")
+            _surface_writer(self.fh, self.taus, self.xi, surface)(stored)
         except BaseException as exc:  # raised on the calling thread by finish()
             self.error = exc
-
-    def _stored(self, layers: int) -> bool:
-        with self.changed:
-            self.changed.wait_for(lambda: self.stopped or self.layers >= layers)
-            return not self.stopped
 
     def _join(self) -> None:
         if self.worker is not None:
@@ -412,9 +417,7 @@ class _SurfaceStream:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        with self.changed:
-            self.stopped = True
-            self.changed.notify()
+        self.stopped = True
         self._join()
         self.partial.unlink(missing_ok=True)
 
@@ -422,7 +425,8 @@ class _SurfaceStream:
 def cmd_solve(cfg: RunConfig) -> int:
     grid = _make_grid(cfg)
     p = cfg.market
-    surface_path = _out_path(cfg, "surface_csv")
+    surface_path, boundary_path, summary_path = _out_paths(
+        cfg, "surface_csv", "boundary_csv", "summary_json")
     with _SurfaceStream(surface_path, grid.taus, grid.xi) as surface:
         started = time.perf_counter()
         result = run_engine(cfg.engine, p, grid, cfg.scheme_mode,
@@ -430,7 +434,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         elapsed = time.perf_counter() - started
         surface.finish()
 
-    boundary_path = _out_path(cfg, "boundary_csv")
     _write_table(boundary_path, "tau,rho,xf_t,t",
                  (result.taus, result.rho, 1.0 / result.rho, p.T - result.taus))
 
@@ -466,11 +469,11 @@ def cmd_solve(cfg: RunConfig) -> int:
                           "surface_csv": surface_path.name}
     summary["config"] = _config_echo(cfg, grid)
     summary.update(_provenance())
-    _write_json(_out_path(cfg, "summary_json"), summary)
+    _write_json(summary_path, summary)
 
     print(f"solve: engine={cfg.engine} N={grid.N} M={grid.M} "
           f"rho(0)={result.rho[0]:.9g} wall_time={elapsed:.3f}s")
-    print(f"wrote {boundary_path}, {surface_path}, {_out_path(cfg, 'summary_json')}")
+    print(f"wrote {boundary_path}, {surface_path}, {summary_path}")
     return 0
 
 
@@ -487,7 +490,7 @@ def cmd_refine(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - started
 
-    refine_path = _out_path(cfg, "refine_csv")
+    refine_path, = _out_paths(cfg, "refine_csv")
     header = ["N", "M"]
     for t in report.probe_times:
         label = f"tau{t:g}"
@@ -516,7 +519,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                              cfg.newton, cfg.predictor)
     elapsed = time.perf_counter() - started
 
-    compare_path = _out_path(cfg, "compare_csv")
+    compare_path, json_path = _out_paths(cfg, "compare_csv", "compare_json")
     _write_table(compare_path, "tau,rho_newton,rho_pc,diff",
                  (record.taus, record.rho_newton, record.rho_pc, record.diff))
 
@@ -530,11 +533,11 @@ def cmd_compare(cfg: RunConfig) -> int:
         "config": _config_echo(cfg, grid),
         **_provenance(),
     }
-    _write_json(_out_path(cfg, "compare_json"), payload)
+    _write_json(json_path, payload)
 
     print(f"compare: max|rho_pc-rho_newton|={record.max_diff:.6g} "
           f"pc_below_fraction={record.pc_below_fraction:.3f} wall_time={elapsed:.3f}s")
-    print(f"wrote {compare_path}, {_out_path(cfg, 'compare_json')}")
+    print(f"wrote {compare_path}, {json_path}")
     return 0
 
 

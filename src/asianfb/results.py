@@ -6,15 +6,17 @@ LayerFailure wrapping; an engine supplies only its name and its limits.
 A SolveResult builds its LayerDiagnostics from those slots when they
 are first read, so a caller that reads only rho (compare, refine) pays
 nothing for them.  The layers themselves run in one native.march call,
-which steps the engine over the whole time mesh in C, or, for a caller
-that reads the layers while the march runs (cli's solve, which streams
-surface.csv), in a call per READY_LAYERS layers.  march is not in
+which steps the engine over the whole time mesh in C; for a caller that
+reads the layers while the march runs (cli's solve, which streams
+surface.csv), that call publishes each stored layer through a layer
+count.  march is not in
 ``__all__``, so a tracer of the public names charges it to the engine's
 march that calls it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass, field
 
@@ -27,14 +29,6 @@ from .mesh import GridSpec, initial_layer
 from .model import MarketParams
 
 __all__ = ["LayerDiagnostics", "SolveResult"]
-
-# Layers per native.march call of a march whose caller reads its layers
-# as they are stored (see march): small enough that a reader of the
-# surface, cli's surface.csv writer, trails the march by little, large
-# enough that the calls' Python costs little against their C.  A default
-# solve took the same time with 20 to 75, and longer with 5, 10 or 100 and
-# more (in process, 2-vCPU VM).
-READY_LAYERS = 50
 
 
 @dataclass
@@ -104,12 +98,13 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     struct, and tridiag's PIVOT_RTOL and SCHUR_FLOOR as they are at the
     call.
 
-    Without ``ready`` the march is one native.march call.  With it, the
-    march runs in native.march calls of READY_LAYERS layers, and
-    ``ready(surface, count)`` is called on this thread with the march's
-    (M + 1, N + 1) surface array once the initial layer is stored (count
-    1), before any layer runs, and again after each call: rows 0 .. count
-    - 1 of surface are then final.  No call follows a failure.
+    The march is one native.march call.  ``ready``, when given, is
+    called once on this thread, before any layer runs, as
+    ``ready(surface, count)``: surface is the march's (M + 1, N + 1)
+    array, and count the ctypes.c_long through which the call publishes
+    the layers it stores (see native.march), 1 then, for the initial
+    layer.  Another thread may read rows 0 .. native.published(count) - 1
+    of surface while the march runs; they are final.
 
     Raises LayerFailure(layer, tau, cause) on the first layer that fails
     with a SolverError, and a layer's ValueError as it is.
@@ -121,19 +116,15 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     rho, surface = np.empty(g.M + 1), np.empty((g.M + 1, g.N + 1))
     rows = np.empty((g.M, native.OUT_SLOTS))
     rho[0], surface[0] = state.z, state.y
-    step = g.M
+    count = None
     if ready is not None:
-        ready(surface, 1)
-        step = READY_LAYERS
-    for start in range(0, g.M, step):
-        stop = min(start + step, g.M)
-        failure = native.march(frame, engine, rho, surface, rows, start, stop)
-        if failure is not None:
-            layer, exc = failure
-            if not isinstance(exc, SolverError):
-                raise exc
-            raise LayerFailure(layer, float(g.taus[layer]), exc) from exc
-        if ready is not None:
-            ready(surface, stop + 1)
+        count = ctypes.c_long(1)
+        ready(surface, count)
+    failure = native.march(frame, engine, rho, surface, rows, count)
+    if failure is not None:
+        layer, exc = failure
+        if not isinstance(exc, SolverError):
+            raise exc
+        raise LayerFailure(layer, float(g.taus[layer]), exc) from exc
     return SolveResult(params=p, grid=g, engine=engine, mode=mode.value,
                        taus=g.taus.copy(), rho=rho, surface=surface, rows=rows)

@@ -53,9 +53,10 @@ One more assembly at the accepted z gives the layer's diagnostics, among
 them the row-wise backward error of F1 that pc reports as its residual.
 march_newton is results.march with Newton's tol and max_iter: one
 native.march call runs every layer in C in the march's one frame, whose
-struct holds them next to the march's constants (one call per chunk of
-layers when the caller reads the layers as they are stored).  newton_layer runs one
-layer alone, in one native.layer call.  The test suite keeps the
+struct holds them next to the march's constants, and publishes each
+stored layer through a layer count when the caller reads the layers as
+they are stored.  newton_layer runs one layer alone, in one
+native.layer call.  The test suite keeps the
 numpy loop that the C function repeats operation by operation as its
 oracle.
 """
@@ -118,5 +119,6 @@ def march_newton(p: MarketParams, g: GridSpec,
                  cfg: NewtonConfig = NewtonConfig(), ready=None) -> SolveResult:
     """Layer-by-layer Newton march over the full time mesh, layers 3 .. M - 1
     from the extrapolated starts (see the module docstring); ``ready``, when
-    given, is told of the layers as they are stored (see results.march)."""
+    given, gets the march's surface and layer count before the first layer
+    (see results.march)."""
     return march(p, g, mode, "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter}, ready)

@@ -64,9 +64,10 @@ z-free part in the frame and runs the corrector with the layer's
 diagnostics over the frame's buffers.  march_pc is results.march with
 the predictor's root_tol, max_iter and bracket scan: one native.march
 call runs every layer in C in the march's one frame, whose struct holds
-them next to the march's constants (one call per chunk of layers when
-the caller reads the layers as they are stored), and falls back to
-z-tilde = z_prev where pc_predictor finds no root.  predictor() and _correct() run one
+them next to the march's constants (publishing each stored layer
+through a layer count when the caller reads the layers as they are
+stored), and falls back to z-tilde = z_prev where pc_predictor finds no
+root.  predictor() and _correct() run one
 layer's halves alone, in one native.layer call each, and native turns a
 failed call's status into its exception.
 The test suite keeps the numpy predictor and corrector that the C
@@ -151,6 +152,6 @@ def march_pc(p: MarketParams, g: GridSpec,
              mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
              cfg: PredictorConfig = PredictorConfig(), ready=None) -> SolveResult:
     """One predictor and one corrector per layer over the full time mesh;
-    ``ready``, when given, is told of the layers as they are stored (see
-    results.march)."""
+    ``ready``, when given, gets the march's surface and layer count before
+    the first layer (see results.march)."""
     return march(p, g, mode, "pc", _root_search(cfg), ready)

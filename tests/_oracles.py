@@ -486,10 +486,13 @@ def extrapolated_start(taus, rho, surface, j):
     return w0 * surface[j] + w1 * surface[j - 1] + w2 * surface[j - 2], z
 
 
-def march_numpy(frame, engine, rho, surface, rows, start, stop):
+def march_numpy(frame, engine, rho, surface, rows, count=None):
     """native.march on the numpy twins, one layer call at a time: the same
-    arguments and result, and the same layers in the caller's arrays,
-    with the rows' OUT_UPWINDED and OUT_FAILURE slots NaN."""
+    arguments and result, the same layers in the caller's arrays, with
+    the rows' OUT_UPWINDED slots NaN, and the same layer count published
+    as each layer is stored.  The count is stored under the GIL, after
+    the layer, so a reader that takes the GIL after reading it sees the
+    layer."""
     g, p, mode, limits = frame.g, frame.p, frame.mode, frame.struct
     if engine == "newton":
         cfg = NewtonConfig(tol=limits.tol, max_iter=limits.max_iter)
@@ -499,10 +502,9 @@ def march_numpy(frame, engine, rho, surface, rows, start, stop):
         cfg = PredictorConfig(root_tol=limits.root_tol, max_iter=limits.root_max_iter)
     # the twins read tridiag's limits at each call
     assert (limits.pivot_rtol, limits.schur_floor) == (tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
-    rows[start:stop] = np.nan
-    state = LayerState(j=start, tau=float(g.taus[start]), y=surface[start].copy(),
-                       z=float(rho[start]))
-    for j in range(start, stop):
+    rows[:] = np.nan
+    state = LayerState(j=0, tau=float(g.taus[0]), y=surface[0].copy(), z=float(rho[0]))
+    for j in range(g.M):
         tau_next = float(g.taus[j + 1])
         try:
             if engine == "newton":
@@ -516,9 +518,11 @@ def march_numpy(frame, engine, rho, surface, rows, start, stop):
         rows[j, [native.OUT_ITERATIONS, native.OUT_Z, native.OUT_INITIAL_RESIDUAL,
                  native.OUT_ONESIDED_ROWS, native.OUT_DOMINANCE_VIOLATIONS,
                  native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2, native.OUT_BACKWARD_ERROR,
-                 native.OUT_FALLBACK]] = (
+                 native.OUT_FAILURE, native.OUT_FALLBACK]] = (
             d.iterations, state.z, d.initial_residual, d.onesided_rows, d.dominance_violations,
-            d.residual_f1, d.residual_f2, d.backward_error, d.predictor_fallback)
+            d.residual_f1, d.residual_f2, d.backward_error, 0.0, d.predictor_fallback)
+        if count is not None:
+            count.value = j + 2
     return None
 
 

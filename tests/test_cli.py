@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import cli, results
+from asianfb import cli
 from asianfb._kernels import native
 from asianfb.cli import (DEFAULTS, OPTIONS, build_parser, main, parse_config_file,
                          resolve_config)
@@ -144,12 +144,11 @@ class TestSolve:
 
     def test_concurrent_solves_stream_their_own_surfaces(self, tmp_path, monkeypatch, params):
         """Four solves at once on threads of their own, each streaming its
-        surface.csv from its own worker one layer per chunk, with a short
-        switch interval: every file has the bytes of csv.writer's from its
-        own march."""
+        surface.csv from its own worker while its march publishes its
+        layers, with a short switch interval: every file has the bytes of
+        csv.writer's from its own march."""
         from asianfb import make_grid, march_newton, march_pc
 
-        monkeypatch.setattr(results, "READY_LAYERS", 1)
         engines = ("newton", "pc", "newton", "pc")
         codes = {}
 
@@ -525,6 +524,42 @@ class TestConfigResolution:
         assert run_cli(["solve", *self.LATE_FAILURE], tmp_path) == 3
         assert "layer 499" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_writer_reads_only_published_layers(self, tmp_path, monkeypatch):
+        """While a solve's march runs, and fails late, its surface.csv
+        writer formats no buffer before the march has published every
+        layer in it; the failed solve leaves the output directory as it
+        found it, and no worker thread."""
+        marches, buffers = [], []
+        march, fixed9_surface = native.march, native.fixed9_surface
+
+        def publishing_march(*args):
+            marches.append(args[-1])
+            return march(*args)
+
+        def recording_surface(*args):
+            write = fixed9_surface(*args)
+
+            def recorded(start, stop):
+                # the last layer the buffer reads, and the count the march
+                # had published when the writer began to read it
+                buffers.append((stop - 1, native.published(marches[0])))
+                return write(start, stop)
+            return recorded
+
+        monkeypatch.setattr(native, "march", publishing_march)
+        monkeypatch.setattr(native, "fixed9_surface", recording_surface)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "surface.csv").write_bytes(b"an earlier surface")
+        threads = threading.active_count()
+        assert run_cli(["solve", *self.LATE_FAILURE], out) == 3
+        assert threading.active_count() == threads
+        assert [(path.name, path.read_bytes()) for path in out.iterdir()] == \
+            [("surface.csv", b"an earlier surface")]
+        assert marches[0].value == 499  # the march stored layers 0 .. 498
+        assert buffers and all(last < count for last, count in buffers), buffers
+        assert buffers[-1][0] < 499
 
     def test_failing_surface_writer_leaves_no_surface(self, tmp_path, monkeypatch):
         """An error of the surface.csv writer, on its worker thread, is

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc, results,
+from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc,
                      solver_newton, solver_pc, tridiag)
 from asianfb._kernels import native, pure
 from asianfb.errors import (LayerFailure, NoBracket, NoConvergence, NonPositiveZ, SingularSchur,
@@ -1056,8 +1057,9 @@ def test_eliminations_enter_through_the_traced_entry_points(params, march):
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_a_march_is_one_native_call(params, monkeypatch, march):
     """A march runs every layer, pc's fallback layers included, in one
-    native.march call, and makes no call per layer from Python: none of
-    the one-layer functions runs."""
+    native.march call, with a layer count or without, and makes no call
+    per layer from Python: none of the one-layer functions runs, and a
+    ``ready`` callback runs once."""
     grid = make_grid(params, N=50)
     marches = []
 
@@ -1073,8 +1075,11 @@ def test_a_march_is_one_native_call(params, monkeypatch, march):
     for module, name in ((native, "layer"), (solver_newton, "newton_layer"),
                          (solver_pc, "predictor"), (solver_pc, "_correct")):
         monkeypatch.setattr(module, name, per_layer)
+    ready = ReadyRecorder()
     result = march(params, grid)
-    assert marches == ["newton" if march is march_newton else "pc"]
+    assert march(params, grid, ready=ready).rows.tobytes() == result.rows.tobytes()
+    assert marches == ["newton" if march is march_newton else "pc"] * 2
+    assert ready.counts == [1] and ready.count.value == grid.M + 1
     assert len(result.diagnostics) == grid.M
     if march is march_pc:
         assert any(d.predictor_fallback for d in result.diagnostics)
@@ -1082,45 +1087,48 @@ def test_a_march_is_one_native_call(params, monkeypatch, march):
 
 class ReadyRecorder:
     """A march's ``ready`` callback that keeps each call's count of stored
-    layers and a copy of those layers, to hold against the finished march."""
+    layers, a copy of those layers, to hold against the finished march,
+    and the count itself, to read once the march has returned."""
 
     def __init__(self):
-        self.counts, self.stored = [], []
+        self.counts, self.stored, self.count = [], [], None
 
     def __call__(self, surface, count):
-        self.counts.append(count)
-        self.stored.append(surface[:count].copy())
+        self.counts.append(count.value)
+        self.stored.append(surface[:count.value].copy())
+        self.count = count
 
 
-# Layers per native.march call of the chunked marches: one; seven, which
-# leaves a short last chunk of N50's 125 layers (and exceeds N8M4's 4); and
-# the whole march (None: M, set per grid)
-CHUNKS = (1, 7, None)
+# Where a march's layers run: in the kernel, replayed with newton_layer, and
+# on the numpy twins, replayed with newton_layer_numpy
+BACKEND_LAYERS = ((contextlib.nullcontext, newton_layer), (numpy_layers, newton_layer_numpy))
 
 
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
-def test_chunked_march_gives_the_one_call_bits(monkeypatch, march, mode):
-    """A march run in native.march calls of 1, 7 and M layers, with a
-    ``ready`` callback, gives the MARCH_DIGESTS bits, and its callback is
-    told of layer 0, then of each chunk's end, when those layers are
-    final."""
+def test_counted_march_gives_the_one_call_bits(march, mode):
+    """A march with a layer count (a ``ready`` callback) and without one
+    gives the MARCH_DIGESTS bits, in the kernel and on the numpy twins; its
+    callback is called once, before any layer, with layer 0 stored and
+    final and the count at 1, and the count reads M + 1 once the march has
+    returned."""
     engine = "newton" if march is march_newton else "pc"
     for name, (r, q, sigma) in BIT_IDENTITY_PARAMS.items():
         p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
         for grid_name in PC_GRIDS:
             n, m = BIT_IDENTITY_GRIDS[grid_name]
             grid = make_grid(p, N=n, M=m)
-            for chunk in CHUNKS:
-                step = chunk or grid.M
-                monkeypatch.setattr(results, "READY_LAYERS", step)
-                ready, runs = ReadyRecorder(), []
-                digest = march_digest(march, p, grid, mode, newton_layer, runs, ready)
-                assert digest == MARCH_DIGESTS[engine, mode.value, name, grid_name], \
-                    (name, grid_name, chunk)
-                assert ready.counts == [1, *range(1 + step, grid.M + 1, step), grid.M + 1]
-                for count, stored in zip(ready.counts, ready.stored):
-                    assert stored.tobytes() == runs[0].surface[:count].tobytes()
+            for layers, replay in BACKEND_LAYERS:
+                for ready in (None, ReadyRecorder()):
+                    runs = []
+                    with layers():
+                        digest = march_digest(march, p, grid, mode, replay, runs, ready)
+                    assert digest == MARCH_DIGESTS[engine, mode.value, name, grid_name], \
+                        (name, grid_name, replay, ready)
+                    if ready is not None:
+                        assert ready.counts == [1]
+                        assert ready.stored[0].tobytes() == runs[0].surface[:1].tobytes()
+                        assert ready.count.value == grid.M + 1
 
 
 def late_failing_march(engine):
@@ -1135,47 +1143,59 @@ def late_failing_march(engine):
 
 
 @pytest.mark.parametrize("engine", ["newton", "pc"])
-def test_chunked_march_fails_as_the_one_call_march(monkeypatch, engine):
-    """A march that fails in a later chunk raises the one-call march's
-    LayerFailure (layer, tau and cause), and its ``ready`` callback is
-    told of no layer past the last chunk that succeeded."""
+def test_counted_march_fails_as_the_one_call_march(engine):
+    """A march that fails late raises the same LayerFailure (layer, tau and
+    cause) with a layer count as without one, and the count stops at the
+    failing layer: it counts the layers stored before it, and the
+    callback was called once, before any layer."""
     raised = []
-    for chunk in (None, 1, 7, 50):
+    for ready in (None, ReadyRecorder()):
         march, p, grid, cfg = late_failing_march(engine)
-        ready = None if chunk is None else ReadyRecorder()
-        if chunk is not None:
-            monkeypatch.setattr(results, "READY_LAYERS", chunk)
         with pytest.raises(LayerFailure) as exc:
             march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg, ready=ready)
         failure = exc.value
         raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
                        str(failure.cause), vars(failure.cause)))
-        if chunk is not None:
-            assert ready.counts[-1] == 1 + (failure.layer - 1) // chunk * chunk, chunk
-    assert raised.count(raised[0]) == len(raised)
+        if ready is not None:
+            assert ready.counts == [1]
+            assert ready.count.value == failure.layer
+    assert raised[0] == raised[1]
     layer, tau, _, cause, _, _ = raised[0]
     assert (layer, cause) == ((499, NoConvergence) if engine == "newton" else
                               (57, NonPositiveZ))
     assert tau == grid.taus[layer]
 
 
-@pytest.mark.parametrize("bad", ["rho", "surface", "rows", "range"])
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_march_rows_do_not_depend_on_the_heap(params, march):
+    """Two marches after the heap was filled with different values give
+    the same rows bytes, OUT_FAILURE 0 on every layer, in the kernel and
+    on the numpy twins."""
+    grid = make_grid(params, N=50)
+    for layers, _ in BACKEND_LAYERS:
+        rows = []
+        for junk in (1.4e-258, -7.0):
+            dirty = np.full((grid.M, native.OUT_SLOTS), junk)
+            del dirty
+            with layers():
+                rows.append(march(params, grid).rows)
+        assert rows[0].tobytes() == rows[1].tobytes(), layers
+        assert not rows[0][:, native.OUT_FAILURE].any(), layers
+
+
+@pytest.mark.parametrize("bad", ["rho", "surface", "rows", "count"])
 def test_native_march_rejects_arrays_it_could_overrun(params, bad):
-    """native.march checks the caller's arrays and the range of layers
-    before any pointer reaches C."""
+    """native.march checks the caller's arrays and its layer count before
+    any pointer reaches C."""
     grid = make_grid(params, N=16)
     frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
     arrays = {"rho": np.zeros(grid.M + 1), "surface": np.zeros((grid.M + 1, grid.N + 1)),
-              "rows": np.zeros((grid.M, native.OUT_SLOTS))}
-    start, stop = 0, grid.M
-    if bad == "range":
-        start, stop = 2, grid.M + 1
-    else:
-        arrays[bad] = {"rho": np.zeros(grid.M), "surface": np.zeros((grid.N + 1, grid.M + 1)).T,
-                       "rows": np.zeros((grid.M, native.OUT_SLOTS), np.float32)}[bad]
-    with pytest.raises(ValueError, match="do not lie within" if bad == "range" else bad):
-        native.march(frame, "newton", arrays["rho"], arrays["surface"], arrays["rows"],
-                     start, stop)
+              "rows": np.zeros((grid.M, native.OUT_SLOTS)), "count": ctypes.c_long(1)}
+    arrays[bad] = {"rho": np.zeros(grid.M), "surface": np.zeros((grid.N + 1, grid.M + 1)).T,
+                   "rows": np.zeros((grid.M, native.OUT_SLOTS), np.float32),
+                   "count": np.ones(1, np.int64)}[bad]
+    with pytest.raises(ValueError, match=bad):
+        native.march(frame, "newton", *arrays.values())
 
 
 def failing_march(engine):
