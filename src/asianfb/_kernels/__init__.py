@@ -29,8 +29,8 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   call writes its limits into it and raises its own failure.  Its
   ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
-  Python's "%.9f" does, for cli._write_fixed9, which streams each output
-  table through them.  Without a C compiler, or when the build or the
+  Python's "%.9f" formats every double, for cli._write_fixed9, which
+  streams each output table through them.  Without a C compiler, or when the build or the
   load of the fresh build fails, the first call raises
   native.KernelUnavailable, which names the compiler or the failed build.
 * ``pure``: the plain Python Thomas loop, whose solutions and failing

@@ -70,15 +70,15 @@ threads at once.  A failed call's status code, a refused layer (tau_next
 
 ``fixed9_rows`` checks a table and a buffer once and returns the
 function that writes a chunk of the table's rows into the buffer as CSV
-lines of ``"%.9f"`` cells, byte for byte as Python formats them, and
-hands back (by its index) the first cell it leaves to Python: a NaN, an
-infinity, or a magnitude of 4.5e6 or more.  ``fixed9_surface`` does the
-same for chunks of layers of surface.csv, formatting each layer's tau
-cell once and copying xi cells formatted once per file.  The checks, that
-each array is contiguous and of the right type and shape, are made once
-per file; each chunk passes only offsets into the checked arrays, after
-checking that its range lies within them and fits the buffer, so the C
-call, which trusts them, stays within the arrays.
+lines of ``"%.9f"`` cells, byte for byte as Python formats every double,
+NaNs, infinities and cells of hundreds of digits among them.
+``fixed9_surface`` does the same for chunks of layers of surface.csv,
+formatting each layer's tau cell once and copying xi cells formatted
+once per file.  The checks, that each array is contiguous and of the
+right type and shape, are made once per file; each chunk passes only
+offsets into the checked arrays, after checking that its range lies
+within them and fits the buffer, which is sized for cells of the widest
+double, so the C call, which trusts them, stays within the arrays.
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
  LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(9)
-# the layer functions' out[] slots: newton_layer's 8 diagnostics, then three more
+# the layer functions' out[] slots: newton_layer's 8 diagnostics, then a
+# failure's value and the predictor's fallback flag
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
- OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_UPWINDED, OUT_FAILURE,
- OUT_FALLBACK, OUT_SLOTS) = range(12)
+ OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_FAILURE, OUT_FALLBACK,
+ OUT_SLOTS) = range(11)
 # thomas.c's engines of march, and its layer functions, in the order of its CALL_* codes
 MARCH_ENGINES = {"newton": 0, "pc": 1}
 CALLS = ("newton_layer", "pc_predictor", "pc_corrector")
-FIXED9_CELL = 18  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
-FIXED9_LIMIT = 4.5e6  # thomas.c's FIXED9_LIMIT: smaller magnitudes are formatted in C
+FIXED9_CELL = 320  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
 
 _kernel = None  # the loaded library, once load() succeeds
 
@@ -473,9 +473,7 @@ def fixed9_rows(cells, out):
     unless 0 <= start <= stop <= rows and out holds
     ``fixed9_bytes(stop - start, cols)`` bytes, so the C function reads
     and writes only within the two arrays.  It returns the number of
-    bytes written, or -1 - i when the flat cell i of the chunk is one that
-    Python must format (not finite, or |x| >= 4.5e6); out then holds a
-    partial chunk.
+    bytes written.
     """
     if _kernel is None:
         load()
@@ -497,19 +495,16 @@ def fixed9_surface(taus, xi_cells, pi, out):
     ``xi_cells``, its text padded with NUL bytes.
 
     taus must be a contiguous float64 array of ``layers`` entries, pi
-    C-contiguous with n >= 1, and out writable and contiguous; anything
+    C-contiguous, and out writable and contiguous; anything
     else raises ValueError.  write raises ValueError unless 0 <= start <=
     stop <= layers and out holds ``fixed9_bytes((stop - start) n, 3)``
     bytes, so the C function reads and writes only within the arrays.  It
-    returns the number of bytes written, or -1 - i when the cell i of the
-    chunk's ((stop - start) n, 3) table is one that Python must format
-    (not finite, or |x| >= 4.5e6); out then holds a partial chunk.
+    returns the number of bytes written.
     """
     if _kernel is None:
         load()
-    if pi.dtype != np.float64 or pi.ndim != 2 or pi.shape[1] < 1 or \
-            not pi.flags.c_contiguous:
-        raise ValueError("pi must be a C-contiguous float64 array of shape (layers, n >= 1)")
+    if pi.dtype != np.float64 or pi.ndim != 2 or not pi.flags.c_contiguous:
+        raise ValueError("pi must be a C-contiguous float64 array of shape (layers, n)")
     layers, n = pi.shape
     if taus.dtype != np.float64 or taus.shape != (layers,) or not taus.flags.c_contiguous:
         raise ValueError(f"taus must be a contiguous float64 array of {layers} entries")

@@ -5,7 +5,7 @@
  * predictor-corrector layer, march, which steps one engine over all
  * the layers of a march, and published, which reads the count of layers
  * it has stored (below); and fixed9_rows and fixed9_surface, the
- * CSV writer's "%.9f" cells (at the end).
+ * CSV writer's "%.9f" cells of every double (at the end).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
  * its solution is bit-identical to the pure loop's: build with
@@ -28,6 +28,7 @@
  */
 #include <float.h>
 #include <math.h>
+#include <stdio.h>
 #include <string.h>
 
 #define THOMAS_NON_FINITE (-2)
@@ -205,7 +206,7 @@ struct layer {
  * march the predictor's fallback flag */
 enum { OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS,
        OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR,
-       OUT_UPWINDED, OUT_FAILURE, OUT_FALLBACK, OUT_SLOTS };
+       OUT_FAILURE, OUT_FALLBACK, OUT_SLOTS };
 
 /* m after the i-th value a of a running np.max (a itself on i = 0): a
  * NaN anywhere gives NaN */
@@ -440,26 +441,23 @@ static struct sweep newton_sweep(const struct layer_frame *frame, const struct l
 }
 
 /* The end of a Newton layer at the accepted (y, z) with y = f->y: the
- * rows, F1 into f[0:n], and in out[] max |F1|, the backward error and the
- * upwinded rows */
+ * rows, F1 into f[0:n], and in out[] max |F1| and the backward error */
 static void newton_final(const struct layer_frame *frame, const struct layer *layer, double z)
 {
     const struct layer_frame fc = *frame, *f = &fc;  /* copies: see build_row */
     const struct layer lc = *layer, *l = &lc;
     const struct rows_at c = rows_at(f, l, z);
     double f1max = 0.0, backward = 0.0;
-    long i, onesided = 0;
+    long i;
 
     for (i = 0; i < f->n; i++) {
         struct row r = build_row(f, l, &c, i);
         double f1, e = row_backward_error(r.lower, r.diag, r.upper, f->rhs[i], f->y, i, &f1);
 
-        onesided += r.onesided;
         f->f[i] = f1;
         f1max = nan_max(f1max, fabs(f1), i);
         backward = nan_max(backward, e, i);
     }
-    f->out[OUT_UPWINDED] = (double)onesided;
     f->out[OUT_RESIDUAL_F1] = f1max;
     f->out[OUT_BACKWARD_ERROR] = backward;
 }
@@ -474,8 +472,7 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
  * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
  * frame_start's, or with
  * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
- * denominator or the last step.  After frame_start out[OUT_UPWINDED]
- * counts the rows the last sweep upwinded. */
+ * denominator or the last step. */
 long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
                   const double *y_start, double z_start)
 {
@@ -491,7 +488,6 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
         return status;
     if (y_start)
         memcpy(y + 1, y_start, n * sizeof(double));
-    out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
     for (it = 1; it <= f->max_iter; it++) {
         double j21_u, j21_v, denom, dz, step_y = 0.0;
 
@@ -500,7 +496,6 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
             return LAYER_NON_POSITIVE_Z;
         }
         s = newton_sweep(f, &l, z);
-        out[OUT_UPWINDED] = (double)s.onesided;
         f2 = residual_constraint(f, &l, y, z);
         if (it == 1)
             out[OUT_INITIAL_RESIDUAL] = py_max(s.f1max, fabs(f2));
@@ -554,11 +549,11 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
  * added for the Dirichlet value y_0 = -1, into y[1..n], and the backward
  * sweep solves y[1..n] there, between y[0] = -1 and y[n+1] = 0.  Returns
  * LAYER_OK with the rows failing strict diagonal dominance in
- * *violations, or the status of the failure, with out[OUT_FAILURE] = the
- * non-positive z or the failing pivot row; out[OUT_UPWINDED] counts the
- * upwinded rows once they are built. */
+ * *violations and the upwinded rows in *onesided, or the status of the
+ * failure, with out[OUT_FAILURE] = the non-positive z or the failing
+ * pivot row. */
 static long frozen_solve(const struct layer_frame *frame, const struct layer *layer, double z,
-                         double *y, long *violations)
+                         double *y, long *violations, long *onesided)
 {
     const struct layer_frame fc = *frame, *f = &fc;  /* copies: see build_row */
     const struct layer lc = *layer, *l = &lc;
@@ -582,7 +577,6 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
         f->piv[i] = eliminate_row(n, i, 1, r.lower, r.diag, r.upper, f->single, f->cp, y + 1,
                                   &e);
     }
-    f->out[OUT_UPWINDED] = (double)s.onesided;
     y[0] = -1.0;
     y[n + 1] = 0.0;
     status = check_sweep(f, &s);
@@ -590,6 +584,7 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
         return status;
     back_substitute(n, 1, f->cp, y + 1);
     *violations = s.violations;
+    *onesided = s.onesided;
     return LAYER_OK;
 }
 
@@ -605,8 +600,7 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
  * fallback in out[OUT_ITERATIONS], out[OUT_INITIAL_RESIDUAL] and
  * out[OUT_FALLBACK], or the status of the first failure:
  * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
- * failing pivot row or the Schur denominator.  After frame_start
- * out[OUT_UPWINDED] counts the rows the last frozen solve upwinded. */
+ * failing pivot row or the Schur denominator. */
 long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
                   double z_tilde)
 {
@@ -614,13 +608,12 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
     const long n = f->n;
     double *y = f->y, *v = f->x, *out = f->out, denom, z, backward = 0.0;
     struct elimination e = {0.0, 0.0, 0.0};
-    long i, violations, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
+    long i, violations, onesided, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
     int finite = 1;
 
     if (status != LAYER_OK)
         return status;
-    out[OUT_UPWINDED] = 0.0;  /* frame_start left no row upwinded */
-    status = frozen_solve(f, &l, z_tilde, y, &violations);
+    status = frozen_solve(f, &l, z_tilde, y, &violations, &onesided);
     if (status != LAYER_OK)
         return status;
     /* one Newton step on (F1, F2) from (y, z_tilde), where F1 vanishes:
@@ -640,7 +633,7 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
         return LAYER_SINGULAR_SCHUR;
     }
     z = z_tilde - residual_constraint(f, &l, y, z_tilde) / denom;
-    status = frozen_solve(f, &l, z, y, &violations);
+    status = frozen_solve(f, &l, z, y, &violations, &onesided);
     if (status != LAYER_OK)
         return status;
 
@@ -654,7 +647,7 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
     out[OUT_RESIDUAL_F1] = backward;
     out[OUT_BACKWARD_ERROR] = backward;
     out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
-    out[OUT_ONESIDED_ROWS] = out[OUT_UPWINDED];
+    out[OUT_ONESIDED_ROWS] = (double)onesided;
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
     out[OUT_ITERATIONS] = 0.0;
     out[OUT_INITIAL_RESIDUAL] = INFINITY;
@@ -949,44 +942,60 @@ long published(const long *count)
     return __atomic_load_n(count, __ATOMIC_ACQUIRE);
 }
 
-/* The CSV writer's cells: Python's "%.9f" of a double, bit for bit, with
- * no snprintf (which follows LC_NUMERIC and prints -nan where Python
- * prints nan).
+/* The CSV writer's cells: Python's "%.9f" of every double, bit for bit.
  *
  * "%.9f" rounds the exact binary value of x to 9 decimals, ties to even.
- * For |x| < FIXED9_LIMIT, p = x 1e9 rounds to a double below 2^52, where
- * every half-integer is a double, so nearbyint(p) is the correctly
- * rounded x 1e9 unless p itself sits on a half: then the exact error
- * fma(x, 1e9, -p) (an explicit call, which -ffp-contract=off leaves
- * alone) says which side the true product lies on, and only an exact
- * tie is left to nearbyint's ties-to-even.  The sign is x's, so -0.0 and
- * -1e-12 both print -0.000000000, as Python's do. */
-#define FIXED9_LIMIT 4.5e6  /* below 2^52 / 1e9: at most 7 integer digits */
-#define FIXED9_CELL 18      /* the widest cell: sign, 7 digits, point, 9 decimals */
+ * Below 1e18, |x| splits exactly into its integer part, a uint64, and
+ * its fraction f < 1, where p = f 1e9 rounds to a double below 2^52,
+ * every half-integer of which is a double: so nearbyint(p) is the
+ * correctly rounded f 1e9 unless p itself sits on a half, and then the
+ * exact error fma(f, 1e9, -p) (an explicit call, which -ffp-contract=off
+ * leaves alone) says which side the true product lies on; only an exact
+ * tie is left to nearbyint's ties-to-even, and a fraction that rounds to
+ * 1e9 carries into the integer part.  The sign is x's, so -0.0 and
+ * -1e-12 both print -0.000000000, as Python's do.  fixed9_wide writes
+ * the rest. */
+#define FIXED9_CELL 320  /* the widest cell, -DBL_MAX's: sign, 309 digits, point, 9 decimals */
 
-/* x in "%.9f" into s, returning its length, or 0 when x is not finite or
- * |x| >= FIXED9_LIMIT (the caller formats those) */
+/* x in "%.9f" into s, and a NUL after it, returning its length, when x
+ * is not finite or |x| >= 1e18: a NaN prints nan whatever its sign, as
+ * Python's does (glibc prints -nan), and any other x is an integer,
+ * which "%.0f" writes exactly with no radix character, so LC_NUMERIC
+ * cannot change it.  Kept out of line: no default output reaches it. */
+static __attribute__((noinline)) int fixed9_wide(double x, char *s)
+{
+    if (!isfinite(x))
+        return sprintf(s, "%s", isnan(x) ? "nan" : x < 0 ? "-inf" : "inf");
+    return sprintf(s, "%.0f.000000000", x);
+}
+
+/* x in "%.9f" into s, returning its length; at most FIXED9_CELL bytes,
+ * and one more, a NUL, for a cell that fixed9_wide writes */
 static int fixed9_cell(double x, char *s)
 {
     char digits[20];
-    double p, n;
-    unsigned long long u, whole;
+    double ax = fabs(x), f, p, n;
+    unsigned long long whole;
     unsigned long frac;
     int len = 0, k;
 
-    if (!(fabs(x) < FIXED9_LIMIT))
-        return 0;
-    p = x * 1e9;
+    if (!(ax < 1e18))
+        return fixed9_wide(x, s);
+    whole = (unsigned long long)ax;
+    f = ax - (double)whole;
+    p = f * 1e9;
     n = nearbyint(p);
     if (fabs(p - n) == 0.5) {
-        double err = fma(x, 1e9, -p);
+        double err = fma(f, 1e9, -p);
 
         if (err != 0.0)
             n = p + copysign(0.5, err);
     }
-    u = (unsigned long long)fabs(n);
-    whole = u / 1000000000ULL;
-    frac = (unsigned long)(u % 1000000000ULL);
+    if (n == 1e9) {
+        whole++;
+        n = 0.0;
+    }
+    frac = (unsigned long)n;
     if (signbit(x))
         s[len++] = '-';
     k = 0;
@@ -1006,8 +1015,7 @@ static int fixed9_cell(double x, char *s)
 
 /* rows x cols cells, row-major, as CSV lines "c,c,...\r\n" into out,
  * which holds at least rows (cols (FIXED9_CELL + 1) + 1) bytes.
- * Returns the number of bytes written, or -1 - i for the first cell i
- * that fixed9_cell leaves to the caller (out is then partly written). */
+ * Returns the number of bytes written. */
 long fixed9_rows(long rows, long cols, const double *cells, char *out)
 {
     char *s = out;
@@ -1017,11 +1025,7 @@ long fixed9_rows(long rows, long cols, const double *cells, char *out)
         return 0;
     for (i = 0; i < rows; i++) {
         for (k = 0; k < cols; k++) {
-            int len = fixed9_cell(cells[i * cols + k], s);
-
-            if (!len)
-                return -1 - (i * cols + k);
-            s += len;
+            s += fixed9_cell(cells[i * cols + k], s);
             *s++ = ',';
         }
         s[-1] = '\r';
@@ -1035,21 +1039,17 @@ long fixed9_rows(long rows, long cols, const double *cells, char *out)
  * cell formatted once, the xi cells copied from xi_cells, n rows of
  * FIXED9_CELL bytes that each hold a cell's text padded with '\0', and
  * the pi cells formatted from the (layers, n) row-major pi.  Returns the
- * number of bytes written, or -1 - i for the first cell i of the
- * (layers n, 3) table that fixed9_cell leaves to the caller (out is then
- * partly written). */
+ * number of bytes written. */
 long fixed9_surface(long layers, long n, const double *taus, const char *xi_cells,
                     const double *pi, char *out)
 {
-    char tau[FIXED9_CELL];
+    char tau[FIXED9_CELL + 1];  /* and fixed9_wide's NUL */
     char *s = out;
     long j, i, k;
 
     for (j = 0; j < layers; j++) {
-        int tau_len = fixed9_cell(taus[j], tau), len;
+        int tau_len = fixed9_cell(taus[j], tau);
 
-        if (!tau_len)
-            return -1 - j * n * 3;
         for (i = 0; i < n; i++) {
             const char *xi = xi_cells + i * FIXED9_CELL;
 
@@ -1059,10 +1059,7 @@ long fixed9_surface(long layers, long n, const double *taus, const char *xi_cell
             for (k = 0; k < FIXED9_CELL && xi[k]; k++)
                 *s++ = xi[k];
             *s++ = ',';
-            len = fixed9_cell(pi[j * n + i], s);
-            if (!len)
-                return -1 - ((j * n + i) * 3 + 2);
-            s += len;
+            s += fixed9_cell(pi[j * n + i], s);
             *s++ = '\r';
             *s++ = '\n';
         }

@@ -87,9 +87,10 @@ DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 _COERCE = {key: kind for key, kind, _, _ in OPTIONS}
 _CHOICES = {"engine": ("newton", "pc"), "scheme_mode": tuple(m.value for m in SchemeMode)}
 _REFINE_ONLY = ("base_N", "levels")
-# The compiled CSV writer's buffer holds at most this many bytes (or one
-# time layer of surface.csv, when that is larger).
-CHUNK_BYTES = 1 << 16
+# The compiled CSV writer formats at most this many cells per chunk (or
+# one time layer of surface.csv, when that is more), into a buffer sized
+# for cells of the widest double.
+CHUNK_CELLS = 4096
 # Seconds the surface.csv writer sleeps, without the GIL, each time it
 # finds that the march has not yet stored the layers of its next buffer
 POLL_S = 2e-5
@@ -257,7 +258,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_fixed9(fh, header: str, count: int, step: int, out, compiled, text,
+def _write_fixed9(fh, header: str, count: int, step: int, out, compiled,
                   stored=None) -> None:
     """Write a CSV table of fixed 9-decimal numbers to the binary file
     ``fh``, byte for byte as csv.writer with _fmt writes it: the header
@@ -266,11 +267,9 @@ def _write_fixed9(fh, header: str, count: int, step: int, out, compiled, text,
 
     ``compiled(start, stop)`` (a writer of native.fixed9_rows or
     native.fixed9_surface) formats a chunk into ``out`` (its uint8 array,
-    or a memoryview of it), one buffer reused for the whole file, so the file is streamed in pieces of at most about
-    CHUNK_BYTES, and returns the bytes written, or a negative number when
-    the chunk holds a cell that C hands back (not finite, or of magnitude
-    4.5e6 or more).  ``text(start, stop)`` then returns the chunk as
-    Python's "%.9f" formats it, and every chunk when compiled is None.
+    or a memoryview of it), one buffer reused for the whole file, so the
+    file is streamed in pieces of at most about CHUNK_CELLS cells, and
+    returns the bytes written.
 
     ``stored(stop)``, when given, is called before each chunk is
     formatted: it returns once units 0 .. stop - 1 are final, True, or
@@ -282,11 +281,7 @@ def _write_fixed9(fh, header: str, count: int, step: int, out, compiled, text,
         stop = min(start + step, count)
         if stored is not None and not stored(stop):
             return
-        written = compiled(start, stop) if compiled else -1
-        if written >= 0:
-            fh.write(out[:written])
-        else:
-            fh.write(text(start, stop).encode("ascii"))
+        fh.write(out[:compiled(start, stop)])
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -295,13 +290,10 @@ def _write_table(path: Path, header: str, columns) -> None:
     _write_fixed9), its arrays checked once for the file."""
     cells = np.ascontiguousarray(np.column_stack(columns), dtype=float)
     rows, cols = cells.shape
-    template = ",".join(["%.9f"] * cols) + "\r\n"
-    step = max(1, CHUNK_BYTES // native.fixed9_bytes(1, cols))
+    step = max(1, CHUNK_CELLS // cols)
     out = np.empty(native.fixed9_bytes(min(step, rows), cols), np.uint8)
     with path.open("wb") as fh:
-        _write_fixed9(fh, header, rows, step, out, native.fixed9_rows(cells, out),
-                      lambda start, stop: template * (stop - start) %
-                      tuple(cells[start:stop].ravel().tolist()))
+        _write_fixed9(fh, header, rows, step, out, native.fixed9_rows(cells, out))
 
 
 def _surface_writer(fh, taus: np.ndarray, xi: np.ndarray, surface: np.ndarray):
@@ -314,12 +306,9 @@ def _surface_writer(fh, taus: np.ndarray, xi: np.ndarray, surface: np.ndarray):
     The xi cells are formatted once for the file, and the writer of
     native.fixed9_surface, whose arrays are checked once for the file,
     formats each chunk's tau cells once per layer and its pi cells,
-    copying the xi cells.  A chunk that it hands back, and every chunk when an xi
-    cell is one C leaves to Python, is written from a layer template, the
-    xi cells formatted once, and each time layer is one %-format of its
-    values ("%.9f" formats as _fmt does).  A C-contiguous float64 surface,
-    a march's, is read in place, so its layers may be stored after this
-    returns, before ``stored`` says they are final.
+    copying the xi cells.  A C-contiguous float64 surface, a march's, is
+    read in place, so its layers may be stored after this returns, before
+    ``stored`` says they are final.
 
     Raises ValueError unless taus and xi are 1-D and surface has the shape
     (taus.size, xi.size).
@@ -329,26 +318,18 @@ def _surface_writer(fh, taus: np.ndarray, xi: np.ndarray, surface: np.ndarray):
         raise ValueError(f"surface of shape {surface.shape} does not fit {taus.size} "
                          f"taus and {xi.size} xi nodes")
     n = xi.size
-    per = max(1, CHUNK_BYTES // native.fixed9_bytes(max(n, 1), 3))
+    per = max(1, CHUNK_CELLS // (3 * max(n, 1)))
     out = np.empty(native.fixed9_bytes(min(per, taus.size) * n, 3), np.uint8)
-    xi_text = [_fmt(x) for x in xi.tolist()]
-    layer = "".join(["\0," + x + ",%.9f\r\n" for x in xi_text])
-    compiled = None  # unless C can write the xi cells: none is wider than C's, and n > 0
-    if n and np.all(np.abs(xi) < native.FIXED9_LIMIT):
-        xi_cells = np.frombuffer(b"".join([x.encode().ljust(native.FIXED9_CELL, b"\0")
-                                           for x in xi_text]), np.uint8).reshape(n, -1)
-        compiled = native.fixed9_surface(taus, xi_cells, surface, out)
-
-    def text(start, stop):
-        return "".join([layer.replace("\0", _fmt(taus[j])) % tuple(surface[j].tolist())
-                        for j in range(start, stop)])
-
+    xi_cells = np.frombuffer(b"".join([_fmt(x).encode().ljust(native.FIXED9_CELL, b"\0")
+                                       for x in xi.tolist()]), np.uint8)
+    compiled = native.fixed9_surface(taus, xi_cells.reshape(n, native.FIXED9_CELL), surface,
+                                     out)
     # a memoryview's slices, unlike numpy's, allocate nothing outside Python's
     # own allocator on the thread that writes
     view = memoryview(out)
 
     def write(stored=None):
-        _write_fixed9(fh, "tau,xi,pi", taus.size, per, view, compiled, text, stored)
+        _write_fixed9(fh, "tau,xi,pi", taus.size, per, view, compiled, stored)
     return write
 
 

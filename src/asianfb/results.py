@@ -86,7 +86,7 @@ class SolveResult:
 def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
     """The LayerDiagnostics of layer ``layer`` at ``tau`` from the out[]
     slots of its C layer call, in native's OUT_* order."""
-    iterations, _, initial, onesided, violations, f1, f2, backward, _, _, fallback = out
+    iterations, _, initial, onesided, violations, f1, f2, backward, _, fallback = out
     return LayerDiagnostics(layer, tau, int(iterations), f1, f2, initial, int(onesided),
                             int(violations), bool(fallback), backward)
 

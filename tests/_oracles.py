@@ -488,11 +488,10 @@ def extrapolated_start(taus, rho, surface, j):
 
 def march_numpy(frame, engine, rho, surface, rows, count=None):
     """native.march on the numpy twins, one layer call at a time: the same
-    arguments and result, the same layers in the caller's arrays, with
-    the rows' OUT_UPWINDED slots NaN, and the same layer count published
-    as each layer is stored.  The count is stored under the GIL, after
-    the layer, so a reader that takes the GIL after reading it sees the
-    layer."""
+    arguments and result, the same layers and rows in the caller's
+    arrays, and the same layer count published as each layer is stored.
+    The count is stored under the GIL, after the layer, so a reader that
+    takes the GIL after reading it sees the layer."""
     g, p, mode, limits = frame.g, frame.p, frame.mode, frame.struct
     if engine == "newton":
         cfg = NewtonConfig(tol=limits.tol, max_iter=limits.max_iter)

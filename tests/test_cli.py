@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -48,16 +49,15 @@ def beside_a_half_way_point(k, side):
     return mid if side == 0 else float(np.nextafter(mid, side * np.inf))
 
 
-# The compiled writer formats cells of magnitude below 4.5e6 (under
-# 2^52 / 1e9) and hands every other cell back to Python.
-FIXED9_LIMIT = 4.5e6
 CELLS = st.one_of(
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, FIXED9_LIMIT,
-                     math.nextafter(FIXED9_LIMIT, 0.0), -FIXED9_LIMIT, 2**52 / 1e9]),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 4.5e6,
+                     math.nextafter(4.5e6, 0.0), -4.5e6, 2**52 / 1e9, 1e18,
+                     math.nextafter(1e18, 0.0), math.nextafter(1e18, math.inf),
+                     sys.float_info.max, -sys.float_info.max]),
     st.builds(beside_a_half_way_point, st.integers(-10**16, 10**16), st.sampled_from([-1, 0, 1])),
     st.floats(min_value=-1e-300, max_value=1e-300),  # subnormal scale, -0.000000000 included
     st.floats(min_value=-1e6, max_value=1e6),
-    st.floats(min_value=4e6, max_value=5e6),  # either side of the compiled range's end
+    st.floats(min_value=4e6, max_value=5e6),
     st.floats(min_value=-1e300, max_value=1e300),
 )
 TAUS = st.lists(st.one_of(
@@ -142,6 +142,30 @@ class TestSolve:
         write_surface_csv(tmp_path / "oracle.csv", result.taus, g.xi, result.surface)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    @pytest.mark.parametrize("engine", ["newton", "pc"])
+    def test_wide_cells_match_csv_writer(self, tmp_path, params, engine):
+        """At T = 9e6 the tau and T - tau cells reach 8999999.999999899,
+        wider than any cell at the defaults: boundary.csv and surface.csv
+        keep csv.writer's bytes of the in-memory march."""
+        from asianfb import make_grid, march_newton, march_pc
+
+        assert run_cli(["solve", "--engine", engine, "--T", "9000000", "--N", "16"],
+                       tmp_path) == 0
+        p = dataclasses.replace(params, T=9e6)
+        g = make_grid(p, N=16)
+        result = {"newton": march_newton, "pc": march_pc}[engine](p, g)
+        with (tmp_path / "boundary-oracle.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tau", "rho", "xf_t", "t"])
+            for tau, rho in zip(result.taus.tolist(), result.rho.tolist()):
+                writer.writerow([f"{x:.9f}" for x in (tau, rho, 1.0 / rho, p.T - tau)])
+        write_surface_csv(tmp_path / "surface-oracle.csv", result.taus, g.xi, result.surface)
+        boundary = (tmp_path / "boundary.csv").read_bytes()
+        assert b"8999999.999999899," in boundary
+        assert boundary == (tmp_path / "boundary-oracle.csv").read_bytes()
+        assert (tmp_path / "surface.csv").read_bytes() == \
+            (tmp_path / "surface-oracle.csv").read_bytes()
+
     def test_concurrent_solves_stream_their_own_surfaces(self, tmp_path, monkeypatch, params):
         """Four solves at once on threads of their own, each streaming its
         surface.csv from its own worker while its march publishes its
@@ -221,12 +245,12 @@ class TestSolve:
         out.mkdir(exist_ok=True)
         args = np.array(taus), np.array(xi), np.array(surface)
         write_surface_csv(out / "oracle.csv", *args)
-        for chunk_bytes in (cli.CHUNK_BYTES, 1):
+        for chunk_cells in (cli.CHUNK_CELLS, 1):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+                patch.setattr(cli, "CHUNK_CELLS", chunk_cells)
                 write_surface(out / "surface.csv", *args)
             assert (out / "surface.csv").read_bytes() == \
-                (out / "oracle.csv").read_bytes(), chunk_bytes
+                (out / "oracle.csv").read_bytes(), chunk_cells
 
     @pytest.mark.parametrize("value, cell", [(0.0009765625, "0.000976562"),
                                              (0.0029296875, "0.002929688"),
@@ -240,24 +264,25 @@ class TestSolve:
             f"tau,xi,pi\r\n1.000000000,0.500000000,{cell}\r\n".encode()
 
     def test_surface_writer_streams_many_chunks(self, tmp_path, rng):
-        """A table of several chunks, some of them holding a cell that the
-        compiled writer hands back."""
+        """A table of several chunks, two of them holding a NaN or a cell
+        of 4.5e6 or more."""
         taus = np.linspace(0.0, 50.0, 41)
         xi = np.linspace(0.0, 3.0, 201)
         surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
         surface[17, 5] = np.nan
         surface[30, 200] = -1e7
-        assert taus.size * xi.size * 58 > 4 * cli.CHUNK_BYTES
+        assert taus.size > 4 * (cli.CHUNK_CELLS // (3 * xi.size))  # more than 4 chunks
         write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
         write_surface(tmp_path / "surface.csv", taus, xi, surface)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf, FIXED9_LIMIT, -1e7])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 4.5e6, -1e7])
     @pytest.mark.parametrize("column", ["tau", "xi", "pi"])
     def test_surface_writer_hands_back_a_cell_in_each_column(self, tmp_path, rng, column, bad):
-        """A cell that the compiled writer leaves to Python, in the tau, xi or
-        pi column of a table of several chunks, at the default chunk size
-        and at one layer per chunk."""
+        """A NaN, an infinity or a cell of 4.5e6 or more, once left to
+        Python's formatting, in the tau, xi or pi column of a table of
+        several chunks, at the default chunk size and at one layer per
+        chunk."""
         taus = np.linspace(0.0, 50.0, 13)
         xi = np.linspace(0.0, 3.0, 201)
         surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
@@ -267,14 +292,14 @@ class TestSolve:
             xi[100] = bad
         else:
             surface[7, 100] = bad
-        assert taus.size * xi.size * 58 > 2 * cli.CHUNK_BYTES
+        assert taus.size > 2 * (cli.CHUNK_CELLS // (3 * xi.size))  # more than 2 chunks
         write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
-        for chunk_bytes in (cli.CHUNK_BYTES, 1):
+        for chunk_cells in (cli.CHUNK_CELLS, 1):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+                patch.setattr(cli, "CHUNK_CELLS", chunk_cells)
                 write_surface(tmp_path / "surface.csv", taus, xi, surface)
             assert (tmp_path / "surface.csv").read_bytes() == \
-                (tmp_path / "oracle.csv").read_bytes(), chunk_bytes
+                (tmp_path / "oracle.csv").read_bytes(), chunk_cells
 
     def test_surface_writer_rejects_mismatched_shapes(self, tmp_path):
         taus, xi = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5])
@@ -294,7 +319,7 @@ class TestSolve:
 
     def test_table_writer_matches_csv_writer_bytes(self, tmp_path, rng):
         """boundary.csv's and compare.csv's writer over several chunks, with
-        cells the compiled writer hands back."""
+        an infinity, a NaN and a cell of 301 digits."""
         columns = [rng.uniform(-2.0, 2.0, 3000) for _ in range(4)]
         columns[1][[5, 1500, 2999]] = [np.inf, -1e300, np.nan]
         columns[3][::7] = 0.0009765625

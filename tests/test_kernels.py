@@ -569,12 +569,33 @@ class TestFixed9Rows:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.5e6, -4.5e6, 1e300])
     def test_hands_back_the_first_cell_it_cannot_format(self, bad):
+        """The cells the writer once handed back to Python (non-finite, or
+        of magnitude 4.5e6 and over) it now writes itself, as "%.9f" does,
+        in whole-surface and in chunked writes."""
         cells = np.zeros((3, 2))
         cells[1, 1] = cells[2, 0] = bad
         out = np.empty(native.fixed9_bytes(3, 2), np.uint8)
         write = native.fixed9_rows(cells, out)
-        assert write(0, 3) == -1 - 3
-        assert write(1, 3) == -1 - 1  # the cell's index within the chunk
+        want = ["%.9f,%.9f\r\n" % tuple(row) for row in cells.tolist()]
+        assert out[:write(0, 3)].tobytes().decode() == "".join(want)
+        assert out[:write(1, 3)].tobytes().decode() == "".join(want[1:])
+
+    def test_matches_python_on_every_double_class(self):
+        """Every cell as Python's "%.9f" writes it: 200 000 doubles from
+        random bit patterns (NaNs, infinities, subnormals and integers of
+        hundreds of digits among them), and the edges of each range, with
+        either sign; 1 - ulp's fraction rounds up into its integer part."""
+        edges = [0.0, math.nan, math.inf, 5e-324, math.nextafter(1.0, 0.0), 4.5e6,
+                 math.nextafter(4.5e6, 0.0), math.nextafter(4.5e6, math.inf), 2.0**53,
+                 math.nextafter(2.0**53, 0.0), math.nextafter(2.0**53, math.inf), 1e18,
+                 math.nextafter(1e18, 0.0), math.nextafter(1e18, math.inf), 2.0**64,
+                 sys.float_info.max]
+        bits = np.random.default_rng(27).integers(0, 2**64, 200_000, np.uint64)
+        cells = np.concatenate([edges, np.negative(edges), bits.view(np.float64)]).reshape(-1, 4)
+        out = np.empty(native.fixed9_bytes(*cells.shape), np.uint8)
+        size = native.fixed9_rows(cells, out)(0, cells.shape[0])
+        assert out[:size].tobytes().decode().split("\r\n") == \
+            [",".join(["%.9f" % x for x in row]) for row in cells.tolist()] + [""]
 
     def test_rejects_buffers_it_could_overrun(self):
         cells = np.zeros((4, 3))
@@ -752,6 +773,19 @@ def test_march_bit_identical_across_backends(march, mode):
                 (name, grid_name, digests)
             errors = [np.array([d.backward_error for d in run.diagnostics]) for run in results]
             assert errors[0].tobytes() == errors[1].tobytes(), (name, grid_name)
+
+
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_march_rows_bit_identical_across_backends(params, march):
+    """Every out[] slot of every layer in SolveResult.rows, which
+    MARCH_DIGESTS do not hash, from the kernel's march and from the march
+    on the numpy twins of its layers."""
+    grid = make_grid(params, N=50)
+    rows = []
+    for layers in (contextlib.nullcontext(), numpy_layers()):
+        with layers:
+            rows.append(march(params, grid).rows.tobytes())
+    assert rows[0] == rows[1]
 
 
 # A first layer's tau_next so close to tau = 0 that 1/dt, and with it
