@@ -17,16 +17,19 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
   in a process into a cache next to the source (see native.py), and the
   only kernel that runs.  Next to ``thomas`` it offers each engine's
-  time layer in C, eliminating with the same ``thomas`` loop: Newton's
-  as one function, newton_layer, which builds the layer's z-free part in
-  a ``native.LayerFrame`` and runs its iterations there, and the
+  time layer in C: Newton's as one function, newton_layer, which builds
+  the layer's z-free part in a ``native.LayerFrame`` and runs its
+  iterations there, eliminating with the same ``thomas`` loop, and the
   predictor-corrector's as two, pc_predictor (the scalar root) and
   pc_corrector (the z-free part, the three solves and the layer's
-  diagnostics over the frame).  ``native.march`` runs one engine's
+  diagnostics over the frame), whose solves eliminate from both ends of
+  the rows and meet in the middle.  ``native.march`` runs one engine's
   march over them, every layer in one call, publishing each stored
-  layer through a layer count when given one, and ``native.layer`` one
-  of them alone.  A march's frame holds its constants, filled once, and each
-  call writes its limits into it and raises its own failure.  Its
+  layer through a layer count when given one and skipping the passes
+  that only fill diagnostics when its frame says so, and
+  ``native.layer`` one of them alone.  A march's frame holds its
+  constants, filled once, and each call writes its limits into it and
+  raises its own failure.  Its
   ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" formats every double, for cli._write_fixed9, which

@@ -1,12 +1,13 @@
 """Compiled kernel: thomas.c through ctypes, built on first use.
 
 The library holds ``thomas``, the Thomas solve of the kernel contract;
-one time layer of each engine, which eliminates with the row step of
-that same ``thomas``: ``newton_layer``, the z-free part of a layer and
-its Newton iterations over a LayerFrame's buffers, and the
+one time layer of each engine: ``newton_layer``, the z-free part of a
+layer and its Newton iterations over a LayerFrame's buffers, which
+eliminate with the row step of that same ``thomas``, and the
 predictor-corrector layer's two halves, ``pc_predictor``, the
 predictor's scalar root, and ``pc_corrector``, the z-free part, the
-corrector and the layer's diagnostics over the frame's buffers;
+corrector and the layer's diagnostics over the frame's buffers, whose
+solves eliminate from both ends;
 ``march``, which steps one engine over every layer of a march with
 those functions (see below), and ``published``, which reads the count
 of layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, the
@@ -16,11 +17,17 @@ Each solve of a layer is one forward sweep over the rows and one
 backward sweep.  The forward sweep builds each row, its right-hand side
 and the row counts, records whether the row's entries are finite and
 max |diag|, and takes the row's elimination step, storing its pivot in
-the frame's ``piv``; once it ends, a non-finite entry, then the first
-pivot below the floor, fails the solve as ``thomas`` fails it.  The
-sweep writes every row buffer and right-hand side before any check, so
-``_failure`` finds the array to name.  pc's solve for dF1/dz reuses the
-pivots and ``cp`` of the first frozen solve, whose J11 it has.
+the frame's ``piv``; once it ends, a non-finite entry, then the lowest
+row whose pivot falls below the floor, fails the solve as ``thomas``
+fails it.  The sweep writes every row buffer and right-hand side before
+any check, so ``_failure`` finds the array to name.  Newton's sweep
+eliminates downward, as ``thomas`` does.  pc's three solves are
+two-ended eliminations (a twisted factorization): rows 0 .. m - 1
+eliminate downward and rows n - 1 .. m + 1 upward, in one loop, meeting
+at row m = n // 2, and the backward sweep runs outward from m, so each
+solve's serial recurrence is two independent chains of half its length.
+pc's solve for dF1/dz reuses the pivots and ``cp`` of the first frozen
+solve, whose J11 it has.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 the first kernel call in a process) looks for a shared library in
@@ -51,14 +58,16 @@ which it owns, and the _Frame struct that hands them to C with the
 march's constants (T, h, h**2, r, q, sigma**2 and their products),
 filled once.  The frame's ``set_limits`` writes an engine's limits into
 its struct (Newton's tol and max_iter, or the predictor's root search,
-and the eliminations' pivot_rtol and schur_floor).  ``march`` runs every
+the eliminations' pivot_rtol and schur_floor, and ``diagnostics``, 1
+unless set to 0).  ``march`` runs every
 layer of a march in one C call, which holds no GIL, into arrays the
 caller allocates: C copies each stored layer forward, builds every
 layer's z-free part itself and starts Newton's layers 3 .. M - 1 from an
-extrapolation of the stored layers before them.  Given a layer count,
-it publishes each layer it stores there, and another thread that reads
-the count with ``published`` may read those layers while the march
-runs.  ``layer`` runs one layer function alone: it writes
+extrapolation of the stored layers before them.  With the frame's
+``diagnostics`` 0 its layers skip the passes that only fill
+diagnostics.  Given a layer count, it publishes each layer it stores
+there, and another thread that reads the count with ``published`` may
+read those layers while the march runs.  ``layer`` runs one layer function alone: it writes
 that function's limits alike, copies the previous layer into the frame's
 y buffer and passes only tau_prev, tau_next and z_prev (and pc's
 corrector its z_tilde, and Newton's layer its first iterate, the
@@ -256,7 +265,8 @@ class _Frame(ctypes.Structure):
     """thomas.c's struct layer_frame."""
 
     _fields_ = [(name, ctypes.c_long) for name in
-                ("n", "upwind", "max_iter", "root_max_iter", "scan", "expansions")] + \
+                ("n", "upwind", "diagnostics", "max_iter", "root_max_iter", "scan",
+                 "expansions")] + \
         [(name, ctypes.c_double) for name in
          ("T", "h", "h2", "two_h", "r", "q", "half_sig2", "diff", "sig2", "tol", "root_tol",
           "bracket_factor", "pivot_rtol", "schur_floor")] + \
@@ -312,7 +322,7 @@ class LayerFrame:
         sig2 = p.sigma**2
         self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", T=p.T, h=g.h,
                              h2=g.h**2, two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=0.5 * sig2,
-                             diff=0.5 * sig2 / g.h**2, sig2=sig2,
+                             diff=0.5 * sig2 / g.h**2, sig2=sig2, diagnostics=1,
                              out=ctypes.addressof(self.out),
                              **{name: a.ctypes.data for name, a in buffers.items()})
         self.address = ctypes.addressof(self.struct)
@@ -405,7 +415,12 @@ def march(frame, engine, rho, surface, rows, count=None):
     j + 1 from (taus[j], surface[j], rho[j]) to taus[j + 1] of the frame's
     grid g, its boundary into rho[j + 1], its values into surface[j + 1]
     and its out[] slots into rows[j] (OUT_FAILURE 0), with the limits in
-    the frame's struct (see LayerFrame.set_limits).  Newton's layers are
+    the frame's struct (see LayerFrame.set_limits).  With the struct's
+    ``diagnostics`` 0 the layers skip the passes that only fill
+    diagnostics (Newton's final rows, F1 and F2, pc's backward error and
+    F2), which no decision reads, and their slots OUT_RESIDUAL_F1,
+    OUT_RESIDUAL_F2 and OUT_BACKWARD_ERROR read NaN: rho, surface and
+    every other slot are the same bits as with it 1.  Newton's layers are
     newton_layer's; layers 4 .. M - 1 start from the three-point
     Lagrange extrapolation of the stored layers j, j - 1 and j - 2 to
     taus[j + 1], layer 3 from the linear one of layers 2 and 1, and the

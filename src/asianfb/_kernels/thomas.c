@@ -1,11 +1,12 @@
 /* Compiled kernel, loaded through ctypes by native.py: thomas, the
  * Thomas solve of the kernel contract, and the time layers of both
- * engines, which eliminate with thomas's row step: newton_layer, Newton's
- * iterations, and pc_predictor and pc_corrector, the two halves of a
- * predictor-corrector layer, march, which steps one engine over all
- * the layers of a march, and published, which reads the count of layers
- * it has stored (below); and fixed9_rows and fixed9_surface, the
- * CSV writer's "%.9f" cells of every double (at the end).
+ * engines: newton_layer, Newton's iterations, which eliminate with
+ * thomas's row step, and pc_predictor and pc_corrector, the two halves of
+ * a predictor-corrector layer, whose solves eliminate from both ends of
+ * the rows at once; march, which steps one engine over all the layers of
+ * a march, and published, which reads the count of layers it has stored
+ * (below); and fixed9_rows and fixed9_surface, the CSV writer's "%.9f"
+ * cells of every double (at the end).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
  * its solution is bit-identical to the pure loop's: build with
@@ -132,16 +133,31 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * (build_row), the right-hand side it solves for (Newton's F1_i and
  * J12_i, or pc's frozen y^prev_i/dt), the counts the diagnostics report,
  * the finiteness of the row's entries and max |diag|, and takes the row's
- * elimination step (eliminate_row, which thomas takes too), storing its
- * pivot.  Only once the sweep ends are the pivots tested against the
- * floor, which needs max |diag| (check_sweep): a non-finite entry first,
- * then the first row whose pivot falls below the floor, as thomas reports
- * them.  The sweep writes every row buffer and right-hand side whatever
- * it meets, so a failure finds them as the numpy twins leave them.  The
- * backward sweep back-substitutes every column in one pass.  pc's J12
- * solve has the J11 of its first frozen solve, so it reuses that solve's
- * pivots and cp.  The end of a Newton layer builds the rows at the
- * accepted z with F1, max |F1| and the backward error in one pass.
+ * elimination step, storing its pivot.  Only once the sweep ends are the
+ * pivots tested against the floor, which needs max |diag| (check_sweep):
+ * a non-finite entry first, then the lowest row whose pivot falls below
+ * the floor, as thomas reports them.  The sweep writes every row buffer
+ * and right-hand side whatever it meets, so a failure finds them as the
+ * numpy twins leave them.
+ * Newton's sweep eliminates both of its columns downward with thomas's
+ * row step (eliminate_row), and its backward sweep back-substitutes both
+ * in one pass.  pc's three solves each take a two-ended elimination (a
+ * twisted factorization: Fernando, SIAM J. Matrix Anal. Appl. 18, 1997):
+ * rows 0 .. m - 1 eliminate downward and rows n - 1 .. m + 1 upward, in
+ * one loop that takes a row of each chain in turn, the two chains meet
+ * at row m = n/2, and the backward sweep runs outward from m in both
+ * directions (see chain_step).  Newton's sweep is bound by the
+ * throughput of its two columns, pc's by the latency of one column's
+ * recurrence, which the two independent chains halve.  pc's J12 solve has
+ * the J11 of its first frozen solve, so it reuses that solve's pivots and
+ * cp.  The end of a Newton layer builds the rows at the accepted z with
+ * F1, max |F1| and the backward error in one pass.
+ *
+ * A frame whose diagnostics is 0 skips the passes that only fill
+ * diagnostics: the end of each Newton layer and its final F2, and pc's
+ * backward error and final F2, whose out[] slots then read NaN.  No
+ * decision of a layer reads them, so its y, z, iterations and fallback
+ * are the same bits either way.
  *
  * Every operation keeps the order of the numpy twin that the tests keep
  * as its oracle (tests/_oracles.py: frame_start, newton_layer_numpy,
@@ -171,10 +187,12 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * forward sweep, and first the interior values of the first iterate of a
  * Newton layer that does not start from the previous layer (march's
  * extrapolated start).  tol and max_iter are Newton's; the predictor has
- * its own. */
+ * its own.  diagnostics is 1 in every LayerFrame; 0 makes the layer
+ * functions skip the passes that only fill diagnostics (see above). */
 struct layer_frame {
     long n;
     long upwind;            /* 1 in upwind-singular mode, 0 in central mode */
+    long diagnostics;
     long max_iter, root_max_iter, scan, expansions;
     double T, h, h2, two_h, r, q, half_sig2, diff, sig2;
     double tol, root_tol, bracket_factor, pivot_rtol, schur_floor;
@@ -440,6 +458,14 @@ static struct sweep newton_sweep(const struct layer_frame *frame, const struct l
     return s;
 }
 
+/* The out[] slots of the passes that a frame without diagnostics skips */
+static void skip_diagnostics(double *out)
+{
+    out[OUT_RESIDUAL_F1] = NAN;
+    out[OUT_BACKWARD_ERROR] = NAN;
+    out[OUT_RESIDUAL_F2] = NAN;
+}
+
 /* The end of a Newton layer at the accepted (y, z) with y = f->y: the
  * rows, F1 into f[0:n], and in out[] max |F1| and the backward error */
 static void newton_final(const struct layer_frame *frame, const struct layer *layer, double z)
@@ -472,7 +498,9 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
  * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
  * frame_start's, or with
  * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
- * denominator or the last step. */
+ * denominator or the last step.  Without the frame's diagnostics
+ * out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2]
+ * are NaN, and F1 at the accepted z is not built. */
 long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
                   const double *y_start, double z_start)
 {
@@ -534,24 +562,112 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
         out[OUT_FAILURE] = z;
         return LAYER_NON_POSITIVE_Z;
     }
-    newton_final(f, &l, z);
+    if (f->diagnostics) {
+        newton_final(f, &l, z);
+        out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
+    } else {
+        skip_diagnostics(out);
+    }
     out[OUT_ITERATIONS] = (double)it;
     out[OUT_Z] = z;
     out[OUT_ONESIDED_ROWS] = (double)onesided_max;
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
-    out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
     out[OUT_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
+/* The running state of one chain of a two-ended elimination, the last
+ * row's cp and forward-substituted value, which the chain's next row
+ * reads from here, so that its recurrence runs in registers */
+struct chain {
+    double cp, x;
+};
+
+/* Row i's step of one chain of a two-ended elimination, where back is
+ * the row's entry toward the row the chain took before it and fwd its
+ * entry toward the row it takes next: the downward chain (rows 0 ..
+ * m - 1) passes (a_i, b_i), the upward one (rows n - 1 .. m + 1)
+ * (b_i, a_i).  Its pivot, c_i - back cp_prev (c_i on the chain's first
+ * row), returned; cp_i = fwd over it, into cp[i]; and its forward
+ * substitution x_i = (d_i - back x_prev) / piv (d_i / piv on the first
+ * row), into x[i].  With known pivots (pivots set) it takes only the
+ * substitution, over piv[i]. */
+ROW_STEP double chain_step(int first, int pivots, long i, double back, double c, double fwd,
+                           double d, const double *piv, double *cp, double *x, struct chain *e)
+{
+    double p = pivots ? piv[i] : first ? c : c - back * e->cp;
+
+    if (!pivots)
+        cp[i] = e->cp = fwd / p;
+    x[i] = e->x = (first ? d : d - back * e->x) / p;
+    return p;
+}
+
+/* The meeting row m of a two-ended elimination of n rows: its pivot,
+ * c_m - a_m cp_{m-1} - b_m cq_{m+1} in that order, without the term of a
+ * chain that took no row (the downward one when m = 0, the upward one
+ * when m = n - 1), returned, and x_m = (d_m - a_m x_{m-1} - b_m x_{m+1})
+ * over it, into x[m]; with known pivots (pivots set), over piv[m]. */
+ROW_STEP double meet(long n, long m, int pivots, double a, double c, double b, double d,
+                     const double *piv, const struct chain *down, const struct chain *up,
+                     double *x)
+{
+    double p = c, xm = d;
+
+    if (m > 0) {
+        p = p - a * down->cp;
+        xm = xm - a * down->x;
+    }
+    if (m < n - 1) {
+        p = p - b * up->cp;
+        xm = xm - b * up->x;
+    }
+    if (pivots)
+        p = piv[m];
+    x[m] = xm / p;
+    return p;
+}
+
+/* The backward sweep of a two-ended elimination, outward from its
+ * meeting row m = n/2 in both directions, the two chains in one loop:
+ * x_i -= cp_i x_{i+1} above m, x_i -= cp_i x_{i-1} below it */
+ROW_STEP void back_substitute_outward(long n, const double *cp, double *x)
+{
+    const long m = n / 2;
+    double above = x[m], below = x[m];
+    long k;
+
+    for (k = 1; k <= m; k++) {  /* the upward chain has n - 1 - m <= m rows */
+        x[m - k] = above = x[m - k] - cp[m - k] * above;
+        if (m + k < n)
+            x[m + k] = below = x[m + k] - cp[m + k] * below;
+    }
+}
+
+/* Row i of pc's frozen solve at z, built and returned, with its
+ * right-hand side (y^prev_i/dt, and a_1 y_0 added on row 0 for the
+ * Dirichlet value y_0 = -1) in the frame's single, both tallied into s */
+ROW_STEP struct row frozen_row(const struct layer_frame *f, const struct layer *l,
+                               const struct rows_at *c, long i, struct sweep *s)
+{
+    struct row r = build_row(f, l, c, i);
+
+    f->single[i] = i ? f->rhs[i] : f->rhs[0] + r.lower;
+    s->finite &= isfinite(f->single[i]);
+    tally_row(s, f->n, i, &r);
+    return r;
+}
+
 /* pc's frozen solve: one forward sweep builds the rows at z > 0 and
  * eliminates the frame's single right-hand side, y^prev/dt with a_1 y_0
- * added for the Dirichlet value y_0 = -1, into y[1..n], and the backward
- * sweep solves y[1..n] there, between y[0] = -1 and y[n+1] = 0.  Returns
- * LAYER_OK with the rows failing strict diagonal dominance in
+ * added for the Dirichlet value y_0 = -1, into y[1..n] from both ends,
+ * taking row k of the downward chain and row n - 1 - k of the upward one
+ * in turn, then the meeting row m = n/2; and the backward sweep solves
+ * y[1..n] there, outward from m, between y[0] = -1 and y[n+1] = 0.
+ * Returns LAYER_OK with the rows failing strict diagonal dominance in
  * *violations and the upwinded rows in *onesided, or the status of the
- * failure, with out[OUT_FAILURE] = the non-positive z or the failing
- * pivot row. */
+ * failure, with out[OUT_FAILURE] = the non-positive z or the lowest
+ * failing pivot row. */
 static long frozen_solve(const struct layer_frame *frame, const struct layer *layer, double z,
                          double *y, long *violations, long *onesided)
 {
@@ -559,33 +675,47 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
     const struct layer lc = *layer, *l = &lc;
     struct rows_at c;
     struct sweep s = {0, 0, 0.0, 0.0, 1};
-    struct elimination e = {0.0, 0.0, 0.0};
-    const long n = f->n;
-    long i, status;
+    struct chain down = {0.0, 0.0}, up = {0.0, 0.0};
+    const long n = f->n, m = n / 2;
+    struct row r;
+    long i, k, status;
 
     if (z <= 0) {
         f->out[OUT_FAILURE] = z;
         return LAYER_NON_POSITIVE_Z;
     }
     c = rows_at(f, l, z);
-    for (i = 0; i < n; i++) {
-        struct row r = build_row(f, l, &c, i);
-
-        f->single[i] = i ? f->rhs[i] : f->rhs[0] + r.lower;
-        s.finite &= isfinite(f->single[i]);
-        tally_row(&s, n, i, &r);
-        f->piv[i] = eliminate_row(n, i, 1, r.lower, r.diag, r.upper, f->single, f->cp, y + 1,
-                                  &e);
+    for (k = 0; k < m; k++) {
+        r = frozen_row(f, l, &c, k, &s);
+        f->piv[k] = chain_step(k == 0, 0, k, r.lower, r.diag, r.upper, f->single[k], NULL,
+                               f->cp, y + 1, &down);
+        if (k < n - 1 - m) {
+            i = n - 1 - k;
+            r = frozen_row(f, l, &c, i, &s);
+            f->piv[i] = chain_step(k == 0, 0, i, r.upper, r.diag, r.lower, f->single[i], NULL,
+                                   f->cp, y + 1, &up);
+        }
     }
+    r = frozen_row(f, l, &c, m, &s);
+    f->piv[m] = meet(n, m, 0, r.lower, r.diag, r.upper, f->single[m], NULL, &down, &up, y + 1);
     y[0] = -1.0;
     y[n + 1] = 0.0;
     status = check_sweep(f, &s);
     if (status != LAYER_OK)
         return status;
-    back_substitute(n, 1, f->cp, y + 1);
+    back_substitute_outward(n, f->cp, y + 1);
     *violations = s.violations;
     *onesided = s.onesided;
     return LAYER_OK;
+}
+
+/* J12_i, row i of pc's J12 at y, into the frame's single and returned,
+ * its finiteness into *finite */
+ROW_STEP double j12_entry(const struct layer_frame *f, long i, const double *y, int *finite)
+{
+    f->single[i] = f->da[i] * y[i] + f->dc[i] * y[i + 1] + f->db[i] * y[i + 2];
+    *finite &= isfinite(f->single[i]);
+    return f->single[i];
 }
 
 /* pc's corrector on the layer from (tau_prev, y, z_prev) to tau_next,
@@ -600,15 +730,17 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
  * fallback in out[OUT_ITERATIONS], out[OUT_INITIAL_RESIDUAL] and
  * out[OUT_FALLBACK], or the status of the first failure:
  * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
- * failing pivot row or the Schur denominator. */
+ * failing pivot row or the Schur denominator.  Without the frame's
+ * diagnostics out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and
+ * out[OUT_RESIDUAL_F2] are NaN. */
 long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
                   double z_tilde)
 {
     struct layer l;
-    const long n = f->n;
+    const long n = f->n, m = n / 2;
     double *y = f->y, *v = f->x, *out = f->out, denom, z, backward = 0.0;
-    struct elimination e = {0.0, 0.0, 0.0};
-    long i, violations, onesided, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
+    struct chain down = {0.0, 0.0}, up = {0.0, 0.0};
+    long i, k, violations, onesided, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
     int finite = 1;
 
     if (status != LAYER_OK)
@@ -618,16 +750,24 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
         return status;
     /* one Newton step on (F1, F2) from (y, z_tilde), where F1 vanishes:
      * dz = -F2 / (1 - J21 J11^{-1} J12), with v = J11^{-1} J12 solved over
-     * the pivots and cp of the frozen solve, whose J11 it is */
-    for (i = 0; i < n; i++) {
-        f->single[i] = f->da[i] * y[i] + f->dc[i] * y[i + 1] + f->db[i] * y[i + 2];
-        finite &= isfinite(f->single[i]);
-        forward_step(n, i, 1, f->lower[i], f->piv[i], f->single, v, &e);
+     * the pivots and cp of the frozen solve, whose J11 it is, from both
+     * ends as that solve eliminated them */
+    for (k = 0; k < m; k++) {
+        chain_step(k == 0, 1, k, f->lower[k], 0.0, 0.0, j12_entry(f, k, y, &finite), f->piv,
+                   f->cp, v, &down);
+        if (k < n - 1 - m) {
+            i = n - 1 - k;
+            chain_step(k == 0, 1, i, f->upper[i], 0.0, 0.0, j12_entry(f, i, y, &finite),
+                       f->piv, f->cp, v, &up);
+        }
     }
+    meet(n, m, 1, f->lower[m], 0.0, f->upper[m], j12_entry(f, m, y, &finite), f->piv, &down,
+         &up, v);
     if (!finite)
         return LAYER_NON_FINITE;
-    back_substitute(n, 1, f->cp, v);
-    denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * v[1]);
+    back_substitute_outward(n, f->cp, v);
+    /* J21's y_2 term is the boundary's, fixed at 0, when n = 1 */
+    denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * (n > 1 ? v[1] : 0.0));
     if (fabs(denom) < f->schur_floor) {
         out[OUT_FAILURE] = denom;
         return LAYER_SINGULAR_SCHUR;
@@ -637,16 +777,21 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
     if (status != LAYER_OK)
         return status;
 
-    for (i = 0; i < n; i++) {
-        double f1;
+    if (f->diagnostics) {
+        for (i = 0; i < n; i++) {
+            double f1;
 
-        backward = nan_max(backward, row_backward_error(f->lower[i], f->diag[i], f->upper[i],
-                                                        f->rhs[i], y, i, &f1), i);
+            backward = nan_max(backward, row_backward_error(f->lower[i], f->diag[i],
+                                                            f->upper[i], f->rhs[i], y, i, &f1),
+                               i);
+        }
+        out[OUT_RESIDUAL_F1] = backward;
+        out[OUT_BACKWARD_ERROR] = backward;
+        out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
+    } else {
+        skip_diagnostics(out);
     }
     out[OUT_Z] = z;
-    out[OUT_RESIDUAL_F1] = backward;
-    out[OUT_BACKWARD_ERROR] = backward;
-    out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
     out[OUT_ONESIDED_ROWS] = (double)onesided;
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
     out[OUT_ITERATIONS] = 0.0;
@@ -853,6 +998,9 @@ enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
  * z_tilde = z_prev, then pc_corrector, with the predictor's iterations
  * (none on a fallback) in out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1
  * on a fallback.
+ * With f's diagnostics 0 the layers skip the passes that only fill
+ * diagnostics, whose slots in rows then read NaN; y, z and every other
+ * slot are the same bits.
  * When count is not NULL, march publishes each stored layer through it:
  * once layer j + 1 is stored, it stores j + 2, the number of layers
  * stored, with release ordering, so a thread that loads the count with

@@ -7,7 +7,10 @@ convergence ratio CR = log2(diff_{N/2} / diff_N).
 
 A march is one C call that holds no GIL (see results.march), so the
 levels of a refinement study and the two engines of a comparison run at
-once on plain threads (``_in_threads``).
+once on plain threads (``_in_threads``).  Both read only rho, so they
+march with ``diagnostics=False``, which skips the kernel's passes that
+only fill residuals and backward errors and leaves rho's bits as they
+are.
 """
 
 from __future__ import annotations
@@ -43,13 +46,18 @@ DEFAULT_PROBES = (10.0, 20.0, 40.0)
 
 def run_engine(engine: str, p: MarketParams, g: GridSpec, mode: SchemeMode,
                newton_cfg: NewtonConfig | None = None,
-               pc_cfg: PredictorConfig | None = None, ready=None) -> SolveResult:
+               pc_cfg: PredictorConfig | None = None, ready=None, *,
+               diagnostics: bool = True) -> SolveResult:
     """The march of ``engine``; ``ready``, when given, gets the march's
-    surface and layer count before the first layer (see results.march)."""
+    surface and layer count before the first layer, and without
+    ``diagnostics`` the march skips the passes that only fill residuals
+    and backward errors (see results.march)."""
     if engine == "newton":
-        return march_newton(p, g, mode, newton_cfg or NewtonConfig(), ready)
+        return march_newton(p, g, mode, newton_cfg or NewtonConfig(), ready,
+                            diagnostics=diagnostics)
     if engine == "pc":
-        return march_pc(p, g, mode, pc_cfg or PredictorConfig(), ready)
+        return march_pc(p, g, mode, pc_cfg or PredictorConfig(), ready,
+                        diagnostics=diagnostics)
     raise ValueError(f"unknown engine {engine!r} (expected 'newton' or 'pc')")
 
 
@@ -103,7 +111,7 @@ def _refinement_level(p, n_val, length, eps_final, mode, engine, probes, newton_
     threads or on the caller's thread."""
     g = make_grid(p, n_val, M=None, L=length, eps_final=eps_final)
     try:
-        result = run_engine(engine, p, g, mode, newton_cfg, pc_cfg)
+        result = run_engine(engine, p, g, mode, newton_cfg, pc_cfg, diagnostics=False)
     except SolverError as exc:
         raise SolverError(f"refinement level N={n_val} failed: {exc}") from exc
     return n_val, g.M, {t: result.rho_at(t) for t in probes}
@@ -211,8 +219,8 @@ def compare_engines(p: MarketParams, g: GridSpec,
     when both fail, Newton's LayerFailure is raised.
     """
     res_n, res_pc = _in_threads(
-        [lambda: march_newton(p, g, mode, newton_cfg or NewtonConfig()),
-         lambda: march_pc(p, g, mode, pc_cfg or PredictorConfig())], 2)
+        [lambda: run_engine("newton", p, g, mode, newton_cfg, diagnostics=False),
+         lambda: run_engine("pc", p, g, mode, pc_cfg=pc_cfg, diagnostics=False)], 2)
     diff = res_pc.rho - res_n.rho
     below = float(np.mean(res_pc.rho[1:] < res_n.rho[1:]))
     return ComparisonRecord(

@@ -4,12 +4,14 @@ march owns the initial layer, the stored rho and surface, one
 native.LayerFrame, the array of each layer's out[] slots and the
 LayerFailure wrapping; an engine supplies only its name and its limits.
 A SolveResult builds its LayerDiagnostics from those slots when they
-are first read, so a caller that reads only rho (compare, refine) pays
-nothing for them.  The layers themselves run in one native.march call,
-which steps the engine over the whole time mesh in C; for a caller that
-reads the layers while the march runs (cli's solve, which streams
-surface.csv), that call publishes each stored layer through a layer
-count.  march is not in
+are first read.  A caller that reads only rho (compare, refine) marches
+with ``diagnostics=False``: C then skips the passes that only fill the
+residuals and backward errors, which read NaN, and every other slot,
+rho and the surface keep their bits.  The layers themselves run in one
+native.march call, which steps the engine over the whole time mesh in
+C; for a caller that reads the layers while the march runs (cli's
+solve, which streams surface.csv), that call publishes each stored
+layer through a layer count.  march is not in
 ``__all__``, so a tracer of the public names charges it to the engine's
 march that calls it.
 """
@@ -92,7 +94,7 @@ def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
 
 
 def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
-          limits: dict, ready=None) -> SolveResult:
+          limits: dict, ready=None, diagnostics: bool = True) -> SolveResult:
     """March ``engine`` ("newton" or "pc") over the time mesh from the
     initial layer with ``limits``, the engine's fields of the frame's
     struct, and tridiag's PIVOT_RTOL and SCHUR_FLOOR as they are at the
@@ -104,7 +106,9 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     array, and count the ctypes.c_long through which the call publishes
     the layers it stores (see native.march), 1 then, for the initial
     layer.  Another thread may read rows 0 .. native.published(count) - 1
-    of surface while the march runs; they are final.
+    of surface while the march runs; they are final.  Without
+    ``diagnostics`` each LayerDiagnostics' residual_f1, residual_f2 and
+    backward_error are NaN (see native.march).
 
     Raises LayerFailure(layer, tau, cause) on the first layer that fails
     with a SolverError, and a layer's ValueError as it is.
@@ -112,7 +116,7 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     state = initial_layer(p, g)
     frame = native.LayerFrame(g, p, mode)
     frame.set_limits(dict(limits, pivot_rtol=tridiag.PIVOT_RTOL,
-                          schur_floor=tridiag.SCHUR_FLOOR))
+                          schur_floor=tridiag.SCHUR_FLOOR, diagnostics=int(diagnostics)))
     rho, surface = np.empty(g.M + 1), np.empty((g.M + 1, g.N + 1))
     rows = np.empty((g.M, native.OUT_SLOTS))
     rho[0], surface[0] = state.z, state.y

@@ -116,9 +116,12 @@ def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams
 
 def march_newton(p: MarketParams, g: GridSpec,
                  mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
-                 cfg: NewtonConfig = NewtonConfig(), ready=None) -> SolveResult:
+                 cfg: NewtonConfig = NewtonConfig(), ready=None, *,
+                 diagnostics: bool = True) -> SolveResult:
     """Layer-by-layer Newton march over the full time mesh, layers 3 .. M - 1
     from the extrapolated starts (see the module docstring); ``ready``, when
-    given, gets the march's surface and layer count before the first layer
-    (see results.march)."""
-    return march(p, g, mode, "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter}, ready)
+    given, gets the march's surface and layer count before the first layer,
+    and without ``diagnostics`` the march skips the passes that only fill
+    residuals and backward errors (see results.march)."""
+    return march(p, g, mode, "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter}, ready,
+                 diagnostics)

@@ -49,7 +49,14 @@ layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
 solves share one native.LayerFrame, whose z-free part is built once per
 layer, and all three eliminations solve its J11 against its one-column
-right-hand side ``single_rhs`` in place.
+right-hand side ``single_rhs`` in place.  Each is a two-ended
+elimination (a twisted factorization; Fernando, SIAM J. Matrix Anal.
+Appl. 18, 1997): the rows above the middle row eliminate downward, those
+below it upward, the two meet at row n // 2 and back-substitute outward
+from there.  The two chains are independent, so the solve's serial
+recurrence is half as long as one sweep's, and the stored layer differs
+from a one-ended elimination's only by rounding (rho by at most 1.6e-14
+at N = 50 .. 800).
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
@@ -66,8 +73,9 @@ the predictor's root_tol, max_iter and bracket scan: one native.march
 call runs every layer in C in the march's one frame, whose struct holds
 them next to the march's constants (publishing each stored layer
 through a layer count when the caller reads the layers as they are
-stored), and falls back to z-tilde = z_prev where pc_predictor finds no
-root.  predictor() and _correct() run one
+stored, and skipping the backward-error pass when the caller reads
+no diagnostics), and falls back to z-tilde = z_prev where
+pc_predictor finds no root.  predictor() and _correct() run one
 layer's halves alone, in one native.layer call each, and native turns a
 failed call's status into its exception.
 The test suite keeps the numpy predictor and corrector that the C
@@ -150,8 +158,11 @@ def _correct(prev: LayerState, tau_next: float, frame: native.LayerFrame,
 
 def march_pc(p: MarketParams, g: GridSpec,
              mode: SchemeMode = SchemeMode.UPWIND_SINGULAR,
-             cfg: PredictorConfig = PredictorConfig(), ready=None) -> SolveResult:
+             cfg: PredictorConfig = PredictorConfig(), ready=None, *,
+             diagnostics: bool = True) -> SolveResult:
     """One predictor and one corrector per layer over the full time mesh;
     ``ready``, when given, gets the march's surface and layer count before
-    the first layer (see results.march)."""
-    return march(p, g, mode, "pc", _root_search(cfg), ready)
+    the first layer, and without ``diagnostics`` the march skips the
+    passes that only fill residuals and backward errors (see
+    results.march)."""
+    return march(p, g, mode, "pc", _root_search(cfg), ready, diagnostics)

@@ -23,7 +23,9 @@ count and the row-wise backward error; Newton's layer
 (``newton_layer_numpy``, thomas.c's newton_layer); and the
 predictor-corrector's predictor and corrector (``predictor_numpy``,
 ``correct_numpy``: pc_predictor and pc_corrector).
-They eliminate with ``_kernels.pure``'s Thomas loop, not with C.
+They eliminate in Python, not with C: Newton's with ``_kernels.pure``'s
+Thomas loop, pc's with ``twisted_solve``, the two-ended loop of its
+solves.
 ``pc_layer`` is one predictor-corrector layer made of the one-layer
 functions, the kernel's or their twins, with the predictor's fallback.
 ``march_numpy`` is thomas.c's march on the twins, one Python call per
@@ -407,6 +409,51 @@ def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
     return PredictorResult(z=x, iterations=iterations)
 
 
+def twisted_solve(lower, diag, upper, rhs):
+    """tridiag.thomas_solve of one right-hand side by thomas.c's two-ended
+    elimination, pc's solves: rows 0 .. m - 1 eliminate downward
+    (cp_i = b_i / piv_i), rows n - 1 .. m + 1 upward (cq_i = a_i / piv_i,
+    kept in cp), and the two chains meet at row m = n // 2, where
+    piv_m = c_m - a_m cp_{m-1} - b_m cq_{m+1}; back substitution runs
+    outward from m.  Every pivot is computed before any is tested, and
+    ZeroPivot names the lowest row whose pivot falls below
+    ``pure.pivot_floor(diag, tridiag.PIVOT_RTOL)``; a non-finite entry
+    raises pure.check_finite's ValueError first."""
+    pure.check_shape(lower, diag, upper, rhs)
+    pure.check_finite(lower, diag, upper, rhs)
+    floor = pure.pivot_floor(diag, tridiag.PIVOT_RTOL)
+    n = diag.size
+    m = n // 2
+    a = [0.0] + lower.tolist()  # a[i] and b[i] are row i's entries
+    b = upper.tolist() + [0.0]
+    c, d = diag.tolist(), rhs.tolist()
+    piv, cp, x = [0.0] * n, [0.0] * n, [0.0] * n
+    for i in range(m):  # downward, from row 0
+        piv[i] = c[i] if i == 0 else c[i] - a[i] * cp[i - 1]
+        cp[i] = b[i] / piv[i]
+        x[i] = (d[i] if i == 0 else d[i] - a[i] * x[i - 1]) / piv[i]
+    for i in range(n - 1, m, -1):  # upward, from row n - 1
+        piv[i] = c[i] if i == n - 1 else c[i] - b[i] * cp[i + 1]
+        cp[i] = a[i] / piv[i]
+        x[i] = (d[i] if i == n - 1 else d[i] - b[i] * x[i + 1]) / piv[i]
+    piv[m], x[m] = c[m], d[m]
+    if m > 0:
+        piv[m] = piv[m] - a[m] * cp[m - 1]
+        x[m] = x[m] - a[m] * x[m - 1]
+    if m < n - 1:
+        piv[m] = piv[m] - b[m] * cp[m + 1]
+        x[m] = x[m] - b[m] * x[m + 1]
+    x[m] = x[m] / piv[m]
+    for i, p in enumerate(piv):
+        if abs(p) < floor:
+            raise ZeroPivot(i)
+    for i in range(m - 1, -1, -1):
+        x[i] = x[i] - cp[i] * x[i + 1]
+    for i in range(m + 1, n):
+        x[i] = x[i] - cp[i] * x[i - 1]
+    return np.array(x)
+
+
 def _frozen_solve(start, z):
     """Interior rows frozen at boundary value z and the layer y they solve for."""
     rows = frame_rows(start, z)  # raises NonPositiveZ
@@ -416,7 +463,7 @@ def _frozen_solve(start, z):
     y = np.empty(frame.g.N + 1)
     y[0] = -1.0
     y[-1] = 0.0
-    y[1:-1] = pure_solve(*frame.j11, frame.single_rhs)
+    y[1:-1] = twisted_solve(*frame.j11, frame.single_rhs)
     return rows, y
 
 
@@ -429,9 +476,10 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of the Newton engine reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
     z_column(rows, y, out=frame.single_rhs)
-    v = pure_solve(*frame.j11, frame.single_rhs)
+    v = twisted_solve(*frame.j11, frame.single_rhs)
     j21_y1, j21_y2 = start.j21
-    denom = 1.0 - (j21_y1 * v[0] + j21_y2 * v[1])
+    # J21's y_2 term is the boundary's, fixed at 0, when there is one interior row
+    denom = 1.0 - (j21_y1 * v[0] + j21_y2 * (v[1] if v.size > 1 else 0.0))
     if abs(denom) < tridiag.SCHUR_FLOOR:
         raise SingularSchur(f"Schur denominator {denom:.3e} at tau={tau_next:.6g}")
     z = z_tilde - frame_constraint(start, y, z_tilde) / denom
@@ -489,7 +537,9 @@ def extrapolated_start(taus, rho, surface, j):
 def march_numpy(frame, engine, rho, surface, rows, count=None):
     """native.march on the numpy twins, one layer call at a time: the same
     arguments and result, the same layers and rows in the caller's
-    arrays, and the same layer count published as each layer is stored.
+    arrays (the twins compute every diagnostic, and write NaN where the
+    kernel skips them, with the frame's diagnostics 0), and the same
+    layer count published as each layer is stored.
     The count is stored under the GIL, after the layer, so a reader that
     takes the GIL after reading it sees the layer."""
     g, p, mode, limits = frame.g, frame.p, frame.mode, frame.struct
@@ -520,6 +570,9 @@ def march_numpy(frame, engine, rho, surface, rows, count=None):
                  native.OUT_FAILURE, native.OUT_FALLBACK]] = (
             d.iterations, state.z, d.initial_residual, d.onesided_rows, d.dominance_violations,
             d.residual_f1, d.residual_f2, d.backward_error, 0.0, d.predictor_fallback)
+        if not limits.diagnostics:
+            rows[j, [native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2,
+                     native.OUT_BACKWARD_ERROR]] = np.nan
         if count is not None:
             count.value = j + 2
     return None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from asianfb import analysis
 from asianfb.analysis import (
     ComparisonRecord,
     _in_threads,
@@ -191,6 +192,29 @@ class TestCompareEngines:
         assert threading.active_count() == threads
         assert (exc.value.layer, exc.value.tau, str(exc.value)) == \
             (alone.value.layer, alone.value.tau, str(alone.value))
+
+
+def test_compare_and_refine_march_without_diagnostics_to_the_same_floats(params, monkeypatch):
+    """compare_engines and every refinement level march with
+    diagnostics=False, so the kernel skips the passes that only fill
+    diagnostics; made to run them, each returns the same floats."""
+    grid = make_grid(params, N=64)
+    runs = [(compare_engines(params, grid), refinement_study(params, base_N=50, levels=3))]
+    asked = []
+
+    def with_diagnostics(*args, diagnostics, **kwargs):
+        asked.append(diagnostics)
+        return run_engine(*args, diagnostics=True, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_engine", with_diagnostics)
+    runs.append((compare_engines(params, grid), refinement_study(params, base_N=50, levels=3)))
+    assert asked == [False] * 5
+    (lean, lean_report), (full, full_report) = runs
+    for name in ("taus", "rho_newton", "rho_pc"):
+        assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
+    assert (lean.max_diff, lean.mean_diff, lean.pc_below_fraction, lean.lower_engine) == \
+        (full.max_diff, full.mean_diff, full.pc_below_fraction, full.lower_engine)
+    assert lean_report == full_report
 
 
 def test_threads_switching_often_return_each_march_in_order(params):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from asianfb.solver_newton import NewtonConfig, newton_layer
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (LayerRows, extrapolated_start, frame_start, newton_layer_numpy,
-                      numpy_layers, pc_layer, predictor_numpy, pure_solve)
+from _oracles import (LayerRows, correct_numpy, extrapolated_start, frame_start,
+                      newton_layer_numpy, numpy_layers, pc_layer, predictor_numpy, pure_solve)
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -645,8 +646,9 @@ PC_GRIDS = ("N8M4", "N50")
 # march_digest of each run (engine, mode, parameters, grid), re-recorded on
 # the numpy twins (march_numpy) when the rows began to multiply by each
 # layer's reciprocals 1/dt, 1/(T - tau) and 0.5/h, and Newton's layers 4 ..
-# M - 1 to start from a three-layer extrapolation; the compiled kernel and
-# the numpy twins of its layers (tests/_oracles.py) must both give these bits.
+# M - 1 to start from a three-layer extrapolation, and pc's again when its
+# solves became two-ended eliminations; the compiled kernel and the numpy
+# twins of its layers (tests/_oracles.py) must both give these bits.
 MARCH_DIGESTS = {
     ("newton", "central", "ref", "N8M4"): "9aba15aba18895e7",
     ("newton", "central", "ref", "N50"): "24bed68d677d3d87",
@@ -678,26 +680,26 @@ MARCH_DIGESTS = {
     ("newton", "upwind-singular", "seed89", "N8M4"): "e8164ddc3f20dc1f",
     ("newton", "upwind-singular", "seed89", "N50"): "b65d38385fd170ef",
     ("newton", "upwind-singular", "seed89", "N200"): "b700a5616e5110b9",
-    ("pc", "central", "ref", "N8M4"): "ea9f99a40f207c3d",
-    ("pc", "central", "ref", "N50"): "3f9acc10eb515531",
-    ("pc", "central", "seed2", "N8M4"): "ab78f9f5459d437f",
-    ("pc", "central", "seed2", "N50"): "45922213d59c595e",
-    ("pc", "central", "seed4", "N8M4"): "05634cbdf432abd1",
-    ("pc", "central", "seed4", "N50"): "6f37a3e8bfc01d1c",
-    ("pc", "central", "seed68", "N8M4"): "1f5f332c8b4d1295",
-    ("pc", "central", "seed68", "N50"): "a9c548f036fc0a5b",
-    ("pc", "central", "seed89", "N8M4"): "e230e3bf59c8a0b8",
-    ("pc", "central", "seed89", "N50"): "7bd0c18747eb7ea9",
-    ("pc", "upwind-singular", "ref", "N8M4"): "58cb44ae9f373d89",
-    ("pc", "upwind-singular", "ref", "N50"): "455b1f001530e0ad",
-    ("pc", "upwind-singular", "seed2", "N8M4"): "957d8570a76fe648",
-    ("pc", "upwind-singular", "seed2", "N50"): "e6822de373c88f9c",
-    ("pc", "upwind-singular", "seed4", "N8M4"): "dd7abee79bef4614",
-    ("pc", "upwind-singular", "seed4", "N50"): "c12c923c6d376e0a",
-    ("pc", "upwind-singular", "seed68", "N8M4"): "8975e399b163f752",
-    ("pc", "upwind-singular", "seed68", "N50"): "8b71bb890edaf52a",
-    ("pc", "upwind-singular", "seed89", "N8M4"): "8bc41e4f6cfe6a4d",
-    ("pc", "upwind-singular", "seed89", "N50"): "4b38ebd041bd2a1c",
+    ("pc", "central", "ref", "N8M4"): "2541ea8abc6f0d79",
+    ("pc", "central", "ref", "N50"): "f2aec496ca490c97",
+    ("pc", "central", "seed2", "N8M4"): "b87ffc18bb8d9993",
+    ("pc", "central", "seed2", "N50"): "c528fc40b2de222d",
+    ("pc", "central", "seed4", "N8M4"): "c16447ca34508fae",
+    ("pc", "central", "seed4", "N50"): "5b989037c9fc447a",
+    ("pc", "central", "seed68", "N8M4"): "9647d87e9191b3b8",
+    ("pc", "central", "seed68", "N50"): "1fece036b7a4592c",
+    ("pc", "central", "seed89", "N8M4"): "ec5fd7dceef8b262",
+    ("pc", "central", "seed89", "N50"): "e807ccfdadaa5e54",
+    ("pc", "upwind-singular", "ref", "N8M4"): "9726dcdd7f094545",
+    ("pc", "upwind-singular", "ref", "N50"): "0375e40002aee250",
+    ("pc", "upwind-singular", "seed2", "N8M4"): "6386293b4b13a15f",
+    ("pc", "upwind-singular", "seed2", "N50"): "eef060697915ace7",
+    ("pc", "upwind-singular", "seed4", "N8M4"): "94336b4ccc7e8aab",
+    ("pc", "upwind-singular", "seed4", "N50"): "9a03065919598e03",
+    ("pc", "upwind-singular", "seed68", "N8M4"): "6eb268196c0cba82",
+    ("pc", "upwind-singular", "seed68", "N50"): "45a62b2f95cf5853",
+    ("pc", "upwind-singular", "seed89", "N8M4"): "1c023ec9f1d7854b",
+    ("pc", "upwind-singular", "seed89", "N50"): "890a0ea0fdc1c4ed",
 }
 
 
@@ -795,6 +797,11 @@ OVERFLOWING_STEP = 1e-310
 # at the reference point, N = 16 (row 1's |pivot| / max |diag| reads 0.82),
 # and every pivot after it fails too.
 LATE_PIVOT_RTOL = 0.8
+# The row that pc's first layer fails at there: its first frozen solve's
+# two-ended elimination meets at row 7 of 15, whose pivot subtracts both
+# chains' couplings and reads 0.61 of max |diag|, while both chains' pivots
+# stay above 0.80
+PC_LATE_PIVOT_ROW = 7
 # Previous boundary values so large that z**2 overflows: C's pow(z, 2.0)
 # returns inf there, where a float's ** raises OverflowError, and the layer
 # ends with NonPositiveZ (z = 0)
@@ -985,12 +992,100 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
     elif case == "ValueError in J11":
         assert message == "diag contains non-finite values"
     elif case == "ZeroPivot past row 0":
-        assert attributes["index"] == 2
+        assert attributes["index"] == PC_LATE_PIVOT_ROW
     elif case == "NoConvergence":
         assert attributes["iterations"] == 1
         assert attributes["last_step"] >= PredictorConfig().root_tol
     elif case == "PastMaturity":
         assert message == f"tau_next must be < T; got {params.T}"
+
+
+def small_frame(params, n, mode, exp_neg_xi=None):
+    """A LayerFrame of n interior rows, n below the 3 that GridSpec's N >= 4
+    allows among them: a namespace of N = n + 1 nodes on [0, 1] holds all
+    that a frame, pc's corrector and its twin read of a grid.
+    ``exp_neg_xi``, when given, stands for e^{-xi_i} at the interior
+    nodes."""
+    h = 1.0 / (n + 1)
+    if exp_neg_xi is None:
+        exp_neg_xi = np.exp(-h * np.arange(1, n + 1))
+    grid = types.SimpleNamespace(N=n + 1, h=h, exp_neg_xi=np.array(exp_neg_xi, dtype=float))
+    return native.LayerFrame(grid, params, mode)
+
+
+def small_layer(n):
+    """(prev, tau_next, z_tilde) of a layer of n interior rows: a previous
+    layer that rises from the Dirichlet value -1 to 0, and a corrector
+    start near its z."""
+    xi = np.linspace(0.0, 1.0, n + 2)
+    return LayerState(j=1, tau=1.0, y=-(1.0 - xi)**2, z=1.5), 1.2, 1.52
+
+
+def corrector_ends(params, n, mode, **frame):
+    """How pc's corrector and its twin end the small layer of n rows, each
+    in a small_frame of its own: (state y bytes, z, diagnostics) or the
+    exception's (class, message, attributes), each with the frame's
+    buffers."""
+    prev, tau_next, z_tilde = small_layer(n)
+    ended = []
+    for correct in (solver_pc._correct, correct_numpy):
+        layer = small_frame(params, n, mode, **frame)
+        try:
+            state, diag = correct(prev, tau_next, layer, z_tilde)
+        except Exception as exc:
+            ended.append((type(exc), str(exc), vars(exc), frame_bits(layer)))
+        else:
+            ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag),
+                          frame_bits(layer)))
+    return ended
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_two_ended_corrector_bit_identical_at_the_smallest_sizes(params, n, mode):
+    """pc's corrector, whose three solves eliminate from both ends and meet
+    at row n // 2, gives its twin's layer, diagnostics and frame buffers bit
+    for bit where the meeting row is an end row (n = 1: both ends; n = 2:
+    the last row) and on both sides of the odd/even split (n = 3, 4); and
+    the layer it solves has a row-wise backward error of rounding size."""
+    kernel, oracle = corrector_ends(params, n, mode)
+    assert kernel == oracle
+    diag = LayerDiagnostics(*kernel[2])
+    assert diag.backward_error <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_two_ended_zero_pivot_names_the_lowest_row(params, monkeypatch, n):
+    """A pc solve whose pivots fall below the floor at several rows names
+    the lowest of them, in the kernel and in its twin alike, not the first
+    that the sweep takes: with row 0 upwinded onto a diagonal 200 times the
+    others, every later row fails at pivot_rtol 0.5, and at n = 3 the
+    upward chain's row 2 is eliminated before the meeting row 1."""
+    monkeypatch.setattr(tridiag, "PIVOT_RTOL", 0.5)
+    exp_neg_xi = [1e4] + [math.exp(-(i + 1) / (n + 1)) for i in range(1, n)]
+    kernel, oracle = corrector_ends(params, n, SchemeMode.UPWIND_SINGULAR,
+                                    exp_neg_xi=exp_neg_xi)
+    assert kernel == oracle
+    assert kernel[0] is ZeroPivot and kernel[2]["index"] == 1
+
+
+@pytest.mark.parametrize("pivot_rtol", [PIVOT_RTOL, 1.0], ids=["alone", "beside ZeroPivot"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_two_ended_solve_names_a_non_finite_entry(params, monkeypatch, n, pivot_rtol):
+    """A NaN in the previous layer reaches the frozen solve's right-hand
+    side at every size, and both the kernel and its twin name that array
+    with the same ValueError, also where a pivot falls below the floor."""
+    monkeypatch.setattr(tridiag, "PIVOT_RTOL", pivot_rtol)
+    prev, tau_next, z_tilde = small_layer(n)
+    prev.y[n] = np.nan
+    ended = []
+    for correct in (solver_pc._correct, correct_numpy):
+        frame = small_frame(params, n, SchemeMode.UPWIND_SINGULAR)
+        with pytest.raises(ValueError) as exc:
+            correct(prev, tau_next, frame, z_tilde)
+        ended.append((str(exc.value), frame_bits(frame)))
+    assert ended[0] == ended[1]
+    assert ended[0][0] == "rhs contains non-finite values"
 
 
 # The C layer calls that build a frame's z-free part (thomas.c's frame_start)
@@ -1165,6 +1260,34 @@ def test_counted_march_gives_the_one_call_bits(march, mode):
                         assert ready.count.value == grid.M + 1
 
 
+SKIPPED_SLOTS = [native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2, native.OUT_BACKWARD_ERROR]
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_march_without_diagnostics_gives_the_same_bits(march, mode):
+    """A march with diagnostics=False (the frame's diagnostics 0, so its
+    layers skip the passes that only fill diagnostics) stores the rho and
+    surface bits of the march with them, at every MARCH_DIGESTS set of
+    N8M4 and N50, and the same out[] slots apart from the skipped ones,
+    which read NaN; the numpy twins' march gives the same rows."""
+    keep = [k for k in range(native.OUT_SLOTS) if k not in SKIPPED_SLOTS]
+    for name, (r, q, sigma) in BIT_IDENTITY_PARAMS.items():
+        p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
+        for grid_name in PC_GRIDS:
+            n, m = BIT_IDENTITY_GRIDS[grid_name]
+            grid = make_grid(p, N=n, M=m)
+            full, lean = (march(p, grid, mode, diagnostics=kept) for kept in (True, False))
+            assert lean.rho.tobytes() == full.rho.tobytes(), (name, grid_name)
+            assert lean.surface.tobytes() == full.surface.tobytes(), (name, grid_name)
+            assert lean.rows[:, keep].tobytes() == full.rows[:, keep].tobytes(), (name, grid_name)
+            assert np.isnan(lean.rows[:, SKIPPED_SLOTS]).all(), (name, grid_name)
+            if grid_name == "N8M4":
+                with numpy_layers():
+                    twin = march(p, grid, mode, diagnostics=False)
+                assert twin.rows.tobytes() == lean.rows.tobytes(), (name, grid_name)
+
+
 def late_failing_march(engine):
     """(march, params, grid, cfg) of a march that fails in its last layers:
     Newton's at perfbench seed 981's parameters at the default grid, with
@@ -1263,6 +1386,21 @@ def test_failing_march_raises_the_oracle_marches_failure(engine):
     else:
         assert (layer, cause) == (57, NonPositiveZ) and attributes["z"] < 0
     assert tau == grid.taus[layer]
+
+
+@pytest.mark.parametrize("engine", ["newton", "pc"])
+def test_march_without_diagnostics_fails_as_the_march_with_them(engine):
+    """A failing march raises the same LayerFailure (layer, tau and cause)
+    with diagnostics=False as with diagnostics."""
+    raised = []
+    for kept in (True, False):
+        march, p, grid, cfg = failing_march(engine)
+        with pytest.raises(LayerFailure) as exc:
+            march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg, diagnostics=kept)
+        failure = exc.value
+        raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
+                       vars(failure.cause)))
+    assert raised[0] == raised[1]
 
 
 @pytest.mark.parametrize("limit, value, cause", [("PIVOT_RTOL", 1.0, ZeroPivot),
