@@ -19,11 +19,12 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   only kernel that runs.  Next to ``thomas`` it offers each engine's
   time layer in C: Newton's as one function, newton_layer, which builds
   the layer's z-free part in a ``native.LayerFrame`` and runs its
-  iterations there, eliminating with the same ``thomas`` loop, and the
-  predictor-corrector's as two, pc_predictor (the scalar root) and
-  pc_corrector (the z-free part, the three solves and the layer's
-  diagnostics over the frame), whose solves eliminate from both ends of
-  the rows and meet in the middle.  ``native.march`` runs one engine's
+  iterations there, and the predictor-corrector's as two, pc_predictor
+  (the scalar root) and pc_corrector (the z-free part, the three solves
+  and the layer's diagnostics over the frame).  Every solve of the
+  kernel is one elimination, whose downward and upward chains meet at a
+  row: ``thomas``'s and Newton's at the last row, which makes it the
+  Thomas sweep, pc's in the middle.  ``native.march`` runs one engine's
   march over them, every layer in one call, publishing each stored
   layer through a layer count when given one and skipping the passes
   that only fill diagnostics when its frame says so, and

@@ -2,12 +2,10 @@
 
 The library holds ``thomas``, the Thomas solve of the kernel contract;
 one time layer of each engine: ``newton_layer``, the z-free part of a
-layer and its Newton iterations over a LayerFrame's buffers, which
-eliminate with the row step of that same ``thomas``, and the
+layer and its Newton iterations over a LayerFrame's buffers, and the
 predictor-corrector layer's two halves, ``pc_predictor``, the
 predictor's scalar root, and ``pc_corrector``, the z-free part, the
-corrector and the layer's diagnostics over the frame's buffers, whose
-solves eliminate from both ends;
+corrector and the layer's diagnostics over the frame's buffers;
 ``march``, which steps one engine over every layer of a march with
 those functions (see below), and ``published``, which reads the count
 of layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, the
@@ -20,14 +18,16 @@ max |diag|, and takes the row's elimination step, storing its pivot in
 the frame's ``piv``; once it ends, a non-finite entry, then the lowest
 row whose pivot falls below the floor, fails the solve as ``thomas``
 fails it.  The sweep writes every row buffer and right-hand side before
-any check, so ``_failure`` finds the array to name.  Newton's sweep
-eliminates downward, as ``thomas`` does.  pc's three solves are
-two-ended eliminations (a twisted factorization): rows 0 .. m - 1
-eliminate downward and rows n - 1 .. m + 1 upward, in one loop, meeting
-at row m = n // 2, and the backward sweep runs outward from m, so each
-solve's serial recurrence is two independent chains of half its length.
-pc's solve for dF1/dz reuses the pivots and ``cp`` of the first frozen
-solve, whose J11 it has.
+any check, so ``_failure`` finds the array to name.  Every solve,
+``thomas`` among them, is one elimination (a twisted factorization):
+rows 0 .. m - 1 eliminate downward and rows n - 1 .. m + 1 upward, the
+two chains meet at row m, and the backward sweep runs outward from m.
+``thomas`` and Newton's sweep meet at the last row, m = n - 1, where the
+upward chain is empty: the Thomas sweep.  pc's three solves meet at
+m = n // 2, taking a row of each chain in turn, so each solve's serial
+recurrence is two independent chains of half its length.  pc's solve
+for dF1/dz reuses the pivots and ``cp`` of the first frozen solve, whose
+J11 it has.
 
 Importing this module compiles and loads nothing.  ``load()`` (called by
 the first kernel call in a process) looks for a shared library in
@@ -104,6 +104,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
+from ..mesh import layer_constants
 from . import pure
 
 SOURCE = Path(__file__).with_name("thomas.c")
@@ -299,7 +300,9 @@ class LayerFrame:
     and their products) and the buffers' addresses, so a buffer must not
     be replaced; a march, or a layer function called alone, writes its
     limits into it.
-    Constructing a frame loads the kernel (see load()).
+    Constructing a frame loads the kernel (see load()), and raises
+    ValueError when the constants are out of range (mesh.layer_constants
+    computes and checks them).
     """
 
     def __init__(self, g, p, mode):
@@ -319,11 +322,8 @@ class LayerFrame:
                    ("ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc", "db",
                     "onesided", "cp", "piv", "x", "y", "first")}
         buffers.update(exp_neg_xi=g.exp_neg_xi, f=self.pair_rhs, single=self.single_rhs)
-        sig2 = p.sigma**2
-        self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", T=p.T, h=g.h,
-                             h2=g.h**2, two_h=2.0 * g.h, r=p.r, q=p.q, half_sig2=0.5 * sig2,
-                             diff=0.5 * sig2 / g.h**2, sig2=sig2, diagnostics=1,
-                             out=ctypes.addressof(self.out),
+        self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", diagnostics=1,
+                             out=ctypes.addressof(self.out), **layer_constants(p, g),
                              **{name: a.ctypes.data for name, a in buffers.items()})
         self.address = ctypes.addressof(self.struct)
 

@@ -1,12 +1,20 @@
 /* Compiled kernel, loaded through ctypes by native.py: thomas, the
  * Thomas solve of the kernel contract, and the time layers of both
- * engines: newton_layer, Newton's iterations, which eliminate with
- * thomas's row step, and pc_predictor and pc_corrector, the two halves of
- * a predictor-corrector layer, whose solves eliminate from both ends of
- * the rows at once; march, which steps one engine over all the layers of
- * a march, and published, which reads the count of layers it has stored
- * (below); and fixed9_rows and fixed9_surface, the CSV writer's "%.9f"
- * cells of every double (at the end).
+ * engines: newton_layer, Newton's iterations, and pc_predictor and
+ * pc_corrector, the two halves of a predictor-corrector layer; march,
+ * which steps one engine over all the layers of a march, and published,
+ * which reads the count of layers it has stored (below); and fixed9_rows
+ * and fixed9_surface, the CSV writer's "%.9f" cells of every double (at
+ * the end).
+ *
+ * Every solve here is one elimination (a twisted factorization: Fernando,
+ * SIAM J. Matrix Anal. Appl. 18, 1997): a downward chain of rows 0 ..
+ * m - 1 and an upward one of rows n - 1 .. m + 1 each take a row step
+ * (chain_step), the two meet at row m (meet), and the backward sweep runs
+ * outward from m (back_substitute_outward).  thomas and Newton's sweep
+ * meet at the last row, m = n - 1, where the upward chain is empty and
+ * the elimination is the Thomas sweep, operation for operation; pc's
+ * three solves meet at m = n/2 (see the time layers).
  *
  * Each column of thomas runs the operations of pure.thomas in the same order, so
  * its solution is bit-identical to the pure loop's: build with
@@ -20,8 +28,8 @@
  * One pass over the rows checks every entry is finite and takes max |c|;
  * the pivot floor is max(pivot_rtol max |c|, the smallest positive
  * double), so an all-zero diagonal still fails at row 0.  Then each row
- * takes its elimination step (eliminate_row, shared with the time layers
- * below) and tests its pivot, and one backward pass back-substitutes
+ * takes its step, rows 0 .. n - 2 down the chain and row n - 1 as the
+ * meeting row, and tests its pivot, and one backward pass back-substitutes
  * every column.
  * Returns THOMAS_NON_FINITE when an entry is NaN or infinite (before any
  * pivot is tested), else the first row whose pivot magnitude falls below
@@ -40,48 +48,90 @@
  * then selects its columns at compile time */
 #define ROW_STEP static inline __attribute__((always_inline))
 
-/* The running state of a forward elimination of one or two columns: the
- * last row's cp and forward-substituted values, which the next row's
- * step reads from here, so that the recurrence runs in registers */
-struct elimination {
+/* The running state of one chain of an elimination: the last row's cp and
+ * forward-substituted values of its ncol (1 or 2) columns, which the
+ * chain's next row reads from here, so that its recurrence runs in
+ * registers */
+struct chain {
     double cp, x0, x1;
 };
 
-/* Row i's forward substitution of ncol (1 or 2) columns of d into x over
- * its pivot: x_i = (d_i - a_i x_{i-1}) / piv (d_0 / piv on row 0) */
-ROW_STEP void forward_step(long n, long i, long ncol, double a_i, double piv, const double *d,
-                           double *x, struct elimination *e)
+/* Row i's step of one chain of an elimination of n rows, where back is
+ * the row's entry toward the row the chain took before it and fwd its
+ * entry toward the row it takes next: a downward chain passes (a_i, b_i),
+ * an upward one (b_i, a_i).  Its pivot, c_i - back cp_prev (c_i on the
+ * chain's first row), returned; cp_i = fwd over it, into cp[i]; and its
+ * forward substitution of ncol (1 or 2) columns, column k of d and x
+ * starting at d + k n and x + k n, x_i = (d_i - back x_prev) / piv (d_i /
+ * piv on the first row), into x[i].  With known pivots (pivots set) it
+ * takes only the substitution, over piv[i]. */
+ROW_STEP double chain_step(long ncol, long n, int first, int pivots, long i, double back,
+                           double c, double fwd, const double *d, const double *piv,
+                           double *cp, double *x, struct chain *e)
 {
-    x[i] = e->x0 = (i ? d[i] - a_i * e->x0 : d[i]) / piv;
+    double p = pivots ? piv[i] : first ? c : c - back * e->cp;
+    /* read before the store to cp[i], which may alias d, so that a row's
+     * right-hand side just written stays in a register */
+    double d0 = d[i], d1 = ncol > 1 ? d[n + i] : 0.0;
+
+    if (!pivots)
+        cp[i] = e->cp = fwd / p;
+    x[i] = e->x0 = (first ? d0 : d0 - back * e->x0) / p;
     if (ncol > 1)
-        x[n + i] = e->x1 = (i ? d[n + i] - a_i * e->x1 : d[n + i]) / piv;
+        x[n + i] = e->x1 = (first ? d1 : d1 - back * e->x1) / p;
+    return p;
 }
 
-/* Row i's step of the forward elimination: its pivot, c_i - a_i cp_{i-1}
- * (c_0 on row 0), returned; cp_i = b_i over it on every row but the last;
- * and its forward substitution of ncol (1 or 2) columns */
-ROW_STEP double eliminate_row(long n, long i, long ncol, double a_i, double c_i, double b_i,
-                              const double *d, double *cp, double *x, struct elimination *e)
+/* The meeting row m of an elimination of n rows and ncol (1 or 2)
+ * columns, where a downward chain over rows 0 .. m - 1 and an upward one
+ * over rows n - 1 .. m + 1 end: its pivot, c_m - a_m cp_{m-1} -
+ * b_m cq_{m+1} in that order, without the term of a chain that took no
+ * row (the downward one when m = 0, the upward one when m = n - 1),
+ * returned, and x_m = (d_m - a_m x_{m-1} - b_m x_{m+1}) over it, into
+ * x[m] of each column; with known pivots (pivots set), over piv[m]. */
+ROW_STEP double meet(long ncol, long n, long m, int pivots, double a, double c, double b,
+                     const double *d, const double *piv, const struct chain *down,
+                     const struct chain *up, double *x)
 {
-    double piv = i ? c_i - a_i * e->cp : c_i;
+    double p = c, x0 = d[m], x1 = ncol > 1 ? d[n + m] : 0.0;
 
-    if (i < n - 1)
-        cp[i] = e->cp = b_i / piv;
-    forward_step(n, i, ncol, a_i, piv, d, x, e);
-    return piv;
+    if (m > 0) {
+        p = p - a * down->cp;
+        x0 = x0 - a * down->x0;
+        x1 = x1 - a * down->x1;
+    }
+    if (m < n - 1) {
+        p = p - b * up->cp;
+        x0 = x0 - b * up->x0;
+        x1 = x1 - b * up->x1;
+    }
+    if (pivots)
+        p = piv[m];
+    x[m] = x0 / p;
+    if (ncol > 1)
+        x[n + m] = x1 / p;
+    return p;
 }
 
-/* Back substitution of ncol (1 or 2) columns in one pass, the last row
- * up: x_i -= cp_i x_{i+1} */
-ROW_STEP void back_substitute(long n, long ncol, const double *cp, double *x)
+/* The backward sweep of an elimination of n rows and ncol (1 or 2)
+ * columns whose chains met at row m, outward from m in both directions,
+ * the two chains in one loop: x_i -= cp_i x_{i+1} above m, x_i -= cp_i
+ * x_{i-1} below it.  The upward chain has n - 1 - m <= m rows. */
+ROW_STEP void back_substitute_outward(long ncol, long n, long m, const double *cp, double *x)
 {
-    double next0 = x[n - 1], next1 = ncol > 1 ? x[2 * n - 1] : 0.0;
-    long i;
+    double above0 = x[m], below0 = x[m];
+    double above1 = ncol > 1 ? x[n + m] : 0.0, below1 = above1;
+    long k;
 
-    for (i = n - 2; i >= 0; i--) {
-        x[i] = next0 = x[i] - cp[i] * next0;
+    for (k = 1; k <= m; k++) {
+        x[m - k] = above0 = x[m - k] - cp[m - k] * above0;
         if (ncol > 1)
-            x[n + i] = next1 = x[n + i] - cp[i] * next1;
+            x[n + m - k] = above1 = x[n + m - k] - cp[m - k] * above1;
+        if (m + k < n) {
+            x[m + k] = below0 = x[m + k] - cp[m + k] * below0;
+            if (ncol > 1)
+                x[n + m + k] = below1 = x[n + m + k] - cp[m + k] * below1;
+        }
     }
 }
 
@@ -96,7 +146,7 @@ static double pivot_floor(double cmax, double pivot_rtol)
 long thomas(long n, long ncol, const double *a, const double *c, const double *b,
             const double *d, double pivot_rtol, double *cp, double *x)
 {
-    struct elimination e = {0.0, 0.0, 0.0};
+    struct chain e = {0.0, 0.0, 0.0};
     double cmax = 0.0, floor;
     long i, k;
 
@@ -110,11 +160,14 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
             cmax = fabs(c[i]);
     }
     floor = pivot_floor(cmax, pivot_rtol);
-    for (i = 0; i < n; i++)
-        if (fabs(eliminate_row(n, i, ncol, i ? a[i - 1] : 0.0, c[i], i < n - 1 ? b[i] : 0.0,
-                               d, cp, x, &e)) < floor)
+    for (i = 0; i < n - 1; i++)
+        if (fabs(chain_step(ncol, n, i == 0, 0, i, i ? a[i - 1] : 0.0, c[i], b[i], d, NULL, cp,
+                            x, &e)) < floor)
             return i;
-    back_substitute(n, ncol, cp, x);
+    if (fabs(meet(ncol, n, n - 1, 0, n > 1 ? a[n - 2] : 0.0, c[n - 1], 0.0, d, NULL, &e, &e,
+                  x)) < floor)
+        return n - 1;
+    back_substitute_outward(ncol, n, n - 1, cp, x);
     return -1;
 }
 
@@ -139,18 +192,18 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * the floor, as thomas reports them.  The sweep writes every row buffer
  * and right-hand side whatever it meets, so a failure finds them as the
  * numpy twins leave them.
- * Newton's sweep eliminates both of its columns downward with thomas's
- * row step (eliminate_row), and its backward sweep back-substitutes both
- * in one pass.  pc's three solves each take a two-ended elimination (a
- * twisted factorization: Fernando, SIAM J. Matrix Anal. Appl. 18, 1997):
- * rows 0 .. m - 1 eliminate downward and rows n - 1 .. m + 1 upward, in
- * one loop that takes a row of each chain in turn, the two chains meet
- * at row m = n/2, and the backward sweep runs outward from m in both
- * directions (see chain_step).  Newton's sweep is bound by the
- * throughput of its two columns, pc's by the latency of one column's
- * recurrence, which the two independent chains halve.  pc's J12 solve has
- * the J11 of its first frozen solve, so it reuses that solve's pivots and
- * cp.  The end of a Newton layer builds the rows at the accepted z with
+ * Every solve takes the elimination of thomas (chain_step, meet,
+ * back_substitute_outward).  Newton's sweep sends rows 0 .. n - 2 of both
+ * its columns down one chain and meets at the last row, as thomas does,
+ * and its backward sweep back-substitutes both columns in one pass.  pc's
+ * three solves each eliminate from both ends: rows 0 .. m - 1 downward
+ * and rows n - 1 .. m + 1 upward, in one loop that takes a row of each
+ * chain in turn, the two chains meet at row m = n/2, and the backward
+ * sweep runs outward from m in both directions.  Newton's sweep is bound
+ * by the throughput of its two columns, pc's by the latency of one
+ * column's recurrence, which the two independent chains halve.  pc's J12
+ * solve has the J11 of its first frozen solve, so it reuses that solve's
+ * pivots and cp.  The end of a Newton layer builds the rows at the accepted z with
  * F1, max |F1| and the backward error in one pass.
  *
  * A frame whose diagnostics is 0 skips the passes that only fill
@@ -431,7 +484,8 @@ static long check_sweep(const struct layer_frame *f, const struct sweep *s)
 }
 
 /* Newton's forward sweep at (y, z) with y = f->y: the rows, F1 and J12
- * into f[0:n] and f[n:2n], and both eliminated into x */
+ * into f[0:n] and f[n:2n], and both eliminated into x, rows 0 .. n - 2
+ * down one chain and the last row as the meeting row, as thomas does */
 static struct sweep newton_sweep(const struct layer_frame *frame, const struct layer *layer,
                                  double z)
 {
@@ -442,7 +496,7 @@ static struct sweep newton_sweep(const struct layer_frame *frame, const struct l
     const double *y = f->y;
     double *f1 = f->f, *j12 = f->f + n;
     struct sweep s = {0, 0, 0.0, 0.0, 1};
-    struct elimination e = {0.0, 0.0, 0.0};
+    struct chain down = {0.0, 0.0, 0.0};
     long i;
 
     for (i = 0; i < n; i++) {
@@ -453,7 +507,10 @@ static struct sweep newton_sweep(const struct layer_frame *frame, const struct l
         s.f1max = nan_max(s.f1max, fabs(f1[i]), i);
         s.finite &= isfinite(f1[i]) && isfinite(j12[i]);
         tally_row(&s, n, i, &r);
-        f->piv[i] = eliminate_row(n, i, 2, r.lower, r.diag, r.upper, f->f, f->cp, f->x, &e);
+        f->piv[i] = i < n - 1 ? chain_step(2, n, i == 0, 0, i, r.lower, r.diag, r.upper, f->f,
+                                           NULL, f->cp, f->x, &down)
+                              : meet(2, n, n - 1, 0, r.lower, r.diag, r.upper, f->f, NULL,
+                                     &down, &down, f->x);
     }
     return s;
 }
@@ -535,7 +592,7 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
         status = check_sweep(f, &s);
         if (status != LAYER_OK)
             return status;
-        back_substitute(n, 2, f->cp, f->x);
+        back_substitute_outward(2, n, n - 1, f->cp, f->x);
         j21_u = l.j21_y1 * u[0] + l.j21_y2 * u[1];
         j21_v = l.j21_y1 * v[0] + l.j21_y2 * v[1];
         denom = 1.0 - j21_v;  /* J22 = 1 */
@@ -576,74 +633,6 @@ long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
     return LAYER_OK;
 }
 
-/* The running state of one chain of a two-ended elimination, the last
- * row's cp and forward-substituted value, which the chain's next row
- * reads from here, so that its recurrence runs in registers */
-struct chain {
-    double cp, x;
-};
-
-/* Row i's step of one chain of a two-ended elimination, where back is
- * the row's entry toward the row the chain took before it and fwd its
- * entry toward the row it takes next: the downward chain (rows 0 ..
- * m - 1) passes (a_i, b_i), the upward one (rows n - 1 .. m + 1)
- * (b_i, a_i).  Its pivot, c_i - back cp_prev (c_i on the chain's first
- * row), returned; cp_i = fwd over it, into cp[i]; and its forward
- * substitution x_i = (d_i - back x_prev) / piv (d_i / piv on the first
- * row), into x[i].  With known pivots (pivots set) it takes only the
- * substitution, over piv[i]. */
-ROW_STEP double chain_step(int first, int pivots, long i, double back, double c, double fwd,
-                           double d, const double *piv, double *cp, double *x, struct chain *e)
-{
-    double p = pivots ? piv[i] : first ? c : c - back * e->cp;
-
-    if (!pivots)
-        cp[i] = e->cp = fwd / p;
-    x[i] = e->x = (first ? d : d - back * e->x) / p;
-    return p;
-}
-
-/* The meeting row m of a two-ended elimination of n rows: its pivot,
- * c_m - a_m cp_{m-1} - b_m cq_{m+1} in that order, without the term of a
- * chain that took no row (the downward one when m = 0, the upward one
- * when m = n - 1), returned, and x_m = (d_m - a_m x_{m-1} - b_m x_{m+1})
- * over it, into x[m]; with known pivots (pivots set), over piv[m]. */
-ROW_STEP double meet(long n, long m, int pivots, double a, double c, double b, double d,
-                     const double *piv, const struct chain *down, const struct chain *up,
-                     double *x)
-{
-    double p = c, xm = d;
-
-    if (m > 0) {
-        p = p - a * down->cp;
-        xm = xm - a * down->x;
-    }
-    if (m < n - 1) {
-        p = p - b * up->cp;
-        xm = xm - b * up->x;
-    }
-    if (pivots)
-        p = piv[m];
-    x[m] = xm / p;
-    return p;
-}
-
-/* The backward sweep of a two-ended elimination, outward from its
- * meeting row m = n/2 in both directions, the two chains in one loop:
- * x_i -= cp_i x_{i+1} above m, x_i -= cp_i x_{i-1} below it */
-ROW_STEP void back_substitute_outward(long n, const double *cp, double *x)
-{
-    const long m = n / 2;
-    double above = x[m], below = x[m];
-    long k;
-
-    for (k = 1; k <= m; k++) {  /* the upward chain has n - 1 - m <= m rows */
-        x[m - k] = above = x[m - k] - cp[m - k] * above;
-        if (m + k < n)
-            x[m + k] = below = x[m + k] - cp[m + k] * below;
-    }
-}
-
 /* Row i of pc's frozen solve at z, built and returned, with its
  * right-hand side (y^prev_i/dt, and a_1 y_0 added on row 0 for the
  * Dirichlet value y_0 = -1) in the frame's single, both tallied into s */
@@ -675,7 +664,7 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
     const struct layer lc = *layer, *l = &lc;
     struct rows_at c;
     struct sweep s = {0, 0, 0.0, 0.0, 1};
-    struct chain down = {0.0, 0.0}, up = {0.0, 0.0};
+    struct chain down = {0.0, 0.0, 0.0}, up = {0.0, 0.0, 0.0};
     const long n = f->n, m = n / 2;
     struct row r;
     long i, k, status;
@@ -687,35 +676,34 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
     c = rows_at(f, l, z);
     for (k = 0; k < m; k++) {
         r = frozen_row(f, l, &c, k, &s);
-        f->piv[k] = chain_step(k == 0, 0, k, r.lower, r.diag, r.upper, f->single[k], NULL,
+        f->piv[k] = chain_step(1, n, k == 0, 0, k, r.lower, r.diag, r.upper, f->single, NULL,
                                f->cp, y + 1, &down);
         if (k < n - 1 - m) {
             i = n - 1 - k;
             r = frozen_row(f, l, &c, i, &s);
-            f->piv[i] = chain_step(k == 0, 0, i, r.upper, r.diag, r.lower, f->single[i], NULL,
-                                   f->cp, y + 1, &up);
+            f->piv[i] = chain_step(1, n, k == 0, 0, i, r.upper, r.diag, r.lower, f->single,
+                                   NULL, f->cp, y + 1, &up);
         }
     }
     r = frozen_row(f, l, &c, m, &s);
-    f->piv[m] = meet(n, m, 0, r.lower, r.diag, r.upper, f->single[m], NULL, &down, &up, y + 1);
+    f->piv[m] = meet(1, n, m, 0, r.lower, r.diag, r.upper, f->single, NULL, &down, &up, y + 1);
     y[0] = -1.0;
     y[n + 1] = 0.0;
     status = check_sweep(f, &s);
     if (status != LAYER_OK)
         return status;
-    back_substitute_outward(n, f->cp, y + 1);
+    back_substitute_outward(1, n, m, f->cp, y + 1);
     *violations = s.violations;
     *onesided = s.onesided;
     return LAYER_OK;
 }
 
-/* J12_i, row i of pc's J12 at y, into the frame's single and returned,
- * its finiteness into *finite */
-ROW_STEP double j12_entry(const struct layer_frame *f, long i, const double *y, int *finite)
+/* J12_i, row i of pc's J12 at y, into the frame's single, its finiteness
+ * into *finite */
+ROW_STEP void j12_entry(const struct layer_frame *f, long i, const double *y, int *finite)
 {
     f->single[i] = f->da[i] * y[i] + f->dc[i] * y[i + 1] + f->db[i] * y[i + 2];
     *finite &= isfinite(f->single[i]);
-    return f->single[i];
 }
 
 /* pc's corrector on the layer from (tau_prev, y, z_prev) to tau_next,
@@ -739,7 +727,7 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
     struct layer l;
     const long n = f->n, m = n / 2;
     double *y = f->y, *v = f->x, *out = f->out, denom, z, backward = 0.0;
-    struct chain down = {0.0, 0.0}, up = {0.0, 0.0};
+    struct chain down = {0.0, 0.0, 0.0}, up = {0.0, 0.0, 0.0};
     long i, k, violations, onesided, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
     int finite = 1;
 
@@ -753,19 +741,21 @@ long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
      * the pivots and cp of the frozen solve, whose J11 it is, from both
      * ends as that solve eliminated them */
     for (k = 0; k < m; k++) {
-        chain_step(k == 0, 1, k, f->lower[k], 0.0, 0.0, j12_entry(f, k, y, &finite), f->piv,
-                   f->cp, v, &down);
+        j12_entry(f, k, y, &finite);
+        chain_step(1, n, k == 0, 1, k, f->lower[k], 0.0, 0.0, f->single, f->piv, f->cp, v,
+                   &down);
         if (k < n - 1 - m) {
             i = n - 1 - k;
-            chain_step(k == 0, 1, i, f->upper[i], 0.0, 0.0, j12_entry(f, i, y, &finite),
-                       f->piv, f->cp, v, &up);
+            j12_entry(f, i, y, &finite);
+            chain_step(1, n, k == 0, 1, i, f->upper[i], 0.0, 0.0, f->single, f->piv, f->cp, v,
+                       &up);
         }
     }
-    meet(n, m, 1, f->lower[m], 0.0, f->upper[m], j12_entry(f, m, y, &finite), f->piv, &down,
-         &up, v);
+    j12_entry(f, m, y, &finite);
+    meet(1, n, m, 1, f->lower[m], 0.0, f->upper[m], f->single, f->piv, &down, &up, v);
     if (!finite)
         return LAYER_NON_FINITE;
-    back_substitute_outward(n, f->cp, v);
+    back_substitute_outward(1, n, m, f->cp, v);
     /* J21's y_2 term is the boundary's, fixed at 0, when n = 1 */
     denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * (n > 1 ? v[1] : 0.0));
     if (fabs(denom) < f->schur_floor) {

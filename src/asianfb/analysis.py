@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .mesh import GridSpec, default_domain_length, make_grid
+from .mesh import DEFAULT_EPS_FINAL, GridSpec, default_domain_length, make_grid
 from .model import MarketParams, log_moneyness_nodes
 from .results import SolveResult
 from .scheme import SchemeMode
@@ -122,7 +122,7 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
                      engine: str = "newton",
                      probes: tuple[float, ...] = DEFAULT_PROBES,
                      L: float | None = None,
-                     eps_final: float = 1e-7,
+                     eps_final: float = DEFAULT_EPS_FINAL,
                      newton_cfg: NewtonConfig | None = None,
                      pc_cfg: PredictorConfig | None = None,
                      jobs: int = 1) -> RefinementReport:

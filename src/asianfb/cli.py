@@ -44,9 +44,9 @@ import numpy as np
 
 from . import __version__
 from ._kernels import active_name as kernel_backend, native
-from .analysis import compare_engines, refinement_study, run_engine
+from .analysis import DEFAULT_PROBES, compare_engines, refinement_study, run_engine
 from .errors import SolverError
-from .mesh import make_grid
+from .mesh import DEFAULT_EPS_FINAL, make_grid
 from .model import MarketParams
 from .scheme import SchemeMode
 from .solver_newton import NewtonConfig
@@ -54,9 +54,16 @@ from .solver_pc import PredictorConfig
 
 __all__ = ["main"]
 
+
+def _probe_spec(probes) -> str:
+    """Probe times as --tau-probes spells them: "10,20,40"."""
+    return ",".join(f"{t:g}" for t in probes)
+
+
 # The options: (key, type, default, help).  A key is set from a config file
 # as ``key = value`` and from the command line as --key (with - for _); a
-# row without help is a config-file key with no flag.
+# row without help is a config-file key with no flag.  A default that the
+# library has is taken from it.
 OPTIONS = (
     ("r", float, 0.06, "risk-free rate (1/year)"),
     ("q", float, 0.04, "continuous dividend rate (1/year)"),
@@ -65,13 +72,14 @@ OPTIONS = (
     ("N", int, 200, "number of spatial intervals"),
     ("M", int, None, "number of time layers (default ceil(2.5 N))"),
     ("L", float, None, "domain truncation length (default 5 ln rho(0))"),
-    ("eps_final", float, 1e-7, "final-layer offset so tau_M = T - eps"),
+    ("eps_final", float, DEFAULT_EPS_FINAL, "final-layer offset so tau_M = T - eps"),
     ("engine", str, "newton", "solver engine"),
-    ("scheme_mode", str, "upwind-singular", "advection discretization"),
+    ("scheme_mode", str, SchemeMode.UPWIND_SINGULAR.value, "advection discretization"),
     ("tol", float, None,  # None: the engine's default, as for max_iter
      "engine tolerance (Newton step norm / predictor root)"),
     ("max_iter", int, None, "engine iteration cap"),
-    ("tau_probes", str, "10,20,40", "comma-separated probe times (default 10,20,40)"),
+    ("tau_probes", str, _probe_spec(DEFAULT_PROBES),
+     f"comma-separated probe times (default {_probe_spec(DEFAULT_PROBES)})"),
     ("jobs", int, None, "worker threads for refine"),  # None: the cpu count
     ("out_dir", str, ".", "output directory"),
     ("base_N", int, 50, "coarsest spatial resolution (default 50)"),
@@ -236,7 +244,7 @@ def _config_echo(cfg: RunConfig, grid) -> dict:
         "N": grid.N, "M": grid.M, "L": grid.L, "eps_final": grid.eps_final,
         "engine": cfg.engine, "scheme_mode": cfg.scheme_mode.value,
         "tol": cfg.raw["tol"], "max_iter": cfg.raw["max_iter"],
-        "tau_probes": ",".join(f"{t:g}" for t in cfg.probes),
+        "tau_probes": _probe_spec(cfg.probes),
         "jobs": cfg.jobs, "out_dir": cfg.out_dir,
     }
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .model import MarketParams, rho_initial
 
-__all__ = ["GridSpec", "LayerState", "default_domain_length", "make_grid", "initial_layer"]
+__all__ = ["GridSpec", "LayerState", "default_domain_length", "make_grid", "initial_layer",
+           "layer_constants"]
 
 DEFAULT_EPS_FINAL = 1e-7
 TIME_REFINEMENT_RATIO = 2.5  # default M = ceil(2.5 N), the ratio of the reference run
@@ -105,6 +106,36 @@ def default_domain_length(p: MarketParams) -> float:
     return 5.0 * math.log(rho0)
 
 
+def _squared(x: float) -> float:
+    """x**2, or inf where it overflows, where a float's ** raises."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def layer_constants(p: MarketParams, g: GridSpec) -> dict[str, float]:
+    """The constants of the layer system of a march with parameters p on
+    grid g, by their names in the struct in which native.LayerFrame hands
+    them to the kernel: T, h, h**2, 2h, r, q, sigma**2, sigma**2/2 and the
+    diffusion coefficient sigma**2/(2 h**2).
+
+    Raises ValueError unless each is finite and h**2 > 0: a sigma or an h
+    = L/N so large that its square overflows, or an h so small that h**2
+    underflows to 0 or sigma**2/(2 h**2) overflows, gives a layer system
+    that no march can solve.
+    """
+    sig2, h2 = _squared(p.sigma), _squared(g.h)
+    diff = 0.5 * sig2 / h2 if h2 > 0 else math.inf
+    constants = {"T": p.T, "h": g.h, "h2": h2, "two_h": 2.0 * g.h, "r": p.r, "q": p.q,
+                 "half_sig2": 0.5 * sig2, "diff": diff, "sig2": sig2}
+    if not (h2 > 0 and all(math.isfinite(value) for value in constants.values())):
+        raise ValueError(f"sigma={p.sigma:g} and h=L/N={g.h:g} give sigma**2={sig2:g}, "
+                         f"h**2={h2:g} and sigma**2/(2 h**2)={diff:g}; the layer system "
+                         "needs each finite and h**2 > 0")
+    return constants
+
+
 def make_grid(
     p: MarketParams,
     N: int,
@@ -112,12 +143,18 @@ def make_grid(
     L: float | None = None,
     eps_final: float = DEFAULT_EPS_FINAL,
 ) -> GridSpec:
-    """Grid factory applying the default rules M = ceil(2.5 N), L = 5 ln rho(0)."""
+    """Grid factory applying the default rules M = ceil(2.5 N), L = 5 ln rho(0).
+
+    Raises ValueError for a grid whose layer system with p is out of range
+    (see layer_constants).
+    """
     if M is None:
         M = math.ceil(TIME_REFINEMENT_RATIO * N)
     if L is None:
         L = default_domain_length(p)
-    return GridSpec(N=N, M=M, L=L, T=p.T, eps_final=eps_final)
+    grid = GridSpec(N=N, M=M, L=L, T=p.T, eps_final=eps_final)
+    layer_constants(p, grid)
+    return grid
 
 
 def initial_layer(p: MarketParams, g: GridSpec) -> LayerState:

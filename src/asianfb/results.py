@@ -87,10 +87,15 @@ class SolveResult:
 
 def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
     """The LayerDiagnostics of layer ``layer`` at ``tau`` from the out[]
-    slots of its C layer call, in native's OUT_* order."""
-    iterations, _, initial, onesided, violations, f1, f2, backward, _, fallback = out
-    return LayerDiagnostics(layer, tau, int(iterations), f1, f2, initial, int(onesided),
-                            int(violations), bool(fallback), backward)
+    slots of its C layer call, indexed by native's OUT_* names."""
+    return LayerDiagnostics(
+        layer, tau, iterations=int(out[native.OUT_ITERATIONS]),
+        residual_f1=out[native.OUT_RESIDUAL_F1], residual_f2=out[native.OUT_RESIDUAL_F2],
+        initial_residual=out[native.OUT_INITIAL_RESIDUAL],
+        onesided_rows=int(out[native.OUT_ONESIDED_ROWS]),
+        dominance_violations=int(out[native.OUT_DOMINANCE_VIOLATIONS]),
+        predictor_fallback=bool(out[native.OUT_FALLBACK]),
+        backward_error=out[native.OUT_BACKWARD_ERROR])
 
 
 def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,

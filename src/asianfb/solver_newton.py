@@ -48,7 +48,10 @@ of a native.LayerFrame: it builds the layer's z-free part and J21 once
 from the previous layer, then each iterate writes only the z-dependent
 rows (J11 and the row derivatives J12 is built from), puts F1 and J12
 into the frame's (2, n) right-hand side ``pair_rhs``, eliminates it in
-place against J11 with the kernel's Thomas loop and updates y in place.
+place against J11 and updates y in place.  The elimination is the
+kernel's one elimination, whose downward chain meets its empty upward
+one at the last row: the Thomas sweep of ``thomas``, operation for
+operation.
 One more assembly at the accepted z gives the layer's diagnostics, among
 them the row-wise backward error of F1 that pc reports as its residual.
 march_newton is results.march with Newton's tol and max_iter: one

@@ -49,14 +49,15 @@ layer's transport term used.  The layer's F1 and row counts come from the
 rows of that last solve, so a layer costs two assemblies.  Both frozen
 solves share one native.LayerFrame, whose z-free part is built once per
 layer, and all three eliminations solve its J11 against its one-column
-right-hand side ``single_rhs`` in place.  Each is a two-ended
+right-hand side ``single_rhs`` in place.  Each is the kernel's one
 elimination (a twisted factorization; Fernando, SIAM J. Matrix Anal.
-Appl. 18, 1997): the rows above the middle row eliminate downward, those
-below it upward, the two meet at row n // 2 and back-substitute outward
-from there.  The two chains are independent, so the solve's serial
-recurrence is half as long as one sweep's, and the stored layer differs
-from a one-ended elimination's only by rounding (rho by at most 1.6e-14
-at N = 50 .. 800).
+Appl. 18, 1997) met in the middle: the rows above the middle row
+eliminate downward, those below it upward, the two meet at row n // 2
+and back-substitute outward from there, where Newton's solves meet at
+the last row, as the Thomas sweep does.  The two chains are independent,
+so the solve's serial recurrence is half as long as one sweep's, and the
+stored layer differs from a Thomas sweep's only by rounding (rho by at
+most 1.6e-14 at N = 50 .. 800).
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it

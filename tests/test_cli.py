@@ -521,6 +521,31 @@ class TestConfigResolution:
         assert run_cli(["solve", "--N", "16", "--eps-final", "1e-15"], tmp_path) == 2
         assert "config error: eps_final" in capsys.readouterr().err
 
+    # Finite inputs whose layer system is out of range: h = L/N so small that
+    # h**2 underflows to 0 or sigma**2/(2 h**2) overflows, or h or sigma so
+    # large that its square overflows
+    OUT_OF_RANGE = {"h2 zero": ["--L", "1e-300"], "diffusion inf": ["--L", "1e-155"],
+                    "h2 inf": ["--L", "1e160"], "h2 far inf": ["--L", "1e300"],
+                    "sigma2 inf": ["--sigma", "1e200"]}
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "refine"])
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_layer_system_out_of_range_exit_code(self, tmp_path, capsys, command, case):
+        """make_grid refuses the grid before any march: one config error
+        line, alike on every command, and no traceback."""
+        size = ["--base-N", "8", "--levels", "2"] if command == "refine" else ["--N", "8"]
+        assert run_cli([command, *size, *self.OUT_OF_RANGE[case]], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "the layer system needs each finite and h**2 > 0" in err
+
+    def test_layer_system_at_the_edge_of_range_marches(self, tmp_path, capsys):
+        """The nearest lengths in range pass the check: L = 1e-150 marches
+        and fails numerically at layer 1, L = 1e154 solves."""
+        assert run_cli(["solve", "--N", "8", "--L", "1e-150"], tmp_path) == 3
+        assert "numerical failure: layer 1" in capsys.readouterr().err
+        assert run_cli(["solve", "--N", "8", "--L", "1e154"], tmp_path) == 0
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(["solve", "--N", "16", "--tol", "1e-14", "--max-iter", "1"],
                        tmp_path)

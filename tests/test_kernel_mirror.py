@@ -1,0 +1,86 @@
+"""What native.py mirrors of thomas.c, read from the C source.
+
+ctypes trusts native.py's copy of the kernel's struct layout and codes:
+a field out of order in _Frame would have C read and write the wrong
+memory, and a shifted code would name the wrong failure, both silently.
+Each test parses thomas.c and checks one of those copies against it.
+"""
+
+import ctypes
+import re
+
+from asianfb._kernels import native
+
+# the C types of struct layer_frame's fields and the ctypes type _Frame gives each
+KINDS = {"long": ctypes.c_long, "double": ctypes.c_double}
+
+
+def source():
+    """thomas.c without its comments."""
+    return re.sub(r"/\*.*?\*/", " ", native.SOURCE.read_text(), flags=re.S)
+
+
+def struct_fields(name):
+    """(field, ctypes type) of each field of the C struct ``name``, in order:
+    c_void_p for a pointer, else the ctypes type of its base type."""
+    body = re.search(r"struct %s \{(.*?)\};" % name, source(), flags=re.S).group(1)
+    fields = []
+    for declaration in filter(str.strip, body.split(";")):
+        first, *rest = declaration.split(",")
+        base, first_name = re.fullmatch(r"\s*(?:const\s+)?([\w ]+?)\s*(\**\s*\w+)\s*",
+                                        first).groups()
+        for declarator in (first_name, *rest):
+            pointer, field = re.fullmatch(r"\s*(\**)\s*(\w+)\s*", declarator).groups()
+            fields.append((field, ctypes.c_void_p if pointer else KINDS[base]))
+    return fields
+
+
+def enum_names(first):
+    """The names of the C enum whose first name is ``first``, in order."""
+    body = re.search(r"enum \{\s*(%s\b[^}]*)\}" % first, source()).group(1)
+    return [name.strip() for name in body.split(",")]
+
+
+def defines(prefix):
+    """{name: value} of the C integer macros whose names start with ``prefix``."""
+    return {name: int(value) for name, value in
+            re.findall(r"#define (%s\w*)\s+\(?(-?\d+)\)?" % prefix, source())}
+
+
+def python_names(prefix):
+    """{name: value} of native's module constants whose names start with ``prefix``."""
+    return {name: getattr(native, name) for name in dir(native) if name.startswith(prefix)}
+
+
+def test_frame_struct_matches_layer_frame():
+    """_Frame has struct layer_frame's fields, in its order, each of the
+    ctypes type of its C type."""
+    fields = struct_fields("layer_frame")
+    assert len(fields) > 30 and fields[0] == ("n", ctypes.c_long)
+    assert native._Frame._fields_ == fields
+
+
+def test_out_slots_match_the_out_enum():
+    names = enum_names("OUT_ITERATIONS")
+    assert names[-1] == "OUT_SLOTS"
+    assert python_names("OUT_") == {name: k for k, name in enumerate(names)}
+
+
+def test_layer_status_codes_match():
+    codes = defines("LAYER_")
+    assert codes["LAYER_OK"] == 0 and len(codes) == 9
+    assert python_names("LAYER_") == codes
+
+
+def test_march_engines_and_calls_match_their_enums():
+    """MARCH_ENGINES maps each engine to its MARCH_* code, and CALLS names
+    the layer functions in the order of the CALL_* codes."""
+    engines, calls = enum_names("MARCH_NEWTON"), enum_names("CALL_NEWTON_LAYER")
+    assert native.MARCH_ENGINES == {name.removeprefix("MARCH_").lower(): k
+                                    for k, name in enumerate(engines)}
+    assert native.CALLS == tuple(name.removeprefix("CALL_").lower() for name in calls)
+
+
+def test_constants_match():
+    assert defines("FIXED9_CELL") == {"FIXED9_CELL": native.FIXED9_CELL}
+    assert defines("THOMAS_NON_FINITE") == {"THOMAS_NON_FINITE": native.NON_FINITE}

@@ -1021,17 +1021,31 @@ def small_layer(n):
     return LayerState(j=1, tau=1.0, y=-(1.0 - xi)**2, z=1.5), 1.2, 1.52
 
 
-def corrector_ends(params, n, mode, **frame):
-    """How pc's corrector and its twin end the small layer of n rows, each
+def newton_from(layer):
+    """Newton's ``layer`` (newton_layer or its twin) in the frame it is
+    given, from the previous layer, called as pc's corrector is."""
+    return lambda prev, tau_next, frame, _: layer(prev, tau_next, frame.g, frame.p, frame.mode,
+                                                  frame=frame)
+
+
+# Each engine's layer function in the kernel and its numpy twin, called as
+# (prev, tau_next, frame, z_tilde)
+CORRECTOR = (solver_pc._correct, correct_numpy)
+NEWTON = (newton_from(newton_layer), newton_from(newton_layer_numpy))
+
+
+def layer_ends(params, n, mode, layers=CORRECTOR, **frame):
+    """How ``layers``, a kernel's layer function and its twin (pc's
+    corrector by default, or NEWTON), end the small layer of n rows, each
     in a small_frame of its own: (state y bytes, z, diagnostics) or the
     exception's (class, message, attributes), each with the frame's
     buffers."""
     prev, tau_next, z_tilde = small_layer(n)
     ended = []
-    for correct in (solver_pc._correct, correct_numpy):
+    for solve in layers:
         layer = small_frame(params, n, mode, **frame)
         try:
-            state, diag = correct(prev, tau_next, layer, z_tilde)
+            state, diag = solve(prev, tau_next, layer, z_tilde)
         except Exception as exc:
             ended.append((type(exc), str(exc), vars(exc), frame_bits(layer)))
         else:
@@ -1048,10 +1062,22 @@ def test_two_ended_corrector_bit_identical_at_the_smallest_sizes(params, n, mode
     for bit where the meeting row is an end row (n = 1: both ends; n = 2:
     the last row) and on both sides of the odd/even split (n = 3, 4); and
     the layer it solves has a row-wise backward error of rounding size."""
-    kernel, oracle = corrector_ends(params, n, mode)
+    kernel, oracle = layer_ends(params, n, mode)
     assert kernel == oracle
     diag = LayerDiagnostics(*kernel[2])
     assert diag.backward_error <= 1e-15
+
+
+@pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [3, 4])
+def test_newton_layer_bit_identical_at_the_smallest_grids(params, n, mode):
+    """Newton's layer, whose sweep meets at its last row, gives its twin's
+    layer, diagnostics and frame buffers bit for bit at n = 3 and 4 rows,
+    the smallest grids GridSpec allows (N = 4 and 5)."""
+    kernel, oracle = layer_ends(params, n, mode, NEWTON)
+    assert kernel == oracle
+    diag = LayerDiagnostics(*kernel[2])
+    assert diag.iterations >= 1 and diag.backward_error <= 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1063,7 +1089,7 @@ def test_two_ended_zero_pivot_names_the_lowest_row(params, monkeypatch, n):
     upward chain's row 2 is eliminated before the meeting row 1."""
     monkeypatch.setattr(tridiag, "PIVOT_RTOL", 0.5)
     exp_neg_xi = [1e4] + [math.exp(-(i + 1) / (n + 1)) for i in range(1, n)]
-    kernel, oracle = corrector_ends(params, n, SchemeMode.UPWIND_SINGULAR,
+    kernel, oracle = layer_ends(params, n, SchemeMode.UPWIND_SINGULAR,
                                     exp_neg_xi=exp_neg_xi)
     assert kernel == oracle
     assert kernel[0] is ZeroPivot and kernel[2]["index"] == 1
