@@ -29,8 +29,10 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   layer through a layer count when given one and skipping the passes
   that only fill diagnostics when its frame says so, and
   ``native.layer`` one of them alone.  A march's frame holds its
-  constants, filled once, and each call writes its limits into it and
-  raises its own failure.  Its
+  constants, filled once, and each call writes its limits into it;
+  ``native.layer`` raises its failure, and ``native.march`` hands back
+  the first with its layer, a non-finite entry's ValueError among
+  them.  Its
   ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" formats every double, for cli._write_fixed9, which

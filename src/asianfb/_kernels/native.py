@@ -343,17 +343,18 @@ def _failure(frame, status, call, tau_prev, tau_next, z_prev):
     """The exception of the layer call ``call`` (one of CALLS) in
     ``frame`` from (tau_prev, z_prev) to tau_next that ended with
     ``status``, whose value is in out[OUT_FAILURE], with the limits in the
-    frame's struct.
-
-    Raises ValueError, naming the array, when an elimination met a
-    non-finite entry.
+    frame's struct: a ValueError naming the array when an elimination met
+    a non-finite entry.
     """
     value = frame.out[OUT_FAILURE]
     # the right-hand side the call solves against J11; pc_predictor solves none,
     # and its past-maturity message does not name T
     rhs = {"newton_layer": frame.pair_rhs, "pc_corrector": frame.single_rhs}.get(call)
     if status == LAYER_NON_FINITE:
-        pure.check_finite(*frame.j11, rhs)
+        try:
+            pure.check_finite(*frame.j11, rhs)
+        except ValueError as exc:
+            return exc
         return RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
     if status == LAYER_PAST_MATURITY:
         return ValueError(f"tau_next must be < T; got {tau_next}"
@@ -441,9 +442,9 @@ def march(frame, engine, rho, surface, rows, count=None):
     a ctypes.c_long, raises ValueError, before any pointer reaches C.
 
     Returns None, or (layer, exception) of the first layer call that
-    failed, with the exception layer() raises for it; the call stops
-    there, and the count stays at that layer.  Raises ValueError, naming
-    the array, when an elimination met a non-finite entry.
+    failed, with the exception layer() raises for it (a ValueError naming
+    the array when an elimination met a non-finite entry); the call stops
+    there, and the count stays at that layer.
     """
     g = frame.g
     for name, array, shape in (("rho", rho, (g.M + 1,)), ("surface", surface, (g.M + 1, g.N + 1)),

@@ -3,7 +3,9 @@
 Configuration is resolved in increasing precedence: built-in defaults,
 a flat ``key = value`` config file (``--config``), command-line flags.
 Each option is one row of OPTIONS, from which the defaults, the
-config-file types and the flags are all derived.
+config-file types and the flags are all derived, and resolve_config
+returns one record with an attribute per OPTIONS key, beside the checked
+objects built from them.
 The environment variable ASIANFB_OUT, when set, overrides the output
 directory; nothing else is read from the environment.
 
@@ -20,11 +22,12 @@ Its files appear only when the march succeeds; a failed solve leaves the
 output directory as it found it, apart from creating it.  Its stdout
 wall_time is the march's, with the surface stream beside it.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(message carries the failing layer), 4 the compiled kernel can be
-neither loaded nor built (message names the missing C compiler, or the
-failed build command and its first line of errors, and the cache
-directory).
+Exit codes: 0 success, 2 configuration error (any ValueError: the
+library raises it only for input it refuses, since a march hands back
+each failure of its layers), 3 numerical failure (message carries the
+failing layer), 4 the compiled kernel can be neither loaded nor built
+(message names the missing C compiler, or the failed build command and
+its first line of errors, and the cache directory).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,8 +107,8 @@ CHUNK_CELLS = 4096
 POLL_S = 2e-5
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """Input the CLI itself refuses; main reports it as every ValueError."""
 
 
 def _fmt(x: float) -> str:
@@ -154,29 +157,12 @@ def _parse_probes(spec: str, T: float) -> tuple[float, ...]:
     return probes
 
 
-@dataclass
-class RunConfig:
-    """Fully-resolved invocation: market, grid overrides, engines, outputs."""
-
-    market: MarketParams
-    N: int
-    M: int | None
-    L: float | None
-    eps_final: float
-    engine: str
-    scheme_mode: SchemeMode
-    newton: NewtonConfig
-    predictor: PredictorConfig
-    probes: tuple[float, ...]
-    jobs: int
-    out_dir: str
-    files: dict[str, str]
-    base_N: int
-    levels: int
-    raw: dict  # scalar key/value view embedded in summaries
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """The run's record: an attribute per OPTIONS key (defaults, then the
+    --config file, then flags, then ASIANFB_OUT), and the checked
+    ``market``, ``scheme_mode`` (a SchemeMode), ``probes``, ``jobs`` (the
+    cpu count by default), ``newton`` and ``predictor``.  Raises
+    ValueError for input it refuses."""
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(args.config))
@@ -184,66 +170,33 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             cfg[key] = flag_val
-    env_out = os.environ.get("ASIANFB_OUT")
-    if env_out:
-        cfg["out_dir"] = env_out
+    cfg["out_dir"] = os.environ.get("ASIANFB_OUT") or cfg["out_dir"]
 
-    if cfg["engine"] not in _CHOICES["engine"]:
-        raise ConfigError(f"engine must be 'newton' or 'pc', got {cfg['engine']!r}")
-    try:
-        scheme_mode = SchemeMode(cfg["scheme_mode"])
-    except ValueError:
-        raise ConfigError(
-            f"scheme-mode must be 'central' or 'upwind-singular', got {cfg['scheme_mode']!r}"
-        ) from None
-    try:
-        market = MarketParams(r=cfg["r"], q=cfg["q"], sigma=cfg["sigma"], T=cfg["T"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, choices in _CHOICES.items():
+        if cfg[key] not in choices:
+            raise ConfigError(f"{key.replace('_', '-')} must be "
+                              f"{' or '.join(map(repr, choices))}, got {cfg[key]!r}")
+    market = MarketParams(r=cfg["r"], q=cfg["q"], sigma=cfg["sigma"], T=cfg["T"])
     probes = _parse_probes(cfg["tau_probes"], cfg["T"])
     jobs = cfg["jobs"] if cfg["jobs"] is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-
-    kwargs = {}
-    if cfg["tol"] is not None:
-        kwargs["tol"] = cfg["tol"]
-    if cfg["max_iter"] is not None:
-        kwargs["max_iter"] = cfg["max_iter"]
-    try:
-        newton = NewtonConfig(**kwargs)
-        predictor = PredictorConfig(**{k.replace("tol", "root_tol"): v
-                                       for k, v in kwargs.items()})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        market=market, N=cfg["N"], M=cfg["M"], L=cfg["L"],
-        eps_final=cfg["eps_final"], engine=cfg["engine"], scheme_mode=scheme_mode,
-        newton=newton, predictor=predictor, probes=probes, jobs=jobs,
-        out_dir=cfg["out_dir"],
-        files={key: cfg[key] for key, _, _, help_text in OPTIONS if help_text is None},
-        base_N=cfg["base_N"], levels=cfg["levels"],
-        raw={"tol": cfg["tol"], "max_iter": cfg["max_iter"]},
-    )
+    limits = {key: cfg[key] for key in ("tol", "max_iter") if cfg[key] is not None}
+    return SimpleNamespace(**dict(
+        cfg, market=market, scheme_mode=SchemeMode(cfg["scheme_mode"]), probes=probes,
+        jobs=jobs, newton=NewtonConfig(**limits),
+        predictor=PredictorConfig(**{k.replace("tol", "root_tol"): v for k, v in limits.items()}),
+    ))
 
 
-def _make_grid(cfg: RunConfig):
-    try:
-        return make_grid(cfg.market, N=cfg.N, M=cfg.M, L=cfg.L,
-                         eps_final=cfg.eps_final)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _config_echo(cfg: RunConfig, grid) -> dict:
+def _config_echo(cfg: SimpleNamespace, grid) -> dict:
     """Fully-resolved configuration, embedded for reproducibility."""
     p = cfg.market
     return {
         "r": p.r, "q": p.q, "sigma": p.sigma, "T": p.T,
         "N": grid.N, "M": grid.M, "L": grid.L, "eps_final": grid.eps_final,
         "engine": cfg.engine, "scheme_mode": cfg.scheme_mode.value,
-        "tol": cfg.raw["tol"], "max_iter": cfg.raw["max_iter"],
+        "tol": cfg.tol, "max_iter": cfg.max_iter,
         "tau_probes": _probe_spec(cfg.probes),
         "jobs": cfg.jobs, "out_dir": cfg.out_dir,
     }
@@ -254,12 +207,12 @@ def _provenance() -> dict:
     return {"kernel_backend": kernel_backend(), "asianfb_version": __version__}
 
 
-def _out_paths(cfg: RunConfig, *keys: str) -> list[Path]:
-    """The paths of a command's output files ``keys`` (of cfg.files), in
-    its output directory, which this makes: once per command."""
+def _out_paths(cfg: SimpleNamespace, *keys: str) -> list[Path]:
+    """The paths of a command's output files ``keys`` (file-name options
+    of cfg), in its output directory, which this makes: once per command."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return [out_dir / cfg.files[key] for key in keys]
+    return [out_dir / getattr(cfg, key) for key in keys]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -411,8 +364,8 @@ class _SurfaceStream:
         self.partial.unlink(missing_ok=True)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    grid = _make_grid(cfg)
+def cmd_solve(cfg: SimpleNamespace) -> int:
+    grid = make_grid(cfg.market, cfg.N, cfg.M, cfg.L, cfg.eps_final)
     p = cfg.market
     surface_path, boundary_path, summary_path = _out_paths(
         cfg, "surface_csv", "boundary_csv", "summary_json")
@@ -466,17 +419,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_refine(cfg: RunConfig) -> int:
+def cmd_refine(cfg: SimpleNamespace) -> int:
     started = time.perf_counter()
-    try:
-        report = refinement_study(
-            cfg.market, base_N=cfg.base_N, levels=cfg.levels,
-            mode=cfg.scheme_mode, engine=cfg.engine, probes=cfg.probes,
-            L=cfg.L, eps_final=cfg.eps_final,
-            newton_cfg=cfg.newton, pc_cfg=cfg.predictor, jobs=cfg.jobs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = refinement_study(
+        cfg.market, base_N=cfg.base_N, levels=cfg.levels,
+        mode=cfg.scheme_mode, engine=cfg.engine, probes=cfg.probes,
+        L=cfg.L, eps_final=cfg.eps_final,
+        newton_cfg=cfg.newton, pc_cfg=cfg.predictor, jobs=cfg.jobs,
+    )
     elapsed = time.perf_counter() - started
 
     refine_path, = _out_paths(cfg, "refine_csv")
@@ -501,8 +451,8 @@ def cmd_refine(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    grid = _make_grid(cfg)
+def cmd_compare(cfg: SimpleNamespace) -> int:
+    grid = make_grid(cfg.market, cfg.N, cfg.M, cfg.L, cfg.eps_final)
     started = time.perf_counter()
     record = compare_engines(cfg.market, grid, cfg.scheme_mode,
                              cfg.newton, cfg.predictor)
@@ -576,7 +526,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         handler = {"solve": cmd_solve, "refine": cmd_refine, "compare": cmd_compare}
         return handler[args.command](cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # refused input: no march raises one
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

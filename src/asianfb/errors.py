@@ -42,9 +42,11 @@ class SingularSchur(SolverError):
 
 
 class LayerFailure(SolverError):
-    """A time-marching step failed; carries the 1-based layer index."""
+    """A time-marching step failed; carries the 1-based layer index and
+    the layer's exception: a SolverError, or the ValueError of an
+    elimination that met a non-finite entry."""
 
-    def __init__(self, layer: int, tau: float, cause: SolverError):
+    def __init__(self, layer: int, tau: float, cause: Exception):
         self.layer = layer
         self.tau = tau
         self.cause = cause

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import scheme, tridiag
 from ._kernels import native
-from .errors import LayerFailure, SolverError
+from .errors import LayerFailure
 from .mesh import GridSpec, initial_layer
 from .model import MarketParams
 
@@ -115,8 +115,9 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     ``diagnostics`` each LayerDiagnostics' residual_f1, residual_f2 and
     backward_error are NaN (see native.march).
 
-    Raises LayerFailure(layer, tau, cause) on the first layer that fails
-    with a SolverError, and a layer's ValueError as it is.
+    Raises LayerFailure(layer, tau, cause) on the first layer that
+    fails, whatever its cause: a SolverError, or the ValueError of an
+    elimination that met a non-finite entry.
     """
     state = initial_layer(p, g)
     frame = native.LayerFrame(g, p, mode)
@@ -132,8 +133,6 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     failure = native.march(frame, engine, rho, surface, rows, count)
     if failure is not None:
         layer, exc = failure
-        if not isinstance(exc, SolverError):
-            raise exc
         raise LayerFailure(layer, float(g.taus[layer]), exc) from exc
     return SolveResult(params=p, grid=g, engine=engine, mode=mode.value,
                        taus=g.taus.copy(), rho=rho, surface=surface, rows=rows)

@@ -3,9 +3,11 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from asianfb.cli import (DEFAULTS, OPTIONS, build_parser, main, parse_config_fil
 from asianfb.mesh import DEFAULT_EPS_FINAL
 
 from _oracles import numpy_layers, write_surface_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, tmp_path, extra=()):
@@ -451,6 +455,9 @@ class TestConfigResolution:
         flag = "--" + key.replace("_", "-")
         command = "refine" if key in ("base_N", "levels") else "solve"
         parser = build_parser()
+        by_file = resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        # the record holds each option under its own key, as the file gave it
+        assert getattr(by_file, key) == from_file
         if help_text is None:  # a config-file key only
             for sub in ("solve", "refine", "compare"):
                 with pytest.raises(SystemExit) as exc:
@@ -458,13 +465,29 @@ class TestConfigResolution:
                 assert exc.value.code == 2
             return
         by_flag = resolve_config(parser.parse_args([command, flag, value]))
-        by_file = resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        assert getattr(by_flag, key) == from_file
         assert by_flag == by_file != resolve_config(parser.parse_args([command]))
         if command == "refine":  # refine's keys have no flag on solve or compare
             for sub in ("solve", "compare"):
                 with pytest.raises(SystemExit) as exc:
                     parser.parse_args([sub, flag, value])
                 assert exc.value.code == 2
+
+    def test_readme_lists_every_option(self):
+        """README's command-line section names the flags every command
+        shares, refine's own flags and the config-file-only keys, each
+        list exactly as OPTIONS generates it."""
+        text = " ".join((ROOT / "README.md").read_text().split())
+        shared, refine_only = re.search(r"Shared flags: `([^`]*)`; `refine` adds `([^`]*)`",
+                                        text).groups()
+        files = re.search(r"name the six output files \(([^)]*)\)", text).group(1)
+        flags = {key: "--" + key.replace("_", "-") for key, *_ in OPTIONS}
+        with_flag = [key for key, _, _, help_text in OPTIONS if help_text is not None]
+        assert shared.split() == [flags[key] for key in with_flag
+                                  if key not in cli._REFINE_ONLY] + ["--config", "FILE"]
+        assert refine_only.split() == [flags[key] for key in cli._REFINE_ONLY]
+        assert re.findall(r"`(\w+)`", files) == [key for key in DEFAULTS
+                                                if key not in with_flag]
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -545,6 +568,22 @@ class TestConfigResolution:
         assert run_cli(["solve", "--N", "8", "--L", "1e-150"], tmp_path) == 3
         assert "numerical failure: layer 1" in capsys.readouterr().err
         assert run_cli(["solve", "--N", "8", "--L", "1e154"], tmp_path) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "refine"])
+    def test_march_overflow_exit_code(self, tmp_path, capsys, command):
+        """Finite inputs whose rows overflow inside the march: the
+        elimination meets a non-finite entry, a numerical failure at its
+        layer on every command, in one line, and the output directory is
+        left as it was."""
+        size = ["--base-N", "8", "--levels", "2"] if command == "refine" else ["--N", "8"]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli([command, *size, "--q", "1e300", "--L", "1"], out) == 3
+        level = "refinement level N=8 failed: " if command == "refine" else ""
+        assert capsys.readouterr().err == (
+            f"numerical failure: {level}layer 1 (tau=2.5) failed: "
+            "lower contains non-finite values\n")
+        assert list(out.iterdir()) == []
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(["solve", "--N", "16", "--tol", "1e-14", "--max-iter", "1"],

@@ -1381,9 +1381,16 @@ def test_native_march_rejects_arrays_it_could_overrun(params, bad):
         native.march(frame, "newton", *arrays.values())
 
 
-def failing_march(engine):
-    """(march, params, grid, cfg) of a march that fails: Newton's at layer
-    1 with max_iter = 1, pc's with NonPositiveZ at layer 57 of 58."""
+def failing_march(engine, case="limit"):
+    """(march, params, grid, cfg) of a march that fails: in the "limit"
+    case Newton's at layer 1 with max_iter = 1, pc's with NonPositiveZ at
+    layer 57 of 58; in the "overflow" case either engine's at layer 1,
+    where q = 1e300 makes the rows' advection overflow, so an elimination
+    meets a non-finite entry."""
+    if case == "overflow":
+        p = MarketParams(r=0.06, q=1e300, sigma=0.2, T=50.0)
+        cfg = NewtonConfig() if engine == "newton" else PredictorConfig()
+        return march_newton if engine == "newton" else march_pc, p, make_grid(p, 8, L=1.0), cfg
     if engine == "newton":
         p = MarketParams(r=0.06, q=0.04, sigma=0.2, T=50.0)
         return march_newton, p, make_grid(p, N=16), NewtonConfig(max_iter=1)
@@ -1391,42 +1398,51 @@ def failing_march(engine):
     return march_pc, p, make_grid(p, N=23), PredictorConfig()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("engine", ["newton", "pc"])
 def test_failing_march_raises_the_oracle_marches_failure(engine):
     """A march that fails raises the same LayerFailure from the kernel's
     march as from the oracle march on the numpy twins: the same layer and
-    tau, and a cause of the same class, message and attributes."""
-    raised = []
-    for layers in (contextlib.nullcontext(), numpy_layers()):
-        with layers:
-            march, p, grid, cfg = failing_march(engine)
-            with pytest.raises(LayerFailure) as exc:
-                march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg)
-        failure = exc.value
-        raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
-                       str(failure.cause), vars(failure.cause)))
-    assert raised[0] == raised[1]
-    layer, tau, _, cause, _, attributes = raised[0]
-    if engine == "newton":
-        assert (layer, cause) == (1, NoConvergence) and attributes["iterations"] == 1
-    else:
-        assert (layer, cause) == (57, NonPositiveZ) and attributes["z"] < 0
-    assert tau == grid.taus[layer]
+    tau, and a cause of the same class, message and attributes.  A march
+    whose elimination meets a non-finite entry fails so too, with the
+    ValueError that names the array as its cause."""
+    for case in ("limit", "overflow"):
+        raised = []
+        for layers in (contextlib.nullcontext(), numpy_layers()):
+            with layers:
+                march, p, grid, cfg = failing_march(engine, case)
+                with pytest.raises(LayerFailure) as exc:
+                    march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg)
+            failure = exc.value
+            raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
+                           str(failure.cause), vars(failure.cause)))
+        assert raised[0] == raised[1], case
+        layer, tau, _, cause, message, attributes = raised[0]
+        if case == "overflow":
+            array = "lower" if engine == "newton" else "rhs"
+            assert (layer, cause, message) == (1, ValueError,
+                                               f"{array} contains non-finite values")
+        elif engine == "newton":
+            assert (layer, cause) == (1, NoConvergence) and attributes["iterations"] == 1
+        else:
+            assert (layer, cause) == (57, NonPositiveZ) and attributes["z"] < 0
+        assert tau == grid.taus[layer]
 
 
 @pytest.mark.parametrize("engine", ["newton", "pc"])
 def test_march_without_diagnostics_fails_as_the_march_with_them(engine):
     """A failing march raises the same LayerFailure (layer, tau and cause)
     with diagnostics=False as with diagnostics."""
-    raised = []
-    for kept in (True, False):
-        march, p, grid, cfg = failing_march(engine)
-        with pytest.raises(LayerFailure) as exc:
-            march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg, diagnostics=kept)
-        failure = exc.value
-        raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
-                       vars(failure.cause)))
-    assert raised[0] == raised[1]
+    for case in ("limit", "overflow"):
+        raised = []
+        for kept in (True, False):
+            march, p, grid, cfg = failing_march(engine, case)
+            with pytest.raises(LayerFailure) as exc:
+                march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg, diagnostics=kept)
+            failure = exc.value
+            raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
+                           vars(failure.cause)))
+        assert raised[0] == raised[1], case
 
 
 @pytest.mark.parametrize("limit, value, cause", [("PIVOT_RTOL", 1.0, ZeroPivot),
