@@ -36,7 +36,9 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" formats every double, for cli._write_fixed9, which
-  streams each output table through them.  Without a C compiler, or when the build or the
+  streams each output table through them; fixed9_surface takes the
+  surface's taus, xi and pi as float64 arrays and formats all three
+  columns itself.  Without a C compiler, or when the build or the
   load of the fresh build fails, the first call raises
   native.KernelUnavailable, which names the compiler or the failed build.
 * ``pure``: the plain Python Thomas loop, whose solutions and failing

@@ -82,12 +82,13 @@ function that writes a chunk of the table's rows into the buffer as CSV
 lines of ``"%.9f"`` cells, byte for byte as Python formats every double,
 NaNs, infinities and cells of hundreds of digits among them.
 ``fixed9_surface`` does the same for chunks of layers of surface.csv,
-formatting each layer's tau cell once and copying xi cells formatted
-once per file.  The checks, that each array is contiguous and of the
-right type and shape, are made once per file; each chunk passes only
-offsets into the checked arrays, after checking that its range lies
-within them and fits the buffer, which is sized for cells of the widest
-double, so the C call, which trusts them, stays within the arrays.
+formatting each layer's tau cell once and the xi cells once per chunk,
+and copying them into every line.  The checks, that each array is
+contiguous and of the right type and shape, are made once per file; each
+chunk passes only offsets into the checked arrays, after checking that
+its range lies within them and fits the buffer, which is sized for cells
+of the widest double, so the C call, which trusts them, stays within the
+arrays.
 """
 
 from __future__ import annotations
@@ -501,35 +502,33 @@ def fixed9_rows(cells, out):
                          [(cells, True)])
 
 
-def fixed9_surface(taus, xi_cells, pi, out):
+def fixed9_surface(taus, xi, pi, out):
     """Check the arrays once, and return ``write(start, stop)``, which
     writes the surface.csv lines of layers start .. stop - 1 of the
     (layers, n) float64 array ``pi`` into the uint8 array ``out``: for
-    each layer j and node i the line "tau_j,xi_i,pi_ji\r\n", tau_j and
-    pi_ji as Python's ``"%.9f"`` formats them (tau_j formatted once per
-    layer), and xi_i copied from row i of the (n, FIXED9_CELL) uint8
-    ``xi_cells``, its text padded with NUL bytes.
+    each layer j and node i the line "tau_j,xi_i,pi_ji\r\n", each cell as
+    Python's ``"%.9f"`` formats it (tau_j formatted once per layer, and
+    the n xi cells once per call).
 
-    taus must be a contiguous float64 array of ``layers`` entries, pi
-    C-contiguous, and out writable and contiguous; anything
-    else raises ValueError.  write raises ValueError unless 0 <= start <=
-    stop <= layers and out holds ``fixed9_bytes((stop - start) n, 3)``
-    bytes, so the C function reads and writes only within the arrays.  It
-    returns the number of bytes written.
+    taus must be a contiguous float64 array of ``layers`` entries, xi one
+    of n entries, pi C-contiguous, and out writable and contiguous;
+    anything else raises ValueError.  write raises ValueError unless 0 <=
+    start <= stop <= layers and out holds ``fixed9_bytes((stop - start)
+    n, 3)`` bytes, so the C function reads and writes only within the
+    arrays, and MemoryError when C cannot allocate the xi cells.  It
+    returns the number of bytes written; the bytes of out after them are
+    unspecified.
     """
     if _kernel is None:
         load()
     if pi.dtype != np.float64 or pi.ndim != 2 or not pi.flags.c_contiguous:
         raise ValueError("pi must be a C-contiguous float64 array of shape (layers, n)")
     layers, n = pi.shape
-    if taus.dtype != np.float64 or taus.shape != (layers,) or not taus.flags.c_contiguous:
-        raise ValueError(f"taus must be a contiguous float64 array of {layers} entries")
-    if xi_cells.dtype != np.uint8 or xi_cells.shape != (n, FIXED9_CELL) or \
-            not xi_cells.flags.c_contiguous:
-        raise ValueError(f"xi_cells must be a C-contiguous uint8 array of shape "
-                         f"({n}, {FIXED9_CELL})")
+    for name, array, size in (("taus", taus, layers), ("xi", xi, n)):
+        if array.dtype != np.float64 or array.shape != (size,) or not array.flags.c_contiguous:
+            raise ValueError(f"{name} must be a contiguous float64 array of {size} entries")
     return _chunk_writer(_kernel.fixed9_surface, layers, fixed9_bytes(n, 3), n, out,
-                         [(taus, True), (xi_cells, False), (pi, True)])
+                         [(taus, True), (xi, False), (pi, True)])
 
 
 def _chunk_writer(function, units, unit_bytes, cols, out, arrays):
@@ -549,6 +548,9 @@ def _chunk_writer(function, units, unit_bytes, cols, out, arrays):
         if not 0 <= start <= stop <= units or (stop - start) * unit_bytes > out.size:
             raise ValueError(f"the chunk {start}:{stop} of {units} does not fit the arrays "
                              f"and out ({out.size} bytes)")
-        return function(stop - start, cols, *[at + start * step for at, step in starts], out_at)
+        size = function(stop - start, cols, *[at + start * step for at, step in starts], out_at)
+        if size < 0:
+            raise MemoryError("the CSV writer could not allocate its scratch")
+        return size
     write.arrays = arrays  # the addresses stay valid while write lives
     return write

@@ -38,6 +38,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define THOMAS_NON_FINITE (-2)
@@ -1107,6 +1108,19 @@ static __attribute__((noinline)) int fixed9_wide(double x, char *s)
     return sprintf(s, "%.0f.000000000", x);
 }
 
+/* "00" "01" .. "99": two decimals a step, each step independent of the
+ * others, where a digit a step makes nine dependent divisions */
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the two decimals of v < 100 into s */
+static inline void put_pair(char *s, unsigned v)
+{
+    memcpy(s, DIGIT_PAIRS + 2 * v, 2);
+}
+
 /* x in "%.9f" into s, returning its length; at most FIXED9_CELL bytes,
  * and one more, a NUL, for a cell that fixed9_wide writes */
 static int fixed9_cell(double x, char *s)
@@ -1114,7 +1128,7 @@ static int fixed9_cell(double x, char *s)
     char digits[20];
     double ax = fabs(x), f, p, n;
     unsigned long long whole;
-    unsigned long frac;
+    unsigned frac, high, low;
     int len = 0, k;
 
     if (!(ax < 1e18))
@@ -1133,21 +1147,29 @@ static int fixed9_cell(double x, char *s)
         whole++;
         n = 0.0;
     }
-    frac = (unsigned long)n;
+    frac = (unsigned)n;
     if (signbit(x))
         s[len++] = '-';
-    k = 0;
-    do {
-        digits[k++] = (char)('0' + whole % 10);
-        whole /= 10;
-    } while (whole);
-    while (k)
-        s[len++] = digits[--k];
-    s[len++] = '.';
-    for (k = 8; k >= 0; k--) {
-        s[len + k] = (char)('0' + frac % 10);
-        frac /= 10;
+    if (whole < 10) {
+        s[len++] = (char)('0' + whole);
+    } else {
+        k = 0;
+        do {
+            digits[k++] = (char)('0' + whole % 10);
+            whole /= 10;
+        } while (whole);
+        while (k)
+            s[len++] = digits[--k];
     }
+    s[len++] = '.';
+    /* the 9 decimals: the first 5 of high, then the 4 of low */
+    high = frac / 10000;
+    low = frac % 10000;
+    s[len] = (char)('0' + high / 10000);
+    put_pair(s + len + 1, high / 100 % 100);
+    put_pair(s + len + 3, high % 100);
+    put_pair(s + len + 5, low / 100);
+    put_pair(s + len + 7, low % 100);
     return len + 9;
 }
 
@@ -1172,35 +1194,67 @@ long fixed9_rows(long rows, long cols, const double *cells, char *out)
     return s - out;
 }
 
+/* The bytes fixed9_surface copies at once for a cell and its comma: any
+ * cell below 1e18 fits, with its sign */
+#define FIXED9_COPY 32
+
+/* the len bytes of text into s, returning s + len.  A text of at most
+ * FIXED9_COPY bytes is copied with one FIXED9_COPY-byte memcpy, so s and
+ * text must each have FIXED9_COPY bytes from their start: the bytes after
+ * s + len hold whatever followed the text, for the caller to overwrite */
+static inline char *copy_cell(char *s, const char *text, long len)
+{
+    if (len <= FIXED9_COPY)
+        memcpy(s, text, FIXED9_COPY);
+    else
+        memcpy(s, text, len);
+    return s + len;
+}
+
 /* layers x n lines "tau,xi,pi\r\n" of surface.csv into out, which holds
- * at least layers n (3 (FIXED9_CELL + 1) + 1) bytes: each layer's tau
- * cell formatted once, the xi cells copied from xi_cells, n rows of
- * FIXED9_CELL bytes that each hold a cell's text padded with '\0', and
- * the pi cells formatted from the (layers, n) row-major pi.  Returns the
- * number of bytes written. */
-long fixed9_surface(long layers, long n, const double *taus, const char *xi_cells,
+ * at least layers n (3 (FIXED9_CELL + 1) + 1) bytes: the n xi cells,
+ * formatted once per call, and each layer's tau cell, formatted once, each
+ * with its comma, copied into every line (copy_cell), and the pi cells
+ * formatted from the (layers, n) row-major pi.  A line takes 3 cells, 2
+ * commas and "\r\n", so each of its cells has FIXED9_CELL + 1 >=
+ * FIXED9_COPY bytes of out: a copy_cell of a cell ends within its line's
+ * reservation, and the pi cell and the next line overwrite the bytes it
+ * copied past the cell's comma.  Returns the number of bytes written; the
+ * bytes of out after them are unspecified.  Returns -1, writing nothing,
+ * when the xi cells' scratch cannot be allocated. */
+long fixed9_surface(long layers, long n, const double *taus, const double *xi,
                     const double *pi, char *out)
 {
-    char tau[FIXED9_CELL + 1];  /* and fixed9_wide's NUL */
-    char *s = out;
-    long j, i, k;
+    char tau[FIXED9_CELL + 1];  /* a cell and its comma, or fixed9_wide's NUL */
+    /* xi cell i and its comma at xi_text + xi_at[i], ending at xi_at[i + 1],
+     * and FIXED9_COPY bytes after the last for its copy */
+    long *xi_at = malloc((n + 1) * sizeof(long) + n * (FIXED9_CELL + 1) + FIXED9_COPY);
+    char *xi_text, *s = out;
+    long j, i;
 
+    if (!xi_at)
+        return -1;
+    xi_text = (char *)(xi_at + n + 1);
+    xi_at[0] = 0;
+    for (i = 0; i < n; i++) {
+        char *cell = xi_text + xi_at[i];
+        int len = fixed9_cell(xi[i], cell);
+
+        cell[len] = ',';
+        xi_at[i + 1] = xi_at[i] + len + 1;
+    }
     for (j = 0; j < layers; j++) {
-        int tau_len = fixed9_cell(taus[j], tau);
+        long tau_len = fixed9_cell(taus[j], tau);
 
+        tau[tau_len++] = ',';
         for (i = 0; i < n; i++) {
-            const char *xi = xi_cells + i * FIXED9_CELL;
-
-            for (k = 0; k < tau_len; k++)
-                *s++ = tau[k];
-            *s++ = ',';
-            for (k = 0; k < FIXED9_CELL && xi[k]; k++)
-                *s++ = xi[k];
-            *s++ = ',';
+            s = copy_cell(s, tau, tau_len);
+            s = copy_cell(s, xi_text + xi_at[i], xi_at[i + 1] - xi_at[i]);
             s += fixed9_cell(pi[j * n + i], s);
             *s++ = '\r';
             *s++ = '\n';
         }
     }
+    free(xi_at);
     return s - out;
 }

@@ -20,7 +20,9 @@ through a layer count, and one worker thread formats and writes each
 buffer of layers once the count says they are stored (_SurfaceStream).
 Its files appear only when the march succeeds; a failed solve leaves the
 output directory as it found it, apart from creating it.  Its stdout
-wall_time is the march's, with the surface stream beside it.
+wall_time is the march's, with the surface stream beside it, and
+surface_tail the time the stream then ran past the march, until
+surface.csv was in place.
 
 Exit codes: 0 success, 2 configuration error (any ValueError: the
 library raises it only for input it refuses, since a march hands back
@@ -100,8 +102,11 @@ _CHOICES = {"engine": ("newton", "pc"), "scheme_mode": tuple(m.value for m in Sc
 _REFINE_ONLY = ("base_N", "levels")
 # The compiled CSV writer formats at most this many cells per chunk (or
 # one time layer of surface.csv, when that is more), into a buffer sized
-# for cells of the widest double.
-CHUNK_CELLS = 4096
+# for cells of the widest double.  At the defaults a chunk of surface.csv
+# is 19 layers, one write of about 150 KB (the file in 47 KB writes took
+# about 1.3 times as long), from a 3.7 MB buffer: it stays below 4 MiB,
+# from which numpy asks for huge pages (1.6 MB more peak RSS at 6.4 MB).
+CHUNK_CELLS = 12000
 # Seconds the surface.csv writer sleeps, without the GIL, each time it
 # finds that the march has not yet stored the layers of its next buffer
 POLL_S = 2e-5
@@ -258,18 +263,17 @@ def _write_table(path: Path, header: str, columns) -> None:
 
 
 def _surface_writer(fh, taus: np.ndarray, xi: np.ndarray, surface: np.ndarray):
-    """Check the arrays, format the xi cells and allocate the buffer of the
-    (tau, xi, pi) table, and return ``write(stored=None)``, which writes
-    the table to the binary file ``fh``, byte for byte as csv.writer with
-    _fmt writes it, in chunks of whole time layers (see _write_fixed9,
-    which calls ``stored``).
+    """Check the arrays and allocate the buffer of the (tau, xi, pi)
+    table, and return ``write(stored=None)``, which writes the table to
+    the binary file ``fh``, byte for byte as csv.writer with _fmt writes
+    it, in chunks of whole time layers (see _write_fixed9, which calls
+    ``stored``).
 
-    The xi cells are formatted once for the file, and the writer of
-    native.fixed9_surface, whose arrays are checked once for the file,
-    formats each chunk's tau cells once per layer and its pi cells,
-    copying the xi cells.  A C-contiguous float64 surface, a march's, is
-    read in place, so its layers may be stored after this returns, before
-    ``stored`` says they are final.
+    The writer of native.fixed9_surface, whose arrays are checked once
+    for the file, formats every cell of each chunk: its xi cells and its
+    tau cells once, and its pi cells.  A C-contiguous float64 surface, a
+    march's, is read in place, so its layers may be stored after this
+    returns, before ``stored`` says they are final.
 
     Raises ValueError unless taus and xi are 1-D and surface has the shape
     (taus.size, xi.size).
@@ -281,10 +285,7 @@ def _surface_writer(fh, taus: np.ndarray, xi: np.ndarray, surface: np.ndarray):
     n = xi.size
     per = max(1, CHUNK_CELLS // (3 * max(n, 1)))
     out = np.empty(native.fixed9_bytes(min(per, taus.size) * n, 3), np.uint8)
-    xi_cells = np.frombuffer(b"".join([_fmt(x).encode().ljust(native.FIXED9_CELL, b"\0")
-                                       for x in xi.tolist()]), np.uint8)
-    compiled = native.fixed9_surface(taus, xi_cells.reshape(n, native.FIXED9_CELL), surface,
-                                     out)
+    compiled = native.fixed9_surface(taus, xi, surface, out)
     # a memoryview's slices, unlike numpy's, allocate nothing outside Python's
     # own allocator on the thread that writes
     view = memoryview(out)
@@ -373,8 +374,10 @@ def cmd_solve(cfg: SimpleNamespace) -> int:
         started = time.perf_counter()
         result = run_engine(cfg.engine, p, grid, cfg.scheme_mode,
                             cfg.newton, cfg.predictor, ready=surface.ready)
-        elapsed = time.perf_counter() - started
+        marched = time.perf_counter()
         surface.finish()
+        tail = time.perf_counter() - marched
+        elapsed = marched - started
 
     _write_table(boundary_path, "tau,rho,xf_t,t",
                  (result.taus, result.rho, 1.0 / result.rho, p.T - result.taus))
@@ -414,7 +417,7 @@ def cmd_solve(cfg: SimpleNamespace) -> int:
     _write_json(summary_path, summary)
 
     print(f"solve: engine={cfg.engine} N={grid.N} M={grid.M} "
-          f"rho(0)={result.rho[0]:.9g} wall_time={elapsed:.3f}s")
+          f"rho(0)={result.rho[0]:.9g} wall_time={elapsed:.3f}s surface_tail={tail:.4f}s")
     print(f"wrote {boundary_path}, {surface_path}, {summary_path}")
     return 0
 

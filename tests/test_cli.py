@@ -270,24 +270,26 @@ class TestSolve:
     def test_surface_writer_streams_many_chunks(self, tmp_path, rng):
         """A table of several chunks, two of them holding a NaN or a cell
         of 4.5e6 or more."""
-        taus = np.linspace(0.0, 50.0, 41)
+        taus = np.linspace(0.0, 50.0, 81)
         xi = np.linspace(0.0, 3.0, 201)
         surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
         surface[17, 5] = np.nan
-        surface[30, 200] = -1e7
+        surface[60, 200] = -1e7
         assert taus.size > 4 * (cli.CHUNK_CELLS // (3 * xi.size))  # more than 4 chunks
         write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
         write_surface(tmp_path / "surface.csv", taus, xi, surface)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 4.5e6, -1e7])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 4.5e6, -1e7, 1e300,
+                                     -sys.float_info.max])
     @pytest.mark.parametrize("column", ["tau", "xi", "pi"])
     def test_surface_writer_hands_back_a_cell_in_each_column(self, tmp_path, rng, column, bad):
         """A NaN, an infinity or a cell of 4.5e6 or more, once left to
-        Python's formatting, in the tau, xi or pi column of a table of
-        several chunks, at the default chunk size and at one layer per
-        chunk."""
-        taus = np.linspace(0.0, 50.0, 13)
+        Python's formatting, or a cell of 1e18 or more, longer than the
+        writer's fixed-width copy of a tau or xi cell, in the tau, xi or pi
+        column of a table of several chunks, at the default chunk size and
+        at one layer per chunk."""
+        taus = np.linspace(0.0, 50.0, 41)
         xi = np.linspace(0.0, 3.0, 201)
         surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
         if column == "tau":
@@ -304,6 +306,28 @@ class TestSolve:
                 write_surface(tmp_path / "surface.csv", taus, xi, surface)
             assert (tmp_path / "surface.csv").read_bytes() == \
                 (tmp_path / "oracle.csv").read_bytes(), chunk_cells
+
+    def test_surface_writer_streams_the_default_surface_in_few_large_writes(self, params, rng):
+        """At the defaults (N = 200, M = 500) the 501 layers go out in at
+        most 30 writes, from a chunk buffer under 4 MiB, the size from
+        which numpy asks for huge pages."""
+        from asianfb import make_grid
+
+        class RecordingFile:
+            def __init__(self):
+                self.sizes, self.buffer_bytes = [], 0
+
+            def write(self, data):
+                view = memoryview(data)
+                self.sizes.append(view.nbytes)
+                self.buffer_bytes = max(self.buffer_bytes, memoryview(view.obj).nbytes)
+
+        g = make_grid(params, N=200)
+        assert (g.taus.size, g.xi.size) == (501, 201)
+        fh = RecordingFile()
+        cli._surface_writer(fh, g.taus, g.xi, rng.uniform(-1.0, 0.0, (501, 201)))()
+        assert len(fh.sizes) <= 30, fh.sizes
+        assert fh.buffer_bytes < 4 * 2**20
 
     def test_surface_writer_rejects_mismatched_shapes(self, tmp_path):
         taus, xi = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5])
@@ -760,5 +784,5 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert "wall_time" in proc.stdout
+        assert "wall_time=" in proc.stdout and "surface_tail=" in proc.stdout
         assert (tmp_path / "summary.json").exists()

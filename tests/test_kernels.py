@@ -617,15 +617,31 @@ class TestFixed9Rows:
                 write(start, stop)
 
     def test_surface_rejects_chunks_outside_its_arrays(self):
-        taus, pi = np.zeros(3), np.zeros((3, 2))
-        xi_cells = np.zeros((2, native.FIXED9_CELL), np.uint8)
-        xi_cells[:, 0] = ord("0")
+        taus, xi, pi = np.zeros(3), np.array([0.0, -2.5]), np.zeros((3, 2))
         out = np.empty(native.fixed9_bytes(2 * 2, 3), np.uint8)
-        write = native.fixed9_surface(taus, xi_cells, pi, out)
-        assert out[:write(1, 3)].tobytes() == b"0.000000000,0,0.000000000\r\n" * 4
+        write = native.fixed9_surface(taus, xi, pi, out)
+        assert out[:write(1, 3)].tobytes() == \
+            b"0.000000000,0.000000000,0.000000000\r\n0.000000000,-2.500000000,0.000000000\r\n" * 2
         for start, stop in ((-1, 1), (2, 4), (0, 3)):  # (0, 3) does not fit out
             with pytest.raises(ValueError, match="does not fit"):
                 write(start, stop)
+
+    def test_surface_rejects_arrays_it_could_overrun(self):
+        """taus and xi are checked alike: float64, contiguous, one entry a
+        layer or a node."""
+        taus, xi, pi = np.zeros(3), np.zeros(2), np.zeros((3, 2))
+        out = np.empty(native.fixed9_bytes(3 * 2, 3), np.uint8)
+        for name, good in (("taus", taus), ("xi", xi)):
+            for bad in (good.astype(np.float32), np.zeros(2 * good.size)[::2],
+                        np.zeros(good.size + 1), good.reshape(1, -1)):
+                args = {"taus": taus, "xi": xi, "pi": pi, "out": out, name: bad}
+                with pytest.raises(ValueError, match=name):
+                    native.fixed9_surface(**args)
+        for bad_pi in (pi.astype(np.float32), np.asfortranarray(pi), pi.ravel()):
+            with pytest.raises(ValueError, match="pi"):
+                native.fixed9_surface(taus, xi, bad_pi, out)
+        with pytest.raises(ValueError, match="out"):
+            native.fixed9_surface(taus, xi, pi, out[::2])
 
 
 # (r, q, sigma) at T = 50 of the bit-identity runs: the reference point and
