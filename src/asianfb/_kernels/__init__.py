@@ -16,24 +16,23 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
   in a process into a cache next to the source (see native.py), and the
-  only kernel that runs.  Next to ``thomas`` it offers each engine's
-  time layer in C: Newton's as one function, newton_layer, which builds
-  the layer's z-free part in a ``native.LayerFrame`` and runs its
-  iterations there, and the predictor-corrector's as two, pc_predictor
-  (the scalar root) and pc_corrector (the z-free part, the three solves
-  and the layer's diagnostics over the frame).  Every solve of the
-  kernel is one elimination, whose downward and upward chains meet at a
-  row: ``thomas``'s and Newton's at the last row, which makes it the
-  Thomas sweep, pc's in the middle.  ``native.march`` runs one engine's
-  march over them, every layer in one call, publishing each stored
-  layer through a layer count when given one and skipping the passes
-  that only fill diagnostics when its frame says so, and
-  ``native.layer`` one of them alone.  A march's frame holds its
-  constants, filled once, and each call writes its limits into it;
-  ``native.layer`` raises its failure, and ``native.march`` hands back
-  the first with its layer, a non-finite entry's ValueError among
-  them.  Its
-  ``native.fixed9_rows`` and
+  only kernel that runs.  Next to ``thomas`` it runs each engine's time
+  layers in C, through ``native.march`` alone: Newton's layer is one
+  static C function, which builds the layer's z-free part in a
+  ``native.LayerFrame`` and runs its iterations there, and the
+  predictor-corrector's is two, pc_predictor (the scalar root) and
+  pc_corrector (the z-free part, the three solves and the layer's
+  diagnostics over the frame).  Every solve of the kernel is one
+  elimination, whose downward and upward chains meet at a row:
+  ``thomas``'s and Newton's at the last row, which makes it the Thomas
+  sweep, pc's in the middle.  ``native.march`` runs one engine's march
+  over them, every layer in one call (or a range of layers, from those
+  already stored), publishing each stored layer through a layer count
+  when given one and skipping the passes that only fill diagnostics when
+  its frame says so.  A march's frame holds its constants, filled once,
+  and its caller writes the engine's limits into it; ``native.march``
+  hands back the first failure with its layer, a non-finite entry's
+  ValueError among them.  Its ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" formats every double, for cli._write_fixed9, which
   streams each output table through them; fixed9_surface takes the

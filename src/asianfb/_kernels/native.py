@@ -1,15 +1,16 @@
 """Compiled kernel: thomas.c through ctypes, built on first use.
 
-The library holds ``thomas``, the Thomas solve of the kernel contract;
-one time layer of each engine: ``newton_layer``, the z-free part of a
-layer and its Newton iterations over a LayerFrame's buffers, and the
-predictor-corrector layer's two halves, ``pc_predictor``, the
-predictor's scalar root, and ``pc_corrector``, the z-free part, the
-corrector and the layer's diagnostics over the frame's buffers;
-``march``, which steps one engine over every layer of a march with
-those functions (see below), and ``published``, which reads the count
-of layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, the
-CLI's CSV cells.
+The library exports five functions: ``thomas``, the Thomas solve of
+the kernel contract; ``march``, which steps one engine over the layers
+of a march (see below), and ``published``, which reads the count of
+layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, the
+CLI's CSV cells.  march is the only way into each engine's time layer,
+which thomas.c keeps static: Newton's, one function that builds the
+z-free part of a layer and runs its Newton iterations over a
+LayerFrame's buffers, and the predictor-corrector layer's two halves,
+``pc_predictor``, the predictor's scalar root, and ``pc_corrector``,
+the z-free part, the corrector and the layer's diagnostics over the
+frame's buffers.
 
 Each solve of a layer is one forward sweep over the rows and one
 backward sweep.  The forward sweep builds each row, its right-hand side
@@ -52,30 +53,26 @@ only then does this module run pure's numpy check, to raise the
 ValueError that names the array.  No march calls it: both engines
 eliminate inside their layer calls.
 
-A march makes one LayerFrame (results.march does, and an engine's layer
-called without one makes its own): the buffers of its layer system,
-which it owns, and the _Frame struct that hands them to C with the
-march's constants (T, h, h**2, r, q, sigma**2 and their products),
-filled once.  The frame's ``set_limits`` writes an engine's limits into
-its struct (Newton's tol and max_iter, or the predictor's root search,
-the eliminations' pivot_rtol and schur_floor, and ``diagnostics``, 1
-unless set to 0).  ``march`` runs every
-layer of a march in one C call, which holds no GIL, into arrays the
-caller allocates: C copies each stored layer forward, builds every
-layer's z-free part itself and starts Newton's layers 3 .. M - 1 from an
-extrapolation of the stored layers before them.  With the frame's
-``diagnostics`` 0 its layers skip the passes that only fill
-diagnostics.  Given a layer count, it publishes each layer it stores
-there, and another thread that reads the count with ``published`` may
-read those layers while the march runs.  ``layer`` runs one layer function alone: it writes
-that function's limits alike, copies the previous layer into the frame's
-y buffer and passes only tau_prev, tau_next and z_prev (and pc's
-corrector its z_tilde, and Newton's layer its first iterate, the
-previous layer unless ``start`` is given) to C.
+A march makes one LayerFrame (results.march does): the buffers of its
+layer system, which it owns, and the _Frame struct that hands them to C
+with the march's constants (T, h, h**2, r, q, sigma**2 and their
+products), filled once.  The frame's ``set_limits`` writes an engine's
+limits into its struct (Newton's tol and max_iter, or the predictor's
+root search, the eliminations' pivot_rtol and schur_floor, and
+``diagnostics``, 1 unless set to 0).  ``march`` runs the layers of a
+march in one C call, which holds no GIL, into arrays the caller
+allocates: C copies each stored layer forward, builds every layer's
+z-free part itself and starts Newton's layers 3 .. M - 1 from an
+extrapolation of the stored layers before them.  It runs every layer of
+the time mesh it is given, or a range of them from the layers already
+stored.  With the frame's ``diagnostics`` 0 its layers skip the passes
+that only fill diagnostics.  Given a layer count, it publishes each
+layer it stores there, and another thread that reads the count with
+``published`` may read those layers while the march runs.
 Marches in different frames share nothing, so they may run in different
-threads at once.  A failed call's status code, a refused layer (tau_next
->= T, or a non-positive step) among them, becomes its exception here
-(``_failure``); no status code leaves this module.
+threads at once.  A failed layer's status code, a refused layer
+(tau_next >= T, or a non-positive step) among them, becomes its
+exception here (``_failure``); no status code leaves this module.
 
 ``fixed9_rows`` checks a table and a buffer once and returns the
 function that writes a chunk of the table's rows into the buffer as CSV
@@ -104,7 +101,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
+from ..errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from ..mesh import layer_constants
 from . import pure
 
@@ -123,14 +120,14 @@ NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
  LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(9)
-# the layer functions' out[] slots: newton_layer's 8 diagnostics, then a
+# the layer functions' out[] slots: a Newton layer's 8 diagnostics, then a
 # failure's value and the predictor's fallback flag
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
  OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_FAILURE, OUT_FALLBACK,
  OUT_SLOTS) = range(11)
-# thomas.c's engines of march, and its layer functions, in the order of its CALL_* codes
+# thomas.c's engines of march, and the stages of a layer, in the order of its CALL_* codes
 MARCH_ENGINES = {"newton": 0, "pc": 1}
-CALLS = ("newton_layer", "pc_predictor", "pc_corrector")
+_CALLS = ("newton", "predictor", "corrector")
 FIXED9_CELL = 320  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
 
 _kernel = None  # the loaded library, once load() succeeds
@@ -219,19 +216,13 @@ def load() -> None:
         _remove_stale(path)
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
-    # each layer function: (frame, tau_prev, tau_next, z_prev), newton_layer
-    # its first iterate (y_start, z_start) and pc_corrector z_tilde
-    library.newton_layer.argtypes = [pointer] + [double] * 3 + [pointer, double]
-    library.pc_predictor.argtypes = [pointer] + [double] * 3
-    library.pc_corrector.argtypes = [pointer] + [double] * 4
-    # march: (frame, engine, total, taus, rho, surface, rows, failed, count)
-    library.march.argtypes = [pointer] + [long] * 2 + [pointer] * 5 + [ctypes.POINTER(long)]
+    # march: (frame, engine, total, first, stop, taus, rho, surface, rows, failed, count)
+    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 5 + [ctypes.POINTER(long)]
     library.published.argtypes = [ctypes.POINTER(long)]
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
     library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
-    for function in (library.thomas, library.newton_layer, library.pc_predictor,
-                     library.pc_corrector, library.march, library.published,
-                     library.fixed9_rows, library.fixed9_surface):
+    for function in (library.thomas, library.march, library.published, library.fixed9_rows,
+                     library.fixed9_surface):
         function.restype = long
     _kernel = library
 
@@ -280,7 +271,7 @@ class _Frame(ctypes.Structure):
 class LayerFrame:
     """The layer system of one march on grid ``g`` with parameters ``p``
     in scheme mode ``mode``, in buffers it owns, and the _Frame struct
-    that hands them to the layer functions.
+    that hands them to march's layer functions.
 
     Each layer function builds its layer in these buffers: the z-free part
     first (``ds`` = ds_i/dz = e^{-xi_i}/(T - tau) and ``half_ds_h``, its
@@ -292,15 +283,14 @@ class LayerFrame:
     ``pair_rhs`` (2, n) and ``single_rhs`` (n,) are the right-hand sides
     that Newton's and pc's layers fill and solve against J11 in place,
     ``cp`` the elimination's work row, ``piv`` the pivots of its last
-    forward sweep, ``x`` its (2, n) solution, ``y`` the layer (the
-    previous one on entry), ``first`` the interior of a Newton layer's
-    first iterate when it is not the previous layer, and ``out`` the out[]
-    slots.
+    forward sweep, ``x`` its (2, n) solution, ``first`` the interior of a
+    Newton layer's first iterate when it is not the previous layer, and
+    ``out`` the out[] slots of a failed layer.  march builds each layer in
+    its row of the caller's surface, so the struct's ``y`` stays unset.
 
     The struct holds the march's constants (T, h, h**2, r, q, sigma**2
     and their products) and the buffers' addresses, so a buffer must not
-    be replaced; a march, or a layer function called alone, writes its
-    limits into it.
+    be replaced; the march's caller writes its limits into it.
     Constructing a frame loads the kernel (see load()), and raises
     ValueError when the constants are out of range (mesh.layer_constants
     computes and checks them).
@@ -316,12 +306,12 @@ class LayerFrame:
         self.onesided = np.zeros(n, dtype=bool)
         self.ds, self.half_ds_h, self.cp, self.piv = (np.empty(n) for _ in range(4))
         self.pair_rhs, self.single_rhs = np.zeros((2, n)), np.zeros(n)
-        self.x, self.y, self.first = np.empty((2, n)), np.empty(n + 2), np.empty(n)
+        self.x, self.first = np.empty((2, n)), np.empty(n)
         self.out = (ctypes.c_double * OUT_SLOTS)()
         self.j11 = (self.lower[1:], self.diag, self.upper[:-1])
         buffers = {name: getattr(self, name) for name in
                    ("ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc", "db",
-                    "onesided", "cp", "piv", "x", "y", "first")}
+                    "onesided", "cp", "piv", "x", "first")}
         buffers.update(exp_neg_xi=g.exp_neg_xi, f=self.pair_rhs, single=self.single_rhs)
         self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", diagnostics=1,
                              out=ctypes.addressof(self.out), **layer_constants(p, g),
@@ -330,36 +320,30 @@ class LayerFrame:
 
     def set_limits(self, limits):
         """Write ``limits``, a map from fields of the struct to values,
-        into the struct, where the layer calls read them."""
+        into the struct, where the layers of a march read them."""
         for name, value in limits.items():
             setattr(self.struct, name, value)
 
 
-def _no_bracket(z_prev, widest):
-    return NoBracket(f"predictor residual has no sign change within "
-                     f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
-
-
-def _failure(frame, status, call, tau_prev, tau_next, z_prev):
-    """The exception of the layer call ``call`` (one of CALLS) in
-    ``frame`` from (tau_prev, z_prev) to tau_next that ended with
-    ``status``, whose value is in out[OUT_FAILURE], with the limits in the
-    frame's struct: a ValueError naming the array when an elimination met
-    a non-finite entry.
+def _failure(frame, status, call, tau_prev, tau_next):
+    """The exception of the layer stage ``call`` (one of _CALLS) in
+    ``frame`` from tau_prev to tau_next that ended with ``status``, whose
+    value is in out[OUT_FAILURE], with the limits in the frame's struct: a
+    ValueError naming the array when an elimination met a non-finite
+    entry.  (march falls back where pc_predictor finds no root, so no
+    LAYER_NO_BRACKET reaches here.)
     """
     value = frame.out[OUT_FAILURE]
-    # the right-hand side the call solves against J11; pc_predictor solves none,
-    # and its past-maturity message does not name T
-    rhs = {"newton_layer": frame.pair_rhs, "pc_corrector": frame.single_rhs}.get(call)
     if status == LAYER_NON_FINITE:
+        # the right-hand side the call solves against J11
+        rhs = frame.pair_rhs if call == "newton" else frame.single_rhs
         try:
             pure.check_finite(*frame.j11, rhs)
         except ValueError as exc:
             return exc
         return RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
     if status == LAYER_PAST_MATURITY:
-        return ValueError(f"tau_next must be < T; got {tau_next}"
-                          + ("" if rhs is None else f" with T={frame.p.T}"))
+        return ValueError(f"tau_next must be < T; got {tau_next} with T={frame.p.T}")
     if status == LAYER_NON_POSITIVE_STEP:
         return ValueError(f"non-positive time step: tau_next={tau_next}, prev tau={tau_prev}")
     if status == LAYER_NON_POSITIVE_Z:
@@ -370,100 +354,74 @@ def _failure(frame, status, call, tau_prev, tau_next, z_prev):
         return SingularSchur(f"Schur denominator {value:.3e} at tau={tau_next:.6g}")
     if status == LAYER_NO_CONVERGENCE:
         struct = frame.struct
-        return NoConvergence(struct.root_max_iter if rhs is None else struct.max_iter, value)
-    if status == LAYER_NO_BRACKET:
-        return _no_bracket(z_prev, value)
+        return NoConvergence(struct.root_max_iter if call == "predictor" else struct.max_iter,
+                             value)
     return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
-def layer(frame, call, y_prev, *args, start=None, **limits):
-    """One layer function of thomas.c alone, ``call`` (one of CALLS), on
-    the layer from the previous layer ``y_prev`` in the LayerFrame
-    ``frame``, in one C call: ``args`` are tau_prev, tau_next and z_prev,
-    and pc_corrector's z_tilde, and ``limits`` the fields of the frame's
-    struct the call reads (newton_layer's tol, max_iter, pivot_rtol and
-    schur_floor; pc_predictor's root_tol, root_max_iter, scan,
-    bracket_factor and expansions; pc_corrector's pivot_rtol and
-    schur_floor), written there first.  newton_layer's first iterate is
-    the previous layer, or ``start``, a (y, z) pair whose y has the
-    layer's N + 1 values (its interior is copied to the frame's
-    ``first``); the previous layer stays in the layer's rhs and in its
-    z_prev either way.
-
-    Returns the call's out[] slots as a list; newton_layer and
-    pc_corrector leave the new layer in frame.y.  Raises ValueError when
-    y_prev does not fit the frame, when the frame refuses the layer
-    (tau_next >= T, or a non-positive step) and, naming the array, when an
-    elimination meets a non-finite entry; else the call's first failure:
-    NonPositiveZ, ZeroPivot, SingularSchur, NoConvergence or NoBracket.
-    """
-    np.copyto(frame.y, y_prev)
-    frame.set_limits(limits)
-    if call == "newton_layer":
-        if start is None:
-            args += (None, 0.0)
-        else:
-            np.copyto(frame.first, start[0][1:-1])
-            args += (frame.struct.first, start[1])
-    status = getattr(_kernel, call)(frame.address, *args)
-    if status != LAYER_OK:
-        raise _failure(frame, status, call, *args[:3])
-    return frame.out[:]
-
-
-def march(frame, engine, rho, surface, rows, count=None):
-    """Every layer of the march of ``engine`` ("newton" or "pc") in the
-    LayerFrame ``frame``, in one C call, into the caller's arrays: layer
-    j + 1 from (taus[j], surface[j], rho[j]) to taus[j + 1] of the frame's
-    grid g, its boundary into rho[j + 1], its values into surface[j + 1]
-    and its out[] slots into rows[j] (OUT_FAILURE 0), with the limits in
-    the frame's struct (see LayerFrame.set_limits).  With the struct's
-    ``diagnostics`` 0 the layers skip the passes that only fill
-    diagnostics (Newton's final rows, F1 and F2, pc's backward error and
-    F2), which no decision reads, and their slots OUT_RESIDUAL_F1,
-    OUT_RESIDUAL_F2 and OUT_BACKWARD_ERROR read NaN: rho, surface and
-    every other slot are the same bits as with it 1.  Newton's layers are
-    newton_layer's; layers 4 .. M - 1 start from the three-point
-    Lagrange extrapolation of the stored layers j, j - 1 and j - 2 to
-    taus[j + 1], layer 3 from the linear one of layers 2 and 1, and the
-    others from the previous layer (see solver_newton).  pc's layers are
-    pc_predictor's, falling back to z_tilde = z_prev where the predictor
-    finds no root, then
-    pc_corrector's (pc's rows hold its predictor's iterations in
-    OUT_ITERATIONS and 1 in OUT_FALLBACK on its fallback layers).
+def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=None):
+    """Layers first + 1 .. stop of the march of ``engine`` ("newton" or
+    "pc") on the time mesh ``taus`` of M + 1 entries in the LayerFrame
+    ``frame``, in one C call, into the caller's arrays: layer j + 1 from
+    (taus[j], surface[j], rho[j]) to taus[j + 1], its boundary into
+    rho[j + 1], its values into surface[j + 1] and its out[] slots into
+    rows[j] (OUT_FAILURE 0), with the limits in the frame's struct (see
+    LayerFrame.set_limits).  By default (first = 0, stop = M) that is
+    every layer from the stored layer 0; a shorter range runs its layers
+    from those stored before it, exactly as the whole march runs them.
+    With the struct's ``diagnostics`` 0 the layers skip the passes that
+    only fill diagnostics (Newton's final rows, F1 and F2, pc's backward
+    error and F2), which no decision reads, and their slots
+    OUT_RESIDUAL_F1, OUT_RESIDUAL_F2 and OUT_BACKWARD_ERROR read NaN:
+    rho, surface and every other slot are the same bits as with it 1.
+    Newton's layers 4 .. M - 1 start from the three-point Lagrange
+    extrapolation of the stored layers j, j - 1 and j - 2 to taus[j + 1],
+    layer 3 from the linear one of layers 2 and 1, and the others from the
+    previous layer (see solver_newton), whatever the range.  pc's layers
+    are pc_predictor's, falling back to z_tilde = z_prev where the
+    predictor finds no root, then pc_corrector's (pc's rows hold its
+    predictor's iterations in OUT_ITERATIONS and 1 in OUT_FALLBACK on its
+    fallback layers).
 
     ``count``, a ctypes.c_long, publishes the layers as they are stored:
     once layer j + 1 is, C stores j + 2 there with release ordering, so
     another thread that reads the count with ``published`` may read rows
     0 .. count - 1 of surface (and of rho) while the march runs.
 
-    rho must be a contiguous float64 array of M + 1 entries, surface a
-    C-contiguous float64 (M + 1, N + 1) array and rows a C-contiguous
-    float64 (M, OUT_SLOTS) array; anything else, or a count that is not
-    a ctypes.c_long, raises ValueError, before any pointer reaches C.
+    taus must be a contiguous float64 array, rho a contiguous float64
+    array of as many entries, surface a C-contiguous float64 (M + 1,
+    N + 1) array for the frame's grid's N, rows a C-contiguous float64
+    (M, OUT_SLOTS) array, and 0 <= first < stop <= M; anything else, or a
+    count that is not a ctypes.c_long, raises ValueError, before any
+    pointer reaches C.
 
     Returns None, or (layer, exception) of the first layer call that
-    failed, with the exception layer() raises for it (a ValueError naming
-    the array when an elimination met a non-finite entry); the call stops
-    there, and the count stays at that layer.
+    failed (a ValueError naming the array when an elimination met a
+    non-finite entry); the call stops there, and the count stays at that
+    layer.
     """
-    g = frame.g
-    for name, array, shape in (("rho", rho, (g.M + 1,)), ("surface", surface, (g.M + 1, g.N + 1)),
-                               ("rows", rows, (g.M, OUT_SLOTS))):
+    if taus.dtype != np.float64 or taus.ndim != 1 or not taus.flags.c_contiguous:
+        raise ValueError("taus must be a contiguous float64 array")
+    m = taus.size - 1
+    for name, array, shape in (("rho", rho, (m + 1,)),
+                               ("surface", surface, (m + 1, frame.g.N + 1)),
+                               ("rows", rows, (m, OUT_SLOTS))):
         if array.dtype != np.float64 or array.shape != shape or \
                 not array.flags.c_contiguous or not array.flags.writeable:
             raise ValueError(f"{name} must be a writable C-contiguous float64 array of "
-                             f"shape {shape}")
+                             f"shape {shape}, to fit taus")
+    stop = m if stop is None else stop
+    if not 0 <= first < stop <= m:
+        raise ValueError(f"the layer steps {first}:{stop} must satisfy 0 <= first < stop <= {m}")
     if count is not None and type(count) is not ctypes.c_long:
         raise ValueError("count must be a ctypes.c_long")
     failed = (ctypes.c_long * 2)()
-    status = _kernel.march(frame.address, MARCH_ENGINES[engine], g.M,
-                           *[a.ctypes.data for a in (g.taus, rho, surface, rows)], failed, count)
+    status = _kernel.march(frame.address, MARCH_ENGINES[engine], m, first, stop,
+                           *[a.ctypes.data for a in (taus, rho, surface, rows)], failed, count)
     if status == LAYER_OK:
         return None
     j = failed[0]
-    return j, _failure(frame, status, CALLS[failed[1]], float(g.taus[j - 1]), float(g.taus[j]),
-                       float(rho[j - 1]))
+    return j, _failure(frame, status, _CALLS[failed[1]], float(taus[j - 1]), float(taus[j]))
 
 
 def published(count):

@@ -1,11 +1,11 @@
-/* Compiled kernel, loaded through ctypes by native.py: thomas, the
- * Thomas solve of the kernel contract, and the time layers of both
- * engines: newton_layer, Newton's iterations, and pc_predictor and
- * pc_corrector, the two halves of a predictor-corrector layer; march,
- * which steps one engine over all the layers of a march, and published,
- * which reads the count of layers it has stored (below); and fixed9_rows
- * and fixed9_surface, the CSV writer's "%.9f" cells of every double (at
- * the end).
+/* Compiled kernel, loaded through ctypes by native.py, which declares
+ * its five exported functions: thomas, the Thomas solve of the kernel
+ * contract; march, which steps one engine over the layers of a march
+ * with the static time layers of both engines (newton_layer, Newton's
+ * iterations, and pc_predictor and pc_corrector, the two halves of a
+ * predictor-corrector layer), and published, which reads the count of
+ * layers it has stored (below); and fixed9_rows and fixed9_surface, the
+ * CSV writer's "%.9f" cells of every double (at the end).
  *
  * Every solve here is one elimination (a twisted factorization: Fernando,
  * SIAM J. Matrix Anal. Appl. 18, 1997): a downward chain of rows 0 ..
@@ -172,15 +172,17 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
     return -1;
 }
 
-/* The time layers: newton_layer, the iterations of
- * solver_newton.newton_layer, and pc_corrector, solver_pc._correct with
- * the layer's diagnostics, each over the buffers of a native.LayerFrame,
- * which frame_start fills first with the layer's z-free part; and
- * pc_predictor, solver_pc.predictor's scalar root.  Each takes the
- * march's constants and buffers, bound once in a struct layer_frame, y
- * among them, and the layer's own scalars as arguments.  march calls them
- * for every layer of a march; native.py also calls each alone, for one
- * layer.
+/* The time layers: newton_layer, Newton's iterations, and pc_corrector,
+ * pc's corrector with the layer's diagnostics, each over the buffers of a
+ * native.LayerFrame, which frame_start fills first with the layer's
+ * z-free part; and pc_predictor, the predictor's scalar root.  Each takes
+ * the march's constants and buffers, bound once in a struct layer_frame,
+ * y among them, and the layer's own scalars as arguments.  They are
+ * static: march, the only way into them, calls them for every layer of a
+ * march.  They stay out of line (noinline), as they were when exported:
+ * inlined into march, they move every function after it, and
+ * fixed9_surface, whose speed has moved with its address modulo 64, to
+ * another offset.
  *
  * Each solve against J11 is one forward sweep over the rows and one
  * backward sweep.  For row i the forward sweep builds the row at z
@@ -559,8 +561,8 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
  * denominator or the last step.  Without the frame's diagnostics
  * out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2]
  * are NaN, and F1 at the accepted z is not built. */
-long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
-                  const double *y_start, double z_start)
+static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
+                         double z_prev, const double *y_start, double z_start)
 {
     struct layer l;
     struct sweep s;
@@ -722,8 +724,8 @@ ROW_STEP void j12_entry(const struct layer_frame *f, long i, const double *y, in
  * failing pivot row or the Schur denominator.  Without the frame's
  * diagnostics out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and
  * out[OUT_RESIDUAL_F2] are NaN. */
-long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev,
-                  double z_tilde)
+static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
+                         double z_prev, double z_tilde)
 {
     struct layer l;
     const long n = f->n, m = n / 2;
@@ -850,7 +852,7 @@ static double sign(double v)
     return v == 0.0 ? 0.0 : v;  /* 0 for either zero, NaN for NaN */
 }
 
-/* solver_pc.predictor's root on the layer from (tau_prev, y, z_prev) to
+/* The predictor's root on the layer from (tau_prev, y, z_prev) to
  * tau_next, from the previous layer's y[0..2] in the frame's y: the
  * bracket scan (scan + 1 points of np.linspace(z_prev / f, z_prev f) for
  * f = bracket_factor, bracket_factor^2, ... over `expansions` widenings,
@@ -861,7 +863,8 @@ static double sign(double v)
  * LAYER_PAST_MATURITY unless tau_next < T, or LAYER_NO_BRACKET with the
  * widest factor, LAYER_NO_CONVERGENCE with the last step or
  * LAYER_NON_POSITIVE_Z with the root in out[OUT_FAILURE]. */
-long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next, double z_prev)
+static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
+                         double z_prev)
 {
     struct predictor_eq e;
     const long scan = f->scan, expansions = f->expansions, max_iter = f->root_max_iter;
@@ -970,13 +973,17 @@ long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
 /* march's engines, and the layer calls whose failure it reports
  * (native.py names them) */
 enum { MARCH_NEWTON, MARCH_PC };
-enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
+enum { CALL_NEWTON, CALL_PREDICTOR, CALL_CORRECTOR };
 
-/* One engine's march over the `total` layers of a march in the frame f,
- * from the stored layer 0: layer j + 1, from (taus[j], surface[j],
- * rho[j]) to taus[j + 1], is written to surface[j + 1] (rows of n + 2
- * values) and rho[j + 1], and its out[] slots to rows[j] (OUT_SLOTS each,
- * out[OUT_FAILURE] = 0), with the limits in f.
+/* One engine's steps j = first .. stop - 1 of a march of `total` layers
+ * on the time mesh taus[0 .. total] in the frame f: layer j + 1, from
+ * (taus[j], surface[j], rho[j]) to taus[j + 1], is written to
+ * surface[j + 1] (rows of n + 2 values) and rho[j + 1], and its out[]
+ * slots to rows[j] (OUT_SLOTS each, out[OUT_FAILURE] = 0), with the
+ * limits in f.  A step reads only stored layers (layer j, and a Newton
+ * step's extrapolation layers j - 1 and j - 2), so steps 0 .. total - 1
+ * march the whole mesh from the stored layer 0, and a shorter range
+ * replays its layers from the ones stored before it.
  * Newton's layer is newton_layer.  Layers 4 .. total - 1 start from the
  * three-point Lagrange extrapolation of the stored layers j, j - 1 and
  * j - 2 to taus[j + 1], w0 (y_j, z_j) + w1 (y_{j-1}, z_{j-1}) +
@@ -984,7 +991,8 @@ enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
  * the datum, from the linear one through layers 2 and 1 (w2 = 0), each
  * written to f's first; layers 1 and 2, next to the datum's jump, and
  * the final layer, whose step ends next to maturity, start from the
- * previous layer.
+ * previous layer.  Which start a layer takes is decided against total,
+ * whatever first and stop are.
  * pc's layer is pc_predictor, whose LAYER_NO_BRACKET falls back to
  * z_tilde = z_prev, then pc_corrector, with the predictor's iterations
  * (none on a fallback) in out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1
@@ -1001,14 +1009,15 @@ enum { CALL_NEWTON_LAYER, CALL_PC_PREDICTOR, CALL_PC_CORRECTOR };
  * failed[0] = its layer j + 1, failed[1] = the call (CALL_*) and its
  * out[] slots copied into f's out; the count then stays at j + 1.  f's
  * own y is not used. */
-long march(struct layer_frame *f, long engine, long total, const double *taus, double *rho,
-           double *surface, double *rows, long *failed, long *count)
+long march(struct layer_frame *f, long engine, long total, long first, long stop,
+           const double *taus, double *rho, double *surface, double *rows, long *failed,
+           long *count)
 {
     struct layer_frame layer = *f;
     const long n = f->n, width = n + 2;
     long i, j, status;
 
-    for (j = 0; j < total; j++) {
+    for (j = first; j < stop; j++) {
         double *out = rows + j * OUT_SLOTS, z_tilde = rho[j], iterations = 0.0;
         const double *y_prev = surface + j * width;
         int fallback = 0;
@@ -1041,10 +1050,10 @@ long march(struct layer_frame *f, long engine, long total, const double *taus, d
                 z_start = w0 * rho[j] + w1 * rho[j - 1] + w2 * rho[j - 2];
                 y_start = f->first;
             }
-            failed[1] = CALL_NEWTON_LAYER;
+            failed[1] = CALL_NEWTON;
             status = newton_layer(&layer, taus[j], taus[j + 1], rho[j], y_start, z_start);
         } else {
-            failed[1] = CALL_PC_PREDICTOR;
+            failed[1] = CALL_PREDICTOR;
             status = pc_predictor(&layer, taus[j], taus[j + 1], rho[j]);
             if (status == LAYER_OK) {
                 z_tilde = out[OUT_Z];
@@ -1054,7 +1063,7 @@ long march(struct layer_frame *f, long engine, long total, const double *taus, d
                 status = LAYER_OK;
             }
             if (status == LAYER_OK) {
-                failed[1] = CALL_PC_CORRECTOR;
+                failed[1] = CALL_CORRECTOR;
                 status = pc_corrector(&layer, taus[j], taus[j + 1], rho[j], z_tilde);
                 out[OUT_ITERATIONS] = iterations;
                 out[OUT_FALLBACK] = fallback;

@@ -8,12 +8,12 @@ are first read.  A caller that reads only rho (compare, refine) marches
 with ``diagnostics=False``: C then skips the passes that only fill the
 residuals and backward errors, which read NaN, and every other slot,
 rho and the surface keep their bits.  The layers themselves run in one
-native.march call, which steps the engine over the whole time mesh in
-C; for a caller that reads the layers while the march runs (cli's
-solve, which streams surface.csv), that call publishes each stored
-layer through a layer count.  march is not in
-``__all__``, so a tracer of the public names charges it to the engine's
-march that calls it.
+native.march call, the only way into the C layer functions, which steps
+the engine over the grid's whole time mesh; for a caller that reads the
+layers while the march runs (cli's solve, which streams surface.csv),
+that call publishes each stored layer through a layer count.  march is
+not in ``__all__``, so a tracer of the public names charges it to the
+engine's march that calls it.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class SolveResult:
 
 
 def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
-    """The LayerDiagnostics of layer ``layer`` at ``tau`` from the out[]
-    slots of its C layer call, indexed by native's OUT_* names."""
+    """The LayerDiagnostics of layer ``layer`` at ``tau`` from its out[]
+    slots in a march's rows, indexed by native's OUT_* names."""
     return LayerDiagnostics(
         layer, tau, iterations=int(out[native.OUT_ITERATIONS]),
         residual_f1=out[native.OUT_RESIDUAL_F1], residual_f2=out[native.OUT_RESIDUAL_F2],
@@ -130,7 +130,7 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     if ready is not None:
         count = ctypes.c_long(1)
         ready(surface, count)
-    failure = native.march(frame, engine, rho, surface, rows, count)
+    failure = native.march(frame, engine, g.taus, rho, surface, rows, count)
     if failure is not None:
         layer, exc = failure
         raise LayerFailure(layer, float(g.taus[layer]), exc) from exc

@@ -43,25 +43,24 @@ layer system (rhs = y_prev/dt and mu's (z - z_prev)/(dt z)) whatever the
 start.
 
 The layer system itself is scheme's; this module is the iteration over
-it.  Each layer is thomas.c's newton_layer, which works in the buffers
-of a native.LayerFrame: it builds the layer's z-free part and J21 once
-from the previous layer, then each iterate writes only the z-dependent
-rows (J11 and the row derivatives J12 is built from), puts F1 and J12
-into the frame's (2, n) right-hand side ``pair_rhs``, eliminates it in
-place against J11 and updates y in place.  The elimination is the
-kernel's one elimination, whose downward chain meets its empty upward
-one at the last row: the Thomas sweep of ``thomas``, operation for
-operation.
+it.  Each layer is one static C function of thomas.c, which works in the
+buffers of a native.LayerFrame: it builds the layer's z-free part and
+J21 once from the previous layer, then each iterate writes only the
+z-dependent rows (J11 and the row derivatives J12 is built from), puts
+F1 and J12 into the frame's (2, n) right-hand side ``pair_rhs``,
+eliminates it in place against J11 and updates y in place.  The
+elimination is the kernel's one elimination, whose downward chain meets
+its empty upward one at the last row: the Thomas sweep of ``thomas``,
+operation for operation.
 One more assembly at the accepted z gives the layer's diagnostics, among
 them the row-wise backward error of F1 that pc reports as its residual.
 march_newton is results.march with Newton's tol and max_iter: one
 native.march call runs every layer in C in the march's one frame, whose
 struct holds them next to the march's constants, and publishes each
 stored layer through a layer count when the caller reads the layers as
-they are stored.  newton_layer runs one layer alone, in one
-native.layer call.  The test suite keeps the
-numpy loop that the C function repeats operation by operation as its
-oracle.
+they are stored.  native.march is the only way into the C layer; the
+test suite replays one layer through it, and keeps the numpy loop that
+the C function repeats operation by operation as its oracle.
 """
 
 from __future__ import annotations
@@ -69,16 +68,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import tridiag
-from ._kernels import native
-from .mesh import GridSpec, LayerState
+from .mesh import GridSpec
 from .model import MarketParams
-from .results import LayerDiagnostics, SolveResult, layer_diagnostics, march
+from .results import SolveResult, march
 from .scheme import SchemeMode
 
-__all__ = ["NewtonConfig", "newton_layer", "march_newton"]
+__all__ = ["NewtonConfig", "march_newton"]
 
 
 @dataclass(frozen=True)
@@ -93,28 +88,6 @@ class NewtonConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-def newton_layer(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
-                 mode: SchemeMode, cfg: NewtonConfig = NewtonConfig(),
-                 frame: native.LayerFrame | None = None,
-                 start: tuple[np.ndarray, float] | None = None
-                 ) -> tuple[LayerState, LayerDiagnostics]:
-    """Solve one layer; returns the new state and its diagnostics.
-
-    ``frame`` is a native.LayerFrame of (g, p, mode) to assemble in, for
-    a caller to reuse; without it the layer makes its own.  ``start``, a
-    (y, z) pair with y of N + 1 values, is the first iterate, by default
-    ``prev``'s (y, z); a march starts most layers from an extrapolation
-    (see the module docstring).  Raises what native.layer raises.
-    """
-    if frame is None:
-        frame = native.LayerFrame(g, p, mode)
-    out = native.layer(frame, "newton_layer", prev.y, prev.tau, tau_next, prev.z, start=start,
-                       tol=cfg.tol, max_iter=cfg.max_iter, pivot_rtol=tridiag.PIVOT_RTOL,
-                       schur_floor=tridiag.SCHUR_FLOOR)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=frame.y.copy(), z=out[native.OUT_Z]), \
-        layer_diagnostics(prev.j + 1, tau_next, out)
 
 
 def march_newton(p: MarketParams, g: GridSpec,

@@ -30,7 +30,7 @@ the singular advection dominates the explicit step, and on the final
 layer the beta h^2/sigma^2 term in (I) grows like h^2/(sigma^2 (T-tau)).
 The march then degrades gracefully by freezing z-tilde = z_prev for that
 layer (flagged in diagnostics) instead of aborting; the corrector still
-produces the layer.  predictor() itself raises NoBracket.
+produces the layer.
 
 Corrector.  One implicit solve of the interior scheme with coefficients
 frozen at z-tilde (both in the (z'-z)/(dt z') ratio and in the singular
@@ -76,11 +76,11 @@ them next to the march's constants (publishing each stored layer
 through a layer count when the caller reads the layers as they are
 stored, and skipping the backward-error pass when the caller reads
 no diagnostics), and falls back to z-tilde = z_prev where
-pc_predictor finds no root.  predictor() and _correct() run one
-layer's halves alone, in one native.layer call each, and native turns a
-failed call's status into its exception.
-The test suite keeps the numpy predictor and corrector that the C
-functions repeat operation by operation as their oracles.
+pc_predictor finds no root; native turns a failed call's status into
+its exception.  native.march is the only way into the C functions; the
+test suite replays one layer through it, and keeps the numpy predictor
+and corrector that the C functions repeat operation by operation as
+their oracles.
 """
 
 from __future__ import annotations
@@ -88,14 +88,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import tridiag
-from ._kernels import native
-from .mesh import GridSpec, LayerState
+from .mesh import GridSpec
 from .model import MarketParams
-from .results import LayerDiagnostics, SolveResult, layer_diagnostics, march
+from .results import SolveResult, march
 from .scheme import SchemeMode
 
-__all__ = ["PredictorConfig", "PredictorResult", "predictor", "march_pc"]
+__all__ = ["PredictorConfig", "march_pc"]
 
 _BRACKET_SCAN = 64
 _BRACKET_FACTOR = 2.0  # initial bracket [z/f, z f], expanded by f
@@ -120,41 +118,6 @@ def _root_search(cfg: PredictorConfig) -> dict:
     """The predictor's limits, as the fields of a frame's struct."""
     return {"root_tol": cfg.root_tol, "root_max_iter": cfg.max_iter, "scan": _BRACKET_SCAN,
             "bracket_factor": _BRACKET_FACTOR, "expansions": _BRACKET_EXPANSIONS}
-
-
-@dataclass(frozen=True)
-class PredictorResult:
-    z: float
-    iterations: int
-
-
-def predictor(prev: LayerState, tau_next: float, g: GridSpec, p: MarketParams,
-              cfg: PredictorConfig = PredictorConfig(), *,
-              frame: native.LayerFrame | None = None) -> PredictorResult:
-    """Predicted boundary z at the next layer from the scalar root problem.
-
-    ``frame`` is a native.LayerFrame of (g, p) whose struct holds the
-    march's constants, for a caller to reuse; without it the predictor
-    makes its own.  Raises what native.layer raises.
-    """
-    if frame is None:
-        frame = native.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR)
-    out = native.layer(frame, "pc_predictor", prev.y, prev.tau, tau_next, prev.z,
-                       **_root_search(cfg))
-    return PredictorResult(z=out[native.OUT_Z], iterations=int(out[native.OUT_ITERATIONS]))
-
-
-def _correct(prev: LayerState, tau_next: float, frame: native.LayerFrame,
-             z_tilde: float) -> tuple[LayerState, LayerDiagnostics]:
-    """The corrector of the layer from ``prev`` to ``tau_next`` in
-    ``frame``: frozen solve at z_tilde, one Schur step on the boundary,
-    frozen solve at the new z.  Returns the new state and its diagnostics,
-    without the predictor's iterations and fallback flag; raises what
-    native.layer raises."""
-    out = native.layer(frame, "pc_corrector", prev.y, prev.tau, tau_next, prev.z, z_tilde,
-                       pivot_rtol=tridiag.PIVOT_RTOL, schur_floor=tridiag.SCHUR_FLOOR)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=frame.y.copy(), z=out[native.OUT_Z]), \
-        layer_diagnostics(prev.j + 1, tau_next, out)
 
 
 def march_pc(p: MarketParams, g: GridSpec,

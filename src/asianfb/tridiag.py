@@ -11,8 +11,7 @@ the shapes, rejects a non-finite entry and takes the pivot floor from
 ``PIVOT_RTOL`` itself.  Both engines eliminate inside their C layers,
 which a march (results.march) runs in one C call; it reads
 ``PIVOT_RTOL`` and ``SCHUR_FLOOR``, the engines' guard on the Schur
-denominator, from here once and writes them into the march's frame, as
-each one-layer call (newton_layer, and pc's corrector) does.
+denominator, from here once and writes them into the march's frame.
 """
 
 from __future__ import annotations

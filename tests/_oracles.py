@@ -26,18 +26,28 @@ predictor-corrector's predictor and corrector (``predictor_numpy``,
 They eliminate in Python, not with C: Newton's with ``_kernels.pure``'s
 Thomas loop, pc's with ``twisted_solve``, the two-ended loop of its
 solves.
-``pc_layer`` is one predictor-corrector layer made of the one-layer
-functions, the kernel's or their twins, with the predictor's fallback.
+``pc_layer`` is one predictor-corrector layer made of the twins, with
+the predictor's fallback.
 ``march_numpy`` is thomas.c's march on the twins, one Python call per
 layer, and ``numpy_layers()`` runs both engines' marches on it, which is
 how the tests hold every march, layer failure and predictor iterate of
 the kernel against its twin.
+
+native.march is the only way into the kernel's layers.  ``replay`` runs
+one layer through it: layer j + 1 of a stored march, exactly as the
+march ran it, and ``one_layer`` the layer from a crafted state over
+[tau_prev, tau_next], a march of one layer, which starts from the
+previous layer; inside ``numpy_layers()`` both run on the twins.  Two
+inputs that no march takes, a Newton layer from a start of the test's
+choosing and a corrector from a z_tilde of its choosing, run on the
+twins alone (``newton_layer_numpy``, ``correct_numpy``), which the
+march digests keep bit-identical to the kernel.
 """
 
 import contextlib
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +58,10 @@ from asianfb._kernels import native, pure
 from asianfb.errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
-from asianfb.results import LayerDiagnostics
+from asianfb.results import LayerDiagnostics, layer_diagnostics
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig
-from asianfb.solver_pc import PredictorConfig, PredictorResult
+from asianfb.solver_pc import PredictorConfig
 
 
 # -- numpy twins of the compiled layer functions ----------------------------
@@ -247,7 +257,7 @@ def backward_error(rows, y):
 
 def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=None,
                        states=None, start=None):
-    """solver_newton.newton_layer with its iterations in numpy, from the
+    """thomas.c's newton_layer with its iterations in numpy, from the
     first iterate ``start``, a (y, z) pair, or by default from ``prev``.
 
     ``states``, when given, is a list that gains (y, z) at each evaluation
@@ -366,14 +376,20 @@ def _bracket_nearest(residual, z_prev):
             return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
         widest = factor
         factor *= solver_pc._BRACKET_FACTOR
-    raise native._no_bracket(z_prev, widest)
+    raise NoBracket(f"predictor residual has no sign change within "
+                    f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
+
+
+class Prediction(NamedTuple):
+    z: float
+    iterations: int
 
 
 def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
-    """solver_pc.predictor with its bracket scan and root in numpy; it
-    takes ``frame`` as predictor does, and needs none."""
+    """thomas.c's pc_predictor with its bracket scan and root in numpy; it
+    takes ``frame`` as pc_layer passes it, and needs none."""
     if not tau_next < p.T:
-        raise ValueError(f"tau_next must be < T; got {tau_next}")
+        raise ValueError(f"tau_next must be < T; got {tau_next} with T={p.T}")
     residual, derivative, _ = predictor_equations(prev, tau_next, g, p)
     lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
 
@@ -406,7 +422,7 @@ def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
         raise NoConvergence(cfg.max_iter, step)
     if x <= 0:
         raise NonPositiveZ(x)
-    return PredictorResult(z=x, iterations=iterations)
+    return Prediction(z=x, iterations=iterations)
 
 
 def twisted_solve(lower, diag, upper, rhs):
@@ -468,7 +484,7 @@ def _frozen_solve(start, z):
 
 
 def correct_numpy(prev, tau_next, frame, z_tilde):
-    """solver_pc._correct in numpy: frozen solve at z_tilde, one Schur step
+    """thomas.c's pc_corrector in numpy: frozen solve at z_tilde, one Schur step
     on the boundary, frozen solve at the new z, and the layer's
     diagnostics."""
     start = frame_start(frame, prev, tau_next)
@@ -494,21 +510,18 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
         dominance_violations=dominance_violations(rows), backward_error=rel_f1)
 
 
-def pc_layer(prev, tau_next, frame, cfg, numpy=False):
-    """One predictor and one corrector, from z_tilde = z_prev with the
-    fallback flag set where the predictor finds no root: a pc layer of
-    solver_pc.predictor and solver_pc._correct, or with ``numpy`` of their
-    twins."""
-    predict, correct = (predictor_numpy, correct_numpy) if numpy else \
-        (solver_pc.predictor, solver_pc._correct)
+def pc_layer(prev, tau_next, frame, cfg):
+    """One predictor and one corrector on the twins, from z_tilde = z_prev
+    with the fallback flag set where the predictor finds no root: thomas.c's
+    pc layer in march."""
     fallback = False
     try:
-        pred = predict(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
+        pred = predictor_numpy(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
         z_tilde, root_iters = pred.z, pred.iterations
     except NoBracket:
         z_tilde, root_iters = prev.z, 0
         fallback = True
-    state, diag = correct(prev, tau_next, frame, z_tilde)
+    state, diag = correct_numpy(prev, tau_next, frame, z_tilde)
     diag.iterations, diag.predictor_fallback = root_iters, fallback
     return state, diag
 
@@ -534,12 +547,12 @@ def extrapolated_start(taus, rho, surface, j):
     return w0 * surface[j] + w1 * surface[j - 1] + w2 * surface[j - 2], z
 
 
-def march_numpy(frame, engine, rho, surface, rows, count=None):
+def march_numpy(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=None):
     """native.march on the numpy twins, one layer call at a time: the same
-    arguments and result, the same layers and rows in the caller's
-    arrays (the twins compute every diagnostic, and write NaN where the
-    kernel skips them, with the frame's diagnostics 0), and the same
-    layer count published as each layer is stored.
+    arguments (of checked arrays) and result, the same layers and rows in
+    the caller's arrays (the twins compute every diagnostic, and write NaN
+    where the kernel skips them, with the frame's diagnostics 0), and the
+    same layer count published as each layer is stored.
     The count is stored under the GIL, after the layer, so a reader that
     takes the GIL after reading it sees the layer."""
     g, p, mode, limits = frame.g, frame.p, frame.mode, frame.struct
@@ -551,16 +564,18 @@ def march_numpy(frame, engine, rho, surface, rows, count=None):
         cfg = PredictorConfig(root_tol=limits.root_tol, max_iter=limits.root_max_iter)
     # the twins read tridiag's limits at each call
     assert (limits.pivot_rtol, limits.schur_floor) == (tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
-    rows[:] = np.nan
-    state = LayerState(j=0, tau=float(g.taus[0]), y=surface[0].copy(), z=float(rho[0]))
-    for j in range(g.M):
-        tau_next = float(g.taus[j + 1])
+    stop = taus.size - 1 if stop is None else stop
+    rows[first:stop] = np.nan
+    state = LayerState(j=first, tau=float(taus[first]), y=surface[first].copy(),
+                       z=float(rho[first]))
+    for j in range(first, stop):
+        tau_next = float(taus[j + 1])
         try:
             if engine == "newton":
                 state, d = newton_layer_numpy(state, tau_next, g, p, mode, cfg, frame=frame,
-                                              start=extrapolated_start(g.taus, rho, surface, j))
+                                              start=extrapolated_start(taus, rho, surface, j))
             else:
-                state, d = pc_layer(state, tau_next, frame, cfg, numpy=True)
+                state, d = pc_layer(state, tau_next, frame, cfg)
         except Exception as exc:  # noqa: BLE001 - the march hands each failure back
             return j + 1, exc
         rho[j + 1], surface[j + 1] = state.z, state.y
@@ -581,11 +596,65 @@ def march_numpy(frame, engine, rho, surface, rows, count=None):
 @contextlib.contextmanager
 def numpy_layers():
     """Run both engines' marches on march_numpy inside the block:
-    march_newton, march_pc and everything that calls them (analysis, the
-    CLI) then make no C layer call."""
+    march_newton, march_pc, replay, one_layer and everything that calls
+    them (analysis, the CLI) then make no C layer call."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "march", march_numpy)
         yield
+
+
+def replay(frame, cfg, taus, rho, surface, j):
+    """Layer j + 1 of a march on the time mesh ``taus`` with ``cfg`` (a
+    NewtonConfig or a PredictorConfig, which names the engine) and
+    tridiag's limits as they are at the call, in the LayerFrame ``frame``:
+    one native.march call over step j alone, from the layers 0 .. j
+    stored in ``rho`` and ``surface``, so it runs as the march ran it,
+    from the start the march takes there.  The layer is written into
+    rho[j + 1] and surface[j + 1].  Returns (state, diagnostics) of layer
+    j + 1; raises the layer's failure."""
+    if isinstance(cfg, NewtonConfig):
+        engine, limits = "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter}
+    else:
+        engine, limits = "pc", solver_pc._root_search(cfg)
+    frame.set_limits(dict(limits, pivot_rtol=tridiag.PIVOT_RTOL, schur_floor=tridiag.SCHUR_FLOOR,
+                          diagnostics=1))
+    rows = np.zeros((taus.size - 1, native.OUT_SLOTS))
+    failure = native.march(frame, engine, taus, rho, surface, rows, first=j, stop=j + 1)
+    if failure is not None:
+        raise failure[1]
+    tau = float(taus[j + 1])
+    return LayerState(j=j + 1, tau=tau, y=surface[j + 1].copy(), z=float(rho[j + 1])), \
+        layer_diagnostics(j + 1, tau, rows[j])
+
+
+def one_layer(frame, cfg, prev, tau_next):
+    """The layer from the state ``prev`` to tau_next (see replay): a march
+    of one layer over [prev.tau, tau_next], which starts from the previous
+    layer.  Returns (state, diagnostics) of layer prev.j + 1."""
+    surface = np.empty((2, prev.y.size))
+    surface[0] = prev.y
+    state, diag = replay(frame, cfg, np.array([prev.tau, tau_next]), np.array([prev.z, 0.0]),
+                         surface, 0)
+    state.j = diag.layer = prev.j + 1
+    return state, diag
+
+
+def predicted_root(prev, tau_next, g, p, cfg=PredictorConfig()):
+    """The predictor's root on the layer from ``prev`` to tau_next, which
+    the pc layer's corrector starts from, or None where it has no root
+    and the layer falls back: the twin's, once the kernel's pc layer
+    (one_layer) is checked bit for bit against the twins' from that root.
+    A march keeps the root to itself."""
+    ended = []
+    for layers in (contextlib.nullcontext(), numpy_layers()):
+        with layers:
+            state, diag = one_layer(native.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR), cfg,
+                                    prev, tau_next)
+        ended.append((state.y.tobytes(), state.z, astuple(diag)))
+    assert ended[0] == ended[1]
+    if diag.predictor_fallback:
+        return None
+    return predictor_numpy(prev, tau_next, g, p, cfg).z
 
 
 # -- independent oracles ----------------------------------------------------
@@ -615,9 +684,10 @@ def residual_constraint(y_next, z_next, tau_next, g, p):
 
 
 def corrector(prev, z_tilde, tau_next, g, p, mode):
-    """march_pc's corrector on one layer: frozen solve at z_tilde, one Schur
-    step on the boundary, frozen solve at the new z."""
-    return solver_pc._correct(prev, tau_next, native.LayerFrame(g, p, mode), z_tilde)[0]
+    """march_pc's corrector on one layer from a z_tilde of the caller's
+    choosing, on its twin: frozen solve at z_tilde, one Schur step on the
+    boundary, frozen solve at the new z."""
+    return correct_numpy(prev, tau_next, native.LayerFrame(g, p, mode), z_tilde)[0]
 
 
 def discrete_alpha(z_next, z_prev, k, p, xi, tau_next):

@@ -3,7 +3,8 @@
 ctypes trusts native.py's copy of the kernel's struct layout and codes:
 a field out of order in _Frame would have C read and write the wrong
 memory, and a shifted code would name the wrong failure, both silently.
-Each test parses thomas.c and checks one of those copies against it.
+Each test parses thomas.c and checks one of those copies against it, or
+the functions it exports against those native.load declares.
 """
 
 import ctypes
@@ -47,6 +48,17 @@ def defines(prefix):
             re.findall(r"#define (%s\w*)\s+\(?(-?\d+)\)?" % prefix, source())}
 
 
+def exported_functions():
+    """The functions thomas.c defines at the start of a line without
+    ``static``, or a macro that stands for it (ROW_STEP); attributes such
+    as noinline are read past."""
+    text = re.sub(r"__attribute__\s*\(\([^()]*\)\)", " ", source())
+    statics = {"static", *re.findall(r"#define (\w+) static\b", text)}
+    return sorted(name for specifiers, name in
+                  re.findall(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\(", text, flags=re.M)
+                  if not statics & set(specifiers.split()))
+
+
 def python_names(prefix):
     """{name: value} of native's module constants whose names start with ``prefix``."""
     return {name: getattr(native, name) for name in dir(native) if name.startswith(prefix)}
@@ -73,12 +85,30 @@ def test_layer_status_codes_match():
 
 
 def test_march_engines_and_calls_match_their_enums():
-    """MARCH_ENGINES maps each engine to its MARCH_* code, and CALLS names
-    the layer functions in the order of the CALL_* codes."""
-    engines, calls = enum_names("MARCH_NEWTON"), enum_names("CALL_NEWTON_LAYER")
+    """MARCH_ENGINES maps each engine to its MARCH_* code, and _CALLS, with
+    which _failure names the failing stage of a layer, names the stages in
+    the order of the CALL_* codes."""
+    engines, calls = enum_names("MARCH_NEWTON"), enum_names("CALL_NEWTON")
     assert native.MARCH_ENGINES == {name.removeprefix("MARCH_").lower(): k
                                     for k, name in enumerate(engines)}
-    assert native.CALLS == tuple(name.removeprefix("CALL_").lower() for name in calls)
+    assert native._CALLS == tuple(name.removeprefix("CALL_").lower() for name in calls)
+
+
+def test_exports_are_the_functions_native_declares():
+    """thomas.c exports exactly the five functions that native.load
+    declares (argtypes and restype), and no layer function: march is the
+    only way into them."""
+    exported = exported_functions()
+    assert exported == sorted(["thomas", "march", "published", "fixed9_rows", "fixed9_surface"])
+    native.load()
+    declared = sorted(name for name, function in vars(native._kernel).items()
+                      if isinstance(function, ctypes._CFuncPtr))
+    assert declared == exported
+    for name in declared:
+        function = getattr(native._kernel, name)
+        assert function.argtypes and function.restype is ctypes.c_long, name
+    for name in ("newton_layer", "pc_predictor", "pc_corrector"):
+        assert not hasattr(native._kernel, name), name
 
 
 def test_constants_match():

@@ -18,20 +18,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import (MarketParams, _kernels, make_grid, march_newton, march_pc,
-                     solver_newton, solver_pc, tridiag)
+from asianfb import MarketParams, _kernels, make_grid, march_newton, march_pc, tridiag
 from asianfb._kernels import native, pure
 from asianfb.errors import (LayerFailure, NoBracket, NoConvergence, NonPositiveZ, SingularSchur,
                             SolverError, ZeroPivot)
 from asianfb.mesh import GridSpec, LayerState, initial_layer
 from asianfb.results import LayerDiagnostics
 from asianfb.scheme import SchemeMode
-from asianfb.solver_newton import NewtonConfig, newton_layer
+from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (LayerRows, correct_numpy, extrapolated_start, frame_start,
-                      newton_layer_numpy, numpy_layers, pc_layer, predictor_numpy, pure_solve)
+from _oracles import (LayerRows, correct_numpy, frame_start, numpy_layers, one_layer,
+                      predictor_numpy, pure_solve, replay)
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -443,35 +442,37 @@ class TestNativeCache:
         assert len(bindings_built) == expected
 
     def test_changed_limits_reach_a_bound_frame(self, params, bindings_built):
-        """A frame's struct holds the limits of its last layer call, and a
-        call with other limits (an engine's config, tridiag's floors) writes
-        them before it runs, so a reused frame never runs on stale ones."""
+        """A frame's struct holds the limits of its last march, and a march
+        with other limits (an engine's config, tridiag's floors) writes them
+        before it runs, so a reused frame never runs on stale ones: here
+        one-layer marches of both engines share one frame."""
         grid = make_grid(params, N=16)
         prev, tau_next = initial_layer(params, grid), float(grid.taus[1])
         frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
-        args = (prev, tau_next, grid, params, SchemeMode.UPWIND_SINGULAR)
-        state, diag = newton_layer(*args, frame=frame)
-        pred = solver_pc.predictor(prev, tau_next, grid, params, frame=frame)
-        assert diag.iterations > 1 and pred.iterations > 1
+        state, diag = one_layer(frame, NewtonConfig(), prev, tau_next)
+        pc_state, pc_diag = one_layer(frame, PredictorConfig(), prev, tau_next)
+        # pc's iterations are its predictor's
+        assert diag.iterations > 1 and pc_diag.iterations > 1
         with pytest.raises(NoConvergence):
-            newton_layer(*args, NewtonConfig(max_iter=1), frame=frame)
+            one_layer(frame, NewtonConfig(max_iter=1), prev, tau_next)
         with pytest.raises(NoConvergence):
-            solver_pc.predictor(prev, tau_next, grid, params, PredictorConfig(max_iter=1),
-                                frame=frame)
+            one_layer(frame, PredictorConfig(max_iter=1), prev, tau_next)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tridiag, "PIVOT_RTOL", 1.0)
             with pytest.raises(ZeroPivot):
-                newton_layer(*args, frame=frame)
+                one_layer(frame, NewtonConfig(), prev, tau_next)
             with pytest.raises(ZeroPivot):
-                solver_pc._correct(prev, tau_next, frame, pred.z)
+                one_layer(frame, PredictorConfig(), prev, tau_next)
             patch.setattr(tridiag, "PIVOT_RTOL", PIVOT_RTOL)
             patch.setattr(tridiag, "SCHUR_FLOOR", 1e300)
             with pytest.raises(SingularSchur):
-                solver_pc._correct(prev, tau_next, frame, pred.z)
-        again, again_diag = newton_layer(*args, frame=frame)
+                one_layer(frame, PredictorConfig(), prev, tau_next)
+        again, again_diag = one_layer(frame, NewtonConfig(), prev, tau_next)
         assert again.y.tobytes() == state.y.tobytes() and again.z == state.z
         assert dataclasses.astuple(again_diag) == dataclasses.astuple(diag)
-        assert solver_pc.predictor(prev, tau_next, grid, params, frame=frame) == pred
+        pc_again, pc_again_diag = one_layer(frame, PredictorConfig(), prev, tau_next)
+        assert pc_again.y.tobytes() == pc_state.y.tobytes() and pc_again.z == pc_state.z
+        assert dataclasses.astuple(pc_again_diag) == dataclasses.astuple(pc_diag)
         assert len(bindings_built) == 1
 
     def test_marches_in_two_threads_match_the_marches_alone(self, params, bindings_built):
@@ -735,27 +736,24 @@ def diagnostics_bits(diagnostics, names=None):
                     dtype=float).tobytes()
 
 
-def march_digest(march, p, grid, mode, replay, results=None, ready=None):
+def march_digest(march, p, grid, mode, results=None, ready=None):
     """sha256 (16 hex digits) of a march: rho, the surface, the
     LayerDiagnostics fields of DIGEST_FIELDS and, after each Newton layer,
     the frame's row buffers and its (2, n) right-hand side (F1 at the
     accepted z, J12 of the last iterate).  The march runs every layer in
-    one call, so ``replay`` (newton_layer or its numpy twin) runs each
-    Newton layer again from the march's stored layers, and from the
-    extrapolated start the march takes (extrapolated_start), in a frame of
-    its own, where its rows are read; each replayed layer must equal the
-    stored one.  ``results``, when given, is a list that gains the
-    march's SolveResult, and ``ready`` is the march's callback."""
+    one call, so ``replay`` runs each Newton layer again through
+    native.march (on the backend the march ran on) from the march's
+    stored layers, as the march ran it, in a frame of its own, where its
+    rows are read; each replayed layer must equal the stored one.
+    ``results``, when given, is a list that gains the march's
+    SolveResult, and ``ready`` is the march's callback."""
     digest = hashlib.sha256()
     result = march(p, grid, mode, ready=ready)
     if march is march_newton:
         frame = native.LayerFrame(grid, p, mode)
+        rho, surface = result.rho.copy(), result.surface.copy()
         for j, stored in enumerate(result.diagnostics):
-            prev = LayerState(j=j, tau=float(result.taus[j]), y=result.surface[j].copy(),
-                              z=float(result.rho[j]))
-            start = extrapolated_start(result.taus, result.rho, result.surface, j)
-            state, diag = replay(prev, float(result.taus[j + 1]), grid, p, mode, frame=frame,
-                                 start=start)
+            state, diag = replay(frame, NewtonConfig(), result.taus, rho, surface, j)
             assert state.y.tobytes() == result.surface[j + 1].tobytes(), j
             assert state.z == result.rho[j + 1], j
             assert diagnostics_bits([diag]) == diagnostics_bits([stored]), j
@@ -783,10 +781,9 @@ def test_march_bit_identical_across_backends(march, mode):
                 continue
             grid = make_grid(p, N=n, M=m)
             digests, results = [], []
-            for layers, replay in ((contextlib.nullcontext(), newton_layer),
-                                   (numpy_layers(), newton_layer_numpy)):
+            for layers in (contextlib.nullcontext(), numpy_layers()):
                 with layers:
-                    digests.append(march_digest(march, p, grid, mode, replay, results))
+                    digests.append(march_digest(march, p, grid, mode, results))
             assert digests == [MARCH_DIGESTS[engine, mode.value, name, grid_name]] * 2, \
                 (name, grid_name, digests)
             errors = [np.array([d.backward_error for d in run.diagnostics]) for run in results]
@@ -871,17 +868,18 @@ def failing_layer(case, params, patch):
                                   *HUGE_Z_CASES])
 def test_newton_layer_fails_alike_on_both_backends(params, case):
     """Each failure raises the same class, message and attributes in the
-    kernel's layer and in its numpy twin, and leaves the same row buffers
-    and right-hand sides in its frame; the limits patched here reach the
-    compiled path from Python."""
+    kernel's layer and in its numpy twin, each a march of that one layer,
+    and leaves the same row buffers and right-hand sides in its frame; the
+    limits patched here reach the compiled path from Python."""
     raised = []
-    for layer in (newton_layer, newton_layer_numpy):
+    for layers in (contextlib.nullcontext, numpy_layers):
         # the twin's numpy warns where the overflowing step makes infinities
-        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"), \
+                layers():
             p, grid, prev, tau_next, cfg = failing_layer(case, params, patch)
             frame = native.LayerFrame(grid, p, SchemeMode.UPWIND_SINGULAR)
             with pytest.raises(Exception) as exc:
-                layer(prev, tau_next, grid, p, SchemeMode.UPWIND_SINGULAR, cfg, frame=frame)
+                one_layer(frame, cfg, prev, tau_next)
         raised.append((type(exc.value), str(exc.value), vars(exc.value), frame_bits(frame)))
     assert raised[0] == raised[1]
     kind, message, attributes, _ = raised[0]
@@ -905,25 +903,30 @@ def test_predictor_iterates_bit_identical_across_backends():
     """The predictor's root, and its first iterates through the last step
     that NoConvergence reports when max_iter cuts the loop short, are the
     same bits in the kernel and in its numpy twin from every layer of a
-    march."""
+    march: each layer replayed with max_iter 1, 2, 3 and 100 ends with
+    the same NoConvergence, or the same layer from the same root (its
+    iterations, or the fallback flag where the predictor finds none), and
+    at the march's max_iter as the march stored it."""
     for r, q, sigma in BIT_IDENTITY_PARAMS.values():
         p = MarketParams(r=r, q=q, sigma=sigma, T=50.0)
         grid = make_grid(p, N=50)
         run = march_pc(p, grid)
+        frame = native.LayerFrame(grid, p, SchemeMode.UPWIND_SINGULAR)
         for j in range(grid.M):
-            prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
-                              z=float(run.rho[j]))
             for max_iter in (1, 2, 3, 100):
                 ended = []
-                for predict in (solver_pc.predictor, predictor_numpy):
+                for layers in (contextlib.nullcontext(), numpy_layers()):
                     try:
-                        pred = predict(prev, float(run.taus[j + 1]), grid, p,
-                                       PredictorConfig(max_iter=max_iter))
-                    except (NoBracket, NoConvergence) as exc:
+                        with layers:
+                            state, diag = replay(frame, PredictorConfig(max_iter=max_iter),
+                                                 run.taus, run.rho.copy(), run.surface.copy(), j)
+                    except NoConvergence as exc:
                         ended.append((type(exc), str(exc), vars(exc)))
                     else:
-                        ended.append((pred.z, pred.iterations))
+                        ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag)))
                 assert ended[0] == ended[1], (r, q, sigma, j, max_iter)
+            assert ended[0] == (run.surface[j + 1].tobytes(), run.rho[j + 1],
+                                dataclasses.astuple(run.diagnostics[j])), (r, q, sigma, j)
 
 
 def pc_layer_case(case, params, patch):
@@ -956,7 +959,7 @@ def pc_layer_case(case, params, patch):
         cfg = PredictorConfig(max_iter=1)
     elif case in HUGE_Z_CASES:
         prev.z = HUGE_Z[HUGE_Z_CASES.index(case)]
-    else:  # predictor() rejects a layer at maturity
+    else:  # pc_predictor rejects a layer at maturity
         tau_next = params.T
     return prev, tau_next, native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR), cfg
 
@@ -967,32 +970,30 @@ def pc_layer_case(case, params, patch):
                                   "PastMaturity", *HUGE_Z_CASES])
 def test_pc_layer_fails_alike_on_both_backends(params, case):
     """Each pc layer that fails raises the same class, message and attributes
-    in the kernel and on the numpy twins of its layer, leaving the same
-    row buffers and right-hand sides in its frame, and the one whose
-    predictor finds no root (raising the same NoBracket) returns the same
-    fallback layer; the limits patched here reach the compiled path from
-    Python."""
-    def raised(exc):
-        return type(exc), str(exc), vars(exc)
-
+    in the kernel and on the numpy twins of its layer, each a march of
+    that one layer, leaving the same row buffers and right-hand sides in
+    its frame, and the one whose predictor finds no root (its twin raising
+    NoBracket) returns the same fallback layer; the limits patched here
+    reach the compiled path from Python."""
     ended = []
-    for numpy in (False, True):
+    for layers in (contextlib.nullcontext, numpy_layers):
         # the twins' numpy warns where the overflowing step makes infinities
-        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"), \
+                layers():
             prev, tau_next, frame, cfg = pc_layer_case(case, params, patch)
             try:
-                state, diag = pc_layer(prev, tau_next, frame, cfg, numpy)
+                state, diag = one_layer(frame, cfg, prev, tau_next)
             except Exception as exc:
-                ended.append((*raised(exc), frame_bits(frame)))
+                ended.append((type(exc), str(exc), vars(exc), frame_bits(frame)))
             else:
-                with pytest.raises(NoBracket) as exc:
-                    solver_pc.predictor(prev, tau_next, frame.g, frame.p, cfg)
                 ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag),
-                              raised(exc.value)))
+                              frame_bits(frame)))
     assert ended[0] == ended[1]
     if case == "NoBracket":
+        with pytest.raises(NoBracket):
+            predictor_numpy(prev, tau_next, frame.g, frame.p, cfg)
         # the fallback layer is the corrector's from z_tilde = z_prev
-        corrected, _ = solver_pc._correct(prev, tau_next, frame, prev.z)
+        corrected, _ = correct_numpy(prev, tau_next, frame, prev.z)
         assert state.z == corrected.z
         assert diag.predictor_fallback and diag.iterations == 0
         return
@@ -1013,13 +1014,13 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
         assert attributes["iterations"] == 1
         assert attributes["last_step"] >= PredictorConfig().root_tol
     elif case == "PastMaturity":
-        assert message == f"tau_next must be < T; got {params.T}"
+        assert message == f"tau_next must be < T; got {params.T} with T={params.T}"
 
 
 def small_frame(params, n, mode, exp_neg_xi=None):
     """A LayerFrame of n interior rows, n below the 3 that GridSpec's N >= 4
     allows among them: a namespace of N = n + 1 nodes on [0, 1] holds all
-    that a frame, pc's corrector and its twin read of a grid.
+    that a frame, a march of its layers and their twins read of a grid.
     ``exp_neg_xi``, when given, stands for e^{-xi_i} at the interior
     nodes."""
     h = 1.0 / (n + 1)
@@ -1030,38 +1031,25 @@ def small_frame(params, n, mode, exp_neg_xi=None):
 
 
 def small_layer(n):
-    """(prev, tau_next, z_tilde) of a layer of n interior rows: a previous
-    layer that rises from the Dirichlet value -1 to 0, and a corrector
-    start near its z."""
+    """(prev, tau_next) of a layer of n interior rows: a previous layer
+    that rises from the Dirichlet value -1 to 0."""
     xi = np.linspace(0.0, 1.0, n + 2)
-    return LayerState(j=1, tau=1.0, y=-(1.0 - xi)**2, z=1.5), 1.2, 1.52
+    return LayerState(j=1, tau=1.0, y=-(1.0 - xi)**2, z=1.5), 1.2
 
 
-def newton_from(layer):
-    """Newton's ``layer`` (newton_layer or its twin) in the frame it is
-    given, from the previous layer, called as pc's corrector is."""
-    return lambda prev, tau_next, frame, _: layer(prev, tau_next, frame.g, frame.p, frame.mode,
-                                                  frame=frame)
-
-
-# Each engine's layer function in the kernel and its numpy twin, called as
-# (prev, tau_next, frame, z_tilde)
-CORRECTOR = (solver_pc._correct, correct_numpy)
-NEWTON = (newton_from(newton_layer), newton_from(newton_layer_numpy))
-
-
-def layer_ends(params, n, mode, layers=CORRECTOR, **frame):
-    """How ``layers``, a kernel's layer function and its twin (pc's
-    corrector by default, or NEWTON), end the small layer of n rows, each
-    in a small_frame of its own: (state y bytes, z, diagnostics) or the
-    exception's (class, message, attributes), each with the frame's
-    buffers."""
-    prev, tau_next, z_tilde = small_layer(n)
+def layer_ends(params, n, mode, cfg=PredictorConfig(), **frame):
+    """How the small layer of n rows ends in a march of that one layer of
+    cfg's engine (pc's by default, or Newton's with a NewtonConfig), in
+    the kernel and on the numpy twins, each in a small_frame of its own:
+    (state y bytes, z, diagnostics) or the exception's (class, message,
+    attributes), each with the frame's buffers."""
+    prev, tau_next = small_layer(n)
     ended = []
-    for solve in layers:
+    for layers in (contextlib.nullcontext, numpy_layers):
         layer = small_frame(params, n, mode, **frame)
         try:
-            state, diag = solve(prev, tau_next, layer, z_tilde)
+            with layers():
+                state, diag = one_layer(layer, cfg, prev, tau_next)
         except Exception as exc:
             ended.append((type(exc), str(exc), vars(exc), frame_bits(layer)))
         else:
@@ -1073,11 +1061,12 @@ def layer_ends(params, n, mode, layers=CORRECTOR, **frame):
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_two_ended_corrector_bit_identical_at_the_smallest_sizes(params, n, mode):
-    """pc's corrector, whose three solves eliminate from both ends and meet
-    at row n // 2, gives its twin's layer, diagnostics and frame buffers bit
-    for bit where the meeting row is an end row (n = 1: both ends; n = 2:
-    the last row) and on both sides of the odd/even split (n = 3, 4); and
-    the layer it solves has a row-wise backward error of rounding size."""
+    """pc's layer, whose corrector's three solves eliminate from both ends
+    and meet at row n // 2, gives its twins' layer, diagnostics and frame
+    buffers bit for bit where the meeting row is an end row (n = 1: both
+    ends; n = 2: the last row) and on both sides of the odd/even split
+    (n = 3, 4); and the layer it solves has a row-wise backward error of
+    rounding size."""
     kernel, oracle = layer_ends(params, n, mode)
     assert kernel == oracle
     diag = LayerDiagnostics(*kernel[2])
@@ -1090,7 +1079,7 @@ def test_newton_layer_bit_identical_at_the_smallest_grids(params, n, mode):
     """Newton's layer, whose sweep meets at its last row, gives its twin's
     layer, diagnostics and frame buffers bit for bit at n = 3 and 4 rows,
     the smallest grids GridSpec allows (N = 4 and 5)."""
-    kernel, oracle = layer_ends(params, n, mode, NEWTON)
+    kernel, oracle = layer_ends(params, n, mode, NewtonConfig())
     assert kernel == oracle
     diag = LayerDiagnostics(*kernel[2])
     assert diag.iterations >= 1 and diag.backward_error <= 1e-15
@@ -1118,33 +1107,22 @@ def test_two_ended_solve_names_a_non_finite_entry(params, monkeypatch, n, pivot_
     side at every size, and both the kernel and its twin name that array
     with the same ValueError, also where a pivot falls below the floor."""
     monkeypatch.setattr(tridiag, "PIVOT_RTOL", pivot_rtol)
-    prev, tau_next, z_tilde = small_layer(n)
+    prev, tau_next = small_layer(n)
     prev.y[n] = np.nan
     ended = []
-    for correct in (solver_pc._correct, correct_numpy):
+    for layers in (contextlib.nullcontext, numpy_layers):
         frame = small_frame(params, n, SchemeMode.UPWIND_SINGULAR)
-        with pytest.raises(ValueError) as exc:
-            correct(prev, tau_next, frame, z_tilde)
+        with pytest.raises(ValueError) as exc, layers():
+            one_layer(frame, PredictorConfig(), prev, tau_next)
         ended.append((str(exc.value), frame_bits(frame)))
     assert ended[0] == ended[1]
     assert ended[0][0] == "rhs contains non-finite values"
 
 
-# The C layer calls that build a frame's z-free part (thomas.c's frame_start)
-# before they run: Newton's layer, and pc's corrector from z_tilde = z_prev.
-def newton_call(prev, tau_next, frame):
-    return newton_layer(prev, tau_next, frame.g, frame.p, frame.mode, frame=frame)
-
-
-def corrector_call(prev, tau_next, frame):
-    return solver_pc._correct(prev, tau_next, frame, prev.z)
-
-
-def oracle_start(prev, tau_next, frame):
-    return frame_start(frame, prev, tau_next)
-
-
-START_CALLS = {"newton": newton_call, "pc": corrector_call}
+# The engines whose C layers build a frame's z-free part (thomas.c's
+# frame_start) before they run: Newton's layer, and pc's corrector, after
+# its predictor
+START_CONFIGS = {"newton": NewtonConfig(), "pc": PredictorConfig()}
 # The buffers that frame_start fills, and those it fills only in central mode,
 # where frame_rows leaves them as they are
 START_BUFFERS = ("ds", "half_ds_h", "rhs")
@@ -1153,15 +1131,16 @@ CENTRAL_BUFFERS = ("diag", "dc", "onesided")
 
 
 class TestFrameStart:
-    """Each C layer call builds its frame's z-free part in the frame's
-    buffers bit for bit as the oracle frame_start does, and refuses the
-    layers that frame_start refuses with its messages."""
+    """Each engine's C layer, replayed through native.march, builds its
+    frame's z-free part in the frame's buffers bit for bit as the oracle
+    frame_start does, and refuses the layers that frame_start refuses
+    with its messages."""
 
     @PROPERTY
     @given(r=st.floats(0.05, 0.07), q=st.floats(0.03, 0.045), sigma=st.floats(0.18, 0.22),
            T=st.floats(0.5, 60.0), n=st.integers(4, 24), mode=st.sampled_from(list(SchemeMode)),
-           call=st.sampled_from(sorted(START_CALLS)), data=st.data())
-    def test_buffers_bit_identical_to_the_oracle(self, r, q, sigma, T, n, mode, call, data):
+           engine=st.sampled_from(sorted(START_CONFIGS)), data=st.data())
+    def test_buffers_bit_identical_to_the_oracle(self, r, q, sigma, T, n, mode, engine, data):
         p = MarketParams(r=r, q=q, sigma=sigma, T=T)
         grid = make_grid(p, N=n)
         # the last layer, to tau_M = T - eps_final, or any other
@@ -1172,15 +1151,15 @@ class TestFrameStart:
         tau_next = float(run.taus[j + 1])
         frame = native.LayerFrame(grid, p, mode)
         with contextlib.suppress(SolverError):  # the frame is built before the layer runs
-            START_CALLS[call](prev, tau_next, frame)
+            replay(frame, START_CONFIGS[engine], run.taus, run.rho.copy(), run.surface.copy(), j)
         oracle = native.LayerFrame(grid, p, mode)
         frame_start(oracle, prev, tau_next)
         names = START_BUFFERS + (CENTRAL_BUFFERS if mode is SchemeMode.CENTRAL else ())
         for name in names:
             assert getattr(frame, name).tobytes() == getattr(oracle, name).tobytes(), name
 
-    @pytest.mark.parametrize("call", sorted(START_CALLS))
-    def test_refused_layers_raise_the_oracles_messages(self, params, call):
+    @pytest.mark.parametrize("engine", sorted(START_CONFIGS))
+    def test_refused_layers_raise_the_oracles_messages(self, params, engine):
         grid = make_grid(params, N=16)
         first = initial_layer(params, grid)
         later = LayerState(j=1, tau=float(grid.taus[1]), y=first.y, z=first.z)
@@ -1192,11 +1171,14 @@ class TestFrameStart:
                   f"non-positive time step: tau_next={later.tau}, prev tau={later.tau}"),
                  (later, 0.0, f"non-positive time step: tau_next=0.0, prev tau={later.tau}")]
         for prev, tau_next, message in cases:
-            for layer in (START_CALLS[call], oracle_start):
+            for oracle in (False, True):
                 frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
                 with pytest.raises(ValueError) as exc:
-                    layer(prev, tau_next, frame)
-                assert str(exc.value) == message, (layer, tau_next)
+                    if oracle:
+                        frame_start(frame, prev, tau_next)
+                    else:
+                        one_layer(frame, START_CONFIGS[engine], prev, tau_next)
+                assert str(exc.value) == message, (oracle, tau_next)
 
 
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
@@ -1228,28 +1210,22 @@ def test_eliminations_enter_through_the_traced_entry_points(params, march):
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_a_march_is_one_native_call(params, monkeypatch, march):
     """A march runs every layer, pc's fallback layers included, in one
-    native.march call, with a layer count or without, and makes no call
-    per layer from Python: none of the one-layer functions runs, and a
-    ``ready`` callback runs once."""
+    native.march call over the whole time mesh, with a layer count or
+    without, and makes no call per layer from Python: a ``ready``
+    callback runs once."""
     grid = make_grid(params, N=50)
     marches = []
 
     def counting_march(*args, **kwargs):
-        marches.append(args[1])
+        marches.append((args[1], kwargs.get("first", 0), kwargs.get("stop")))
         return original(*args, **kwargs)
-
-    def per_layer(*args, **kwargs):
-        raise AssertionError("a march called a one-layer function")
 
     original = native.march
     monkeypatch.setattr(native, "march", counting_march)
-    for module, name in ((native, "layer"), (solver_newton, "newton_layer"),
-                         (solver_pc, "predictor"), (solver_pc, "_correct")):
-        monkeypatch.setattr(module, name, per_layer)
     ready = ReadyRecorder()
     result = march(params, grid)
     assert march(params, grid, ready=ready).rows.tobytes() == result.rows.tobytes()
-    assert marches == ["newton" if march is march_newton else "pc"] * 2
+    assert marches == [("newton" if march is march_newton else "pc", 0, None)] * 2
     assert ready.counts == [1] and ready.count.value == grid.M + 1
     assert len(result.diagnostics) == grid.M
     if march is march_pc:
@@ -1270,9 +1246,9 @@ class ReadyRecorder:
         self.count = count
 
 
-# Where a march's layers run: in the kernel, replayed with newton_layer, and
-# on the numpy twins, replayed with newton_layer_numpy
-BACKEND_LAYERS = ((contextlib.nullcontext, newton_layer), (numpy_layers, newton_layer_numpy))
+# Where a march's layers run, and are replayed: in the kernel, and on the
+# numpy twins
+BACKEND_LAYERS = (contextlib.nullcontext, numpy_layers)
 
 
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
@@ -1289,13 +1265,13 @@ def test_counted_march_gives_the_one_call_bits(march, mode):
         for grid_name in PC_GRIDS:
             n, m = BIT_IDENTITY_GRIDS[grid_name]
             grid = make_grid(p, N=n, M=m)
-            for layers, replay in BACKEND_LAYERS:
+            for layers in BACKEND_LAYERS:
                 for ready in (None, ReadyRecorder()):
                     runs = []
                     with layers():
-                        digest = march_digest(march, p, grid, mode, replay, runs, ready)
+                        digest = march_digest(march, p, grid, mode, runs, ready)
                     assert digest == MARCH_DIGESTS[engine, mode.value, name, grid_name], \
-                        (name, grid_name, replay, ready)
+                        (name, grid_name, layers, ready)
                     if ready is not None:
                         assert ready.counts == [1]
                         assert ready.stored[0].tobytes() == runs[0].surface[:1].tobytes()
@@ -1371,7 +1347,7 @@ def test_march_rows_do_not_depend_on_the_heap(params, march):
     the same rows bytes, OUT_FAILURE 0 on every layer, in the kernel and
     on the numpy twins."""
     grid = make_grid(params, N=50)
-    for layers, _ in BACKEND_LAYERS:
+    for layers in BACKEND_LAYERS:
         rows = []
         for junk in (1.4e-258, -7.0):
             dirty = np.full((grid.M, native.OUT_SLOTS), junk)
@@ -1382,19 +1358,56 @@ def test_march_rows_do_not_depend_on_the_heap(params, march):
         assert not rows[0][:, native.OUT_FAILURE].any(), layers
 
 
-@pytest.mark.parametrize("bad", ["rho", "surface", "rows", "count"])
-def test_native_march_rejects_arrays_it_could_overrun(params, bad):
+def march_arrays(grid):
+    """Arrays that native.march takes for a march on ``grid``, each of the
+    right type and shape: taus, rho, surface, rows and a layer count."""
+    return {"taus": grid.taus.copy(), "rho": np.zeros(grid.M + 1),
+            "surface": np.zeros((grid.M + 1, grid.N + 1)),
+            "rows": np.zeros((grid.M, native.OUT_SLOTS)), "count": ctypes.c_long(1)}
+
+
+# Arrays native.march refuses: its taus of another type, layout or shape
+# (a taus longer or shorter than the other arrays does not fit them), and
+# one case of each other array
+BAD_MARCH_ARRAYS = {
+    "taus float32": ("taus", lambda g: g.taus.astype(np.float32)),
+    "taus strided": ("taus", lambda g: np.repeat(g.taus, 2)[::2]),
+    "taus 2-D": ("taus", lambda g: g.taus.reshape(1, -1)),
+    "taus longer": ("taus", lambda g: np.append(g.taus, g.T)),
+    "taus shorter": ("taus", lambda g: g.taus[:-1].copy()),
+    "rho": ("rho", lambda g: np.zeros(g.M)),
+    "surface": ("surface", lambda g: np.zeros((g.N + 1, g.M + 1)).T),
+    "rows": ("rows", lambda g: np.zeros((g.M, native.OUT_SLOTS), np.float32)),
+    "count": ("count", lambda g: np.ones(1, np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MARCH_ARRAYS))
+def test_native_march_rejects_arrays_it_could_overrun(params, case):
     """native.march checks the caller's arrays and its layer count before
     any pointer reaches C."""
     grid = make_grid(params, N=16)
     frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
-    arrays = {"rho": np.zeros(grid.M + 1), "surface": np.zeros((grid.M + 1, grid.N + 1)),
-              "rows": np.zeros((grid.M, native.OUT_SLOTS)), "count": ctypes.c_long(1)}
-    arrays[bad] = {"rho": np.zeros(grid.M), "surface": np.zeros((grid.N + 1, grid.M + 1)).T,
-                   "rows": np.zeros((grid.M, native.OUT_SLOTS), np.float32),
-                   "count": np.ones(1, np.int64)}[bad]
-    with pytest.raises(ValueError, match=bad):
+    name, bad = BAD_MARCH_ARRAYS[case]
+    arrays = march_arrays(grid)
+    arrays[name] = bad(grid)
+    with pytest.raises(ValueError, match=name):
         native.march(frame, "newton", *arrays.values())
+
+
+@pytest.mark.parametrize("first, stop", [(-1, 1), (0, 0), (3, 2), (0, "M + 1"), ("M", "M + 1")])
+def test_native_march_rejects_a_range_outside_its_arrays(params, first, stop):
+    """native.march runs layer steps first .. stop - 1 only where
+    0 <= first < stop <= M, and refuses any other range before any
+    pointer reaches C; the arrays are left as they were."""
+    grid = make_grid(params, N=16)
+    frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
+    steps = {"M": grid.M, "M + 1": grid.M + 1}
+    arrays = march_arrays(grid)
+    with pytest.raises(ValueError, match="layer steps"):
+        native.march(frame, "newton", *arrays.values(), first=steps.get(first, first),
+                     stop=steps.get(stop, stop))
+    assert not arrays["rho"].any() and not arrays["surface"].any()
 
 
 def failing_march(engine, case="limit"):

@@ -39,9 +39,12 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from asianfb import LayerFailure, MarketParams, make_grid, march_newton, march_pc, rho_initial
+from asianfb._kernels import native
 from asianfb.mesh import LayerState
 from asianfb.scheme import SchemeMode
-from asianfb.solver_newton import newton_layer
+from asianfb.solver_newton import NewtonConfig
+
+from _oracles import one_layer
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 BACKWARD_ERROR_BOUND = 1e-13
@@ -113,13 +116,14 @@ def test_upwind_newton_march_keeps_its_invariants(p, n):
 def test_extrapolated_start_ends_at_the_plain_start_root(p, n, mode):
     """Each layer of the march, which starts Newton from an extrapolation
     of the layers before it, ends where Newton from the previous layer
-    ends."""
+    (a march of that one layer from the stored one) ends."""
     result = march(p, n, mode)
     g = result.grid
+    frame = native.LayerFrame(g, p, mode)
     for j in range(g.M):
         prev = LayerState(j=j, tau=float(g.taus[j]), y=result.surface[j].copy(),
                           z=float(result.rho[j]))
-        state, _ = newton_layer(prev, float(g.taus[j + 1]), g, p, mode)
+        state, _ = one_layer(frame, NewtonConfig(), prev, float(g.taus[j + 1]))
         assert abs(state.z - result.rho[j + 1]) <= SAME_ROOT_TOL, j + 1
 
 

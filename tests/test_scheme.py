@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from asianfb._kernels import native
 from asianfb.errors import NonPositiveZ
 from asianfb.mesh import GridSpec, LayerState, make_grid
 from asianfb.scheme import SchemeMode
-from asianfb.solver_newton import march_newton, newton_layer
+from asianfb.solver_newton import NewtonConfig, march_newton
 from asianfb.mesh import initial_layer
 
 from _oracles import (
@@ -18,6 +19,7 @@ from _oracles import (
     interior_residual,
     layer_rows,
     layer_rows_where,
+    one_layer,
     residual_constraint,
     residual_interior,
 )
@@ -50,8 +52,8 @@ class TestDiscreteAlpha:
         import sympy as sp
 
         g = make_grid(params, N=200)
-        state, _ = newton_layer(initial_layer(params, g), float(g.taus[1]), g,
-                                params, SchemeMode.UPWIND_SINGULAR)
+        frame = native.LayerFrame(g, params, SchemeMode.UPWIND_SINGULAR)
+        state, _ = one_layer(frame, NewtonConfig(), initial_layer(params, g), float(g.taus[1]))
         z1 = state.z
         expected = sp.N(
             (sp.Float(z1, 25) - sp.Rational(4, 3)) / (sp.Rational(1, 10) * sp.Float(z1, 25))

@@ -4,14 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asianfb._kernels import native
 from asianfb.errors import LayerFailure, NoConvergence, NonPositiveZ
 from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.model import MarketParams
 from asianfb.scheme import SchemeMode
-from asianfb.solver_newton import NewtonConfig, march_newton, newton_layer
+from asianfb.solver_newton import NewtonConfig, march_newton
 
 from _oracles import (build_jacobian, dense_jacobian, finite_difference_jacobian, layer_rows,
-                      newton_steps_and_dense_solves, solve_layer_fixed_point, stationary_state)
+                      newton_layer_numpy, newton_steps_and_dense_solves, one_layer,
+                      solve_layer_fixed_point, stationary_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -91,12 +93,18 @@ class TestBuildJacobian:
             build_jacobian(y1, -0.5, prev, 10.0, g, params, SchemeMode.CENTRAL)
 
 
+def kernel_layer(prev, tau_next, g, p, mode, cfg=NewtonConfig()):
+    """Newton's layer from ``prev`` to tau_next in the kernel: a march of
+    that one layer, which starts from the previous layer."""
+    return one_layer(native.LayerFrame(g, p, mode), cfg, prev, tau_next)
+
+
 class TestNewtonLayer:
     def test_fixed_point_converges_in_one_iteration(self, params):
         g = make_grid(params, N=16)
         tau_next = 20.0
         prev = stationary_state(1.5, g.k, tau_next, g, params, SchemeMode.CENTRAL)
-        state, diag = newton_layer(prev, tau_next, g, params, SchemeMode.CENTRAL)
+        state, diag = kernel_layer(prev, tau_next, g, params, SchemeMode.CENTRAL)
         assert diag.iterations == 1
         assert state.z == pytest.approx(prev.z, abs=1e-9)
         assert np.max(np.abs(state.y - prev.y)) <= 1e-9
@@ -108,7 +116,7 @@ class TestNewtonLayer:
         for j in range(g.M):
             tau_next = float(g.taus[j + 1])
             y_ref, z_ref = solve_layer_fixed_point(state, tau_next, g, params, mode)
-            state, diag = newton_layer(state, tau_next, g, params, mode)
+            state, diag = kernel_layer(state, tau_next, g, params, mode)
             assert diag.residual_f1 <= 1e-7
             assert diag.residual_f2 <= 1e-7
             assert state.z == pytest.approx(z_ref, abs=1e-6)
@@ -131,13 +139,13 @@ class TestNewtonLayer:
         prev = initial_layer(params, g)
         prev.y[g.N // 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            newton_layer(prev, float(g.taus[1]), g, params, SchemeMode.UPWIND_SINGULAR)
+            kernel_layer(prev, float(g.taus[1]), g, params, SchemeMode.UPWIND_SINGULAR)
 
     def test_no_convergence_raises(self, params):
         g = make_grid(params, N=16)
         prev = initial_layer(params, g)
         with pytest.raises(NoConvergence):
-            newton_layer(prev, float(g.taus[1]), g, params,
+            kernel_layer(prev, float(g.taus[1]), g, params,
                          SchemeMode.UPWIND_SINGULAR, NewtonConfig(tol=1e-14, max_iter=1))
 
     def test_config_validation(self):
@@ -179,7 +187,8 @@ class TestMarchNewton:
     @pytest.mark.parametrize("r, q, sigma, T, n", LAYER_TWO_TRAPS)
     def test_layer_two_starts_from_the_previous_layer(self, r, q, sigma, T, n):
         """The march succeeds where an extrapolation into layer 2 from the
-        discontinuous datum would start Newton past z = 0."""
+        discontinuous datum would start Newton past z = 0 (on the numpy
+        twin of Newton's layer: no march starts layer 2 so)."""
         p = MarketParams(r=r, q=q, sigma=sigma, T=T)
         g = make_grid(p, N=n)
         res = march_newton(p, g)
@@ -189,7 +198,8 @@ class TestMarchNewton:
                  float(res.rho[1] + w * (res.rho[1] - res.rho[0])))
         prev = LayerState(j=1, tau=float(g.taus[1]), y=res.surface[1].copy(), z=float(res.rho[1]))
         with pytest.raises(NonPositiveZ):
-            newton_layer(prev, float(g.taus[2]), g, p, SchemeMode.UPWIND_SINGULAR, start=start)
+            newton_layer_numpy(prev, float(g.taus[2]), g, p, SchemeMode.UPWIND_SINGULAR,
+                               start=start)
 
     def test_iteration_budget(self, newton_default):
         iters = np.array([d.iterations for d in newton_default.diagnostics])

@@ -5,16 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asianfb._kernels import native
 from asianfb.errors import LayerFailure, NoBracket, NoConvergence, NonPositiveZ
 from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.model import MarketParams
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton
-from asianfb.solver_pc import PredictorConfig, march_pc, predictor
+from asianfb.solver_pc import PredictorConfig, march_pc
 
-from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer,
-                      predictor_equations, residual_constraint, residual_interior,
-                      stationary_state)
+from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer, one_layer,
+                      predicted_root, predictor_equations, predictor_numpy, residual_constraint,
+                      residual_interior, stationary_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -44,6 +45,10 @@ def scalar_residual_reference(prev, tau_next, g, p):
 
 
 class TestPredictor:
+    """The predictor's root is read through predicted_root: a march keeps
+    it to itself, so the kernel's pc layer is checked bit for bit against
+    the twins' layer from the twin's root, which is then the kernel's."""
+
     def test_first_step_matches_bisection_oracle(self, params, default_grid):
         prev = initial_layer(params, default_grid)
         tau1 = float(default_grid.taus[1])
@@ -58,29 +63,29 @@ class TestPredictor:
             else:
                 lo, f_lo = mid, res(mid)
         oracle = 0.5 * (lo + hi)
-        pred = predictor(prev, tau1, default_grid, params)
-        assert abs(pred.z - oracle) <= 1e-9
+        z = predicted_root(prev, tau1, default_grid, params)
+        assert abs(z - oracle) <= 1e-9
 
     def test_solves_both_equations(self, params, default_grid):
         prev = initial_layer(params, default_grid)
         tau1 = float(default_grid.taus[1])
-        pred = predictor(prev, tau1, default_grid, params)
+        z = predicted_root(prev, tau1, default_grid, params)
         res = scalar_residual_reference(prev, tau1, default_grid, params)
-        assert abs(res(pred.z)) <= 1e-9
+        assert abs(res(z)) <= 1e-9
 
     def test_artificial_node_consistency(self, params, default_grid):
         # with y_{-1} rebuilt from the predicted z and the y_1 that (I) gives
         # at it, the PDE relation at xi = 0 must hold to root-finding accuracy
         prev = initial_layer(params, default_grid)
         tau1 = float(default_grid.taus[1])
-        pred = predictor(prev, tau1, default_grid, params)
-        y1 = predictor_equations(prev, tau1, default_grid, params)[2](pred.z)
+        z = predicted_root(prev, tau1, default_grid, params)
+        y1 = predictor_equations(prev, tau1, default_grid, params)[2](z)
         h, sig2 = default_grid.h, params.sigma**2
         ttm = params.T - tau1
-        g_val = params.q * pred.z - params.r + (pred.z - 1.0) / ttm
+        g_val = params.q * z - params.r + (z - 1.0) / ttm
         y_m1 = y1 - g_val * 4.0 * h / sig2
-        alpha0 = (pred.z - prev.z) / ((tau1 - prev.tau) * pred.z) \
-            + params.r - params.q - sig2 / 2 - (pred.z - 1.0) / ttm
+        alpha0 = (z - prev.z) / ((tau1 - prev.tau) * z) \
+            + params.r - params.q - sig2 / 2 - (z - 1.0) / ttm
         beta_val = params.r + 1.0 / ttm
         residual = (alpha0 * (y1 - y_m1) / (2 * h)
                     - sig2 / 2 * (y1 - 2 * (-1.0) + y_m1) / h**2
@@ -94,26 +99,31 @@ class TestPredictor:
         for j in (100, 110, 118, 121):
             prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
                               z=float(run.rho[j]))
-            z_tildes.append(predictor(prev, float(run.taus[j + 1]), g, params).z)
+            z_tildes.append(predicted_root(prev, float(run.taus[j + 1]), g, params))
         assert all(z > 1.0 for z in z_tildes)
         assert all(b < a for a, b in zip(z_tildes, z_tildes[1:]))
 
     def test_no_root_close_to_expiry(self, params):
         # the explicit relation overshoots once the singular advection
-        # dominates; the scalar system then has no solution
+        # dominates; the scalar system then has no solution, and the layer
+        # falls back to z_tilde = z_prev
         g = make_grid(params, N=50)
         run = march_pc(params, g)
         j = g.M - 2
         prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
                           z=float(run.rho[j]))
+        frame = native.LayerFrame(g, params, SchemeMode.UPWIND_SINGULAR)
+        _, diag = one_layer(frame, PredictorConfig(), prev, float(run.taus[j + 1]))
+        assert diag.predictor_fallback and diag.iterations == 0
+        assert predicted_root(prev, float(run.taus[j + 1]), g, params) is None
         with pytest.raises(NoBracket):
-            predictor(prev, float(run.taus[j + 1]), g, params)
+            predictor_numpy(prev, float(run.taus[j + 1]), g, params)
 
     def test_iteration_cap(self, params, default_grid):
         prev = initial_layer(params, default_grid)
+        frame = native.LayerFrame(default_grid, params, SchemeMode.UPWIND_SINGULAR)
         with pytest.raises(NoConvergence):
-            predictor(prev, float(default_grid.taus[1]), default_grid, params,
-                      PredictorConfig(max_iter=1))
+            one_layer(frame, PredictorConfig(max_iter=1), prev, float(default_grid.taus[1]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -124,6 +134,9 @@ class TestPredictor:
 
 
 class TestCorrector:
+    """The corrector from a z_tilde of the test's choosing, which no march
+    takes, runs on its twin (_oracles.corrector)."""
+
     def test_fixed_point_state_is_reproduced(self, params):
         g = make_grid(params, N=16)
         tau_next = 20.0
@@ -160,12 +173,14 @@ class TestCorrector:
             <= 1e-12
 
     def test_non_finite_previous_layer_raises(self, params):
-        # the finiteness check runs on every system the engine solves
+        # the finiteness check runs on every system the engine solves: in
+        # the kernel's pc layer, after its predictor
         g = make_grid(params, N=16)
         prev = initial_layer(params, g)
         prev.y[g.N // 2] = np.nan
+        frame = native.LayerFrame(g, params, SchemeMode.UPWIND_SINGULAR)
         with pytest.raises(ValueError, match="non-finite"):
-            corrector(prev, prev.z, float(g.taus[1]), g, params, SchemeMode.UPWIND_SINGULAR)
+            one_layer(frame, PredictorConfig(), prev, float(g.taus[1]))
 
     def test_rejects_nonpositive_predictor_value(self, params, default_grid):
         prev = initial_layer(params, default_grid)
@@ -229,8 +244,9 @@ class TestMarchPC:
             prev = LayerState(j=j, tau=float(run.taus[j]), y=run.surface[j].copy(),
                               z=float(run.rho[j]))
             tau_next = float(run.taus[j + 1])
-            z_tilde = prev.z if d.predictor_fallback else \
-                predictor(prev, tau_next, g, params).z
+            root = predicted_root(prev, tau_next, g, params)
+            assert (root is None) == d.predictor_fallback, d.layer
+            z_tilde = prev.z if root is None else root
             step = run.rho[j + 1] - z_tilde
             assert d.residual_f2 <= 5.0 * step**2 / (tau_next - prev.tau), d.layer
 

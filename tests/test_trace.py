@@ -1,13 +1,14 @@
 """Smoke test of the benchmark's trace mode (perfbench/run.py --trace 1).
 
 The tracer finds what it times by name: the functions in each module's
-``__all__``, ``tridiag.thomas_solve``, each backend's ``thomas``, the
-signature of ``solver_newton.newton_layer`` and the marches, whose hook
-records their iterations.  Here ``solve`` and ``compare`` run at N = 16
-under the tracer, and the per-layer counts must match the marches they
-traced, so a renamed or moved hook fails here.  A march runs every layer
-in one native.march call, so it calls neither ``newton_layer`` nor
-``predictor``, which open the tracer's time layers: it opens none.
+``__all__``, ``tridiag.thomas_solve``, each backend's ``thomas`` and the
+marches, whose hook records their iterations.  Here ``solve`` and
+``compare`` run at N = 16 under the tracer, and the per-layer counts
+must match the marches they traced, so a renamed or moved hook fails
+here.  The tracer opens a time layer at a call of
+``solver_newton.newton_layer`` or ``solver_pc.predictor``, names that
+no module defines: a march runs every layer in one native.march call,
+the only way into the kernel's layers, so it opens none.
 """
 
 import json
