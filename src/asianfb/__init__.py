@@ -9,7 +9,6 @@ from ._kernels import active_name as kernel_backend
 from .analysis import compare_engines, reconstruct_value, refinement_study
 from .errors import (
     LayerFailure,
-    NoBracket,
     NoConvergence,
     NonPositiveZ,
     SingularSchur,
@@ -31,7 +30,6 @@ __all__ = [
     "LayerState",
     "MarketParams",
     "NewtonConfig",
-    "NoBracket",
     "NoConvergence",
     "NonPositiveZ",
     "PredictorConfig",

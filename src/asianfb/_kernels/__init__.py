@@ -8,11 +8,11 @@ predictor-corrector layer.  The Thomas solve is one function,
 rhs of shape (n,) or (2, n); it is the only solve interface, and
 tridiag.thomas_solve passes it the four arrays it is given.  It makes the
 checks of a solve itself: it raises ValueError when the shapes do not
-fit that form (``pure.check_shape``) and ValueError("<name> contains
-non-finite values") on a NaN or an infinity in any of the four arrays,
-before any pivot is tested, and fails at the first row whose pivot
-magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
-(``pure.pivot_floor``).
+fit that form (``native.check_shape``) and ValueError("<name> contains
+non-finite values"), naming the first of the four arrays that holds a
+NaN or an infinity, before any pivot is tested, and fails at the first
+row whose pivot magnitude falls below
+``max(pivot_rtol * max|diag|, ulp(0.0))`` (``pure.pivot_floor``).
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
   in a process into a cache next to the source (see native.py), and the
@@ -32,7 +32,8 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   its frame says so.  A march's frame holds its constants, filled once,
   and its caller writes the engine's limits into it; ``native.march``
   hands back the first failure with its layer, a non-finite entry's
-  ValueError among them.  Its ``native.fixed9_rows`` and
+  ValueError among them, made from the failure record that C leaves in
+  the failed layer's row of out[] slots.  Its ``native.fixed9_rows`` and
   ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
   Python's "%.9f" formats every double, for cli._write_fixed9, which
   streams each output table through them; fixed9_surface takes the
@@ -41,9 +42,9 @@ magnitude falls below ``max(pivot_rtol * max|diag|, ulp(0.0))``
   load of the fresh build fails, the first call raises
   native.KernelUnavailable, which names the compiler or the failed build.
 * ``pure``: the plain Python Thomas loop, whose solutions and failing
-  rows thomas.c's repeat bit for bit, and the shape, finiteness and
-  pivot-floor checks that native runs from Python.  The tests hold it
-  against native; nothing in a march calls its loop.
+  rows thomas.c's repeat bit for bit, with its finiteness and pivot-floor
+  checks, which thomas.c makes in C.  The tests hold it against native;
+  nothing in a march calls it, and native does not import it.
 
 Nothing is compiled or loaded at import.  tridiag.thomas_solve looks
 ``native.thomas`` up at each call, so a wrapper set on that attribute

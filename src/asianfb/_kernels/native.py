@@ -19,7 +19,7 @@ max |diag|, and takes the row's elimination step, storing its pivot in
 the frame's ``piv``; once it ends, a non-finite entry, then the lowest
 row whose pivot falls below the floor, fails the solve as ``thomas``
 fails it.  The sweep writes every row buffer and right-hand side before
-any check, so ``_failure`` finds the array to name.  Every solve,
+any check, so C finds the array to name in them.  Every solve,
 ``thomas`` among them, is one elimination (a twisted factorization):
 rows 0 .. m - 1 eliminate downward and rows n - 1 .. m + 1 upward, the
 two chains meet at row m, and the backward sweep runs outward from m.
@@ -44,13 +44,13 @@ fails, ``load()`` raises KernelUnavailable, an OSError whose one-line
 message names the missing compiler, or the build command and the first
 line it wrote to stderr, and the cache directory.
 
-``thomas`` converts its arrays to contiguous float64, runs pure's
-``check_shape`` and calls C with a fresh cp work row and solution
-buffer.  The C function makes the other checks of the contract in one
-pass over the rows before it eliminates: it takes the pivot floor from
-max |diag| and reports a non-finite entry with its own return code, and
-only then does this module run pure's numpy check, to raise the
-ValueError that names the array.  No march calls it: both engines
+``thomas`` converts its arrays to contiguous float64, checks their
+shapes (``check_shape``) and calls C with a fresh cp work row and
+solution buffer.  The C function makes the other checks of the contract
+before it eliminates: it takes the pivot floor from max |diag| and
+reports a non-finite entry with a return code that names the first
+array, in the order of ``ARRAYS``, that holds one; this module raises
+the ValueError naming that array.  No march calls it: both engines
 eliminate inside their layer calls.
 
 A march makes one LayerFrame (results.march does): the buffers of its
@@ -72,7 +72,8 @@ layer it stores there, and another thread that reads the count with
 Marches in different frames share nothing, so they may run in different
 threads at once.  A failed layer's status code, a refused layer
 (tau_next >= T, or a non-positive step) among them, becomes its
-exception here (``_failure``); no status code leaves this module.
+exception here (``_failure``), from the failure record that C leaves in
+the layer's row of out[] slots; no status code leaves this module.
 
 ``fixed9_rows`` checks a table and a buffer once and returns the
 function that writes a chunk of the table's rows into the buffer as CSV
@@ -103,7 +104,6 @@ import numpy as np
 
 from ..errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from ..mesh import layer_constants
-from . import pure
 
 SOURCE = Path(__file__).with_name("thomas.c")
 # -ffp-contract=off keeps a*b - c from fusing into one rounding, and
@@ -117,17 +117,19 @@ LIBS = ("-lm",)
 CACHE_DIR = Path(__file__).with_name("_build")
 BUILD_TIMEOUT_S = 120
 NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
+# the arrays of an elimination, in the order of thomas.c's ARRAY_* codes, by
+# which thomas and a failed layer's out[OUT_FAILURE] name the first that holds
+# a non-finite entry
+ARRAYS = ("lower", "diag", "upper", "rhs")
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
- LAYER_NO_CONVERGENCE, LAYER_NO_BRACKET, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(9)
+ LAYER_NO_CONVERGENCE, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(8)
 # the layer functions' out[] slots: a Newton layer's 8 diagnostics, then a
 # failure's value and the predictor's fallback flag
 (OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
  OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_FAILURE, OUT_FALLBACK,
  OUT_SLOTS) = range(11)
-# thomas.c's engines of march, and the stages of a layer, in the order of its CALL_* codes
-MARCH_ENGINES = {"newton": 0, "pc": 1}
-_CALLS = ("newton", "predictor", "corrector")
+MARCH_ENGINES = {"newton": 0, "pc": 1}  # thomas.c's engines of march
 FIXED9_CELL = 320  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
 
 _kernel = None  # the loaded library, once load() succeeds
@@ -217,7 +219,7 @@ def load() -> None:
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
     # march: (frame, engine, total, first, stop, taus, rho, surface, rows, failed, count)
-    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 5 + [ctypes.POINTER(long)]
+    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 4 + [ctypes.POINTER(long)] * 2
     library.published.argtypes = [ctypes.POINTER(long)]
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
     library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
@@ -225,6 +227,16 @@ def load() -> None:
                      library.fixed9_surface):
         function.restype = long
     _kernel = library
+
+
+def check_shape(lower, diag, upper, rhs) -> None:
+    """Raise ValueError unless diag holds n >= 1 entries, lower and upper
+    n-1 each, and rhs has the shape (n,) or (2, n)."""
+    n = diag.shape[0] if diag.ndim == 1 else 0
+    if n < 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,) or \
+            rhs.shape not in ((n,), (2, n)):
+        raise ValueError("system must have n >= 1 rows, n-1 off-diagonal "
+                         "entries and a (n,) or (2, n) right-hand side")
 
 
 def thomas(lower, diag, upper, rhs, pivot_rtol):
@@ -240,15 +252,14 @@ def thomas(lower, diag, upper, rhs, pivot_rtol):
         load()
     lower, diag, upper, rhs = (np.ascontiguousarray(a, dtype=float)
                                for a in (lower, diag, upper, rhs))
-    pure.check_shape(lower, diag, upper, rhs)
+    check_shape(lower, diag, upper, rhs)
     n = diag.size
     cp, x = np.empty(n), np.empty(rhs.shape)
     fail = _kernel.thomas(n, rhs.size // n, lower.ctypes.data, diag.ctypes.data,
                           upper.ctypes.data, rhs.ctypes.data, pivot_rtol, cp.ctypes.data,
                           x.ctypes.data)
-    if fail == NON_FINITE:
-        pure.check_finite(lower, diag, upper, rhs)
-        raise RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
+    if fail <= NON_FINITE:
+        raise ValueError(f"{ARRAYS[NON_FINITE - fail]} contains non-finite values")
     if fail >= 0:
         return np.zeros(x.shape), fail
     return x, -1
@@ -258,11 +269,10 @@ class _Frame(ctypes.Structure):
     """thomas.c's struct layer_frame."""
 
     _fields_ = [(name, ctypes.c_long) for name in
-                ("n", "upwind", "diagnostics", "max_iter", "root_max_iter", "scan",
-                 "expansions")] + \
+                ("n", "upwind", "diagnostics", "max_iter", "root_max_iter")] + \
         [(name, ctypes.c_double) for name in
          ("T", "h", "h2", "two_h", "r", "q", "half_sig2", "diff", "sig2", "tol", "root_tol",
-          "bracket_factor", "pivot_rtol", "schur_floor")] + \
+          "pivot_rtol", "schur_floor")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
           "db", "onesided", "f", "single", "cp", "piv", "x", "y", "first", "out")]
@@ -278,15 +288,16 @@ class LayerFrame:
     0.5/h scaling, the z-free ``diag``, ``rhs`` = y^prev/dt), then the
     rows of each iterate, F1 = lower y[:-2] + diag y[1:-1] + upper y[2:]
     - rhs, their z-derivatives (``da``, ``dc``, ``db``) and the
-    ``onesided`` mask, where the singular term is upwinded.  ``j11`` is
-    J11 (lower[1:], diag, upper[:-1]): three views of the row buffers.
-    ``pair_rhs`` (2, n) and ``single_rhs`` (n,) are the right-hand sides
-    that Newton's and pc's layers fill and solve against J11 in place,
-    ``cp`` the elimination's work row, ``piv`` the pivots of its last
-    forward sweep, ``x`` its (2, n) solution, ``first`` the interior of a
-    Newton layer's first iterate when it is not the previous layer, and
-    ``out`` the out[] slots of a failed layer.  march builds each layer in
-    its row of the caller's surface, so the struct's ``y`` stays unset.
+    ``onesided`` mask, where the singular term is upwinded.  J11 is
+    (lower[1:], diag, upper[:-1]).  ``pair_rhs`` (2, n) and
+    ``single_rhs`` (n,) are the right-hand sides that Newton's and pc's
+    layers fill and solve against J11 in place, ``cp`` the elimination's
+    work row, ``piv`` the pivots of its last forward sweep, ``x`` its
+    (2, n) solution, and ``first`` the interior of a Newton layer's first
+    iterate when it is not the previous layer.  march builds each layer in
+    its row of the caller's surface and writes its out[] slots into its
+    row of the caller's rows, so the struct's ``y`` and ``out`` stay
+    unset.
 
     The struct holds the march's constants (T, h, h**2, r, q, sigma**2
     and their products) and the buffers' addresses, so a buffer must not
@@ -307,14 +318,12 @@ class LayerFrame:
         self.ds, self.half_ds_h, self.cp, self.piv = (np.empty(n) for _ in range(4))
         self.pair_rhs, self.single_rhs = np.zeros((2, n)), np.zeros(n)
         self.x, self.first = np.empty((2, n)), np.empty(n)
-        self.out = (ctypes.c_double * OUT_SLOTS)()
-        self.j11 = (self.lower[1:], self.diag, self.upper[:-1])
         buffers = {name: getattr(self, name) for name in
                    ("ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc", "db",
                     "onesided", "cp", "piv", "x", "first")}
         buffers.update(exp_neg_xi=g.exp_neg_xi, f=self.pair_rhs, single=self.single_rhs)
         self.struct = _Frame(n=n, upwind=mode.value == "upwind-singular", diagnostics=1,
-                             out=ctypes.addressof(self.out), **layer_constants(p, g),
+                             **layer_constants(p, g),
                              **{name: a.ctypes.data for name, a in buffers.items()})
         self.address = ctypes.addressof(self.struct)
 
@@ -325,23 +334,17 @@ class LayerFrame:
             setattr(self.struct, name, value)
 
 
-def _failure(frame, status, call, tau_prev, tau_next):
-    """The exception of the layer stage ``call`` (one of _CALLS) in
-    ``frame`` from tau_prev to tau_next that ended with ``status``, whose
-    value is in out[OUT_FAILURE], with the limits in the frame's struct: a
-    ValueError naming the array when an elimination met a non-finite
-    entry.  (march falls back where pc_predictor finds no root, so no
-    LAYER_NO_BRACKET reaches here.)
+def _failure(frame, status, out, tau_prev, tau_next):
+    """The exception of the layer in ``frame`` from tau_prev to tau_next
+    that ended with ``status``, from ``out``, the layer's out[] slots,
+    which hold its failure record: the failure's value in OUT_FAILURE, and
+    the cap that NoConvergence reached in OUT_ITERATIONS.  An elimination
+    that met a non-finite entry gives the ValueError naming the array
+    ``ARRAYS[out[OUT_FAILURE]]``.
     """
-    value = frame.out[OUT_FAILURE]
+    value = out[OUT_FAILURE]
     if status == LAYER_NON_FINITE:
-        # the right-hand side the call solves against J11
-        rhs = frame.pair_rhs if call == "newton" else frame.single_rhs
-        try:
-            pure.check_finite(*frame.j11, rhs)
-        except ValueError as exc:
-            return exc
-        return RuntimeError("thomas.c reported a non-finite entry that numpy does not find")
+        return ValueError(f"{ARRAYS[int(value)]} contains non-finite values")
     if status == LAYER_PAST_MATURITY:
         return ValueError(f"tau_next must be < T; got {tau_next} with T={frame.p.T}")
     if status == LAYER_NON_POSITIVE_STEP:
@@ -353,9 +356,7 @@ def _failure(frame, status, call, tau_prev, tau_next):
     if status == LAYER_SINGULAR_SCHUR:
         return SingularSchur(f"Schur denominator {value:.3e} at tau={tau_next:.6g}")
     if status == LAYER_NO_CONVERGENCE:
-        struct = frame.struct
-        return NoConvergence(struct.root_max_iter if call == "predictor" else struct.max_iter,
-                             value)
+        return NoConvergence(int(out[OUT_ITERATIONS]), value)
     return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
@@ -397,8 +398,9 @@ def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=
 
     Returns None, or (layer, exception) of the first layer call that
     failed (a ValueError naming the array when an elimination met a
-    non-finite entry); the call stops there, and the count stays at that
-    layer.
+    non-finite entry), made from the failure record that C leaves in its
+    row, rows[layer - 1]; the call stops there, and the count stays at
+    that layer.
     """
     if taus.dtype != np.float64 or taus.ndim != 1 or not taus.flags.c_contiguous:
         raise ValueError("taus must be a contiguous float64 array")
@@ -415,13 +417,14 @@ def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=
         raise ValueError(f"the layer steps {first}:{stop} must satisfy 0 <= first < stop <= {m}")
     if count is not None and type(count) is not ctypes.c_long:
         raise ValueError("count must be a ctypes.c_long")
-    failed = (ctypes.c_long * 2)()
+    failed = ctypes.c_long()
     status = _kernel.march(frame.address, MARCH_ENGINES[engine], m, first, stop,
-                           *[a.ctypes.data for a in (taus, rho, surface, rows)], failed, count)
+                           *[a.ctypes.data for a in (taus, rho, surface, rows)],
+                           ctypes.byref(failed), count)
     if status == LAYER_OK:
         return None
-    j = failed[0]
-    return j, _failure(frame, status, _CALLS[failed[1]], float(taus[j - 1]), float(taus[j]))
+    j = failed.value
+    return j, _failure(frame, status, rows[j - 1].tolist(), float(taus[j - 1]), float(taus[j]))
 
 
 def published(count):

@@ -10,9 +10,9 @@ solution of a (2, n) right-hand side is bit-identical to a single solve
 of its column, and to the compiled kernel's.
 
 Before any pivot is tested, ``thomas`` rejects arrays of mismatched
-shapes with ``check_shape`` and a non-finite entry with ``check_finite``
-(native.thomas runs both too: the first at every call, the second to
-name the array) and computes the pivot floor with
+shapes with native's ``check_shape``, which native.thomas runs too, and
+a non-finite entry with ``check_finite``, which names the first array
+that holds one, as thomas.c names it, and computes the pivot floor with
 ``pivot_floor``, which thomas.c matches bit for bit.
 """
 
@@ -20,15 +20,7 @@ import math
 
 import numpy as np
 
-
-def check_shape(lower, diag, upper, rhs) -> None:
-    """Raise ValueError unless diag holds n >= 1 entries, lower and upper
-    n-1 each, and rhs has the shape (n,) or (2, n)."""
-    n = diag.shape[0] if diag.ndim == 1 else 0
-    if n < 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,) or \
-            rhs.shape not in ((n,), (2, n)):
-        raise ValueError("system must have n >= 1 rows, n-1 off-diagonal "
-                         "entries and a (n,) or (2, n) right-hand side")
+from .native import check_shape
 
 
 def check_finite(lower, diag, upper, rhs) -> None:

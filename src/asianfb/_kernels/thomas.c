@@ -25,15 +25,15 @@
  * diagonal entries, b: n-1 super-diagonal entries (rows 0..n-2).  cp is n
  * doubles of scratch; x (ncol n doubles) receives the solutions.
  *
- * One pass over the rows checks every entry is finite and takes max |c|;
- * the pivot floor is max(pivot_rtol max |c|, the smallest positive
- * double), so an all-zero diagonal still fails at row 0.  Then each row
- * takes its step, rows 0 .. n - 2 down the chain and row n - 1 as the
- * meeting row, and tests its pivot, and one backward pass back-substitutes
- * every column.
- * Returns THOMAS_NON_FINITE when an entry is NaN or infinite (before any
- * pivot is tested), else the first row whose pivot magnitude falls below
- * the floor, or -1 on success.
+ * One scan checks every entry is finite (non_finite_array), and one pass
+ * over the rows takes max |c|; the pivot floor is max(pivot_rtol max |c|,
+ * the smallest positive double), so an all-zero diagonal still fails at
+ * row 0.  Then each row takes its step, rows 0 .. n - 2 down the chain
+ * and row n - 1 as the meeting row, and tests its pivot, and one backward
+ * pass back-substitutes every column.
+ * Returns THOMAS_NON_FINITE - k when array k (ARRAY_*) is the first that
+ * holds a NaN or an infinity (before any pivot is tested), else the first
+ * row whose pivot magnitude falls below the floor, or -1 on success.
  */
 #include <float.h>
 #include <math.h>
@@ -42,6 +42,10 @@
 #include <string.h>
 
 #define THOMAS_NON_FINITE (-2)
+
+/* The arrays of an elimination, in the order in which a non-finite entry
+ * is looked for (native.py names them) */
+enum { ARRAY_LOWER, ARRAY_DIAG, ARRAY_UPPER, ARRAY_RHS };
 
 /* The functions called on every row, and the back substitution, are
  * inlined into each caller, whatever their size: a call per row would
@@ -144,22 +148,35 @@ static double pivot_floor(double cmax, double pivot_rtol)
     return floor < DBL_TRUE_MIN ? DBL_TRUE_MIN : floor;
 }
 
+/* The first of the arrays a, c, b and d of an elimination of n rows and
+ * ncol columns (ARRAY_LOWER .. ARRAY_RHS) that holds a NaN or an
+ * infinity, or -1 */
+static long non_finite_array(long n, long ncol, const double *a, const double *c,
+                             const double *b, const double *d)
+{
+    const double *arrays[] = {a, c, b, d};
+    const long sizes[] = {n - 1, n, n - 1, ncol * n};
+    long k, i;
+
+    for (k = ARRAY_LOWER; k <= ARRAY_RHS; k++)
+        for (i = 0; i < sizes[k]; i++)
+            if (!isfinite(arrays[k][i]))
+                return k;
+    return -1;
+}
+
 long thomas(long n, long ncol, const double *a, const double *c, const double *b,
             const double *d, double pivot_rtol, double *cp, double *x)
 {
     struct chain e = {0.0, 0.0, 0.0};
     double cmax = 0.0, floor;
-    long i, k;
+    long i, k = non_finite_array(n, ncol, a, c, b, d);
 
-    for (i = 0; i < n; i++) {
-        if (!isfinite(c[i]) || (i > 0 && !isfinite(a[i - 1])) || (i < n - 1 && !isfinite(b[i])))
-            return THOMAS_NON_FINITE;
-        for (k = 0; k < ncol; k++)
-            if (!isfinite(d[k * n + i]))
-                return THOMAS_NON_FINITE;
+    if (k >= 0)
+        return THOMAS_NON_FINITE - k;
+    for (i = 0; i < n; i++)
         if (fabs(c[i]) > cmax)
             cmax = fabs(c[i]);
-    }
     floor = pivot_floor(cmax, pivot_rtol);
     for (i = 0; i < n - 1; i++)
         if (fabs(chain_step(ncol, n, i == 0, 0, i, i ? a[i - 1] : 0.0, c[i], b[i], d, NULL, cp,
@@ -194,7 +211,8 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * a non-finite entry first, then the lowest row whose pivot falls below
  * the floor, as thomas reports them.  The sweep writes every row buffer
  * and right-hand side whatever it meets, so a failure finds them as the
- * numpy twins leave them.
+ * numpy twins leave them, and a non-finite entry's failure names the
+ * first array that holds one (non_finite_array), in out[OUT_FAILURE].
  * Every solve takes the elimination of thomas (chain_step, meet,
  * back_substitute_outward).  Newton's sweep sends rows 0 .. n - 2 of both
  * its columns down one chain and meets at the last row, as thomas does,
@@ -234,8 +252,9 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  */
 
 /* The march's constants, the frame's buffers in LayerFrame's names, y,
- * and out[], the layer functions' results (native.LayerFrame fills it
- * once per march).  All arrays have n entries, the interior rows
+ * and out[], the layer functions' results, which march points at the
+ * layer's row of its rows (native.LayerFrame fills the rest once per
+ * march).  All arrays have n entries, the interior rows
  * i = 1..N-1, except y (n + 2: the previous layer on entry to a layer
  * function, the new one on its return), and f and x, which are (2, n)
  * row-major: F1 then J12, and u then v.  single is the frame's one-column
@@ -243,15 +262,16 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * forward sweep, and first the interior values of the first iterate of a
  * Newton layer that does not start from the previous layer (march's
  * extrapolated start).  tol and max_iter are Newton's; the predictor has
- * its own.  diagnostics is 1 in every LayerFrame; 0 makes the layer
- * functions skip the passes that only fill diagnostics (see above). */
+ * its own root_tol and root_max_iter.  diagnostics is 1 in every
+ * LayerFrame; 0 makes the layer functions skip the passes that only fill
+ * diagnostics (see above). */
 struct layer_frame {
     long n;
     long upwind;            /* 1 in upwind-singular mode, 0 in central mode */
     long diagnostics;
-    long max_iter, root_max_iter, scan, expansions;
+    long max_iter, root_max_iter;
     double T, h, h2, two_h, r, q, half_sig2, diff, sig2;
-    double tol, root_tol, bracket_factor, pivot_rtol, schur_floor;
+    double tol, root_tol, pivot_rtol, schur_floor;
     const double *exp_neg_xi;
     double *ds, *half_ds_h, *rhs;
     double *lower, *diag, *upper, *da, *dc, *db;
@@ -265,19 +285,21 @@ struct layer {
     double inv_dt, inv_ttm, half_inv_h;  /* 1/dt, 1/ttm and 0.5/h */
 };
 
-/* The layer functions' status codes (native.py names them) */
+/* The layer functions' status codes (native.py names them).  A failing
+ * layer's out[] row is its failure record: out[OUT_FAILURE] holds the
+ * non-positive z, the array (ARRAY_*) of the first non-finite entry, the
+ * failing pivot row, the Schur denominator or the last step, and
+ * LAYER_NO_CONVERGENCE's out[OUT_ITERATIONS] the cap that was reached. */
 #define LAYER_OK 0
 #define LAYER_NON_POSITIVE_Z 1
 #define LAYER_NON_FINITE 2
 #define LAYER_ZERO_PIVOT 3
 #define LAYER_SINGULAR_SCHUR 4
 #define LAYER_NO_CONVERGENCE 5
-#define LAYER_NO_BRACKET 6
-#define LAYER_PAST_MATURITY 7
-#define LAYER_NON_POSITIVE_STEP 8
+#define LAYER_PAST_MATURITY 6
+#define LAYER_NON_POSITIVE_STEP 7
 
-/* The layer functions' out[] slots; each fills those it reports, and
- * march the predictor's fallback flag */
+/* The layer functions' out[] slots; each fills those it reports */
 enum { OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS,
        OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR,
        OUT_FAILURE, OUT_FALLBACK, OUT_SLOTS };
@@ -466,17 +488,28 @@ ROW_STEP void tally_row(struct sweep *s, long n, long i, const struct row *r)
         s->cmax = fabs(c);
 }
 
-/* thomas's verdict on a forward sweep that stored its pivots in f->piv:
- * LAYER_NON_FINITE if an entry it eliminated is not finite, else
- * LAYER_ZERO_PIVOT with the first row whose pivot magnitude falls below
- * the floor in out[OUT_FAILURE], else LAYER_OK */
-static long check_sweep(const struct layer_frame *f, const struct sweep *s)
+/* LAYER_NON_FINITE, with the first array of J11 (lower[1:], diag,
+ * upper[:-1]) and the ncol right-hand sides d that holds a non-finite
+ * entry in out[OUT_FAILURE] */
+static long non_finite(const struct layer_frame *f, long ncol, const double *d)
+{
+    f->out[OUT_FAILURE] = (double)non_finite_array(f->n, ncol, f->lower + 1, f->diag, f->upper, d);
+    return LAYER_NON_FINITE;
+}
+
+/* thomas's verdict on a forward sweep that stored its pivots in f->piv
+ * and eliminated the ncol right-hand sides d: LAYER_NON_FINITE if an
+ * entry it eliminated is not finite (non_finite), else LAYER_ZERO_PIVOT
+ * with the first row whose pivot magnitude falls below the floor in
+ * out[OUT_FAILURE], else LAYER_OK */
+static long check_sweep(const struct layer_frame *f, const struct sweep *s, long ncol,
+                        const double *d)
 {
     double floor;
     long i;
 
     if (!s->finite)
-        return LAYER_NON_FINITE;
+        return non_finite(f, ncol, d);
     floor = pivot_floor(s->cmax, f->pivot_rtol);
     for (i = 0; i < f->n; i++)
         if (fabs(f->piv[i]) < floor) {
@@ -556,9 +589,9 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
  * in the layer's rhs = y_prev/dt and in mu's (z - z_prev)/(dt z) either
  * way.  Returns LAYER_OK with the accepted z and the layer's diagnostics
  * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
- * frame_start's, or with
- * out[OUT_FAILURE] = the non-positive z, the failing pivot row, the Schur
- * denominator or the last step.  Without the frame's diagnostics
+ * frame_start's, or with its failure record in out[] (the non-positive z,
+ * the non-finite array, the failing pivot row, the Schur denominator, or
+ * the last step and max_iter).  Without the frame's diagnostics
  * out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2]
  * are NaN, and F1 at the accepted z is not built. */
 static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
@@ -592,7 +625,7 @@ static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, 
         violations += s.violations;
 
         /* u = J11^{-1} F1 and v = J11^{-1} J12 */
-        status = check_sweep(f, &s);
+        status = check_sweep(f, &s, 2, f->f);
         if (status != LAYER_OK)
             return status;
         back_substitute_outward(2, n, n - 1, f->cp, f->x);
@@ -615,6 +648,7 @@ static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, 
             break;
     }
     if (it > f->max_iter) {
+        out[OUT_ITERATIONS] = (double)f->max_iter;
         out[OUT_FAILURE] = step;
         return LAYER_NO_CONVERGENCE;
     }
@@ -658,8 +692,8 @@ ROW_STEP struct row frozen_row(const struct layer_frame *f, const struct layer *
  * y[1..n] there, outward from m, between y[0] = -1 and y[n+1] = 0.
  * Returns LAYER_OK with the rows failing strict diagonal dominance in
  * *violations and the upwinded rows in *onesided, or the status of the
- * failure, with out[OUT_FAILURE] = the non-positive z or the lowest
- * failing pivot row. */
+ * failure, with out[OUT_FAILURE] = the non-positive z, the non-finite
+ * array or the lowest failing pivot row. */
 static long frozen_solve(const struct layer_frame *frame, const struct layer *layer, double z,
                          double *y, long *violations, long *onesided)
 {
@@ -692,7 +726,7 @@ static long frozen_solve(const struct layer_frame *frame, const struct layer *la
     f->piv[m] = meet(1, n, m, 0, r.lower, r.diag, r.upper, f->single, NULL, &down, &up, y + 1);
     y[0] = -1.0;
     y[n + 1] = 0.0;
-    status = check_sweep(f, &s);
+    status = check_sweep(f, &s, 1, f->single);
     if (status != LAYER_OK)
         return status;
     back_substitute_outward(1, n, m, f->cp, y + 1);
@@ -716,14 +750,14 @@ ROW_STEP void j12_entry(const struct layer_frame *f, long i, const double *y, in
  * with the frame's pivot_rtol and schur_floor.  Returns LAYER_OK with
  * out[OUT_Z], out[OUT_RESIDUAL_F1] and out[OUT_BACKWARD_ERROR] (both the
  * row-wise backward error), out[OUT_RESIDUAL_F2], out[OUT_ONESIDED_ROWS]
- * and out[OUT_DOMINANCE_VIOLATIONS], with no iterations, an infinite
- * initial residual (the corrector has no iterate before its own) and no
- * fallback in out[OUT_ITERATIONS], out[OUT_INITIAL_RESIDUAL] and
- * out[OUT_FALLBACK], or the status of the first failure:
+ * and out[OUT_DOMINANCE_VIOLATIONS], with an infinite initial residual
+ * (the corrector has no iterate before its own) in
+ * out[OUT_INITIAL_RESIDUAL], leaving the predictor's out[OUT_ITERATIONS]
+ * and out[OUT_FALLBACK] as they are, or the status of the first failure:
  * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
- * failing pivot row or the Schur denominator.  Without the frame's
- * diagnostics out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and
- * out[OUT_RESIDUAL_F2] are NaN. */
+ * non-finite array, the failing pivot row or the Schur denominator.
+ * Without the frame's diagnostics out[OUT_RESIDUAL_F1],
+ * out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2] are NaN. */
 static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
                          double z_prev, double z_tilde)
 {
@@ -757,7 +791,7 @@ static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, 
     j12_entry(f, m, y, &finite);
     meet(1, n, m, 1, f->lower[m], 0.0, f->upper[m], f->single, f->piv, &down, &up, v);
     if (!finite)
-        return LAYER_NON_FINITE;
+        return non_finite(f, 1, f->single);
     back_substitute_outward(1, n, m, f->cp, v);
     /* J21's y_2 term is the boundary's, fixed at 0, when n = 1 */
     denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * (n > 1 ? v[1] : 0.0));
@@ -787,9 +821,7 @@ static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, 
     out[OUT_Z] = z;
     out[OUT_ONESIDED_ROWS] = (double)onesided;
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
-    out[OUT_ITERATIONS] = 0.0;
     out[OUT_INITIAL_RESIDUAL] = INFINITY;
-    out[OUT_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
@@ -852,28 +884,35 @@ static double sign(double v)
     return v == 0.0 ? 0.0 : v;  /* 0 for either zero, NaN for NaN */
 }
 
+/* The predictor's bracket scan: BRACKET_SCAN + 1 points of
+ * np.linspace(z_prev / f, z_prev f) for f = BRACKET_FACTOR,
+ * BRACKET_FACTOR^2, ... over BRACKET_EXPANSIONS widenings */
+#define BRACKET_SCAN 64
+#define BRACKET_FACTOR 2.0
+#define BRACKET_EXPANSIONS 6
+
 /* The predictor's root on the layer from (tau_prev, y, z_prev) to
  * tau_next, from the previous layer's y[0..2] in the frame's y: the
- * bracket scan (scan + 1 points of np.linspace(z_prev / f, z_prev f) for
- * f = bracket_factor, bracket_factor^2, ... over `expansions` widenings,
- * keeping the sign-change cell whose midpoint is nearest z_prev), then
- * safeguarded Newton inside it, with the frame's root_tol and
- * root_max_iter.
- * Returns LAYER_OK with out[OUT_Z] and out[OUT_ITERATIONS],
- * LAYER_PAST_MATURITY unless tau_next < T, or LAYER_NO_BRACKET with the
- * widest factor, LAYER_NO_CONVERGENCE with the last step or
+ * bracket scan, keeping the sign-change cell whose midpoint is nearest
+ * z_prev, then safeguarded Newton inside it, with the frame's root_tol
+ * and root_max_iter.
+ * Returns LAYER_OK with the root in out[OUT_Z], its iterations in
+ * out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 0; where the scan finds no
+ * sign change, LAYER_OK with the layer's fallback, z_prev with no
+ * iterations and out[OUT_FALLBACK] = 1; LAYER_PAST_MATURITY unless
+ * tau_next < T; or LAYER_NO_CONVERGENCE with the last step in
+ * out[OUT_FAILURE] and root_max_iter in out[OUT_ITERATIONS], or
  * LAYER_NON_POSITIVE_Z with the root in out[OUT_FAILURE]. */
 static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
                          double z_prev)
 {
     struct predictor_eq e;
-    const long scan = f->scan, expansions = f->expansions, max_iter = f->root_max_iter;
+    const long max_iter = f->root_max_iter;
     const double h = f->h, r = f->r, q = f->q, sig2 = f->sig2, ttm = f->T - tau_next;
-    const double bracket_factor = f->bracket_factor, y0p = f->y[0], y1p = f->y[1],
-        y2p = f->y[2];
+    const double y0p = f->y[0], y1p = f->y[1], y2p = f->y[2];
     double beta = r + 1.0 / ttm, lap_prev, *out = f->out;
-    double zs[scan + 1], vals[scan + 1];
-    double factor = bracket_factor, widest = factor, lo, hi, f_lo, x, fx, step = 0.0;
+    double zs[BRACKET_SCAN + 1], vals[BRACKET_SCAN + 1];
+    double factor = BRACKET_FACTOR, lo, hi, f_lo, x, fx, step = 0.0;
     long k, i, it, pick = -1;
 
     if (!(tau_next < f->T))
@@ -899,18 +938,18 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, 
     e.inv_ttm = 1.0 / ttm;
     e.exp_h_ttm = e.exp_h / ttm;
 
-    for (k = 0; k < expansions && pick < 0; k++) {
+    for (k = 0; k < BRACKET_EXPANSIONS && pick < 0; k++) {
         double start = z_prev / factor, stop = z_prev * factor, best = 0.0;
-        double delta = stop - start, dz = delta / (double)scan;
+        double delta = stop - start, dz = delta / (double)BRACKET_SCAN;
 
-        for (i = 0; i < scan; i++)  /* np.linspace's grid, its endpoint set exactly */
-            zs[i] = dz == 0.0 ? (double)i / (double)scan * delta + start
+        for (i = 0; i < BRACKET_SCAN; i++)  /* np.linspace's grid, its endpoint set exactly */
+            zs[i] = dz == 0.0 ? (double)i / (double)BRACKET_SCAN * delta + start
                               : (double)i * dz + start;
-        zs[scan] = stop;
-        for (i = 0; i <= scan; i++)
+        zs[BRACKET_SCAN] = stop;
+        for (i = 0; i <= BRACKET_SCAN; i++)
             vals[i] = predictor_residual(&e, zs[i]);
         /* np.argmin over the cells' distances: the first minimum, or the first NaN */
-        for (i = 0; i < scan; i++) {
+        for (i = 0; i < BRACKET_SCAN; i++) {
             double d;
 
             if (!(sign(vals[i]) * sign(vals[i + 1]) <= 0.0))
@@ -921,12 +960,13 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, 
                 best = d;
             }
         }
-        widest = factor;
-        factor *= bracket_factor;
+        factor *= BRACKET_FACTOR;
     }
     if (pick < 0) {
-        out[OUT_FAILURE] = widest;
-        return LAYER_NO_BRACKET;
+        out[OUT_Z] = z_prev;
+        out[OUT_ITERATIONS] = 0.0;
+        out[OUT_FALLBACK] = 1.0;
+        return LAYER_OK;
     }
     lo = zs[pick];
     hi = zs[pick + 1];
@@ -958,6 +998,7 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, 
             break;
     }
     if (it > max_iter) {
+        out[OUT_ITERATIONS] = (double)max_iter;
         out[OUT_FAILURE] = step;
         return LAYER_NO_CONVERGENCE;
     }
@@ -967,13 +1008,12 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, 
     }
     out[OUT_Z] = x;
     out[OUT_ITERATIONS] = (double)it;
+    out[OUT_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
-/* march's engines, and the layer calls whose failure it reports
- * (native.py names them) */
+/* march's engines (native.py names them) */
 enum { MARCH_NEWTON, MARCH_PC };
-enum { CALL_NEWTON, CALL_PREDICTOR, CALL_CORRECTOR };
 
 /* One engine's steps j = first .. stop - 1 of a march of `total` layers
  * on the time mesh taus[0 .. total] in the frame f: layer j + 1, from
@@ -993,10 +1033,9 @@ enum { CALL_NEWTON, CALL_PREDICTOR, CALL_CORRECTOR };
  * the final layer, whose step ends next to maturity, start from the
  * previous layer.  Which start a layer takes is decided against total,
  * whatever first and stop are.
- * pc's layer is pc_predictor, whose LAYER_NO_BRACKET falls back to
- * z_tilde = z_prev, then pc_corrector, with the predictor's iterations
- * (none on a fallback) in out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 1
- * on a fallback.
+ * pc's layer is pc_predictor, then pc_corrector from its z (z_prev on the
+ * predictor's fallback), with the predictor's iterations and fallback
+ * flag in out[OUT_ITERATIONS] and out[OUT_FALLBACK].
  * With f's diagnostics 0 the layers skip the passes that only fill
  * diagnostics, whose slots in rows then read NaN; y, z and every other
  * slot are the same bits.
@@ -1006,9 +1045,8 @@ enum { CALL_NEWTON, CALL_PREDICTOR, CALL_CORRECTOR };
  * acquire ordering (published) may read those layers while the march
  * runs.  That store is the only thing a layer costs beyond its own work.
  * Returns LAYER_OK, or the status of the first failing layer call, with
- * failed[0] = its layer j + 1, failed[1] = the call (CALL_*) and its
- * out[] slots copied into f's out; the count then stays at j + 1.  f's
- * own y is not used. */
+ * *failed = its layer j + 1, whose row rows[j] holds its failure record;
+ * the count then stays at j + 1.  f's own y and out are not used. */
 long march(struct layer_frame *f, long engine, long total, long first, long stop,
            const double *taus, double *rho, double *surface, double *rows, long *failed,
            long *count)
@@ -1018,9 +1056,8 @@ long march(struct layer_frame *f, long engine, long total, long first, long stop
     long i, j, status;
 
     for (j = first; j < stop; j++) {
-        double *out = rows + j * OUT_SLOTS, z_tilde = rho[j], iterations = 0.0;
+        double *out = rows + j * OUT_SLOTS;
         const double *y_prev = surface + j * width;
-        int fallback = 0;
 
         layer.out = out;
         layer.y = surface + (j + 1) * width;
@@ -1050,28 +1087,14 @@ long march(struct layer_frame *f, long engine, long total, long first, long stop
                 z_start = w0 * rho[j] + w1 * rho[j - 1] + w2 * rho[j - 2];
                 y_start = f->first;
             }
-            failed[1] = CALL_NEWTON;
             status = newton_layer(&layer, taus[j], taus[j + 1], rho[j], y_start, z_start);
         } else {
-            failed[1] = CALL_PREDICTOR;
             status = pc_predictor(&layer, taus[j], taus[j + 1], rho[j]);
-            if (status == LAYER_OK) {
-                z_tilde = out[OUT_Z];
-                iterations = out[OUT_ITERATIONS];
-            } else if (status == LAYER_NO_BRACKET) {
-                fallback = 1;
-                status = LAYER_OK;
-            }
-            if (status == LAYER_OK) {
-                failed[1] = CALL_CORRECTOR;
-                status = pc_corrector(&layer, taus[j], taus[j + 1], rho[j], z_tilde);
-                out[OUT_ITERATIONS] = iterations;
-                out[OUT_FALLBACK] = fallback;
-            }
+            if (status == LAYER_OK)
+                status = pc_corrector(&layer, taus[j], taus[j + 1], rho[j], out[OUT_Z]);
         }
         if (status != LAYER_OK) {
-            failed[0] = j + 1;
-            memcpy(f->out, out, OUT_SLOTS * sizeof(double));
+            *failed = j + 1;
             return status;
         }
         rho[j + 1] = out[OUT_Z];

@@ -13,10 +13,6 @@ class ZeroPivot(SolverError):
         super().__init__(f"zero pivot in tridiagonal elimination at row {index}")
 
 
-class NoBracket(SolverError):
-    """The scalar predictor residual has no sign change in the search bracket."""
-
-
 class NoConvergence(SolverError):
     """Iteration cap reached before meeting the stopping tolerance."""
 

@@ -70,14 +70,15 @@ A layer is two functions of thomas.c: pc_predictor, the bracket scan
 and root iteration, and pc_corrector, which first builds the layer's
 z-free part in the frame and runs the corrector with the layer's
 diagnostics over the frame's buffers.  march_pc is results.march with
-the predictor's root_tol, max_iter and bracket scan: one native.march
+the predictor's root_tol and max_iter (the bracket scan's constants are
+thomas.c's): one native.march
 call runs every layer in C in the march's one frame, whose struct holds
 them next to the march's constants (publishing each stored layer
 through a layer count when the caller reads the layers as they are
 stored, and skipping the backward-error pass when the caller reads
 no diagnostics), and falls back to z-tilde = z_prev where
-pc_predictor finds no root; native turns a failed call's status into
-its exception.  native.march is the only way into the C functions; the
+pc_predictor finds no root; native turns a failed layer's status and
+failure record into its exception.  native.march is the only way into the C functions; the
 test suite replays one layer through it, and keeps the numpy predictor
 and corrector that the C functions repeat operation by operation as
 their oracles.
@@ -95,11 +96,6 @@ from .scheme import SchemeMode
 
 __all__ = ["PredictorConfig", "march_pc"]
 
-_BRACKET_SCAN = 64
-_BRACKET_FACTOR = 2.0  # initial bracket [z/f, z f], expanded by f
-_BRACKET_EXPANSIONS = 6
-
-
 @dataclass(frozen=True)
 class PredictorConfig:
     root_tol: float = 1e-10      # absolute tolerance on the z root
@@ -116,8 +112,7 @@ class PredictorConfig:
 
 def _root_search(cfg: PredictorConfig) -> dict:
     """The predictor's limits, as the fields of a frame's struct."""
-    return {"root_tol": cfg.root_tol, "root_max_iter": cfg.max_iter, "scan": _BRACKET_SCAN,
-            "bracket_factor": _BRACKET_FACTOR, "expansions": _BRACKET_EXPANSIONS}
+    return {"root_tol": cfg.root_tol, "root_max_iter": cfg.max_iter}
 
 
 def march_pc(p: MarketParams, g: GridSpec,

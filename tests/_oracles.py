@@ -55,7 +55,7 @@ import pytest
 
 from asianfb import solver_pc, tridiag
 from asianfb._kernels import native, pure
-from asianfb.errors import NoBracket, NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
+from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, SolverError, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.results import LayerDiagnostics, layer_diagnostics
@@ -65,6 +65,22 @@ from asianfb.solver_pc import PredictorConfig
 
 
 # -- numpy twins of the compiled layer functions ----------------------------
+
+# thomas.c's BRACKET_SCAN, BRACKET_FACTOR and BRACKET_EXPANSIONS, the
+# predictor's bracket scan (test_kernel_mirror checks them against it)
+BRACKET_SCAN, BRACKET_FACTOR, BRACKET_EXPANSIONS = 64, 2.0, 6
+
+
+class NoBracket(SolverError):
+    """The twin's predictor residual has no sign change in the search
+    bracket; the kernel's pc_predictor falls back to z_prev there."""
+
+
+def j11(frame):
+    """J11 of ``frame``, (lower[1:], diag, upper[:-1]): three views of
+    its row buffers."""
+    return frame.lower[1:], frame.diag, frame.upper[:-1]
+
 
 @dataclass(frozen=True)
 class LayerRows:
@@ -292,7 +308,7 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
         diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
         diag.dominance_violations += dominance_violations(rows)
 
-        u, v = pure_solve(*frame.j11, frame.pair_rhs)
+        u, v = pure_solve(*j11(frame), frame.pair_rhs)
         j21_u = j21_y1 * u[0] + j21_y2 * u[1]
         j21_v = j21_y1 * v[0] + j21_y2 * v[1]
         denom = 1.0 - j21_v  # J22 = 1
@@ -364,9 +380,9 @@ def predictor_equations(prev, tau_next, g, p):
 
 def _bracket_nearest(residual, z_prev):
     """Sign-change cell closest to z_prev inside an expanding bracket."""
-    factor = solver_pc._BRACKET_FACTOR
-    for _ in range(solver_pc._BRACKET_EXPANSIONS):
-        zs = np.linspace(z_prev / factor, z_prev * factor, solver_pc._BRACKET_SCAN + 1)
+    factor = BRACKET_FACTOR
+    for _ in range(BRACKET_EXPANSIONS):
+        zs = np.linspace(z_prev / factor, z_prev * factor, BRACKET_SCAN + 1)
         vals = residual(zs)
         signs = np.sign(vals)
         cells = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
@@ -375,7 +391,7 @@ def _bracket_nearest(residual, z_prev):
             pick = cells[int(np.argmin(np.abs(mids - z_prev)))]
             return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
         widest = factor
-        factor *= solver_pc._BRACKET_FACTOR
+        factor *= BRACKET_FACTOR
     raise NoBracket(f"predictor residual has no sign change within "
                     f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
 
@@ -435,7 +451,7 @@ def twisted_solve(lower, diag, upper, rhs):
     ZeroPivot names the lowest row whose pivot falls below
     ``pure.pivot_floor(diag, tridiag.PIVOT_RTOL)``; a non-finite entry
     raises pure.check_finite's ValueError first."""
-    pure.check_shape(lower, diag, upper, rhs)
+    native.check_shape(lower, diag, upper, rhs)
     pure.check_finite(lower, diag, upper, rhs)
     floor = pure.pivot_floor(diag, tridiag.PIVOT_RTOL)
     n = diag.size
@@ -479,7 +495,7 @@ def _frozen_solve(start, z):
     y = np.empty(frame.g.N + 1)
     y[0] = -1.0
     y[-1] = 0.0
-    y[1:-1] = twisted_solve(*frame.j11, frame.single_rhs)
+    y[1:-1] = twisted_solve(*j11(frame), frame.single_rhs)
     return rows, y
 
 
@@ -492,7 +508,7 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of the Newton engine reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
     z_column(rows, y, out=frame.single_rhs)
-    v = twisted_solve(*frame.j11, frame.single_rhs)
+    v = twisted_solve(*j11(frame), frame.single_rhs)
     j21_y1, j21_y2 = start.j21
     # J21's y_2 term is the boundary's, fixed at 0, when there is one interior row
     denom = 1.0 - (j21_y1 * v[0] + j21_y2 * (v[1] if v.size > 1 else 0.0))
@@ -559,8 +575,6 @@ def march_numpy(frame, engine, taus, rho, surface, rows, count=None, *, first=0,
     if engine == "newton":
         cfg = NewtonConfig(tol=limits.tol, max_iter=limits.max_iter)
     else:
-        assert (limits.scan, limits.bracket_factor, limits.expansions) == \
-            (solver_pc._BRACKET_SCAN, solver_pc._BRACKET_FACTOR, solver_pc._BRACKET_EXPANSIONS)
         cfg = PredictorConfig(root_tol=limits.root_tol, max_iter=limits.root_max_iter)
     # the twins read tridiag's limits at each call
     assert (limits.pivot_rtol, limits.schur_floor) == (tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)

@@ -3,14 +3,17 @@
 ctypes trusts native.py's copy of the kernel's struct layout and codes:
 a field out of order in _Frame would have C read and write the wrong
 memory, and a shifted code would name the wrong failure, both silently.
-Each test parses thomas.c and checks one of those copies against it, or
-the functions it exports against those native.load declares.
+Each test parses thomas.c and checks one of those copies (or the numpy
+twin's copy of the predictor's bracket constants) against it, or the
+functions it exports against those native.load declares.
 """
 
 import ctypes
 import re
 
-from asianfb._kernels import native
+from asianfb._kernels import native, pure
+
+import _oracles
 
 # the C types of struct layer_frame's fields and the ctypes type _Frame gives each
 KINDS = {"long": ctypes.c_long, "double": ctypes.c_double}
@@ -48,6 +51,13 @@ def defines(prefix):
             re.findall(r"#define (%s\w*)\s+\(?(-?\d+)\)?" % prefix, source())}
 
 
+def number_defines(prefix):
+    """{name: value} of the C macros whose names start with ``prefix`` and
+    that stand for a number, an int or a float as the C literal is."""
+    return {name: float(value) if "." in value else int(value) for name, value in
+            re.findall(r"#define (%s\w*)\s+(-?[\d.]+)\s" % prefix, source())}
+
+
 def exported_functions():
     """The functions thomas.c defines at the start of a line without
     ``static``, or a macro that stands for it (ROW_STEP); attributes such
@@ -65,10 +75,10 @@ def python_names(prefix):
 
 
 def test_frame_struct_matches_layer_frame():
-    """_Frame has struct layer_frame's fields, in its order, each of the
+    """_Frame has struct layer_frame's 37 fields, in its order, each of the
     ctypes type of its C type."""
     fields = struct_fields("layer_frame")
-    assert len(fields) > 30 and fields[0] == ("n", ctypes.c_long)
+    assert len(fields) == 37 and fields[0] == ("n", ctypes.c_long)
     assert native._Frame._fields_ == fields
 
 
@@ -80,18 +90,42 @@ def test_out_slots_match_the_out_enum():
 
 def test_layer_status_codes_match():
     codes = defines("LAYER_")
-    assert codes["LAYER_OK"] == 0 and len(codes) == 9
+    assert codes["LAYER_OK"] == 0 and len(codes) == 8
     assert python_names("LAYER_") == codes
 
 
-def test_march_engines_and_calls_match_their_enums():
-    """MARCH_ENGINES maps each engine to its MARCH_* code, and _CALLS, with
-    which _failure names the failing stage of a layer, names the stages in
-    the order of the CALL_* codes."""
-    engines, calls = enum_names("MARCH_NEWTON"), enum_names("CALL_NEWTON")
+def test_march_engines_match_their_enum():
+    """MARCH_ENGINES maps each engine to its MARCH_* code."""
+    engines = enum_names("MARCH_NEWTON")
     assert native.MARCH_ENGINES == {name.removeprefix("MARCH_").lower(): k
                                     for k, name in enumerate(engines)}
-    assert native._CALLS == tuple(name.removeprefix("CALL_").lower() for name in calls)
+
+
+def test_arrays_name_the_array_codes():
+    """ARRAYS, with which native names the array of a non-finite entry
+    from thomas's return code or a failed layer's out[OUT_FAILURE], names
+    thomas.c's ARRAY_* codes in their order, the order of
+    pure.check_finite."""
+    names = tuple(name.removeprefix("ARRAY_").lower() for name in enum_names("ARRAY_LOWER"))
+    assert native.ARRAYS == names == ("lower", "diag", "upper", "rhs")
+
+
+def test_bracket_scan_constants_match():
+    """The numpy twin's predictor scans the bracket that thomas.c's
+    pc_predictor scans."""
+    assert number_defines("BRACKET_") == {
+        "BRACKET_SCAN": _oracles.BRACKET_SCAN, "BRACKET_FACTOR": _oracles.BRACKET_FACTOR,
+        "BRACKET_EXPANSIONS": _oracles.BRACKET_EXPANSIONS}
+
+
+def test_a_failure_needs_no_stage_code_and_no_numpy_check():
+    """A failed layer's row is its whole failure record: thomas.c has no
+    stage codes (CALL_*) and no status for the predictor's missing root,
+    which is a fallback layer, and native, which reads the record, does
+    not import the pure loop's module."""
+    assert not re.search(r"\bCALL_", source())
+    assert "LAYER_NO_BRACKET" not in source()
+    assert pure not in vars(native).values()
 
 
 def test_exports_are_the_functions_native_declares():

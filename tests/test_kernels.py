@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import asianfb
 from asianfb import MarketParams, _kernels, make_grid, march_newton, march_pc, tridiag
 from asianfb._kernels import native, pure
-from asianfb.errors import (LayerFailure, NoBracket, NoConvergence, NonPositiveZ, SingularSchur,
-                            SolverError, ZeroPivot)
+from asianfb.errors import (LayerFailure, NoConvergence, NonPositiveZ, SingularSchur, SolverError,
+                            ZeroPivot)
 from asianfb.mesh import GridSpec, LayerState, initial_layer
 from asianfb.results import LayerDiagnostics
 from asianfb.scheme import SchemeMode
@@ -29,7 +29,7 @@ from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (LayerRows, correct_numpy, frame_start, numpy_layers, one_layer,
+from _oracles import (LayerRows, NoBracket, correct_numpy, frame_start, numpy_layers, one_layer,
                       predictor_numpy, pure_solve, replay)
 from test_tridiag import random_dominant_system
 
@@ -1456,6 +1456,74 @@ def test_failing_march_raises_the_oracle_marches_failure(engine):
         else:
             assert (layer, cause) == (57, NonPositiveZ) and attributes["z"] < 0
         assert tau == grid.taus[layer]
+
+
+def recorded_rows(patch):
+    """A list that gains the rows array of each native.march call made
+    while ``patch`` holds."""
+    seen = []
+    march_in_c = native.march
+
+    def recording(frame, engine, taus, rho, surface, rows, *args, **kwargs):
+        seen.append(rows)
+        return march_in_c(frame, engine, taus, rho, surface, rows, *args, **kwargs)
+    patch.setattr(native, "march", recording)
+    return seen
+
+
+# The first-layer failures of each engine, besides failing_march's, that
+# give it each failure class (failing_layer's for Newton, pc_layer_case's
+# for pc)
+RECORD_LAYER_CASES = {
+    "newton": ["NonPositiveZ", "ZeroPivot past row 0", "SingularSchur", "ValueError in J11"],
+    "pc": ["NoConvergence", "ZeroPivot past row 0", "SingularSchur", "ValueError in J11"],
+}
+
+
+@pytest.mark.parametrize("engine", ["newton", "pc"])
+def test_failed_layers_row_is_its_failure_record(params, engine):
+    """After a failed march, the failing layer's row of the march's rows
+    holds what the raised cause carries: ZeroPivot's index, NonPositiveZ's
+    z, NoConvergence's last step with its iterations (the cap reached) in
+    OUT_ITERATIONS, SingularSchur's denominator, and the index in
+    native.ARRAYS of the array that a non-finite entry's ValueError
+    names."""
+    causes = set()
+    for case in ["limit", "overflow", *RECORD_LAYER_CASES[engine]]:
+        with pytest.MonkeyPatch.context() as patch:
+            rows = recorded_rows(patch)
+            if case in ("limit", "overflow"):
+                march, p, grid, cfg = failing_march(engine, case)
+                with pytest.raises(LayerFailure) as exc:
+                    march(p, grid, SchemeMode.UPWIND_SINGULAR, cfg)
+                layer, cause = exc.value.layer, exc.value.cause
+            else:
+                if engine == "newton":
+                    p, grid, prev, tau_next, cfg = failing_layer(case, params, patch)
+                    frame = native.LayerFrame(grid, p, SchemeMode.UPWIND_SINGULAR)
+                else:
+                    prev, tau_next, frame, cfg = pc_layer_case(case, params, patch)
+                with pytest.raises(Exception) as exc:
+                    one_layer(frame, cfg, prev, tau_next)
+                layer, cause = 1, exc.value
+        row = rows[-1][layer - 1]
+        value = row[native.OUT_FAILURE]
+        if isinstance(cause, ZeroPivot):
+            assert value == cause.index > 0, case
+        elif isinstance(cause, NonPositiveZ):
+            assert value == cause.z, case
+        elif isinstance(cause, NoConvergence):
+            assert (value, row[native.OUT_ITERATIONS]) == (cause.last_step, cause.iterations)
+            assert cause.iterations == cfg.max_iter, case
+        elif isinstance(cause, SingularSchur):
+            assert str(cause).startswith(f"Schur denominator {value:.3e} at"), case
+        else:
+            assert type(cause) is ValueError, case
+            assert str(cause) == f"{native.ARRAYS[int(value)]} contains non-finite values"
+            assert value == (1 if case == "ValueError in J11" else
+                             0 if engine == "newton" else 3), case
+        causes.add(type(cause))
+    assert causes == {ZeroPivot, NonPositiveZ, NoConvergence, SingularSchur, ValueError}
 
 
 @pytest.mark.parametrize("engine", ["newton", "pc"])

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from asianfb._kernels import native
-from asianfb.errors import LayerFailure, NoBracket, NoConvergence, NonPositiveZ
+from asianfb.errors import LayerFailure, NoConvergence, NonPositiveZ
 from asianfb.mesh import LayerState, initial_layer, make_grid
 from asianfb.model import MarketParams
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton
 from asianfb.solver_pc import PredictorConfig, march_pc
 
-from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer, one_layer,
+from _oracles import (NoBracket, build_jacobian, corrector, dense_jacobian, frozen_layer, one_layer,
                       predicted_root, predictor_equations, predictor_numpy, residual_constraint,
                       residual_interior, stationary_state)
 
