@@ -33,14 +33,15 @@ row whose pivot magnitude falls below
   and its caller writes the engine's limits into it; ``native.march``
   hands back the first failure with its layer, a non-finite entry's
   ValueError among them, made from the failure record that C leaves in
-  the failed layer's row of out[] slots.  Its ``native.fixed9_rows`` and
-  ``native.fixed9_surface`` format the CLI's CSV cells, byte for byte as
-  Python's "%.9f" formats every double, for cli._write_fixed9, which
-  streams each output table through them; fixed9_surface takes the
-  surface's taus, xi and pi as float64 arrays and formats all three
-  columns itself.  Without a C compiler, or when the build or the
-  load of the fresh build fails, the first call raises
-  native.KernelUnavailable, which names the compiler or the failed build.
+  the failed layer's row of out[] slots.  ``native.write_table`` and
+  ``native.write_surface`` write the CLI's CSV tables, each cell byte for
+  byte as Python's "%.9f" formats every double: each checks its arrays
+  once and writes the whole table to a binary file in chunks that C
+  formats, write_surface reading the surface's taus, xi and pi in place,
+  as float64 arrays, and formatting all three columns itself.  Without a
+  C compiler, or when the build or the load of the fresh build fails, the
+  first call raises native.KernelUnavailable, which names the compiler or
+  the failed build.
 * ``pure``: the plain Python Thomas loop, whose solutions and failing
   rows thomas.c's repeat bit for bit, with its finiteness and pivot-floor
   checks, which thomas.c makes in C.  The tests hold it against native;

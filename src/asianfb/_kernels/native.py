@@ -3,8 +3,9 @@
 The library exports five functions: ``thomas``, the Thomas solve of
 the kernel contract; ``march``, which steps one engine over the layers
 of a march (see below), and ``published``, which reads the count of
-layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, the
-CLI's CSV cells.  march is the only way into each engine's time layer,
+layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, which
+format the cells of the CLI's CSV tables for ``write_table`` and
+``write_surface``.  march is the only way into each engine's time layer,
 which thomas.c keeps static: Newton's, one function that builds the
 z-free part of a layer and runs its Newton iterations over a
 LayerFrame's buffers, and the predictor-corrector layer's two halves,
@@ -75,18 +76,17 @@ threads at once.  A failed layer's status code, a refused layer
 exception here (``_failure``), from the failure record that C leaves in
 the layer's row of out[] slots; no status code leaves this module.
 
-``fixed9_rows`` checks a table and a buffer once and returns the
-function that writes a chunk of the table's rows into the buffer as CSV
-lines of ``"%.9f"`` cells, byte for byte as Python formats every double,
-NaNs, infinities and cells of hundreds of digits among them.
-``fixed9_surface`` does the same for chunks of layers of surface.csv,
-formatting each layer's tau cell once and the xi cells once per chunk,
-and copying them into every line.  The checks, that each array is
-contiguous and of the right type and shape, are made once per file; each
-chunk passes only offsets into the checked arrays, after checking that
-its range lies within them and fits the buffer, which is sized for cells
-of the widest double, so the C call, which trusts them, stays within the
-arrays.
+``write_table`` (boundary.csv, compare.csv) and ``write_surface``
+(surface.csv) each write one table to a binary file, byte for byte as
+csv.writer writes it with each cell formatted by Python's ``"%.9f"``,
+NaNs, infinities and cells of hundreds of digits among them.  Each checks its arrays once, as
+march checks its own (``_check``), and the two share one chunk loop
+(``_write_chunks``), which owns the table's buffer, sized for cells of
+the widest double, and hands C the offsets of each chunk of at most
+about CHUNK_CELLS cells, so the C call, which trusts them, stays within
+the arrays.  write_surface reads its pi in place, and calls its
+``stored`` before each chunk, so solve's stream writes each chunk of a
+march's surface once the march has stored it.
 """
 
 from __future__ import annotations
@@ -131,6 +131,13 @@ ARRAYS = ("lower", "diag", "upper", "rhs")
  OUT_SLOTS) = range(11)
 MARCH_ENGINES = {"newton": 0, "pc": 1}  # thomas.c's engines of march
 FIXED9_CELL = 320  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
+# The CSV writers format at most this many cells per chunk (or one time
+# layer of surface.csv, when that is more), into a buffer sized for cells of
+# the widest double.  At the defaults a chunk of surface.csv is 19 layers,
+# one write of about 150 KB (the file in 47 KB writes took about 1.3 times
+# as long), from a 3.7 MB buffer: it stays below 4 MiB, from which numpy
+# asks for huge pages (1.6 MB more peak RSS at 6.4 MB).
+CHUNK_CELLS = 12000
 
 _kernel = None  # the loaded library, once load() succeeds
 
@@ -389,7 +396,7 @@ def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=
     another thread that reads the count with ``published`` may read rows
     0 .. count - 1 of surface (and of rho) while the march runs.
 
-    taus must be a contiguous float64 array, rho a contiguous float64
+    taus must be a C-contiguous float64 array, rho a C-contiguous float64
     array of as many entries, surface a C-contiguous float64 (M + 1,
     N + 1) array for the frame's grid's N, rows a C-contiguous float64
     (M, OUT_SLOTS) array, and 0 <= first < stop <= M; anything else, or a
@@ -402,16 +409,12 @@ def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=
     row, rows[layer - 1]; the call stops there, and the count stays at
     that layer.
     """
-    if taus.dtype != np.float64 or taus.ndim != 1 or not taus.flags.c_contiguous:
-        raise ValueError("taus must be a contiguous float64 array")
+    _check("taus", taus, ("M + 1",))
     m = taus.size - 1
     for name, array, shape in (("rho", rho, (m + 1,)),
                                ("surface", surface, (m + 1, frame.g.N + 1)),
                                ("rows", rows, (m, OUT_SLOTS))):
-        if array.dtype != np.float64 or array.shape != shape or \
-                not array.flags.c_contiguous or not array.flags.writeable:
-            raise ValueError(f"{name} must be a writable C-contiguous float64 array of "
-                             f"shape {shape}, to fit taus")
+        _check(name, array, shape, ", to fit taus", writable=True)
     stop = m if stop is None else stop
     if not 0 <= first < stop <= m:
         raise ValueError(f"the layer steps {first}:{stop} must satisfy 0 <= first < stop <= {m}")
@@ -434,84 +437,92 @@ def published(count):
     return _kernel.published(count)
 
 
-def fixed9_bytes(rows, cols):
-    """The buffer ``fixed9_rows`` needs for ``rows`` lines of ``cols`` cells."""
-    return rows * (cols * (FIXED9_CELL + 1) + 1)
+def write_table(fh, header, cells):
+    """Write the CSV table of the (rows, cols) array ``cells`` to the
+    binary file ``fh``, byte for byte as csv.writer writes the header
+    line and each row's cells formatted by Python's ``"%.9f"`` (NaNs,
+    infinities and cells of hundreds of digits among them), in chunks of
+    rows that C formats (see _write_chunks).
 
-
-def fixed9_rows(cells, out):
-    """Check the (rows, cols) float64 array ``cells`` and the uint8 array
-    ``out`` once, and return ``write(start, stop)``, which writes rows
-    start .. stop - 1 of cells into out as CSV lines, each cell as
-    Python's ``"%.9f"`` formats it and each line ended by "\r\n", as
-    csv.writer ends it.
-
-    cells must be C-contiguous with cols >= 1, and out writable and
-    contiguous; anything else raises ValueError.  write raises ValueError
-    unless 0 <= start <= stop <= rows and out holds
-    ``fixed9_bytes(stop - start, cols)`` bytes, so the C function reads
-    and writes only within the two arrays.  It returns the number of
-    bytes written.
+    cells must be a C-contiguous float64 array with rows, cols >= 1;
+    anything else raises ValueError.
     """
     if _kernel is None:
         load()
-    if cells.dtype != np.float64 or cells.ndim != 2 or cells.shape[1] < 1 or \
-            not cells.flags.c_contiguous:
-        raise ValueError("cells must be a C-contiguous float64 array of shape (rows, cols >= 1)")
-    rows, cols = cells.shape
-    return _chunk_writer(_kernel.fixed9_rows, rows, fixed9_bytes(1, cols), cols, out,
-                         [(cells, True)])
+    _check("cells", cells, ("rows", "cols"))
+    cols = cells.shape[1]
+    _write_chunks(fh, header, _kernel.fixed9_rows, cols, [(cells, True)], 1, cols)
 
 
-def fixed9_surface(taus, xi, pi, out):
-    """Check the arrays once, and return ``write(start, stop)``, which
-    writes the surface.csv lines of layers start .. stop - 1 of the
-    (layers, n) float64 array ``pi`` into the uint8 array ``out``: for
-    each layer j and node i the line "tau_j,xi_i,pi_ji\r\n", each cell as
-    Python's ``"%.9f"`` formats it (tau_j formatted once per layer, and
-    the n xi cells once per call).
+def write_surface(fh, taus, xi, pi, stored=None):
+    """Write surface.csv of the (layers, n) array ``pi`` to the binary
+    file ``fh``: the header line "tau,xi,pi", then for each layer j and
+    node i the line "tau_j,xi_i,pi_ji", byte for byte as csv.writer
+    writes the cells formatted by Python's ``"%.9f"``, in chunks of whole
+    layers that C formats (see _write_chunks), formatting each tau cell
+    once and the xi cells once per chunk.
 
-    taus must be a contiguous float64 array of ``layers`` entries, xi one
-    of n entries, pi C-contiguous, and out writable and contiguous;
-    anything else raises ValueError.  write raises ValueError unless 0 <=
-    start <= stop <= layers and out holds ``fixed9_bytes((stop - start)
-    n, 3)`` bytes, so the C function reads and writes only within the
-    arrays, and MemoryError when C cannot allocate the xi cells.  It
-    returns the number of bytes written; the bytes of out after them are
-    unspecified.
+    pi is read in place, so its layers may be stored after the call
+    begins: ``stored(stop)``, when given, is called before each chunk of
+    layers start .. stop - 1 is formatted, and returns True once layers 0
+    .. stop - 1 are final, or False to end the file there, unfinished
+    (solve's stream polls its march's layer count).
+
+    pi must be a C-contiguous float64 array with layers, n >= 1, and taus
+    and xi C-contiguous float64 arrays of layers and n entries; anything
+    else raises ValueError.  Raises MemoryError when C cannot allocate the
+    xi cells.
     """
     if _kernel is None:
         load()
-    if pi.dtype != np.float64 or pi.ndim != 2 or not pi.flags.c_contiguous:
-        raise ValueError("pi must be a C-contiguous float64 array of shape (layers, n)")
+    _check("pi", pi, ("layers", "n"))
     layers, n = pi.shape
-    for name, array, size in (("taus", taus, layers), ("xi", xi, n)):
-        if array.dtype != np.float64 or array.shape != (size,) or not array.flags.c_contiguous:
-            raise ValueError(f"{name} must be a contiguous float64 array of {size} entries")
-    return _chunk_writer(_kernel.fixed9_surface, layers, fixed9_bytes(n, 3), n, out,
-                         [(taus, True), (xi, False), (pi, True)])
+    _check("taus", taus, (layers,), ", to fit pi")
+    _check("xi", xi, (n,), ", to fit pi")
+    _write_chunks(fh, "tau,xi,pi", _kernel.fixed9_surface, n,
+                  [(taus, True), (xi, False), (pi, True)], n, 3, stored)
 
 
-def _chunk_writer(function, units, unit_bytes, cols, out, arrays):
-    """Check ``out`` and return write(start, stop), which calls the C
-    ``function(stop - start, cols, *addresses, out)`` on units (rows or
-    layers) start .. stop - 1 of the checked ``arrays``, each (array,
-    moves) addressed at unit ``start`` if it moves, else at its start,
-    after checking that the chunk lies within the ``units`` units and that
-    its ``unit_bytes`` per unit fit ``out``."""
-    if out.dtype != np.uint8 or out.ndim != 1 or not out.flags.c_contiguous or \
-            not out.flags.writeable:
-        raise ValueError("out must be a writable contiguous uint8 array")
+def _check(name, array, shape, fits="", writable=False):
+    """Raise ValueError, naming the array ``name`` and ending its message
+    with ``fits``, unless ``array`` is a C-contiguous float64 array of
+    ``shape``, each size an int it must equal or a name of any size >= 1,
+    and writable when ``writable``."""
+    if array.dtype != np.float64 or array.ndim != len(shape) or \
+            not array.flags.c_contiguous or writable and not array.flags.writeable or \
+            not all(got == want if isinstance(want, int) else got >= 1
+                    for got, want in zip(array.shape, shape)):
+        sizes = ", ".join(map(str, shape)) + "," * (len(shape) == 1)
+        raise ValueError(f"{name} must be a {'writable ' * writable}C-contiguous float64 "
+                         f"array of shape ({sizes}){fits}")
+
+
+def _write_chunks(fh, header, function, size, arrays, lines, cells, stored=None):
+    """Write the header line, then the units (rows, or layers of rows) of
+    the checked ``arrays`` to the binary file ``fh``, each unit ``lines``
+    CSV lines of ``cells`` cells, in chunks of about CHUNK_CELLS cells and
+    at least one unit: the C ``function(units, size, *addresses, out)``
+    formats each chunk into one buffer, reused for the file, each array
+    (array, moves) addressed at the chunk's first unit if it moves, else
+    at its start.  ``stored`` is write_surface's.
+
+    The buffer holds a chunk's units in cells of the widest double, and
+    the chunk lies within the arrays, so C, which trusts its arguments,
+    reads and writes only within them.
+    """
+    units = arrays[0][0].shape[0]
+    step = max(1, CHUNK_CELLS // (lines * cells))
+    out = np.empty(min(step, units) * lines * (cells * (FIXED9_CELL + 1) + 1), np.uint8)
+    # a memoryview's slices, unlike numpy's, allocate nothing outside Python's
+    # own allocator on the thread that writes
+    view, out_at = memoryview(out), out.ctypes.data
     starts = [(a.ctypes.data, a.strides[0] if moves else 0) for a, moves in arrays]
-    out_at = out.ctypes.data
-
-    def write(start, stop):
-        if not 0 <= start <= stop <= units or (stop - start) * unit_bytes > out.size:
-            raise ValueError(f"the chunk {start}:{stop} of {units} does not fit the arrays "
-                             f"and out ({out.size} bytes)")
-        size = function(stop - start, cols, *[at + start * step for at, step in starts], out_at)
-        if size < 0:
+    fh.write(header.encode() + b"\r\n")
+    for start in range(0, units, step):
+        stop = min(start + step, units)
+        if stored is not None and not stored(stop):
+            return
+        written = function(stop - start, size, *[at + start * s for at, s in starts], out_at)
+        if written < 0:
             raise MemoryError("the CSV writer could not allocate its scratch")
-        return size
-    write.arrays = arrays  # the addresses stay valid while write lives
-    return write
+        fh.write(view[:written])

@@ -14,10 +14,14 @@ one JSON summary per command) written deterministically: repeated runs
 with the same configuration are byte-identical.  Wall time is reported
 on stdout only so it never perturbs the files.
 
-solve streams surface.csv while its march runs: the march stays on the
-calling thread, in one C call that publishes each layer it stores
-through a layer count, and one worker thread formats and writes each
-buffer of layers once the count says they are stored (_SurfaceStream).
+boundary.csv, surface.csv and compare.csv are written by native's
+writers (native.write_table, native.write_surface), which format the
+cells in C, and refine.csv, whose cells mix integers and empty cells,
+by csv.writer.  solve streams surface.csv while its march runs: the
+march stays on the calling thread, in one C call that publishes each
+layer it stores through a layer count, and one worker thread runs
+native.write_surface over the march's surface, which writes each chunk
+of layers once the count says they are stored (_SurfaceStream).
 Its files appear only when the march succeeds; a failed solve leaves the
 output directory as it found it, apart from creating it.  Its stdout
 wall_time is the march's, with the surface stream beside it, and
@@ -100,15 +104,8 @@ DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 _COERCE = {key: kind for key, kind, _, _ in OPTIONS}
 _CHOICES = {"engine": ("newton", "pc"), "scheme_mode": tuple(m.value for m in SchemeMode)}
 _REFINE_ONLY = ("base_N", "levels")
-# The compiled CSV writer formats at most this many cells per chunk (or
-# one time layer of surface.csv, when that is more), into a buffer sized
-# for cells of the widest double.  At the defaults a chunk of surface.csv
-# is 19 layers, one write of about 150 KB (the file in 47 KB writes took
-# about 1.3 times as long), from a 3.7 MB buffer: it stays below 4 MiB,
-# from which numpy asks for huge pages (1.6 MB more peak RSS at 6.4 MB).
-CHUNK_CELLS = 12000
 # Seconds the surface.csv writer sleeps, without the GIL, each time it
-# finds that the march has not yet stored the layers of its next buffer
+# finds that the march has not yet stored the layers of its next chunk
 POLL_S = 2e-5
 
 
@@ -117,7 +114,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    """Fixed 9-decimal rendering used for every CSV number."""
+    """Fixed 9-decimal rendering of a refine.csv cell; native's writers
+    format the other tables' cells byte for byte alike."""
     return f"{x:.9f}"
 
 
@@ -224,75 +222,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_fixed9(fh, header: str, count: int, step: int, out, compiled,
-                  stored=None) -> None:
-    """Write a CSV table of fixed 9-decimal numbers to the binary file
-    ``fh``, byte for byte as csv.writer with _fmt writes it: the header
-    line, then units 0 .. count - 1 of the table (rows, or layers of rows)
-    in chunks of ``step``.
-
-    ``compiled(start, stop)`` (a writer of native.fixed9_rows or
-    native.fixed9_surface) formats a chunk into ``out`` (its uint8 array,
-    or a memoryview of it), one buffer reused for the whole file, so the
-    file is streamed in pieces of at most about CHUNK_CELLS cells, and
-    returns the bytes written.
-
-    ``stored(stop)``, when given, is called before each chunk is
-    formatted: it returns once units 0 .. stop - 1 are final, True, or
-    False to end the table there, unfinished (_SurfaceStream's polls the
-    march's layer count).
-    """
-    fh.write(header.encode() + b"\r\n")
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        if stored is not None and not stored(stop):
-            return
-        fh.write(out[:compiled(start, stop)])
-
-
 def _write_table(path: Path, header: str, columns) -> None:
-    """The CSV table of equal-length float columns, every cell in fixed 9
-    decimals, in chunks of rows that native.fixed9_rows formats (see
-    _write_fixed9), its arrays checked once for the file."""
-    cells = np.ascontiguousarray(np.column_stack(columns), dtype=float)
-    rows, cols = cells.shape
-    step = max(1, CHUNK_CELLS // cols)
-    out = np.empty(native.fixed9_bytes(min(step, rows), cols), np.uint8)
+    """The CSV table of equal-length float64 columns, every cell in fixed 9
+    decimals (native.write_table)."""
     with path.open("wb") as fh:
-        _write_fixed9(fh, header, rows, step, out, native.fixed9_rows(cells, out))
-
-
-def _surface_writer(fh, taus: np.ndarray, xi: np.ndarray, surface: np.ndarray):
-    """Check the arrays and allocate the buffer of the (tau, xi, pi)
-    table, and return ``write(stored=None)``, which writes the table to
-    the binary file ``fh``, byte for byte as csv.writer with _fmt writes
-    it, in chunks of whole time layers (see _write_fixed9, which calls
-    ``stored``).
-
-    The writer of native.fixed9_surface, whose arrays are checked once
-    for the file, formats every cell of each chunk: its xi cells and its
-    tau cells once, and its pi cells.  A C-contiguous float64 surface, a
-    march's, is read in place, so its layers may be stored after this
-    returns, before ``stored`` says they are final.
-
-    Raises ValueError unless taus and xi are 1-D and surface has the shape
-    (taus.size, xi.size).
-    """
-    taus, xi, surface = (np.ascontiguousarray(a, dtype=float) for a in (taus, xi, surface))
-    if taus.ndim != 1 or xi.ndim != 1 or surface.shape != (taus.size, xi.size):
-        raise ValueError(f"surface of shape {surface.shape} does not fit {taus.size} "
-                         f"taus and {xi.size} xi nodes")
-    n = xi.size
-    per = max(1, CHUNK_CELLS // (3 * max(n, 1)))
-    out = np.empty(native.fixed9_bytes(min(per, taus.size) * n, 3), np.uint8)
-    compiled = native.fixed9_surface(taus, xi, surface, out)
-    # a memoryview's slices, unlike numpy's, allocate nothing outside Python's
-    # own allocator on the thread that writes
-    view = memoryview(out)
-
-    def write(stored=None):
-        _write_fixed9(fh, "tau,xi,pi", taus.size, per, view, compiled, stored)
-    return write
+        native.write_table(fh, header, np.column_stack(columns))
 
 
 class _SurfaceStream:
@@ -301,17 +235,17 @@ class _SurfaceStream:
 
     ``ready`` is the march's callback (see results.march), called once,
     before the first layer: it starts the worker, which opens the file
-    under a temporary name in the output directory and makes its writer
-    (_surface_writer, over the march's own surface array) while the march
-    runs.  The worker formats each buffer of layers once the march's layer
-    count, read through native.published, says they are stored, and while
-    it has caught up with the march it sleeps POLL_S at a time, without
-    the GIL; the march makes no call per layer.  ``finish()``, once the
-    march has returned, joins the worker, raises what the worker raised,
-    removes an earlier ``path`` and renames the file to it.  Leaving the
-    ``with`` block stops a worker still waiting, joins it and removes the
-    temporary file, so a failed solve leaves no surface.csv of its own and
-    any earlier one as it was.
+    under a temporary name in the output directory and writes it with
+    native.write_surface, over the march's own surface array, while the
+    march runs, closing it when it ends.  The writer formats each chunk of
+    layers once the march's layer count, read through native.published,
+    says they are stored, and while it has caught up with the march the
+    worker sleeps POLL_S at a time, without the GIL; the march makes no
+    call per layer.  ``finish()``, once the march has returned, joins the
+    worker, raises what the worker raised, removes an earlier ``path`` and
+    renames the file to it.  Leaving the ``with`` block stops a worker
+    still waiting, joins it and removes the temporary file, so a failed
+    solve leaves no surface.csv of its own and any earlier one as it was.
     """
 
     def __init__(self, path: Path, taus: np.ndarray, xi: np.ndarray):
@@ -320,7 +254,7 @@ class _SurfaceStream:
         self.partial = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}.part")
         self.stopped = False
-        self.fh = self.worker = self.error = None
+        self.worker = self.error = None
 
     def ready(self, surface: np.ndarray, count) -> None:
         self.worker = threading.Thread(target=self._write, args=(surface, count))
@@ -334,16 +268,14 @@ class _SurfaceStream:
                 time.sleep(POLL_S)
             return True
         try:
-            self.fh = self.partial.open("wb")
-            _surface_writer(self.fh, self.taus, self.xi, surface)(stored)
+            with self.partial.open("wb") as fh:
+                native.write_surface(fh, self.taus, self.xi, surface, stored)
         except BaseException as exc:  # raised on the calling thread by finish()
             self.error = exc
 
     def _join(self) -> None:
         if self.worker is not None:
             self.worker.join()
-        if self.fh is not None:
-            self.fh.close()
 
     def finish(self) -> None:
         self._join()

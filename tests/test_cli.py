@@ -33,7 +33,7 @@ def run_cli(args, tmp_path, extra=()):
 def write_surface(path, taus, xi, surface):
     """surface.csv of a surface whose every layer is final, by solve's writer."""
     with path.open("wb") as fh:
-        cli._surface_writer(fh, taus, xi, surface)()
+        native.write_surface(fh, taus, xi, surface)
 
 
 def read_json(path):
@@ -249,9 +249,9 @@ class TestSolve:
         out.mkdir(exist_ok=True)
         args = np.array(taus), np.array(xi), np.array(surface)
         write_surface_csv(out / "oracle.csv", *args)
-        for chunk_cells in (cli.CHUNK_CELLS, 1):
+        for chunk_cells in (native.CHUNK_CELLS, 1):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "CHUNK_CELLS", chunk_cells)
+                patch.setattr(native, "CHUNK_CELLS", chunk_cells)
                 write_surface(out / "surface.csv", *args)
             assert (out / "surface.csv").read_bytes() == \
                 (out / "oracle.csv").read_bytes(), chunk_cells
@@ -275,7 +275,7 @@ class TestSolve:
         surface = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
         surface[17, 5] = np.nan
         surface[60, 200] = -1e7
-        assert taus.size > 4 * (cli.CHUNK_CELLS // (3 * xi.size))  # more than 4 chunks
+        assert taus.size > 4 * (native.CHUNK_CELLS // (3 * xi.size))  # more than 4 chunks
         write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
         write_surface(tmp_path / "surface.csv", taus, xi, surface)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -298,11 +298,11 @@ class TestSolve:
             xi[100] = bad
         else:
             surface[7, 100] = bad
-        assert taus.size > 2 * (cli.CHUNK_CELLS // (3 * xi.size))  # more than 2 chunks
+        assert taus.size > 2 * (native.CHUNK_CELLS // (3 * xi.size))  # more than 2 chunks
         write_surface_csv(tmp_path / "oracle.csv", taus, xi, surface)
-        for chunk_cells in (cli.CHUNK_CELLS, 1):
+        for chunk_cells in (native.CHUNK_CELLS, 1):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "CHUNK_CELLS", chunk_cells)
+                patch.setattr(native, "CHUNK_CELLS", chunk_cells)
                 write_surface(tmp_path / "surface.csv", taus, xi, surface)
             assert (tmp_path / "surface.csv").read_bytes() == \
                 (tmp_path / "oracle.csv").read_bytes(), chunk_cells
@@ -325,24 +325,52 @@ class TestSolve:
         g = make_grid(params, N=200)
         assert (g.taus.size, g.xi.size) == (501, 201)
         fh = RecordingFile()
-        cli._surface_writer(fh, g.taus, g.xi, rng.uniform(-1.0, 0.0, (501, 201)))()
+        native.write_surface(fh, g.taus, g.xi, rng.uniform(-1.0, 0.0, (501, 201)))
         assert len(fh.sizes) <= 30, fh.sizes
         assert fh.buffer_bytes < 4 * 2**20
 
     def test_surface_writer_rejects_mismatched_shapes(self, tmp_path):
+        """A surface that is not 2-D, or whose shape does not fit the taus
+        and xi, is refused, naming the array that does not fit."""
         taus, xi = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5])
-        for surface in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(6),
-                        np.zeros((4, 2))):
-            with pytest.raises(ValueError, match="does not fit"):
+        for surface, name in ((np.zeros((2, 2)), "taus"), (np.zeros((3, 3)), "xi"),
+                              (np.zeros((3, 1)), "xi"), (np.zeros(6), "pi"),
+                              (np.zeros((4, 2)), "taus")):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
                 write_surface(tmp_path / "surface.csv", taus, xi, surface)
 
-    def test_surface_writer_takes_strided_and_non_float64_input(self, tmp_path):
-        taus = np.arange(6, dtype=np.float32)[::2]
-        xi = np.array([0, 1, 2])
-        surface = np.asfortranarray(np.arange(9.0).reshape(3, 3) / 7.0)
-        write_surface_csv(tmp_path / "oracle.csv", taus.astype(float), xi.astype(float),
-                          np.ascontiguousarray(surface))
-        write_surface(tmp_path / "surface.csv", taus, xi, surface)
+    def test_surface_writer_refuses_strided_and_non_float64_input(self, tmp_path):
+        """A taus, xi or pi that is not C-contiguous float64 is refused, not
+        copied: pi is read in place, as its layers are stored."""
+        taus, xi, pi = np.arange(3.0), np.arange(3.0), np.arange(9.0).reshape(3, 3) / 7.0
+        for name, bad in (("taus", np.arange(6, dtype=np.float32)[::2]),
+                          ("taus", np.arange(6.0)[::2]), ("xi", np.array([0, 1, 2])),
+                          ("pi", np.asfortranarray(pi))):
+            args = {"taus": taus, "xi": xi, "pi": pi, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                write_surface(tmp_path / "surface.csv", args["taus"], args["xi"], args["pi"])
+
+    @pytest.mark.parametrize("chunk_cells", ["default", 1])
+    def test_surface_writer_reads_pi_in_place(self, tmp_path, monkeypatch, rng, chunk_cells):
+        """write_surface reads each chunk of pi when ``stored`` says it is
+        final, not before: here stored fills layers 0 .. stop - 1 of a pi
+        of NaNs just before it returns True, and the file is the filled
+        table's, as it would not be had the writer copied pi on entry."""
+        taus, xi = np.linspace(0.0, 50.0, 41), np.linspace(0.0, 3.0, 201)
+        want = rng.uniform(-1.0, 0.0, (taus.size, xi.size))
+        pi = np.empty_like(want)
+        pi.fill(np.nan)
+
+        def stored(stop):
+            pi[:stop] = want[:stop]
+            return True
+
+        if chunk_cells != "default":
+            monkeypatch.setattr(native, "CHUNK_CELLS", chunk_cells)
+        assert taus.size > 2 * (native.CHUNK_CELLS // (3 * xi.size))  # more than 2 chunks
+        write_surface_csv(tmp_path / "oracle.csv", taus, xi, want)
+        with (tmp_path / "surface.csv").open("wb") as fh:
+            native.write_surface(fh, taus, xi, pi, stored)
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_table_writer_matches_csv_writer_bytes(self, tmp_path, rng):
@@ -640,28 +668,35 @@ class TestConfigResolution:
 
     def test_writer_reads_only_published_layers(self, tmp_path, monkeypatch):
         """While a solve's march runs, and fails late, its surface.csv
-        writer formats no buffer before the march has published every
-        layer in it; the failed solve leaves the output directory as it
-        found it, and no worker thread."""
-        marches, buffers = [], []
-        march, fixed9_surface = native.march, native.fixed9_surface
+        writer formats no chunk before the march has published every layer
+        in it; the failed solve leaves the output directory as it found it,
+        and no worker thread."""
+        native.load()
+        marches, buffers = [], []  # (surface address, count) of each march
 
-        def publishing_march(*args):
-            marches.append(args[-1])
-            return march(*args)
+        class RecordingKernel:
+            """native's library, each call forwarded to it; records each
+            chunk of surface.csv that C formats."""
 
-        def recording_surface(*args):
-            write = fixed9_surface(*args)
+            def __init__(self, library):
+                self.library = library
 
-            def recorded(start, stop):
-                # the last layer the buffer reads, and the count the march
-                # had published when the writer began to read it
-                buffers.append((stop - 1, native.published(marches[0])))
-                return write(start, stop)
-            return recorded
+            def __getattr__(self, name):
+                return getattr(self.library, name)
 
-        monkeypatch.setattr(native, "march", publishing_march)
-        monkeypatch.setattr(native, "fixed9_surface", recording_surface)
+            def march(self, *args):
+                marches.append((args[7], args[-1]))
+                return self.library.march(*args)
+
+            def fixed9_surface(self, layers, n, taus, xi, pi, out):
+                # the last layer the chunk reads, and the count the march
+                # had published when C began to read it
+                surface, count = marches[0]
+                buffers.append(((pi - surface) // (8 * n) + layers - 1,
+                                self.library.published(count)))
+                return self.library.fixed9_surface(layers, n, taus, xi, pi, out)
+
+        monkeypatch.setattr(native, "_kernel", RecordingKernel(native._kernel))
         out = tmp_path / "out"
         out.mkdir()
         (out / "surface.csv").write_bytes(b"an earlier surface")
@@ -670,7 +705,7 @@ class TestConfigResolution:
         assert threading.active_count() == threads
         assert [(path.name, path.read_bytes()) for path in out.iterdir()] == \
             [("surface.csv", b"an earlier surface")]
-        assert marches[0].value == 499  # the march stored layers 0 .. 498
+        assert marches[0][1].value == 499  # the march stored layers 0 .. 498
         assert buffers and all(last < count for last, count in buffers), buffers
         assert buffers[-1][0] < 499
 
@@ -678,13 +713,11 @@ class TestConfigResolution:
         """An error of the surface.csv writer, on its worker thread, is
         raised by solve once the march ends, and leaves no surface.csv and
         no temporary file."""
-        def failing_writer(*args):
-            def write(stored):
-                stored(2)
-                raise OSError("no space left")
-            return write
+        def failing_writer(fh, taus, xi, pi, stored=None):
+            stored(2)
+            raise OSError("no space left")
 
-        monkeypatch.setattr(cli, "_surface_writer", failing_writer)
+        monkeypatch.setattr(native, "write_surface", failing_writer)
         with pytest.raises(OSError, match="no space left"):
             run_cli(["solve", "--N", "16"], tmp_path)
         assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ import contextlib
 import ctypes
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -553,34 +554,52 @@ def test_strided_input(backend):
     assert single.tobytes() == want[1].tobytes()
 
 
+def table_bytes(cells, header="a,b", chunk_cells=None):
+    """The file native.write_table writes for ``cells``, and its writes,
+    in chunks of ``chunk_cells`` cells (by default native's)."""
+    class RecordingFile(io.BytesIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, data):
+            self.sizes.append(memoryview(data).nbytes)
+            return super().write(data)
+
+    fh = RecordingFile()
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_cells is not None:
+            patch.setattr(native, "CHUNK_CELLS", chunk_cells)
+        native.write_table(fh, header, cells)
+    return fh.getvalue(), fh.sizes
+
+
 class TestFixed9Rows:
-    """native.fixed9_rows, the compiled CSV cell writer (the CSV tests
-    compare whole files with csv.writer's)."""
+    """native.write_table, the compiled CSV table writer, and the checks
+    of native.write_surface (the CSV tests compare whole files with
+    csv.writer's)."""
 
     def test_lines_and_byte_count(self):
         cells = np.array([[0.0009765625, -0.0], [-1e-12, np.nextafter(4.5e6, 0.0)]])
-        out = np.full(native.fixed9_bytes(2, 2), 255, np.uint8)
-        write = native.fixed9_rows(cells, out)
-        size = write(0, 2)
-        assert out[:size].tobytes() == \
-            b"0.000976562,-0.000000000\r\n-0.000000000,4499999.999999999\r\n"
-        assert out[size:].tobytes() == b"\xff" * (out.size - size)
-        # a chunk starts at its offset into the checked cells
-        assert out[:write(1, 2)].tobytes() == b"-0.000000000,4499999.999999999\r\n"
-        assert write(1, 1) == 0
+        lines = [b"0.000976562,-0.000000000\r\n", b"-0.000000000,4499999.999999999\r\n"]
+        data, sizes = table_bytes(cells)
+        assert data == b"a,b\r\n" + b"".join(lines)
+        assert sizes == [5, len(lines[0]) + len(lines[1])]
+        # one row a chunk: each chunk starts at its offset into the checked cells
+        data, sizes = table_bytes(cells, chunk_cells=1)
+        assert data == b"a,b\r\n" + b"".join(lines)
+        assert sizes == [5, *map(len, lines)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.5e6, -4.5e6, 1e300])
     def test_hands_back_the_first_cell_it_cannot_format(self, bad):
         """The cells the writer once handed back to Python (non-finite, or
         of magnitude 4.5e6 and over) it now writes itself, as "%.9f" does,
-        in whole-surface and in chunked writes."""
+        in whole-table and in chunked writes."""
         cells = np.zeros((3, 2))
         cells[1, 1] = cells[2, 0] = bad
-        out = np.empty(native.fixed9_bytes(3, 2), np.uint8)
-        write = native.fixed9_rows(cells, out)
-        want = ["%.9f,%.9f\r\n" % tuple(row) for row in cells.tolist()]
-        assert out[:write(0, 3)].tobytes().decode() == "".join(want)
-        assert out[:write(1, 3)].tobytes().decode() == "".join(want[1:])
+        want = "a,b\r\n" + "".join("%.9f,%.9f\r\n" % tuple(row) for row in cells.tolist())
+        for chunk_cells in (None, 1):
+            assert table_bytes(cells, chunk_cells=chunk_cells)[0].decode() == want
 
     def test_matches_python_on_every_double_class(self):
         """Every cell as Python's "%.9f" writes it: 200 000 doubles from
@@ -594,55 +613,30 @@ class TestFixed9Rows:
                  sys.float_info.max]
         bits = np.random.default_rng(27).integers(0, 2**64, 200_000, np.uint64)
         cells = np.concatenate([edges, np.negative(edges), bits.view(np.float64)]).reshape(-1, 4)
-        out = np.empty(native.fixed9_bytes(*cells.shape), np.uint8)
-        size = native.fixed9_rows(cells, out)(0, cells.shape[0])
-        assert out[:size].tobytes().decode().split("\r\n") == \
-            [",".join(["%.9f" % x for x in row]) for row in cells.tolist()] + [""]
+        data, _ = table_bytes(cells, header="a,b,c,d")
+        assert data.decode().split("\r\n") == \
+            ["a,b,c,d"] + [",".join(["%.9f" % x for x in row]) for row in cells.tolist()] + [""]
 
     def test_rejects_buffers_it_could_overrun(self):
         cells = np.zeros((4, 3))
-        out = np.empty(native.fixed9_bytes(4, 3), np.uint8)
         for bad_cells in (cells.astype(np.float32), cells[:, ::2], np.asfortranarray(cells),
                           cells.ravel(), np.zeros((4, 0))):
             with pytest.raises(ValueError, match="cells"):
-                native.fixed9_rows(bad_cells, out)
-        for bad_out in (out.view(np.int8), out[::2], np.zeros((2, out.size // 2), np.uint8)):
-            with pytest.raises(ValueError, match="out"):
-                native.fixed9_rows(cells, bad_out)
-        for small_out in (out[:-1], out[::2].copy()[:0]):
-            with pytest.raises(ValueError, match="out"):
-                native.fixed9_rows(cells, small_out)(0, 4)
-        write = native.fixed9_rows(cells, out)
-        for start, stop in ((-1, 2), (3, 5), (2, 1)):
-            with pytest.raises(ValueError, match="does not fit"):
-                write(start, stop)
-
-    def test_surface_rejects_chunks_outside_its_arrays(self):
-        taus, xi, pi = np.zeros(3), np.array([0.0, -2.5]), np.zeros((3, 2))
-        out = np.empty(native.fixed9_bytes(2 * 2, 3), np.uint8)
-        write = native.fixed9_surface(taus, xi, pi, out)
-        assert out[:write(1, 3)].tobytes() == \
-            b"0.000000000,0.000000000,0.000000000\r\n0.000000000,-2.500000000,0.000000000\r\n" * 2
-        for start, stop in ((-1, 1), (2, 4), (0, 3)):  # (0, 3) does not fit out
-            with pytest.raises(ValueError, match="does not fit"):
-                write(start, stop)
+                native.write_table(io.BytesIO(), "a,b,c", bad_cells)
 
     def test_surface_rejects_arrays_it_could_overrun(self):
         """taus and xi are checked alike: float64, contiguous, one entry a
         layer or a node."""
         taus, xi, pi = np.zeros(3), np.zeros(2), np.zeros((3, 2))
-        out = np.empty(native.fixed9_bytes(3 * 2, 3), np.uint8)
         for name, good in (("taus", taus), ("xi", xi)):
             for bad in (good.astype(np.float32), np.zeros(2 * good.size)[::2],
                         np.zeros(good.size + 1), good.reshape(1, -1)):
-                args = {"taus": taus, "xi": xi, "pi": pi, "out": out, name: bad}
-                with pytest.raises(ValueError, match=name):
-                    native.fixed9_surface(**args)
+                args = {"taus": taus, "xi": xi, "pi": pi, name: bad}
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    native.write_surface(io.BytesIO(), **args)
         for bad_pi in (pi.astype(np.float32), np.asfortranarray(pi), pi.ravel()):
-            with pytest.raises(ValueError, match="pi"):
-                native.fixed9_surface(taus, xi, bad_pi, out)
-        with pytest.raises(ValueError, match="out"):
-            native.fixed9_surface(taus, xi, pi, out[::2])
+            with pytest.raises(ValueError, match="^pi must be"):
+                native.write_surface(io.BytesIO(), taus, xi, bad_pi)
 
 
 # (r, q, sigma) at T = 50 of the bit-identity runs: the reference point and
