@@ -15,33 +15,12 @@ row whose pivot magnitude falls below
 ``max(pivot_rtol * max|diag|, ulp(0.0))`` (``pure.pivot_floor``).
 
 * ``native``: thomas.c through ctypes, compiled by ``cc`` on first use
-  in a process into a cache next to the source (see native.py), and the
-  only kernel that runs.  Next to ``thomas`` it runs each engine's time
-  layers in C, through ``native.march`` alone: Newton's layer is one
-  static C function, which builds the layer's z-free part in a
-  ``native.LayerFrame`` and runs its iterations there, and the
-  predictor-corrector's is two, pc_predictor (the scalar root) and
-  pc_corrector (the z-free part, the three solves and the layer's
-  diagnostics over the frame).  Every solve of the kernel is one
-  elimination, whose downward and upward chains meet at a row:
-  ``thomas``'s and Newton's at the last row, which makes it the Thomas
-  sweep, pc's in the middle.  ``native.march`` runs one engine's march
-  over them, every layer in one call (or a range of layers, from those
-  already stored), publishing each stored layer through a layer count
-  when given one and skipping the passes that only fill diagnostics when
-  its frame says so.  A march's frame holds its constants, filled once,
-  and its caller writes the engine's limits into it; ``native.march``
-  hands back the first failure with its layer, a non-finite entry's
-  ValueError among them, made from the failure record that C leaves in
-  the failed layer's row of out[] slots.  ``native.write_table`` and
-  ``native.write_surface`` write the CLI's CSV tables, each cell byte for
-  byte as Python's "%.9f" formats every double: each checks its arrays
-  once and writes the whole table to a binary file in chunks that C
-  formats, write_surface reading the surface's taus, xi and pi in place,
-  as float64 arrays, and formatting all three columns itself.  Without a
-  C compiler, or when the build or the load of the fresh build fails, the
-  first call raises native.KernelUnavailable, which names the compiler or
-  the failed build.
+  in a process into a cache next to the source, and the only kernel that
+  runs: ``thomas``, each engine's march (``native.march``, the only way
+  into the C time layers) and the CLI's CSV writers, each described in
+  native's docstring.  Without a C compiler, or when the build or the
+  load of the fresh build fails, the first call raises
+  native.KernelUnavailable.
 * ``pure``: the plain Python Thomas loop, whose solutions and failing
   rows thomas.c's repeat bit for bit, with its finiteness and pivot-floor
   checks, which thomas.c makes in C.  The tests hold it against native;

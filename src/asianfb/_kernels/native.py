@@ -3,7 +3,7 @@
 The library exports five functions: ``thomas``, the Thomas solve of
 the kernel contract; ``march``, which steps one engine over the layers
 of a march (see below), and ``published``, which reads the count of
-layers it has stored; and ``fixed9_rows`` and ``fixed9_surface``, which
+layers a march has stored from its frame; and ``fixed9_rows`` and ``fixed9_surface``, which
 format the cells of the CLI's CSV tables for ``write_table`` and
 ``write_surface``.  march is the only way into each engine's time layer,
 which thomas.c keeps static: Newton's, one function that builds the
@@ -57,18 +57,19 @@ eliminate inside their layer calls.
 A march makes one LayerFrame (results.march does): the buffers of its
 layer system, which it owns, and the _Frame struct that hands them to C
 with the march's constants (T, h, h**2, r, q, sigma**2 and their
-products), filled once.  The frame's ``set_limits`` writes an engine's
-limits into its struct (Newton's tol and max_iter, or the predictor's
-root search, the eliminations' pivot_rtol and schur_floor, and
-``diagnostics``, 1 unless set to 0).  ``march`` runs the layers of a
-march in one C call, which holds no GIL, into arrays the caller
-allocates: C copies each stored layer forward, builds every layer's
-z-free part itself and starts Newton's layers 3 .. M - 1 from an
-extrapolation of the stored layers before them.  It runs every layer of
-the time mesh it is given, or a range of them from the layers already
-stored.  With the frame's ``diagnostics`` 0 its layers skip the passes
-that only fill diagnostics.  Given a layer count, it publishes each
-layer it stores there, and another thread that reads the count with
+products), filled once.  The frame's ``set_limits`` writes the limits of
+the engine it marches into its struct (one tol and max_iter: Newton's
+step tolerance and iteration cap, or the predictor's root tolerance and
+cap; the eliminations' pivot_rtol and schur_floor; and ``diagnostics``,
+1 unless set to 0).  ``march`` runs the layers of a march in one C call,
+which holds no GIL, into arrays the caller allocates: C copies each
+stored layer forward, builds every layer's z-free part once and starts
+Newton's layers 3 .. M - 1 from an extrapolation of the stored layers
+before them.  It runs every layer of the time mesh it is given, or a
+range of them from the layers already stored.  With the frame's
+``diagnostics`` 0 its layers skip the passes that only fill
+diagnostics.  Every march publishes the number of layers it has stored
+in its frame's struct, and another thread that reads it with
 ``published`` may read those layers while the march runs.
 Marches in different frames share nothing, so they may run in different
 threads at once.  A failed layer's status code, a refused layer
@@ -225,9 +226,9 @@ def load() -> None:
         _remove_stale(path)
     double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     library.thomas.argtypes = [long, long] + [pointer] * 4 + [double, pointer, pointer]
-    # march: (frame, engine, total, first, stop, taus, rho, surface, rows, failed, count)
-    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 4 + [ctypes.POINTER(long)] * 2
-    library.published.argtypes = [ctypes.POINTER(long)]
+    # march: (frame, engine, total, first, stop, taus, rho, surface, rows, failed)
+    library.march.argtypes = [pointer] + [long] * 4 + [pointer] * 4 + [ctypes.POINTER(long)]
+    library.published.argtypes = [pointer]
     library.fixed9_rows.argtypes = [long, long, pointer, pointer]
     library.fixed9_surface.argtypes = [long, long] + [pointer] * 4
     for function in (library.thomas, library.march, library.published, library.fixed9_rows,
@@ -276,10 +277,10 @@ class _Frame(ctypes.Structure):
     """thomas.c's struct layer_frame."""
 
     _fields_ = [(name, ctypes.c_long) for name in
-                ("n", "upwind", "diagnostics", "max_iter", "root_max_iter")] + \
+                ("n", "upwind", "diagnostics", "max_iter", "count")] + \
         [(name, ctypes.c_double) for name in
-         ("T", "h", "h2", "two_h", "r", "q", "half_sig2", "diff", "sig2", "tol", "root_tol",
-          "pivot_rtol", "schur_floor")] + \
+         ("T", "h", "h2", "two_h", "r", "q", "half_sig2", "diff", "sig2", "tol", "pivot_rtol",
+          "schur_floor")] + \
         [(name, ctypes.c_void_p) for name in
          ("exp_neg_xi", "ds", "half_ds_h", "rhs", "lower", "diag", "upper", "da", "dc",
           "db", "onesided", "f", "single", "cp", "piv", "x", "y", "first", "out")]
@@ -308,7 +309,8 @@ class LayerFrame:
 
     The struct holds the march's constants (T, h, h**2, r, q, sigma**2
     and their products) and the buffers' addresses, so a buffer must not
-    be replaced; the march's caller writes its limits into it.
+    be replaced; the march's caller writes its limits into it, and each
+    march publishes its layer count there (0 until the first march).
     Constructing a frame loads the kernel (see load()), and raises
     ValueError when the constants are out of range (mesh.layer_constants
     computes and checks them).
@@ -367,7 +369,7 @@ def _failure(frame, status, out, tau_prev, tau_next):
     return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
-def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=None):
+def march(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
     """Layers first + 1 .. stop of the march of ``engine`` ("newton" or
     "pc") on the time mesh ``taus`` of M + 1 entries in the LayerFrame
     ``frame``, in one C call, into the caller's arrays: layer j + 1 from
@@ -391,23 +393,23 @@ def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=
     predictor's iterations in OUT_ITERATIONS and 1 in OUT_FALLBACK on its
     fallback layers).
 
-    ``count``, a ctypes.c_long, publishes the layers as they are stored:
-    once layer j + 1 is, C stores j + 2 there with release ordering, so
-    another thread that reads the count with ``published`` may read rows
-    0 .. count - 1 of surface (and of rho) while the march runs.
+    The call publishes the layers in the frame as they are stored: C
+    stores first + 1 there on entry and j + 2 once layer j + 1 is stored,
+    with release ordering, so another thread that reads the count with
+    ``published(frame)`` may read rows 0 .. count - 1 of surface (and of
+    rho) while the march runs.
 
     taus must be a C-contiguous float64 array, rho a C-contiguous float64
     array of as many entries, surface a C-contiguous float64 (M + 1,
     N + 1) array for the frame's grid's N, rows a C-contiguous float64
-    (M, OUT_SLOTS) array, and 0 <= first < stop <= M; anything else, or a
-    count that is not a ctypes.c_long, raises ValueError, before any
-    pointer reaches C.
+    (M, OUT_SLOTS) array, and 0 <= first < stop <= M; anything else
+    raises ValueError, before any pointer reaches C.
 
-    Returns None, or (layer, exception) of the first layer call that
-    failed (a ValueError naming the array when an elimination met a
-    non-finite entry), made from the failure record that C leaves in its
-    row, rows[layer - 1]; the call stops there, and the count stays at
-    that layer.
+    Returns None, the count then at stop + 1, or (layer, exception) of
+    the first layer that failed (a ValueError naming the array when an
+    elimination met a non-finite entry), made from the failure record
+    that C leaves in its row, rows[layer - 1]; the call stops there, and
+    the count stays at that layer.
     """
     _check("taus", taus, ("M + 1",))
     m = taus.size - 1
@@ -418,23 +420,22 @@ def march(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=
     stop = m if stop is None else stop
     if not 0 <= first < stop <= m:
         raise ValueError(f"the layer steps {first}:{stop} must satisfy 0 <= first < stop <= {m}")
-    if count is not None and type(count) is not ctypes.c_long:
-        raise ValueError("count must be a ctypes.c_long")
     failed = ctypes.c_long()
     status = _kernel.march(frame.address, MARCH_ENGINES[engine], m, first, stop,
                            *[a.ctypes.data for a in (taus, rho, surface, rows)],
-                           ctypes.byref(failed), count)
+                           ctypes.byref(failed))
     if status == LAYER_OK:
         return None
     j = failed.value
     return j, _failure(frame, status, rows[j - 1].tolist(), float(taus[j - 1]), float(taus[j]))
 
 
-def published(count):
-    """The number of layers a march has stored, from its ``count`` (see
-    march), loaded in C with acquire ordering: every read this thread
-    makes after the call sees those layers as the march stored them."""
-    return _kernel.published(count)
+def published(frame):
+    """The number of layers the last march in the LayerFrame ``frame`` has
+    stored (see march), loaded in C with acquire ordering: every read this
+    thread makes after the call sees those layers as the march stored
+    them."""
+    return _kernel.published(frame.address)
 
 
 def write_table(fh, header, cells):

@@ -4,8 +4,9 @@
  * with the static time layers of both engines (newton_layer, Newton's
  * iterations, and pc_predictor and pc_corrector, the two halves of a
  * predictor-corrector layer), and published, which reads the count of
- * layers it has stored (below); and fixed9_rows and fixed9_surface, the
- * CSV writer's "%.9f" cells of every double (at the end).
+ * layers a march has stored from its frame (below); and fixed9_rows and
+ * fixed9_surface, the CSV writer's "%.9f" cells of every double (at the
+ * end).
  *
  * Every solve here is one elimination (a twisted factorization: Fernando,
  * SIAM J. Matrix Anal. Appl. 18, 1997): a downward chain of rows 0 ..
@@ -191,12 +192,13 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
 
 /* The time layers: newton_layer, Newton's iterations, and pc_corrector,
  * pc's corrector with the layer's diagnostics, each over the buffers of a
- * native.LayerFrame, which frame_start fills first with the layer's
- * z-free part; and pc_predictor, the predictor's scalar root.  Each takes
- * the march's constants and buffers, bound once in a struct layer_frame,
- * y among them, and the layer's own scalars as arguments.  They are
- * static: march, the only way into them, calls them for every layer of a
- * march.  They stay out of line (noinline), as they were when exported:
+ * native.LayerFrame; and pc_predictor, the predictor's scalar root.  Each
+ * takes the march's constants and buffers, bound once in a struct
+ * layer_frame, y among them, and the struct layer of the layer's z-free
+ * scalars, which frame_start computes, filling the frame's z-free buffers
+ * with them.  They are static: march, the only way into them, calls
+ * frame_start once for every layer of a march and then the engine's layer
+ * functions.  They stay out of line (noinline), as they were when exported:
  * inlined into march, they move every function after it, and
  * fixed9_surface, whose speed has moved with its address modulo 64, to
  * another offset.
@@ -261,17 +263,19 @@ long thomas(long n, long ncol, const double *a, const double *c, const double *b
  * right-hand side, which pc solves in place, piv the pivots of the last
  * forward sweep, and first the interior values of the first iterate of a
  * Newton layer that does not start from the previous layer (march's
- * extrapolated start).  tol and max_iter are Newton's; the predictor has
- * its own root_tol and root_max_iter.  diagnostics is 1 in every
+ * extrapolated start).  tol and max_iter are the limits of the one engine
+ * the frame marches: Newton's step tolerance and iteration cap, or the
+ * predictor's root tolerance and cap.  diagnostics is 1 in every
  * LayerFrame; 0 makes the layer functions skip the passes that only fill
- * diagnostics (see above). */
+ * diagnostics (see above).  count is the number of layers stored, which
+ * march publishes (see march); a LayerFrame starts it at 0. */
 struct layer_frame {
     long n;
     long upwind;            /* 1 in upwind-singular mode, 0 in central mode */
     long diagnostics;
-    long max_iter, root_max_iter;
+    long max_iter, count;
     double T, h, h2, two_h, r, q, half_sig2, diff, sig2;
-    double tol, root_tol, pivot_rtol, schur_floor;
+    double tol, pivot_rtol, schur_floor;
     const double *exp_neg_xi;
     double *ds, *half_ds_h, *rhs;
     double *lower, *diag, *upper, *da, *dc, *db;
@@ -281,8 +285,8 @@ struct layer_frame {
 
 /* The z-free scalars of one layer, which frame_start computes. */
 struct layer {
-    double z_prev, dt, diag_base, c0, c1, j21_y1, j21_y2;
-    double inv_dt, inv_ttm, half_inv_h;  /* 1/dt, 1/ttm and 0.5/h */
+    double z_prev, dt, ttm, diag_base, c0, c1, j21_y1, j21_y2;
+    double inv_dt, inv_ttm, d_coef, half_inv_h;  /* 1/dt, 1/ttm, q + 1/ttm and 0.5/h */
 };
 
 /* The layer functions' status codes (native.py names them).  A failing
@@ -320,7 +324,8 @@ static double py_max(double a, double b)
 /* The z-free part of the layer from (tau_prev, y_prev = f->y, z_prev) to
  * tau_next (the oracles' frame_start): the constraint's c0 and c1 with
  * F2 = z - c0 - c1 (-3 y_0 + 4 y_1 - y_2)/(2h), its row J21, dt, ttm, the
- * reciprocals 1/dt, 1/ttm and 0.5/h that every row multiplies by,
+ * reciprocals 1/dt, 1/ttm and 0.5/h that every row multiplies by, and
+ * q + 1/ttm, the predictor's dG/dz,
  * ds_i/dz = e^{-xi_i}/ttm and its 0.5/h scaling, the central diagonal
  * and rhs = y_prev/dt.  diag, dc and onesided are filled only in central
  * mode: in upwind mode build_row rewrites every row of them before
@@ -329,19 +334,19 @@ static double py_max(double a, double b)
 static long frame_start(const struct layer_frame *f, struct layer *l, double tau_prev,
                         double tau_next, double z_prev)
 {
-    double ttm, denom, d_coef;
+    double ttm, denom;
     long i;
 
     if (!(tau_next < f->T))
         return LAYER_PAST_MATURITY;
-    ttm = f->T - tau_next;
+    l->ttm = ttm = f->T - tau_next;
     denom = 1.0 + f->q * ttm;
     l->c0 = (1.0 + f->r * ttm) / denom;
     l->c1 = f->half_sig2 * ttm / denom;
     l->inv_ttm = 1.0 / ttm;
-    d_coef = f->q + l->inv_ttm;
-    l->j21_y1 = -f->sig2 / (d_coef * f->h);
-    l->j21_y2 = f->sig2 / (4.0 * d_coef * f->h);
+    l->d_coef = f->q + l->inv_ttm;
+    l->j21_y1 = -f->sig2 / (l->d_coef * f->h);
+    l->j21_y2 = f->sig2 / (4.0 * l->d_coef * f->h);
     l->dt = tau_next - tau_prev;
     if (l->dt <= 0)
         return LAYER_NON_POSITIVE_STEP;
@@ -581,32 +586,29 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
     f->out[OUT_BACKWARD_ERROR] = backward;
 }
 
-/* Newton's iterations on the layer from (tau_prev, y, z_prev) to
- * tau_next, updating the frame's y[1..n] (the previous layer on entry) in
- * place, with the frame's tol, max_iter, pivot_rtol and schur_floor.  The
- * first iterate is the previous layer when y_start is NULL, else
+/* Newton's iterations on the layer l started by frame_start from
+ * (y, z_prev), updating the frame's y[1..n] (the previous layer on entry)
+ * in place, with the frame's tol, max_iter, pivot_rtol and schur_floor.
+ * The first iterate is the previous layer when y_start is NULL, else
  * (y_start[0..n-1], z_start) as y[1..n] and z; the previous layer stays
  * in the layer's rhs = y_prev/dt and in mu's (z - z_prev)/(dt z) either
  * way.  Returns LAYER_OK with the accepted z and the layer's diagnostics
- * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure:
- * frame_start's, or with its failure record in out[] (the non-positive z,
- * the non-finite array, the failing pivot row, the Schur denominator, or
- * the last step and max_iter).  Without the frame's diagnostics
- * out[OUT_RESIDUAL_F1], out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2]
- * are NaN, and F1 at the accepted z is not built. */
-static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, double tau_prev, double tau_next,
-                         double z_prev, const double *y_start, double z_start)
+ * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure,
+ * with its failure record in out[] (the non-positive z, the non-finite
+ * array, the failing pivot row, the Schur denominator, or the last step
+ * and max_iter).  Without the frame's diagnostics out[OUT_RESIDUAL_F1],
+ * out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2] are NaN, and F1 at the
+ * accepted z is not built. */
+static __attribute__((noinline)) long newton_layer(const struct layer_frame *f,
+                                                   const struct layer *l, const double *y_start,
+                                                   double z_start)
 {
-    struct layer l;
     struct sweep s;
     const long n = f->n;
     double *y = f->y, *u = f->x, *v = f->x + n, *out = f->out;
-    double z = y_start ? z_start : z_prev, step = 0.0, f2;
-    long it, i, violations = 0, onesided_max = 0,
-        status = frame_start(f, &l, tau_prev, tau_next, z_prev);
+    double z = y_start ? z_start : l->z_prev, step = 0.0, f2;
+    long it, i, violations = 0, onesided_max = 0, status;
 
-    if (status != LAYER_OK)
-        return status;
     if (y_start)
         memcpy(y + 1, y_start, n * sizeof(double));
     for (it = 1; it <= f->max_iter; it++) {
@@ -616,8 +618,8 @@ static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, 
             out[OUT_FAILURE] = z;
             return LAYER_NON_POSITIVE_Z;
         }
-        s = newton_sweep(f, &l, z);
-        f2 = residual_constraint(f, &l, y, z);
+        s = newton_sweep(f, l, z);
+        f2 = residual_constraint(f, l, y, z);
         if (it == 1)
             out[OUT_INITIAL_RESIDUAL] = py_max(s.f1max, fabs(f2));
         if (s.onesided > onesided_max)
@@ -629,8 +631,8 @@ static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, 
         if (status != LAYER_OK)
             return status;
         back_substitute_outward(2, n, n - 1, f->cp, f->x);
-        j21_u = l.j21_y1 * u[0] + l.j21_y2 * u[1];
-        j21_v = l.j21_y1 * v[0] + l.j21_y2 * v[1];
+        j21_u = l->j21_y1 * u[0] + l->j21_y2 * u[1];
+        j21_v = l->j21_y1 * v[0] + l->j21_y2 * v[1];
         denom = 1.0 - j21_v;  /* J22 = 1 */
         if (fabs(denom) < f->schur_floor) {
             out[OUT_FAILURE] = denom;
@@ -657,8 +659,8 @@ static __attribute__((noinline)) long newton_layer(const struct layer_frame *f, 
         return LAYER_NON_POSITIVE_Z;
     }
     if (f->diagnostics) {
-        newton_final(f, &l, z);
-        out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
+        newton_final(f, l, z);
+        out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, l, y, z));
     } else {
         skip_diagnostics(out);
     }
@@ -743,7 +745,7 @@ ROW_STEP void j12_entry(const struct layer_frame *f, long i, const double *y, in
     *finite &= isfinite(f->single[i]);
 }
 
-/* pc's corrector on the layer from (tau_prev, y, z_prev) to tau_next,
+/* pc's corrector on the layer l started by frame_start from (y, z_prev),
  * from z_tilde: the frozen solve at z_tilde, one Schur step on the
  * boundary, the frozen solve at the new z, written over the frame's y
  * (the previous layer on entry), and the layer's diagnostics,
@@ -753,24 +755,21 @@ ROW_STEP void j12_entry(const struct layer_frame *f, long i, const double *y, in
  * and out[OUT_DOMINANCE_VIOLATIONS], with an infinite initial residual
  * (the corrector has no iterate before its own) in
  * out[OUT_INITIAL_RESIDUAL], leaving the predictor's out[OUT_ITERATIONS]
- * and out[OUT_FALLBACK] as they are, or the status of the first failure:
- * frame_start's, or with out[OUT_FAILURE] = the non-positive z, the
- * non-finite array, the failing pivot row or the Schur denominator.
+ * and out[OUT_FALLBACK] as they are, or the status of the first failure,
+ * with out[OUT_FAILURE] = the non-positive z, the non-finite array, the
+ * failing pivot row or the Schur denominator.
  * Without the frame's diagnostics out[OUT_RESIDUAL_F1],
  * out[OUT_BACKWARD_ERROR] and out[OUT_RESIDUAL_F2] are NaN. */
-static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, double tau_prev, double tau_next,
-                         double z_prev, double z_tilde)
+static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f,
+                                                   const struct layer *l, double z_tilde)
 {
-    struct layer l;
     const long n = f->n, m = n / 2;
     double *y = f->y, *v = f->x, *out = f->out, denom, z, backward = 0.0;
     struct chain down = {0.0, 0.0, 0.0}, up = {0.0, 0.0, 0.0};
-    long i, k, violations, onesided, status = frame_start(f, &l, tau_prev, tau_next, z_prev);
+    long i, k, violations, onesided, status;
     int finite = 1;
 
-    if (status != LAYER_OK)
-        return status;
-    status = frozen_solve(f, &l, z_tilde, y, &violations, &onesided);
+    status = frozen_solve(f, l, z_tilde, y, &violations, &onesided);
     if (status != LAYER_OK)
         return status;
     /* one Newton step on (F1, F2) from (y, z_tilde), where F1 vanishes:
@@ -794,13 +793,13 @@ static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, 
         return non_finite(f, 1, f->single);
     back_substitute_outward(1, n, m, f->cp, v);
     /* J21's y_2 term is the boundary's, fixed at 0, when n = 1 */
-    denom = 1.0 - (l.j21_y1 * v[0] + l.j21_y2 * (n > 1 ? v[1] : 0.0));
+    denom = 1.0 - (l->j21_y1 * v[0] + l->j21_y2 * (n > 1 ? v[1] : 0.0));
     if (fabs(denom) < f->schur_floor) {
         out[OUT_FAILURE] = denom;
         return LAYER_SINGULAR_SCHUR;
     }
-    z = z_tilde - residual_constraint(f, &l, y, z_tilde) / denom;
-    status = frozen_solve(f, &l, z, y, &violations, &onesided);
+    z = z_tilde - residual_constraint(f, l, y, z_tilde) / denom;
+    status = frozen_solve(f, l, z, y, &violations, &onesided);
     if (status != LAYER_OK)
         return status;
 
@@ -814,7 +813,7 @@ static __attribute__((noinline)) long pc_corrector(const struct layer_frame *f, 
         }
         out[OUT_RESIDUAL_F1] = backward;
         out[OUT_BACKWARD_ERROR] = backward;
-        out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, &l, y, z));
+        out[OUT_RESIDUAL_F2] = fabs(residual_constraint(f, l, y, z));
     } else {
         skip_diagnostics(out);
     }
@@ -891,37 +890,34 @@ static double sign(double v)
 #define BRACKET_FACTOR 2.0
 #define BRACKET_EXPANSIONS 6
 
-/* The predictor's root on the layer from (tau_prev, y, z_prev) to
- * tau_next, from the previous layer's y[0..2] in the frame's y: the
+/* The predictor's root on the layer l started by frame_start from
+ * (y, z_prev), from the previous layer's y[0..2] in the frame's y: the
  * bracket scan, keeping the sign-change cell whose midpoint is nearest
- * z_prev, then safeguarded Newton inside it, with the frame's root_tol
- * and root_max_iter.
+ * z_prev, then safeguarded Newton inside it, with the frame's tol and
+ * max_iter.
  * Returns LAYER_OK with the root in out[OUT_Z], its iterations in
  * out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 0; where the scan finds no
  * sign change, LAYER_OK with the layer's fallback, z_prev with no
- * iterations and out[OUT_FALLBACK] = 1; LAYER_PAST_MATURITY unless
- * tau_next < T; or LAYER_NO_CONVERGENCE with the last step in
- * out[OUT_FAILURE] and root_max_iter in out[OUT_ITERATIONS], or
+ * iterations and out[OUT_FALLBACK] = 1; or LAYER_NO_CONVERGENCE with the
+ * last step in out[OUT_FAILURE] and max_iter in out[OUT_ITERATIONS], or
  * LAYER_NON_POSITIVE_Z with the root in out[OUT_FAILURE]. */
-static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, double tau_prev, double tau_next,
-                         double z_prev)
+static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f,
+                                                   const struct layer *l)
 {
     struct predictor_eq e;
-    const long max_iter = f->root_max_iter;
-    const double h = f->h, r = f->r, q = f->q, sig2 = f->sig2, ttm = f->T - tau_next;
+    const long max_iter = f->max_iter;
+    const double h = f->h, r = f->r, q = f->q, sig2 = f->sig2, z_prev = l->z_prev;
     const double y0p = f->y[0], y1p = f->y[1], y2p = f->y[2];
-    double beta = r + 1.0 / ttm, lap_prev, *out = f->out;
+    double beta = r + l->inv_ttm, lap_prev, *out = f->out;
     double zs[BRACKET_SCAN + 1], vals[BRACKET_SCAN + 1];
     double factor = BRACKET_FACTOR, lo, hi, f_lo, x, fx, step = 0.0;
     long k, i, it, pick = -1;
 
-    if (!(tau_next < f->T))
-        return LAYER_PAST_MATURITY;
     e.q = q;
     e.r = r;
     e.z_prev = z_prev;
-    e.dt = tau_next - tau_prev;
-    e.ttm = ttm;
+    e.dt = l->dt;
+    e.ttm = l->ttm;
     e.drift = r - q - 0.5 * sig2;
     e.exp_h = exp(-h);
     e.h2 = f->h2;
@@ -934,9 +930,9 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, 
     e.half_sig2_lap = 0.5 * sig2 * lap_prev;
     e.beta_y1p = beta * y1p;
     e.two_h2_sig4 = 2.0 * e.h2 / e.sig4;
-    e.dg = q + 1.0 / ttm;
-    e.inv_ttm = 1.0 / ttm;
-    e.exp_h_ttm = e.exp_h / ttm;
+    e.dg = l->d_coef;
+    e.inv_ttm = l->inv_ttm;
+    e.exp_h_ttm = e.exp_h / l->ttm;
 
     for (k = 0; k < BRACKET_EXPANSIONS && pick < 0; k++) {
         double start = z_prev / factor, stop = z_prev * factor, best = 0.0;
@@ -994,7 +990,7 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f, 
         step = fabs(x_new - x);
         x = x_new;
         fx = predictor_residual(&e, x);
-        if (step < f->root_tol || (hi - lo) < f->root_tol)
+        if (step < f->tol || (hi - lo) < f->tol)
             break;
     }
     if (it > max_iter) {
@@ -1023,7 +1019,9 @@ enum { MARCH_NEWTON, MARCH_PC };
  * limits in f.  A step reads only stored layers (layer j, and a Newton
  * step's extrapolation layers j - 1 and j - 2), so steps 0 .. total - 1
  * march the whole mesh from the stored layer 0, and a shorter range
- * replays its layers from the ones stored before it.
+ * replays its layers from the ones stored before it.  Every layer starts
+ * with frame_start, which refuses a layer with tau_next >= T or a
+ * non-positive step, and goes on to its engine's layer functions.
  * Newton's layer is newton_layer.  Layers 4 .. total - 1 start from the
  * three-point Lagrange extrapolation of the stored layers j, j - 1 and
  * j - 2 to taus[j + 1], w0 (y_j, z_j) + w1 (y_{j-1}, z_{j-1}) +
@@ -1039,30 +1037,32 @@ enum { MARCH_NEWTON, MARCH_PC };
  * With f's diagnostics 0 the layers skip the passes that only fill
  * diagnostics, whose slots in rows then read NaN; y, z and every other
  * slot are the same bits.
- * When count is not NULL, march publishes each stored layer through it:
- * once layer j + 1 is stored, it stores j + 2, the number of layers
- * stored, with release ordering, so a thread that loads the count with
- * acquire ordering (published) may read those layers while the march
- * runs.  That store is the only thing a layer costs beyond its own work.
- * Returns LAYER_OK, or the status of the first failing layer call, with
+ * march publishes the number of layers stored in f's count, each time
+ * with release ordering: first + 1 on entry, and j + 2 once layer j + 1
+ * is stored, so a thread that loads the count with acquire ordering
+ * (published) may read those layers while the march runs.  That store is
+ * the only thing a layer costs beyond its own work.
+ * Returns LAYER_OK, or the status of the first failing layer, with
  * *failed = its layer j + 1, whose row rows[j] holds its failure record;
  * the count then stays at j + 1.  f's own y and out are not used. */
 long march(struct layer_frame *f, long engine, long total, long first, long stop,
-           const double *taus, double *rho, double *surface, double *rows, long *failed,
-           long *count)
+           const double *taus, double *rho, double *surface, double *rows, long *failed)
 {
     struct layer_frame layer = *f;
     const long n = f->n, width = n + 2;
     long i, j, status;
 
+    __atomic_store_n(&f->count, first + 1, __ATOMIC_RELEASE);
     for (j = first; j < stop; j++) {
+        struct layer l;
         double *out = rows + j * OUT_SLOTS;
         const double *y_prev = surface + j * width;
 
         layer.out = out;
         layer.y = surface + (j + 1) * width;
         memcpy(layer.y, y_prev, width * sizeof(double));
-        if (engine == MARCH_NEWTON) {
+        status = frame_start(&layer, &l, taus[j], taus[j + 1], rho[j]);
+        if (status == LAYER_OK && engine == MARCH_NEWTON) {
             const double *y_start = NULL;
             double z_start = rho[j];
 
@@ -1087,11 +1087,11 @@ long march(struct layer_frame *f, long engine, long total, long first, long stop
                 z_start = w0 * rho[j] + w1 * rho[j - 1] + w2 * rho[j - 2];
                 y_start = f->first;
             }
-            status = newton_layer(&layer, taus[j], taus[j + 1], rho[j], y_start, z_start);
-        } else {
-            status = pc_predictor(&layer, taus[j], taus[j + 1], rho[j]);
+            status = newton_layer(&layer, &l, y_start, z_start);
+        } else if (status == LAYER_OK) {
+            status = pc_predictor(&layer, &l);
             if (status == LAYER_OK)
-                status = pc_corrector(&layer, taus[j], taus[j + 1], rho[j], out[OUT_Z]);
+                status = pc_corrector(&layer, &l, out[OUT_Z]);
         }
         if (status != LAYER_OK) {
             *failed = j + 1;
@@ -1099,18 +1099,17 @@ long march(struct layer_frame *f, long engine, long total, long first, long stop
         }
         rho[j + 1] = out[OUT_Z];
         out[OUT_FAILURE] = 0.0;
-        if (count)
-            __atomic_store_n(count, j + 2, __ATOMIC_RELEASE);
+        __atomic_store_n(&f->count, j + 2, __ATOMIC_RELEASE);
     }
     return LAYER_OK;
 }
 
-/* The layer count that march publishes through its count pointer, loaded
- * with acquire ordering: every read this thread makes after the call, in
- * C or not, sees the layers it counts as march stored them. */
-long published(const long *count)
+/* The layer count that march publishes in the frame f, loaded with
+ * acquire ordering: every read this thread makes after the call, in C or
+ * not, sees the layers it counts as march stored them. */
+long published(const struct layer_frame *f)
 {
-    return __atomic_load_n(count, __ATOMIC_ACQUIRE);
+    return __atomic_load_n(&f->count, __ATOMIC_ACQUIRE);
 }
 
 /* The CSV writer's cells: Python's "%.9f" of every double, bit for bit.

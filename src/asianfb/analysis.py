@@ -49,9 +49,9 @@ def run_engine(engine: str, p: MarketParams, g: GridSpec, mode: SchemeMode,
                pc_cfg: PredictorConfig | None = None, ready=None, *,
                diagnostics: bool = True) -> SolveResult:
     """The march of ``engine``; ``ready``, when given, gets the march's
-    surface and layer count before the first layer, and without
-    ``diagnostics`` the march skips the passes that only fill residuals
-    and backward errors (see results.march)."""
+    surface and a reader of its layer count before the first layer, and
+    without ``diagnostics`` the march skips the passes that only fill
+    residuals and backward errors (see results.march)."""
     if engine == "newton":
         return march_newton(p, g, mode, newton_cfg or NewtonConfig(), ready,
                             diagnostics=diagnostics)

@@ -19,9 +19,10 @@ writers (native.write_table, native.write_surface), which format the
 cells in C, and refine.csv, whose cells mix integers and empty cells,
 by csv.writer.  solve streams surface.csv while its march runs: the
 march stays on the calling thread, in one C call that publishes each
-layer it stores through a layer count, and one worker thread runs
+layer it stores in its layer count, and one worker thread runs
 native.write_surface over the march's surface, which writes each chunk
-of layers once the count says they are stored (_SurfaceStream).
+of layers once the count says they are stored, and then puts the
+finished file in place (_SurfaceStream).
 Its files appear only when the march succeeds; a failed solve leaves the
 output directory as it found it, apart from creating it.  Its stdout
 wall_time is the march's, with the surface stream beside it, and
@@ -104,6 +105,7 @@ DEFAULTS = {key: default for key, _, default, _ in OPTIONS}
 _COERCE = {key: kind for key, kind, _, _ in OPTIONS}
 _CHOICES = {"engine": ("newton", "pc"), "scheme_mode": tuple(m.value for m in SchemeMode)}
 _REFINE_ONLY = ("base_N", "levels")
+_NOT_REFINE = ("N", "M")  # refine's meshes come from base_N and levels
 # Seconds the surface.csv writer sleeps, without the GIL, each time it
 # finds that the march has not yet stored the layers of its next chunk
 POLL_S = 2e-5
@@ -237,15 +239,16 @@ class _SurfaceStream:
     before the first layer: it starts the worker, which opens the file
     under a temporary name in the output directory and writes it with
     native.write_surface, over the march's own surface array, while the
-    march runs, closing it when it ends.  The writer formats each chunk of
-    layers once the march's layer count, read through native.published,
-    says they are stored, and while it has caught up with the march the
-    worker sleeps POLL_S at a time, without the GIL; the march makes no
-    call per layer.  ``finish()``, once the march has returned, joins the
-    worker, raises what the worker raised, removes an earlier ``path`` and
-    renames the file to it.  Leaving the ``with`` block stops a worker
-    still waiting, joins it and removes the temporary file, so a failed
-    solve leaves no surface.csv of its own and any earlier one as it was.
+    march runs.  The writer formats each chunk of layers once the march's
+    layer count, read through the march's reader of it, says they are
+    stored, and while it has caught up with the march the worker sleeps
+    POLL_S at a time, without the GIL; the march makes no call per layer.
+    Once it has written the last chunk, the worker closes the file,
+    removes an earlier ``path`` and renames the file to it.  ``finish()``,
+    once the march has returned, joins the worker and raises what the
+    worker raised.  Leaving the ``with`` block stops a worker still
+    waiting, joins it and removes the temporary file, so a failed solve
+    leaves no surface.csv of its own and any earlier one as it was.
     """
 
     def __init__(self, path: Path, taus: np.ndarray, xi: np.ndarray):
@@ -256,13 +259,13 @@ class _SurfaceStream:
         self.stopped = False
         self.worker = self.error = None
 
-    def ready(self, surface: np.ndarray, count) -> None:
-        self.worker = threading.Thread(target=self._write, args=(surface, count))
+    def ready(self, surface: np.ndarray, published) -> None:
+        self.worker = threading.Thread(target=self._write, args=(surface, published))
         self.worker.start()
 
-    def _write(self, surface, count) -> None:
+    def _write(self, surface, published) -> None:
         def stored(layers):
-            while native.published(count) < layers:
+            while published() < layers:
                 if self.stopped:
                     return False
                 time.sleep(POLL_S)
@@ -270,6 +273,13 @@ class _SurfaceStream:
         try:
             with self.partial.open("wb") as fh:
                 native.write_surface(fh, self.taus, self.xi, surface, stored)
+            # Renaming over an existing 3.9 MB surface.csv took about 2 ms
+            # more than truncating and rewriting it (ext4, whose
+            # auto_da_alloc starts writing a file renamed over another back);
+            # removing the old file first costs what the rewrite did.
+            if not self.stopped:  # the file is whole
+                self.path.unlink(missing_ok=True)
+                os.replace(self.partial, self.path)
         except BaseException as exc:  # raised on the calling thread by finish()
             self.error = exc
 
@@ -281,12 +291,6 @@ class _SurfaceStream:
         self._join()
         if self.error is not None:
             raise self.error
-        # Renaming over an existing 3.9 MB surface.csv took about 2 ms more
-        # than truncating and rewriting it (ext4, whose auto_da_alloc starts
-        # writing a file renamed over another back); removing the old file
-        # first costs what the rewrite did.
-        self.path.unlink(missing_ok=True)
-        os.replace(self.partial, self.path)
 
     def __enter__(self):
         return self
@@ -437,11 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                 "convergence ratios")
     compare = commands.add_parser("compare", help="run both engines and compare "
                                                   "boundary paths")
-    common = [key for key in DEFAULTS if key not in _REFINE_ONLY]
-    for sub in (solve, refine, compare):
+    for sub, skip in ((solve, _REFINE_ONLY), (compare, _REFINE_ONLY), (refine, _NOT_REFINE)):
         sub.add_argument("--config", help="flat key = value configuration file")
-        _add_flags(sub, common)
-    _add_flags(refine, _REFINE_ONLY)
+        _add_flags(sub, [key for key in DEFAULTS if key not in skip])
     return parser
 
 

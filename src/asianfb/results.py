@@ -2,24 +2,26 @@
 
 march owns the initial layer, the stored rho and surface, one
 native.LayerFrame, the array of each layer's out[] slots and the
-LayerFailure wrapping; an engine supplies only its name and its limits.
+LayerFailure wrapping; an engine supplies only its name and its limits,
+a tolerance and an iteration cap, which its config checks with
+check_limits.
 A SolveResult builds its LayerDiagnostics from those slots when they
 are first read.  A caller that reads only rho (compare, refine) marches
 with ``diagnostics=False``: C then skips the passes that only fill the
 residuals and backward errors, which read NaN, and every other slot,
 rho and the surface keep their bits.  The layers themselves run in one
 native.march call, the only way into the C layer functions, which steps
-the engine over the grid's whole time mesh; for a caller that reads the
-layers while the march runs (cli's solve, which streams surface.csv),
-that call publishes each stored layer through a layer count.  march is
-not in ``__all__``, so a tracer of the public names charges it to the
-engine's march that calls it.
+the engine over the grid's whole time mesh and publishes each stored
+layer in the frame's layer count, which a caller may read while the
+march runs (cli's solve, which streams surface.csv).  march and
+check_limits are not in ``__all__``, so a tracer of the public names
+charges them to the engine's call that makes them.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,22 +100,34 @@ def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
         backward_error=out[native.OUT_BACKWARD_ERROR])
 
 
-def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
-          limits: dict, ready=None, diagnostics: bool = True) -> SolveResult:
+def check_limits(tol_name: str, tol: float, max_iter: int) -> None:
+    """Raise ValueError unless an engine config's tolerance ``tol``, its
+    field ``tol_name``, is finite and positive and max_iter >= 1."""
+    if not math.isfinite(tol):
+        raise ValueError(f"{tol_name} must be finite, got {tol}")
+    if not (tol > 0):
+        raise ValueError(f"{tol_name} must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str, tol: float,
+          max_iter: int, ready=None, diagnostics: bool = True) -> SolveResult:
     """March ``engine`` ("newton" or "pc") over the time mesh from the
-    initial layer with ``limits``, the engine's fields of the frame's
-    struct, and tridiag's PIVOT_RTOL and SCHUR_FLOOR as they are at the
+    initial layer with its limits ``tol`` and ``max_iter`` (Newton's step
+    tolerance and iteration cap, or the predictor's root tolerance and
+    cap), and tridiag's PIVOT_RTOL and SCHUR_FLOOR as they are at the
     call.
 
     The march is one native.march call.  ``ready``, when given, is
     called once on this thread, before any layer runs, as
-    ``ready(surface, count)``: surface is the march's (M + 1, N + 1)
-    array, and count the ctypes.c_long through which the call publishes
-    the layers it stores (see native.march), 1 then, for the initial
-    layer.  Another thread may read rows 0 .. native.published(count) - 1
-    of surface while the march runs; they are final.  Without
-    ``diagnostics`` each LayerDiagnostics' residual_f1, residual_f2 and
-    backward_error are NaN (see native.march).
+    ``ready(surface, published)``: surface is the march's (M + 1, N + 1)
+    array, with layer 0 stored, and ``published()`` reads the number of
+    layers the march has published (native.published of its frame), 0
+    until the march begins.  Another thread may read rows 0 ..
+    published() - 1 of surface while the march runs; they are final.
+    Without ``diagnostics`` each LayerDiagnostics' residual_f1,
+    residual_f2 and backward_error are NaN (see native.march).
 
     Raises LayerFailure(layer, tau, cause) on the first layer that
     fails, whatever its cause: a SolverError, or the ValueError of an
@@ -121,16 +135,14 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str,
     """
     state = initial_layer(p, g)
     frame = native.LayerFrame(g, p, mode)
-    frame.set_limits(dict(limits, pivot_rtol=tridiag.PIVOT_RTOL,
+    frame.set_limits(dict(tol=tol, max_iter=max_iter, pivot_rtol=tridiag.PIVOT_RTOL,
                           schur_floor=tridiag.SCHUR_FLOOR, diagnostics=int(diagnostics)))
     rho, surface = np.empty(g.M + 1), np.empty((g.M + 1, g.N + 1))
     rows = np.empty((g.M, native.OUT_SLOTS))
     rho[0], surface[0] = state.z, state.y
-    count = None
     if ready is not None:
-        count = ctypes.c_long(1)
-        ready(surface, count)
-    failure = native.march(frame, engine, g.taus, rho, surface, rows, count)
+        ready(surface, functools.partial(native.published, frame))
+    failure = native.march(frame, engine, g.taus, rho, surface, rows)
     if failure is not None:
         layer, exc = failure
         raise LayerFailure(layer, float(g.taus[layer]), exc) from exc

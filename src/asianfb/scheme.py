@@ -18,19 +18,13 @@ part, d_i = s_i/(2h) the singular part):
     c_i = 1/dt + sigma^2/h^2 + r + 1/(T - tau_{j+1})
     b_i = +mu/(2h) - sigma^2/(2h^2) - d_i
 
-This module defines the system and its advection modes; the engines'
-C layer functions (thomas.c's Newton layer and pc_corrector, which its
-march calls for every layer) assemble it in the buffers of a march's
-native.LayerFrame, split by what depends on the boundary iterate z.
-Once per time layer each first builds the z-free part: dt, 1/(T - tau),
-e^{-xi_i}/(T - tau) (= ds_i/dz) and its 0.5/h scaling, the central
-diagonal c_i (in central mode also written out, with dc = 0; upwind
-rows are all rewritten per iterate), the right-hand side y_i/dt, and
-the constraint's coefficients and its row J21.  Per iterate they
-evaluate mu, s_i and the one-sided switch below once and write the
-z-dependent rows and their z-derivatives (the Newton column J12 =
-dF1/dz) into the frame's buffers, and take the interior residual from
-the rows,
+This module defines the system and its advection modes; thomas.c
+assembles it, split by what depends on the boundary iterate z: once per
+time layer the z-free part (frame_start: dt, 1/(T - tau),
+e^{-xi_i}/(T - tau) = ds_i/dz, the central diagonal c_i, the right-hand
+side y_i/dt, and the constraint's coefficients and its row J21), and per
+iterate the z-dependent rows and their z-derivatives (the Newton column
+J12 = dF1/dz), from which it takes the interior residual
 
     F1_i = a_i y_{i-1}' + c_i y_i' + b_i y_{i+1}' - y_i/dt.
 

@@ -43,34 +43,24 @@ layer system (rhs = y_prev/dt and mu's (z - z_prev)/(dt z)) whatever the
 start.
 
 The layer system itself is scheme's; this module is the iteration over
-it.  Each layer is one static C function of thomas.c, which works in the
-buffers of a native.LayerFrame: it builds the layer's z-free part and
-J21 once from the previous layer, then each iterate writes only the
-z-dependent rows (J11 and the row derivatives J12 is built from), puts
-F1 and J12 into the frame's (2, n) right-hand side ``pair_rhs``,
-eliminates it in place against J11 and updates y in place.  The
-elimination is the kernel's one elimination, whose downward chain meets
-its empty upward one at the last row: the Thomas sweep of ``thomas``,
-operation for operation.
-One more assembly at the accepted z gives the layer's diagnostics, among
-them the row-wise backward error of F1 that pc reports as its residual.
-march_newton is results.march with Newton's tol and max_iter: one
-native.march call runs every layer in C in the march's one frame, whose
-struct holds them next to the march's constants, and publishes each
-stored layer through a layer count when the caller reads the layers as
-they are stored.  native.march is the only way into the C layer; the
-test suite replays one layer through it, and keeps the numpy loop that
-the C function repeats operation by operation as its oracle.
+it, which runs in C: each layer is thomas.c's newton_layer, where its
+buffers are described.  Each iterate's one elimination of J11, with F1
+and J12 as its two right-hand sides, is the Thomas sweep of ``thomas``,
+operation for operation, and one more assembly at the accepted z gives
+the layer's diagnostics, among them the row-wise backward error of F1
+that pc reports as its residual.  march_newton is results.march with
+Newton's tol and max_iter (see native.march); the test suite keeps the
+numpy loop that the C function repeats operation by operation as its
+oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .mesh import GridSpec
 from .model import MarketParams
-from .results import SolveResult, march
+from .results import SolveResult, check_limits, march
 from .scheme import SchemeMode
 
 __all__ = ["NewtonConfig", "march_newton"]
@@ -82,12 +72,7 @@ class NewtonConfig:
     max_iter: int = 20
 
     def __post_init__(self):
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_limits("tol", self.tol, self.max_iter)
 
 
 def march_newton(p: MarketParams, g: GridSpec,
@@ -96,8 +81,7 @@ def march_newton(p: MarketParams, g: GridSpec,
                  diagnostics: bool = True) -> SolveResult:
     """Layer-by-layer Newton march over the full time mesh, layers 3 .. M - 1
     from the extrapolated starts (see the module docstring); ``ready``, when
-    given, gets the march's surface and layer count before the first layer,
-    and without ``diagnostics`` the march skips the passes that only fill
-    residuals and backward errors (see results.march)."""
-    return march(p, g, mode, "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter}, ready,
-                 diagnostics)
+    given, gets the march's surface and a reader of its layer count before
+    the first layer, and without ``diagnostics`` the march skips the passes
+    that only fill residuals and backward errors (see results.march)."""
+    return march(p, g, mode, "newton", cfg.tol, cfg.max_iter, ready, diagnostics)

@@ -46,18 +46,11 @@ Thomas solve on the same rows, with J12 from their z-derivatives).  The
 interior is solved once more with coefficients frozen at z, and (y(z), z)
 is stored, so the boundary value kept for the next layer is the one the
 layer's transport term used.  The layer's F1 and row counts come from the
-rows of that last solve, so a layer costs two assemblies.  Both frozen
-solves share one native.LayerFrame, whose z-free part is built once per
-layer, and all three eliminations solve its J11 against its one-column
-right-hand side ``single_rhs`` in place.  Each is the kernel's one
-elimination (a twisted factorization; Fernando, SIAM J. Matrix Anal.
-Appl. 18, 1997) met in the middle: the rows above the middle row
-eliminate downward, those below it upward, the two meet at row n // 2
-and back-substitute outward from there, where Newton's solves meet at
-the last row, as the Thomas sweep does.  The two chains are independent,
-so the solve's serial recurrence is half as long as one sweep's, and the
-stored layer differs from a Thomas sweep's only by rounding (rho by at
-most 1.6e-14 at N = 50 .. 800).
+rows of that last solve, so a layer costs two assemblies.  Its three
+eliminations of J11 (the two frozen solves and the one for
+J11^{-1} J12) each eliminate from both ends and meet in the middle
+(thomas.c), so the stored layer differs from a Thomas sweep's only by
+rounding (rho by at most 1.6e-14 at N = 50 .. 800).
 
 Setting z to the constraint root of y(z-tilde) instead is not consistent:
 the slope of that map at the layer solution grows like dt^{-1/2}, so it
@@ -66,32 +59,23 @@ inside the (z'-z)/(dt z') term by an O(dt) amount that the march sums to
 an O(1) gap from the Newton engine that refining does not shrink.  The
 Newton step leaves a constraint remainder F2 quadratic in z - z-tilde.
 
-A layer is two functions of thomas.c: pc_predictor, the bracket scan
-and root iteration, and pc_corrector, which first builds the layer's
-z-free part in the frame and runs the corrector with the layer's
-diagnostics over the frame's buffers.  march_pc is results.march with
-the predictor's root_tol and max_iter (the bracket scan's constants are
-thomas.c's): one native.march
-call runs every layer in C in the march's one frame, whose struct holds
-them next to the march's constants (publishing each stored layer
-through a layer count when the caller reads the layers as they are
-stored, and skipping the backward-error pass when the caller reads
-no diagnostics), and falls back to z-tilde = z_prev where
-pc_predictor finds no root; native turns a failed layer's status and
-failure record into its exception.  native.march is the only way into the C functions; the
-test suite replays one layer through it, and keeps the numpy predictor
-and corrector that the C functions repeat operation by operation as
-their oracles.
+A layer is two functions of thomas.c, pc_predictor (the bracket scan
+and root iteration) and pc_corrector, where their buffers are
+described.  march_pc is results.march with the predictor's root_tol and
+max_iter as the frame's one pair of limits (the bracket scan's constants
+are thomas.c's; see native.march); a layer whose predictor finds no root
+falls back to z-tilde = z_prev.  The test suite keeps the numpy
+predictor and corrector that the C functions repeat operation by
+operation as their oracles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .mesh import GridSpec
 from .model import MarketParams
-from .results import SolveResult, march
+from .results import SolveResult, check_limits, march
 from .scheme import SchemeMode
 
 __all__ = ["PredictorConfig", "march_pc"]
@@ -102,17 +86,7 @@ class PredictorConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not math.isfinite(self.root_tol):
-            raise ValueError(f"root_tol must be finite, got {self.root_tol}")
-        if not (self.root_tol > 0):
-            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-def _root_search(cfg: PredictorConfig) -> dict:
-    """The predictor's limits, as the fields of a frame's struct."""
-    return {"root_tol": cfg.root_tol, "root_max_iter": cfg.max_iter}
+        check_limits("root_tol", self.root_tol, self.max_iter)
 
 
 def march_pc(p: MarketParams, g: GridSpec,
@@ -120,8 +94,8 @@ def march_pc(p: MarketParams, g: GridSpec,
              cfg: PredictorConfig = PredictorConfig(), ready=None, *,
              diagnostics: bool = True) -> SolveResult:
     """One predictor and one corrector per layer over the full time mesh;
-    ``ready``, when given, gets the march's surface and layer count before
-    the first layer, and without ``diagnostics`` the march skips the
-    passes that only fill residuals and backward errors (see
-    results.march)."""
-    return march(p, g, mode, "pc", _root_search(cfg), ready, diagnostics)
+    ``ready``, when given, gets the march's surface and a reader of its
+    layer count before the first layer, and without ``diagnostics`` the
+    march skips the passes that only fill residuals and backward errors
+    (see results.march)."""
+    return march(p, g, mode, "pc", cfg.root_tol, cfg.max_iter, ready, diagnostics)

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from asianfb import solver_pc, tridiag
+from asianfb import tridiag
 from asianfb._kernels import native, pure
 from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, SolverError, ZeroPivot
 from asianfb.mesh import LayerState
@@ -154,8 +154,9 @@ def _squared(z):
 def frame_start(frame, prev, tau_next) -> LayerStart:
     """Build the z-free part of the layer from ``prev`` to ``tau_next`` in
     the buffers of ``frame``: ds_i/dz = e^{-xi_i}/(T - tau) and its 0.5/h
-    scaling, the z-free diagonal, dc = 0, no one-sided row and
-    rhs = y^prev/dt, each row multiplied by the layer's reciprocals 1/dt,
+    scaling, rhs = y^prev/dt and, in central mode, the z-free diagonal,
+    dc = 0 and no one-sided row (frame_rows writes every row of those in
+    upwind mode), each row multiplied by the layer's reciprocals 1/dt,
     1/(T - tau) and 0.5/h; and return the layer's scalars.
 
     Raises ValueError unless tau_next < T and tau_next > prev.tau.
@@ -171,9 +172,10 @@ def frame_start(frame, prev, tau_next) -> LayerStart:
     np.multiply(frame.ds, half_inv_h, out=frame.half_ds_h)
     # beta = r + 1/(T - tau); the central diagonal is z-free
     diag_base = inv_dt + p.sigma**2 / h**2 + (p.r + inv_ttm)
-    frame.diag.fill(diag_base)
-    frame.dc.fill(0.0)
-    frame.onesided.fill(False)
+    if frame.mode is SchemeMode.CENTRAL:
+        frame.diag.fill(diag_base)
+        frame.dc.fill(0.0)
+        frame.onesided.fill(False)
     np.multiply(prev.y[1:-1], inv_dt, out=frame.rhs)
     return LayerStart(frame=frame, prev=prev, tau_next=tau_next, dt=dt, inv_ttm=inv_ttm,
                       half_inv_h=half_inv_h, diag_base=diag_base, constraint=constraint,
@@ -529,7 +531,9 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
 def pc_layer(prev, tau_next, frame, cfg):
     """One predictor and one corrector on the twins, from z_tilde = z_prev
     with the fallback flag set where the predictor finds no root: thomas.c's
-    pc layer in march."""
+    pc layer in march, which starts the layer in the frame (frame_start)
+    before its predictor runs."""
+    frame_start(frame, prev, tau_next)
     fallback = False
     try:
         pred = predictor_numpy(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
@@ -563,23 +567,25 @@ def extrapolated_start(taus, rho, surface, j):
     return w0 * surface[j] + w1 * surface[j - 1] + w2 * surface[j - 2], z
 
 
-def march_numpy(frame, engine, taus, rho, surface, rows, count=None, *, first=0, stop=None):
+def march_numpy(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
     """native.march on the numpy twins, one layer call at a time: the same
     arguments (of checked arrays) and result, the same layers and rows in
     the caller's arrays (the twins compute every diagnostic, and write NaN
     where the kernel skips them, with the frame's diagnostics 0), and the
-    same layer count published as each layer is stored.
+    same layer count published in the frame, first + 1 on entry and then
+    as each layer is stored.
     The count is stored under the GIL, after the layer, so a reader that
     takes the GIL after reading it sees the layer."""
     g, p, mode, limits = frame.g, frame.p, frame.mode, frame.struct
     if engine == "newton":
         cfg = NewtonConfig(tol=limits.tol, max_iter=limits.max_iter)
     else:
-        cfg = PredictorConfig(root_tol=limits.root_tol, max_iter=limits.root_max_iter)
+        cfg = PredictorConfig(root_tol=limits.tol, max_iter=limits.max_iter)
     # the twins read tridiag's limits at each call
     assert (limits.pivot_rtol, limits.schur_floor) == (tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
     stop = taus.size - 1 if stop is None else stop
     rows[first:stop] = np.nan
+    limits.count = first + 1
     state = LayerState(j=first, tau=float(taus[first]), y=surface[first].copy(),
                        z=float(rho[first]))
     for j in range(first, stop):
@@ -602,8 +608,7 @@ def march_numpy(frame, engine, taus, rho, surface, rows, count=None, *, first=0,
         if not limits.diagnostics:
             rows[j, [native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2,
                      native.OUT_BACKWARD_ERROR]] = np.nan
-        if count is not None:
-            count.value = j + 2
+        limits.count = j + 2
     return None
 
 
@@ -617,6 +622,18 @@ def numpy_layers():
         yield
 
 
+def set_limits(frame, cfg):
+    """Write the limits of ``cfg`` (a NewtonConfig or a PredictorConfig)
+    and tridiag's, as they are at the call, into the LayerFrame
+    ``frame``, with its diagnostics on, as the engine's march does.
+    Returns the engine's name for native.march."""
+    newton = isinstance(cfg, NewtonConfig)
+    frame.set_limits({"tol": cfg.tol if newton else cfg.root_tol, "max_iter": cfg.max_iter,
+                      "pivot_rtol": tridiag.PIVOT_RTOL, "schur_floor": tridiag.SCHUR_FLOOR,
+                      "diagnostics": 1})
+    return "newton" if newton else "pc"
+
+
 def replay(frame, cfg, taus, rho, surface, j):
     """Layer j + 1 of a march on the time mesh ``taus`` with ``cfg`` (a
     NewtonConfig or a PredictorConfig, which names the engine) and
@@ -626,12 +643,7 @@ def replay(frame, cfg, taus, rho, surface, j):
     from the start the march takes there.  The layer is written into
     rho[j + 1] and surface[j + 1].  Returns (state, diagnostics) of layer
     j + 1; raises the layer's failure."""
-    if isinstance(cfg, NewtonConfig):
-        engine, limits = "newton", {"tol": cfg.tol, "max_iter": cfg.max_iter}
-    else:
-        engine, limits = "pc", solver_pc._root_search(cfg)
-    frame.set_limits(dict(limits, pivot_rtol=tridiag.PIVOT_RTOL, schur_floor=tridiag.SCHUR_FLOOR,
-                          diagnostics=1))
+    engine = set_limits(frame, cfg)
     rows = np.zeros((taus.size - 1, native.OUT_SLOTS))
     failure = native.march(frame, engine, taus, rho, surface, rows, first=j, stop=j + 1)
     if failure is not None:

@@ -447,6 +447,24 @@ class TestRefine:
     def test_level_validation(self, tmp_path):
         assert run_cli(["refine", "--levels", "1"], tmp_path) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--N", "0"), ("--M", "-1"), ("--N", "64")])
+    def test_refuses_the_mesh_flags_it_has_no_use_for(self, tmp_path, capsys, flag, value):
+        """refine's levels set their own N and M, so --N and --M, valid or
+        not, are usage errors (exit 2) that write nothing; a config file's
+        N and M keys are still accepted, and change no byte of refine.csv."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["refine", "--base-N", "8", "--levels", "2", flag, value], tmp_path / "out")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        config = tmp_path / "mesh.cfg"
+        config.write_text("N = 0\nM = -1\n")
+        for name, extra in (("plain", []), ("config", ["--config", str(config)])):
+            assert run_cli(["refine", "--base-N", "8", "--levels", "2", *extra],
+                           tmp_path / name) == 0
+        assert (tmp_path / "config" / "refine.csv").read_bytes() == \
+            (tmp_path / "plain" / "refine.csv").read_bytes()
+
 
 class TestCompare:
     def test_outputs(self, tmp_path):
@@ -526,17 +544,19 @@ class TestConfigResolution:
                 assert exc.value.code == 2
 
     def test_readme_lists_every_option(self):
-        """README's command-line section names the flags every command
-        shares, refine's own flags and the config-file-only keys, each
-        list exactly as OPTIONS generates it."""
+        """README's command-line section names the flags of solve and
+        compare, those refine drops and its own flags, and the
+        config-file-only keys, each list exactly as OPTIONS generates it."""
         text = " ".join((ROOT / "README.md").read_text().split())
-        shared, refine_only = re.search(r"Shared flags: `([^`]*)`; `refine` adds `([^`]*)`",
-                                        text).groups()
+        shared, dropped, refine_only = re.search(
+            r"Flags of `solve` and `compare`: `([^`]*)`; `refine` drops `([^`]*)` and adds "
+            r"`([^`]*)`", text).groups()
         files = re.search(r"name the six output files \(([^)]*)\)", text).group(1)
         flags = {key: "--" + key.replace("_", "-") for key, *_ in OPTIONS}
         with_flag = [key for key, _, _, help_text in OPTIONS if help_text is not None]
         assert shared.split() == [flags[key] for key in with_flag
                                   if key not in cli._REFINE_ONLY] + ["--config", "FILE"]
+        assert dropped.split() == [flags[key] for key in cli._NOT_REFINE]
         assert refine_only.split() == [flags[key] for key in cli._REFINE_ONLY]
         assert re.findall(r"`(\w+)`", files) == [key for key in DEFAULTS
                                                 if key not in with_flag]
@@ -672,7 +692,9 @@ class TestConfigResolution:
         in it; the failed solve leaves the output directory as it found it,
         and no worker thread."""
         native.load()
-        marches, buffers = [], []  # (surface address, count) of each march
+        # (surface address, frame address) of each march, and the count it
+        # published once it returned
+        marches, counts, buffers = [], [], []
 
         class RecordingKernel:
             """native's library, each call forwarded to it; records each
@@ -685,15 +707,17 @@ class TestConfigResolution:
                 return getattr(self.library, name)
 
             def march(self, *args):
-                marches.append((args[7], args[-1]))
-                return self.library.march(*args)
+                marches.append((args[7], args[0]))
+                status = self.library.march(*args)
+                counts.append(self.library.published(args[0]))
+                return status
 
             def fixed9_surface(self, layers, n, taus, xi, pi, out):
                 # the last layer the chunk reads, and the count the march
                 # had published when C began to read it
-                surface, count = marches[0]
+                surface, frame = marches[0]
                 buffers.append(((pi - surface) // (8 * n) + layers - 1,
-                                self.library.published(count)))
+                                self.library.published(frame)))
                 return self.library.fixed9_surface(layers, n, taus, xi, pi, out)
 
         monkeypatch.setattr(native, "_kernel", RecordingKernel(native._kernel))
@@ -705,7 +729,7 @@ class TestConfigResolution:
         assert threading.active_count() == threads
         assert [(path.name, path.read_bytes()) for path in out.iterdir()] == \
             [("surface.csv", b"an earlier surface")]
-        assert marches[0][1].value == 499  # the march stored layers 0 .. 498
+        assert counts == [499]  # the march stored layers 0 .. 498
         assert buffers and all(last < count for last, count in buffers), buffers
         assert buffers[-1][0] < 499
 
@@ -728,8 +752,9 @@ class TestConfigResolution:
         monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
         monkeypatch.setattr(native, "_kernel", None)
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        extra = ["--levels", "2", "--jobs", "1"] if command == "refine" else []
-        assert run_cli([command, "--N", "16", *extra], tmp_path / "out") == 4
+        size = ["--base-N", "16", "--levels", "2", "--jobs", "1"] if command == "refine" \
+            else ["--N", "16"]
+        assert run_cli([command, *size], tmp_path / "out") == 4
         err = capsys.readouterr().err
         assert err == ("kernel unavailable: no C compiler: asianfb builds its kernel "
                        "thomas.c with 'cc', which is not on PATH (kernel cache directory "

@@ -75,11 +75,15 @@ def python_names(prefix):
 
 
 def test_frame_struct_matches_layer_frame():
-    """_Frame has struct layer_frame's 37 fields, in its order, each of the
-    ctypes type of its C type."""
+    """_Frame has struct layer_frame's 36 fields, in its order, each of the
+    ctypes type of its C type: one pair of limits (tol, max_iter), for the
+    one engine a frame marches, and the layer count that march publishes."""
     fields = struct_fields("layer_frame")
-    assert len(fields) == 37 and fields[0] == ("n", ctypes.c_long)
+    assert len(fields) == 36 and fields[0] == ("n", ctypes.c_long)
     assert native._Frame._fields_ == fields
+    assert ("tol", ctypes.c_double) in fields and ("max_iter", ctypes.c_long) in fields
+    assert ("count", ctypes.c_long) in fields
+    assert not [name for name, _ in fields if name.startswith("root_")]
 
 
 def test_out_slots_match_the_out_enum():

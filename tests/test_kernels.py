@@ -1,6 +1,5 @@
 import concurrent.futures
 import contextlib
-import ctypes
 import dataclasses
 import hashlib
 import io
@@ -31,7 +30,7 @@ from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
 from _oracles import (LayerRows, NoBracket, correct_numpy, frame_start, numpy_layers, one_layer,
-                      predictor_numpy, pure_solve, replay)
+                      predictor_numpy, pure_solve, replay, set_limits)
 from test_tridiag import random_dominant_system
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -1204,9 +1203,9 @@ def test_eliminations_enter_through_the_traced_entry_points(params, march):
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_a_march_is_one_native_call(params, monkeypatch, march):
     """A march runs every layer, pc's fallback layers included, in one
-    native.march call over the whole time mesh, with a layer count or
-    without, and makes no call per layer from Python: a ``ready``
-    callback runs once."""
+    native.march call over the whole time mesh, with a ``ready`` callback
+    or without, and makes no call per layer from Python: the callback runs
+    once."""
     grid = make_grid(params, N=50)
     marches = []
 
@@ -1220,24 +1219,25 @@ def test_a_march_is_one_native_call(params, monkeypatch, march):
     result = march(params, grid)
     assert march(params, grid, ready=ready).rows.tobytes() == result.rows.tobytes()
     assert marches == [("newton" if march is march_newton else "pc", 0, None)] * 2
-    assert ready.counts == [1] and ready.count.value == grid.M + 1
+    assert ready.counts == [0] and ready.published() == grid.M + 1
     assert len(result.diagnostics) == grid.M
     if march is march_pc:
         assert any(d.predictor_fallback for d in result.diagnostics)
 
 
 class ReadyRecorder:
-    """A march's ``ready`` callback that keeps each call's count of stored
-    layers, a copy of those layers, to hold against the finished march,
-    and the count itself, to read once the march has returned."""
+    """A march's ``ready`` callback that keeps each call's count of
+    published layers, a copy of layer 0, to hold against the finished
+    march, and the reader of the count, to read once the march has
+    returned."""
 
     def __init__(self):
-        self.counts, self.stored, self.count = [], [], None
+        self.counts, self.stored, self.published = [], [], None
 
-    def __call__(self, surface, count):
-        self.counts.append(count.value)
-        self.stored.append(surface[:count.value].copy())
-        self.count = count
+    def __call__(self, surface, published):
+        self.counts.append(published())
+        self.stored.append(surface[:1].copy())
+        self.published = published
 
 
 # Where a march's layers run, and are replayed: in the kernel, and on the
@@ -1248,10 +1248,10 @@ BACKEND_LAYERS = (contextlib.nullcontext, numpy_layers)
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_counted_march_gives_the_one_call_bits(march, mode):
-    """A march with a layer count (a ``ready`` callback) and without one
-    gives the MARCH_DIGESTS bits, in the kernel and on the numpy twins; its
-    callback is called once, before any layer, with layer 0 stored and
-    final and the count at 1, and the count reads M + 1 once the march has
+    """A march with a ``ready`` callback and without one gives the
+    MARCH_DIGESTS bits, in the kernel and on the numpy twins; its callback
+    is called once, before any layer, with layer 0 stored and final and
+    the count at 0, and the count reads M + 1 once the march has
     returned."""
     engine = "newton" if march is march_newton else "pc"
     for name, (r, q, sigma) in BIT_IDENTITY_PARAMS.items():
@@ -1267,9 +1267,9 @@ def test_counted_march_gives_the_one_call_bits(march, mode):
                     assert digest == MARCH_DIGESTS[engine, mode.value, name, grid_name], \
                         (name, grid_name, layers, ready)
                     if ready is not None:
-                        assert ready.counts == [1]
+                        assert ready.counts == [0]
                         assert ready.stored[0].tobytes() == runs[0].surface[:1].tobytes()
-                        assert ready.count.value == grid.M + 1
+                        assert ready.published() == grid.M + 1
 
 
 SKIPPED_SLOTS = [native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2, native.OUT_BACKWARD_ERROR]
@@ -1314,8 +1314,8 @@ def late_failing_march(engine):
 @pytest.mark.parametrize("engine", ["newton", "pc"])
 def test_counted_march_fails_as_the_one_call_march(engine):
     """A march that fails late raises the same LayerFailure (layer, tau and
-    cause) with a layer count as without one, and the count stops at the
-    failing layer: it counts the layers stored before it, and the
+    cause) with a ``ready`` callback as without one, and the count stops
+    at the failing layer: it counts the layers stored before it, and the
     callback was called once, before any layer."""
     raised = []
     for ready in (None, ReadyRecorder()):
@@ -1326,13 +1326,51 @@ def test_counted_march_fails_as_the_one_call_march(engine):
         raised.append((failure.layer, failure.tau, str(failure), type(failure.cause),
                        str(failure.cause), vars(failure.cause)))
         if ready is not None:
-            assert ready.counts == [1]
-            assert ready.count.value == failure.layer
+            assert ready.counts == [0]
+            assert ready.published() == failure.layer
     assert raised[0] == raised[1]
     layer, tau, _, cause, _, _ = raised[0]
     assert (layer, cause) == ((499, NoConvergence) if engine == "newton" else
                               (57, NonPositiveZ))
     assert tau == grid.taus[layer]
+
+
+@pytest.mark.parametrize("layers", BACKEND_LAYERS, ids=["kernel", "numpy"])
+@pytest.mark.parametrize("engine", ["newton", "pc"])
+def test_a_march_without_a_reader_publishes_its_count(params, engine, layers):
+    """Every march publishes its layer count in its frame, read or not, in
+    the kernel and on the numpy twins (_oracles.march_numpy): 0 before the
+    frame's first march, M + 1 after a whole march, stop + 1 after a range
+    first .. stop - 1, and the failed layer after a failure (Newton's
+    layer 4 with max_iter = 1 in a range from layer 3, pc's layer 57 of
+    58)."""
+    grid = make_grid(params, N=16)
+    cfg = NewtonConfig() if engine == "newton" else PredictorConfig()
+    with layers():
+        frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
+        set_limits(frame, cfg)
+        arrays = march_arrays(grid)
+        start = initial_layer(params, grid)
+        arrays["rho"][0], arrays["surface"][0] = start.z, start.y
+        assert native.published(frame) == 0
+        assert native.march(frame, engine, *arrays.values()) is None
+        assert native.published(frame) == grid.M + 1
+        assert native.march(frame, engine, *arrays.values(), first=2, stop=5) is None
+        assert native.published(frame) == 6
+        if engine == "newton":
+            set_limits(frame, NewtonConfig(max_iter=1))
+            failure = native.march(frame, engine, *arrays.values(), first=3)
+            assert failure[0] == 4
+        else:
+            _, p, grid, cfg = failing_march(engine)
+            frame = native.LayerFrame(grid, p, SchemeMode.UPWIND_SINGULAR)
+            set_limits(frame, cfg)
+            arrays = march_arrays(grid)
+            start = initial_layer(p, grid)
+            arrays["rho"][0], arrays["surface"][0] = start.z, start.y
+            failure = native.march(frame, engine, *arrays.values())
+            assert failure[0] == 57
+        assert native.published(frame) == failure[0]
 
 
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
@@ -1354,10 +1392,10 @@ def test_march_rows_do_not_depend_on_the_heap(params, march):
 
 def march_arrays(grid):
     """Arrays that native.march takes for a march on ``grid``, each of the
-    right type and shape: taus, rho, surface, rows and a layer count."""
+    right type and shape: taus, rho, surface and rows."""
     return {"taus": grid.taus.copy(), "rho": np.zeros(grid.M + 1),
             "surface": np.zeros((grid.M + 1, grid.N + 1)),
-            "rows": np.zeros((grid.M, native.OUT_SLOTS)), "count": ctypes.c_long(1)}
+            "rows": np.zeros((grid.M, native.OUT_SLOTS))}
 
 
 # Arrays native.march refuses: its taus of another type, layout or shape
@@ -1372,14 +1410,13 @@ BAD_MARCH_ARRAYS = {
     "rho": ("rho", lambda g: np.zeros(g.M)),
     "surface": ("surface", lambda g: np.zeros((g.N + 1, g.M + 1)).T),
     "rows": ("rows", lambda g: np.zeros((g.M, native.OUT_SLOTS), np.float32)),
-    "count": ("count", lambda g: np.ones(1, np.int64)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MARCH_ARRAYS))
 def test_native_march_rejects_arrays_it_could_overrun(params, case):
-    """native.march checks the caller's arrays and its layer count before
-    any pointer reaches C."""
+    """native.march checks the caller's arrays before any pointer reaches
+    C."""
     grid = make_grid(params, N=16)
     frame = native.LayerFrame(grid, params, SchemeMode.UPWIND_SINGULAR)
     name, bad = BAD_MARCH_ARRAYS[case]
