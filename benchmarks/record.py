@@ -1,50 +1,30 @@
 #!/usr/bin/env python3
-"""Record the performance trajectory of this checkout into BENCH_<label>.json.
+"""Record a paired performance comparison of this checkout into BENCH_<label>.json.
 
-    python3 benchmarks/record.py LABEL
     python3 benchmarks/record.py LABEL --against DIR
 
-Without ``--against`` it measures, from the sources in ``src/`` of the
-checkout it sits in:
-
-* the benchmark: ``perfbench/run.py --workload all --trace 0`` with seed
-  ``SEED`` for ``SECONDS`` per workload, keeping each workload's ``env:``
-  line and result line;
-* the time march: ``march_newton`` and ``march_pc`` on the reference point
-  (upwind-singular mode, M = ceil(2.5 N)) at N = 50, 200, 800 and 1600,
-  best of ``REPEATS`` runs, with seconds per layer and iteration counts,
-  and per engine the least-squares line ms per layer = intercept + slope N
-  (the intercept is the cost of a layer that does not grow with N);
-* the default ``asianfb refine`` (N = 50 ... 800) as a whole process, with
-  ``--jobs 1`` and ``--jobs 2``, best of ``REPEATS`` runs.
-
-The settings are fixed, and written into the file, so BENCH files from
-different checkouts compare.  Every run made is kept next to its best.
-One small march of each engine runs first, so a first-use kernel build
-is not timed.  The file is written to the root of the checkout.
-
-With ``--against DIR`` it makes a paired recording of this checkout
-against a second one at DIR (a ``git worktree`` or an unpacked
-``git archive`` of another commit; the tool runs no git command).  For
-each N in ``PAIRED_SIZES`` it runs ``PAIRED_ROUNDS`` rounds; a round
-times one ``march_newton`` and one ``march_pc`` (reference point,
-upwind-singular, M = ceil(2.5 N)) in a fresh process of each tree, in
-ABBA order (this tree first in even rounds), each tree building and
-loading its kernel from a cache of its own, and then, in the same
-process, the median of ``IN_PROCESS_REPEATS`` more marches of each
-engine, which spreads less than one fresh process's first march.
-Machine drift then reaches both sides of a round alike.  Per engine and
-N it writes each round's ratio (this tree's time over the other's, so
-below 1 is faster), of the first marches and of the in-process
-medians, each with its median and a bootstrap 95 % interval of the
-median, and per engine and tree the least-squares line of the median ms
-per layer (first marches) against N.  Each round also times one
-default ``asianfb solve``, one default ``asianfb compare`` and one
-default ``asianfb refine`` (``COMMANDS``, output files written), each
-in a fresh process of each tree after a warm-up call of the same
-subcommand with ``--N 20``, in the same ABBA order, right after that
+It records this checkout against a second one at DIR (a ``git
+worktree`` or an unpacked ``git archive`` of another commit; the tool
+runs no git command).  For each N in ``PAIRED_SIZES`` it runs
+``PAIRED_ROUNDS`` rounds; a round times one ``march_newton`` and one
+``march_pc`` (reference point, upwind-singular, M = ceil(2.5 N)) in a
+fresh process of each tree, in ABBA order (this tree first in even
+rounds), each tree building and loading its kernel from a cache of its
+own, and then, in the same process, the median of ``IN_PROCESS_REPEATS``
+more marches of each engine, which spreads less than one fresh process's
+first march.  Machine drift then reaches both sides of a round alike.
+Per engine and N it writes each round's ratio (this tree's time over the
+other's, so below 1 is faster), of the first marches and of the
+in-process medians, each with its median and a bootstrap 95 % interval
+of the median, and per engine and tree the least-squares line of the
+median ms per layer (first marches) against N.  Each round also times
+one default ``asianfb solve``, one default ``asianfb compare`` and one
+default ``asianfb refine`` (``COMMANDS``, output files written), each in
+a fresh process of each tree after a warm-up call of the same subcommand
+at a small size (``WARMUP``), in the same ABBA order, right after that
 tree's marches, and the file gets each command's per-round ratios with
-their median and its bootstrap 95 % interval.  Nothing else is measured in this mode.
+their median and its bootstrap 95 % interval.  The file is written to
+the root of this checkout.
 """
 
 from __future__ import annotations
@@ -58,92 +38,27 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-MARCH_SIZES = (50, 200, 800, 1600)
 REFERENCE = {"r": 0.06, "q": 0.04, "sigma": 0.2, "T": 50.0}
-SEED = 0          # perfbench workload seed
-SECONDS = 50.0    # perfbench run length per workload
-REPEATS = 3       # k: each march and refine is timed k times, best kept
 PAIRED_SIZES = (50, 200, 800)   # N of the paired recording
 PAIRED_ROUNDS = 10              # R: rounds of the paired recording at each N
 IN_PROCESS_REPEATS = 20         # marches per engine of a round's in-process median
 BOOTSTRAP_SAMPLES = 2000        # resamples of the ratios for the 95 % interval
 # the commands timed in each round of the paired recording, by name
 COMMANDS = {"solve": ("solve",), "compare": ("compare",), "refine": ("refine",)}
+# each subcommand's warm-up arguments: a small size (refine has no --N, so
+# two small levels)
+WARMUP = {"solve": ("--N", "20"), "compare": ("--N", "20"),
+          "refine": ("--base-N", "8", "--levels", "2")}
 OUT_DIR = ROOT    # where BENCH_<label>.json is written
-
-
-def child_env() -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("ASIANFB_OUT", None)
-    return env
-
-
-def perfbench() -> dict:
-    """Each workload's env and --trace 0 result lines, as printed by perfbench."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, text=True, check=True)
-    workloads, env = {}, None
-    for line in done.stdout.splitlines():
-        if line.startswith("env: "):
-            env = json.loads(line[len("env: "):])
-        elif line.startswith("{") and env is not None:
-            workloads[env["workload"]] = {"env": env, "result": json.loads(line)}
-            env = None
-    return {"seed": SEED, "seconds": SECONDS, "workloads": workloads}
-
-
-def marches() -> list[dict]:
-    """Best-of-``REPEATS`` march time per engine and N, with iteration counts."""
-    from asianfb import MarketParams, make_grid, march_newton, march_pc
-
-    p = MarketParams(**REFERENCE)
-    engines = {"newton": march_newton, "pc": march_pc}
-    for march in engines.values():
-        march(p, make_grid(p, N=20))
-    rows = []
-    for n in MARCH_SIZES:
-        grid = make_grid(p, N=n)
-        for engine, march in engines.items():
-            times = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                result = march(p, grid)
-                times.append(time.perf_counter() - start)
-            iterations = [d.iterations for d in result.diagnostics]
-            rows.append({
-                "engine": engine, "N": n, "M": grid.M, "times_s": times,
-                "best_s": min(times), "best_s_per_layer": min(times) / grid.M,
-                "iterations": sum(iterations), "iterations_per_layer_max": max(iterations),
-            })
-            print(f"march {engine} N={n}: best {min(times):.3f} s "
-                  f"({1e3 * min(times) / grid.M:.3f} ms/layer)", file=sys.stderr)
-    return rows
 
 
 def line_fit(sizes, ms_per_layer) -> dict:
     """Least-squares line ms per layer = intercept + slope N."""
     slope, intercept = statistics.linear_regression(sizes, ms_per_layer)
     return {"intercept_ms_per_layer": intercept, "slope_ms_per_layer_per_N": slope}
-
-
-def layer_cost_fit(rows: list[dict]) -> dict:
-    """Per engine, the least-squares fit of best ms per layer against N."""
-    fit = {}
-    for engine in dict.fromkeys(row["engine"] for row in rows):
-        picked = [row for row in rows if row["engine"] == engine]
-        fit[engine] = line_fit([row["N"] for row in picked],
-                               [1e3 * row["best_s_per_layer"] for row in picked])
-        print(f"fit {engine}: {fit[engine]['intercept_ms_per_layer']:.4f} ms/layer + "
-              f"{1e3 * fit[engine]['slope_ms_per_layer_per_N']:.4f} us/layer per N",
-              file=sys.stderr)
-    return fit
 
 
 # One fresh-process sample: argv is the kernel cache, the parameters as JSON,
@@ -177,10 +92,10 @@ print(json.dumps({"M": grid.M, "times_s": times, "median_s": medians,
 
 
 # One fresh-process sample of a command: argv is the kernel cache, the
-# output directory and the command's arguments as JSON.  The same
-# subcommand at N = 20 first pays the imports, the kernel load or build and
-# first calls (refine's levels do not read --N, so its warm-up is a whole
-# default refine); then the command is timed, its stdout discarded.
+# output directory, the command's arguments and its warm-up arguments, both
+# as JSON.  The same subcommand at a small size (WARMUP) first pays the
+# imports, the kernel load or build and first calls; then the command is
+# timed, its stdout discarded.
 COMMAND_CHILD = """
 import contextlib, io, json, sys, time
 from pathlib import Path
@@ -189,9 +104,9 @@ from asianfb import cli
 from asianfb._kernels import native
 native.CACHE_DIR = Path(sys.argv[1])
 out = ["--out-dir", sys.argv[2]]
-argv = json.loads(sys.argv[3])
+argv, warmup = json.loads(sys.argv[3]), json.loads(sys.argv[4])
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main([argv[0], "--N", "20", *out]) == 0
+    assert cli.main([argv[0], *warmup, *out]) == 0
     start = time.perf_counter()
     assert cli.main([*argv, *out]) == 0
     elapsed = time.perf_counter() - start
@@ -216,8 +131,10 @@ def paired_sample(tree: Path, cache: Path, n: int) -> dict:
 
 
 def command_sample(tree: Path, cache: Path, out: Path, argv: tuple[str, ...]) -> dict:
-    """Time of one fresh-process ``asianfb argv...`` command, from ``tree``'s sources."""
-    return child_run(tree, COMMAND_CHILD, str(cache), str(out), json.dumps(argv))
+    """Time of one fresh-process ``asianfb argv...`` command, after a warm-up
+    call of its subcommand with WARMUP's arguments, from ``tree``'s sources."""
+    return child_run(tree, COMMAND_CHILD, str(cache), str(out), json.dumps(argv),
+                     json.dumps(WARMUP[argv[0]]))
 
 
 def median_interval(values: list[float]) -> list[float]:
@@ -298,23 +215,6 @@ def paired(against: Path) -> dict:
             "commands": by_command}
 
 
-def refine() -> dict:
-    """Whole-process wall time of the default refine with --jobs 1 and 2."""
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for jobs in (1, 2):
-            argv = [sys.executable, "-m", "asianfb.cli", "refine", "--jobs", str(jobs),
-                    "--out-dir", tmp]
-            times = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                subprocess.run(argv, env=child_env(), stdout=subprocess.DEVNULL, check=True)
-                times.append(time.perf_counter() - start)
-            out[f"jobs{jobs}"] = {"times_s": times, "best_s": min(times)}
-            print(f"refine --jobs {jobs}: best {min(times):.3f} s", file=sys.stderr)
-    return out
-
-
 def environment() -> dict:
     import numpy
 
@@ -322,39 +222,15 @@ def environment() -> dict:
             "nproc": os.cpu_count(), "machine": platform.machine()}
 
 
-def git_commit() -> str:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                          text=True)
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
-    parser.add_argument("--against", metavar="DIR", type=Path,
+    parser.add_argument("--against", metavar="DIR", type=Path, required=True,
                         help="record paired against the checkout at DIR")
     args = parser.parse_args(argv)
     path = OUT_DIR / f"BENCH_{args.label}.json"
-    if args.against is not None:
-        record = {"label": args.label, "against": args.against.resolve().name,
-                  "environment": environment(), "paired": paired(args.against.resolve())}
-        path.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"wrote {path}", file=sys.stderr)
-        return 0
-
-    sys.path.insert(0, str(SRC))
-    import asianfb
-
-    record = {"label": args.label, "git_commit": git_commit()}
-    rows = marches()
-    record["march"] = {"repeats": REPEATS, "params": REFERENCE,
-                       "mode": "upwind-singular", "M": "ceil(2.5 N)",
-                       "rows": rows, "fit": layer_cost_fit(rows)}
-    record["kernel_backend"] = asianfb.kernel_backend()  # chosen by the marches above
-    record["environment"] = environment()
-    record["refine"] = {"repeats": REPEATS, "command": "asianfb refine --jobs J",
-                        **refine()}
-    record["perfbench"] = perfbench()
+    record = {"label": args.label, "against": args.against.resolve().name,
+              "environment": environment(), "paired": paired(args.against.resolve())}
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0

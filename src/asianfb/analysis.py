@@ -7,16 +7,17 @@ convergence ratio CR = log2(diff_{N/2} / diff_N).
 
 A march is one C call that holds no GIL (see results.march), so the
 levels of a refinement study and the two engines of a comparison run at
-once on plain threads (``_in_threads``).  Both read only rho, so they
-march with ``diagnostics=False``, which skips the kernel's passes that
-only fill residuals and backward errors and leaves rho's bits as they
-are.
+once on plain threads, one per CPU this process may run on
+(``_in_threads``).  Both read only rho, so they march with
+``diagnostics=False``, which skips the kernel's passes that only fill
+residuals and backward errors and leaves rho's bits as they are.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -78,23 +79,27 @@ class RefinementReport:
     rows: list[RefinementRow] = field(default_factory=list)
 
 
-def _in_threads(calls, jobs: int) -> list:
-    """The results of the zero-argument ``calls``, in order, from ``jobs``
-    threads at once: this one runs calls[0::jobs] and each of jobs - 1
-    worker threads calls[k::jobs], each thread stopping at its first
-    failure.  Every worker is joined; then the exception of the first
-    failing call in order is raised."""
+def _in_threads(calls) -> list:
+    """The results of the zero-argument ``calls``, in order, from one
+    thread per CPU this process may run on (its affinity mask where the
+    platform has one, so ``taskset`` limits it, else the CPU count) at
+    once: this one runs calls[0::threads] and each of threads - 1 worker
+    threads calls[k::threads], each thread stopping at its first failure.
+    Every worker is joined; then the exception of the first failing call
+    in order is raised."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     results, errors = [None] * len(calls), {}
 
     def run(first):
-        for i in range(first, len(calls), jobs):
+        for i in range(first, len(calls), threads):
             try:
                 results[i] = calls[i]()
             except BaseException as exc:  # raised on this thread once all are joined
                 errors[i] = exc
                 return
 
-    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, min(jobs, len(calls)))]
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, min(threads, len(calls)))]
     for worker in workers:
         worker.start()
     run(0)  # never raises: it keeps every exception for below
@@ -124,12 +129,11 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
                      L: float | None = None,
                      eps_final: float = DEFAULT_EPS_FINAL,
                      newton_cfg: NewtonConfig | None = None,
-                     pc_cfg: PredictorConfig | None = None,
-                     jobs: int = 1) -> RefinementReport:
+                     pc_cfg: PredictorConfig | None = None) -> RefinementReport:
     """Run ``levels`` nested grids N = base_N * 2^l and tabulate differences.
 
-    The levels run on ``jobs`` threads (see _in_threads); the first level
-    by N that fails raises its SolverError.
+    The levels run on one thread per CPU (see _in_threads); the first
+    level by N that fails raises its SolverError.
     """
     if levels < 2:
         raise ValueError(f"at least 2 levels are needed for differences, got {levels}")
@@ -143,7 +147,7 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
 
     levels_out = _in_threads([functools.partial(_refinement_level, p, n_val, length, eps_final,
                                                 mode, engine, tuple(probes), newton_cfg, pc_cfg)
-                              for n_val in ns], max(jobs, 1))
+                              for n_val in ns])
 
     report = RefinementReport(probe_times=tuple(probes), engine=engine, mode=mode.value)
     for idx, (n_val, m_val, rho) in enumerate(levels_out):
@@ -215,12 +219,12 @@ def compare_engines(p: MarketParams, g: GridSpec,
                     pc_cfg: PredictorConfig | None = None) -> ComparisonRecord:
     """Run both engines on the same grid and compare boundary paths.
 
-    march_pc runs on a worker thread while march_newton runs on this one;
-    when both fail, Newton's LayerFailure is raised.
+    With a second CPU, march_pc runs on a worker thread while march_newton
+    runs on this one; when both fail, Newton's LayerFailure is raised.
     """
     res_n, res_pc = _in_threads(
         [lambda: run_engine("newton", p, g, mode, newton_cfg, diagnostics=False),
-         lambda: run_engine("pc", p, g, mode, pc_cfg=pc_cfg, diagnostics=False)], 2)
+         lambda: run_engine("pc", p, g, mode, pc_cfg=pc_cfg, diagnostics=False)])
     diff = res_pc.rho - res_n.rho
     below = float(np.mean(res_pc.rho[1:] < res_n.rho[1:]))
     return ComparisonRecord(

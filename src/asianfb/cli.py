@@ -90,7 +90,6 @@ OPTIONS = (
     ("max_iter", int, None, "engine iteration cap"),
     ("tau_probes", str, _probe_spec(DEFAULT_PROBES),
      f"comma-separated probe times (default {_probe_spec(DEFAULT_PROBES)})"),
-    ("jobs", int, None, "worker threads for refine"),  # None: the cpu count
     ("out_dir", str, ".", "output directory"),
     ("base_N", int, 50, "coarsest spatial resolution (default 50)"),
     ("levels", int, 5, "number of doublings (default 5)"),
@@ -165,9 +164,8 @@ def _parse_probes(spec: str, T: float) -> tuple[float, ...]:
 def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """The run's record: an attribute per OPTIONS key (defaults, then the
     --config file, then flags, then ASIANFB_OUT), and the checked
-    ``market``, ``scheme_mode`` (a SchemeMode), ``probes``, ``jobs`` (the
-    cpu count by default), ``newton`` and ``predictor``.  Raises
-    ValueError for input it refuses."""
+    ``market``, ``scheme_mode`` (a SchemeMode), ``probes``, ``newton`` and
+    ``predictor``.  Raises ValueError for input it refuses."""
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(args.config))
@@ -183,13 +181,10 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
                               f"{' or '.join(map(repr, choices))}, got {cfg[key]!r}")
     market = MarketParams(r=cfg["r"], q=cfg["q"], sigma=cfg["sigma"], T=cfg["T"])
     probes = _parse_probes(cfg["tau_probes"], cfg["T"])
-    jobs = cfg["jobs"] if cfg["jobs"] is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     limits = {key: cfg[key] for key in ("tol", "max_iter") if cfg[key] is not None}
     return SimpleNamespace(**dict(
         cfg, market=market, scheme_mode=SchemeMode(cfg["scheme_mode"]), probes=probes,
-        jobs=jobs, newton=NewtonConfig(**limits),
+        newton=NewtonConfig(**limits),
         predictor=PredictorConfig(**{k.replace("tol", "root_tol"): v for k, v in limits.items()}),
     ))
 
@@ -203,7 +198,7 @@ def _config_echo(cfg: SimpleNamespace, grid) -> dict:
         "engine": cfg.engine, "scheme_mode": cfg.scheme_mode.value,
         "tol": cfg.tol, "max_iter": cfg.max_iter,
         "tau_probes": _probe_spec(cfg.probes),
-        "jobs": cfg.jobs, "out_dir": cfg.out_dir,
+        "out_dir": cfg.out_dir,
     }
 
 
@@ -364,7 +359,7 @@ def cmd_refine(cfg: SimpleNamespace) -> int:
         cfg.market, base_N=cfg.base_N, levels=cfg.levels,
         mode=cfg.scheme_mode, engine=cfg.engine, probes=cfg.probes,
         L=cfg.L, eps_final=cfg.eps_final,
-        newton_cfg=cfg.newton, pc_cfg=cfg.predictor, jobs=cfg.jobs,
+        newton_cfg=cfg.newton, pc_cfg=cfg.predictor,
     )
     elapsed = time.perf_counter() - started
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,16 @@ def kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "CACHE_DIR", tmp_path_factory.mktemp("kernel_cache"))
         yield native.CACHE_DIR
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes this process see n CPUs, both through its affinity
+    mask and through os.cpu_count, until the test ends."""
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+    return see
 
 
 @pytest.fixture(scope="session")

@@ -60,19 +60,25 @@ class TestRefinementStudy:
             assert row_a.rho == row_b.rho
             assert row_a.diff == row_b.diff
 
-    def test_parallel_equals_serial(self, params, small_report):
-        parallel = refinement_study(params, base_N=50, levels=3, jobs=2)
-        for row_a, row_b in zip(small_report.rows, parallel.rows):
+    def test_parallel_equals_serial(self, params, cpus):
+        """The levels run on one thread per CPU; on one CPU and on two
+        they give the same rho."""
+        reports = []
+        for n in (1, 2):
+            cpus(n)
+            reports.append(refinement_study(params, base_N=50, levels=3))
+        serial, parallel = reports
+        for row_a, row_b in zip(serial.rows, parallel.rows):
             assert row_a.rho == row_b.rho
 
-    @pytest.mark.parametrize("jobs", [1, 2, 8])
-    def test_first_failing_level_by_n_is_raised(self, params, jobs):
+    @pytest.mark.parametrize("n_cpus", [1, 2, 8])
+    def test_first_failing_level_by_n_is_raised(self, params, cpus, n_cpus):
         """Every level fails; the one raised is the smallest N's, on the
         thread of any level, and every worker thread has ended."""
+        cpus(n_cpus)
         threads = threading.active_count()
         with pytest.raises(SolverError, match=r"^refinement level N=50 failed: layer 1 ") as exc:
-            refinement_study(params, base_N=50, levels=3, jobs=jobs,
-                             newton_cfg=NewtonConfig(max_iter=1))
+            refinement_study(params, base_N=50, levels=3, newton_cfg=NewtonConfig(max_iter=1))
         assert isinstance(exc.value.__cause__, LayerFailure)
         assert threading.active_count() == threads
 
@@ -217,17 +223,32 @@ def test_compare_and_refine_march_without_diagnostics_to_the_same_floats(params,
     assert lean_report == full_report
 
 
-def test_threads_switching_often_return_each_march_in_order(params):
+def test_threads_switching_often_return_each_march_in_order(params, cpus):
     """Eight marches on four threads (more than this machine's cores),
     switching every microsecond, return the bits of each march run alone,
     in order."""
+    cpus(4)
     marches = [functools.partial(march, params, make_grid(params, N=n))
                for n in (16, 20, 24, 28) for march in (march_newton, march_pc)]
     alone = [march().rho.tobytes() for march in marches]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        together = _in_threads(marches, 4)
+        together = _in_threads(marches)
     finally:
         sys.setswitchinterval(interval)
     assert [result.rho.tobytes() for result in together] == alone
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_one_thread_per_cpu(cpus, n_cpus):
+    """_in_threads runs its calls on as many threads at once as this
+    process may use CPUs: each call waits until n_cpus calls wait."""
+    cpus(n_cpus)
+    barrier = threading.Barrier(n_cpus, timeout=10)
+
+    def call():
+        barrier.wait()
+        return threading.current_thread().name
+
+    assert len(set(_in_threads([call] * (2 * n_cpus)))) == n_cpus

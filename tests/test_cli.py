@@ -435,12 +435,14 @@ class TestRefine:
                          "--out-dir", str(target)]) == 0
         assert (a_dir / "refine.csv").read_bytes() == (b_dir / "refine.csv").read_bytes()
 
-    def test_parallel_fanout_matches_serial(self, tmp_path):
+    def test_parallel_fanout_matches_serial(self, tmp_path, cpus):
         serial = tmp_path / "serial"
         fanout = tmp_path / "fanout"
-        assert main(["refine", "--base-N", "50", "--levels", "2", "--jobs", "1",
+        cpus(1)
+        assert main(["refine", "--base-N", "50", "--levels", "2",
                      "--out-dir", str(serial)]) == 0
-        assert main(["refine", "--base-N", "50", "--levels", "2", "--jobs", "2",
+        cpus(2)
+        assert main(["refine", "--base-N", "50", "--levels", "2",
                      "--out-dir", str(fanout)]) == 0
         assert (serial / "refine.csv").read_bytes() == (fanout / "refine.csv").read_bytes()
 
@@ -503,7 +505,7 @@ class TestCompare:
 OPTION_SAMPLES = {
     "r": "0.07", "q": "0.03", "sigma": "0.3", "T": "45", "N": "64", "M": "100",
     "L": "2.5", "eps_final": "1e-6", "engine": "pc", "scheme_mode": "central",
-    "tol": "1e-9", "max_iter": "7", "tau_probes": "5,15", "jobs": "3",
+    "tol": "1e-9", "max_iter": "7", "tau_probes": "5,15",
     "out_dir": "elsewhere", "base_N": "25", "levels": "3",
     "boundary_csv": "b.csv", "surface_csv": "s.csv", "summary_json": "s.json",
     "refine_csv": "r.csv", "compare_csv": "c.csv", "compare_json": "c.json",
@@ -575,6 +577,33 @@ class TestConfigResolution:
         assert summary["config"]["N"] == 32          # flag wins
         assert summary["config"]["engine"] == "pc"   # file applies
         assert summary["params"]["sigma"] == 0.25
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "refine"])
+    def test_thread_count_is_no_option(self, tmp_path, capsys, command):
+        """The thread count is the CPUs this process may run on: --jobs is
+        a usage error and a config file's jobs an unknown key, each exit 2,
+        with nothing written."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--jobs", "2"], tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text("jobs = 2\n")
+        assert run_cli([command, "--config", str(cfg)], tmp_path / "out") == 2
+        assert "unknown key 'jobs'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name", [("solve", "summary.json"),
+                                               ("compare", "compare.json")])
+    def test_json_does_not_depend_on_the_cpu_count(self, tmp_path, cpus, command, name):
+        """solve's and compare's JSON have the same bytes on one CPU and on
+        eight: no output echoes the thread count."""
+        outputs = []
+        for n in (1, 8):
+            cpus(n)
+            assert run_cli([command, "--N", "32"], tmp_path) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -752,7 +781,7 @@ class TestConfigResolution:
         monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
         monkeypatch.setattr(native, "_kernel", None)
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        size = ["--base-N", "16", "--levels", "2", "--jobs", "1"] if command == "refine" \
+        size = ["--base-N", "16", "--levels", "2"] if command == "refine" \
             else ["--N", "16"]
         assert run_cli([command, *size], tmp_path / "out") == 4
         err = capsys.readouterr().err
@@ -791,7 +820,7 @@ class TestEntryPoint:
         assert built == []
         calls = {"solve": ["solve", "--N", "16", "--sigma", "0.25"],
                  "compare": ["compare", "--N", "12", "--engine", "pc"],
-                 "refine": ["refine", "--base-N", "8", "--levels", "2", "--jobs", "1"]}
+                 "refine": ["refine", "--base-N", "8", "--levels", "2"]}
         for command, args in calls.items():
             assert run_cli(args, tmp_path / command) == 0
             capsys.readouterr()

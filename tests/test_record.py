@@ -13,14 +13,15 @@ def load_record():
 
 
 def test_paired_recording_schema(tmp_path, monkeypatch):
-    """The checkout against itself at tiny N, two rounds: the file's layout
-    only, never its timings."""
+    """The checkout against itself at tiny N, two rounds, each command
+    warmed up as WARMUP says: the file's layout only, never its timings."""
     record = load_record()
     monkeypatch.setattr(record, "PAIRED_SIZES", (8, 12))
     monkeypatch.setattr(record, "PAIRED_ROUNDS", 2)
     monkeypatch.setattr(record, "IN_PROCESS_REPEATS", 3)
-    monkeypatch.setattr(record, "COMMANDS", {"solve": ("solve", "--N", "8"),
-                                             "compare": ("compare", "--N", "8")})
+    commands = {"solve": ("solve", "--N", "8"), "compare": ("compare", "--N", "8"),
+                "refine": ("refine", "--base-N", "8", "--levels", "2")}
+    monkeypatch.setattr(record, "COMMANDS", commands)
     monkeypatch.setattr(record, "OUT_DIR", tmp_path)
     assert record.main(["smoke", "--against", str(ROOT)]) == 0
     out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
@@ -49,9 +50,9 @@ def test_paired_recording_schema(tmp_path, monkeypatch):
                                                 "slope_ms_per_layer_per_N"}
         assert isinstance(engine["fit"]["intercept_ratio"], float)
     # each command once per tree in each round, in the marches' ABBA order
-    assert set(paired["commands"]) == {"solve", "compare"}
+    assert set(paired["commands"]) == set(commands)
     for name, command in paired["commands"].items():
-        assert command["argv"] == ["asianfb", name, "--N", "8"]
+        assert command["argv"] == ["asianfb", *commands[name]]
         assert [run["tree"] for run in command["runs"]] == \
             [run["tree"] for run in paired["runs"]]
         assert {run["command"] for run in command["runs"]} == {name}
