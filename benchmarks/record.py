@@ -41,6 +41,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from asianfb.analysis import usable_cpus  # noqa: E402  (this checkout's)
+
 REFERENCE = {"r": 0.06, "q": 0.04, "sigma": 0.2, "T": 50.0}
 PAIRED_SIZES = (50, 200, 800)   # N of the paired recording
 PAIRED_ROUNDS = 10              # R: rounds of the paired recording at each N
@@ -216,10 +219,12 @@ def paired(against: Path) -> dict:
 
 
 def environment() -> dict:
+    """Versions, the machine, and in ``nproc`` the CPUs this process may run
+    on, which set the threads of compare and refine (analysis.usable_cpus)."""
     import numpy
 
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "nproc": os.cpu_count(), "machine": platform.machine()}
+            "nproc": usable_cpus(), "machine": platform.machine()}
 
 
 def main(argv=None) -> int:

@@ -76,6 +76,9 @@ threads at once.  A failed layer's status code, a refused layer
 (tau_next >= T, or a non-positive step) among them, becomes its
 exception here (``_failure``), from the failure record that C leaves in
 the layer's row of out[] slots; no status code leaves this module.
+That row is the layer's one record, diagnostics and failure alike:
+``OUT_FIELDS`` names its slots, and ``records`` views a march's rows by
+those names.
 
 ``write_table`` (boundary.csv, compare.csv) and ``write_surface``
 (surface.csv) each write one table to a binary file, byte for byte as
@@ -119,17 +122,19 @@ CACHE_DIR = Path(__file__).with_name("_build")
 BUILD_TIMEOUT_S = 120
 NON_FINITE = -2  # thomas.c's THOMAS_NON_FINITE
 # the arrays of an elimination, in the order of thomas.c's ARRAY_* codes, by
-# which thomas and a failed layer's out[OUT_FAILURE] name the first that holds
-# a non-finite entry
+# which thomas and a failed layer's failure slot name the first that holds a
+# non-finite entry
 ARRAYS = ("lower", "diag", "upper", "rhs")
 # thomas.c's status codes of the layer functions
 (LAYER_OK, LAYER_NON_POSITIVE_Z, LAYER_NON_FINITE, LAYER_ZERO_PIVOT, LAYER_SINGULAR_SCHUR,
  LAYER_NO_CONVERGENCE, LAYER_PAST_MATURITY, LAYER_NON_POSITIVE_STEP) = range(8)
-# the layer functions' out[] slots: a Newton layer's 8 diagnostics, then a
-# failure's value and the predictor's fallback flag
-(OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS, OUT_DOMINANCE_VIOLATIONS,
- OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR, OUT_FAILURE, OUT_FALLBACK,
- OUT_SLOTS) = range(11)
+# the names of the layer functions' out[] slots, in the order of thomas.c's
+# OUT_* enum (OUT_ and the name in capitals): a Newton layer's 8 diagnostics,
+# then a failure's value and the predictor's fallback flag
+OUT_FIELDS = ("iterations", "z", "initial_residual", "onesided_rows", "dominance_violations",
+              "residual_f1", "residual_f2", "backward_error", "failure", "predictor_fallback")
+OUT_SLOTS = len(OUT_FIELDS)
+_OUT_RECORD = np.dtype([(name, np.float64) for name in OUT_FIELDS])
 MARCH_ENGINES = {"newton": 0, "pc": 1}  # thomas.c's engines of march
 FIXED9_CELL = 320  # thomas.c's FIXED9_CELL: the widest cell the fixed9 functions write
 # The CSV writers format at most this many cells per chunk (or one time
@@ -343,15 +348,23 @@ class LayerFrame:
             setattr(self.struct, name, value)
 
 
+def records(rows):
+    """The (M, OUT_SLOTS) float64 array ``rows`` of a march's out[] rows
+    as an np.recarray of M records with one field of each OUT_FIELDS name:
+    a view that shares the memory of rows, so records(rows).iterations is
+    the first column of rows, and records(rows)[j].iterations rows[j, 0]."""
+    return rows.view(_OUT_RECORD, np.recarray)[:, 0]
+
+
 def _failure(frame, status, out, tau_prev, tau_next):
     """The exception of the layer in ``frame`` from tau_prev to tau_next
-    that ended with ``status``, from ``out``, the layer's out[] slots,
-    which hold its failure record: the failure's value in OUT_FAILURE, and
-    the cap that NoConvergence reached in OUT_ITERATIONS.  An elimination
-    that met a non-finite entry gives the ValueError naming the array
-    ``ARRAYS[out[OUT_FAILURE]]``.
+    that ended with ``status``, from ``out``, the record of the layer's
+    out[] slots, which hold its failure record: the failure's value in
+    ``failure``, and the cap that NoConvergence reached in
+    ``iterations``.  An elimination that met a non-finite entry gives the
+    ValueError naming the array ``ARRAYS[out.failure]``.
     """
-    value = out[OUT_FAILURE]
+    value = float(out.failure)
     if status == LAYER_NON_FINITE:
         return ValueError(f"{ARRAYS[int(value)]} contains non-finite values")
     if status == LAYER_PAST_MATURITY:
@@ -365,7 +378,7 @@ def _failure(frame, status, out, tau_prev, tau_next):
     if status == LAYER_SINGULAR_SCHUR:
         return SingularSchur(f"Schur denominator {value:.3e} at tau={tau_next:.6g}")
     if status == LAYER_NO_CONVERGENCE:
-        return NoConvergence(int(out[OUT_ITERATIONS]), value)
+        return NoConvergence(int(out.iterations), value)
     return RuntimeError(f"thomas.c returned the unknown layer status {status}")
 
 
@@ -375,23 +388,25 @@ def march(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
     ``frame``, in one C call, into the caller's arrays: layer j + 1 from
     (taus[j], surface[j], rho[j]) to taus[j + 1], its boundary into
     rho[j + 1], its values into surface[j + 1] and its out[] slots into
-    rows[j] (OUT_FAILURE 0), with the limits in the frame's struct (see
-    LayerFrame.set_limits).  By default (first = 0, stop = M) that is
-    every layer from the stored layer 0; a shorter range runs its layers
-    from those stored before it, exactly as the whole march runs them.
-    With the struct's ``diagnostics`` 0 the layers skip the passes that
-    only fill diagnostics (Newton's final rows, F1 and F2, pc's backward
-    error and F2), which no decision reads, and their slots
-    OUT_RESIDUAL_F1, OUT_RESIDUAL_F2 and OUT_BACKWARD_ERROR read NaN:
-    rho, surface and every other slot are the same bits as with it 1.
+    rows[j], the layer's record, whose slots OUT_FIELDS names (read them
+    by name through records; ``failure`` is 0), with the limits in the
+    frame's struct (see LayerFrame.set_limits).  By default (first = 0,
+    stop = M) that is every layer from the stored layer 0; a shorter
+    range runs its layers from those stored before it, exactly as the
+    whole march runs them.  With the struct's ``diagnostics`` 0 the
+    layers skip the passes that only fill diagnostics (Newton's final
+    rows, F1 and F2, pc's backward error and F2), which no decision
+    reads, and their residual_f1, residual_f2 and backward_error read
+    NaN: rho, surface and every other slot are the same bits as with it
+    1.
     Newton's layers 4 .. M - 1 start from the three-point Lagrange
     extrapolation of the stored layers j, j - 1 and j - 2 to taus[j + 1],
     layer 3 from the linear one of layers 2 and 1, and the others from the
     previous layer (see solver_newton), whatever the range.  pc's layers
     are pc_predictor's, falling back to z_tilde = z_prev where the
     predictor finds no root, then pc_corrector's (pc's rows hold its
-    predictor's iterations in OUT_ITERATIONS and 1 in OUT_FALLBACK on its
-    fallback layers).
+    predictor's iterations in ``iterations`` and 1 in
+    ``predictor_fallback`` on its fallback layers).
 
     The call publishes the layers in the frame as they are stored: C
     stores first + 1 there on entry and j + 2 once layer j + 1 is stored,
@@ -427,7 +442,7 @@ def march(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
     if status == LAYER_OK:
         return None
     j = failed.value
-    return j, _failure(frame, status, rows[j - 1].tolist(), float(taus[j - 1]), float(taus[j]))
+    return j, _failure(frame, status, records(rows)[j - 1], float(taus[j - 1]), float(taus[j]))
 
 
 def published(frame):

@@ -306,7 +306,7 @@ struct layer {
 /* The layer functions' out[] slots; each fills those it reports */
 enum { OUT_ITERATIONS, OUT_Z, OUT_INITIAL_RESIDUAL, OUT_ONESIDED_ROWS,
        OUT_DOMINANCE_VIOLATIONS, OUT_RESIDUAL_F1, OUT_RESIDUAL_F2, OUT_BACKWARD_ERROR,
-       OUT_FAILURE, OUT_FALLBACK, OUT_SLOTS };
+       OUT_FAILURE, OUT_PREDICTOR_FALLBACK, OUT_SLOTS };
 
 /* m after the i-th value a of a running np.max (a itself on i = 0): a
  * NaN anywhere gives NaN */
@@ -593,7 +593,7 @@ static void newton_final(const struct layer_frame *frame, const struct layer *la
  * (y_start[0..n-1], z_start) as y[1..n] and z; the previous layer stays
  * in the layer's rhs = y_prev/dt and in mu's (z - z_prev)/(dt z) either
  * way.  Returns LAYER_OK with the accepted z and the layer's diagnostics
- * in out[] (out[OUT_FALLBACK] = 0), or the status of the first failure,
+ * in out[] (out[OUT_PREDICTOR_FALLBACK] = 0), or the status of the first failure,
  * with its failure record in out[] (the non-positive z, the non-finite
  * array, the failing pivot row, the Schur denominator, or the last step
  * and max_iter).  Without the frame's diagnostics out[OUT_RESIDUAL_F1],
@@ -668,7 +668,7 @@ static __attribute__((noinline)) long newton_layer(const struct layer_frame *f,
     out[OUT_Z] = z;
     out[OUT_ONESIDED_ROWS] = (double)onesided_max;
     out[OUT_DOMINANCE_VIOLATIONS] = (double)violations;
-    out[OUT_FALLBACK] = 0.0;
+    out[OUT_PREDICTOR_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
@@ -755,7 +755,7 @@ ROW_STEP void j12_entry(const struct layer_frame *f, long i, const double *y, in
  * and out[OUT_DOMINANCE_VIOLATIONS], with an infinite initial residual
  * (the corrector has no iterate before its own) in
  * out[OUT_INITIAL_RESIDUAL], leaving the predictor's out[OUT_ITERATIONS]
- * and out[OUT_FALLBACK] as they are, or the status of the first failure,
+ * and out[OUT_PREDICTOR_FALLBACK] as they are, or the status of the first failure,
  * with out[OUT_FAILURE] = the non-positive z, the non-finite array, the
  * failing pivot row or the Schur denominator.
  * Without the frame's diagnostics out[OUT_RESIDUAL_F1],
@@ -896,9 +896,9 @@ static double sign(double v)
  * z_prev, then safeguarded Newton inside it, with the frame's tol and
  * max_iter.
  * Returns LAYER_OK with the root in out[OUT_Z], its iterations in
- * out[OUT_ITERATIONS] and out[OUT_FALLBACK] = 0; where the scan finds no
+ * out[OUT_ITERATIONS] and out[OUT_PREDICTOR_FALLBACK] = 0; where the scan finds no
  * sign change, LAYER_OK with the layer's fallback, z_prev with no
- * iterations and out[OUT_FALLBACK] = 1; or LAYER_NO_CONVERGENCE with the
+ * iterations and out[OUT_PREDICTOR_FALLBACK] = 1; or LAYER_NO_CONVERGENCE with the
  * last step in out[OUT_FAILURE] and max_iter in out[OUT_ITERATIONS], or
  * LAYER_NON_POSITIVE_Z with the root in out[OUT_FAILURE]. */
 static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f,
@@ -961,7 +961,7 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f,
     if (pick < 0) {
         out[OUT_Z] = z_prev;
         out[OUT_ITERATIONS] = 0.0;
-        out[OUT_FALLBACK] = 1.0;
+        out[OUT_PREDICTOR_FALLBACK] = 1.0;
         return LAYER_OK;
     }
     lo = zs[pick];
@@ -1004,7 +1004,7 @@ static __attribute__((noinline)) long pc_predictor(const struct layer_frame *f,
     }
     out[OUT_Z] = x;
     out[OUT_ITERATIONS] = (double)it;
-    out[OUT_FALLBACK] = 0.0;
+    out[OUT_PREDICTOR_FALLBACK] = 0.0;
     return LAYER_OK;
 }
 
@@ -1033,7 +1033,7 @@ enum { MARCH_NEWTON, MARCH_PC };
  * whatever first and stop are.
  * pc's layer is pc_predictor, then pc_corrector from its z (z_prev on the
  * predictor's fallback), with the predictor's iterations and fallback
- * flag in out[OUT_ITERATIONS] and out[OUT_FALLBACK].
+ * flag in out[OUT_ITERATIONS] and out[OUT_PREDICTOR_FALLBACK].
  * With f's diagnostics 0 the layers skip the passes that only fill
  * diagnostics, whose slots in rows then read NaN; y, z and every other
  * slot are the same bits.

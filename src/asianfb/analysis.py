@@ -3,7 +3,8 @@
 The refinement study doubles N (halving h) with M = ceil(2.5 N), reads
 the boundary ratio at a set of probe times, and reports the consecutive
 differences diff_N = |rho_N - rho_{N/2}| together with the empirical
-convergence ratio CR = log2(diff_{N/2} / diff_N).
+convergence ratio CR = log2(diff_{N/2} / diff_N), undefined (None)
+where either difference is 0.
 
 A march is one C call that holds no GIL (see results.march), so the
 levels of a refinement study and the two engines of a comparison run at
@@ -68,7 +69,8 @@ class RefinementRow:
     M: int
     rho: dict[float, float]                 # probe tau -> boundary ratio
     diff: dict[float, float | None]         # |rho_N - rho_{N/2}|, None on first row
-    cr: dict[float, float | None]           # log2(diff ratio), None on first two rows
+    # log2(diff ratio), None on the first two rows and where either diff is 0
+    cr: dict[float, float | None]
 
 
 @dataclass
@@ -79,16 +81,22 @@ class RefinementReport:
     rows: list[RefinementRow] = field(default_factory=list)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: the size of its
+    affinity mask where the platform has one, so ``taskset`` limits it,
+    else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _in_threads(calls) -> list:
     """The results of the zero-argument ``calls``, in order, from one
-    thread per CPU this process may run on (its affinity mask where the
-    platform has one, so ``taskset`` limits it, else the CPU count) at
-    once: this one runs calls[0::threads] and each of threads - 1 worker
-    threads calls[k::threads], each thread stopping at its first failure.
-    Every worker is joined; then the exception of the first failing call
-    in order is raised."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    thread per CPU this process may run on (usable_cpus) at once: this
+    one runs calls[0::threads] and each of threads - 1 worker threads
+    calls[k::threads], each thread stopping at its first failure.  Every
+    worker is joined; then the exception of the first failing call in
+    order is raised."""
+    threads = usable_cpus()
     results, errors = [None] * len(calls), {}
 
     def run(first):
@@ -160,10 +168,8 @@ def refinement_study(p: MarketParams, base_N: int, levels: int,
                 continue
             diff[t] = abs(rho[t] - levels_out[idx - 1][2][t])
             prev_diff = report.rows[idx - 1].diff[t]
-            if prev_diff is None or diff[t] == 0.0:
-                cr[t] = None
-            else:
-                cr[t] = math.log2(prev_diff / diff[t])
+            # undefined where either difference is missing or 0
+            cr[t] = math.log2(prev_diff / diff[t]) if prev_diff and diff[t] else None
         report.rows.append(RefinementRow(N=n_val, M=m_val, rho=dict(rho), diff=diff, cr=cr))
     return report
 

@@ -313,9 +313,8 @@ def cmd_solve(cfg: SimpleNamespace) -> int:
     _write_table(boundary_path, "tau,rho,xf_t,t",
                  (result.taus, result.rho, 1.0 / result.rho, p.T - result.taus))
 
-    # each layer's out[] slots (native's OUT_* columns), which the diagnostics are built from
-    rows = result.rows
-    iterations = rows[:, native.OUT_ITERATIONS]
+    record = result.diagnostics
+    iterations = record.iterations
     summary = {
         "command": "solve",
         "engine": cfg.engine,
@@ -333,13 +332,13 @@ def cmd_solve(cfg: SimpleNamespace) -> int:
         "total": int(iterations.sum()),
     }
     summary["diagnostics"] = {
-        "max_residual_f1": _round9(rows[:, native.OUT_RESIDUAL_F1].max()),
-        "max_residual_f2": _round9(rows[:, native.OUT_RESIDUAL_F2].max()),
+        "max_residual_f1": _round9(record.residual_f1.max()),
+        "max_residual_f2": _round9(record.residual_f2.max()),
         # scale-free, so of rounding size: not rounded to 9 decimals
-        "max_backward_error": float(rows[:, native.OUT_BACKWARD_ERROR].max()),
-        "dominance_violations": int(rows[:, native.OUT_DOMINANCE_VIOLATIONS].sum()),
-        "onesided_rows_max": int(rows[:, native.OUT_ONESIDED_ROWS].max()),
-        "predictor_fallback_layers": (np.flatnonzero(rows[:, native.OUT_FALLBACK]) + 1).tolist(),
+        "max_backward_error": float(record.backward_error.max()),
+        "dominance_violations": int(record.dominance_violations.sum()),
+        "onesided_rows_max": int(record.onesided_rows.max()),
+        "predictor_fallback_layers": (np.flatnonzero(record.predictor_fallback) + 1).tolist(),
     }
     summary["outputs"] = {"boundary_csv": boundary_path.name,
                           "surface_csv": surface_path.name}

@@ -5,15 +5,17 @@ native.LayerFrame, the array of each layer's out[] slots and the
 LayerFailure wrapping; an engine supplies only its name and its limits,
 a tolerance and an iteration cap, which its config checks with
 check_limits.
-A SolveResult builds its LayerDiagnostics from those slots when they
-are first read.  A caller that reads only rho (compare, refine) marches
-with ``diagnostics=False``: C then skips the passes that only fill the
-residuals and backward errors, which read NaN, and every other slot,
-rho and the surface keep their bits.  The layers themselves run in one
-native.march call, the only way into the C layer functions, which steps
-the engine over the grid's whole time mesh and publishes each stored
-layer in the frame's layer count, which a caller may read while the
-march runs (cli's solve, which streams surface.csv).  march and
+A layer's out[] row, which the C march writes, is its one record:
+SolveResult.diagnostics reads those rows by the slot names of
+native.OUT_FIELDS (iterations, the residuals, predictor_fallback and the
+rest), in place.  A caller that reads only rho (compare, refine)
+marches with ``diagnostics=False``: C then skips the passes that only
+fill the residuals and backward errors, which read NaN, and every other
+slot, rho and the surface keep their bits.  The layers themselves run in
+one native.march call, the only way into the C layer functions, which
+steps the engine over the grid's whole time mesh and publishes each
+stored layer in the frame's layer count, which a caller may read while
+the march runs (cli's solve, which streams surface.csv).  march and
 check_limits are not in ``__all__``, so a tracer of the public names
 charges them to the engine's call that makes them.
 """
@@ -32,33 +34,17 @@ from .errors import LayerFailure
 from .mesh import GridSpec, initial_layer
 from .model import MarketParams
 
-__all__ = ["LayerDiagnostics", "SolveResult"]
-
-
-@dataclass
-class LayerDiagnostics:
-    """Per-layer solve record."""
-
-    layer: int
-    tau: float
-    iterations: int          # Newton iterations / predictor root iterations
-    # interior residual at the accepted state: newton reports max |F1_i|, pc the
-    # row-wise backward error max |F1_i| / (|a_i y_{i-1}| + |c_i y_i|
-    # + |b_i y_{i+1}| + |y^prev_i|/dt)
-    residual_f1: float
-    residual_f2: float       # constraint residual at the accepted state
-    initial_residual: float = np.inf  # residual norm at the starting iterate
-    onesided_rows: int = 0   # rows where the singular term was upwinded
-    dominance_violations: int = 0  # rows failing strict diagonal dominance
-    predictor_fallback: bool = False  # predictor had no root; z_tilde = z_prev
-    # row-wise backward error of F1 at the accepted state, max |F1_i| / (|a_i y_{i-1}|
-    # + |c_i y_i| + |b_i y_{i+1}| + |y^prev_i|/dt), from both engines (pc's residual_f1)
-    backward_error: float = np.nan
+__all__ = ["SolveResult"]
 
 
 @dataclass
 class SolveResult:
-    """Boundary path, solution surface and diagnostics of one march."""
+    """Boundary path, solution surface and per-layer record of one march.
+
+    ``rows`` holds layer j's out[] slots in row j - 1 (none by default),
+    and ``diagnostics`` reads them by name: layer j's at tau = taus[j] is
+    diagnostics[j - 1].
+    """
 
     params: MarketParams
     grid: GridSpec
@@ -67,17 +53,22 @@ class SolveResult:
     taus: np.ndarray
     rho: np.ndarray
     surface: np.ndarray  # shape (M+1, N+1), layer-major
-    # shape (M, native.OUT_SLOTS): row j - 1 holds layer j's out[] slots (none
-    # by default, which gives no diagnostics)
     rows: np.ndarray = field(default_factory=lambda: np.empty((0, native.OUT_SLOTS)),
-                             repr=False)
+                             repr=False)  # shape (M, native.OUT_SLOTS)
 
-    @functools.cached_property
-    def diagnostics(self) -> list[LayerDiagnostics]:
-        """The LayerDiagnostics of layers 1 .. M, built from ``rows`` on
-        first access."""
-        return [layer_diagnostics(j, tau, row) for j, tau, row in
-                zip(range(1, self.grid.M + 1), self.taus[1:].tolist(), self.rows.tolist())]
+    @property
+    def diagnostics(self) -> np.recarray:
+        """The out[] rows of layers 1 .. M as records (see native.records):
+        a view of ``rows`` with one field of each native.OUT_FIELDS name,
+        so diagnostics.iterations holds each layer's iterations and
+        diagnostics[j - 1].predictor_fallback layer j's fallback flag.
+        Both engines report the row-wise backward error of F1 at the
+        accepted state, max |F1_i| / (|a_i y_{i-1}| + |c_i y_i| +
+        |b_i y_{i+1}| + |y^prev_i|/dt), in backward_error; residual_f1
+        holds Newton's max |F1_i| and pc's backward error.  pc's
+        iterations are its predictor's root iterations, and its
+        initial_residual is infinite."""
+        return native.records(self.rows)
 
     def layer_index_at(self, tau: float) -> int:
         """Index of the stored layer nearest to tau."""
@@ -85,19 +76,6 @@ class SolveResult:
 
     def rho_at(self, tau: float) -> float:
         return float(self.rho[self.layer_index_at(tau)])
-
-
-def layer_diagnostics(layer: int, tau: float, out) -> LayerDiagnostics:
-    """The LayerDiagnostics of layer ``layer`` at ``tau`` from its out[]
-    slots in a march's rows, indexed by native's OUT_* names."""
-    return LayerDiagnostics(
-        layer, tau, iterations=int(out[native.OUT_ITERATIONS]),
-        residual_f1=out[native.OUT_RESIDUAL_F1], residual_f2=out[native.OUT_RESIDUAL_F2],
-        initial_residual=out[native.OUT_INITIAL_RESIDUAL],
-        onesided_rows=int(out[native.OUT_ONESIDED_ROWS]),
-        dominance_violations=int(out[native.OUT_DOMINANCE_VIOLATIONS]),
-        predictor_fallback=bool(out[native.OUT_FALLBACK]),
-        backward_error=out[native.OUT_BACKWARD_ERROR])
 
 
 def check_limits(tol_name: str, tol: float, max_iter: int) -> None:
@@ -126,13 +104,17 @@ def march(p: MarketParams, g: GridSpec, mode: scheme.SchemeMode, engine: str, to
     layers the march has published (native.published of its frame), 0
     until the march begins.  Another thread may read rows 0 ..
     published() - 1 of surface while the march runs; they are final.
-    Without ``diagnostics`` each LayerDiagnostics' residual_f1,
-    residual_f2 and backward_error are NaN (see native.march).
+    Without ``diagnostics`` each layer's residual_f1, residual_f2 and
+    backward_error are NaN (see native.march).
 
-    Raises LayerFailure(layer, tau, cause) on the first layer that
-    fails, whatever its cause: a SolverError, or the ValueError of an
-    elimination that met a non-finite entry.
+    Raises ValueError, before any layer runs, unless ``g`` was built for
+    p's maturity (g.T == p.T), and LayerFailure(layer, tau, cause) on the
+    first layer that fails, whatever its cause: a SolverError, or the
+    ValueError of an elimination that met a non-finite entry.
     """
+    if g.T != p.T:
+        raise ValueError(f"the grid was built for the maturity T={g.T}, "
+                         f"the market's is T={p.T}")
     state = initial_layer(p, g)
     frame = native.LayerFrame(g, p, mode)
     frame.set_limits(dict(tol=tol, max_iter=max_iter, pivot_rtol=tridiag.PIVOT_RTOL,

@@ -17,19 +17,22 @@ Twins of the compiled kernel, which repeat its C code operation by
 operation in numpy, so that each gives the kernel's bits: the z-free
 part of a layer (``frame_start``, thomas.c's frame_start, with the
 constraint's coefficients and its row J21), the layer rows
-(``frame_rows``, thomas.c's frame_rows, written into a
-native.LayerFrame's buffers and returned as ``LayerRows``), F1, J12, F2, the dominance
-count and the row-wise backward error; Newton's layer
+(``frame_rows``, each row thomas.c's build_row, written into a
+native.LayerFrame's buffers and returned as ``LayerRows``), F1, J12, F2,
+the dominance count and the row-wise backward error; Newton's layer
 (``newton_layer_numpy``, thomas.c's newton_layer); and the
 predictor-corrector's predictor and corrector (``predictor_numpy``,
 ``correct_numpy``: pc_predictor and pc_corrector).
+A layer's twins fill its out[] row by the names of native.OUT_FIELDS,
+in a record of its own (``out_row``), as the C layer fills its row.
 They eliminate in Python, not with C: Newton's with ``_kernels.pure``'s
 Thomas loop, pc's with ``twisted_solve``, the two-ended loop of its
 solves.
 ``pc_layer`` is one predictor-corrector layer made of the twins, with
 the predictor's fallback.
 ``march_numpy`` is thomas.c's march on the twins, one Python call per
-layer, and ``numpy_layers()`` runs both engines' marches on it, which is
+layer, which copies each layer's record into its row of the march's
+rows, and ``numpy_layers()`` runs both engines' marches on it, which is
 how the tests hold every march, layer failure and predictor iterate of
 the kernel against its twin.
 
@@ -37,7 +40,8 @@ native.march is the only way into the kernel's layers.  ``replay`` runs
 one layer through it: layer j + 1 of a stored march, exactly as the
 march ran it, and ``one_layer`` the layer from a crafted state over
 [tau_prev, tau_next], a march of one layer, which starts from the
-previous layer; inside ``numpy_layers()`` both run on the twins.  Two
+previous layer; each returns the layer's state and the record of its
+out[] row, and inside ``numpy_layers()`` both run on the twins.  Two
 inputs that no march takes, a Newton layer from a start of the test's
 choosing and a corrector from a z_tilde of its choosing, run on the
 twins alone (``newton_layer_numpy``, ``correct_numpy``), which the
@@ -47,7 +51,7 @@ march digests keep bit-identical to the kernel.
 import contextlib
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +62,6 @@ from asianfb._kernels import native, pure
 from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, SolverError, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
-from asianfb.results import LayerDiagnostics, layer_diagnostics
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig
@@ -99,6 +102,15 @@ class LayerRows:
     db: np.ndarray     # d(b_i)/dz
     rhs: np.ndarray    # y^prev_i / dt
     onesided: np.ndarray  # bool; True where the singular term is upwinded
+
+
+def out_row(**slots):
+    """One layer's out[] row as a record of its own (see native.records),
+    each slot 0 unless ``slots`` gives it a value by name."""
+    out = native.records(np.zeros((1, native.OUT_SLOTS)))[0]
+    for name, value in slots.items():
+        setattr(out, name, value)
+    return out
 
 
 def pure_solve(lower, diag, upper, rhs):
@@ -276,7 +288,8 @@ def backward_error(rows, y):
 def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=None,
                        states=None, start=None):
     """thomas.c's newton_layer with its iterations in numpy, from the
-    first iterate ``start``, a (y, z) pair, or by default from ``prev``.
+    first iterate ``start``, a (y, z) pair, or by default from ``prev``:
+    the new state and the layer's out[] row (out_row).
 
     ``states``, when given, is a list that gains (y, z) at each evaluation
     of F2: at every iterate, and once more at the accepted state.
@@ -292,8 +305,7 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
     if start is not None:
         y1[:] = start[0][1:-1]
         z = start[1]
-    diag = LayerDiagnostics(layer=prev.j + 1, tau=tau_next, iterations=0,
-                            residual_f1=np.inf, residual_f2=np.inf)
+    out = out_row()
 
     def constraint(y, z):
         if states is not None:
@@ -306,9 +318,9 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
         z_column(rows, y, out=j12)
         f2 = constraint(y, z)
         if it == 1:
-            diag.initial_residual = max(float(np.abs(f1).max()), abs(f2))
-        diag.onesided_rows = max(diag.onesided_rows, int(np.count_nonzero(rows.onesided)))
-        diag.dominance_violations += dominance_violations(rows)
+            out.initial_residual = max(float(np.abs(f1).max()), abs(f2))
+        out.onesided_rows = max(out.onesided_rows, np.count_nonzero(rows.onesided))
+        out.dominance_violations += dominance_violations(rows)
 
         u, v = pure_solve(*j11(frame), frame.pair_rhs)
         j21_u = j21_y1 * u[0] + j21_y2 * u[1]
@@ -321,7 +333,7 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
         dy1 -= v * dz  # dY1 = -u - v dz
         y1 += dy1
         z = z + dz
-        diag.iterations = it
+        out.iterations = it
         step = max(float(np.abs(dy1).max()), abs(dz))
         if step < cfg.tol:
             break
@@ -329,10 +341,11 @@ def newton_layer_numpy(prev, tau_next, g, p, mode, cfg=NewtonConfig(), frame=Non
         raise NoConvergence(cfg.max_iter, step)
 
     rows = frame_rows(layer, z)  # raises NonPositiveZ
-    diag.residual_f1 = float(np.abs(interior_residual(rows, y, out=f1)).max())
-    diag.residual_f2 = abs(constraint(y, z))
-    diag.backward_error = backward_error(rows, y)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), diag
+    out.residual_f1 = np.abs(interior_residual(rows, y, out=f1)).max()
+    out.residual_f2 = abs(constraint(y, z))
+    out.backward_error = backward_error(rows, y)
+    out.z = z
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), out
 
 
 def predictor_equations(prev, tau_next, g, p):
@@ -503,8 +516,9 @@ def _frozen_solve(start, z):
 
 def correct_numpy(prev, tau_next, frame, z_tilde):
     """thomas.c's pc_corrector in numpy: frozen solve at z_tilde, one Schur step
-    on the boundary, frozen solve at the new z, and the layer's
-    diagnostics."""
+    on the boundary, frozen solve at the new z; the new state and the
+    layer's out[] row (out_row) as the corrector leaves it, with the
+    predictor's iterations 0 and no fallback."""
     start = frame_start(frame, prev, tau_next)
     rows, y = _frozen_solve(start, z_tilde)
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
@@ -521,11 +535,10 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
 
     # linear-solve quality: row-wise backward error of the stored layer
     rel_f1 = backward_error(rows, y)
-    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), LayerDiagnostics(
-        layer=prev.j + 1, tau=tau_next, iterations=0, residual_f1=rel_f1,
-        residual_f2=abs(frame_constraint(start, y, z)),
-        onesided_rows=int(np.count_nonzero(rows.onesided)),
-        dominance_violations=dominance_violations(rows), backward_error=rel_f1)
+    return LayerState(j=prev.j + 1, tau=tau_next, y=y, z=z), out_row(
+        z=z, initial_residual=np.inf, onesided_rows=np.count_nonzero(rows.onesided),
+        dominance_violations=dominance_violations(rows), residual_f1=rel_f1,
+        residual_f2=abs(frame_constraint(start, y, z)), backward_error=rel_f1)
 
 
 def pc_layer(prev, tau_next, frame, cfg):
@@ -541,9 +554,9 @@ def pc_layer(prev, tau_next, frame, cfg):
     except NoBracket:
         z_tilde, root_iters = prev.z, 0
         fallback = True
-    state, diag = correct_numpy(prev, tau_next, frame, z_tilde)
-    diag.iterations, diag.predictor_fallback = root_iters, fallback
-    return state, diag
+    state, out = correct_numpy(prev, tau_next, frame, z_tilde)
+    out.iterations, out.predictor_fallback = root_iters, fallback
+    return state, out
 
 
 def extrapolated_start(taus, rho, surface, j):
@@ -570,10 +583,11 @@ def extrapolated_start(taus, rho, surface, j):
 def march_numpy(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
     """native.march on the numpy twins, one layer call at a time: the same
     arguments (of checked arrays) and result, the same layers and rows in
-    the caller's arrays (the twins compute every diagnostic, and write NaN
-    where the kernel skips them, with the frame's diagnostics 0), and the
-    same layer count published in the frame, first + 1 on entry and then
-    as each layer is stored.
+    the caller's arrays (each layer's twins fill its out[] row, which is
+    copied into the march's rows; they compute every diagnostic, and NaN
+    is written where the kernel skips them, with the frame's diagnostics
+    0), and the same layer count published in the frame, first + 1 on
+    entry and then as each layer is stored.
     The count is stored under the GIL, after the layer, so a reader that
     takes the GIL after reading it sees the layer."""
     g, p, mode, limits = frame.g, frame.p, frame.mode, frame.struct
@@ -585,6 +599,7 @@ def march_numpy(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
     assert (limits.pivot_rtol, limits.schur_floor) == (tridiag.PIVOT_RTOL, tridiag.SCHUR_FLOOR)
     stop = taus.size - 1 if stop is None else stop
     rows[first:stop] = np.nan
+    records = native.records(rows)
     limits.count = first + 1
     state = LayerState(j=first, tau=float(taus[first]), y=surface[first].copy(),
                        z=float(rho[first]))
@@ -592,22 +607,16 @@ def march_numpy(frame, engine, taus, rho, surface, rows, *, first=0, stop=None):
         tau_next = float(taus[j + 1])
         try:
             if engine == "newton":
-                state, d = newton_layer_numpy(state, tau_next, g, p, mode, cfg, frame=frame,
-                                              start=extrapolated_start(taus, rho, surface, j))
+                state, out = newton_layer_numpy(state, tau_next, g, p, mode, cfg, frame=frame,
+                                                start=extrapolated_start(taus, rho, surface, j))
             else:
-                state, d = pc_layer(state, tau_next, frame, cfg)
+                state, out = pc_layer(state, tau_next, frame, cfg)
         except Exception as exc:  # noqa: BLE001 - the march hands each failure back
             return j + 1, exc
         rho[j + 1], surface[j + 1] = state.z, state.y
-        rows[j, [native.OUT_ITERATIONS, native.OUT_Z, native.OUT_INITIAL_RESIDUAL,
-                 native.OUT_ONESIDED_ROWS, native.OUT_DOMINANCE_VIOLATIONS,
-                 native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2, native.OUT_BACKWARD_ERROR,
-                 native.OUT_FAILURE, native.OUT_FALLBACK]] = (
-            d.iterations, state.z, d.initial_residual, d.onesided_rows, d.dominance_violations,
-            d.residual_f1, d.residual_f2, d.backward_error, 0.0, d.predictor_fallback)
+        records[j] = out
         if not limits.diagnostics:
-            rows[j, [native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2,
-                     native.OUT_BACKWARD_ERROR]] = np.nan
+            records.residual_f1[j] = records.residual_f2[j] = records.backward_error[j] = np.nan
         limits.count = j + 2
     return None
 
@@ -641,28 +650,29 @@ def replay(frame, cfg, taus, rho, surface, j):
     one native.march call over step j alone, from the layers 0 .. j
     stored in ``rho`` and ``surface``, so it runs as the march ran it,
     from the start the march takes there.  The layer is written into
-    rho[j + 1] and surface[j + 1].  Returns (state, diagnostics) of layer
-    j + 1; raises the layer's failure."""
+    rho[j + 1] and surface[j + 1].  Returns the state of layer j + 1 and
+    the record of its out[] row (see native.records); raises the layer's
+    failure."""
     engine = set_limits(frame, cfg)
     rows = np.zeros((taus.size - 1, native.OUT_SLOTS))
     failure = native.march(frame, engine, taus, rho, surface, rows, first=j, stop=j + 1)
     if failure is not None:
         raise failure[1]
-    tau = float(taus[j + 1])
-    return LayerState(j=j + 1, tau=tau, y=surface[j + 1].copy(), z=float(rho[j + 1])), \
-        layer_diagnostics(j + 1, tau, rows[j])
+    return LayerState(j=j + 1, tau=float(taus[j + 1]), y=surface[j + 1].copy(),
+                      z=float(rho[j + 1])), native.records(rows)[j]
 
 
 def one_layer(frame, cfg, prev, tau_next):
     """The layer from the state ``prev`` to tau_next (see replay): a march
     of one layer over [prev.tau, tau_next], which starts from the previous
-    layer.  Returns (state, diagnostics) of layer prev.j + 1."""
+    layer.  Returns the state of layer prev.j + 1 and its out[] row's
+    record."""
     surface = np.empty((2, prev.y.size))
     surface[0] = prev.y
-    state, diag = replay(frame, cfg, np.array([prev.tau, tau_next]), np.array([prev.z, 0.0]),
-                         surface, 0)
-    state.j = diag.layer = prev.j + 1
-    return state, diag
+    state, out = replay(frame, cfg, np.array([prev.tau, tau_next]), np.array([prev.z, 0.0]),
+                        surface, 0)
+    state.j = prev.j + 1
+    return state, out
 
 
 def predicted_root(prev, tau_next, g, p, cfg=PredictorConfig()):
@@ -674,11 +684,11 @@ def predicted_root(prev, tau_next, g, p, cfg=PredictorConfig()):
     ended = []
     for layers in (contextlib.nullcontext(), numpy_layers()):
         with layers:
-            state, diag = one_layer(native.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR), cfg,
-                                    prev, tau_next)
-        ended.append((state.y.tobytes(), state.z, astuple(diag)))
+            state, out = one_layer(native.LayerFrame(g, p, SchemeMode.UPWIND_SINGULAR), cfg,
+                                   prev, tau_next)
+        ended.append((state.y.tobytes(), state.z, out))
     assert ended[0] == ended[1]
-    if diag.predictor_fallback:
+    if out.predictor_fallback:
         return None
     return predictor_numpy(prev, tau_next, g, p, cfg).z
 
@@ -868,8 +878,8 @@ def newton_steps_and_dense_solves(prev, tau_next, g, p, mode):
     The layer runs on its numpy twin, whose iterates can be observed; the
     compiled kernel runs all of a layer's iterations in one call."""
     states = []
-    state, diag = newton_layer_numpy(prev, tau_next, g, p, mode, states=states)
-    assert len(states) == diag.iterations + 1
+    state, out = newton_layer_numpy(prev, tau_next, g, p, mode, states=states)
+    assert len(states) == out.iterations + 1
     pairs = []
     for (y, z), (y_next, z_next) in zip(states, states[1:]):
         blocks = build_jacobian(y[1:-1], z, prev, tau_next, g, p, mode)

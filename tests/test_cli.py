@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asianfb
-from asianfb import cli
+from asianfb import analysis, cli
 from asianfb._kernels import native
 from asianfb.cli import (DEFAULTS, OPTIONS, build_parser, main, parse_config_file,
                          resolve_config)
@@ -85,13 +86,26 @@ class TestSolve:
     @pytest.mark.parametrize("engine", ["newton", "pc"])
     def test_summary_reports_the_largest_backward_error(self, tmp_path, params, engine):
         """diagnostics.max_backward_error is the march's largest
-        LayerDiagnostics.backward_error, unrounded."""
+        backward_error, unrounded, and every other key of the summary's
+        iterations and diagnostics blocks is its reduction of the march's
+        per-layer record, taken here layer by layer."""
         assert run_cli(["solve", "--engine", engine, "--N", "50"], tmp_path) == 0
-        reported = read_json(tmp_path / "summary.json")["diagnostics"]["max_backward_error"]
+        summary = read_json(tmp_path / "summary.json")
         march = asianfb.march_newton if engine == "newton" else asianfb.march_pc
-        result = march(params, asianfb.make_grid(params, N=50))
-        assert reported == max(d.backward_error for d in result.diagnostics)
-        assert 0.0 < reported <= 1e-13
+        layers = list(enumerate(march(params, asianfb.make_grid(params, N=50)).diagnostics,
+                                start=1))
+        iterations = [int(d.iterations) for _, d in layers]
+        assert summary["iterations"] == {"max": max(iterations), "total": sum(iterations),
+                                         "mean": round(sum(iterations) / len(layers), 9)}
+        assert summary["diagnostics"] == {
+            "max_residual_f1": round(float(max(d.residual_f1 for _, d in layers)), 9),
+            "max_residual_f2": round(float(max(d.residual_f2 for _, d in layers)), 9),
+            "max_backward_error": float(max(d.backward_error for _, d in layers)),
+            "dominance_violations": sum(int(d.dominance_violations) for _, d in layers),
+            "onesided_rows_max": max(int(d.onesided_rows) for _, d in layers),
+            "predictor_fallback_layers": [j for j, d in layers if d.predictor_fallback]}
+        assert 0.0 < summary["diagnostics"]["max_backward_error"] <= 1e-13
+        assert (engine == "pc") == bool(summary["diagnostics"]["predictor_fallback_layers"])
 
     def test_pc_engine_row_counts(self, tmp_path):
         assert run_cli(["solve", "--engine", "pc", "--N", "100"], tmp_path) == 0
@@ -420,6 +434,21 @@ class TestRefine:
         cr_idx = header.index("CR_tau20")
         assert rows[0][cr_idx] == "" and rows[1][cr_idx] == ""
         assert rows[2][cr_idx] != ""
+
+    def test_cr_is_empty_where_two_levels_agree(self, tmp_path, monkeypatch):
+        """CR is undefined, an empty cell, where either difference is 0:
+        marches that give rho 1.5, 1.5 and 1.6 at N = 50, 100 and 200, so
+        the second difference is 0 and the third is not, make a refine.csv
+        and exit 0, not log2(0)'s domain error."""
+        rho = {50: 1.5, 100: 1.5, 200: 1.6}
+        monkeypatch.setattr(analysis, "run_engine", lambda engine, p, g, *args, **kwargs:
+                            types.SimpleNamespace(rho_at=lambda t: rho[g.N]))
+        assert run_cli(["refine", "--base-N", "50", "--levels", "3"], tmp_path) == 0
+        header, rows = read_csv(tmp_path / "refine.csv")
+        for t in ("10", "20", "40"):
+            diff, cr = header.index(f"diff_tau{t}"), header.index(f"CR_tau{t}")
+            assert [row[diff] for row in rows] == ["", "0.000000000", "0.100000000"]
+            assert [row[cr] for row in rows] == ["", "", ""]
 
     def test_two_levels_leave_cr_empty(self, tmp_path):
         assert run_cli(["refine", "--base-N", "50", "--levels", "2"], tmp_path) == 0
@@ -856,7 +885,8 @@ class TestEntryPoint:
         """A fresh interpreter that imports the CLI has loaded neither
         multiprocessing nor concurrent.futures: refine's levels and
         compare's engines run on plain threads; nor queue: solve's
-        surface.csv writer waits on a threading.Condition."""
+        surface.csv writer sleeps POLL_S between reads of the march's
+        layer count."""
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, asianfb.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'queue')))"],

@@ -87,9 +87,13 @@ def test_frame_struct_matches_layer_frame():
 
 
 def test_out_slots_match_the_out_enum():
+    """OUT_FIELDS names thomas.c's out[] slots, OUT_ and each name in
+    capitals, in the enum's order, and OUT_SLOTS counts them: the one list
+    of the slots' names in Python, with no index constant beside it."""
     names = enum_names("OUT_ITERATIONS")
-    assert names[-1] == "OUT_SLOTS"
-    assert python_names("OUT_") == {name: k for k, name in enumerate(names)}
+    assert names == [f"OUT_{name.upper()}" for name in native.OUT_FIELDS] + ["OUT_SLOTS"]
+    assert python_names("OUT_") == {"OUT_FIELDS": native.OUT_FIELDS,
+                                    "OUT_SLOTS": len(native.OUT_FIELDS)}
 
 
 def test_layer_status_codes_match():

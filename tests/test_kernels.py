@@ -23,7 +23,6 @@ from asianfb._kernels import native, pure
 from asianfb.errors import (LayerFailure, NoConvergence, NonPositiveZ, SingularSchur, SolverError,
                             ZeroPivot)
 from asianfb.mesh import GridSpec, LayerState, initial_layer
-from asianfb.results import LayerDiagnostics
 from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig
@@ -469,23 +468,21 @@ class TestNativeCache:
                 one_layer(frame, PredictorConfig(), prev, tau_next)
         again, again_diag = one_layer(frame, NewtonConfig(), prev, tau_next)
         assert again.y.tobytes() == state.y.tobytes() and again.z == state.z
-        assert dataclasses.astuple(again_diag) == dataclasses.astuple(diag)
+        assert again_diag.tobytes() == diag.tobytes()
         pc_again, pc_again_diag = one_layer(frame, PredictorConfig(), prev, tau_next)
         assert pc_again.y.tobytes() == pc_state.y.tobytes() and pc_again.z == pc_state.z
-        assert dataclasses.astuple(pc_again_diag) == dataclasses.astuple(pc_diag)
+        assert pc_again_diag.tobytes() == pc_diag.tobytes()
         assert len(bindings_built) == 1
 
     def test_marches_in_two_threads_match_the_marches_alone(self, params, bindings_built):
         """A Newton march and a pc march run at once in two threads, each
         in the one frame it makes, give the bits they give alone: rho, the
-        surface and every LayerDiagnostics field."""
+        surface and every slot of the per-layer record."""
         grid = make_grid(params, N=50)
         marches = (march_newton, march_pc)
 
         def bits(result):
-            return (result.rho.tobytes(), result.surface.tobytes(),
-                    np.array([dataclasses.astuple(d) for d in result.diagnostics],
-                             dtype=float).tobytes())
+            return result.rho.tobytes(), result.surface.tobytes(), result.rows.tobytes()
 
         alone = [bits(march(params, grid)) for march in marches]
         start = threading.Barrier(len(marches), timeout=60)
@@ -713,25 +710,26 @@ MARCH_DIGESTS = {
 }
 
 
-# The LayerDiagnostics fields that MARCH_DIGESTS covers: all that existed when
-# the digests were recorded.  test_march_bit_identical_across_backends holds
-# the later backward_error to the numpy twins separately.
-DIGEST_FIELDS = ("layer", "tau", "iterations", "residual_f1", "residual_f2",
-                 "initial_residual", "onesided_rows", "dominance_violations",
-                 "predictor_fallback")
+# The per-layer record's fields that MARCH_DIGESTS covers, after each layer's
+# index and tau: all that existed when the digests were recorded.
+# test_march_bit_identical_across_backends holds the later backward_error to
+# the numpy twins separately.
+DIGEST_FIELDS = ("iterations", "residual_f1", "residual_f2", "initial_residual",
+                 "onesided_rows", "dominance_violations", "predictor_fallback")
 
 
-def diagnostics_bits(diagnostics, names=None):
-    """The bytes of the LayerDiagnostics fields ``names`` (all by default)
-    of each layer, as float64."""
-    names = names or [field.name for field in dataclasses.fields(LayerDiagnostics)]
-    return np.array([[getattr(d, name) for name in names] for d in diagnostics],
-                    dtype=float).tobytes()
+def diagnostics_bits(result):
+    """The bytes that MARCH_DIGESTS hash of a march's per-layer record: for
+    each layer j = 1 .. M, as float64, j, taus[j] and the DIGEST_FIELDS of
+    its out[] row."""
+    record = result.diagnostics
+    return np.column_stack([np.arange(1, result.grid.M + 1), result.taus[1:],
+                            *(record[name] for name in DIGEST_FIELDS)]).tobytes()
 
 
 def march_digest(march, p, grid, mode, results=None, ready=None):
-    """sha256 (16 hex digits) of a march: rho, the surface, the
-    LayerDiagnostics fields of DIGEST_FIELDS and, after each Newton layer,
+    """sha256 (16 hex digits) of a march: rho, the surface, its
+    diagnostics_bits and, after each Newton layer,
     the frame's row buffers and its (2, n) right-hand side (F1 at the
     accepted z, J12 of the last iterate).  The march runs every layer in
     one call, so ``replay`` runs each Newton layer again through
@@ -749,13 +747,13 @@ def march_digest(march, p, grid, mode, results=None, ready=None):
             state, diag = replay(frame, NewtonConfig(), result.taus, rho, surface, j)
             assert state.y.tobytes() == result.surface[j + 1].tobytes(), j
             assert state.z == result.rho[j + 1], j
-            assert diagnostics_bits([diag]) == diagnostics_bits([stored]), j
+            assert diag.tobytes() == stored.tobytes(), j
             for row in dataclasses.fields(LayerRows):
                 digest.update(getattr(frame, row.name).tobytes())
             digest.update(frame.pair_rhs.tobytes())
     digest.update(result.rho.tobytes())
     digest.update(result.surface.tobytes())
-    digest.update(diagnostics_bits(result.diagnostics, DIGEST_FIELDS))
+    digest.update(diagnostics_bits(result))
     if results is not None:
         results.append(result)
     return digest.hexdigest()[:16]
@@ -779,7 +777,7 @@ def test_march_bit_identical_across_backends(march, mode):
                     digests.append(march_digest(march, p, grid, mode, results))
             assert digests == [MARCH_DIGESTS[engine, mode.value, name, grid_name]] * 2, \
                 (name, grid_name, digests)
-            errors = [np.array([d.backward_error for d in run.diagnostics]) for run in results]
+            errors = [run.diagnostics.backward_error for run in results]
             assert errors[0].tobytes() == errors[1].tobytes(), (name, grid_name)
 
 
@@ -916,10 +914,10 @@ def test_predictor_iterates_bit_identical_across_backends():
                     except NoConvergence as exc:
                         ended.append((type(exc), str(exc), vars(exc)))
                     else:
-                        ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag)))
+                        ended.append((state.y.tobytes(), state.z, diag))
                 assert ended[0] == ended[1], (r, q, sigma, j, max_iter)
             assert ended[0] == (run.surface[j + 1].tobytes(), run.rho[j + 1],
-                                dataclasses.astuple(run.diagnostics[j])), (r, q, sigma, j)
+                                run.diagnostics[j]), (r, q, sigma, j)
 
 
 def pc_layer_case(case, params, patch):
@@ -979,8 +977,7 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
             except Exception as exc:
                 ended.append((type(exc), str(exc), vars(exc), frame_bits(frame)))
             else:
-                ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag),
-                              frame_bits(frame)))
+                ended.append((state.y.tobytes(), state.z, diag, frame_bits(frame)))
     assert ended[0] == ended[1]
     if case == "NoBracket":
         with pytest.raises(NoBracket):
@@ -1034,8 +1031,8 @@ def layer_ends(params, n, mode, cfg=PredictorConfig(), **frame):
     """How the small layer of n rows ends in a march of that one layer of
     cfg's engine (pc's by default, or Newton's with a NewtonConfig), in
     the kernel and on the numpy twins, each in a small_frame of its own:
-    (state y bytes, z, diagnostics) or the exception's (class, message,
-    attributes), each with the frame's buffers."""
+    (state y bytes, z, the record of its out[] row) or the exception's
+    (class, message, attributes), each with the frame's buffers."""
     prev, tau_next = small_layer(n)
     ended = []
     for layers in (contextlib.nullcontext, numpy_layers):
@@ -1046,8 +1043,7 @@ def layer_ends(params, n, mode, cfg=PredictorConfig(), **frame):
         except Exception as exc:
             ended.append((type(exc), str(exc), vars(exc), frame_bits(layer)))
         else:
-            ended.append((state.y.tobytes(), state.z, dataclasses.astuple(diag),
-                          frame_bits(layer)))
+            ended.append((state.y.tobytes(), state.z, diag, frame_bits(layer)))
     return ended
 
 
@@ -1062,8 +1058,7 @@ def test_two_ended_corrector_bit_identical_at_the_smallest_sizes(params, n, mode
     rounding size."""
     kernel, oracle = layer_ends(params, n, mode)
     assert kernel == oracle
-    diag = LayerDiagnostics(*kernel[2])
-    assert diag.backward_error <= 1e-15
+    assert kernel[2].backward_error <= 1e-15
 
 
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
@@ -1074,8 +1069,7 @@ def test_newton_layer_bit_identical_at_the_smallest_grids(params, n, mode):
     the smallest grids GridSpec allows (N = 4 and 5)."""
     kernel, oracle = layer_ends(params, n, mode, NewtonConfig())
     assert kernel == oracle
-    diag = LayerDiagnostics(*kernel[2])
-    assert diag.iterations >= 1 and diag.backward_error <= 1e-15
+    assert kernel[2].iterations >= 1 and kernel[2].backward_error <= 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1222,7 +1216,20 @@ def test_a_march_is_one_native_call(params, monkeypatch, march):
     assert ready.counts == [0] and ready.published() == grid.M + 1
     assert len(result.diagnostics) == grid.M
     if march is march_pc:
-        assert any(d.predictor_fallback for d in result.diagnostics)
+        assert result.diagnostics.predictor_fallback.any()
+
+
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_diagnostics_read_the_march_rows_in_place(params, march):
+    """SolveResult.diagnostics copies nothing: it is the march's rows,
+    one record per layer, whose field of each native.OUT_FIELDS name is
+    the column of rows at that name's place."""
+    result = march(params, make_grid(params, N=50))
+    record = result.diagnostics
+    assert len(record) == result.grid.M and np.shares_memory(record, result.rows)
+    for k, name in enumerate(native.OUT_FIELDS):
+        assert getattr(record, name).tobytes() == result.rows[:, k].tobytes(), name
+    assert record[-1].iterations == result.rows[-1, native.OUT_FIELDS.index("iterations")]
 
 
 class ReadyRecorder:
@@ -1272,7 +1279,8 @@ def test_counted_march_gives_the_one_call_bits(march, mode):
                         assert ready.published() == grid.M + 1
 
 
-SKIPPED_SLOTS = [native.OUT_RESIDUAL_F1, native.OUT_RESIDUAL_F2, native.OUT_BACKWARD_ERROR]
+SKIPPED_SLOTS = [native.OUT_FIELDS.index(name)
+                 for name in ("residual_f1", "residual_f2", "backward_error")]
 
 
 @pytest.mark.parametrize("mode", list(SchemeMode), ids=lambda m: m.value)
@@ -1376,7 +1384,7 @@ def test_a_march_without_a_reader_publishes_its_count(params, engine, layers):
 @pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
 def test_march_rows_do_not_depend_on_the_heap(params, march):
     """Two marches after the heap was filled with different values give
-    the same rows bytes, OUT_FAILURE 0 on every layer, in the kernel and
+    the same rows bytes, ``failure`` 0 on every layer, in the kernel and
     on the numpy twins."""
     grid = make_grid(params, N=50)
     for layers in BACKEND_LAYERS:
@@ -1387,7 +1395,7 @@ def test_march_rows_do_not_depend_on_the_heap(params, march):
             with layers():
                 rows.append(march(params, grid).rows)
         assert rows[0].tobytes() == rows[1].tobytes(), layers
-        assert not rows[0][:, native.OUT_FAILURE].any(), layers
+        assert not native.records(rows[0]).failure.any(), layers
 
 
 def march_arrays(grid):
@@ -1516,7 +1524,7 @@ def test_failed_layers_row_is_its_failure_record(params, engine):
     """After a failed march, the failing layer's row of the march's rows
     holds what the raised cause carries: ZeroPivot's index, NonPositiveZ's
     z, NoConvergence's last step with its iterations (the cap reached) in
-    OUT_ITERATIONS, SingularSchur's denominator, and the index in
+    ``iterations``, SingularSchur's denominator, and the index in
     native.ARRAYS of the array that a non-finite entry's ValueError
     names."""
     causes = set()
@@ -1537,14 +1545,14 @@ def test_failed_layers_row_is_its_failure_record(params, engine):
                 with pytest.raises(Exception) as exc:
                     one_layer(frame, cfg, prev, tau_next)
                 layer, cause = 1, exc.value
-        row = rows[-1][layer - 1]
-        value = row[native.OUT_FAILURE]
+        row = native.records(rows[-1])[layer - 1]
+        value = row.failure
         if isinstance(cause, ZeroPivot):
             assert value == cause.index > 0, case
         elif isinstance(cause, NonPositiveZ):
             assert value == cause.z, case
         elif isinstance(cause, NoConvergence):
-            assert (value, row[native.OUT_ITERATIONS]) == (cause.last_step, cause.iterations)
+            assert (value, row.iterations) == (cause.last_step, cause.iterations)
             assert cause.iterations == cfg.max_iter, case
         elif isinstance(cause, SingularSchur):
             assert str(cause).startswith(f"Schur denominator {value:.3e} at"), case
@@ -1586,17 +1594,28 @@ def test_march_reads_tridiags_limits_at_the_call(params, monkeypatch, march, lim
     assert exc.value.layer == 1 and type(exc.value.cause) is cause
 
 
+@pytest.mark.parametrize("march", [march_newton, march_pc], ids=["newton", "pc"])
+def test_march_refuses_a_grid_built_for_another_maturity(params, march):
+    """A grid built for T = 25 does not march the market of T = 50, where
+    it would run to another problem's boundary: the march raises the
+    ValueError that names both maturities before its first layer."""
+    grid = GridSpec(N=20, M=50, L=asianfb.default_domain_length(params), T=25.0)
+    ready = ReadyRecorder()
+    with pytest.raises(ValueError, match=r"T=25\.0.* T=50\.0"):
+        march(params, grid, ready=ready)
+    assert ready.counts == []
+
+
 def test_pc_march_with_fallback_layers_matches_the_oracle_march(params):
     """A pc march whose last layers fall back to z_tilde = z_prev gives the
-    oracle march's rho, surface and every LayerDiagnostics field."""
+    oracle march's rho, surface and every slot of the per-layer record."""
     grid = make_grid(params, N=50)
     runs = []
     for layers in (contextlib.nullcontext(), numpy_layers()):
         with layers:
             runs.append(march_pc(params, grid))
     kernel, oracle = runs
-    assert any(d.predictor_fallback for d in kernel.diagnostics)
+    assert kernel.diagnostics.predictor_fallback.any()
     assert kernel.rho.tobytes() == oracle.rho.tobytes()
     assert kernel.surface.tobytes() == oracle.surface.tobytes()
-    assert [dataclasses.astuple(d) for d in kernel.diagnostics] == \
-        [dataclasses.astuple(d) for d in oracle.diagnostics]
+    assert kernel.rows.tobytes() == oracle.rows.tobytes()

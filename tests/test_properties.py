@@ -33,7 +33,6 @@ well before the last at others.  Neither is pc's gap to Newton shrinking
 from N to 2N at small N, nor rho monotone in tau.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -98,7 +97,7 @@ def test_upwind_pc_march_keeps_its_invariants(p, n):
 @PROPERTY
 @given(p=market(), n=SIZES)
 def test_pc_backward_error_is_of_rounding_size(p, n):
-    errors = np.array([d.backward_error for d in pc_march(p, n).diagnostics])
+    errors = pc_march(p, n).diagnostics.backward_error
     assert errors.max() <= PC_BACKWARD_ERROR_BOUND, int(errors.argmax()) + 1
 
 
@@ -152,5 +151,5 @@ def test_upwind_newton_march_succeeds(p, n):
 @given(p=market(), n=SIZES)
 @example(p=MarketParams(r=0.08287, q=0.00977, sigma=0.1665, T=16.989), n=19)
 def test_backward_error_is_of_rounding_size(p, n):
-    errors = np.array([d.backward_error for d in march(p, n).diagnostics])
+    errors = march(p, n).diagnostics.backward_error
     assert errors.max() <= BACKWARD_ERROR_BOUND, int(errors.argmax()) + 1

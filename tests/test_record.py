@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,9 +24,14 @@ def test_paired_recording_schema(tmp_path, monkeypatch):
                 "refine": ("refine", "--base-N", "8", "--levels", "2")}
     monkeypatch.setattr(record, "COMMANDS", commands)
     monkeypatch.setattr(record, "OUT_DIR", tmp_path)
+    # a process that may run on one CPU of eight: nproc records the one, which
+    # sets the threads of compare and refine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert record.main(["smoke", "--against", str(ROOT)]) == 0
     out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert out["label"] == "smoke" and out["against"] == ROOT.name
+    assert out["environment"]["nproc"] == 1
     paired = out["paired"]
     assert paired["rounds"] == 2 and paired["sizes"] == [8, 12] and paired["order"] == "ABBA"
     assert set(paired["kernel_backend"]) == {"this", "against"}

@@ -202,7 +202,7 @@ class TestMarchNewton:
                                start=start)
 
     def test_iteration_budget(self, newton_default):
-        iters = np.array([d.iterations for d in newton_default.diagnostics])
+        iters = newton_default.diagnostics.iterations
         assert iters.max() <= NewtonConfig().max_iter
         assert iters[:-2].max() <= 5  # away from the singular final layers
 
@@ -219,8 +219,7 @@ class TestMarchNewton:
         assert sum(d.dominance_violations for d in newton_default.diagnostics) == 0
 
     def test_onesided_rows_confined_to_final_layers(self, newton_default):
-        layers_with_switch = [d.layer for d in newton_default.diagnostics
-                              if d.onesided_rows > 0]
+        layers_with_switch = (np.flatnonzero(newton_default.diagnostics.onesided_rows) + 1).tolist()
         assert layers_with_switch  # the guard does engage near maturity
         assert min(layers_with_switch) >= newton_default.grid.M - 1
 

@@ -196,9 +196,9 @@ class TestMarchPC:
         assert np.all(pc_default.surface[:, -1] == 0.0)
 
     def test_fallback_confined_to_final_layers(self, pc_default):
-        fallbacks = [d.layer for d in pc_default.diagnostics if d.predictor_fallback]
+        fallbacks = set(np.flatnonzero(pc_default.diagnostics.predictor_fallback) + 1)
         assert fallbacks  # the no-root regime is real on the default grid
-        assert set(fallbacks) <= {pc_default.grid.M - 1, pc_default.grid.M}
+        assert fallbacks <= {pc_default.grid.M - 1, pc_default.grid.M}
 
     def test_near_expiry_regime_across_the_benchmark_box(self):
         # perfbench's parameter sets (workload seeds 0-15) at N = 200: the
@@ -209,14 +209,14 @@ class TestMarchPC:
             p = MarketParams(**workloads.market_params(seed))
             run = march_pc(p, make_grid(p, N=200))
             m = run.grid.M
-            fallbacks = {d.layer for d in run.diagnostics if d.predictor_fallback}
+            fallbacks = set(np.flatnonzero(run.diagnostics.predictor_fallback) + 1)
             assert fallbacks <= {m - 2, m - 1, m}, (seed, sorted(fallbacks))
-            assert max(d.iterations for d in run.diagnostics) <= 8, seed
+            assert run.diagnostics.iterations.max() <= 8, seed
 
     def test_root_iterations_per_layer(self, pc_default):
         # safeguarded Newton keeps its converged root: a zero step is accepted,
         # not replaced by about 25 bisections from the bracket end it lands on
-        assert max(d.iterations for d in pc_default.diagnostics) <= 8
+        assert pc_default.diagnostics.iterations.max() <= 8
 
     def test_maximum_principle_upwind(self, pc_default):
         assert pc_default.surface.min() >= -1.0 - 1e-12
@@ -236,7 +236,7 @@ class TestMarchPC:
                                 (0.069305, 0.030175, 0.20944))]
         for p, n in cases:
             run = pc_default if (p, n) == (params, 200) else march_pc(p, make_grid(p, N=n))
-            assert max(d.residual_f1 for d in run.diagnostics) <= 1e-13, (p, n)
+            assert run.diagnostics.residual_f1.max() <= 1e-13, (p, n)
         # ... and the constraint is left with the remainder of one Newton step
         # from z_tilde, quadratic in the step
         run, g = pc_default, pc_default.grid
@@ -245,10 +245,10 @@ class TestMarchPC:
                               z=float(run.rho[j]))
             tau_next = float(run.taus[j + 1])
             root = predicted_root(prev, tau_next, g, params)
-            assert (root is None) == d.predictor_fallback, d.layer
+            assert (root is None) == d.predictor_fallback, j + 1
             z_tilde = prev.z if root is None else root
             step = run.rho[j + 1] - z_tilde
-            assert d.residual_f2 <= 5.0 * step**2 / (tau_next - prev.tau), d.layer
+            assert d.residual_f2 <= 5.0 * step**2 / (tau_next - prev.tau), j + 1
 
     def test_underestimates_newton_reference_anchor(self, newton_default, pc_default):
         # the predictor-corrector tracks the boundary from below; its gap to the
