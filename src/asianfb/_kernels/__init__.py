@@ -10,7 +10,7 @@ tridiag.thomas_solve passes it the four arrays it is given.  It makes the
 checks of a solve itself: it raises ValueError when the shapes do not
 fit that form (``native.check_shape``) and ValueError("<name> contains
 non-finite values"), naming the first of the four arrays that holds a
-NaN or an infinity, before any pivot is tested, and fails at the first
+NaN or an infinity, before any pivot is tested, and fails at the lowest
 row whose pivot magnitude falls below
 ``max(pivot_rtol * max|diag|, ulp(0.0))`` (``pure.pivot_floor``).
 
@@ -21,10 +21,13 @@ row whose pivot magnitude falls below
   native's docstring.  Without a C compiler, or when the build or the
   load of the fresh build fails, the first call raises
   native.KernelUnavailable.
-* ``pure``: the plain Python Thomas loop, whose solutions and failing
-  rows thomas.c's repeat bit for bit, with its finiteness and pivot-floor
-  checks, which thomas.c makes in C.  The tests hold it against native;
-  nothing in a march calls it, and native does not import it.
+* ``pure``: thomas.c's one elimination as a plain Python loop, whose
+  chains meet at the last row by default (the Thomas sweep) or at the
+  row its ``meet`` names, and whose solutions and failing rows thomas.c's
+  repeat bit for bit, with its finiteness and pivot-floor checks, which
+  thomas.c makes in C.  The tests hold it against native and solve the
+  numpy twins' systems with it; nothing in a march calls it, and native
+  does not import it.
 
 Nothing is compiled or loaded at import.  tridiag.thomas_solve looks
 ``native.thomas`` up at each call, so a wrapper set on that attribute

@@ -209,9 +209,14 @@ def _provenance() -> dict:
 
 def _out_paths(cfg: SimpleNamespace, *keys: str) -> list[Path]:
     """The paths of a command's output files ``keys`` (file-name options
-    of cfg), in its output directory, which this makes: once per command."""
+    of cfg), in its output directory, which this makes: once per command,
+    before its marches.  Raises ConfigError naming the directory where it
+    cannot be made (a path that names a file, or lies below one)."""
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out_dir}: {exc}") from exc
     return [out_dir / getattr(cfg, key) for key in keys]
 
 
@@ -353,6 +358,7 @@ def cmd_solve(cfg: SimpleNamespace) -> int:
 
 
 def cmd_refine(cfg: SimpleNamespace) -> int:
+    refine_path, = _out_paths(cfg, "refine_csv")
     started = time.perf_counter()
     report = refinement_study(
         cfg.market, base_N=cfg.base_N, levels=cfg.levels,
@@ -362,7 +368,6 @@ def cmd_refine(cfg: SimpleNamespace) -> int:
     )
     elapsed = time.perf_counter() - started
 
-    refine_path, = _out_paths(cfg, "refine_csv")
     header = ["N", "M"]
     for t in report.probe_times:
         label = f"tau{t:g}"
@@ -386,12 +391,12 @@ def cmd_refine(cfg: SimpleNamespace) -> int:
 
 def cmd_compare(cfg: SimpleNamespace) -> int:
     grid = make_grid(cfg.market, cfg.N, cfg.M, cfg.L, cfg.eps_final)
+    compare_path, json_path = _out_paths(cfg, "compare_csv", "compare_json")
     started = time.perf_counter()
     record = compare_engines(cfg.market, grid, cfg.scheme_mode,
                              cfg.newton, cfg.predictor)
     elapsed = time.perf_counter() - started
 
-    compare_path, json_path = _out_paths(cfg, "compare_csv", "compare_json")
     _write_table(compare_path, "tau,rho_newton,rho_pc,diff",
                  (record.taus, record.rho_newton, record.rho_pc, record.diff))
 

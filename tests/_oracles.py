@@ -25,11 +25,12 @@ predictor-corrector's predictor and corrector (``predictor_numpy``,
 ``correct_numpy``: pc_predictor and pc_corrector).
 A layer's twins fill its out[] row by the names of native.OUT_FIELDS,
 in a record of its own (``out_row``), as the C layer fills its row.
-They eliminate in Python, not with C: Newton's with ``_kernels.pure``'s
-Thomas loop, pc's with ``twisted_solve``, the two-ended loop of its
-solves.
-``pc_layer`` is one predictor-corrector layer made of the twins, with
-the predictor's fallback.
+They eliminate in Python, not with C, with ``_kernels.pure``'s one
+elimination loop (``pure_solve``), whose chains meet where thomas.c's
+do: at the last row in Newton's solves, at row n // 2 in pc's.
+``predictor_numpy`` returns the predictor's fallback as its result, as
+pc_predictor does where it finds no root, and ``pc_layer`` is one
+predictor-corrector layer made of the twins.
 ``march_numpy`` is thomas.c's march on the twins, one Python call per
 layer, which copies each layer's record into its row of the march's
 rows, and ``numpy_layers()`` runs both engines' marches on it, which is
@@ -59,7 +60,7 @@ import pytest
 
 from asianfb import tridiag
 from asianfb._kernels import native, pure
-from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, SolverError, ZeroPivot
+from asianfb.errors import NoConvergence, NonPositiveZ, SingularSchur, ZeroPivot
 from asianfb.mesh import LayerState
 from asianfb.model import MarketParams
 from asianfb.scheme import SchemeMode
@@ -72,11 +73,6 @@ from asianfb.solver_pc import PredictorConfig
 # thomas.c's BRACKET_SCAN, BRACKET_FACTOR and BRACKET_EXPANSIONS, the
 # predictor's bracket scan (test_kernel_mirror checks them against it)
 BRACKET_SCAN, BRACKET_FACTOR, BRACKET_EXPANSIONS = 64, 2.0, 6
-
-
-class NoBracket(SolverError):
-    """The twin's predictor residual has no sign change in the search
-    bracket; the kernel's pc_predictor falls back to z_prev there."""
 
 
 def j11(frame):
@@ -113,9 +109,10 @@ def out_row(**slots):
     return out
 
 
-def pure_solve(lower, diag, upper, rhs):
-    """tridiag.thomas_solve on the pure Thomas loop."""
-    x, fail = pure.thomas(lower, diag, upper, rhs, tridiag.PIVOT_RTOL)
+def pure_solve(lower, diag, upper, rhs, *, meet=None):
+    """tridiag.thomas_solve on the pure elimination, whose chains meet at
+    row ``meet`` (by default the last, the Thomas sweep)."""
+    x, fail = pure.thomas(lower, diag, upper, rhs, tridiag.PIVOT_RTOL, meet=meet)
     if fail >= 0:
         raise ZeroPivot(fail)
     return x
@@ -394,7 +391,8 @@ def predictor_equations(prev, tau_next, g, p):
 
 
 def _bracket_nearest(residual, z_prev):
-    """Sign-change cell closest to z_prev inside an expanding bracket."""
+    """Sign-change cell closest to z_prev inside an expanding bracket, or
+    None where there is none."""
     factor = BRACKET_FACTOR
     for _ in range(BRACKET_EXPANSIONS):
         zs = np.linspace(z_prev / factor, z_prev * factor, BRACKET_SCAN + 1)
@@ -405,24 +403,25 @@ def _bracket_nearest(residual, z_prev):
             mids = 0.5 * (zs[cells] + zs[cells + 1])
             pick = cells[int(np.argmin(np.abs(mids - z_prev)))]
             return zs[pick], zs[pick + 1], vals[pick], vals[pick + 1]
-        widest = factor
         factor *= BRACKET_FACTOR
-    raise NoBracket(f"predictor residual has no sign change within "
-                    f"[{z_prev / widest:.4g}, {z_prev * widest:.4g}]")
+    return None
 
 
 class Prediction(NamedTuple):
     z: float
     iterations: int
+    fallback: bool
 
 
-def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
-    """thomas.c's pc_predictor with its bracket scan and root in numpy; it
-    takes ``frame`` as pc_layer passes it, and needs none."""
-    if not tau_next < p.T:
-        raise ValueError(f"tau_next must be < T; got {tau_next} with T={p.T}")
+def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig()):
+    """thomas.c's pc_predictor with its bracket scan and root in numpy: the
+    root and its iterations, or, where the scan finds no sign change, the
+    layer's fallback, z_prev with no iterations."""
     residual, derivative, _ = predictor_equations(prev, tau_next, g, p)
-    lo, hi, f_lo, _ = _bracket_nearest(residual, prev.z)
+    bracket = _bracket_nearest(residual, prev.z)
+    if bracket is None:
+        return Prediction(z=prev.z, iterations=0, fallback=True)
+    lo, hi, f_lo, _ = bracket
 
     x = 0.5 * (lo + hi)
     fx = residual(x)
@@ -453,52 +452,7 @@ def predictor_numpy(prev, tau_next, g, p, cfg=PredictorConfig(), *, frame=None):
         raise NoConvergence(cfg.max_iter, step)
     if x <= 0:
         raise NonPositiveZ(x)
-    return Prediction(z=x, iterations=iterations)
-
-
-def twisted_solve(lower, diag, upper, rhs):
-    """tridiag.thomas_solve of one right-hand side by thomas.c's two-ended
-    elimination, pc's solves: rows 0 .. m - 1 eliminate downward
-    (cp_i = b_i / piv_i), rows n - 1 .. m + 1 upward (cq_i = a_i / piv_i,
-    kept in cp), and the two chains meet at row m = n // 2, where
-    piv_m = c_m - a_m cp_{m-1} - b_m cq_{m+1}; back substitution runs
-    outward from m.  Every pivot is computed before any is tested, and
-    ZeroPivot names the lowest row whose pivot falls below
-    ``pure.pivot_floor(diag, tridiag.PIVOT_RTOL)``; a non-finite entry
-    raises pure.check_finite's ValueError first."""
-    native.check_shape(lower, diag, upper, rhs)
-    pure.check_finite(lower, diag, upper, rhs)
-    floor = pure.pivot_floor(diag, tridiag.PIVOT_RTOL)
-    n = diag.size
-    m = n // 2
-    a = [0.0] + lower.tolist()  # a[i] and b[i] are row i's entries
-    b = upper.tolist() + [0.0]
-    c, d = diag.tolist(), rhs.tolist()
-    piv, cp, x = [0.0] * n, [0.0] * n, [0.0] * n
-    for i in range(m):  # downward, from row 0
-        piv[i] = c[i] if i == 0 else c[i] - a[i] * cp[i - 1]
-        cp[i] = b[i] / piv[i]
-        x[i] = (d[i] if i == 0 else d[i] - a[i] * x[i - 1]) / piv[i]
-    for i in range(n - 1, m, -1):  # upward, from row n - 1
-        piv[i] = c[i] if i == n - 1 else c[i] - b[i] * cp[i + 1]
-        cp[i] = a[i] / piv[i]
-        x[i] = (d[i] if i == n - 1 else d[i] - b[i] * x[i + 1]) / piv[i]
-    piv[m], x[m] = c[m], d[m]
-    if m > 0:
-        piv[m] = piv[m] - a[m] * cp[m - 1]
-        x[m] = x[m] - a[m] * x[m - 1]
-    if m < n - 1:
-        piv[m] = piv[m] - b[m] * cp[m + 1]
-        x[m] = x[m] - b[m] * x[m + 1]
-    x[m] = x[m] / piv[m]
-    for i, p in enumerate(piv):
-        if abs(p) < floor:
-            raise ZeroPivot(i)
-    for i in range(m - 1, -1, -1):
-        x[i] = x[i] - cp[i] * x[i + 1]
-    for i in range(m + 1, n):
-        x[i] = x[i] - cp[i] * x[i - 1]
-    return np.array(x)
+    return Prediction(z=x, iterations=iterations, fallback=False)
 
 
 def _frozen_solve(start, z):
@@ -510,7 +464,8 @@ def _frozen_solve(start, z):
     y = np.empty(frame.g.N + 1)
     y[0] = -1.0
     y[-1] = 0.0
-    y[1:-1] = twisted_solve(*j11(frame), frame.single_rhs)
+    # pc's solves meet at row n // 2, as in thomas.c
+    y[1:-1] = pure_solve(*j11(frame), frame.single_rhs, meet=frame.diag.size // 2)
     return rows, y
 
 
@@ -524,7 +479,7 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
     # one Newton step on (F1, F2) from (y, z_tilde): F1 vanishes there, so the
     # Schur step of the Newton engine reduces to dz = -F2 / (1 - J21 J11^{-1} J12)
     z_column(rows, y, out=frame.single_rhs)
-    v = twisted_solve(*j11(frame), frame.single_rhs)
+    v = pure_solve(*j11(frame), frame.single_rhs, meet=frame.diag.size // 2)
     j21_y1, j21_y2 = start.j21
     # J21's y_2 term is the boundary's, fixed at 0, when there is one interior row
     denom = 1.0 - (j21_y1 * v[0] + j21_y2 * (v[1] if v.size > 1 else 0.0))
@@ -542,20 +497,13 @@ def correct_numpy(prev, tau_next, frame, z_tilde):
 
 
 def pc_layer(prev, tau_next, frame, cfg):
-    """One predictor and one corrector on the twins, from z_tilde = z_prev
-    with the fallback flag set where the predictor finds no root: thomas.c's
-    pc layer in march, which starts the layer in the frame (frame_start)
-    before its predictor runs."""
-    frame_start(frame, prev, tau_next)
-    fallback = False
-    try:
-        pred = predictor_numpy(prev, tau_next, frame.g, frame.p, cfg, frame=frame)
-        z_tilde, root_iters = pred.z, pred.iterations
-    except NoBracket:
-        z_tilde, root_iters = prev.z, 0
-        fallback = True
-    state, out = correct_numpy(prev, tau_next, frame, z_tilde)
-    out.iterations, out.predictor_fallback = root_iters, fallback
+    """One predictor and one corrector on the twins, from the predictor's
+    z, z_prev on its fallback: thomas.c's pc layer in march, which starts
+    the layer in the frame (frame_start) before its predictor runs."""
+    frame_start(frame, prev, tau_next)  # raises ValueError past maturity
+    pred = predictor_numpy(prev, tau_next, frame.g, frame.p, cfg)
+    state, out = correct_numpy(prev, tau_next, frame, pred.z)
+    out.iterations, out.predictor_fallback = pred.iterations, pred.fallback
     return state, out
 
 

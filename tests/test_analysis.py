@@ -148,6 +148,20 @@ class TestReconstructValue:
         with pytest.raises(ValueError):
             reconstruct_value(newton_default, newton_default.taus.size)
 
+    @pytest.mark.parametrize("z", [0.0, -1.7])
+    def test_nonpositive_boundary_rejected(self, params, default_grid, z):
+        m = default_grid.M
+        rho = np.full(m + 1, 1.7)
+        rho[3] = z
+        fake = SolveResult(
+            params=params, grid=default_grid, engine="newton", mode="central",
+            taus=default_grid.taus.copy(), rho=rho,
+            surface=np.zeros((m + 1, default_grid.N + 1)),
+        )
+        with pytest.raises(ValueError, match="non-positive boundary ratio at layer 3"):
+            reconstruct_value(fake, 3)
+        reconstruct_value(fake, 2)
+
 
 @pytest.fixture(scope="module")
 def record(params) -> ComparisonRecord:

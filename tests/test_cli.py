@@ -644,6 +644,31 @@ class TestConfigResolution:
         cfg.write_text("N 64\n")
         assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config, flags, message", [
+        (None, ["--config", "."], "cannot read config file .: [Errno 21] Is a directory: '.'"),
+        ("N = abc", [], "bad value for N: 'abc'"),
+        ("engine = x", [], "engine must be 'newton' or 'pc', got 'x'"),
+        ("scheme_mode = x", [], "scheme-mode must be 'central' or 'upwind-singular', got 'x'"),
+        (None, ["--tau-probes", "a,b"], "bad tau-probes 'a,b'"),
+        (None, ["--tau-probes", ","], "tau-probes must name at least one time"),
+        (None, ["--tau-probes", "0"], "probe tau=0.0 outside (0, T=50.0)"),
+        (None, ["--tau-probes", "10,50"], "probe tau=50.0 outside (0, T=50.0)"),
+    ], ids=["unreadable config", "bad value", "engine", "scheme_mode", "malformed probes",
+            "no probe", "probe at 0", "probe at T"])
+    def test_refused_input_writes_nothing(self, tmp_path, capsys, config, flags, message):
+        """Input refused in one config error line (exit 2) before anything is
+        written: a config file that cannot be read, a file's value that its
+        type or its choices refuse (flags meet argparse's checks instead) and
+        probe times that are malformed, none, or outside (0, T)."""
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            flags = ["--config", str(tmp_path / "run.cfg"), *flags]
+        assert run_cli(["solve", *flags], tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(message + "\n"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_environment_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("ASIANFB_OUT", str(env_dir))
@@ -817,6 +842,26 @@ class TestConfigResolution:
         assert err == ("kernel unavailable: no C compiler: asianfb builds its kernel "
                        "thomas.c with 'cc', which is not on PATH (kernel cache directory "
                        f"{tmp_path / 'cache'})\n")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
+    @pytest.mark.parametrize("command", ["solve", "compare", "refine"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, monkeypatch, capsys,
+                                                  command, below):
+        """An output directory that names a file, or lies below one, is a
+        config error (exit 2) naming it, in one line, before any march."""
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march ran")
+
+        monkeypatch.setattr(native, "march", no_march)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "out" if below else blocker
+        size = ["--base-N", "8", "--levels", "2"] if command == "refine" else ["--N", "8"]
+        assert run_cli([command, *size], out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make the output directory {out}: ")
+        assert err.count("\n") == 1, err
+        assert blocker.read_text() == "kept"
 
 
 def help_text(parse, args, capsys):

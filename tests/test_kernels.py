@@ -28,7 +28,7 @@ from asianfb.solver_newton import NewtonConfig
 from asianfb.solver_pc import PredictorConfig
 from asianfb.tridiag import PIVOT_RTOL, thomas_solve
 
-from _oracles import (LayerRows, NoBracket, correct_numpy, frame_start, numpy_layers, one_layer,
+from _oracles import (LayerRows, correct_numpy, frame_start, numpy_layers, one_layer,
                       predictor_numpy, pure_solve, replay, set_limits)
 from test_tridiag import random_dominant_system
 
@@ -112,6 +112,49 @@ class TestBackendSelection:
         assert "\n" not in message and "second line" not in message
         assert native._kernel is None
         assert cache_files(empty_cache) == []  # no half-written library is left
+
+    @pytest.mark.parametrize("how", ["mkstemp fails", "cache below a file"])
+    def test_error_when_the_cache_cannot_be_written(self, empty_cache, tmp_path, monkeypatch,
+                                                    how):
+        if how == "mkstemp fails":
+            def no_space(*args, **kwargs):
+                raise OSError("no space left")
+
+            monkeypatch.setattr(native.tempfile, "mkstemp", no_space)
+            cache, reason = empty_cache, "no space left"
+        else:
+            (tmp_path / "file").write_text("")
+            cache, reason = tmp_path / "file" / "cache", "[Errno 20] Not a directory"
+            monkeypatch.setattr(native, "CACHE_DIR", cache)
+        with pytest.raises(native.KernelUnavailable) as exc:
+            native.load()
+        message = str(exc.value)
+        assert message.startswith(f"cannot write the kernel cache: {reason}")
+        assert message.endswith(f" (kernel cache directory {cache})") and "\n" not in message
+        assert native._kernel is None
+
+    @pytest.mark.parametrize("how", ["not executable", "times out"])
+    def test_error_when_the_compiler_cannot_run(self, empty_cache, tmp_path, monkeypatch, how):
+        """A compiler that cannot be started, or that runs past the build
+        timeout (and is killed), fails the build with one line and leaves no
+        temporary file."""
+        if how == "not executable":
+            compiler = tmp_path / "cc"
+            compiler.write_text("")
+            compiler, reason = str(compiler), f"[Errno 13] Permission denied: '{compiler}'"
+        else:
+            compiler = fake_compiler(tmp_path / "cc", "exec sleep 30\n")
+            monkeypatch.setattr(native, "BUILD_TIMEOUT_S", 0.2)
+            reason = "timed out after 0.2 seconds"
+        monkeypatch.setattr(native, "find_compiler", lambda: compiler)
+        with pytest.raises(native.KernelUnavailable) as exc:
+            native.load()
+        message = str(exc.value)
+        assert message.startswith(f"building the kernel failed: {compiler} -O2 ")
+        assert f"{reason} (kernel cache directory {empty_cache})" in message
+        assert "\n" not in message
+        assert native._kernel is None
+        assert cache_files(empty_cache) == []
 
     def test_error_when_the_fresh_build_does_not_load(self, empty_cache, tmp_path,
                                                       monkeypatch):
@@ -318,6 +361,53 @@ class TestNativeMatchesPure:
             lower[row - 1] = 0.0
         assert assert_same_result((lower, diag, upper, rhs, rtol)) == row
         assert not native.thomas(lower, diag, upper, rhs, rtol)[0].any()
+
+
+# Rows of a 7-row system whose pivots are exactly 0 in either direction of
+# elimination (a zero diagonal entry with both its couplings 0), and the
+# failing row the pure elimination reports when its chains meet at the last
+# row (6) and at the middle row (3).  A zero row's cp is 0/0 = NaN, which
+# makes every later pivot of its chain, and the meeting row's, NaN, and a NaN
+# pivot is no failure: meeting at row 3, the upward chain's zero row 5 hides
+# the zero of row 3, and row 5 is the lowest failing row.
+ZERO_PIVOT_ROWS = {
+    "down": ((1,), 1, 1),
+    "meet": ((3,), 3, 3),
+    "up": ((5,), 5, 5),
+    "down and up": ((1, 5), 1, 1),
+    "meet and up": ((3, 5), 3, 5),
+}
+
+
+@pytest.mark.parametrize("ncol", [1, 2])
+@pytest.mark.parametrize("case", sorted(ZERO_PIVOT_ROWS))
+def test_pure_elimination_reports_an_exact_zero_pivot(case, ncol):
+    """An exactly zero pivot in the downward chain, at the meeting row or in
+    the upward chain gives the pure elimination's failing row, with zeros,
+    at meet = n - 1 as in native.thomas, and at meet = n // 2, dividing by
+    it as C does rather than raising ZeroDivisionError."""
+    rows, at_last, at_middle = ZERO_PIVOT_ROWS[case]
+    n = 7
+    lower, diag, upper = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)
+    for row in rows:
+        diag[row] = lower[row - 1] = upper[row] = 0.0
+    rhs = np.arange(1.0, ncol * n + 1).reshape(ncol, n).squeeze()
+    assert assert_same_result((lower, diag, upper, rhs, PIVOT_RTOL)) == at_last
+    for meet, expected in ((n - 1, at_last), (n // 2, at_middle)):
+        x, fail = pure.thomas(lower, diag, upper, rhs, PIVOT_RTOL, meet=meet)
+        assert fail == expected
+        assert x.shape == rhs.shape and not x.any()
+
+
+@pytest.mark.parametrize("meet, row", [(None, 1), (1, 1), (0, 0)])
+def test_pure_elimination_meeting_row_zero_pivot(meet, row):
+    """A system of two rows of ones: whichever row the chains meet at has
+    the pivot 1 - 1 * 1 = 0 exactly and fails, row 1 by default as in
+    native.thomas."""
+    args = np.ones(1), np.ones(2), np.ones(1), np.ones(2), PIVOT_RTOL
+    assert native.thomas(*args)[1] == 1
+    x, fail = pure.thomas(*args, meet=meet)
+    assert fail == row and not x.any()
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -963,9 +1053,10 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
     """Each pc layer that fails raises the same class, message and attributes
     in the kernel and on the numpy twins of its layer, each a march of
     that one layer, leaving the same row buffers and right-hand sides in
-    its frame, and the one whose predictor finds no root (its twin raising
-    NoBracket) returns the same fallback layer; the limits patched here
-    reach the compiled path from Python."""
+    its frame, and the one whose predictor finds no root (NoBracket: its
+    twin's result is the fallback, z_prev with no iterations) returns the
+    same fallback layer; the limits patched here reach the compiled path
+    from Python."""
     ended = []
     for layers in (contextlib.nullcontext, numpy_layers):
         # the twins' numpy warns where the overflowing step makes infinities
@@ -980,8 +1071,7 @@ def test_pc_layer_fails_alike_on_both_backends(params, case):
                 ended.append((state.y.tobytes(), state.z, diag, frame_bits(frame)))
     assert ended[0] == ended[1]
     if case == "NoBracket":
-        with pytest.raises(NoBracket):
-            predictor_numpy(prev, tau_next, frame.g, frame.p, cfg)
+        assert predictor_numpy(prev, tau_next, frame.g, frame.p, cfg) == (prev.z, 0, True)
         # the fallback layer is the corrector's from z_tilde = z_prev
         corrected, _ = correct_numpy(prev, tau_next, frame, prev.z)
         assert state.z == corrected.z

@@ -64,6 +64,11 @@ class TestGridSpec:
             GridSpec(N=8, M=10, L=math.inf, T=50.0)
         with pytest.raises(ValueError, match="T must be finite"):
             GridSpec(N=8, M=10, L=1.0, T=math.inf)
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"L must be positive, got {value}"):
+                GridSpec(N=8, M=10, L=value, T=50.0)
+            with pytest.raises(ValueError, match=f"T must be positive, got {value}"):
+                GridSpec(N=8, M=10, L=1.0, T=value)
 
     def test_eps_final_below_the_precision_of_T_rejected(self):
         # 50 - 1e-15 rounds to 50: the final layer would sit at maturity

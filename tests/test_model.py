@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asianfb.model import MarketParams, rho_initial
+from asianfb.model import MarketParams, log_moneyness_nodes, rho_initial
 
 from _oracles import (
     TransformedPoint,
@@ -39,6 +39,13 @@ class TestMarketParams:
         TransformedPoint(xi=0.0, tau=0.0)
         with pytest.raises(ValueError):
             TransformedPoint(xi=-0.1, tau=1.0)
+
+
+class TestLogMoneynessNodes:
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_rejects_nonpositive_rho(self, rho):
+        with pytest.raises(ValueError, match=f"rho must be positive, got {rho}"):
+            log_moneyness_nodes(np.zeros(3), rho)
 
 
 class TestRhoInitial:

@@ -13,7 +13,7 @@ from asianfb.scheme import SchemeMode
 from asianfb.solver_newton import march_newton
 from asianfb.solver_pc import PredictorConfig, march_pc
 
-from _oracles import (NoBracket, build_jacobian, corrector, dense_jacobian, frozen_layer, one_layer,
+from _oracles import (build_jacobian, corrector, dense_jacobian, frozen_layer, one_layer,
                       predicted_root, predictor_equations, predictor_numpy, residual_constraint,
                       residual_interior, stationary_state)
 
@@ -116,8 +116,7 @@ class TestPredictor:
         _, diag = one_layer(frame, PredictorConfig(), prev, float(run.taus[j + 1]))
         assert diag.predictor_fallback and diag.iterations == 0
         assert predicted_root(prev, float(run.taus[j + 1]), g, params) is None
-        with pytest.raises(NoBracket):
-            predictor_numpy(prev, float(run.taus[j + 1]), g, params)
+        assert predictor_numpy(prev, float(run.taus[j + 1]), g, params) == (prev.z, 0, True)
 
     def test_iteration_cap(self, params, default_grid):
         prev = initial_layer(params, default_grid)
